@@ -17,11 +17,11 @@ repo root, enforce:
    "measure" phase — the like-for-like basis (Fig 7 flood cells simulate
    identically in both modes).
 
-All three files must carry the current benchmark schema version: the
-run-all grid gained CCFC cells in schema version 2, so cell counts and
-phase totals from older builds are not comparable.  A stale committed
-baseline fails here with a pointer to the regeneration command instead
-of silently gating against incomparable numbers.
+All three files must carry the current benchmark schema version
+(:data:`repro.reporting.bench.BENCH_SCHEMA_VERSION`): phases and counts
+from older builds are not comparable.  A stale committed baseline fails
+here with a pointer to the regeneration command instead of silently
+gating against incomparable numbers.
 
 Usage:
     python scripts/check_bench.py --current BENCH.json --exact BENCH_exact.json \
@@ -33,7 +33,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.reporting.bench import BenchReport, BenchSchemaError, load_bench
+from repro.reporting.bench import (
+    BENCH_SCHEMA_VERSION,
+    BenchReport,
+    BenchSchemaError,
+    load_bench,
+)
 
 #: The acceptance floor: fast path must answer the measurement cells at
 #: least this many times faster than simulating them.
@@ -100,9 +105,8 @@ def main(argv=None) -> int:
     except BenchSchemaError as error:
         print(f"FAIL: {error}", file=sys.stderr)
         print(
-            "hint: if the committed baseline predates the current schema "
-            "(e.g. version 1, before the grid gained CCFC cells), "
-            "regenerate it with:\n"
+            "hint: if the committed baseline predates schema version "
+            f"{BENCH_SCHEMA_VERSION}, regenerate it with:\n"
             "  PYTHONPATH=src python -m repro run-all --quick --workers 1 "
             "--no-progress --bench BENCH_runall.json",
             file=sys.stderr,

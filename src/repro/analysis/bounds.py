@@ -19,7 +19,6 @@ subtracted), so the ratio can only be pessimistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 from repro.cdn.multirange import MultiRangeReplyBehavior
@@ -27,6 +26,11 @@ from repro.cdn.vendors import create_profile
 from repro.cdn.vendors.azure import DEFAULT_ABORT_SLOP, EIGHT_MB, WINDOW_LAST
 from repro.cdn.vendors.base import VendorContext, VendorProfile
 from repro.cdn.vendors.cloudfront import MULTI_RANGE_WINDOW_CAP
+from repro.core.obr import (
+    exploited_fcdn_config,
+    exploited_leading_spec,
+    largest_admitted,
+)
 from repro.errors import (
     ConfigurationError,
     RangeNotSatisfiableError,
@@ -36,6 +40,7 @@ from repro.http.grammar import overlapping_open_ranges_value
 from repro.http.message import HttpRequest
 from repro.http.ranges import RangeSpecifier, try_parse_range_header
 from repro.netsim.overhead import NullOverheadModel, OverheadModel, TcpOverheadModel
+from repro.obs.memo import Memo
 
 #: Builds a fresh profile instance (profiles are stateful).  Bound
 #: functions accept one so the same closed forms can be re-run under a
@@ -406,6 +411,10 @@ class ObrBound:
         return self.victim_bytes_upper / self.attacker_bytes_lower
 
 
+#: Registry-vendor :func:`static_max_n` searches, by argument tuple.
+_MAX_N_MEMO = Memo(maxsize=1024, name="static_max_n")
+
+
 def static_max_n(
     fcdn: str,
     bcdn: str,
@@ -434,15 +443,6 @@ def static_max_n(
         raise ConfigurationError(
             "a CDN is not cascaded with itself (paper Table V excludes it)"
         )
-    if fcdn_profile is None and bcdn_profile is None:
-        # Registry-vendor searches are pure functions of scalar inputs;
-        # the analyzer and the recommendation engine re-ask the same
-        # cascades, so the binary search is worth caching.  Wrapped
-        # (mitigated) profiles stay uncached — factories have no stable
-        # cache identity.
-        return _static_max_n_default(
-            fcdn, bcdn, resource_size, resource_path, host, lower, upper
-        )
 
     def admits(n: int) -> bool:
         return _static_probe(
@@ -456,45 +456,18 @@ def static_max_n(
             bcdn_profile=bcdn_profile,
         )
 
-    if not admits(lower):
-        return 0
-    if admits(upper):
-        return upper
-    low, high = lower, upper  # admits(low), not admits(high)
-    while high - low > 1:
-        middle = (low + high) // 2
-        if admits(middle):
-            low = middle
-        else:
-            high = middle
-    return low
-
-
-@lru_cache(maxsize=1024)
-def _static_max_n_default(
-    fcdn: str,
-    bcdn: str,
-    resource_size: int,
-    resource_path: str,
-    host: str,
-    lower: int,
-    upper: int,
-) -> int:
-    def admits(n: int) -> bool:
-        return _static_probe(fcdn, bcdn, n, resource_size, resource_path, host)
-
-    if not admits(lower):
-        return 0
-    if admits(upper):
-        return upper
-    low, high = lower, upper  # admits(low), not admits(high)
-    while high - low > 1:
-        middle = (low + high) // 2
-        if admits(middle):
-            low = middle
-        else:
-            high = middle
-    return low
+    if fcdn_profile is None and bcdn_profile is None:
+        # Registry-vendor searches are pure functions of scalar inputs;
+        # the analyzer and the recommendation engine re-ask the same
+        # cascades, so the binary search is worth caching.  Wrapped
+        # (mitigated) profiles stay uncached — factories have no stable
+        # cache identity.
+        max_n: int = _MAX_N_MEMO.get_or_compute(
+            (fcdn, bcdn, resource_size, resource_path, host, lower, upper),
+            lambda: largest_admitted(admits, lower, upper),
+        )
+        return max_n
+    return largest_admitted(admits, lower, upper)
 
 
 def _static_probe(
@@ -508,8 +481,6 @@ def _static_probe(
     bcdn_profile: Optional[ProfileFactory] = None,
 ) -> bool:
     """Would a request with ``overlap_count`` ranges survive end-to-end?"""
-    from repro.core.obr import exploited_fcdn_config, exploited_leading_spec
-
     range_value = overlapping_open_ranges_value(
         overlap_count, leading=exploited_leading_spec(fcdn)
     )

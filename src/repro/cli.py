@@ -311,9 +311,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_all.add_argument(
         "--exact", action="store_true",
-        help="simulate every cell at the wire level instead of answering "
-             "calibrated SBR/OBR cells from closed forms (the reference "
-             "path the fast path is differentially tested against)",
+        help="run every cell through the grid runner instead of "
+             "answering measurement cells on the fast path (OBR from its "
+             "probe-verified model); the reference path the fast path is "
+             "differentially tested against",
     )
     run_all.add_argument(
         "--bench", nargs="?", const="BENCH_runall.json", default=None,
@@ -670,9 +671,9 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         stats = report.fastpath
         print(
             f"  fast path: {stats.answered}/{stats.total} cells answered "
-            f"from closed forms ({stats.hit_rate:.0%} hit rate, "
-            f"{stats.refused} refused, {stats.validated} cross-validated, "
-            f"{stats.calibration_runs} calibration sims)"
+            f"before the grid ({stats.hit_rate:.0%} hit rate, "
+            f"{stats.refused} refused, "
+            f"{stats.calibration_runs} OBR calibration sims)"
         )
     elif args.exact:
         print("  fast path: disabled (--exact); every cell simulated")

@@ -171,18 +171,9 @@ class ObrAttack:
         (or the paper's authors) would probe the boundary.  Returns 0
         when even ``lower`` is rejected.
         """
-        if self.probe(lower) != StatusCode.PARTIAL_CONTENT:
-            return 0
-        if self.probe(upper) == StatusCode.PARTIAL_CONTENT:
-            return upper
-        low, high = lower, upper  # probe(low) ok, probe(high) rejected
-        while high - low > 1:
-            middle = (low + high) // 2
-            if self.probe(middle) == StatusCode.PARTIAL_CONTENT:
-                low = middle
-            else:
-                high = middle
-        return low
+        return largest_admitted(
+            lambda n: self.probe(n) == StatusCode.PARTIAL_CONTENT, lower, upper
+        )
 
     # -- measurement ---------------------------------------------------------------
 
@@ -230,6 +221,26 @@ class ObrAttack:
             status=result.response.status,
             report=report,
         )
+
+
+def largest_admitted(admits: Callable[[int], bool], lower: int, upper: int) -> int:
+    """The largest ``n`` in ``[lower, upper]`` that ``admits``, or 0.
+
+    ``admits`` must be monotone (true up to the boundary, false past
+    it).  Probes ``lower``, then ``upper``, then bisects between them.
+    """
+    if not admits(lower):
+        return 0
+    if admits(upper):
+        return upper
+    low, high = lower, upper  # admits(low), not admits(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if admits(middle):
+            low = middle
+        else:
+            high = middle
+    return low
 
 
 def vulnerable_combinations() -> List[Tuple[str, str]]:

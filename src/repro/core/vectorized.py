@@ -1,323 +1,109 @@
-"""Exact calibrated byte accounting — the fast-path engine core.
+"""Exact fast-path engines, one per measurement family.
 
-Every measurement in this library is deterministic integer arithmetic
-over message sizes, so within a *regime* — a size interval where no
-vendor behavior switches and no embedded decimal digit count changes —
-each field of a result (segment byte counts, connection counts,
-statuses) is an **affine function** of the swept variable:
+* SBR and CCFC cells are one small request per round, so simulating
+  one costs well under a millisecond.  :class:`SbrFastEngine` and
+  :class:`CcfcFastEngine` answer with the simulation itself
+  (``SbrAttack(...).run`` / ``CcfcAttack(...).run``): exact by
+  construction, with nothing to calibrate.
+* OBR sweeps the overlap count ``n``, and a Table V cell at its
+  thousands-deep maximum costs tens of milliseconds to simulate.  The
+  attack's ranges are the constant-width ``0-`` spec, so request and
+  multipart payload sizes are affine in ``n``; the TCP framing model is
+  then applied analytically.  :class:`ObrFastEngine` calibrates at a
+  few small ``n`` (milliseconds) and evaluates at the Table V maximum
+  without building the multipart at all.
 
-* SBR sweeps one ``resource_size``.  The default overhead model is
-  ``NullOverheadModel`` (wire == payload), so every recorded field is
-  affine in the size directly.  :class:`SbrFastEngine` calibrates the
-  affine coefficients from a handful of real simulation runs at the
-  regime's edges, verifies collinearity, then answers every other size
-  in the regime with flat-array arithmetic instead of a per-message
-  object graph.
-* OBR sweeps the overlap count ``n``.  The attack's ranges are the
-  constant-width ``0-`` spec, so request and multipart payload sizes are
-  affine in ``n``; the TCP framing model is then applied analytically.
-  :class:`ObrFastEngine` calibrates at a few small ``n`` (milliseconds)
-  and evaluates at the thousands-deep Table V maximum without building
-  the multipart at all.
-
-Both engines refuse — raising :class:`ExactModelError` — whenever a
-verification probe breaks the affine model, a segment's connection
-structure is not invertible, or the regime is too narrow to calibrate.
-The caller (``repro.runner.fastpath``) falls back to the wire-level
-simulation, so a refusal costs speed, never correctness.  Flat arrays
-use the stdlib ``array`` module: the environment pins the dependency
-closure, and signed 64-bit lanes are exact for every byte count here.
+Every engine refuses — raising :class:`ExactModelError` — a cell it
+cannot answer exactly: an unknown vendor, a degenerate size, or an OBR
+cascade whose verification probes break the affine model or whose
+segment connection structure is not invertible.  The caller
+(``repro.runner.fastpath``) falls back to the wire-level simulation, so
+a refusal costs speed, never correctness.
 
 The differential harness (``tests/analysis/test_fastpath_equivalence``)
-pins result equality against the simulation for every Table IV and
-Table V cell and for hypothesis-random cells.
+pins OBR result equality against the simulation for every Table V cell
+and for hypothesis-random overlap counts.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cdn.vendors import all_vendor_names
-from repro.cdn.vendors.azure import DEFAULT_ABORT_SLOP, EIGHT_MB, WINDOW_LAST
-from repro.cdn.vendors.cloudfront import MULTI_RANGE_WINDOW_CAP
 from repro.core.amplification import AmplificationReport
 from repro.core.ccfc import CcfcAttack, CcfcResult
 from repro.core.obr import ObrAttack, ObrResult
 from repro.core.sbr import SbrAttack, SbrResult
 from repro.errors import ReproError
 from repro.netsim.overhead import OverheadModel
-from repro.netsim.tap import SegmentStats
-
-MB = 1 << 20
-
-#: Fields of one :class:`SegmentStats`, in vector order.
-SEGMENT_FIELDS = (
-    "connection_count",
-    "exchange_count",
-    "request_bytes",
-    "response_bytes_sent",
-    "response_bytes_delivered",
-)
+from repro.netsim.tap import CLIENT_CDN, SegmentStats
 
 
 class ExactModelError(ReproError):
-    """The calibrated model cannot exactly answer this cell — simulate."""
+    """The engine cannot exactly answer this cell — simulate."""
+
+
+def _check_cell(vendor: str, resource_size: int, min_size: int, rounds: int) -> None:
+    """Refuse what the simulation would reject: unknown vendors and
+    degenerate sizes or round counts."""
+    if vendor not in all_vendor_names():
+        raise ExactModelError(f"unknown vendor {vendor!r}")
+    if resource_size < min_size or rounds < 1:
+        raise ExactModelError("degenerate cell")
 
 
 # ---------------------------------------------------------------------------
-# Regimes: size intervals where affine extrapolation is admissible
-# ---------------------------------------------------------------------------
-
-#: Sizes at which some vendor's documented behavior switches (exploited
-#: case tables, fetch windows, delivery caps).  A regime never spans one
-#: of these, so calibration probes and the answered size always sit on
-#: the same side of every switch.
-#: Sizes at which a new behavior interval *starts* (the first size on
-#: the upper side of a documented vendor switch).  A regime never spans
-#: one, so calibration probes and the answered size always sit on the
-#: same side of every switch.
-_BEHAVIOR_STARTS: Tuple[int, ...] = tuple(
-    sorted(
-        {
-            8 * MB + 1,  # Azure's exploited-case switch (size <= 8 MB)
-            # Azure's delivery cut: min(sent, cap) crosses a header block
-            # above the cap.  The band between these two starts brackets
-            # the crossing; collinearity verification fails inside it and
-            # those sizes fall back to the simulation.
-            EIGHT_MB + DEFAULT_ABORT_SLOP + 1,
-            EIGHT_MB + DEFAULT_ABORT_SLOP + 8192,
-            WINDOW_LAST + 2,  # Azure's expansion window stops widening
-            9437185,  # CloudFront's second exploited range becomes satisfiable
-            MULTI_RANGE_WINDOW_CAP + 1,  # CloudFront's window stops widening
-            10 * MB,  # Huawei's exploited-case switch (size < 10 MB)
-        }
-    )
-)
-
-
-def _digit_signature(size: int) -> Tuple[int, int]:
-    """Decimal widths embedded in headers: ``str(size)`` (Content-Length,
-    Content-Range totals) and ``str(size - 1)`` (last-byte positions)."""
-    return (len(str(size)), len(str(size - 1)))
-
-
-def regime_interval(size: int) -> Tuple[int, int]:
-    """The maximal ``[lo, hi]`` around ``size`` with constant behavior
-    bucket and constant digit signature."""
-    if size < 2:
-        return (size, size)
-    digits, last_digits = _digit_signature(size)
-    # len(str(s)) == digits        <=>  10^(digits-1) <= s <= 10^digits - 1
-    # len(str(s-1)) == last_digits <=>  10^(last_digits-1) + 1 <= s <= 10^last_digits
-    lo = max(10 ** (digits - 1), 10 ** (last_digits - 1) + 1, 2)
-    hi = min(10**digits - 1, 10**last_digits)
-    # Behavior buckets are the intervals [start, next_start - 1]: clamp
-    # to the bucket containing ``size``.
-    bucket = bisect_right(_BEHAVIOR_STARTS, size)
-    if bucket > 0:
-        lo = max(lo, _BEHAVIOR_STARTS[bucket - 1])
-    if bucket < len(_BEHAVIOR_STARTS):
-        hi = min(hi, _BEHAVIOR_STARTS[bucket] - 1)
-    return (lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# Affine fitting over flat integer arrays
+# SBR and CCFC: vendor x resource-size cells, answered by simulation
 # ---------------------------------------------------------------------------
 
 
-def _fit_affine(
-    points: Sequence[Tuple[int, Sequence[int]]],
-) -> Tuple[int, "array[int]", "array[int]"]:
-    """Fit ``v(x) = base + slope * (x - x0)`` per vector lane, exactly.
+class SbrFastEngine:
+    """Answers SBR cells with the wire-level simulation."""
 
-    ``points`` maps probe positions to equal-length integer vectors; the
-    first two positions determine the coefficients and every remaining
-    point must verify them, else :class:`ExactModelError`.
+    def measure(self, vendor: str, resource_size: int, rounds: int = 1) -> SbrResult:
+        """``SbrAttack(vendor, resource_size).run(rounds)``."""
+        _check_cell(vendor, resource_size, 2, rounds)
+        return SbrAttack(vendor, resource_size=resource_size).run(rounds=rounds)
+
+
+class CcfcFastEngine:
+    """Answers CCFC (compression-conversion) cells with the wire-level
+    simulation."""
+
+    def measure(
+        self, vendor: str, resource_size: int, rounds: int = 1
+    ) -> CcfcResult:
+        """``CcfcAttack(vendor, resource_size).run(rounds)``."""
+        _check_cell(vendor, resource_size, 1, rounds)
+        return CcfcAttack(vendor, resource_size=resource_size).run(rounds=rounds)
+
+
+# ---------------------------------------------------------------------------
+# OBR: fcdn x bcdn cascade cells, swept over the overlap count n
+# ---------------------------------------------------------------------------
+
+
+def _fit_affine(points: Sequence[Tuple[int, int]]) -> Tuple[int, int, int]:
+    """Fit ``v(x) = base + slope * (x - x0)`` exactly; returns
+    ``(x0, base, slope)``.
+
+    The first two ``(x, v)`` points determine the coefficients and every
+    remaining point must verify them, else :class:`ExactModelError`.
     """
     if len(points) < 2:
         raise ExactModelError("affine fit needs at least two probes")
     (x0, v0), (x1, v1) = points[0], points[1]
     if x1 == x0:
         raise ExactModelError("degenerate probe spacing")
-    base = array("q", v0)
-    slope = array("q", (0 for _ in v0))
-    for lane, (a, b) in enumerate(zip(v0, v1)):
-        delta, remainder = divmod(b - a, x1 - x0)
-        if remainder:
-            raise ExactModelError(f"lane {lane} has a non-integer slope")
-        slope[lane] = delta
-    for x, vec in points[2:]:
-        for lane, value in enumerate(vec):
-            if value != base[lane] + slope[lane] * (x - x0):
-                raise ExactModelError(
-                    f"lane {lane} breaks the affine model at probe {x}"
-                )
-    return (x0, base, slope)
+    slope, remainder = divmod(v1 - v0, x1 - x0)
+    if remainder:
+        raise ExactModelError("non-integer slope")
+    for x, value in points[2:]:
+        if value != v0 + slope * (x - x0):
+            raise ExactModelError(f"affine model breaks at probe {x}")
+    return (x0, v0, slope)
 
-
-def _eval_affine(
-    x0: int, base: "array[int]", slope: "array[int]", x: int
-) -> "array[int]":
-    """One flat-array affine evaluation (the vectorized inner loop)."""
-    dx = x - x0
-    return array("q", (b + s * dx for b, s in zip(base, slope)))
-
-
-# ---------------------------------------------------------------------------
-# SBR: vendor x resource-size cells
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SbrShape:
-    """Everything about an :class:`SbrResult` that must be
-    size-invariant across a regime for the affine model to apply."""
-
-    vendor: str
-    rounds: int
-    statuses: Tuple[int, ...]
-    attacker_segment: str
-    victim_segment: str
-    segment_names: Tuple[str, ...]
-
-
-def _flatten_sbr(result: SbrResult) -> Tuple[_SbrShape, List[int]]:
-    shape = _SbrShape(
-        vendor=result.vendor,
-        rounds=result.rounds,
-        statuses=result.statuses,
-        attacker_segment=result.report.attacker_segment,
-        victim_segment=result.report.victim_segment,
-        segment_names=tuple(result.report.segments),
-    )
-    vector = [
-        result.client_traffic,
-        result.origin_traffic,
-        result.report.attacker_bytes,
-        result.report.victim_bytes,
-    ]
-    for name in shape.segment_names:
-        stats = result.report.segments[name]
-        vector.extend(getattr(stats, field) for field in SEGMENT_FIELDS)
-    return (shape, vector)
-
-
-def _rebuild_sbr(shape: _SbrShape, size: int, vector: Sequence[int]) -> SbrResult:
-    segments: Dict[str, SegmentStats] = {}
-    offset = 4
-    for name in shape.segment_names:
-        values = vector[offset : offset + len(SEGMENT_FIELDS)]
-        segments[name] = SegmentStats(
-            segment=name, **dict(zip(SEGMENT_FIELDS, values))
-        )
-        offset += len(SEGMENT_FIELDS)
-    report = AmplificationReport(
-        attacker_bytes=vector[2],
-        victim_bytes=vector[3],
-        attacker_segment=shape.attacker_segment,
-        victim_segment=shape.victim_segment,
-        segments=segments,
-    )
-    return SbrResult(
-        vendor=shape.vendor,
-        resource_size=size,
-        rounds=shape.rounds,
-        client_traffic=vector[0],
-        origin_traffic=vector[1],
-        statuses=shape.statuses,
-        report=report,
-    )
-
-
-@dataclass(frozen=True)
-class SbrRegimeModel:
-    """Calibrated affine model for one (vendor, rounds) x regime."""
-
-    shape: _SbrShape
-    lo: int
-    hi: int
-    x0: int
-    base: "array[int]"
-    slope: "array[int]"
-
-    def evaluate(self, size: int) -> SbrResult:
-        if not (self.lo <= size <= self.hi):
-            raise ExactModelError(f"size {size} outside regime [{self.lo}, {self.hi}]")
-        return _rebuild_sbr(self.shape, size, _eval_affine(self.x0, self.base, self.slope, size))
-
-    def evaluate_many(self, sizes: Sequence[int]) -> List[SbrResult]:
-        return [self.evaluate(size) for size in sizes]
-
-
-class SbrFastEngine:
-    """Answers SBR cells from calibrated regime models.
-
-    A regime is calibrated once (four wire-level runs at its edges) and
-    then serves every size inside it; misses and model refusals raise
-    :class:`ExactModelError` so callers can simulate instead.
-    """
-
-    def __init__(self) -> None:
-        self._models: Dict[Tuple[str, int, int, int], SbrRegimeModel] = {}
-        self.calibration_runs = 0
-
-    def _calibrate(self, vendor: str, rounds: int, lo: int, hi: int) -> SbrRegimeModel:
-        # Probes at both regime edges: the fields here compose affine
-        # pieces through min/max (delivery caps, fetch windows), so equal
-        # edge slopes plus consistent endpoints pin the interior.
-        probe_sizes = sorted(
-            {probe for probe in (lo, lo + 1, hi - 1, hi) if lo <= probe <= hi}
-        )
-        shape: Optional[_SbrShape] = None
-        points: List[Tuple[int, Sequence[int]]] = []
-        for size in probe_sizes:
-            result = SbrAttack(vendor, resource_size=size).run(rounds=rounds)
-            self.calibration_runs += 1
-            probe_shape, vector = _flatten_sbr(result)
-            if shape is None:
-                shape = probe_shape
-            elif probe_shape != shape:
-                raise ExactModelError("result shape varies across the regime")
-            points.append((size, vector))
-        assert shape is not None
-        if len(points) == 1:
-            # A single-size regime: the probe *is* the answer.
-            x0, vector = points[0][0], points[0][1]
-            base = array("q", vector)
-            slope = array("q", (0 for _ in vector))
-        else:
-            x0, base, slope = _fit_affine(points)
-        return SbrRegimeModel(shape=shape, lo=lo, hi=hi, x0=x0, base=base, slope=slope)
-
-    def measure(self, vendor: str, resource_size: int, rounds: int = 1) -> SbrResult:
-        """An :class:`SbrResult` equal to ``SbrAttack(...).run(rounds)``."""
-        if vendor not in all_vendor_names():
-            raise ExactModelError(f"unknown vendor {vendor!r}")
-        if resource_size < 2 or rounds < 1:
-            raise ExactModelError("degenerate cell")
-        lo, hi = regime_interval(resource_size)
-        key = (vendor, rounds, lo, hi)
-        model = self._models.get(key)
-        if model is None:
-            model = self._calibrate(vendor, rounds, lo, hi)
-            self._models[key] = model
-        return model.evaluate(resource_size)
-
-    def measure_many(
-        self, vendor: str, sizes: Sequence[int], rounds: int = 1
-    ) -> List[SbrResult]:
-        """Batch evaluation: one model lookup per regime, flat-array math
-        per size."""
-        return [self.measure(vendor, size, rounds) for size in sizes]
-
-
-# ---------------------------------------------------------------------------
-# OBR: fcdn x bcdn cascade cells, swept over the overlap count n
-# ---------------------------------------------------------------------------
 
 #: Calibration overlap counts.  2 and 3 fit the affine payloads; 4 and 5
 #: verify them; 9 pushes the multipart body across a decimal-digit
@@ -378,9 +164,6 @@ class ObrCascadeModel:
     range_value_base: int
     range_value_slope: int
     overhead: OverheadModel
-    #: Largest n the affine model was verified at; evaluation beyond it
-    #: is still exact (the harness pins Table V), but flag the intent.
-    calibrated_to: int
 
     def evaluate(self, overlap_count: int) -> ObrResult:
         if overlap_count < 2:
@@ -422,8 +205,6 @@ class ObrCascadeModel:
             victim_segment=self.victim_segment,
             segments=stats,
         )
-        from repro.netsim.tap import CLIENT_CDN
-
         return ObrResult(
             fcdn=self.fcdn,
             bcdn=self.bcdn,
@@ -449,15 +230,11 @@ class ObrFastEngine:
     maxima then never builds a message object."""
 
     def __init__(self) -> None:
-        self._models: Dict[Tuple[str, str, int, Optional[int]], ObrCascadeModel] = {}
+        self._models: Dict[Tuple[str, str, int], ObrCascadeModel] = {}
         self.calibration_runs = 0
 
-    def _calibrate(
-        self, fcdn: str, bcdn: str, resource_size: int, abort_after: Optional[int]
-    ) -> ObrCascadeModel:
-        attack = ObrAttack(
-            fcdn, bcdn, resource_size=resource_size, client_abort_after=abort_after
-        )
+    def _calibrate(self, fcdn: str, bcdn: str, resource_size: int) -> ObrCascadeModel:
+        attack = ObrAttack(fcdn, bcdn, resource_size=resource_size)
         overhead = attack.overhead
         setup = overhead.connection_setup_bytes()
         runs: List[ObrResult] = []
@@ -481,25 +258,20 @@ class ObrFastEngine:
                     )
 
         range_x0, range_base, range_slope = _fit_affine(
-            [(n, [run.range_value_size]) for n, run in zip(_OBR_PROBES, runs)]
+            [(n, run.range_value_size) for n, run in zip(_OBR_PROBES, runs)]
         )
 
         segments: Dict[str, _ObrSegmentModel] = {}
         for name in segment_names:
-            request_points: List[Tuple[int, Sequence[int]]] = []
-            response_points: List[Tuple[int, Sequence[int]]] = []
+            request_points: List[Tuple[int, int]] = []
+            response_points: List[Tuple[int, int]] = []
             delivered_values: List[int] = []
             sent_values: List[int] = []
             for n, run in zip(_OBR_PROBES, runs):
                 stats = run.report.segments[name]
-                request_points.append(
-                    (n, [_invert_framed(overhead, stats.request_bytes)])
-                )
+                request_points.append((n, _invert_framed(overhead, stats.request_bytes)))
                 response_points.append(
-                    (
-                        n,
-                        [_invert_framed(overhead, stats.response_bytes_sent - setup)],
-                    )
+                    (n, _invert_framed(overhead, stats.response_bytes_sent - setup))
                 )
                 delivered_values.append(stats.response_bytes_delivered)
                 sent_values.append(stats.response_bytes_sent)
@@ -515,11 +287,11 @@ class ObrFastEngine:
                 raise ExactModelError(f"{name}: unrecognized delivery-cap pattern")
             segments[name] = _ObrSegmentModel(
                 request_x0=request_x0,
-                request_base=request_base[0],
-                request_slope=request_slope[0],
+                request_base=request_base,
+                request_slope=request_slope,
                 response_x0=response_x0,
-                response_base=response_base[0],
-                response_slope=response_slope[0],
+                response_base=response_base,
+                response_slope=response_slope,
                 delivered_mode=mode,
                 delivered_cap=cap,
             )
@@ -534,23 +306,18 @@ class ObrFastEngine:
             segment_names=segment_names,
             segments=segments,
             range_value_x0=range_x0,
-            range_value_base=range_base[0],
-            range_value_slope=range_slope[0],
+            range_value_base=range_base,
+            range_value_slope=range_slope,
             overhead=overhead,
-            calibrated_to=max(_OBR_PROBES),
         )
 
     def model_for(
-        self,
-        fcdn: str,
-        bcdn: str,
-        resource_size: int = 1024,
-        client_abort_after: Optional[int] = 2048,
+        self, fcdn: str, bcdn: str, resource_size: int = 1024
     ) -> ObrCascadeModel:
-        key = (fcdn, bcdn, resource_size, client_abort_after)
+        key = (fcdn, bcdn, resource_size)
         model = self._models.get(key)
         if model is None:
-            model = self._calibrate(fcdn, bcdn, resource_size, client_abort_after)
+            model = self._calibrate(fcdn, bcdn, resource_size)
             self._models[key] = model
         return model
 
@@ -578,54 +345,10 @@ class ObrFastEngine:
         return self.model_for(fcdn, bcdn, resource_size).evaluate(n)
 
 
-# ---------------------------------------------------------------------------
-# CCFC: vendor x resource-size cells (compression-conversion)
-# ---------------------------------------------------------------------------
-
-
-class CcfcFastEngine:
-    """Answers CCFC cells from the exact closed-form mirror.
-
-    The CCFC attack is a single plain GET per round — no range algebra,
-    no multipart assembly — so :meth:`CcfcAttack.mirror` replays the
-    byte-defining code paths directly without building the connection
-    graph, and the answer is exact by construction (pinned by the
-    differential suite).  There is nothing to calibrate; refusals raise
-    :class:`ExactModelError` so callers can simulate instead.
-    """
-
-    def __init__(self) -> None:
-        self._cache: Dict[Tuple[str, int, int], CcfcResult] = {}
-        #: Kept for parity with the calibrating engines' stats surface.
-        self.calibration_runs = 0
-
-    def measure(
-        self, vendor: str, resource_size: int, rounds: int = 1
-    ) -> CcfcResult:
-        """A :class:`CcfcResult` equal to ``CcfcAttack(...).run(rounds)``."""
-        if vendor not in all_vendor_names():
-            raise ExactModelError(f"unknown vendor {vendor!r}")
-        if resource_size < 1 or rounds < 1:
-            raise ExactModelError("degenerate cell")
-        key = (vendor, resource_size, rounds)
-        cached = self._cache.get(key)
-        if cached is None:
-            try:
-                cached = CcfcAttack(vendor, resource_size=resource_size).mirror(
-                    rounds=rounds
-                )
-            except ReproError as exc:
-                raise ExactModelError(f"CCFC mirror refused: {exc}") from exc
-            self._cache[key] = cached
-        return cached
-
-
 __all__ = [
     "CcfcFastEngine",
     "ExactModelError",
     "ObrCascadeModel",
     "ObrFastEngine",
     "SbrFastEngine",
-    "SbrRegimeModel",
-    "regime_interval",
 ]

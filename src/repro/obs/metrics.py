@@ -444,7 +444,7 @@ class MetricsRegistry:
 
     def record_fastpath_cells(self, outcome: str, count: int = 1) -> None:
         """Count fast-path planner decisions by outcome
-        (``answered`` / ``refused`` / ``ineligible`` / ``validated``)."""
+        (``answered`` / ``refused`` / ``ineligible``)."""
         self.counter(
             FASTPATH_CELLS, "fast-path planner cell decisions by outcome"
         ).inc(count, outcome=outcome)

@@ -369,7 +369,6 @@ def record_from_runall(
             "answered": stats.answered,
             "refused": stats.refused,
             "ineligible": stats.ineligible,
-            "validated": stats.validated,
             "calibration_runs": stats.calibration_runs,
             "hit_rate": stats.hit_rate,
         }

@@ -15,16 +15,15 @@ rot the first time the shape changes.
 
 Phase vocabulary (written by :func:`repro.runner.runall.run_all`):
 
-* ``fastpath`` — planning + closed-form answering of eligible cells;
+* ``fastpath`` — planning + fast-path answering of eligible cells;
 * ``grid`` — wire-level simulation of the residual cells;
-* ``validate`` — sampled re-simulation of fast answers;
 * ``static`` — the Table VII recommendation derivation;
 * ``measure`` (derived here) — everything spent answering SBR/OBR/CCFC
-  measurement cells: ``fastpath + validate`` plus the per-cell seconds
-  of simulated measurement cells.  This is the basis of the CI speedup
-  gate, because it compares like with like — the Fig 7 flood cells are
-  time-stepped bandwidth simulations outside the fast path's scope and
-  cost the same in both modes.
+  measurement cells: ``fastpath`` plus the per-cell seconds of
+  measurement cells the grid runner simulated.  This is the basis of
+  the CI speedup gate, because it compares like with like — the Fig 7
+  flood cells are time-stepped bandwidth simulations outside the fast
+  path's scope and cost the same in both modes.
 """
 
 from __future__ import annotations
@@ -39,9 +38,11 @@ from repro.runner.runall import RunAllReport
 
 #: Current on-disk schema version; bump on any shape change.
 #: Version 2: the run-all grid gained CCFC cells, so cell counts,
-#: phase totals, and the ``measure`` derivation all shifted — files
-#: written by version-1 builds are not comparable and are rejected.
-BENCH_SCHEMA_VERSION = 2
+#: phase totals, and the ``measure`` derivation all shifted.
+#: Version 3: the sampled re-simulation is gone, taking the
+#: ``validate`` phase and the ``fastpath.validated`` count with it.
+#: Files written by older builds are not comparable and are rejected.
+BENCH_SCHEMA_VERSION = 3
 
 #: The canonical file name, both in run-all output dirs and at the repo
 #: root (the committed CI baseline).
@@ -63,7 +64,6 @@ class BenchFastPath:
     answered: int
     refused: int
     ineligible: int
-    validated: int
     calibration_runs: int
     hit_rate: float
 
@@ -154,7 +154,6 @@ def bench_from_dict(payload: Mapping[str, Any]) -> BenchReport:
             answered=_require(raw_fastpath, "answered", int),
             refused=_require(raw_fastpath, "refused", int),
             ineligible=_require(raw_fastpath, "ineligible", int),
-            validated=_require(raw_fastpath, "validated", int),
             calibration_runs=_require(raw_fastpath, "calibration_runs", int),
             hit_rate=_require(raw_fastpath, "hit_rate", float),
         )
@@ -193,12 +192,11 @@ def bench_from_runall(
     which excludes process startup and artifact writing.
     """
     phases = dict(report.phase_seconds)
-    measure = phases.get("fastpath", 0.0) + phases.get("validate", 0.0)
+    measure = phases.get("fastpath", 0.0)
     for name in MEASURE_EXPERIMENTS:
         timing = report.timing_by_experiment.get(name)
         if timing is not None:
-            total = timing.total_s
-            measure += total
+            measure += timing.total_s
     phases["measure"] = measure
     wall = wall_s if wall_s is not None else sum(report.phase_seconds.values())
     stats = report.fastpath
@@ -216,7 +214,6 @@ def bench_from_runall(
                 answered=stats.answered,
                 refused=stats.refused,
                 ineligible=stats.ineligible,
-                validated=stats.validated,
                 calibration_runs=stats.calibration_runs,
                 hit_rate=stats.hit_rate,
             )

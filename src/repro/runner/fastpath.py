@@ -1,36 +1,26 @@
-"""Closed-form fast path for grid cells (planner layer).
+"""Fast path for grid cells (planner layer).
 
 :class:`FastPathPlanner` sits between :func:`repro.runner.runall.run_all`
 and the :class:`~repro.runner.executor.GridRunner`: it walks a grid
-**before** execution and answers every cell it can prove exact from the
-calibrated closed forms in :mod:`repro.core.vectorized`, leaving the
-rest (flood bandwidth sims, faulted cells, and any cell the engines
-refuse) to wire-level simulation.
+**before** execution and answers every measurement cell in-process
+through the engines in :mod:`repro.core.vectorized`, leaving the rest
+(flood bandwidth sims, faulted cells, and any cell the engines refuse)
+to the runner, which journals and parallelizes them.
 
-The correctness story is layered:
-
-* the engines *refuse* (:class:`~repro.core.vectorized.ExactModelError`)
-  whenever a regime fails calibration — a refusal costs speed, never
-  correctness, because the cell silently falls back to simulation;
-* a deterministic sample of fast-answered SBR cells is re-run through
-  the real simulation afterwards (:meth:`FastPathPlanner.validate`) and
-  any disagreement raises :class:`FastPathMismatchError` — the run
-  fails loudly rather than shipping a wrong table;
-* OBR answers are probe-verified at calibration time and pinned
-  cell-by-cell against simulation by
-  ``tests/analysis/test_fastpath_equivalence.py``, so runtime
-  revalidation (which would repeat the max-n search, the single most
-  expensive simulation in the grid) is left to the test suite.
-
-Sampling is by cell content digest, not randomness, so a resumed run
-validates exactly the cells the original run would have.
+Every answer is exact.  SBR and CCFC cells are the simulation's own
+result; OBR answers come from a probe-verified payload model, pinned
+cell by cell against simulation by
+``tests/analysis/test_fastpath_equivalence.py``.  An engine that cannot
+answer exactly *refuses* (:class:`~repro.core.vectorized.ExactModelError`)
+and the cell falls back to the runner — a refusal costs speed, never
+correctness.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.vectorized import (
     CcfcFastEngine,
@@ -38,37 +28,25 @@ from repro.core.vectorized import (
     ObrFastEngine,
     SbrFastEngine,
 )
-from repro.errors import ReproError
 from repro.obs.metrics import current_metrics
-from repro.runner.checkpoint import cell_digest
 from repro.runner.executor import CellOutcome
 from repro.runner.grid import ExperimentCell, ExperimentGrid
 
-#: Experiment kinds the planner may answer from closed forms.
+#: Experiment kinds the planner may answer.
 FAST_EXPERIMENTS: Tuple[str, ...] = ("sbr", "obr", "ccfc")
-
-#: One in every this-many fast-answered SBR/CCFC cells is re-simulated
-#: and compared bit-for-bit after the grid run.
-DEFAULT_VALIDATE_DENOMINATOR = 8
-
-
-class FastPathMismatchError(ReproError):
-    """A sampled cross-validation disagreed with the fast-path answer."""
 
 
 @dataclass(frozen=True)
 class FastPathStats:
     """What the planner did to one grid, for reporting and CI gating."""
 
-    #: Cells answered from closed forms.
+    #: Cells answered by the planner.
     answered: int = 0
     #: Eligible cells the engines refused (fell back to simulation).
     refused: int = 0
     #: Cells whose experiment kind is outside the fast path's scope.
     ineligible: int = 0
-    #: Fast-answered cells re-simulated and compared by :meth:`validate`.
-    validated: int = 0
-    #: Wire-level simulations spent calibrating regime models.
+    #: Wire-level simulations spent calibrating OBR cascade models.
     calibration_runs: int = 0
 
     @property
@@ -96,40 +74,23 @@ class FastPathPlan:
     stats: FastPathStats = field(default_factory=FastPathStats)
 
 
-def _digest_bucket(cell: ExperimentCell, denominator: int) -> int:
-    """Deterministic bucket in ``[0, denominator)`` for sampling."""
-    return int(cell_digest(cell), 16) % denominator
-
-
 class FastPathPlanner:
-    """Answers provably-exact grid cells without opening a connection."""
+    """Answers exact measurement cells before the grid runs."""
 
-    def __init__(
-        self, validate_denominator: int = DEFAULT_VALIDATE_DENOMINATOR
-    ) -> None:
-        if validate_denominator < 1:
-            raise ReproError(
-                f"validate denominator must be >= 1, got {validate_denominator}"
-            )
-        self.validate_denominator = validate_denominator
+    def __init__(self) -> None:
         self.sbr = SbrFastEngine()
         self.obr = ObrFastEngine()
         self.ccfc = CcfcFastEngine()
-        #: ``(cell, fast_value)`` pairs queued for :meth:`validate`.
-        self._samples: List[Tuple[ExperimentCell, Any]] = []
-        self._validated = 0
         self._answered = 0
         self._refused = 0
         self._ineligible = 0
-
-    # -- planning -------------------------------------------------------
 
     def eligible(self, cell: ExperimentCell) -> bool:
         """Is this cell's experiment kind within the fast path's scope?"""
         return cell.experiment in FAST_EXPERIMENTS
 
     def answer(self, cell: ExperimentCell) -> Optional[Any]:
-        """The closed-form value for ``cell``, or ``None`` to simulate.
+        """The exact value for ``cell``, or ``None`` to simulate.
 
         ``None`` covers both ineligible experiment kinds and engine
         refusals; the caller cannot tell them apart here — use
@@ -186,11 +147,6 @@ class FastPathPlanner:
                 value=value,
                 duration_s=time.perf_counter() - started,
             )
-            if (
-                cell.experiment in ("sbr", "ccfc")
-                and _digest_bucket(cell, self.validate_denominator) == 0
-            ):
-                self._samples.append((cell, value))
         self._answered += answered
         self._refused += refused
         self._ineligible += ineligible
@@ -205,44 +161,12 @@ class FastPathPlanner:
                     registry.record_fastpath_cells(outcome_name, count)
         return FastPathPlan(outcomes=outcomes, residual=residual, stats=self.stats)
 
-    # -- cross-validation -----------------------------------------------
-
-    def validate(self) -> int:
-        """Re-simulate the sampled cells; raise on any disagreement.
-
-        Returns the number of cells validated in this call.  The queue
-        drains, so calling again validates nothing until more cells are
-        planned.
-        """
-        from repro.runner.experiments import execute_cell
-
-        count = 0
-        while self._samples:
-            cell, fast_value = self._samples.pop()
-            simulated = execute_cell(cell)
-            if simulated != fast_value:
-                raise FastPathMismatchError(
-                    f"fast path disagrees with simulation on {cell.label}: "
-                    f"fast={fast_value!r} sim={simulated!r}"
-                )
-            count += 1
-        self._validated += count
-        registry = current_metrics()
-        if registry is not None and count:
-            registry.record_fastpath_cells("validated", count)
-        return count
-
     @property
     def stats(self) -> FastPathStats:
-        """Cumulative statistics over everything planned and validated."""
+        """Cumulative statistics over everything planned."""
         return FastPathStats(
             answered=self._answered,
             refused=self._refused,
             ineligible=self._ineligible,
-            validated=self._validated,
-            calibration_runs=(
-                self.sbr.calibration_runs
-                + self.obr.calibration_runs
-                + self.ccfc.calibration_runs
-            ),
+            calibration_runs=self.obr.calibration_runs,
         )

@@ -83,11 +83,11 @@ class RunAllReport:
     #: mitigation per vulnerable finding, statically derived, so the
     #: artifact is deterministic across runs and resumes.
     table7_recommendations: Optional[RecommendationReport] = None
-    #: What the closed-form fast path did (``None`` for ``--exact`` and
+    #: What the fast path did (``None`` for ``--exact`` and
     #: observability runs, which simulate every cell).
     fastpath: Optional[FastPathStats] = None
-    #: Wall seconds per run phase ("fastpath", "grid", "validate",
-    #: "static"); feeds the persisted ``BENCH_runall.json`` trajectory.
+    #: Wall seconds per run phase ("fastpath", "grid", "static"); feeds
+    #: the persisted ``BENCH_runall.json`` trajectory.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -188,13 +188,15 @@ def run_all(
     cells execute.  The resumed report is identical to an uninterrupted
     run's.
 
-    By default SBR/OBR cells whose regimes calibrate exactly are
-    answered by the closed-form fast path (bit-identical to simulation;
-    a sampled subset is re-simulated and compared after the grid run).
-    ``exact=True`` forces wire-level simulation for every cell — the
-    reference path the fast path is differentially tested against.
-    Observability runs (``collect_obs=True``) also simulate everything:
-    a closed form has no wire exchanges to trace or meter.
+    By default the fast path answers the SBR/OBR/CCFC measurement cells
+    before the grid runs: SBR and CCFC cells are simulated in-process,
+    OBR cells come from the probe-verified payload model (bit-identical
+    to simulation).  ``exact=True`` sends every cell through the grid
+    runner's wire-level simulation — the reference path the fast path
+    is differentially tested against.
+    Observability runs (``collect_obs=True``) also bypass the fast path:
+    only the grid runner traces and meters each cell, and the OBR model
+    has no wire exchanges to trace.
     """
     from repro.reporting.figures import fig6_series_from_results
     from repro.reporting.tables import (
@@ -279,12 +281,6 @@ def run_all(
         if checkpoint is not None:
             checkpoint.close()
     phase_seconds["grid"] = result.duration_s
-
-    if planner is not None:
-        phase_started = time.perf_counter()
-        with use_metrics(runner_registry):
-            planner.validate()
-        phase_seconds["validate"] = time.perf_counter() - phase_started
 
     if fast_outcomes:
         by_cell = {outcome.cell: outcome for outcome in result}

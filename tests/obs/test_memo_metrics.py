@@ -59,6 +59,20 @@ class TestMemoRecording:
         assert stats.misses == 1
         assert stats.hits == 1
 
+    def test_static_max_n_reports_to_registry_and_stats(self):
+        from repro.analysis.bounds import static_max_n
+
+        clear_all_memos()
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            first = static_max_n("cloudflare", "akamai", resource_size=777)
+            second = static_max_n("cloudflare", "akamai", resource_size=777)
+        assert first == second > 0
+        assert _lookups(registry, "static_max_n", "miss") == 1
+        assert _lookups(registry, "static_max_n", "hit") == 1
+        stats = memo_stats()["static_max_n"]
+        assert (stats.misses, stats.hits) == (1, 1)
+
     def test_named_memos_are_enumerable(self):
         assert "measure_sbr" in memo_stats()
 

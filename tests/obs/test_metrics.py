@@ -260,12 +260,11 @@ class TestFastPathCounter:
         registry = MetricsRegistry()
         registry.record_fastpath_cells("answered", 41)
         registry.record_fastpath_cells("refused")
-        registry.record_fastpath_cells("validated", 5)
+        registry.record_fastpath_cells("ineligible", 5)
         counter = registry.counter(FASTPATH_CELLS)
         assert counter.value(outcome="answered") == 41
         assert counter.value(outcome="refused") == 1
-        assert counter.value(outcome="validated") == 5
-        assert counter.value(outcome="ineligible") == 0
+        assert counter.value(outcome="ineligible") == 5
 
 
 class TestContextPropagation:

@@ -31,8 +31,7 @@ def _sample_report(mode="fast"):
             answered=41,
             refused=0,
             ineligible=3,
-            validated=3,
-            calibration_runs=62,
+            calibration_runs=10,
             hit_rate=41 / 44,
         )
     return BenchReport(
@@ -43,8 +42,7 @@ def _sample_report(mode="fast"):
         cell_count=44,
         cells_per_s=44 / 0.55,
         workers=1,
-        phases={"fastpath": 0.03, "grid": 0.17, "validate": 0.001,
-                "static": 0.35, "measure": 0.08},
+        phases={"fastpath": 0.03, "grid": 0.17, "static": 0.35, "measure": 0.08},
         fastpath=fastpath,
     )
 
@@ -99,9 +97,17 @@ class TestRejection:
         # The grid gained CCFC cells in schema version 2: cell counts
         # and phase totals from version-1 builds are not comparable, so
         # the strict loader refuses them outright.
-        assert BENCH_SCHEMA_VERSION == 2
         with pytest.raises(BenchSchemaError, match="unknown benchmark schema"):
             bench_from_dict(self._payload(schema_version=1))
+
+    def test_version_two_files_rejected_after_validate_drop(self):
+        # Version 3 dropped the validate phase and the validated count:
+        # a version-2 file's measure phase included the re-simulation.
+        assert BENCH_SCHEMA_VERSION == 3
+        payload = self._payload(schema_version=2)
+        payload["fastpath"]["validated"] = 4
+        with pytest.raises(BenchSchemaError, match="unknown benchmark schema"):
+            bench_from_dict(payload)
 
     def test_missing_field_rejected(self):
         payload = self._payload()
@@ -162,11 +168,8 @@ class TestFromRunAll:
         assert bench.cell_count == quick_report.cell_count
         assert bench.fastpath is not None
         assert bench.fastpath.answered == quick_report.fastpath.answered
-        # The derived measure phase includes planning and validation.
-        assert bench.measure_s >= (
-            quick_report.phase_seconds["fastpath"]
-            + quick_report.phase_seconds["validate"]
-        )
+        # The derived measure phase includes planning.
+        assert bench.measure_s >= quick_report.phase_seconds["fastpath"]
         assert load_bench(bench.write(tmp_path)) == bench
 
     def test_wall_defaults_to_phase_sum(self, quick_report):
