@@ -27,8 +27,9 @@ from repro.cdn.vendors.azure import DEFAULT_ABORT_SLOP, EIGHT_MB, WINDOW_LAST
 from repro.cdn.vendors.base import VendorContext, VendorProfile
 from repro.cdn.vendors.cloudfront import MULTI_RANGE_WINDOW_CAP
 from repro.core.obr import (
-    exploited_fcdn_config,
-    exploited_leading_spec,
+    declared_max_n,
+    exploited_request,
+    forwarded_verbatim,
     largest_admitted,
 )
 from repro.errors import (
@@ -36,7 +37,6 @@ from repro.errors import (
     RangeNotSatisfiableError,
     RequestRejectedError,
 )
-from repro.http.grammar import overlapping_open_ranges_value
 from repro.http.message import HttpRequest
 from repro.http.ranges import RangeSpecifier, try_parse_range_header
 from repro.netsim.overhead import NullOverheadModel, OverheadModel, TcpOverheadModel
@@ -428,13 +428,15 @@ def static_max_n(
 ) -> int:
     """The largest forwarded-unchanged ``n``, from pure limit checks.
 
-    Replays :meth:`~repro.core.obr.ObrAttack.find_max_n`'s binary search
-    without any deployment: a candidate ``n`` survives when the FCDN's
-    ingress limits admit the client request, the FCDN's decision table
-    forwards the Range header verbatim, the BCDN's ingress limits admit
-    the forwarded request, and the BCDN's reply-part cap admits ``n``
-    parts.  These are exactly the rejection points of the simulated
-    probe, so the two searches agree on every exploitable cascade.
+    Runs :meth:`~repro.core.obr.ObrAttack.find_max_n`'s search without
+    any deployment: the cap is solved from the cascade's declared limits
+    (:func:`~repro.core.obr.declared_max_n`) and certified by
+    :func:`_static_probe` at ``n`` and ``n + 1``.  A probe survives when
+    the FCDN's ingress limits admit the client request, the FCDN's
+    decision table forwards the Range header verbatim, the BCDN's ingress
+    limits admit the forwarded request, and the BCDN's reply-part cap
+    admits ``n`` parts.  These are exactly the rejection points of the
+    simulated probe, so the two searches agree on every cascade.
 
     ``fcdn_profile`` / ``bcdn_profile`` substitute wrapped (mitigated)
     profiles for the named registry vendors on either side.
@@ -456,18 +458,23 @@ def static_max_n(
             bcdn_profile=bcdn_profile,
         )
 
+    def search() -> int:
+        guess = declared_max_n(
+            fcdn, bcdn, resource_size, resource_path, host, fcdn_profile, bcdn_profile
+        )
+        return largest_admitted(admits, lower, upper, guess)
+
     if fcdn_profile is None and bcdn_profile is None:
         # Registry-vendor searches are pure functions of scalar inputs;
         # the analyzer and the recommendation engine re-ask the same
-        # cascades, so the binary search is worth caching.  Wrapped
-        # (mitigated) profiles stay uncached — factories have no stable
-        # cache identity.
+        # cascades, so the search is worth caching.  Wrapped (mitigated)
+        # profiles stay uncached — factories have no stable cache
+        # identity.
         max_n: int = _MAX_N_MEMO.get_or_compute(
-            (fcdn, bcdn, resource_size, resource_path, host, lower, upper),
-            lambda: largest_admitted(admits, lower, upper),
+            (fcdn, bcdn, resource_size, resource_path, host, lower, upper), search
         )
         return max_n
-    return largest_admitted(admits, lower, upper)
+    return search()
 
 
 def _static_probe(
@@ -481,30 +488,16 @@ def _static_probe(
     bcdn_profile: Optional[ProfileFactory] = None,
 ) -> bool:
     """Would a request with ``overlap_count`` ranges survive end-to-end?"""
-    range_value = overlapping_open_ranges_value(
-        overlap_count, leading=exploited_leading_spec(fcdn)
-    )
-    request = HttpRequest(
-        "GET", resource_path, headers=[("Host", host), ("Range", range_value)]
-    )
-
+    request = exploited_request(fcdn, overlap_count, resource_path, host)
     front = fcdn_profile() if fcdn_profile is not None else create_profile(fcdn)
-    config = exploited_fcdn_config(fcdn)
-    ctx = VendorContext(
-        config=config if config is not None else front.effective_config(),
-        resource_size_hint=resource_size,
-    )
     try:
         front.limits.check(request)
     except RequestRejectedError:
         return False
-    decision = front.forward_decision(
-        request, try_parse_range_header(range_value), ctx
-    )
-    if decision.forwarded_range != range_value:
+    upstream = forwarded_verbatim(fcdn, front, request, resource_size)
+    if upstream is None:
         return False
 
-    upstream = front.build_upstream_request(request, decision)
     back = bcdn_profile() if bcdn_profile is not None else create_profile(bcdn)
     try:
         back.limits.check(upstream)

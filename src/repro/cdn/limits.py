@@ -14,12 +14,19 @@ CDNs along the path will accept.  The paper measured (§V-C):
 :class:`HeaderLimits` models all five shapes; exceeding a byte limit is
 answered with HTTP 431 and exceeding the range-count limit with 416,
 which is how the max-n search detects the boundary.
+
+Every shape is a linear inequality in the number of ranges: the OBR
+header ``bytes=0-,0-,…`` grows by a fixed ``step`` bytes per range.
+:meth:`HeaderLimits.range_cap` therefore solves each declared limit for
+the largest admitted range count by division; the max-n search
+(:func:`repro.core.obr.largest_admitted`) takes that as its first guess
+and certifies it by probing ``n`` and ``n + 1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.errors import RequestRejectedError
 from repro.http.message import HttpRequest
@@ -27,23 +34,35 @@ from repro.http.ranges import try_parse_range_header
 from repro.http.status import StatusCode
 
 
-def cloudflare_rule(budget: int = 32411) -> Callable[[HttpRequest], Optional[str]]:
+@dataclass(frozen=True)
+class CloudflareRule:
     """Cloudflare's measured constraint on Range-bearing requests:
     request line + 2x the Host header line + the Range header line must
-    fit in ``budget`` bytes."""
+    fit in ``budget`` bytes.
 
-    def check(request: HttpRequest) -> Optional[str]:
-        range_line = request.headers.field_line_size("Range")
-        if not range_line:
+    A frozen value rather than a closure, so :meth:`HeaderLimits.range_cap`
+    can solve it for ``n``; calling it is the :attr:`HeaderLimits.custom`
+    predicate.
+    """
+
+    budget: int = 32411
+
+    @staticmethod
+    def used(request: HttpRequest) -> int:
+        """``RL + 2·HHL + RHL`` of ``request`` in bytes."""
+        return (
+            request.request_line_size()
+            + 2 * request.headers.field_line_size("Host")
+            + request.headers.field_line_size("Range")
+        )
+
+    def __call__(self, request: HttpRequest) -> Optional[str]:
+        if not request.headers.field_line_size("Range"):
             return None
-        request_line = request.request_line_size()
-        host_line = request.headers.field_line_size("Host")
-        used = request_line + 2 * host_line + range_line
-        if used > budget:
-            return f"RL + 2*HHL + RHL = {used} exceeds {budget}"
+        used = self.used(request)
+        if used > self.budget:
+            return f"RL + 2*HHL + RHL = {used} exceeds {self.budget}"
         return None
-
-    return check
 
 
 @dataclass(frozen=True)
@@ -56,14 +75,48 @@ class HeaderLimits:
       line (``Name: value\\r\\n``), CDN77/CDNsun style.
     * ``max_ranges`` — cap on the number of byte-range specs in the Range
       header, Azure style.
-    * ``custom`` — an arbitrary predicate returning an error message, for
-      Cloudflare's composite rule.
+    * ``custom`` — an arbitrary predicate returning an error message:
+      Cloudflare's composite rule (a :class:`CloudflareRule`) or an
+      opaque guard such as the RFC 7233 §6.1 mitigation.
     """
 
     max_total_header_bytes: Optional[int] = None
     max_single_header_line_bytes: Optional[int] = None
     max_ranges: Optional[int] = None
     custom: Optional[Callable[[HttpRequest], Optional[str]]] = None
+
+    def range_cap(self, request: HttpRequest, count: int, step: int) -> Optional[int]:
+        """The largest range count every declared limit admits.
+
+        ``request`` carries a Range header with ``count`` ranges, and each
+        further range adds ``step`` bytes to that header line.  Each limit
+        is solved by division; the answer is the smallest of them, or
+        ``None`` when no limit is declared or only an opaque ``custom``
+        guard could bind.  A limit the rest of the request already breaks
+        yields 0.
+        """
+        caps: List[int] = []
+        if self.max_total_header_bytes is not None:
+            spare = self.max_total_header_bytes - request.header_block_size()
+            caps.append(count + spare // step)
+        if self.max_single_header_line_bytes is not None:
+            limit = self.max_single_header_line_bytes
+            others = [
+                request.headers.field_line_size(name)
+                for name in request.headers.names()
+                if name.lower() != "range"
+            ]
+            if any(line > limit for line in others):
+                caps.append(0)
+            else:
+                spare = limit - request.headers.field_line_size("Range")
+                caps.append(count + spare // step)
+        if self.max_ranges is not None:
+            caps.append(self.max_ranges)
+        if isinstance(self.custom, CloudflareRule):
+            spare = self.custom.budget - CloudflareRule.used(request)
+            caps.append(count + spare // step)
+        return max(0, min(caps)) if caps else None
 
     def check(self, request: HttpRequest) -> None:
         """Raise :class:`RequestRejectedError` if ``request`` violates any

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.cdn.limits import HeaderLimits, cloudflare_rule
+from repro.cdn.limits import CloudflareRule, HeaderLimits
 from repro.cdn.policy import ForwardDecision
 from repro.cdn.vendors.base import EncodingPolicy, VendorContext, VendorProfile
 from repro.http.message import HttpRequest
@@ -38,7 +38,7 @@ class CloudflareProfile(VendorProfile):
     edge_decompresses = True
 
     def default_limits(self) -> HeaderLimits:
-        return HeaderLimits(custom=cloudflare_rule())
+        return HeaderLimits(custom=CloudflareRule())
 
     def forward_decision(
         self,

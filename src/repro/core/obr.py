@@ -8,9 +8,11 @@ server where range support is disabled.  A multi-range request with
 and expands it into an ``n``-part ``multipart/byteranges`` response — up
 to ``n`` times the resource size on the fcdn–bcdn link.
 
-``n`` is bounded by the header limits of both CDNs on the path;
-:meth:`ObrAttack.find_max_n` searches the boundary the way the paper
-did — by probing which requests survive end-to-end.
+``n`` is bounded by the header limits of both CDNs on the path.  Each
+limit is linear in ``n``, so :func:`declared_max_n` solves the cascade's
+cap from the declared limits, and :meth:`ObrAttack.find_max_n` certifies
+it the way the paper measured it — by probing that ``n`` survives
+end-to-end and ``n + 1`` does not (:func:`largest_admitted`).
 
 Traffic accounting uses a TCP/IP framing model by default: the paper's
 Table V numbers come from packet captures of short connections, where
@@ -25,10 +27,12 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.core.amplification import AmplificationReport
 from repro.core.deployment import CdnSpec, Deployment
-from repro.cdn.vendors import OBR_BACKENDS, OBR_FRONTENDS
-from repro.cdn.vendors.base import VendorConfig
+from repro.cdn.vendors import OBR_BACKENDS, OBR_FRONTENDS, create_profile
+from repro.cdn.vendors.base import VendorConfig, VendorContext
 from repro.errors import ConfigurationError
-from repro.http.grammar import overlapping_open_ranges_value
+from repro.http.grammar import obr_value_size, overlapping_open_ranges_value
+from repro.http.message import HttpRequest
+from repro.http.ranges import try_parse_range_header
 from repro.http.status import StatusCode
 from repro.netsim.overhead import OverheadModel, TcpOverheadModel
 from repro.netsim.tap import BCDN_ORIGIN, CLIENT_CDN, FCDN_BCDN
@@ -167,12 +171,23 @@ class ObrAttack:
     def find_max_n(self, lower: int = 2, upper: int = 32768) -> int:
         """Largest ``n`` that survives both CDNs' header limits end-to-end.
 
-        Binary search over fresh deployments, exactly how an attacker
-        (or the paper's authors) would probe the boundary.  Returns 0
-        when even ``lower`` is rejected.
+        The cascade's declared limits give the answer by division
+        (:func:`declared_max_n`); two probes against fresh deployments,
+        at ``n`` and ``n + 1``, certify it the way an attacker (or the
+        paper's authors) would observe the boundary.  Returns 0 when
+        even ``lower`` is rejected.
         """
+        guess = declared_max_n(
+            self.fcdn,
+            self.bcdn,
+            self.resource_size,
+            self.resource_path,
+            self.host,
+            self.fcdn_profile_factory,
+            self.bcdn_profile_factory,
+        )
         return largest_admitted(
-            lambda n: self.probe(n) == StatusCode.PARTIAL_CONTENT, lower, upper
+            lambda n: self.probe(n) == StatusCode.PARTIAL_CONTENT, lower, upper, guess
         )
 
     # -- measurement ---------------------------------------------------------------
@@ -223,17 +238,107 @@ class ObrAttack:
         )
 
 
-def largest_admitted(admits: Callable[[int], bool], lower: int, upper: int) -> int:
+def exploited_request(
+    fcdn: str, overlap_count: int, resource_path: str, host: str
+) -> HttpRequest:
+    """The attack request the client sends through ``fcdn``."""
+    range_value = overlapping_open_ranges_value(
+        overlap_count, leading=exploited_leading_spec(fcdn)
+    )
+    return HttpRequest(
+        "GET", resource_path, headers=[("Host", host), ("Range", range_value)]
+    )
+
+
+def forwarded_verbatim(
+    fcdn: str, front: "VendorProfile", request: HttpRequest, resource_size: int
+) -> Optional[HttpRequest]:
+    """The request ``front`` sends upstream when its decision table
+    forwards the Range header unchanged (Laziness); ``None`` otherwise."""
+    range_value = request.headers.get("Range")
+    config = exploited_fcdn_config(fcdn)
+    ctx = VendorContext(
+        config=config if config is not None else front.effective_config(),
+        resource_size_hint=resource_size,
+    )
+    decision = front.forward_decision(request, try_parse_range_header(range_value), ctx)
+    if decision.forwarded_range != range_value:
+        return None
+    return front.build_upstream_request(request, decision)
+
+
+def declared_max_n(
+    fcdn: str,
+    bcdn: str,
+    resource_size: int,
+    resource_path: str = "/1KB.bin",
+    host: str = "victim.example",
+    fcdn_profile: Optional[Callable[[], "VendorProfile"]] = None,
+    bcdn_profile: Optional[Callable[[], "VendorProfile"]] = None,
+) -> Optional[int]:
+    """The largest ``n`` the cascade's declared header limits admit.
+
+    The minimum of the front's :meth:`~repro.cdn.limits.HeaderLimits.range_cap`
+    on the client request and — when the front forwards the exploited
+    header verbatim — the back's ``range_cap`` on the upstream request
+    and its reply-part cap.  0 when the front rewrites the header;
+    ``None`` when no declared limit binds (only opaque guards, or none).
+    Monotone probes still decide: :func:`largest_admitted` takes this as
+    its first guess and certifies it.  ``fcdn_profile`` /
+    ``bcdn_profile`` substitute wrapped (mitigated) profiles.
+    """
+    front = fcdn_profile() if fcdn_profile is not None else create_profile(fcdn)
+    back = bcdn_profile() if bcdn_profile is not None else create_profile(bcdn)
+    count = 2
+    request = exploited_request(fcdn, count, resource_path, host)
+    leading = exploited_leading_spec(fcdn)
+    step = obr_value_size(count + 1, leading=leading) - obr_value_size(count, leading=leading)
+    upstream = forwarded_verbatim(fcdn, front, request, resource_size)
+    if upstream is None:
+        return 0
+    caps = [
+        front.limits.range_cap(request, count, step),
+        back.limits.range_cap(upstream, count, step),
+        back.reply_max_parts,
+    ]
+    declared = [cap for cap in caps if cap is not None]
+    return min(declared) if declared else None
+
+
+def largest_admitted(
+    admits: Callable[[int], bool],
+    lower: int,
+    upper: int,
+    guess: Optional[int] = None,
+) -> int:
     """The largest ``n`` in ``[lower, upper]`` that ``admits``, or 0.
 
     ``admits`` must be monotone (true up to the boundary, false past
-    it).  Probes ``lower``, then ``upper``, then bisects between them.
+    it).  ``guess`` — the solved cap (:func:`declared_max_n`), clamped
+    into ``[lower, upper]``; ``upper`` when absent — is certified with
+    two probes: it is the answer when ``admits(guess)`` holds and
+    ``admits(guess + 1)`` does not.  When an undeclared guard binds
+    below the guess, the search gallops up from ``lower`` (``lower``,
+    ``2·lower``, …) and bisects, so small answers cost only small
+    probes; when the guess proves too low it bisects above it.
     """
-    if not admits(lower):
-        return 0
-    if admits(upper):
-        return upper
-    low, high = lower, upper  # admits(low), not admits(high)
+    guess = upper if guess is None else min(max(guess, lower), upper)
+    if admits(guess):
+        if guess == upper or not admits(guess + 1):
+            return guess
+        if admits(upper):
+            return upper
+        low, high = guess + 1, upper  # admits(low), not admits(high)
+    else:
+        if guess == lower or not admits(lower):
+            return 0
+        low, high = lower, guess
+        probe = max(2 * low, low + 1)
+        while probe < high:
+            if not admits(probe):
+                high = probe
+                break
+            low, probe = probe, 2 * probe
     while high - low > 1:
         middle = (low + high) // 2
         if admits(middle):

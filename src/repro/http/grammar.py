@@ -103,29 +103,6 @@ def obr_value_size(count: int, start: int = 0, leading: Optional[str] = None) ->
     return total
 
 
-def max_overlapping_ranges_for_value_size(
-    limit: int,
-    start: int = 0,
-    leading: Optional[str] = None,
-) -> int:
-    """Largest ``n`` with ``obr_value_size(n) <= limit`` (0 if even one
-    range does not fit)."""
-    if obr_value_size(1, start, leading) > limit:
-        return 0
-    spec_len = len(f"{start}-")
-    # size(n) = base + n*(spec_len+1) - 1, with base adjusted for leading.
-    base = len("bytes=") - 1
-    if leading is not None:
-        base += len(leading) - spec_len
-    n = (limit - base) // (spec_len + 1)
-    # Guard against off-by-one from the adjustment above.
-    while obr_value_size(n + 1, start, leading) <= limit:
-        n += 1
-    while n > 1 and obr_value_size(n, start, leading) > limit:
-        n -= 1
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Corpus generation (experiment 1 dataset)
 # ---------------------------------------------------------------------------

@@ -313,9 +313,9 @@ def table5_rows(
     """Regenerate Table V: search max n per combination, then measure.
 
     ``runner`` optionally executes the 11 cascade cells through a
-    :class:`repro.runner.GridRunner`; each cell is a full max-n binary
-    search plus measurement, so this is the sweep where parallel workers
-    pay off most.
+    :class:`repro.runner.GridRunner`; each cell is a max-n search plus a
+    thousands-part measurement, so this is the sweep where parallel
+    workers pay off most.
     """
     combos = list(combinations) if combinations is not None else vulnerable_combinations()
     if runner is not None:

@@ -124,8 +124,9 @@ def build_run_all_grid(
         list(table5_combos) if table5_combos is not None else vulnerable_combinations()
     )
     grid = ExperimentGrid("run-all")
-    # OBR cells first: each hides a max-n binary search and dominates
-    # wall time, so they must start before the swarm of cheap SBR cells.
+    # OBR cells first: each hides a max-n search and a thousands-part
+    # multipart and dominates wall time, so they must start before the
+    # swarm of cheap SBR cells.
     from repro.core.obr import obr_grid
 
     grid.extend(obr_grid(combos).cells)

@@ -74,7 +74,7 @@ class TestStaticMaxN:
         assert static_max_n("cdn77", "azure") == 64
 
     def test_header_limited_cells_sit_in_the_thousands(self):
-        # cdn77's 8 KB single-header-line limit bounds its own requests.
+        # cdn77's 16 KB single-header-line limit bounds its own requests.
         assert 5000 <= static_max_n("cdn77", "akamai") <= 6000
 
     def test_non_lazy_frontend_admits_nothing(self):

@@ -4,7 +4,9 @@ This is the load-bearing contract of :mod:`repro.analysis.bounds` — the
 analyzer's numbers are *upper* bounds on anything the simulation stack
 can report.  Checked exhaustively over the quick run-all grid (every
 vendor at the Fig 6 quick sizes, the quick Table V cascades) and
-property-tested over random sizes and overlap counts.
+property-tested over random sizes and overlap counts.  The wire and the
+static max-n searches are also checked to agree under each mitigation
+wrapper.
 """
 
 import pytest
@@ -12,9 +14,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.bounds import obr_bound, sbr_bound, static_max_n
-from repro.cdn.vendors import all_vendor_names
+from repro.cdn.vendors import all_vendor_names, create_profile
 from repro.core.obr import ObrAttack
 from repro.core.sbr import SbrAttack
+from repro.defense.mitigations import (
+    SlicingProfile,
+    with_bounded_expansion,
+    with_laziness,
+    with_overlap_rejection,
+)
 from repro.runner.runall import QUICK_TABLE5_COMBOS
 
 MB = 1 << 20
@@ -23,6 +31,14 @@ KB = 1 << 10
 #: The quick run-all grid's SBR axis (Fig 6 quick sizes, which include
 #: the Table IV quick size).
 QUICK_SIZES = (1 * MB, 2 * MB, 3 * MB)
+
+#: The §VI-C mitigation wrappers, applied to one side of a cascade.
+MITIGATIONS = {
+    "laziness": with_laziness,
+    "bounded-expansion": with_bounded_expansion,
+    "overlap-rejection": with_overlap_rejection,
+    "slicing": SlicingProfile,
+}
 
 
 class TestSbrGridNeverExceedsBound:
@@ -64,6 +80,30 @@ class TestObrGridNeverExceedsBound:
         assert result.amplification <= bound.factor, (
             f"{fcdn}->{bcdn}: simulated {result.amplification:.1f} "
             f"exceeds static bound {bound.factor:.1f}"
+        )
+
+    @pytest.mark.parametrize("fcdn,bcdn", QUICK_TABLE5_COMBOS)
+    @pytest.mark.parametrize("side", ["fcdn", "bcdn"])
+    @pytest.mark.parametrize("mitigation", sorted(MITIGATIONS))
+    def test_wire_max_n_under_mitigations(self, fcdn, bcdn, side, mitigation):
+        # The wire search certifies n in a few probes, so the simulated
+        # and the static answer can be compared under wrapped profiles too.
+        wrap = MITIGATIONS[mitigation]
+        vendor = fcdn if side == "fcdn" else bcdn
+
+        def factory():
+            return wrap(create_profile(vendor))
+
+        fcdn_profile = factory if side == "fcdn" else None
+        bcdn_profile = factory if side == "bcdn" else None
+        simulated_n = ObrAttack(
+            fcdn,
+            bcdn,
+            fcdn_profile_factory=fcdn_profile,
+            bcdn_profile_factory=bcdn_profile,
+        ).find_max_n()
+        assert simulated_n == static_max_n(
+            fcdn, bcdn, fcdn_profile=fcdn_profile, bcdn_profile=bcdn_profile
         )
 
     @settings(

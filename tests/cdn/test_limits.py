@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.cdn.limits import HeaderLimits, cloudflare_rule
+from repro.cdn.limits import CloudflareRule, HeaderLimits
 from repro.errors import RequestRejectedError
-from repro.http.grammar import overlapping_open_ranges_value
+from repro.http.grammar import obr_value_size, overlapping_open_ranges_value
 from repro.http.message import HttpRequest
 
 
@@ -73,7 +73,7 @@ class TestMaxRanges:
 class TestCloudflareRule:
     def test_formula(self):
         """RL + 2*HHL + RHL must stay within the budget."""
-        check = cloudflare_rule(budget=100)
+        check = CloudflareRule(budget=100)
         request = _request(range_value="bytes=0-0", host="h", target="/x")
         rl = request.request_line_size()
         hhl = request.headers.field_line_size("Host")
@@ -82,18 +82,18 @@ class TestCloudflareRule:
         assert check(request) is None
 
     def test_violation_message(self):
-        check = cloudflare_rule(budget=50)
+        check = CloudflareRule(budget=50)
         request = _request(range_value="bytes=" + "0-," * 20 + "0-")
         assert check(request) is not None
 
     def test_no_range_header_is_exempt(self):
-        check = cloudflare_rule(budget=1)
+        check = CloudflareRule(budget=1)
         assert check(_request()) is None
 
     def test_default_budget_fits_paper_n(self):
         """The paper's n=10750 Range header passes; a much larger one
         does not."""
-        limits = HeaderLimits(custom=cloudflare_rule())
+        limits = HeaderLimits(custom=CloudflareRule())
         limits.check(_request(range_value=overlapping_open_ranges_value(10750)))
         with pytest.raises(RequestRejectedError):
             limits.check(_request(range_value=overlapping_open_ranges_value(11000)))
@@ -109,3 +109,69 @@ class TestCombinedLimits:
         limits.check(_request(range_value=overlapping_open_ranges_value(100)))
         with pytest.raises(RequestRejectedError):
             limits.check(_request(range_value=overlapping_open_ranges_value(101)))
+
+
+def _admits(limits, count, leading=None):
+    try:
+        limits.check(_request(range_value=overlapping_open_ranges_value(count, leading=leading)))
+    except RequestRejectedError:
+        return False
+    return True
+
+
+def _cap(limits, leading=None, count=2):
+    step = obr_value_size(count + 1, leading=leading) - obr_value_size(count, leading=leading)
+    request = _request(range_value=overlapping_open_ranges_value(count, leading=leading))
+    return limits.range_cap(request, count, step)
+
+
+class TestRangeCap:
+    """Each declared limit solved for the range count: admitted at the
+    cap, rejected one range past it."""
+
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            HeaderLimits(max_total_header_bytes=32 * 1024),
+            HeaderLimits(max_total_header_bytes=81 * 1024),
+            HeaderLimits(max_single_header_line_bytes=16 * 1024),
+            HeaderLimits(max_ranges=64),
+            HeaderLimits(custom=CloudflareRule()),
+            HeaderLimits(
+                max_total_header_bytes=10_000,
+                max_single_header_line_bytes=5_000,
+                max_ranges=1_000,
+            ),
+        ],
+        ids=["total-32k", "total-81k", "single-line-16k", "max-ranges", "cloudflare", "combined"],
+    )
+    @pytest.mark.parametrize("leading", [None, "-1024", "1-"])
+    @pytest.mark.parametrize("count", [1, 2, 57])
+    def test_cap_is_tight(self, limits, leading, count):
+        cap = _cap(limits, leading=leading, count=count)
+        assert cap is not None and cap >= 2
+        assert _admits(limits, cap, leading=leading)
+        assert not _admits(limits, cap + 1, leading=leading)
+
+    def test_cloudflare_cap_matches_the_paper(self):
+        # §V-C: Cloudflare fronting Akamai or StackPath reaches n ≈ 10 750.
+        assert 10_700 <= _cap(HeaderLimits(custom=CloudflareRule())) <= 10_900
+
+    def test_opaque_custom_guard_gives_none(self):
+        assert _cap(HeaderLimits(custom=lambda request: None)) is None
+
+    def test_opaque_guard_leaves_declared_limits_solvable(self):
+        limits = HeaderLimits(max_ranges=64, custom=lambda request: None)
+        assert _cap(limits) == 64
+
+    def test_no_limits_give_none(self):
+        assert _cap(HeaderLimits()) is None
+
+    def test_another_oversized_line_admits_no_ranges(self):
+        limits = HeaderLimits(max_single_header_line_bytes=100)
+        request = _request(range_value="bytes=0-,0-", host="h" * 200)
+        assert limits.range_cap(request, 2, 3) == 0
+
+    def test_block_already_over_the_limit_admits_no_ranges(self):
+        limits = HeaderLimits(max_total_header_bytes=10)
+        assert _cap(limits) == 0

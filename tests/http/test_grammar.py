@@ -2,15 +2,16 @@
 
 import pytest
 
+from repro.cdn.limits import HeaderLimits
 from repro.http.grammar import (
     RangeCorpusGenerator,
     RangeFormat,
-    max_overlapping_ranges_for_value_size,
     obr_value_size,
     overlapping_open_ranges_value,
     single_range_value,
     suffix_range_value,
 )
+from repro.http.message import HttpRequest
 from repro.http.ranges import parse_range_header
 
 
@@ -51,7 +52,13 @@ class TestAttackBuilders:
     @pytest.mark.parametrize("limit", [10, 16, 100, 16384, 32768])
     @pytest.mark.parametrize("leading", [None, "-1024", "1-"])
     def test_max_for_value_size_is_tight(self, limit, leading):
-        n = max_overlapping_ranges_for_value_size(limit, leading=leading)
+        # obr_value_size inverted by division: the single-line range cap
+        # on a Range line whose value may take ``limit`` bytes.
+        line_limit = limit + len("Range: \r\n")
+        value = overlapping_open_ranges_value(1, leading=leading)
+        request = HttpRequest("GET", "/", headers=[("Range", value)])
+        step = obr_value_size(2, leading=leading) - len(value)
+        n = HeaderLimits(max_single_header_line_bytes=line_limit).range_cap(request, 1, step)
         if n == 0:
             assert obr_value_size(1, leading=leading) > limit
             return
