@@ -13,6 +13,7 @@ Commands map one-to-one onto the paper's experiments:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import TYPE_CHECKING, List, Optional, Tuple
@@ -31,6 +32,26 @@ from repro.reporting.render import format_bytes, render_sparkline, render_table
 from repro.reporting.tables import table1_rows, table2_rows, table3_rows
 
 MB = 1 << 20
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def _positive_finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,9 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     flood = commands.add_parser("flood", help="bandwidth experiment (Fig 7)")
-    flood.add_argument("--m", type=int, default=12, help="attack requests per second")
+    flood.add_argument(
+        "--m", type=_non_negative_int, default=12, help="attack requests per second"
+    )
     flood.add_argument("--vendor", default="cloudflare", choices=all_vendor_names())
-    flood.add_argument("--uplink-mbps", type=float, default=1000.0)
+    flood.add_argument("--uplink-mbps", type=_positive_finite_float, default=1000.0)
 
     economics = commands.add_parser(
         "economics", help="project a campaign's victim cost"

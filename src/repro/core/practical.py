@@ -18,6 +18,7 @@ We reproduce it in two steps:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -151,22 +152,29 @@ class BandwidthAttackSimulation:
     def _per_second_bps(
         self, simulator: FluidSimulator, link: str, total: float
     ) -> List[float]:
-        series: List[float] = []
-        for second in range(int(total)):
-            series.append(
-                simulator.mean_throughput_bps(link, start=second, end=second + 1)
-            )
-        return series
+        """Mean throughput of each whole second ``[s, s + 1)`` of ``link``.
+
+        One pass files each tick into the second its start time falls
+        in; every window is then averaged in time order, exactly as
+        :meth:`FluidSimulator.mean_throughput_bps` would.
+        """
+        windows: List[List[float]] = [[] for _ in range(int(total))]
+        for sample in simulator.samples_for(link):
+            second = math.floor(sample.time)
+            if 0 <= second < len(windows):
+                windows[second].append(sample.throughput_bps)
+        return [sum(window) / len(window) if window else 0.0 for window in windows]
 
     def sweep(self, ms: Sequence[int] = tuple(range(1, 16))) -> List[BandwidthRunResult]:
         """Fig 7's full sweep, ``m`` from 1 to 15 by default."""
         return [self.run(m) for m in ms]
 
     def saturation_threshold(self, ms: Sequence[int] = tuple(range(1, 16))) -> Optional[int]:
-        """Smallest ``m`` whose steady-state throughput pins the uplink."""
-        for result in self.sweep(ms):
-            if result.saturated:
-                return result.m
+        """Smallest ``m`` whose steady-state throughput pins the uplink;
+        the sweep stops at the first saturated ``m``."""
+        for m in ms:
+            if self.run(m).saturated:
+                return m
         return None
 
 

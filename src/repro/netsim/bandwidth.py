@@ -10,14 +10,28 @@ transfers that spill into later ticks.
 The model is deliberately simple — no packets, no TCP dynamics — because
 the figure's shape (linear growth in ``m`` until the uplink pins at its
 capacity) is a pure capacity/queueing phenomenon.
+
+A tick costs O(live transfers), not O(transfers ever scheduled):
+pending transfers wait in a heap keyed on ``(start_time, insertion
+index)`` and are admitted when their start time comes, the live set is
+kept in insertion order and loses a transfer as soon as it finishes,
+and samples are filed per link as they are taken.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
+from repro.obs.tracer import current_tracer
+
+
+def _require_finite(what: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise SimulationError(f"{what} must be finite, got {value}")
 
 
 @dataclass
@@ -28,6 +42,7 @@ class Link:
     capacity_bps: float
 
     def __post_init__(self) -> None:
+        _require_finite(f"link {self.name!r} capacity", self.capacity_bps)
         if self.capacity_bps <= 0:
             raise SimulationError(
                 f"link {self.name!r} capacity must be positive, got {self.capacity_bps}"
@@ -50,18 +65,20 @@ class Transfer:
     finish_time: Optional[float] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
+        _require_finite("transfer size", self.size_bytes)
+        _require_finite("transfer start time", self.start_time)
         if self.size_bytes < 0:
             raise SimulationError(f"transfer size must be >= 0, got {self.size_bytes}")
         if not self.links:
             raise SimulationError("a transfer must traverse at least one link")
         self.remaining = float(self.size_bytes)
+        # Each link once, for counting a link's users; ``links`` itself
+        # may repeat a link, and then the transfer loads it twice.
+        self._distinct_links = tuple(dict.fromkeys(self.links))
 
     @property
     def done(self) -> bool:
         return self.remaining <= 0
-
-    def active_at(self, now: float) -> bool:
-        return self.start_time <= now and not self.done
 
 
 @dataclass(frozen=True)
@@ -79,14 +96,16 @@ class FluidSimulator:
 
     Each tick of length ``dt``:
 
-    1. collect transfers that have started and are unfinished;
-    2. compute each transfer's rate as the max-min fair allocation over
-       its links (progressive filling);
-    3. advance every transfer by ``rate * dt`` and sample per-link
-       throughput.
+    1. admit the pending transfers whose start time has come (the live
+       set stays in insertion order);
+    2. compute each live transfer's rate as the max-min fair allocation
+       over its links (progressive filling);
+    3. advance every live transfer by ``rate * dt``, drop the finished
+       ones and sample per-link throughput.
     """
 
     def __init__(self, links: Sequence[Link], dt: float = 0.1) -> None:
+        _require_finite("dt", dt)
         if dt <= 0:
             raise SimulationError(f"dt must be positive, got {dt}")
         self.dt = dt
@@ -96,7 +115,14 @@ class FluidSimulator:
                 raise SimulationError(f"duplicate link name {link.name!r}")
             self._links[link.name] = link
         self._transfers: List[Transfer] = []
+        #: Not yet admitted: ``(start_time, insertion index, transfer)``.
+        self._pending: List[Tuple[float, int, Transfer]] = []
+        #: Admitted and unfinished: ``(insertion index, transfer)``, sorted.
+        self._live: List[Tuple[int, Transfer]] = []
         self._samples: List[LinkSample] = []
+        self._link_samples: Dict[str, List[LinkSample]] = {
+            name: [] for name in self._links
+        }
         self._now = 0.0
 
     # -- setup ----------------------------------------------------------------
@@ -108,13 +134,14 @@ class FluidSimulator:
         start_time: float = 0.0,
         label: str = "",
     ) -> Transfer:
-        """Schedule a transfer; unknown link names raise immediately."""
+        """Schedule a transfer; unknown link names and non-finite sizes
+        or start times raise immediately."""
         for name in links:
-            if name not in self._links:
-                raise SimulationError(f"unknown link {name!r}")
+            self._require_link(name)
         transfer = Transfer(
             size_bytes=size_bytes, links=tuple(links), start_time=start_time, label=label
         )
+        heapq.heappush(self._pending, (start_time, len(self._transfers), transfer))
         self._transfers.append(transfer)
         return transfer
 
@@ -126,36 +153,67 @@ class FluidSimulator:
 
     def run(self, until: float) -> List[LinkSample]:
         """Advance the simulation to time ``until``; returns all samples."""
+        _require_finite("run horizon", until)
         if until < self._now:
             raise SimulationError(f"cannot run backwards from {self._now} to {until}")
-        while self._now + self.dt <= until + 1e-9:
-            self._tick()
+        with current_tracer().span("net.fluid") as span:
+            ticks = peak_active = 0
+            while self._now + self.dt <= until + 1e-9:
+                peak_active = max(peak_active, self._tick())
+                ticks += 1
+            if span.recording:
+                span.set(
+                    ticks=ticks,
+                    transfers=len(self._transfers),
+                    peak_active=peak_active,
+                )
         return list(self._samples)
 
-    def _tick(self) -> None:
-        active = [t for t in self._transfers if t.active_at(self._now)]
+    def _admit(self) -> None:
+        """Move every pending transfer whose start time has come into
+        the live set, keeping the live set in insertion order."""
+        pending = self._pending
+        admitted: List[Tuple[int, Transfer]] = []
+        while pending and pending[0][0] <= self._now:
+            _, index, transfer = heapq.heappop(pending)
+            if not transfer.done:
+                admitted.append((index, transfer))
+        if admitted:
+            self._live.extend(admitted)
+            self._live.sort()
+
+    def _tick(self) -> int:
+        """One tick; returns how many transfers were live in it."""
+        self._admit()
+        now, dt = self._now, self.dt
+        active = [transfer for _, transfer in self._live]
         rates = self._max_min_rates(active)
         moved_per_link: Dict[str, float] = {name: 0.0 for name in self._links}
         counts_per_link: Dict[str, int] = {name: 0 for name in self._links}
+        finished = False
         for index, transfer in enumerate(active):
-            rate = rates[index]
-            moved = min(transfer.remaining, rate * self.dt)
+            moved = min(transfer.remaining, rates[index] * dt)
             transfer.remaining -= moved
-            if transfer.done and transfer.finish_time is None:
-                transfer.finish_time = self._now + self.dt
+            if transfer.remaining <= 0:
+                finished = True
+                if transfer.finish_time is None:
+                    transfer.finish_time = now + dt
             for name in transfer.links:
                 moved_per_link[name] += moved
                 counts_per_link[name] += 1
-        for name in self._links:
-            self._samples.append(
-                LinkSample(
-                    time=self._now,
-                    link=name,
-                    throughput_bps=moved_per_link[name] * 8.0 / self.dt,
-                    active_transfers=counts_per_link[name],
-                )
+        if finished:
+            self._live = [entry for entry in self._live if not entry[1].done]
+        for name, series in self._link_samples.items():
+            sample = LinkSample(
+                time=now,
+                link=name,
+                throughput_bps=moved_per_link[name] * 8.0 / dt,
+                active_transfers=counts_per_link[name],
             )
-        self._now += self.dt
+            self._samples.append(sample)
+            series.append(sample)
+        self._now = now + dt
+        return len(active)
 
     def _max_min_rates(self, active: Sequence[Transfer]) -> Dict[int, float]:
         """Progressive-filling max-min fair allocation (bytes/sec).
@@ -165,28 +223,32 @@ class FluidSimulator:
         allocate identically.
         """
         rates: Dict[int, float] = {index: 0.0 for index in range(len(active))}
-        unfrozen: Dict[int, Transfer] = dict(enumerate(active))
+        unfrozen = list(range(len(active)))
         remaining_capacity = {
             name: link.capacity_bytes_per_sec for name, link in self._links.items()
         }
         while unfrozen:
             # Most constrained link determines the next rate increment.
-            increments = []
-            for name, capacity in remaining_capacity.items():
-                users = [t for t in unfrozen.values() if name in t.links]
-                if users:
-                    increments.append((capacity / len(users), name))
+            users = dict.fromkeys(remaining_capacity, 0)
+            for index in unfrozen:
+                for name in active[index]._distinct_links:
+                    users[name] += 1
+            increments = [
+                (capacity / users[name], name)
+                for name, capacity in remaining_capacity.items()
+                if users[name]
+            ]
             if not increments:
                 break
             increment, bottleneck = min(increments)
-            for index, transfer in unfrozen.items():
+            for index in unfrozen:
                 rates[index] += increment
-                for name in transfer.links:
+                for name in active[index].links:
                     remaining_capacity[name] -= increment
             # Freeze every transfer crossing the saturated bottleneck.
-            for key, transfer in list(unfrozen.items()):
-                if bottleneck in transfer.links:
-                    del unfrozen[key]
+            unfrozen = [
+                index for index in unfrozen if bottleneck not in active[index].links
+            ]
             remaining_capacity = {
                 name: max(0.0, cap) for name, cap in remaining_capacity.items()
             }
@@ -198,8 +260,14 @@ class FluidSimulator:
     def now(self) -> float:
         return self._now
 
+    def _require_link(self, name: str) -> None:
+        if name not in self._links:
+            raise SimulationError(f"unknown link {name!r}")
+
     def samples_for(self, link: str) -> List[LinkSample]:
-        return [s for s in self._samples if s.link == link]
+        """Every sample taken on ``link``, in time order."""
+        self._require_link(link)
+        return list(self._link_samples[link])
 
     def throughput_series(self, link: str) -> List[float]:
         """Per-tick throughput (bps) for ``link``, in time order."""

@@ -73,6 +73,19 @@ class TestSweepShape:
             <= PAPER_FIG7_FULL_SATURATION_M
         )
 
+    def test_saturation_threshold_stops_at_first_saturated_m(
+        self, simulation, monkeypatch
+    ):
+        ran = []
+        run = simulation.run
+        monkeypatch.setattr(simulation, "run", lambda m: ran.append(m) or run(m))
+        threshold = simulation.saturation_threshold()
+        assert ran == list(range(1, threshold + 1))
+        assert threshold == 12  # the default sweep stops well before 15
+
+    def test_saturation_threshold_none_when_nothing_saturates(self, simulation):
+        assert simulation.saturation_threshold(ms=(0, 1, 2)) is None
+
     def test_monotone_growth_then_plateau(self, simulation):
         results = simulation.sweep(ms=(2, 6, 10, 14, 15))
         steady = [r.steady_origin_mbps for r in results]

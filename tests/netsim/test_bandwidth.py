@@ -42,6 +42,82 @@ class TestSetup:
             simulator.run(0.5)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteInputs:
+    """Non-finite numbers would break the admission heap's order (NaN
+    compares false both ways) or make a run endless; all are refused
+    up front."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_link_capacity(self, value):
+        with pytest.raises(SimulationError, match="finite"):
+            Link("a", value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_dt(self, value):
+        with pytest.raises(SimulationError, match="finite"):
+            FluidSimulator([Link("a", _mbps(1))], dt=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_transfer_size(self, value):
+        simulator = FluidSimulator([Link("a", _mbps(1))])
+        with pytest.raises(SimulationError, match="finite"):
+            simulator.add_transfer(value, ["a"])
+        assert simulator.transfers == []
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_transfer_start_time(self, value):
+        simulator = FluidSimulator([Link("a", _mbps(1))])
+        with pytest.raises(SimulationError, match="finite"):
+            simulator.add_transfer(100, ["a"], start_time=value)
+        assert simulator.transfers == []
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_run_horizon(self, value):
+        simulator = FluidSimulator([Link("a", _mbps(1))])
+        with pytest.raises(SimulationError, match="finite"):
+            simulator.run(value)
+
+    def test_rejected_nan_start_leaves_the_simulation_intact(self):
+        simulator = FluidSimulator([Link("a", _mbps(1))], dt=0.1)
+        transfer = simulator.add_transfer(125_000, ["a"])
+        with pytest.raises(SimulationError):
+            simulator.add_transfer(float("nan"), ["a"])
+        simulator.run(2.0)
+        assert transfer.done
+        assert all(
+            sample.throughput_bps == sample.throughput_bps  # no NaN leaked
+            for sample in simulator.samples_for("a")
+        )
+
+
+class TestUnknownLinkInspection:
+    @pytest.mark.parametrize(
+        "inspect",
+        [
+            lambda simulator: simulator.samples_for("nope"),
+            lambda simulator: simulator.throughput_series("nope"),
+            lambda simulator: simulator.mean_throughput_bps("nope"),
+        ],
+        ids=["samples_for", "throughput_series", "mean_throughput_bps"],
+    )
+    def test_raises(self, inspect):
+        simulator = FluidSimulator([Link("a", _mbps(1))], dt=0.1)
+        simulator.add_transfer(1000, ["a"])
+        simulator.run(1.0)
+        with pytest.raises(SimulationError, match="unknown link 'nope'"):
+            inspect(simulator)
+
+    def test_known_idle_link_still_reads_zero(self):
+        simulator = FluidSimulator([Link("a", _mbps(1)), Link("b", _mbps(1))])
+        simulator.add_transfer(1000, ["a"])
+        simulator.run(1.0)
+        assert simulator.mean_throughput_bps("b") == 0.0
+        assert len(simulator.samples_for("b")) == len(simulator.samples_for("a"))
+
+
 class TestSingleTransfer:
     def test_transfer_completes_at_expected_time(self):
         # 1 Mbps link, 1 Mbit transfer -> ~1 second.

@@ -75,3 +75,24 @@ class TestAllocationFree:
             f"null-tracer span path allocated {growth} B over "
             f"{self.ITERATIONS} iterations"
         )
+
+    def test_fluid_run_span_allocates_nothing(self):
+        """``FluidSimulator.run``'s ``net.fluid`` span is free when off."""
+        from repro.netsim.bandwidth import FluidSimulator, Link
+
+        simulator = FluidSimulator([Link("a", 1e6)], dt=0.1)
+        for _ in range(100):  # warm up
+            simulator.run(0.0)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(self.ITERATIONS):
+                simulator.run(0.0)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        growth = after - before
+        assert growth <= self.TOLERANCE_BYTES, (
+            f"untraced FluidSimulator.run allocated {growth} B over "
+            f"{self.ITERATIONS} calls"
+        )

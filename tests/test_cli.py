@@ -60,6 +60,26 @@ class TestFlood:
         assert main(["flood", "--m", "2"]) == 0
         assert "SATURATED" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--m", "-1"],
+            ["--m", "two"],
+            ["--uplink-mbps", "nan"],
+            ["--uplink-mbps", "inf"],
+            ["--uplink-mbps", "0"],
+            ["--uplink-mbps", "-5"],
+        ],
+    )
+    def test_bad_arguments_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["flood", *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro flood")
+        assert f"argument {argv[0]}:" in err
+        assert "Traceback" not in err
+
 
 class TestMatrix:
     def test_prints_all_vendors_and_policies(self, capsys):
