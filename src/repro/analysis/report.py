@@ -1,10 +1,13 @@
 """Severity-ranked static findings over vendors, cascades, deployments.
 
 :func:`analyze_vendor_matrix` is the pre-simulation vulnerability
-report: it classifies every registered vendor (SBR) and every FCDN×BCDN
-cell (OBR) from pure configuration probes and attaches the closed-form
-worst-case bounds of :mod:`repro.analysis.bounds`.  No deployment is
-built and no ledger records a byte — the zero-traffic test pins this.
+report: it classifies every registered vendor (SBR, CCFC) and every
+FCDN×BCDN cell (OBR) from pure configuration probes and attaches the
+closed-form worst-case bounds of :mod:`repro.analysis.bounds`.  No
+deployment is built and no ledger records a byte — the zero-traffic
+test pins this.  How each family classifies and bounds a subject is its
+:class:`~repro.analysis.families.AttackFamily` record's finding builder;
+this module runs the builders and ranks what they find.
 
 :func:`analyze_deployment` applies the same passes to one concrete
 :class:`~repro.core.deployment.Deployment`: the chain's actual vendors,
@@ -15,27 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.core.deployment import Deployment
 
-from repro.analysis.bounds import (
-    CcfcBound,
-    ObrBound,
-    SbrBound,
-    ccfc_bound,
-    obr_bound,
-    sbr_bound,
-)
-from repro.analysis.classify import (
-    CascadeClassification,
-    CcfcClassification,
-    SbrClassification,
-    classify_cascade,
-    classify_ccfc,
-    classify_sbr,
-)
+# Still importable from here; the e2e tracing harness patches this alias.
+from repro.analysis.bounds import obr_bound  # noqa: F401
 from repro.cdn.vendors import all_vendor_names
 from repro.netsim.overhead import OverheadModel
 
@@ -127,12 +116,6 @@ class AnalysisReport:
         )
 
 
-def _format_size(size: int) -> str:
-    if size >= MB and size % MB == 0:
-        return f"{size // MB}MB"
-    return f"{size}B"
-
-
 def _rank(findings: Sequence[Finding]) -> Tuple[Finding, ...]:
     """Severity-ranked: most severe bucket first, larger bound first."""
     return tuple(
@@ -140,140 +123,6 @@ def _rank(findings: Sequence[Finding]) -> Tuple[Finding, ...]:
             findings,
             key=lambda f: (SEVERITY_ORDER.index(f.severity), -f.factor_bound, f.subject),
         )
-    )
-
-
-def _sbr_finding(
-    classification: SbrClassification,
-    resource_size: int,
-    overhead: Optional[OverheadModel],
-) -> Finding:
-    vendor = classification.vendor
-    if not classification.vulnerable:
-        return Finding(
-            kind="safe",
-            severity="info",
-            subject=vendor,
-            mechanism="none",
-            factor_bound=0.0,
-            detail=f"{classification.display_name} forwards ranges lazily; no SBR vector",
-        )
-    bound: SbrBound = sbr_bound(vendor, resource_size, overhead=overhead)
-    return Finding(
-        kind="sbr",
-        severity=severity_for_factor(bound.factor),
-        subject=vendor,
-        mechanism=classification.mechanism,
-        factor_bound=bound.factor,
-        detail=(
-            f"{classification.display_name} amplifies via {classification.mechanism}: "
-            f"<= {bound.factor:.0f}x at {_format_size(resource_size)}"
-        ),
-        data={
-            "resource_size": resource_size,
-            "range_cases": list(bound.range_cases),
-            "origin_fetches": bound.origin_fetches,
-            "origin_bytes_upper": bound.origin_bytes_upper,
-            "client_bytes_lower": bound.client_bytes_lower,
-        },
-    )
-
-
-def _obr_finding(
-    classification: CascadeClassification,
-    resource_size: int,
-    overhead: Optional[OverheadModel],
-) -> Finding:
-    subject = f"{classification.fcdn} -> {classification.bcdn}"
-    mechanism = "laziness+honor" + (
-        " (bypass)" if classification.requires_bypass else ""
-    )
-    bound: ObrBound = obr_bound(
-        classification.fcdn,
-        classification.bcdn,
-        resource_size=resource_size,
-        overhead=overhead,
-    )
-    return Finding(
-        kind="obr",
-        severity=severity_for_factor(bound.factor),
-        subject=subject,
-        mechanism=mechanism,
-        factor_bound=bound.factor,
-        detail=(
-            f"{classification.fcdn} forwards {len(classification.lazy_probes)} "
-            f"overlapping shapes verbatim; {classification.bcdn} honors them "
-            f"(max n = {bound.max_n}, <= {bound.factor:.0f}x)"
-        ),
-        data={
-            "resource_size": resource_size,
-            "max_n": bound.max_n,
-            "part_overhead_upper": bound.part_overhead_upper,
-            "victim_bytes_upper": bound.victim_bytes_upper,
-            "attacker_bytes_lower": bound.attacker_bytes_lower,
-            "requires_bypass": classification.requires_bypass,
-        },
-    )
-
-
-#: Safe-mechanism phrasing for the CCFC findings.
-_CCFC_SAFE_DETAILS = {
-    "forward": "forwards Accept-Encoding untouched; no CCFC vector",
-    "strip": "strips Accept-Encoding toward the origin; no CCFC vector",
-    "normalize": "normalizes Accept-Encoding to the client's codings; no CCFC vector",
-    "rewrite-no-decompress": (
-        "rewrites Accept-Encoding but relays compressed bodies as-is; no CCFC vector"
-    ),
-    "rewrite-incompressible": (
-        "rewrites Accept-Encoding to codings that do not compress; no CCFC vector"
-    ),
-}
-
-
-def _ccfc_finding(
-    classification: CcfcClassification,
-    resource_size: int,
-    overhead: Optional[OverheadModel],
-) -> Finding:
-    vendor = classification.vendor
-    if not classification.vulnerable:
-        detail = _CCFC_SAFE_DETAILS.get(
-            classification.mechanism, "has no compression-conversion vector"
-        )
-        return Finding(
-            kind="safe",
-            severity="info",
-            subject=vendor,
-            mechanism=classification.mechanism,
-            factor_bound=0.0,
-            detail=f"{classification.display_name} {detail}",
-            data={
-                "attack": "ccfc",
-                "encoding_policy": classification.encoding_policy.value,
-                "edge_decompresses": classification.edge_decompresses,
-            },
-        )
-    bound: CcfcBound = ccfc_bound(vendor, resource_size, overhead=overhead)
-    codings = ", ".join(classification.edge_accept_encoding)
-    return Finding(
-        kind="ccfc",
-        severity=severity_for_factor(bound.factor),
-        subject=vendor,
-        mechanism=classification.mechanism,
-        factor_bound=bound.factor,
-        detail=(
-            f"{classification.display_name} rewrites Accept-Encoding to "
-            f"{codings} and inflates at the edge: "
-            f"<= {bound.factor:.0f}x at {_format_size(resource_size)}"
-        ),
-        data={
-            "attack": "ccfc",
-            "resource_size": resource_size,
-            "encoding": bound.encoding,
-            "edge_accept_encoding": list(classification.edge_accept_encoding),
-            "victim_bytes_upper": bound.victim_bytes_upper,
-            "attacker_bytes_lower": bound.attacker_bytes_lower,
-        },
     )
 
 
@@ -296,32 +145,27 @@ def analyze_vendor_matrix(
     otherwise — so compression behavior is classified for the whole
     registry.
     """
+    from repro.analysis.families import FAMILIES, SHAPES
+
     names = list(vendors) if vendors is not None else all_vendor_names()
-    findings: List[Finding] = []
-
-    for vendor in names:
-        findings.append(
-            _sbr_finding(classify_sbr(vendor), resource_size, sbr_overhead)
-        )
-        findings.append(
-            _ccfc_finding(classify_ccfc(vendor), ccfc_resource_size, ccfc_overhead)
-        )
-
-    for fcdn in names:
-        for bcdn in names:
-            if fcdn == bcdn:
-                continue
-            cascade = classify_cascade(fcdn, bcdn, resource_size=obr_resource_size)
-            if not cascade.vulnerable:
-                continue
-            findings.append(_obr_finding(cascade, obr_resource_size, obr_overhead))
-
-    return AnalysisReport(
-        findings=_rank(findings),
+    sizes: Dict[str, Any] = dict(
         resource_size=resource_size,
         obr_resource_size=obr_resource_size,
         ccfc_resource_size=ccfc_resource_size,
     )
+    overheads = {"sbr": sbr_overhead, "obr": obr_overhead, "ccfc": ccfc_overhead}
+    findings: List[Finding] = []
+    # Subject-major (per vendor: SBR then CCFC; cascades after), the
+    # insertion order the stable severity sort keeps among ties.
+    for shape in SHAPES:
+        families = [family for family in FAMILIES if family.shape is shape]
+        for subject in shape.subjects(names):
+            for family in families:
+                size, overhead = sizes[family.size_kwarg], overheads[family.name]
+                finding = family.finding(subject, size, overhead, None)
+                if family.lists_safe or finding.kind != "safe":
+                    findings.append(finding)
+    return AnalysisReport(findings=_rank(findings), **sizes)
 
 
 def analyze_deployment(
@@ -332,9 +176,11 @@ def analyze_deployment(
 
     Reads the chain's vendors and per-node configs, the ledger's
     overhead model, and the origin store's resource sizes; classifies
-    each node (SBR) and each adjacent pair (OBR) and bounds them with
-    the deployment's own overhead model.
+    each node (SBR, CCFC) and each adjacent pair (OBR) and bounds them
+    with the deployment's own overhead model.
     """
+    from repro.analysis.families import FAMILIES, SHAPES
+
     overhead = deployment.ledger.overhead
     store = deployment.origin.store
     sizes = (
@@ -344,32 +190,19 @@ def analyze_deployment(
     ) or [10 * MB]
 
     findings: List[Finding] = []
-    for node in deployment.nodes:
-        classification = classify_sbr(node.profile.name, config=node.config)
-        ccfc_classification = classify_ccfc(node.profile.name)
-        for size in sizes:
-            findings.append(_sbr_finding(classification, size, overhead))
-        findings.append(_ccfc_finding(ccfc_classification, max(sizes), overhead))
+    for shape in SHAPES:
+        families = [family for family in FAMILIES if family.shape is shape]
+        for subject, configs in shape.chain(deployment.nodes):
+            for family in families:
+                for size in family.deployment_sizes(sizes):
+                    finding = family.finding(subject, size, overhead, configs)
+                    if family.lists_safe or finding.kind != "safe":
+                        findings.append(finding)
 
-    for front, back in zip(deployment.nodes, deployment.nodes[1:]):
-        if front.profile.name == back.profile.name:
-            continue
-        cascade = classify_cascade(
-            front.profile.name,
-            back.profile.name,
-            resource_size=sizes[0],
-            fcdn_config=front.config,
-        )
-        if not cascade.vulnerable:
-            continue
-        findings.append(_obr_finding(cascade, sizes[0], overhead))
-
-    return AnalysisReport(
-        findings=_rank(findings),
-        resource_size=max(sizes),
-        obr_resource_size=sizes[0],
-        ccfc_resource_size=max(sizes),
-    )
+    bounded_at: Dict[str, Any] = {
+        family.size_kwarg: max(family.deployment_sizes(sizes)) for family in FAMILIES
+    }
+    return AnalysisReport(findings=_rank(findings), **bounded_at)
 
 
 def render_findings_table(report: AnalysisReport) -> str:

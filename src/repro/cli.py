@@ -54,6 +54,19 @@ def _positive_finite_float(text: str) -> float:
     return value
 
 
+def _add_size_arguments(parser: argparse.ArgumentParser, use: str) -> None:
+    """The per-family resource sizes ``analyze``/``recommend`` bound at."""
+    for flag, family, unit, default in (
+        ("--size-mb", "SBR", "MB", 10),
+        ("--obr-size", "OBR", "bytes", 1024),
+        ("--ccfc-size-mb", "CCFC", "MB", 10),
+    ):
+        parser.add_argument(
+            flag, type=int, default=default,
+            help=f"{family} resource size in {unit} {use} (default: {default})",
+        )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -109,18 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=["table", "json"], default="table",
         help="output format (default: table)",
     )
-    analyze.add_argument(
-        "--size-mb", type=int, default=10,
-        help="SBR resource size in MB the bounds assume (default: 10)",
-    )
-    analyze.add_argument(
-        "--obr-size", type=int, default=1024,
-        help="OBR resource size in bytes the bounds assume (default: 1024)",
-    )
-    analyze.add_argument(
-        "--ccfc-size-mb", type=int, default=10,
-        help="CCFC resource size in MB the bounds assume (default: 10)",
-    )
+    _add_size_arguments(analyze, "the bounds assume")
     analyze.add_argument(
         "--with-retries", action="store_true",
         help="also print the retry-aware SBR bound (clean bound scaled by "
@@ -147,21 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="residual factor a mitigation must stay under to qualify "
              "(default: 10.0, the low-severity boundary)",
     )
-    recommend.add_argument(
-        "--size-mb", type=int, default=10,
-        help="SBR resource size in MB the residual bounds assume "
-             "(default: 10)",
-    )
-    recommend.add_argument(
-        "--obr-size", type=int, default=1024,
-        help="OBR resource size in bytes the residual bounds assume "
-             "(default: 1024)",
-    )
-    recommend.add_argument(
-        "--ccfc-size-mb", type=int, default=10,
-        help="CCFC resource size in MB the residual bounds assume "
-             "(default: 10)",
-    )
+    _add_size_arguments(recommend, "the residual bounds assume")
     recommend.add_argument(
         "--with-retries", action="store_true",
         help="also report the retry-aware residual factor per option "

@@ -61,6 +61,8 @@ def _check_cell(vendor: str, resource_size: int, min_size: int, rounds: int) -> 
 class SbrFastEngine:
     """Answers SBR cells with the wire-level simulation."""
 
+    calibration_runs = 0  # simulated, never calibrated
+
     def measure(self, vendor: str, resource_size: int, rounds: int = 1) -> SbrResult:
         """``SbrAttack(vendor, resource_size).run(rounds)``."""
         _check_cell(vendor, resource_size, 2, rounds)
@@ -70,6 +72,8 @@ class SbrFastEngine:
 class CcfcFastEngine:
     """Answers CCFC (compression-conversion) cells with the wire-level
     simulation."""
+
+    calibration_runs = 0  # simulated, never calibrated
 
     def measure(
         self, vendor: str, resource_size: int, rounds: int = 1
@@ -330,14 +334,15 @@ class ObrFastEngine:
     ) -> ObrResult:
         """An :class:`ObrResult` equal to ``ObrAttack(...).run(overlap_count)``.
 
-        ``overlap_count=None`` resolves the Table V maximum through
+        ``overlap_count`` ``None`` or 0 (an OBR grid cell's "search")
+        resolves the Table V maximum through
         :func:`repro.analysis.bounds.static_max_n`, which the simulated
         probe search agrees with exactly (pinned by the cross-check and
         differential suites)."""
         from repro.analysis.bounds import static_max_n
 
         n = overlap_count
-        if n is None:
+        if not n:
             n = static_max_n(fcdn, bcdn, resource_size=resource_size)
         if n < 1:
             # Mirror ObrAttack.run's refusal for non-exploitable cascades.

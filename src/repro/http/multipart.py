@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import MultipartError
-from repro.http.body import Body, BytesBody, CompositeBody, make_body
+from repro.http.body import Body, BytesBody, CompositeBody
 from repro.http.headers import Headers
 from repro.http.ranges import ResolvedRange, format_content_range, parse_content_range
 
@@ -196,27 +196,3 @@ class MultipartByteranges:
             f"MultipartByteranges({len(self.parts)} parts, "
             f"boundary={self.boundary!r}, {self.wire_size()} wire bytes)"
         )
-
-
-def multipart_response_size(
-    part_count: int,
-    part_payload_length: int,
-    complete_length: int,
-    content_type: str = "application/octet-stream",
-    boundary: str = DEFAULT_BOUNDARY,
-) -> int:
-    """Analytic wire size of a uniform n-part payload.
-
-    Used by the OBR planner to predict amplification before running the
-    pipeline; tested for exact agreement with :meth:`MultipartByteranges.wire_size`.
-    """
-    sample = MultipartPart(
-        content_type=content_type,
-        content_range=ResolvedRange(
-            complete_length - part_payload_length, complete_length - 1
-        ),
-        complete_length=complete_length,
-        payload=make_body(part_payload_length),
-    )
-    per_part = (len(boundary) + 4) + len(sample.header_blob()) + part_payload_length + 2
-    return part_count * per_part + (len(boundary) + 6)

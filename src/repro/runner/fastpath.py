@@ -22,18 +22,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.vectorized import (
-    CcfcFastEngine,
-    ExactModelError,
-    ObrFastEngine,
-    SbrFastEngine,
-)
+from repro.analysis.families import FAMILIES
+from repro.core import vectorized
+from repro.core.vectorized import ExactModelError
 from repro.obs.metrics import current_metrics
 from repro.runner.executor import CellOutcome
 from repro.runner.grid import ExperimentCell, ExperimentGrid
 
-#: Experiment kinds the planner may answer.
-FAST_EXPERIMENTS: Tuple[str, ...] = ("sbr", "obr", "ccfc")
+#: Experiment kinds the planner may answer: one per attack family.
+FAST_EXPERIMENTS: Tuple[str, ...] = tuple(family.name for family in FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -78,9 +75,12 @@ class FastPathPlanner:
     """Answers exact measurement cells before the grid runs."""
 
     def __init__(self) -> None:
-        self.sbr = SbrFastEngine()
-        self.obr = ObrFastEngine()
-        self.ccfc = CcfcFastEngine()
+        #: One engine per family; a cell's key and params are the
+        #: arguments of its engine's ``measure``.
+        self.engines: Dict[str, Any] = {
+            family.name: getattr(vectorized, family.fast_engine)()
+            for family in FAMILIES
+        }
         self._answered = 0
         self._refused = 0
         self._ineligible = 0
@@ -99,23 +99,7 @@ class FastPathPlanner:
         if not self.eligible(cell):
             return None
         try:
-            if cell.experiment == "sbr":
-                vendor, resource_size = cell.key
-                rounds = cell.kwargs().get("rounds", 1)
-                return self.sbr.measure(vendor, resource_size, rounds=rounds)
-            if cell.experiment == "ccfc":
-                vendor, resource_size = cell.key
-                rounds = cell.kwargs().get("rounds", 1)
-                return self.ccfc.measure(vendor, resource_size, rounds=rounds)
-            fcdn, bcdn = cell.key
-            params = cell.kwargs()
-            overlap_count = params.get("overlap_count", 0)
-            return self.obr.measure(
-                fcdn,
-                bcdn,
-                resource_size=params.get("resource_size", 1024),
-                overlap_count=overlap_count if overlap_count else None,
-            )
+            return self.engines[cell.experiment].measure(*cell.key, **cell.kwargs())
         except ExactModelError:
             return None
 
@@ -168,5 +152,7 @@ class FastPathPlanner:
             answered=self._answered,
             refused=self._refused,
             ineligible=self._ineligible,
-            calibration_runs=self.obr.calibration_runs,
+            calibration_runs=sum(
+                engine.calibration_runs for engine in self.engines.values()
+            ),
         )

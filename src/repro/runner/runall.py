@@ -298,27 +298,16 @@ def run_all(
         )
     result.values()  # any failed cell aborts the regeneration, loudly
 
-    # CCFC cells share the (vendor, size) key shape with SBR cells, so
-    # the two experiments must be keyed separately — a merged map would
-    # let whichever cell ran later shadow the other's result.
-    by_key = {
-        outcome.cell.key: outcome.value
-        for outcome in result
-        if outcome.ok and outcome.cell.experiment != "ccfc"
-    }
-    ccfc_by_key = {
-        outcome.cell.key: outcome.value
-        for outcome in result
-        if outcome.ok and outcome.cell.experiment == "ccfc"
-    }
-    flood_values = [
-        outcome.value for outcome in result if outcome.cell.experiment == "flood"
-    ]
-
     timing = result.cell_seconds()
     by_experiment: Dict[str, List] = {}
     for outcome in result:
         by_experiment.setdefault(outcome.cell.experiment, []).append(outcome)
+    # Values keyed by (experiment, key): SBR and CCFC cells share the
+    # (vendor, size) key shape, so the experiment keeps them apart.
+    values: Dict[str, Dict[Any, Any]] = {
+        name: {outcome.cell.key: outcome.value for outcome in outcomes}
+        for name, outcomes in by_experiment.items()
+    }
     timing_by_experiment = {
         name: CellTiming.from_outcomes(tuple(outcomes))
         for name, outcomes in by_experiment.items()
@@ -368,10 +357,10 @@ def run_all(
     phase_seconds["static"] = time.perf_counter() - phase_started
 
     return RunAllReport(
-        table4=table4_rows_from_results(by_key, names, table4_sizes),
-        table5=table5_rows_from_results(by_key, combos),
-        fig6=fig6_series_from_results(by_key, names, fig6_sizes),
-        fig7=flood_values,
+        table4=table4_rows_from_results(values.get("sbr", {}), names, table4_sizes),
+        table5=table5_rows_from_results(values.get("obr", {}), combos),
+        fig6=fig6_series_from_results(values.get("sbr", {}), names, fig6_sizes),
+        fig7=list(values.get("flood", {}).values()),
         workers=result.workers,
         duration_s=result.duration_s,
         cell_seconds=timing.total_s,
@@ -382,9 +371,11 @@ def run_all(
         spans=tuple(spans),
         events=tuple(events),
         metrics=metrics,
-        table_ccfc=ccfc_rows_from_results(ccfc_by_key, names, ccfc_sizes),
+        table_ccfc=ccfc_rows_from_results(values.get("ccfc", {}), names, ccfc_sizes),
         table_faults=(
-            fault_rows_from_results(by_key, names, fault_sizes, fault_seed)
+            fault_rows_from_results(
+                values["sbr-faults"], names, fault_sizes, fault_seed
+            )
             if fault_sizes
             else []
         ),

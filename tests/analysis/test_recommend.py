@@ -117,6 +117,13 @@ class TestResidualBounds:
         with pytest.raises(ConfigurationError):
             recommend(threshold=-1.0)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_threshold_must_be_finite(self, threshold):
+        # NaN would make every mitigation insufficient, infinity any
+        # mitigation sufficient.
+        with pytest.raises(ConfigurationError):
+            recommend(threshold=threshold)
+
 
 class TestSimulationNeverExceedsResidual:
     @settings(

@@ -10,7 +10,6 @@ from repro.http.multipart import (
     DEFAULT_BOUNDARY,
     MultipartByteranges,
     MultipartPart,
-    multipart_response_size,
 )
 from repro.http.ranges import ResolvedRange
 
@@ -81,15 +80,18 @@ class TestEncoding:
         assert multipart.wire_size() > 100 * 1024
 
     def test_analytic_size_agrees_with_obr_shape(self):
-        # The OBR planner's formula must agree exactly with the encoder
-        # for uniform full-resource parts.
+        # Uniform full-resource parts (the OBR reply shape) each cost one
+        # boundary line, the part headers, the payload and a CRLF; the
+        # closer comes once.
         n, size = 64, 1024
         multipart = MultipartByteranges.build(
             resource_body=SyntheticBody(size),
             ranges=[ResolvedRange(0, size - 1)] * n,
             content_type="application/octet-stream",
         )
-        assert multipart.wire_size() == multipart_response_size(n, size, size)
+        header = multipart.parts[0].header_blob()
+        per_part = (len(DEFAULT_BOUNDARY) + 4) + len(header) + size + 2
+        assert multipart.wire_size() == n * per_part + len(DEFAULT_BOUNDARY) + 6
 
 
 class TestDecoding:

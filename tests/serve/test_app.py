@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 from repro.http.message import HttpRequest
 from repro.serve.app import AnalysisService, ServeConfig
@@ -195,6 +199,114 @@ class TestAnalyzeBatch:
         served = body_json(response)["results"][0]["finding"]
         direct = analyze_vendor_matrix(resource_size=MB, vendors=["huawei"])
         assert served == direct.findings[0].to_dict()
+
+
+class TestUntrustedItems:
+    """Item fields of the wrong JSON type are per-item errors, never a 500."""
+
+    SERVICE = AnalysisService()
+
+    BAD_SUBJECTS = [
+        {"vendor": ["akamai"]},
+        {"vendor": {"name": "akamai"}},
+        {"vendor": 7},
+        {"fcdn": {"a": 1}, "bcdn": "akamai"},
+        {"fcdn": "cdn77", "bcdn": ["akamai"]},
+        {"vendor": "akamai", "attack": ["sbr"]},
+        {"vendor": "akamai", "attack": {"sbr": 1}},
+        {"fcdn": "cdn77", "bcdn": "akamai", "attack": 3},
+    ]
+
+    @pytest.mark.parametrize("path", ["/v1/analyze", "/v1/recommend"])
+    def test_unhashable_subjects_are_item_errors(self, path):
+        service = AnalysisService()
+        items = self.BAD_SUBJECTS + [{"vendor": "azure", "size": 4 * KB}]
+        response = service.handle(batch_request(path, items))
+        assert response.status == 200
+        results = body_json(response)["results"]
+        assert all(
+            item["error"].startswith("invalid item: ") for item in results[:-1]
+        )
+        assert results[-1]["finding"]["subject"] == "azure"
+
+    @pytest.mark.parametrize("path", ["/v1/analyze", "/v1/recommend"])
+    @pytest.mark.parametrize("threshold", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_thresholds_are_item_errors(self, path, threshold):
+        body = (
+            '{"items": [{"vendor": "cloudflare", "threshold": %s}]}' % threshold
+        ).encode()
+        service = AnalysisService()
+        response = service.handle(
+            HttpRequest(
+                method="POST",
+                target=path,
+                headers=[("Content-Length", str(len(body)))],
+                body=body,
+            )
+        )
+        assert response.status == 200
+        assert body_json(response)["results"] == [
+            {"error": "invalid item: threshold must be finite"}
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(
+                ["vendor", "fcdn", "bcdn", "attack", "size", "exact", "threshold"]
+            ),
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.integers(),
+                st.floats(),
+                st.sampled_from(["akamai", "cdn77", "sbr", "obr", "ccfc"]),
+                st.lists(st.text(max_size=3), max_size=2),
+                st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+            ),
+            max_size=5,
+        )
+    )
+    def test_any_item_shape_is_an_answer_or_an_item_error(self, item):
+        response = self.SERVICE.handle(batch_request("/v1/recommend", [item]))
+        assert response.status == 200
+        (result,) = body_json(response)["results"]
+        assert "finding" in result or result["error"].startswith("invalid item: ")
+
+    def test_only_the_requested_family_is_analyzed(self, monkeypatch):
+        import repro.analysis.families as families
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("CCFC analyzed for an SBR item")
+
+        monkeypatch.setattr(families, "classify_ccfc", refuse)
+        service = AnalysisService()
+        response = service.handle(
+            batch_request("/v1/analyze", [{"vendor": "cloudflare", "size": MB}])
+        )
+        assert body_json(response)["results"][0]["finding"]["kind"] == "sbr"
+
+    def test_an_injected_exact_runner_answers_every_exact_family(self):
+        calls = []
+
+        def runner(vendor, size):
+            calls.append((vendor, size))
+            return 2.0
+
+        service = AnalysisService(exact_runner=runner)
+        response = service.handle(
+            batch_request(
+                "/v1/analyze",
+                [
+                    {"vendor": "cloudflare", "size": KB, "exact": True},
+                    {"vendor": "cloudflare", "attack": "ccfc", "size": KB,
+                     "exact": True},
+                ],
+            )
+        )
+        results = body_json(response)["results"]
+        assert [item["exact_factor"] for item in results] == [2.0, 2.0]
+        assert calls == [("cloudflare", KB), ("cloudflare", KB)]
 
 
 class TestRecommendBatch:
