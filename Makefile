@@ -20,7 +20,6 @@ examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/feasibility_survey.py
 	$(PYTHON) examples/mitigation_eval.py
-	$(PYTHON) examples/segmented_download.py
 
 clean:
 	rm -rf .pytest_cache .hypothesis .benchmarks benchmarks/output report

@@ -1,10 +1,7 @@
 #!/usr/bin/env python3
-"""Evaluate the paper's §VI-C mitigations and the detection heuristics.
+"""Evaluate the paper's §VI-C mitigations.
 
-Shows, for each proposed fix, the before/after amplification factor —
-and runs the RangeAmp detector against both an attack stream and a
-benign video-player stream to illustrate the paper's point that
-origin-side detection is possible but delicate.
+Shows, for each proposed fix, the before/after amplification factor.
 
 Usage::
 
@@ -13,16 +10,13 @@ Usage::
 
 from repro import (
     ObrAttack,
-    RangeAmpDetector,
     SbrAttack,
     create_profile,
     with_bounded_expansion,
     with_laziness,
     with_overlap_rejection,
 )
-from repro.core.cachebusting import CacheBuster
 from repro.core.deployment import CdnSpec, Deployment
-from repro.http.message import HttpRequest
 from repro.netsim.tap import CDN_ORIGIN, CLIENT_CDN
 from repro.origin.server import OriginServer
 from repro.reporting.render import render_table
@@ -79,46 +73,5 @@ def mitigations() -> None:
     )
 
 
-def detection() -> None:
-    detector = RangeAmpDetector()
-
-    # An SBR attacker: tiny ranges at ever-changing query strings.
-    buster = CacheBuster()
-    for _ in range(30):
-        detector.observe(
-            "203.0.113.66",
-            HttpRequest(
-                "GET",
-                buster.bust("/10MB.bin"),
-                headers=[("Host", "victim.example"), ("Range", "bytes=0-0")],
-            ),
-        )
-
-    # A benign video player: small ranges, but one stable URL.
-    for start in range(0, 30 * 65536, 65536):
-        detector.observe(
-            "198.51.100.9",
-            HttpRequest(
-                "GET",
-                "/movie.mp4",
-                headers=[("Host", "victim.example"),
-                         ("Range", f"bytes={start}-{start + 65535}")],
-            ),
-        )
-
-    print("\nDetector verdicts:")
-    for client in ("203.0.113.66", "198.51.100.9"):
-        verdict = detector.verdict(client)
-        label = "SUSPICIOUS" if verdict.suspicious else "clean"
-        print(f"  {client}: {label}")
-        for reason in verdict.reasons:
-            print(f"    - {reason}")
-
-
-def main() -> None:
-    mitigations()
-    detection()
-
-
 if __name__ == "__main__":
-    main()
+    mitigations()

@@ -28,12 +28,9 @@ paper-vs-measured record of every table and figure.
 
 from __future__ import annotations
 
-from repro.cdn.cluster import EdgeCluster
 from repro.cdn.vendors import all_vendor_names, create_profile
-from repro.clienttools.downloader import ResumingDownload, SegmentedDownloader
 from repro.core.amplification import AmplificationReport
 from repro.core.cachebusting import CacheBuster
-from repro.core.campaign import CampaignResult, SbrCampaign
 from repro.core.ccfc import CcfcAttack, CcfcResult
 from repro.core.connection_drop import ConnectionDropAttack, compare_with_sbr
 from repro.core.deployment import CdnSpec, Client, Deployment
@@ -42,7 +39,6 @@ from repro.core.feasibility import FeasibilityProbe, survey
 from repro.core.obr import ObrAttack, ObrResult, vulnerable_combinations
 from repro.core.practical import BandwidthAttackSimulation, BandwidthRunResult
 from repro.core.sbr import SbrAttack, SbrResult, exploited_range_cases, sweep_resource_sizes
-from repro.defense.detection import RangeAmpDetector
 from repro.defense.mitigations import (
     MitigatedProfile,
     with_bounded_expansion,
@@ -56,7 +52,6 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     FaultRule,
-    FlakyOrigin,
     RetryPolicy,
     current_faults,
     retry_policy_for,
@@ -73,34 +68,27 @@ __all__ = [
     "BandwidthAttackSimulation",
     "BandwidthRunResult",
     "CacheBuster",
-    "CampaignResult",
     "CcfcAttack",
     "CcfcResult",
     "CdnSpec",
     "Client",
     "ConnectionDropAttack",
     "Deployment",
-    "EdgeCluster",
     "FaultInjector",
     "FaultKind",
     "FaultPlan",
     "FaultRule",
     "FaultedSbrResult",
     "FeasibilityProbe",
-    "FlakyOrigin",
     "Http2FramingModel",
     "MitigatedProfile",
     "ObrAttack",
     "ObrResult",
     "OriginServer",
-    "RangeAmpDetector",
     "ReproError",
-    "ResumingDownload",
     "RetryPolicy",
     "SbrAttack",
-    "SbrCampaign",
     "SbrResult",
-    "SegmentedDownloader",
     "TcpOverheadModel",
     "__version__",
     "all_vendor_names",

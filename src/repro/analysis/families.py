@@ -177,90 +177,6 @@ class MitigationSpec:
         return f"{self.name}@{self.target}"
 
 
-#: SBR candidates, cheapest first.  Bounded expansion is the smallest
-#: behavioral change (prefetching survives); Laziness gives up
-#: range-driven caching but is still a config flip; the RFC 7233 guard
-#: adds ingress rejection on top of Laziness; slicing restructures the
-#: fetch flow entirely.
-SBR_MITIGATIONS: Tuple[MitigationSpec, ...] = (
-    MitigationSpec(
-        "bounded-expansion",
-        "cdn",
-        COST_CONFIG_ONLY,
-        0,
-        "cap range expansion at 8KB of slack (paper 6-C)",
-    ),
-    MitigationSpec(
-        "laziness",
-        "cdn",
-        COST_CONFIG_ONLY,
-        1,
-        "forward the Range header unchanged (G-Core's fix)",
-    ),
-    MitigationSpec(
-        "overlap-rejection",
-        "cdn",
-        COST_HEADER_GUARD,
-        2,
-        "lazy forwarding plus the RFC 7233 6.1 ingress guard",
-    ),
-    MitigationSpec(
-        "slicing",
-        "cdn",
-        COST_FETCH_FLOW,
-        3,
-        "fetch fixed-size slices and cache them independently",
-    ),
-)
-
-#: OBR candidates, cheapest first.  The honoring back end is the root
-#: cause (Table III), so guarding it outranks guarding the front; the
-#: slice flow coalesces too but costs a fetch-flow change.
-OBR_MITIGATIONS: Tuple[MitigationSpec, ...] = (
-    MitigationSpec(
-        "overlap-rejection",
-        "bcdn",
-        COST_HEADER_GUARD,
-        0,
-        "RFC 7233 6.1 guard + coalescing replies at the back end",
-    ),
-    MitigationSpec(
-        "overlap-rejection",
-        "fcdn",
-        COST_HEADER_GUARD,
-        1,
-        "RFC 7233 6.1 guard at the front end (CDN77's fix)",
-    ),
-    MitigationSpec(
-        "slicing",
-        "bcdn",
-        COST_FETCH_FLOW,
-        2,
-        "slice-based fetching at the back end (coalescing replies)",
-    ),
-)
-
-#: CCFC candidates, cheapest first.  Pass-through is a pure config flip
-#: (stop rewriting Accept-Encoding, stop decompressing); normalization
-#: keeps edge decompression support but clamps the upstream negotiation
-#: to what the client offered, which costs an ingress header guard.
-CCFC_MITIGATIONS: Tuple[MitigationSpec, ...] = (
-    MitigationSpec(
-        "encoding-passthrough",
-        "cdn",
-        COST_CONFIG_ONLY,
-        0,
-        "forward the client's Accept-Encoding untouched (identity pass-through)",
-    ),
-    MitigationSpec(
-        "encoding-normalization",
-        "cdn",
-        COST_HEADER_GUARD,
-        1,
-        "clamp upstream Accept-Encoding to codings the client accepts",
-    ),
-)
-
 _WRAPPERS = {
     "laziness": with_laziness,
     "bounded-expansion": with_bounded_expansion,
@@ -279,37 +195,6 @@ def mitigation_profile_factory(vendor: str, mitigation: str) -> ProfileFactory:
     return lambda: wrapper(create_profile(vendor))
 
 
-def sbr_residual_bound(vendor: str, mitigation: str, resource_size: int) -> float:
-    """Worst-case SBR factor after wrapping ``vendor`` in ``mitigation``."""
-    factory = mitigation_profile_factory(vendor, mitigation)
-    return profile_sbr_bound(vendor, factory, resource_size).factor
-
-
-def sbr_faulted_residual_bound(
-    vendor: str, mitigation: str, resource_size: int
-) -> float:
-    """Retry-aware residual: the residual bound times the vendor's stock
-    retry budget, over the bare-wire denominator (informational)."""
-    from repro.faults.retry import retry_policy_for
-
-    factory = mitigation_profile_factory(vendor, mitigation)
-    base = profile_sbr_bound(vendor, factory, resource_size)
-    return FaultedSbrBound(
-        base=base, max_attempts=retry_policy_for(vendor).max_attempts
-    ).factor
-
-
-def ccfc_residual_bound(vendor: str, mitigation: str, resource_size: int) -> float:
-    """Worst-case CCFC factor after wrapping ``vendor`` in ``mitigation``.
-
-    CCFC bounds are exact (the closed form replays the byte-defining
-    paths), so the residual is the factor the mitigated edge actually
-    delivers — ~1.0 for pass-through and normalization, since the origin
-    then only serves codings the client accepts."""
-    factory = mitigation_profile_factory(vendor, mitigation)
-    return profile_ccfc_bound(vendor, factory, resource_size).factor
-
-
 def _obr_factories(
     fcdn: str, bcdn: str, spec: Optional[MitigationSpec]
 ) -> Tuple[Optional[ProfileFactory], Optional[ProfileFactory]]:
@@ -320,20 +205,56 @@ def _obr_factories(
     return None, mitigation_profile_factory(bcdn, spec.name)
 
 
-def obr_residual_bound(
-    fcdn: str, bcdn: str, spec: MitigationSpec, resource_size: int
-) -> float:
+# ---------------------------------------------------------------------------
+# Residual bounds: the worst case left after one mitigation
+# ---------------------------------------------------------------------------
+
+
+def _sbr_residual(subject: Subject, spec: MitigationSpec, size: int) -> float:
+    """Worst-case SBR factor after wrapping the vendor in ``spec``."""
+    (vendor,) = subject
+    factory = mitigation_profile_factory(vendor, spec.name)
+    return profile_sbr_bound(vendor, factory, size).factor
+
+
+def _sbr_faulted_residual(subject: Subject, spec: MitigationSpec, size: int) -> float:
+    """Retry-aware residual: the residual bound times the vendor's stock
+    retry budget, over the bare-wire denominator (informational)."""
+    from repro.faults.retry import retry_policy_for
+
+    (vendor,) = subject
+    factory = mitigation_profile_factory(vendor, spec.name)
+    base = profile_sbr_bound(vendor, factory, size)
+    return FaultedSbrBound(
+        base=base, max_attempts=retry_policy_for(vendor).max_attempts
+    ).factor
+
+
+def _ccfc_residual(subject: Subject, spec: MitigationSpec, size: int) -> float:
+    """Worst-case CCFC factor after wrapping the vendor in ``spec``.
+
+    CCFC bounds are exact (the closed form replays the byte-defining
+    paths), so the residual is the factor the mitigated edge actually
+    delivers — ~1.0 for pass-through and normalization, since the origin
+    then only serves codings the client accepts."""
+    (vendor,) = subject
+    factory = mitigation_profile_factory(vendor, spec.name)
+    return profile_ccfc_bound(vendor, factory, size).factor
+
+
+def _obr_residual(subject: Subject, spec: MitigationSpec, size: int) -> float:
     """Worst-case OBR factor after applying ``spec`` to one cascade side.
 
     0.0 when the mitigated cascade admits no overlapping ranges at all
     (the guard rejects every exploitable shape outright).
     """
+    fcdn, bcdn = subject
     front, back = _obr_factories(fcdn, bcdn, spec)
     try:
         return obr_bound(
             fcdn,
             bcdn,
-            resource_size=resource_size,
+            resource_size=size,
             fcdn_profile=front,
             bcdn_profile=back,
         ).factor
@@ -590,11 +511,6 @@ MitigatedSimulation = Callable[
 ExactMeasure = Callable[[Subject, int, Optional["FaultPlan"]], float]
 
 
-def _by_mitigation_name(bound: Callable[[str, str, int], float]) -> ResidualBound:
-    """A ``(vendor, mitigation name, size)`` residual as a family's."""
-    return lambda subject, spec, size: bound(*subject, spec.name, size)
-
-
 class AttackFamily(NamedTuple):
     """How one attack family is classified, bounded, mitigated, measured.
 
@@ -645,9 +561,42 @@ FAMILIES: Tuple[AttackFamily, ...] = (
         finding=_sbr_finding,
         lists_safe=True,
         deployment_sizes=lambda sizes: sizes,
-        mitigations=SBR_MITIGATIONS,
-        residual=_by_mitigation_name(sbr_residual_bound),
-        faulted_residual=_by_mitigation_name(sbr_faulted_residual_bound),
+        # Bounded expansion is the smallest behavioral change (prefetching
+        # survives); Laziness gives up range-driven caching but is still a
+        # config flip; the RFC 7233 guard adds ingress rejection on top of
+        # Laziness; slicing restructures the fetch flow entirely.
+        mitigations=(
+            MitigationSpec(
+                "bounded-expansion",
+                "cdn",
+                COST_CONFIG_ONLY,
+                0,
+                "cap range expansion at 8KB of slack (paper 6-C)",
+            ),
+            MitigationSpec(
+                "laziness",
+                "cdn",
+                COST_CONFIG_ONLY,
+                1,
+                "forward the Range header unchanged (G-Core's fix)",
+            ),
+            MitigationSpec(
+                "overlap-rejection",
+                "cdn",
+                COST_HEADER_GUARD,
+                2,
+                "lazy forwarding plus the RFC 7233 6.1 ingress guard",
+            ),
+            MitigationSpec(
+                "slicing",
+                "cdn",
+                COST_FETCH_FLOW,
+                3,
+                "fetch fixed-size slices and cache them independently",
+            ),
+        ),
+        residual=_sbr_residual,
+        faulted_residual=_sbr_faulted_residual,
         simulate=_vendor_simulation(SbrAttack),
         sweeps_sizes=True,
         exact=_exact_sbr,
@@ -661,8 +610,27 @@ FAMILIES: Tuple[AttackFamily, ...] = (
         finding=_ccfc_finding,
         lists_safe=True,
         deployment_sizes=lambda sizes: (max(sizes),),
-        mitigations=CCFC_MITIGATIONS,
-        residual=_by_mitigation_name(ccfc_residual_bound),
+        # Pass-through is a pure config flip (stop rewriting
+        # Accept-Encoding, stop decompressing); normalization keeps edge
+        # decompression support but clamps the upstream negotiation to what
+        # the client offered, which costs an ingress header guard.
+        mitigations=(
+            MitigationSpec(
+                "encoding-passthrough",
+                "cdn",
+                COST_CONFIG_ONLY,
+                0,
+                "forward the client's Accept-Encoding untouched (identity pass-through)",
+            ),
+            MitigationSpec(
+                "encoding-normalization",
+                "cdn",
+                COST_HEADER_GUARD,
+                1,
+                "clamp upstream Accept-Encoding to codings the client accepts",
+            ),
+        ),
+        residual=_ccfc_residual,
         faulted_residual=None,
         simulate=_vendor_simulation(CcfcAttack),
         sweeps_sizes=True,
@@ -677,8 +645,33 @@ FAMILIES: Tuple[AttackFamily, ...] = (
         finding=_obr_finding,
         lists_safe=False,
         deployment_sizes=lambda sizes: sizes[:1],
-        mitigations=OBR_MITIGATIONS,
-        residual=lambda subject, spec, size: obr_residual_bound(*subject, spec, size),
+        # The honoring back end is the root cause (Table III), so guarding
+        # it outranks guarding the front; the slice flow coalesces too but
+        # costs a fetch-flow change.
+        mitigations=(
+            MitigationSpec(
+                "overlap-rejection",
+                "bcdn",
+                COST_HEADER_GUARD,
+                0,
+                "RFC 7233 6.1 guard + coalescing replies at the back end",
+            ),
+            MitigationSpec(
+                "overlap-rejection",
+                "fcdn",
+                COST_HEADER_GUARD,
+                1,
+                "RFC 7233 6.1 guard at the front end (CDN77's fix)",
+            ),
+            MitigationSpec(
+                "slicing",
+                "bcdn",
+                COST_FETCH_FLOW,
+                2,
+                "slice-based fetching at the back end (coalescing replies)",
+            ),
+        ),
+        residual=_obr_residual,
         faulted_residual=None,
         simulate=_simulate_obr,
         sweeps_sizes=False,

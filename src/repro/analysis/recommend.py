@@ -41,21 +41,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 # Still importable from here; the e2e tracing harness patches this alias.
 from repro.analysis.bounds import obr_bound  # noqa: F401
 from repro.analysis.families import (
-    CCFC_MITIGATIONS,
     COST_CONFIG_ONLY,
     COST_FETCH_FLOW,
     COST_HEADER_GUARD,
     COST_LABELS,
     FAMILIES_BY_NAME,
-    OBR_MITIGATIONS,
-    SBR_MITIGATIONS,
     AttackFamily,
     MitigationSpec,
-    ccfc_residual_bound,
     mitigation_profile_factory,
-    obr_residual_bound,
-    sbr_faulted_residual_bound,
-    sbr_residual_bound,
     split_subject,
 )
 from repro.analysis.report import (
@@ -419,26 +412,19 @@ def render_recommendations_table(report: RecommendationReport) -> str:
 
 
 __all__ = [
-    "CCFC_MITIGATIONS",
     "DEFAULT_THRESHOLD",
     "COST_CONFIG_ONLY",
     "COST_FETCH_FLOW",
     "COST_HEADER_GUARD",
-    "OBR_MITIGATIONS",
     "QUICK_SIZES",
-    "SBR_MITIGATIONS",
     "MitigationOption",
     "MitigationSpec",
     "Recommendation",
     "RecommendationReport",
     "VerificationCheck",
-    "ccfc_residual_bound",
     "mitigation_profile_factory",
-    "obr_residual_bound",
     "recommend",
     "render_recommendations_table",
-    "sbr_faulted_residual_bound",
-    "sbr_residual_bound",
     "verify_recommendation",
     "verify_recommendations",
 ]

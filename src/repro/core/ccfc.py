@@ -18,8 +18,8 @@ Two objects live here:
   byte-defining code paths (the profile's own fetch flow, a real
   :class:`~repro.origin.server.OriginServer`, the node module's
   conversion/finalize helpers) so its result equals ``run()``'s **by
-  construction**.  The static CCFC bound and the fast-path grid engine
-  are both built on it.
+  construction**.  The static CCFC bound is built on it; the fast-path
+  grid engine answers cells with ``run()``.
 """
 
 from __future__ import annotations

@@ -1,18 +1,17 @@
-"""Mitigations and detection (paper §VI-C and §VII).
+"""Mitigations and local defenses (paper §VI-C).
 
 * :mod:`repro.defense.mitigations` — the CDN-side fixes the paper
   proposes (and that several vendors deployed): switching to the
   Laziness policy (G-Core's "slice" option), bounding expansion to a few
   KB, and enforcing RFC 7233 §6.1's guard against overlapping /
   many-small multi-range requests (CDN77's fix).
-* :mod:`repro.defense.detection` — origin- or CDN-side heuristics that
-  flag RangeAmp traffic patterns, illustrating why the paper considers
-  local DoS defense insufficient.
+* :mod:`repro.defense.ratelimit` — per-client token-bucket rate
+  limiting, illustrating why the paper considers local DoS defense
+  insufficient.
 """
 
 from __future__ import annotations
 
-from repro.defense.detection import DetectionVerdict, RangeAmpDetector
 from repro.defense.mitigations import (
     MitigatedProfile,
     SlicingProfile,
@@ -25,9 +24,7 @@ from repro.defense.mitigations import (
 from repro.defense.ratelimit import RateLimitedHandler, TokenBucket
 
 __all__ = [
-    "DetectionVerdict",
     "MitigatedProfile",
-    "RangeAmpDetector",
     "RateLimitedHandler",
     "SlicingProfile",
     "TokenBucket",

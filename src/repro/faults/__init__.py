@@ -15,8 +15,6 @@ Table IV.  This package makes that measurable, deterministically:
 * :mod:`repro.faults.retry` — :class:`RetryPolicy` (attempt budget,
   exponential backoff with deterministic jitter) and the per-vendor
   policy registry governing CDN back-to-origin re-fetches.
-* :mod:`repro.faults.flaky` — :class:`FlakyOrigin`, the shared
-  fail-every-Nth-request origin wrapper (promoted from the test suite).
 * :mod:`repro.faults.experiment` — ``measure_sbr_under_faults``, the
   retry-induced re-amplification measurement.  Import it from its
   module directly: it pulls in the attack stack, which this package
@@ -26,7 +24,6 @@ Table IV.  This package makes that measurable, deterministically:
 
 from __future__ import annotations
 
-from repro.faults.flaky import FlakyOrigin
 from repro.faults.plan import (
     DELIVERY_FAULT_KINDS,
     SITE_CDN_ORIGIN,
@@ -56,7 +53,6 @@ __all__ = [
     "FaultPlanError",
     "FaultRule",
     "FaultStats",
-    "FlakyOrigin",
     "RetryPolicy",
     "SITE_CDN_ORIGIN",
     "SITE_ORIGIN",

@@ -377,7 +377,9 @@ class AnalysisService:
             )
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad JSON and integers past the
+            # interpreter's digit limit; RecursionError, deep nesting.
             return self._error(StatusCode.BAD_REQUEST, f"malformed JSON: {exc}")
         if not isinstance(payload, dict) or not isinstance(
             payload.get("items"), list

@@ -9,10 +9,12 @@
   who is promoted, in what order), worker threads, and the drain
   protocol.
 
-DoS posture at this layer: a read timeout kills slowloris connections,
-``readuntil`` with a byte limit caps header blocks, ``Content-Length``
-is checked *before* the body is read, and every batch request passes
-through admission control before any JSON is parsed.
+DoS posture at this layer: one read deadline per request (head and
+body together) kills slowloris connections, ``readuntil`` with a byte
+limit caps header blocks, ``Content-Length`` is checked *before* the
+body is read, a head or body that does not parse gets a 400, and every
+batch request passes through admission control before any JSON is
+parsed.
 
 Graceful drain (SIGTERM/SIGINT): stop accepting, flip ``/readyz`` to
 503, let in-flight and queued work finish or deadline out within
@@ -28,7 +30,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Deque, Dict, Optional, Union
 
-from repro.errors import MessageError
+from repro.errors import HttpError
 from repro.http.headers import Headers
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.status import StatusCode
@@ -38,10 +40,17 @@ from repro.serve.app import AnalysisService, _json_response
 
 #: Maximum bytes of request head (request line + headers).
 MAX_HEADER_BYTES = 16 * 1024
-#: Seconds a client may dawdle over sending its request head/body.
+#: Seconds a client may take to send its whole request, head and body.
 READ_TIMEOUT_S = 10.0
 
 _BATCH_PATHS = ("/v1/analyze", "/v1/recommend")
+
+
+def _malformed(exc: HttpError) -> HttpResponse:
+    """The 400 for a request head or body that does not parse."""
+    return _json_response(
+        StatusCode.BAD_REQUEST, {"error": f"malformed request: {exc}"}
+    )
 
 
 class ServeServer:
@@ -218,7 +227,10 @@ class ServeServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Union[HttpRequest, HttpResponse, None]:
-        """One request off the wire, or an error HttpResponse, or None."""
+        """One request off the wire, or an error HttpResponse, or None
+        (the client went away before finishing its request head)."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + READ_TIMEOUT_S
         try:
             head = await asyncio.wait_for(
                 reader.readuntil(b"\r\n\r\n"), timeout=READ_TIMEOUT_S
@@ -235,11 +247,9 @@ class ServeServer:
         _, _, header_blob = head[:-4].partition(b"\r\n")
         try:
             headers = Headers.parse(header_blob + b"\r\n" if header_blob else b"")
-        except MessageError as exc:
-            return _json_response(
-                StatusCode.BAD_REQUEST, {"error": f"malformed request: {exc}"}
-            )
-        declared = headers.get_int("Content-Length")
+            declared = headers.get_int("Content-Length")
+        except HttpError as exc:
+            return _malformed(exc)
         body = b""
         if declared is not None and declared > 0:
             if declared > self.service.config.max_body_bytes:
@@ -254,16 +264,17 @@ class ServeServer:
                 )
             try:
                 body = await asyncio.wait_for(
-                    reader.readexactly(declared), timeout=READ_TIMEOUT_S
+                    reader.readexactly(declared), timeout=deadline - loop.time()
                 )
             except (asyncio.IncompleteReadError, asyncio.TimeoutError):
-                return None
+                return _json_response(
+                    StatusCode.BAD_REQUEST,
+                    {"error": "request body shorter than Content-Length or too slow"},
+                )
         try:
             return parse_request(head + body)
-        except MessageError as exc:
-            return _json_response(
-                StatusCode.BAD_REQUEST, {"error": f"malformed request: {exc}"}
-            )
+        except HttpError as exc:
+            return _malformed(exc)
 
     # -- dispatch with admission --------------------------------------------
 

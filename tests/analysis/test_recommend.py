@@ -22,11 +22,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.bounds import profile_sbr_bound, sbr_bound
+from repro.analysis.families import FAMILIES_BY_NAME
 from repro.analysis.recommend import (
     COST_CONFIG_ONLY,
     DEFAULT_THRESHOLD,
-    OBR_MITIGATIONS,
-    SBR_MITIGATIONS,
     MitigationOption,
     MitigationSpec,
     _pick,
@@ -66,7 +65,8 @@ def _option(rank, residual, threshold=DEFAULT_THRESHOLD):
 
 class TestCostOrdering:
     def test_candidate_lists_are_rank_sorted_and_cost_monotone(self):
-        for candidates in (SBR_MITIGATIONS, OBR_MITIGATIONS):
+        for name in ("sbr", "obr", "ccfc"):
+            candidates = FAMILIES_BY_NAME[name].mitigations
             ranks = [spec.rank for spec in candidates]
             assert ranks == sorted(ranks) == list(range(len(candidates)))
             costs = [spec.cost for spec in candidates]

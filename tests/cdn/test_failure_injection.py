@@ -11,11 +11,10 @@ from repro.cdn.node import CdnNode
 from repro.cdn.vendors import create_profile
 from repro.cdn.vendors.base import VendorConfig
 from repro.core.deployment import CdnSpec, Deployment
-from repro.faults import FlakyOrigin
 from repro.netsim.tap import TrafficLedger
 from repro.origin.server import OriginServer
 
-from tests.conftest import get, make_node, make_origin
+from tests.conftest import FlakyOrigin, get, make_node, make_origin
 
 
 def _node_over(handler, vendor="gcore"):

@@ -8,7 +8,6 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     FaultRule,
-    FlakyOrigin,
     RetryPolicy,
     SITE_CDN_ORIGIN,
     VENDOR_RETRY_POLICIES,
@@ -21,7 +20,7 @@ from repro.http.message import HttpRequest, HttpResponse
 from repro.http.status import StatusCode
 from repro.netsim.tap import CDN_ORIGIN
 
-from tests.conftest import get, make_node, make_origin
+from tests.conftest import FlakyOrigin, get, make_node, make_origin
 
 MB = 1 << 20
 

@@ -253,6 +253,32 @@ class TestWireGuards:
             server.initiate_drain()
 
 
+class TestMalformedHeads:
+    @pytest.mark.parametrize(
+        "header_line",
+        [b"Content-Length: abc", b"Ho st: t", b"Host"],
+        ids=["non-numeric-length", "space-in-name", "no-colon"],
+    )
+    def test_answers_400_with_a_json_error(self, header_line):
+        raw = asyncio.run(self._roundtrip(header_line))
+        status, headers = parse_head(raw)
+        assert status == 400
+        assert headers["content-type"] == "application/json"
+        body = json.loads(raw.split(b"\r\n\r\n", 1)[1])
+        assert body["error"].startswith("malformed request:")
+
+    async def _roundtrip(self, header_line):
+        server = ServeServer(AnalysisService(), port=0)
+        await server.start()
+        try:
+            return await raw_roundtrip(
+                server.port,
+                b"POST /v1/analyze HTTP/1.1\r\n" + header_line + b"\r\n\r\n",
+            )
+        finally:
+            server.initiate_drain()
+
+
 class TestDrain:
     def test_drain_finishes_inflight_work_and_flushes_the_ledger(self, tmp_path):
         asyncio.run(self._scenario(tmp_path))

@@ -33,17 +33,3 @@ class TestEndToEndViaPublicApi:
         )
         result = deployment.client().get("/x.bin", range_value="bytes=0-0")
         assert result.response.status == 206
-
-    def test_downloader_via_public_api(self):
-        origin = repro.OriginServer()
-        origin.add_synthetic_resource("/x.bin", 10_000)
-        deployment = repro.Deployment.single("gcore", origin)
-        report = repro.SegmentedDownloader(deployment, segments=3).download("/x.bin")
-        assert report.total_length == 10_000
-
-    def test_campaign_via_public_api(self):
-        detector = repro.RangeAmpDetector()
-        result = repro.SbrCampaign(
-            "gcore", resource_size=1 << 20, detector=detector
-        ).run(requests=12)
-        assert result.detected
