@@ -39,6 +39,7 @@ from repro.http.ranges import (
     ResolvedRange,
     format_content_range,
     format_unsatisfied_content_range,
+    range_runs,
     try_parse_range_header,
 )
 from repro.http.status import StatusCode
@@ -385,7 +386,8 @@ class CdnNode(HttpHandler):
         except RangeNotSatisfiableError:
             return self._not_satisfiable(window.complete_length)
 
-        if any(not window.covers(part) for part in parts):
+        runs = range_runs(parts)
+        if any(not window.covers(r) for r, _ in runs):
             return self._gateway_error("fetched window does not cover the requested range")
 
         if len(parts) == 1:
@@ -403,26 +405,29 @@ class CdnNode(HttpHandler):
             return self._finalize(response)
 
         return self._finalize(
-            self._multipart_response(window, parts, content_type, source_headers)
+            self._multipart_response(window, runs, content_type, source_headers)
         )
 
     def _multipart_response(
         self,
         window: ContentWindow,
-        parts: List[ResolvedRange],
+        runs: List[Tuple[ResolvedRange, int]],
         content_type: str,
         source_headers: Headers,
     ) -> HttpResponse:
         with current_tracer().span("cdn.multipart") as span:
             multipart = MultipartByteranges(
                 [
-                    MultipartPart(
-                        content_type=content_type,
-                        content_range=part,
-                        complete_length=window.complete_length,
-                        payload=window.slice_range(part),
+                    (
+                        MultipartPart(
+                            content_type=content_type,
+                            content_range=r,
+                            complete_length=window.complete_length,
+                            payload=window.slice_range(r),
+                        ),
+                        count,
                     )
-                    for part in parts
+                    for r, count in runs
                 ],
                 boundary=self.profile.multipart_boundary,
             )
@@ -436,7 +441,7 @@ class CdnNode(HttpHandler):
             if span.recording:
                 span.set(
                     vendor=self.profile.name,
-                    parts=len(parts),
+                    parts=len(multipart),
                     body_bytes=len(body),
                 )
             return response

@@ -3,7 +3,7 @@
 The SBR experiments move resources of up to 25 MB through the simulated
 CDN pipeline, thirteen vendors at a time.  Allocating real buffers for
 every transfer would be wasteful and slow, so bodies are modeled behind a
-small :class:`Body` interface with three implementations:
+small :class:`Body` interface with four implementations:
 
 * :class:`BytesBody` — a plain in-memory payload.
 * :class:`SyntheticBody` — a deterministic, pattern-addressable payload of
@@ -15,15 +15,17 @@ small :class:`Body` interface with three implementations:
 * :class:`CompositeBody` — an ordered concatenation of other bodies, used
   to assemble ``multipart/byteranges`` payloads out of literal separators
   and (possibly synthetic) resource slices without copying.
+* :class:`RepeatedBody` — one body repeated back to back ``count`` times,
+  so an OBR reply of thousands of identical parts costs one part.
 
-All three report their exact wire length via ``len()``; the traffic
+All four report their exact wire length via ``len()``; the traffic
 accounting throughout the library relies on it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Iterable, List, Union
 
 DEFAULT_PATTERN = bytes(range(256))
 
@@ -96,14 +98,11 @@ class SyntheticBody(Body):
     of the body and the body of a slice.
     """
 
-    __slots__ = ("_length", "_pattern", "_offset", "_slice_cache")
+    __slots__ = ("_length", "_pattern", "_offset")
 
     #: Materializing more than this many bytes is almost always a bug in
     #: calling code (the whole point of the class is to avoid it).
     MATERIALIZE_LIMIT = 256 * 1024 * 1024
-
-    #: Distinct (start, stop) windows remembered per instance.
-    SLICE_CACHE_LIMIT = 64
 
     def __init__(self, length: int, pattern: bytes = DEFAULT_PATTERN, offset: int = 0) -> None:
         if length < 0:
@@ -113,10 +112,6 @@ class SyntheticBody(Body):
         self._length = length
         self._pattern = bytes(pattern)
         self._offset = offset % len(pattern)
-        # Instances are immutable, so identical slices can be shared.
-        # An n-part overlapping multipart (the OBR shape) slices the
-        # same window n times; without the cache that is n allocations.
-        self._slice_cache: Dict[Tuple[int, int], "SyntheticBody"] = {}
 
     @property
     def pattern(self) -> bytes:
@@ -132,13 +127,7 @@ class SyntheticBody(Body):
     def slice(self, start: int, stop: int) -> "SyntheticBody":
         start = max(0, min(start, self._length))
         stop = max(start, min(stop, self._length))
-        cached = self._slice_cache.get((start, stop))
-        if cached is not None:
-            return cached
-        sliced = SyntheticBody(stop - start, self._pattern, self._offset + start)
-        if len(self._slice_cache) < self.SLICE_CACHE_LIMIT:
-            self._slice_cache[(start, stop)] = sliced
-        return sliced
+        return SyntheticBody(stop - start, self._pattern, self._offset + start)
 
     def materialize(self) -> bytes:
         if self._length > self.MATERIALIZE_LIMIT:
@@ -197,6 +186,51 @@ class CompositeBody(Body):
 
     def __repr__(self) -> str:
         return f"CompositeBody({len(self._parts)} parts, {self._length} bytes)"
+
+
+class RepeatedBody(Body):
+    """``count`` back-to-back copies of ``unit``, sized and sliced lazily."""
+
+    __slots__ = ("_unit", "_count", "_unit_length")
+
+    def __init__(self, unit: Body, count: int) -> None:
+        if count < 0:
+            raise ValueError(f"repeat count must be >= 0, got {count}")
+        self._unit = unit
+        self._count = count
+        self._unit_length = len(unit)
+
+    def __len__(self) -> int:
+        return self._unit_length * self._count
+
+    def slice(self, start: int, stop: int) -> Body:
+        """At most a head piece, a middle repeat and a tail piece."""
+        length = len(self)
+        start = max(0, min(start, length))
+        stop = max(start, min(stop, length))
+        if start == stop:
+            return CompositeBody()
+        first, head = divmod(start, self._unit_length)
+        last, tail = divmod(stop, self._unit_length)
+        if first == last:
+            return self._unit.slice(head, tail)
+        pieces: List[Body] = []
+        if head:
+            pieces.append(self._unit.slice(head, self._unit_length))
+            first += 1
+        if last - first == 1:
+            pieces.append(self._unit)
+        elif last > first:
+            pieces.append(RepeatedBody(self._unit, last - first))
+        if tail:
+            pieces.append(self._unit.slice(0, tail))
+        return CompositeBody(pieces)
+
+    def materialize(self) -> bytes:
+        return self._unit.materialize() * self._count
+
+    def __repr__(self) -> str:
+        return f"RepeatedBody({self._count} x {self._unit!r})"
 
 
 def make_body(value: Union[Body, bytes, bytearray, memoryview, str, int, None]) -> Body:

@@ -16,10 +16,13 @@ Wire format produced by :meth:`MultipartByteranges.to_body`::
     ...repeated per part...
     --BOUNDARY--\r\n
 
-Part payloads are kept as :class:`~repro.http.body.Body` objects and
-assembled into a :class:`~repro.http.body.CompositeBody`, so a
-10,000-part response over a synthetic resource is sized exactly without
-ever being materialized.
+A payload is stored as *runs* of identical consecutive parts, ``(part,
+count)``.  Each run is encoded once -- one header block, one payload
+slice -- and repeated with a :class:`~repro.http.body.RepeatedBody`, so
+the cost of building, sizing and slicing a response grows with the
+number of distinct runs, not with ``n``.  The OBR reply of ~10,000
+``0-`` parts is one run; every wire byte is still accounted exactly and
+materializes to the same bytes as a part-by-part encoding.
 """
 
 from __future__ import annotations
@@ -28,9 +31,14 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import MultipartError
-from repro.http.body import Body, BytesBody, CompositeBody
+from repro.http.body import Body, BytesBody, CompositeBody, RepeatedBody
 from repro.http.headers import Headers
-from repro.http.ranges import ResolvedRange, format_content_range, parse_content_range
+from repro.http.ranges import (
+    ResolvedRange,
+    format_content_range,
+    parse_content_range,
+    range_runs,
+)
 
 #: Boundary string used when the caller does not supply one.  Real servers
 #: generate random boundaries; a fixed default keeps traffic accounting
@@ -72,16 +80,25 @@ class MultipartPart:
         return headers.serialize() + b"\r\n"
 
 
+#: One run of a payload: a part and how many times it repeats in a row.
+PartRun = Tuple[MultipartPart, int]
+
+
 class MultipartByteranges:
-    """A full multipart/byteranges payload."""
+    """A full multipart/byteranges payload, held as runs of identical parts."""
 
-    __slots__ = ("boundary", "parts")
+    __slots__ = ("boundary", "runs")
 
-    def __init__(self, parts: Sequence[MultipartPart], boundary: str = DEFAULT_BOUNDARY) -> None:
+    def __init__(self, runs: Sequence[PartRun], boundary: str = DEFAULT_BOUNDARY) -> None:
         if not boundary or len(boundary) > 70:
             raise MultipartError(f"invalid boundary {boundary!r}")
         self.boundary = boundary
-        self.parts: Tuple[MultipartPart, ...] = tuple(parts)
+        self.runs: Tuple[PartRun, ...] = tuple(runs)
+
+    @property
+    def parts(self) -> Tuple[MultipartPart, ...]:
+        """Every part in wire order, runs expanded."""
+        return tuple(part for part, count in self.runs for _ in range(count))
 
     # -- construction -------------------------------------------------------
 
@@ -103,16 +120,19 @@ class MultipartByteranges:
         layer (:mod:`repro.cdn.multirange`).
         """
         complete = complete_length if complete_length is not None else len(resource_body)
-        parts = [
-            MultipartPart(
-                content_type=content_type,
-                content_range=r,
-                complete_length=complete,
-                payload=resource_body.slice(r.start, r.end + 1),
+        runs = [
+            (
+                MultipartPart(
+                    content_type=content_type,
+                    content_range=r,
+                    complete_length=complete,
+                    payload=resource_body.slice(r.start, r.end + 1),
+                ),
+                count,
             )
-            for r in ranges
+            for r, count in range_runs(ranges)
         ]
-        return cls(parts, boundary=boundary)
+        return cls(runs, boundary=boundary)
 
     # -- encoding -----------------------------------------------------------
 
@@ -122,26 +142,23 @@ class MultipartByteranges:
         return f"multipart/byteranges; boundary={self.boundary}"
 
     def to_body(self) -> CompositeBody:
-        """Encode to a lazily-materialized body."""
+        """Encode to a lazily-materialized body, one piece per run."""
         delimiter = f"--{self.boundary}\r\n".encode("latin-1")
         closer = f"--{self.boundary}--\r\n".encode("latin-1")
-        pieces: List[object] = []
-        for part in self.parts:
-            pieces.append(delimiter)
-            pieces.append(part.header_blob())
-            pieces.append(part.payload)
-            pieces.append(b"\r\n")
-        pieces.append(closer)
+        pieces: List[Body] = []
+        for part, count in self.runs:
+            encoded = CompositeBody([delimiter, part.header_blob(), part.payload, b"\r\n"])
+            pieces.append(encoded if count == 1 else RepeatedBody(encoded, count))
+        pieces.append(BytesBody(closer))
         return CompositeBody(pieces)
 
     def wire_size(self) -> int:
         """Exact encoded size in bytes (no materialization)."""
-        delimiter_len = len(self.boundary) + 4  # "--" + boundary + CRLF
         closer_len = len(self.boundary) + 6  # "--" + boundary + "--" + CRLF
-        total = closer_len
-        for part in self.parts:
-            total += delimiter_len + len(part.header_blob()) + len(part.payload) + 2
-        return total
+        return closer_len + sum(
+            count * (self.part_overhead(part) + len(part.payload))
+            for part, count in self.runs
+        )
 
     def part_overhead(self, part: MultipartPart) -> int:
         """Encoded bytes a part adds beyond its payload."""
@@ -161,7 +178,7 @@ class MultipartByteranges:
         if not body.startswith(delimiter):
             raise MultipartError("payload does not start with the dash-boundary")
         chunks = body.split(delimiter)[1:]  # leading empty piece before first delimiter
-        parts: List[MultipartPart] = []
+        runs: List[PartRun] = []
         for chunk in chunks:
             head, sep, payload = chunk.partition(b"\r\n\r\n")
             if not sep:
@@ -176,23 +193,22 @@ class MultipartByteranges:
             resolved, complete = parse_content_range(content_range_raw)
             if resolved is None or complete is None:
                 raise MultipartError(f"unusable part Content-Range {content_range_raw!r}")
-            parts.append(
-                MultipartPart(
-                    content_type=headers.get("Content-Type", "application/octet-stream"),
-                    content_range=resolved,
-                    complete_length=complete,
-                    payload=BytesBody(payload),
-                )
+            part = MultipartPart(
+                content_type=headers.get("Content-Type", "application/octet-stream"),
+                content_range=resolved,
+                complete_length=complete,
+                payload=BytesBody(payload),
             )
-        if not parts:
+            runs.append((part, 1))
+        if not runs:
             raise MultipartError("multipart payload has no parts")
-        return cls(parts, boundary=boundary)
+        return cls(runs, boundary=boundary)
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return sum(count for _, count in self.runs)
 
     def __repr__(self) -> str:
         return (
-            f"MultipartByteranges({len(self.parts)} parts, "
+            f"MultipartByteranges({len(self)} parts in {len(self.runs)} runs, "
             f"boundary={self.boundary!r}, {self.wire_size()} wire bytes)"
         )

@@ -332,6 +332,28 @@ def ranges_overlap(resolved: Sequence[ResolvedRange]) -> bool:
     return any(a.overlaps(b) for a, b in zip(ordered, ordered[1:]))
 
 
+def range_runs(resolved: Sequence[ResolvedRange]) -> List[Tuple[ResolvedRange, int]]:
+    """Group consecutive equal ranges into ``(range, count)`` runs.
+
+    Repeated specs resolve to one shared instance (see
+    :meth:`RangeSpecifier.resolve`), so the identity test settles the
+    OBR shape -- thousands of ``0-`` ranges -- without comparing fields.
+    """
+    runs: List[Tuple[ResolvedRange, int]] = []
+    current: Optional[ResolvedRange] = None
+    count = 0
+    for r in resolved:
+        if r is current or r == current:
+            count += 1
+            continue
+        if current is not None:
+            runs.append((current, count))
+        current, count = r, 1
+    if current is not None:
+        runs.append((current, count))
+    return runs
+
+
 def coalesce_ranges(resolved: Sequence[ResolvedRange]) -> List[ResolvedRange]:
     """Merge overlapping or adjacent ranges into a minimal sorted set.
 

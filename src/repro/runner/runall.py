@@ -65,6 +65,9 @@ class RunAllReport:
     timing: CellTiming = field(default_factory=CellTiming)
     #: Per-experiment timing breakdown (experiment name -> CellTiming).
     timing_by_experiment: Dict[str, CellTiming] = field(default_factory=dict)
+    #: Per-experiment cell seconds of the cells the grid runner simulated
+    #: (fast-path answers excluded; their cost is the "fastpath" phase).
+    simulated_seconds_by_experiment: Dict[str, float] = field(default_factory=dict)
     #: One profile entry per executed grid cell, in grid order.
     cells: Tuple[CellProfile, ...] = ()
     #: Observability harvest — empty unless the run collected.
@@ -282,6 +285,10 @@ def run_all(
         if checkpoint is not None:
             checkpoint.close()
     phase_seconds["grid"] = result.duration_s
+    simulated_seconds: Dict[str, float] = {}
+    for outcome in result:
+        name = outcome.cell.experiment
+        simulated_seconds[name] = simulated_seconds.get(name, 0.0) + outcome.duration_s
 
     if fast_outcomes:
         by_cell = {outcome.cell: outcome for outcome in result}
@@ -367,6 +374,7 @@ def run_all(
         cell_count=len(result),
         timing=timing,
         timing_by_experiment=timing_by_experiment,
+        simulated_seconds_by_experiment=simulated_seconds,
         cells=cells,
         spans=tuple(spans),
         events=tuple(events),

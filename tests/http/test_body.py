@@ -8,6 +8,7 @@ from repro.http.body import (
     Body,
     BytesBody,
     CompositeBody,
+    RepeatedBody,
     SyntheticBody,
     make_body,
 )
@@ -140,6 +141,79 @@ class TestCompositeBody:
         )
 
 
+def _clamped(blob: bytes, start: int, stop: int) -> bytes:
+    start = max(0, min(start, len(blob)))
+    return blob[start:max(start, min(stop, len(blob)))]
+
+
+_UNITS = st.one_of(
+    st.binary(max_size=12).map(BytesBody),
+    st.tuples(st.integers(0, 40), st.integers(0, 255)).map(
+        lambda t: SyntheticBody(t[0], offset=t[1])
+    ),
+    st.lists(st.binary(max_size=6), max_size=4).map(CompositeBody),
+)
+
+
+class TestRepeatedBody:
+    def test_length_and_materialize(self):
+        body = RepeatedBody(BytesBody(b"abc"), 4)
+        assert len(body) == 12
+        assert body.materialize() == b"abc" * 4
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            RepeatedBody(BytesBody(b"a"), -1)
+
+    def test_empty_unit_and_zero_count(self):
+        assert RepeatedBody(BytesBody(b""), 5).slice(0, 3).materialize() == b""
+        assert len(RepeatedBody(BytesBody(b"ab"), 0)) == 0
+
+    def test_slice_is_head_middle_tail(self):
+        # A cut through thousands of units costs three pieces, not
+        # thousands: the partial unit at each end plus one shorter repeat.
+        body = RepeatedBody(SyntheticBody(1000), 10_000)
+        sliced = body.slice(1500, 9_000_250)
+        assert isinstance(sliced, CompositeBody)
+        head, middle, tail = sliced.parts
+        assert (len(head), len(tail)) == (500, 250)
+        assert isinstance(middle, RepeatedBody) and len(middle) == 8998 * 1000
+        assert len(sliced) == 9_000_250 - 1500
+
+    def test_slice_within_one_unit_is_the_unit_slice(self):
+        body = RepeatedBody(BytesBody(b"abcdef"), 3)
+        assert body.slice(7, 10).materialize() == b"bcd"
+
+    @given(
+        unit=_UNITS,
+        count=st.integers(0, 6),
+        start=st.integers(-5, 300),
+        stop=st.integers(-5, 300),
+    )
+    @settings(max_examples=300)
+    def test_slice_property(self, unit, count, start, stop):
+        body = RepeatedBody(unit, count)
+        whole = body.materialize()
+        assert len(body) == len(whole) == len(unit) * count
+        assert body.slice(start, stop).materialize() == _clamped(whole, start, stop)
+
+    @given(
+        unit=_UNITS,
+        count=st.integers(0, 6),
+        outer=st.tuples(st.integers(-5, 300), st.integers(-5, 300)),
+        inner=st.tuples(st.integers(-5, 300), st.integers(-5, 300)),
+    )
+    @settings(max_examples=300)
+    def test_slices_of_slices(self, unit, count, outer, inner):
+        body = RepeatedBody(unit, count)
+        once = body.slice(*outer)
+        twice = once.slice(*inner)
+        assert len(twice) == len(twice.materialize())
+        assert twice.materialize() == _clamped(
+            _clamped(body.materialize(), *outer), *inner
+        )
+
+
 class TestMakeBody:
     def test_none_is_empty(self):
         assert len(make_body(None)) == 0
@@ -168,5 +242,10 @@ class TestMakeBody:
             make_body(3.14)
 
     def test_all_bodies_implement_interface(self):
-        for body in (BytesBody(b"a"), SyntheticBody(1), CompositeBody([b"a"])):
+        for body in (
+            BytesBody(b"a"),
+            SyntheticBody(1),
+            CompositeBody([b"a"]),
+            RepeatedBody(BytesBody(b"a"), 2),
+        ):
             assert isinstance(body, Body)

@@ -1,6 +1,6 @@
 """The BENCH_runall.json schema: typed round-trip, strict rejection.
 
-The CI speed gate (``scripts/check_bench.py``) compares three of these
+The CI benchmark gate (``scripts/check_bench.py``) compares four of these
 files; every comparison it makes goes through :func:`load_bench`, so the
 loader must reject anything it does not fully understand — an unknown
 schema version, a missing field, a mistyped count — rather than let the
@@ -79,6 +79,34 @@ class TestRoundTrip:
             workers=1,
         ).measure_s == 0.0
 
+        # Fast answers are merged into the run's outcomes (and its
+        # per-experiment timings) with their own seconds, which the
+        # fastpath phase already holds; measure adds only the
+        # measurement cells the grid runner simulated.
+        from repro.runner.executor import CellTiming
+        from repro.runner.runall import RunAllReport
+
+        report = RunAllReport(
+            table4=[],
+            table5=[],
+            fig6=[],
+            fig7=[],
+            workers=1,
+            duration_s=0.7,
+            cell_seconds=0.66,
+            cell_count=6,
+            timing_by_experiment={
+                "sbr": CellTiming(total_s=0.02, count=2),
+                "obr": CellTiming(total_s=0.13, count=2),
+                "flood": CellTiming(total_s=0.5, count=2),
+            },
+            simulated_seconds_by_experiment={"obr": 0.11, "flood": 0.5},
+            phase_seconds={"fastpath": 0.04, "grid": 0.61, "static": 0.1},
+        )
+        bench = bench_from_runall(report, "run-all-quick")
+        assert bench.measure_s == pytest.approx(0.04 + 0.11)
+        assert bench.wall_s == pytest.approx(0.75)
+
 
 class TestRejection:
     def _payload(self, **overrides):
@@ -103,11 +131,18 @@ class TestRejection:
     def test_version_two_files_rejected_after_validate_drop(self):
         # Version 3 dropped the validate phase and the validated count:
         # a version-2 file's measure phase included the re-simulation.
-        assert BENCH_SCHEMA_VERSION == 3
+        assert BENCH_SCHEMA_VERSION > 2
         payload = self._payload(schema_version=2)
         payload["fastpath"]["validated"] = 4
         with pytest.raises(BenchSchemaError, match="unknown benchmark schema"):
             bench_from_dict(payload)
+
+    def test_version_three_files_rejected_after_measure_fix(self):
+        # Version 4 stopped counting fast answers twice in measure: a
+        # version-3 file's measure phase is about twice the fastpath.
+        assert BENCH_SCHEMA_VERSION == 4
+        with pytest.raises(BenchSchemaError, match="unknown benchmark schema"):
+            bench_from_dict(self._payload(schema_version=3))
 
     def test_missing_field_rejected(self):
         payload = self._payload()

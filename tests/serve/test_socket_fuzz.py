@@ -309,6 +309,43 @@ class TestFuzzedRequests:
         assert check(payload, exchange(port, payload)) == 400
 
 
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            ["13", "14"],
+            ["14", "13"],
+            ["13", "13"],
+            ["-13"],
+            ["-0"],
+            ["+13"],
+            ["13, 13"],
+            ["0x0d"],
+        ],
+        ids=[
+            "duplicate-first-right",
+            "duplicate-first-wrong",
+            "duplicate-equal",
+            "negative",
+            "negative-zero",
+            "plus-sign",
+            "list",
+            "hex",
+        ],
+    )
+    def test_invalid_content_length_framing_gets_400(self, port, lengths):
+        # RFC 7230 §3.3.3: the framing is invalid, whichever length the
+        # sender meant, so neither "first wins" nor "no body" applies.
+        body = b'{"items": []}'
+        assert len(body) == 13
+        head = b"POST /v1/analyze HTTP/1.1\r\nHost: t\r\n" + b"".join(
+            b"Content-Length: %s\r\n" % value.encode() for value in lengths
+        )
+        payload = head + b"\r\n" + body
+        raw = exchange(port, payload)
+        assert check(payload, raw) == 400
+        assert b"Content-Length" in parse_response(raw).body.materialize()
+
+
 class TestSlowClients:
     @pytest.mark.parametrize(
         "chunks, status",
