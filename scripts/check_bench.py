@@ -19,10 +19,10 @@ for --exact), enforce:
    both baselines' (the grid is fixed, so any difference means a mode
    dropped or gained cells).
 
-The fast/exact ``measure`` ratio is printed for information only: with
-run-length multipart encoding the exact OBR cells cost about as much as
-the fast path's calibration probes, so the ratio no longer says which
-path is healthy.
+The fast/exact ``measure`` ratio is printed for information only: both
+modes answer every measurement cell with the same wire simulation (the
+fast path in-process, --exact through the grid runner), so the ratio
+does not say which path is healthy.
 
 All four files must carry the current benchmark schema version
 (:data:`repro.reporting.bench.BENCH_SCHEMA_VERSION`): phases and counts

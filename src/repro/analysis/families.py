@@ -548,7 +548,8 @@ class AttackFamily(NamedTuple):
     #: exact path cheap enough to serve).
     exact: Optional[ExactMeasure]
     #: Name of the :mod:`repro.core.vectorized` engine class answering
-    #: this family's grid cells (a name, so the registry stays light).
+    #: this family's grid cells in-process with the wire simulation (a
+    #: name, so the registry stays light).
     fast_engine: str
 
 

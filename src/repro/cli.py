@@ -323,9 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_all.add_argument(
         "--exact", action="store_true",
         help="run every cell through the grid runner instead of "
-             "answering measurement cells on the fast path (OBR from its "
-             "probe-verified model); the reference path the fast path is "
-             "differentially tested against",
+             "answering measurement cells in-process on the fast path; "
+             "OBR max n then comes from wire probes instead of the static "
+             "search. Every answer is the same simulation either way",
     )
     run_all.add_argument(
         "--bench", nargs="?", const="BENCH_runall.json", default=None,
@@ -678,16 +678,17 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             else ""
         )
     )
-    if report.fastpath is not None:
-        stats = report.fastpath
+    # --exact and the observability flags both skip the planner; the
+    # printed line and the label's "-exact" suffix follow from that one fact.
+    stats = report.fastpath
+    if stats is not None:
         print(
             f"  fast path: {stats.answered}/{stats.total} cells answered "
             f"before the grid ({stats.hit_rate:.0%} hit rate, "
-            f"{stats.refused} refused, "
-            f"{stats.calibration_runs} OBR calibration sims)"
+            f"{stats.refused} refused)"
         )
-    elif args.exact:
-        print("  fast path: disabled (--exact); every cell simulated")
+    else:
+        print("  fast path: disabled; every cell simulated by the grid runner")
 
     written_artifacts: List[Path] = []
     if args.trace is not None:
@@ -815,7 +816,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         )
     )
     label = "run-all" + ("-quick" if args.quick else "")
-    if args.exact:
+    if stats is None:
         label += "-exact"
     if args.faults:
         label += "-faults"

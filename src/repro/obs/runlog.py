@@ -204,6 +204,33 @@ def _float_map(payload: Mapping[str, Any], key: str) -> Dict[str, float]:
     return out
 
 
+#: Fast-path counts every run-all record carries.
+_FASTPATH_COUNTS = ("answered", "refused", "ineligible")
+
+
+def _fastpath(payload: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
+    raw = payload.get("fastpath")
+    if raw is None:
+        return None
+    if not isinstance(raw, Mapping):
+        raise RunLogError("run record field 'fastpath' must be an object or null")
+    keys = _FASTPATH_COUNTS
+    if "calibration_runs" in raw:
+        # Written while OBR cells were calibrated; older ledgers still load.
+        keys += ("calibration_runs",)
+    out: Dict[str, Any] = {}
+    for key in keys:
+        count = _require(raw, key, int)
+        if count < 0:
+            raise RunLogError(f"run record fastpath[{key!r}] must be non-negative")
+        out[key] = count
+    hit_rate = _require(raw, "hit_rate", float)
+    if not 0.0 <= hit_rate <= 1.0:
+        raise RunLogError("run record fastpath['hit_rate'] must be within [0, 1]")
+    out["hit_rate"] = hit_rate
+    return out
+
+
 def record_from_serve(
     config: Mapping[str, Any],
     wall_s: float,
@@ -260,9 +287,6 @@ def record_from_dict(payload: Mapping[str, Any]) -> RunRecord:
     raw_config = payload.get("config", {})
     if not isinstance(raw_config, Mapping):
         raise RunLogError("run record field 'config' must be an object")
-    raw_fastpath = payload.get("fastpath")
-    if raw_fastpath is not None and not isinstance(raw_fastpath, Mapping):
-        raise RunLogError("run record field 'fastpath' must be an object or null")
     raw_metrics = payload.get("metrics", {})
     if not isinstance(raw_metrics, Mapping):
         raise RunLogError("run record field 'metrics' must be an object")
@@ -288,7 +312,7 @@ def record_from_dict(payload: Mapping[str, Any]) -> RunRecord:
         phase_seconds=_float_map(payload, "phase_seconds"),
         cells=tuple(cells),
         factors=_float_map(payload, "factors"),
-        fastpath=dict(raw_fastpath) if raw_fastpath is not None else None,
+        fastpath=_fastpath(payload),
         metrics=dict(raw_metrics),
         artifacts=artifacts,
     )
@@ -369,7 +393,6 @@ def record_from_runall(
             "answered": stats.answered,
             "refused": stats.refused,
             "ineligible": stats.ineligible,
-            "calibration_runs": stats.calibration_runs,
             "hit_rate": stats.hit_rate,
         }
     return _new_record(

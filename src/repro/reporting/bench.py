@@ -44,8 +44,10 @@ from repro.runner.runall import RunAllReport
 #: ``validate`` phase and the ``fastpath.validated`` count with it.
 #: Version 4: ``measure`` no longer counts fast-path answers twice
 #: (once in ``fastpath``, again as per-cell seconds).
+#: Version 5: OBR cells are simulated, not calibrated, so the
+#: ``fastpath.calibration_runs`` count is gone.
 #: Files written by older builds are not comparable and are rejected.
-BENCH_SCHEMA_VERSION = 4
+BENCH_SCHEMA_VERSION = 5
 
 #: The canonical file name, both in run-all output dirs and at the repo
 #: root (the committed CI baseline).
@@ -67,7 +69,6 @@ class BenchFastPath:
     answered: int
     refused: int
     ineligible: int
-    calibration_runs: int
     hit_rate: float
 
 
@@ -157,7 +158,6 @@ def bench_from_dict(payload: Mapping[str, Any]) -> BenchReport:
             answered=_require(raw_fastpath, "answered", int),
             refused=_require(raw_fastpath, "refused", int),
             ineligible=_require(raw_fastpath, "ineligible", int),
-            calibration_runs=_require(raw_fastpath, "calibration_runs", int),
             hit_rate=_require(raw_fastpath, "hit_rate", float),
         )
     return BenchReport(
@@ -215,7 +215,6 @@ def bench_from_runall(
                 answered=stats.answered,
                 refused=stats.refused,
                 ineligible=stats.ineligible,
-                calibration_runs=stats.calibration_runs,
                 hit_rate=stats.hit_rate,
             )
             if stats is not None

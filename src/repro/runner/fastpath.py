@@ -7,13 +7,12 @@ through the engines in :mod:`repro.core.vectorized`, leaving the rest
 (flood bandwidth sims, faulted cells, and any cell the engines refuse)
 to the runner, which journals and parallelizes them.
 
-Every answer is exact.  SBR and CCFC cells are the simulation's own
-result; OBR answers come from a probe-verified payload model, pinned
-cell by cell against simulation by
-``tests/analysis/test_fastpath_equivalence.py``.  An engine that cannot
-answer exactly *refuses* (:class:`~repro.core.vectorized.ExactModelError`)
-and the cell falls back to the runner — a refusal costs speed, never
-correctness.
+Every answer is the wire-level simulation's own result, so it is
+exact by construction (pinned cell by cell against the grid runner by
+``tests/analysis/test_fastpath_equivalence.py``).  An engine refuses
+(:class:`~repro.core.vectorized.ExactModelError`) a cell the
+simulation would reject, and the cell falls back to the runner, which
+fails it with the simulation's own error.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class FastPathStats:
     refused: int = 0
     #: Cells whose experiment kind is outside the fast path's scope.
     ineligible: int = 0
-    #: Wire-level simulations spent calibrating OBR cascade models.
+    #: Always 0 (nothing calibrates); kept because the e2e benchmark reads it.
     calibration_runs: int = 0
 
     @property
@@ -152,7 +151,4 @@ class FastPathPlanner:
             answered=self._answered,
             refused=self._refused,
             ineligible=self._ineligible,
-            calibration_runs=sum(
-                engine.calibration_runs for engine in self.engines.values()
-            ),
         )

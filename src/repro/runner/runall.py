@@ -193,14 +193,13 @@ def run_all(
     run's.
 
     By default the fast path answers the SBR/OBR/CCFC measurement cells
-    before the grid runs: SBR and CCFC cells are simulated in-process,
-    OBR cells come from the probe-verified payload model (bit-identical
-    to simulation).  ``exact=True`` sends every cell through the grid
-    runner's wire-level simulation — the reference path the fast path
-    is differentially tested against.
-    Observability runs (``collect_obs=True``) also bypass the fast path:
-    only the grid runner traces and meters each cell, and the OBR model
-    has no wire exchanges to trace.
+    before the grid runs, by simulating each one in-process; OBR max n
+    comes from the memoized static search.  ``exact=True`` sends every
+    cell through the grid runner instead, where OBR max n comes from
+    wire probes — the reference path the fast path is differentially
+    tested against.  Observability runs (``collect_obs=True``) also
+    bypass the fast path: only the grid runner traces and meters each
+    cell.
     """
     from repro.reporting.figures import fig6_series_from_results
     from repro.reporting.tables import (

@@ -1,11 +1,11 @@
 """Differential harness: fast path == wire-level simulation.
 
-The engines in :mod:`repro.core.vectorized` claim *bit identity* with
-the simulation wherever they answer at all — refusing
+The engines in :mod:`repro.core.vectorized` answer every cell with the
+simulation's own result; refusing
 (:class:`~repro.core.vectorized.ExactModelError`) is their only escape
-hatch.  SBR and CCFC answers are the simulation's own result; OBR
-answers come from a calibrated payload model.  This suite pins the
-claim cell by cell:
+hatch.  OBR's only input of their own is the overlap count of a grid
+cell's "search", taken from the static max-n search instead of wire
+probes.  This suite pins bit identity cell by cell:
 
 * every Table IV cell (13 vendors x the paper's three sizes),
 * every Table V cascade (all 11 vulnerable FCDN x BCDN combinations),
@@ -15,6 +15,10 @@ claim cell by cell:
   ``fast == sim`` wherever the engine answers, and ``sim <= bound``
   everywhere else (the static-bounds soundness contract covers the
   refused cells),
+* OBR refusals (a cascade with static max n 0, a self-cascade, a
+  degenerate size): refused by the engine, counted and left in the
+  residual by the planner, and answered or failed by the grid runner
+  exactly as the simulation does,
 * the planner layer: grid partitioning, and the full run-all grid
   answered without a refusal.
 
@@ -177,6 +181,58 @@ class TestSbrEngineRefusals:
         ).run()
 
 
+class TestObrRefusalFallback:
+    """Cells the OBR engine refuses fall back to the grid runner, which
+    answers or fails them exactly as the simulation does."""
+
+    def _plan_and_run(self, cell):
+        from repro.runner.executor import GridRunner
+        from repro.runner.fastpath import FastPathPlanner
+        from repro.runner.grid import ExperimentGrid
+
+        grid = ExperimentGrid("refusal", [cell])
+        plan = FastPathPlanner().plan(grid)
+        assert plan.outcomes == {}
+        assert plan.stats.refused == 1
+        assert plan.stats.answered == 0
+        assert list(plan.residual) == [cell]
+        return GridRunner(workers=1).run(plan.residual).outcomes[0]
+
+    def test_static_max_n_zero_is_refused_and_simulated(self, obr_engine):
+        from repro.runner.experiments import obr_cell
+
+        # akamai does not forward the overlapping ranges unchanged, so the
+        # static search finds no n; the wire probe search still admits one.
+        assert static_max_n("akamai", "alibaba") == 0
+        with pytest.raises(ExactModelError):
+            obr_engine.measure("akamai", "alibaba")
+        outcome = self._plan_and_run(obr_cell("akamai", "alibaba"))
+        assert outcome.ok
+        assert outcome.value == ObrAttack("akamai", "alibaba").run()
+
+    @pytest.mark.parametrize(
+        "fcdn,bcdn,size", [("akamai", "akamai", 1024), ("cloudflare", "akamai", 0)]
+    )
+    def test_refused_cell_fails_with_the_simulation_error(
+        self, fcdn, bcdn, size, obr_engine
+    ):
+        from repro.errors import ConfigurationError
+        from repro.runner.experiments import obr_cell
+
+        with pytest.raises(ExactModelError):
+            obr_engine.measure(fcdn, bcdn, resource_size=size)
+        with pytest.raises(ConfigurationError) as raised:
+            ObrAttack(fcdn, bcdn, resource_size=size).run()
+        outcome = self._plan_and_run(obr_cell(fcdn, bcdn, resource_size=size))
+        assert not outcome.ok
+        assert outcome.failure.exception_type == "ConfigurationError"
+        assert outcome.failure.message == str(raised.value)
+
+    def test_unknown_vendor_is_refused(self, obr_engine):
+        with pytest.raises(ExactModelError):
+            obr_engine.measure("nosuch", "akamai")
+
+
 class TestPlannerLayer:
     def _quick_grid(self):
         from repro.runner.runall import QUICK_TABLE5_COMBOS, build_run_all_grid
@@ -227,7 +283,7 @@ class TestPlannerLayer:
         plan = FastPathPlanner().plan(grid)
         assert plan.stats.refused == 0
         assert plan.stats.answered == 349  # every cell but the 15 floods
-        assert plan.stats.calibration_runs == 55  # 11 cascades x 5 probes
+        assert plan.stats.calibration_runs == 0
         assert ("azure", 9437184) in {
             outcome.cell.key
             for outcome in plan.outcomes.values()

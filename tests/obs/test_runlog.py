@@ -42,7 +42,7 @@ def _record(
         phase_seconds={"grid": 2.0},
         cells=tuple(cells),
         factors=dict(factors or {}),
-        fastpath={"answered": 3, "hit_rate": 0.75},
+        fastpath={"answered": 3, "refused": 0, "ineligible": 1, "hit_rate": 0.75},
         metrics={},
         artifacts={"table4.txt": "0" * 64},
     )
@@ -112,6 +112,47 @@ class TestStrictLoader:
         payload["cells"] = ["oops"]
         with pytest.raises(RunLogError):
             record_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "fastpath",
+        [
+            {"answered": 3, "hit_rate": 0.75},  # counts missing
+            {"answered": 3, "refused": 0, "ineligible": 1},  # hit rate missing
+            {"answered": -1, "refused": 0, "ineligible": 1, "hit_rate": 0.75},
+            {"answered": 3, "refused": 0.5, "ineligible": 1, "hit_rate": 0.75},
+            {"answered": 3, "refused": 0, "ineligible": 1, "hit_rate": "75%"},
+            {"answered": 3, "refused": 0, "ineligible": 1, "hit_rate": 1.5},
+            {"answered": 3, "refused": 0, "ineligible": 1, "hit_rate": 0.75,
+             "calibration_runs": True},
+            [3, 0, 1],
+        ],
+    )
+    def test_malformed_fastpath_raises(self, fastpath):
+        payload = _record().to_dict()
+        payload["fastpath"] = fastpath
+        with pytest.raises(RunLogError):
+            record_from_dict(payload)
+
+    def test_legacy_calibration_count_still_loads(self):
+        # Records written while OBR cells were calibrated carry it.
+        payload = _record().to_dict()
+        payload["fastpath"]["calibration_runs"] = 10
+        loaded = record_from_dict(payload)
+        assert loaded.fastpath["calibration_runs"] == 10
+        assert record_from_json(loaded.to_json()) == loaded
+
+    def test_obs_runs_reports_a_partial_fastpath_as_an_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        payload = _record().to_dict()
+        payload["fastpath"] = {"answered": 3}
+        path = tmp_path / "runlog.jsonl"
+        path.write_text(
+            json.dumps(payload) + "\n" + _record(run_id="b" * 16).to_json() + "\n",
+            encoding="utf-8",
+        )
+        assert main(["obs", "runs", "--ledger", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_non_json_line_raises(self):
         with pytest.raises(RunLogError):

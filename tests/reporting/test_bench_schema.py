@@ -31,7 +31,6 @@ def _sample_report(mode="fast"):
             answered=41,
             refused=0,
             ineligible=3,
-            calibration_runs=10,
             hit_rate=41 / 44,
         )
     return BenchReport(
@@ -140,9 +139,17 @@ class TestRejection:
     def test_version_three_files_rejected_after_measure_fix(self):
         # Version 4 stopped counting fast answers twice in measure: a
         # version-3 file's measure phase is about twice the fastpath.
-        assert BENCH_SCHEMA_VERSION == 4
+        assert BENCH_SCHEMA_VERSION > 3
         with pytest.raises(BenchSchemaError, match="unknown benchmark schema"):
             bench_from_dict(self._payload(schema_version=3))
+
+    def test_version_four_files_rejected_after_calibration_drop(self):
+        # Version 5 dropped the OBR calibration count: nothing calibrates.
+        assert BENCH_SCHEMA_VERSION == 5
+        payload = self._payload(schema_version=4)
+        payload["fastpath"]["calibration_runs"] = 10
+        with pytest.raises(BenchSchemaError, match="unknown benchmark schema"):
+            bench_from_dict(payload)
 
     def test_missing_field_rejected(self):
         payload = self._payload()

@@ -36,7 +36,6 @@ def _report(mode, wall_s=0.25, measure_s=0.04, cell_count=57, hit_rate=54 / 57):
             answered=54,
             refused=0,
             ineligible=3,
-            calibration_runs=10,
             hit_rate=hit_rate,
         )
     return BenchReport(

@@ -75,7 +75,7 @@ class TestFastPathTelemetry:
         assert stats.ineligible == 3  # the Fig 7 flood cells
         assert stats.total == fast_report.cell_count == 57
         assert stats.hit_rate == pytest.approx(54 / 57)
-        assert stats.calibration_runs == 10  # 2 OBR cascades x 5 probes
+        assert stats.calibration_runs == 0
 
     def test_fast_report_phases(self, fast_report):
         assert set(fast_report.phase_seconds) == {"fastpath", "grid", "static"}

@@ -99,6 +99,34 @@ class TestReport:
         assert (target / "table1_sbr_feasibility.md").exists()
 
 
+class TestRunAllLabel:
+    """The bench label, its mode and the printed fast-path line all
+    follow from whether the planner ran; observability flags skip it
+    just as --exact does."""
+
+    @pytest.mark.parametrize(
+        "flags,label,mode",
+        [
+            ([], "run-all-quick", "fast"),
+            (["--exact"], "run-all-quick-exact", "exact"),
+            (["--metrics", "m.prom"], "run-all-quick-exact", "exact"),
+        ],
+    )
+    def test_label_matches_mode(self, tmp_path, monkeypatch, capsys, flags, label, mode):
+        from repro.reporting.bench import load_bench
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["run-all", "--quick", "--workers", "1", "--no-progress"]
+        assert main(argv + flags + ["--bench", "b.json"]) == 0
+        output = capsys.readouterr().out
+        bench = load_bench(tmp_path / "b.json")
+        assert (bench.label, bench.mode) == (label, mode)
+        if mode == "fast":
+            assert "cells answered before the grid" in output
+        else:
+            assert "fast path: disabled" in output
+
+
 class TestEconomics:
     def test_sbr_campaign(self, capsys):
         assert main(
