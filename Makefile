@@ -14,7 +14,7 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 report:
-	$(PYTHON) examples/full_reproduction.py report/
+	$(PYTHON) -m repro report report/
 
 examples:
 	$(PYTHON) examples/quickstart.py

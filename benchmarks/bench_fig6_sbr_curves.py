@@ -9,16 +9,20 @@ sub-1500-byte client traffic, and KeyCDN's doubled client traffic.
 
 import pytest
 
-from repro.reporting.figures import default_fig6_sizes, fig6_series
+from repro.cdn.vendors import all_vendor_names
+from repro.core.sbr import sbr_grid
+from repro.reporting.figures import default_fig6_sizes, fig6_series_from_results
 from repro.reporting.render import render_table
 
-from benchmarks.conftest import benchmark_runner, save_artifact
+from benchmarks.conftest import run_grid, save_artifact
 
 MB = 1 << 20
 
 
 def _regenerate():
-    return fig6_series(sizes=default_fig6_sizes(), runner=benchmark_runner())
+    vendors, sizes = all_vendor_names(), tuple(default_fig6_sizes())
+    results = run_grid(sbr_grid(vendors, sizes, name="fig6-sbr"))
+    return fig6_series_from_results(results, vendors, sizes)
 
 
 def test_fig6_sbr_curves(benchmark, output_dir):

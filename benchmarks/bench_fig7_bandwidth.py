@@ -9,7 +9,7 @@ the uplink pins at capacity in the paper's m = 11-14 band (7b).
 
 import pytest
 
-from repro.reporting.figures import fig7_series
+from repro.core.practical import flood_grid
 from repro.reporting.paper_values import (
     PAPER_FIG7_FULL_SATURATION_M,
     PAPER_FIG7_NEAR_SATURATION_M,
@@ -22,12 +22,10 @@ MB = 1 << 20
 
 
 def _regenerate():
-    return fig7_series(
-        ms=tuple(range(1, 16)),
-        vendor="cloudflare",
-        resource_size=10 * MB,
-        runner=benchmark_runner(),
+    grid = flood_grid(
+        ms=tuple(range(1, 16)), vendor="cloudflare", resource_size=10 * MB
     )
+    return benchmark_runner().run(grid).values()
 
 
 def test_fig7_bandwidth(benchmark, output_dir):

@@ -5,11 +5,13 @@ compares the measured amplification factor with the paper's, enforcing
 the per-vendor tolerance bands documented in EXPERIMENTS.md.
 """
 
+from repro.cdn.vendors import all_vendor_names
+from repro.core.sbr import sbr_grid
 from repro.reporting.paper_values import PAPER_TABLE4_FACTORS
 from repro.reporting.render import render_table
-from repro.reporting.tables import table4_rows
+from repro.reporting.tables import table4_rows_from_results
 
-from benchmarks.conftest import benchmark_runner, save_artifact
+from benchmarks.conftest import run_grid, save_artifact
 
 MB = 1 << 20
 SIZES = (1 * MB, 10 * MB, 25 * MB)
@@ -21,7 +23,9 @@ DEFAULT_TOLERANCE = 0.08
 
 
 def _regenerate():
-    return table4_rows(sizes=SIZES, runner=benchmark_runner())
+    vendors = all_vendor_names()
+    results = run_grid(sbr_grid(vendors, SIZES, name="table4-sbr"))
+    return table4_rows_from_results(results, vendors, SIZES)
 
 
 def test_table4_sbr_factors(benchmark, output_dir):

@@ -5,11 +5,12 @@ that survives both CDNs' header limits (the paper's max n), run the
 attack once, and measure per-segment traffic and amplification.
 """
 
+from repro.core.obr import obr_grid, vulnerable_combinations
 from repro.reporting.paper_values import PAPER_TABLE5
 from repro.reporting.render import render_table
-from repro.reporting.tables import table5_rows
+from repro.reporting.tables import table5_rows_from_results
 
-from benchmarks.conftest import benchmark_runner, save_artifact
+from benchmarks.conftest import run_grid, save_artifact
 
 #: Tolerances: max n falls out of header-limit arithmetic (tight);
 #: traffic and factor absorb the capture-model difference (see
@@ -23,7 +24,8 @@ FACTOR_TOLERANCE = 0.35
 
 
 def _regenerate():
-    return table5_rows(runner=benchmark_runner())
+    combos = vulnerable_combinations()
+    return table5_rows_from_results(run_grid(obr_grid(combos)), combos)
 
 
 def test_table5_obr_factors(benchmark, output_dir):

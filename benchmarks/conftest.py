@@ -5,11 +5,12 @@ figures.  Besides timing the regeneration with pytest-benchmark, each
 bench renders its artifact to ``benchmarks/output/`` so a run leaves the
 full paper-vs-measured record on disk (EXPERIMENTS.md links there).
 
-The sweep benches regenerate through :mod:`repro.runner` by default
-(worker count from ``REPRO_BENCH_WORKERS``, else the cpu count).  Set
-``REPRO_BENCH_SERIAL=1`` — or the runner's own ``REPRO_RUNNER_SERIAL=1``
-— to force the legacy serial in-process path; results are identical
-either way (see ``tests/runner/test_equivalence.py``).
+The sweep benches regenerate through :mod:`repro.runner` (worker count
+from ``REPRO_BENCH_WORKERS``, else the cpu count; the runner's own
+``REPRO_RUNNER_SERIAL=1`` forces one in-process worker) and assemble
+rows with the ``*_from_results`` functions of :mod:`repro.reporting`.
+Results are identical for every worker count (see
+``tests/runner/test_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Any, Dict
 
 import pytest
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
-#: Benchmark-level serial escape hatch.
-BENCH_SERIAL_ENV = "REPRO_BENCH_SERIAL"
 #: Worker count override for the bench runner.
 BENCH_WORKERS_ENV = "REPRO_BENCH_WORKERS"
 
@@ -35,19 +34,23 @@ def output_dir() -> Path:
     return OUTPUT_DIR
 
 
-def benchmark_runner() -> Optional[object]:
-    """The GridRunner sweeps should regenerate through, or ``None``.
-
-    ``None`` (when ``REPRO_BENCH_SERIAL=1``) selects the legacy serial
-    in-process loops in ``repro.reporting``.
-    """
-    if os.environ.get(BENCH_SERIAL_ENV, "").strip() not in ("", "0"):
-        return None
+def benchmark_runner() -> Any:
+    """The GridRunner sweeps regenerate through."""
     from repro.runner import GridRunner
 
     workers_env = os.environ.get(BENCH_WORKERS_ENV, "").strip()
     workers = int(workers_env) if workers_env else None
     return GridRunner(workers=workers)
+
+
+def run_grid(grid: Any) -> Dict[Any, Any]:
+    """Run ``grid`` on :func:`benchmark_runner`; values by cell key.
+
+    The first failed cell re-raises, so a broken sweep fails the bench.
+    """
+    result = benchmark_runner().run(grid)
+    result.values()
+    return result.value_by_key()
 
 
 def save_artifact(output_dir: Path, name: str, content: str) -> None:

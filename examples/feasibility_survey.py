@@ -13,57 +13,21 @@ Usage::
 
 from repro.core.feasibility import survey
 from repro.reporting.render import render_table
-from repro.reporting.tables import table1_rows, table2_rows, table3_rows
+from repro.reporting.tables import survey_tables
 
 
 def main() -> None:
     print("Probing all 13 vendors with the generated range corpus...\n")
     feasibility = survey(file_size=16 * 1024)
 
-    print("Table I — range forwarding behaviors vulnerable to the SBR attack")
-    print(
-        render_table(
-            ["CDN", "Vulnerable", "Format -> Policy"],
-            [
-                [
-                    row.display_name,
-                    "yes" if row.vulnerable else "no",
-                    "; ".join(f"{f} ({p})" for f, p in row.vulnerable_formats),
-                ]
-                for row in table1_rows(feasibility=feasibility)
-            ],
-        )
-    )
+    for _stem, title, headers, rows in survey_tables(feasibility):
+        print(f"{title}\n{render_table(headers, rows)}\n")
 
-    print("\nTable II — forwarding behaviors vulnerable to the OBR attack (FCDNs)")
-    print(
-        render_table(
-            ["CDN", "Lazy Multi-Range Formats", "Conditional"],
-            [
-                [
-                    row.display_name,
-                    "; ".join(row.lazy_formats),
-                    "(*) bypass rule" if feasibility[row.vendor].obr_fcdn_conditional else "",
-                ]
-                for row in table2_rows(feasibility=feasibility)
-            ],
-        )
+    conditional = sorted(
+        name for name, verdict in feasibility.items() if verdict.obr_fcdn_conditional
     )
-
-    print("\nTable III — replying behaviors vulnerable to the OBR attack (BCDNs)")
-    print(
-        render_table(
-            ["CDN", "Response Format"],
-            [
-                [
-                    row.display_name,
-                    "n-part response (overlapping)"
-                    + (f", n <= {row.part_limit}" if row.part_limit else ""),
-                ]
-                for row in table3_rows(feasibility=feasibility)
-            ],
-        )
-    )
+    if conditional:
+        print(f"(*) Table II laziness only behind a bypass rule: {', '.join(conditional)}")
 
 
 if __name__ == "__main__":

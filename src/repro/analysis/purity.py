@@ -237,9 +237,10 @@ DEFAULT_SINKS: Tuple[SinkSpec, ...] = (
         "renders and atomically writes the Prometheus textfile",
     ),
     SinkSpec(
-        "repro.reporting.summary._write",
+        "repro.reporting.render.write_tables",
         "report-artifact",
-        "writes one rendered table/figure pair of the full report",
+        "writes every rendered table artifact (txt and markdown) of "
+        "run-all and the full report",
     ),
     SinkSpec(
         "repro.runner.runall.write_report",

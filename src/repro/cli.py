@@ -16,10 +16,12 @@ import argparse
 import math
 import sys
 import time
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from pathlib import Path
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.purity import BaselineEntry
+    from repro.reporting.render import Table
 
 from repro.cdn.vendors import all_vendor_names, profile_class
 from repro.core.economics import estimate_obr_campaign, estimate_sbr_campaign
@@ -29,7 +31,6 @@ from repro.core.practical import BandwidthAttackSimulation
 from repro.core.sbr import SbrAttack, exploited_range_cases
 from repro.errors import ReproError, UsageError
 from repro.reporting.render import format_bytes, render_sparkline, render_table
-from repro.reporting.tables import table1_rows, table2_rows, table3_rows
 
 MB = 1 << 20
 
@@ -41,6 +42,16 @@ def _non_negative_int(text: str) -> int:
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected an integer > 0, got {text!r}")
     return value
 
 
@@ -62,7 +73,7 @@ def _add_size_arguments(parser: argparse.ArgumentParser, use: str) -> None:
         ("--ccfc-size-mb", "CCFC", "MB", 10),
     ):
         parser.add_argument(
-            flag, type=int, default=default,
+            flag, type=_positive_int, default=default,
             help=f"{family} resource size in {unit} {use} (default: {default})",
         )
 
@@ -78,8 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sbr = commands.add_parser("sbr", help="run the Small Byte Range attack")
     sbr.add_argument("vendor", choices=all_vendor_names())
-    sbr.add_argument("--size-mb", type=int, default=10, help="resource size in MB")
-    sbr.add_argument("--rounds", type=int, default=1, help="attack rounds to send")
+    sbr.add_argument(
+        "--size-mb", type=_positive_int, default=10, help="resource size in MB"
+    )
+    sbr.add_argument(
+        "--rounds", type=_positive_int, default=1, help="attack rounds to send"
+    )
 
     obr = commands.add_parser("obr", help="run the Overlapping Byte Ranges attack")
     obr.add_argument("fcdn", choices=all_vendor_names())
@@ -105,9 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     economics.add_argument("attack", choices=["sbr", "obr"])
     economics.add_argument("vendor", help="vendor, or fcdn:bcdn for obr")
-    economics.add_argument("--size-mb", type=int, default=10)
-    economics.add_argument("--rps", type=float, default=10.0)
-    economics.add_argument("--hours", type=float, default=1.0)
+    economics.add_argument("--size-mb", type=_positive_int, default=10)
+    economics.add_argument("--rps", type=_positive_finite_float, default=10.0)
+    economics.add_argument("--hours", type=_positive_finite_float, default=1.0)
 
     scenario = commands.add_parser(
         "scenario", help="run a JSON scenario file of experiments"
@@ -497,46 +512,32 @@ def _cmd_obr(args: argparse.Namespace) -> int:
     return 0
 
 
+def _render_tables(tables: Sequence["Table"]) -> str:
+    """Each table's rendered text under its title, blank-line separated."""
+    return "\n\n".join(
+        f"{title}:\n{render_table(headers, rows)}"
+        for _stem, title, headers, rows in tables
+    )
+
+
+def _output_dir(path: str) -> Path:
+    """``path`` as an output directory, refused before any work is done
+    if it (or the nearest existing ancestor) is not a directory."""
+    target = Path(path)
+    for candidate in (target, *target.parents):
+        if candidate.exists():
+            if not candidate.is_dir():
+                raise UsageError(
+                    f"output directory {path}: {candidate} is not a directory"
+                )
+            break
+    return target
+
+
 def _cmd_survey() -> int:
-    feasibility = survey(file_size=16 * 1024)
-    print("Table I - SBR-vulnerable forwarding:")
-    print(
-        render_table(
-            ["CDN", "vulnerable", "formats"],
-            [
-                [
-                    row.display_name,
-                    "yes" if row.vulnerable else "no",
-                    "; ".join(f"{f} ({p})" for f, p in row.vulnerable_formats),
-                ]
-                for row in table1_rows(feasibility=feasibility)
-            ],
-        )
-    )
-    print("\nTable II - OBR front-ends:")
-    print(
-        render_table(
-            ["CDN", "lazy multi-range formats"],
-            [
-                [row.display_name, "; ".join(row.lazy_formats)]
-                for row in table2_rows(feasibility=feasibility)
-            ],
-        )
-    )
-    print("\nTable III - OBR back-ends:")
-    print(
-        render_table(
-            ["CDN", "reply"],
-            [
-                [
-                    row.display_name,
-                    "n-part (overlapping)"
-                    + (f", n <= {row.part_limit}" if row.part_limit else ""),
-                ]
-                for row in table3_rows(feasibility=feasibility)
-            ],
-        )
-    )
+    from repro.reporting.tables import survey_tables
+
+    print(_render_tables(survey_tables(survey(file_size=16 * 1024))))
     return 0
 
 
@@ -610,9 +611,16 @@ def _cmd_matrix() -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.reporting.summary import generate_full_report
+    from repro.reporting.render import write_tables
+    from repro.reporting.tables import survey_tables
+    from repro.runner.runall import report_tables, run_all, write_report
 
-    written = generate_full_report(args.output_dir, quick=args.quick)
+    target = _output_dir(args.output_dir)
+    report = run_all(quick=args.quick)
+    surveyed = survey_tables(survey(file_size=16 * 1024))
+    written = write_report(report, target)
+    written += write_tables(surveyed, target)
+    written += write_tables(surveyed + report_tables(report), target, suffixes=("md",))
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -621,14 +629,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_run_all(args: argparse.Namespace) -> int:
     import json
 
+    from repro.faults.experiment import DEFAULT_FAULT_SEED
     from repro.obs.profile import render_profile
     from repro.obs.progress import ProgressReporter
-    from repro.runner.runall import run_all, write_report
+    from repro.runner.runall import report_tables, run_all, write_report
 
-    from pathlib import Path
-
-    from repro.faults.experiment import DEFAULT_FAULT_SEED
-
+    if args.output_dir is not None:
+        _output_dir(args.output_dir)
     checkpoint_path = args.checkpoint
     if args.resume and checkpoint_path is None:
         checkpoint_path = "runall_checkpoint.jsonl"
@@ -727,94 +734,12 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         print(f"wrote {args.profile} ({len(report.cells)} cells profiled)")
         written_artifacts.append(Path(args.profile))
 
-    sizes = sorted(report.table4[0].factors) if report.table4 else []
-    print("\nTable IV - SBR amplification factors:")
-    print(
-        render_table(
-            ["CDN", "Exploited Range Case"] + [f"{s // MB}MB" for s in sizes],
-            [
-                [row.display_name, " & ".join(row.exploited_cases)]
-                + [f"{row.factors[s]:.0f}" for s in sizes]
-                for row in report.table4
-            ],
-        )
-    )
-    print("\nTable V - OBR amplification factors:")
-    print(
-        render_table(
-            ["FCDN", "BCDN", "Max n", "BCDN->FCDN", "Factor"],
-            [
-                [
-                    row.fcdn,
-                    row.bcdn,
-                    row.max_n,
-                    format_bytes(row.fcdn_bcdn_traffic),
-                    f"{row.factor:.1f}",
-                ]
-                for row in report.table5
-            ],
-        )
-    )
-    if report.table_ccfc:
-        ccfc_sizes = sorted(report.table_ccfc[0].factors)
-        print("\nCCFC - compression-conversion amplification factors:")
-        print(
-            render_table(
-                ["CDN", "Coding"] + [f"{s // MB}MB" for s in ccfc_sizes],
-                [
-                    [row.display_name, row.encoding or "-"]
-                    + [f"{row.factors[s]:.1f}" for s in ccfc_sizes]
-                    for row in report.table_ccfc
-                ],
-            )
-        )
-    if report.table_faults:
-        print(
-            f"\nTable VI - SBR under faults + vendor retries "
-            f"(seed {report.fault_seed}):"
-        )
-        print(
-            render_table(
-                ["CDN", "Size", "Clean", "Faulted", "Re-amp", "Faults",
-                 "Retries", "Budget"],
-                [
-                    [
-                        row.display_name,
-                        f"{row.resource_size // MB}MB",
-                        f"{row.clean_factor:.0f}",
-                        f"{row.faulted_factor:.0f}",
-                        f"{row.reamplification:.2f}x",
-                        row.faults,
-                        row.retries,
-                        row.max_attempts,
-                    ]
-                    for row in report.table_faults
-                ],
-            )
-        )
+    print("\n" + _render_tables(report_tables(report)))
     if report.table7_recommendations is not None:
         from repro.analysis.recommend import render_recommendations_table
 
         print("\nTable VII - Defense recommendations (static residual bounds):")
         print(render_recommendations_table(report.table7_recommendations))
-    print("\nFig 6a - SBR factor vs size:")
-    for series in report.fig6:
-        print(f"  {series.vendor:<12} {render_sparkline(series.factors, width=40)}")
-    print("\nFig 7 - origin egress vs m:")
-    print(
-        render_table(
-            ["m", "steady origin Mbps", "peak client Kbps", "saturated"],
-            [
-                [
-                    result.m,
-                    f"{result.steady_origin_mbps:.1f}",
-                    f"{result.peak_client_kbps:.1f}",
-                    "yes" if result.saturated else "no",
-                ]
-                for result in report.fig7
-            ],
-        )
-    )
     label = "run-all" + ("-quick" if args.quick else "")
     if stats is None:
         label += "-exact"
@@ -1232,8 +1157,6 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_export_trace(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.obs.export import chrome_trace_from_jsonl, write_chrome_trace
 
     output = (

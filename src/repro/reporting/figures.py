@@ -4,17 +4,16 @@
   traffic, and origin-to-CDN traffic, swept over resource sizes of
   1–25 MB.
 * Fig 7a/7b — client incoming and origin outgoing bandwidth over time
-  for m = 1..15 concurrent attack streams.
+  for m = 1..15 concurrent attack streams; the series is the flood
+  grid's list of :class:`~repro.core.practical.BandwidthRunResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
-from repro.cdn.vendors import all_vendor_names
-from repro.core.practical import BandwidthAttackSimulation, BandwidthRunResult
-from repro.core.sbr import SbrAttack, SbrResult
+from repro.core.sbr import SbrResult
 
 MB = 1 << 20
 
@@ -38,33 +37,6 @@ def default_fig6_sizes() -> List[int]:
     return [m * MB for m in range(1, 26)]
 
 
-def fig6_series(
-    vendors: Optional[Sequence[str]] = None,
-    sizes: Optional[Sequence[int]] = None,
-    runner: Optional[object] = None,
-) -> List[Fig6Series]:
-    """Regenerate the Fig 6 sweep.
-
-    ``runner`` optionally fans the 13 x 25 cells out over a
-    :class:`repro.runner.GridRunner`; merge order is grid order, so the
-    series are identical to the serial sweep.
-    """
-    names = list(vendors) if vendors is not None else all_vendor_names()
-    size_list = list(sizes) if sizes is not None else default_fig6_sizes()
-    if runner is not None:
-        from repro.core.sbr import sbr_grid
-
-        grid_result = runner.run(sbr_grid(names, tuple(size_list), name="fig6-sbr"))
-        grid_result.values()  # propagate the first cell failure, like serial
-        return fig6_series_from_results(grid_result.value_by_key(), names, size_list)
-    results = {
-        (name, size): SbrAttack(name, resource_size=size).run()
-        for name in names
-        for size in size_list
-    }
-    return fig6_series_from_results(results, names, size_list)
-
-
 def fig6_series_from_results(
     results: Mapping[Tuple[str, int], SbrResult],
     vendors: Sequence[str],
@@ -85,34 +57,3 @@ def fig6_series_from_results(
         )
     return series
 
-
-def fig7_series(
-    ms: Sequence[int] = tuple(range(1, 16)),
-    vendor: str = "cloudflare",
-    resource_size: int = 10 * MB,
-    origin_uplink_mbps: float = 1000.0,
-    runner: Optional[object] = None,
-) -> List[BandwidthRunResult]:
-    """Regenerate the Fig 7 sweep (one bandwidth run per m).
-
-    With a ``runner``, each m becomes one grid cell; the per-request SBR
-    probe is measured once up front and shared with every cell.
-    """
-    if runner is not None:
-        from repro.core.practical import flood_grid
-
-        grid_result = runner.run(
-            flood_grid(
-                ms,
-                vendor=vendor,
-                resource_size=resource_size,
-                origin_uplink_mbps=origin_uplink_mbps,
-            )
-        )
-        return grid_result.values()
-    simulation = BandwidthAttackSimulation(
-        vendor=vendor,
-        resource_size=resource_size,
-        origin_uplink_mbps=origin_uplink_mbps,
-    )
-    return simulation.sweep(ms)

@@ -1,8 +1,14 @@
-"""Plain-text rendering for tables and series."""
+"""Plain-text and markdown rendering for tables and series, and the one
+writer that puts rendered tables on disk."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from pathlib import Path
+from typing import Iterable, List, Sequence, Tuple, Union
+
+#: One table artifact: ``(stem, title, headers, rows)``.  The stem names
+#: the file it is written to; the title heads it on stdout.
+Table = Tuple[str, str, Sequence[str], Sequence[Sequence[object]]]
 
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -56,6 +62,28 @@ def render_markdown_table(headers: Sequence[str], rows: Iterable[Sequence[object
             )
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)
+
+
+def write_tables(
+    tables: Iterable[Table],
+    output_dir: Union[str, Path],
+    suffixes: Sequence[str] = ("txt",),
+) -> List[Path]:
+    """Write each table as ``<stem>.<suffix>``; returns the files written.
+
+    ``txt`` renders with :func:`render_table`, ``md`` with
+    :func:`render_markdown_table`.
+    """
+    renderers = {"txt": render_table, "md": render_markdown_table}
+    target = Path(output_dir)
+    target.mkdir(parents=True, exist_ok=True)
+    written: List[Path] = []
+    for stem, _title, headers, rows in tables:
+        for suffix in suffixes:
+            path = target / f"{stem}.{suffix}"
+            path.write_text(renderers[suffix](headers, rows) + "\n", encoding="utf-8")
+            written.append(path)
+    return written
 
 
 def render_sparkline(values: Sequence[float], width: int = 40) -> str:

@@ -1,15 +1,20 @@
 """Structured regeneration of the paper's Tables I–V, plus the faulted
-re-amplification table (Table VI) this reproduction adds on top."""
+re-amplification table (Table VI) this reproduction adds on top.
+
+Tables I–III come from one feasibility survey (:func:`survey_tables`
+lays them out); every other table is assembled from grid results by a
+``*_from_results`` function."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cdn.vendors import all_vendor_names, profile_class
-from repro.core.feasibility import FeasibilityProbe, VendorFeasibility, survey
-from repro.core.obr import ObrAttack, vulnerable_combinations
-from repro.core.sbr import SbrAttack, exploited_range_cases
+from repro.cdn.vendors import profile_class
+from repro.core.feasibility import VendorFeasibility
+from repro.core.obr import ObrAttack
+from repro.core.sbr import exploited_range_cases
+from repro.reporting.render import Table
 
 MB = 1 << 20
 
@@ -27,16 +32,11 @@ class Table1Row:
     vulnerable_formats: Tuple[Tuple[str, str], ...]
 
 
-def table1_rows(
-    vendors: Optional[Sequence[str]] = None,
-    file_size: int = 64 * 1024,
-    feasibility: Optional[Dict[str, VendorFeasibility]] = None,
-) -> List[Table1Row]:
-    """Regenerate Table I by probing each vendor's forwarding policies."""
-    results = feasibility if feasibility is not None else survey(vendors, file_size)
+def table1_rows(feasibility: Dict[str, VendorFeasibility]) -> List[Table1Row]:
+    """Table I from a feasibility survey: each vendor's forwarding verdict."""
     rows = []
-    for name in sorted(results):
-        verdict = results[name]
+    for name in sorted(feasibility):
+        verdict = feasibility[name]
         rows.append(
             Table1Row(
                 vendor=name,
@@ -60,16 +60,11 @@ class Table2Row:
     lazy_formats: Tuple[str, ...]
 
 
-def table2_rows(
-    vendors: Optional[Sequence[str]] = None,
-    file_size: int = 64 * 1024,
-    feasibility: Optional[Dict[str, VendorFeasibility]] = None,
-) -> List[Table2Row]:
-    """Regenerate Table II: vendors usable as the OBR front-end."""
-    results = feasibility if feasibility is not None else survey(vendors, file_size)
+def table2_rows(feasibility: Dict[str, VendorFeasibility]) -> List[Table2Row]:
+    """Table II from a feasibility survey: vendors usable as the OBR front-end."""
     rows = []
-    for name in sorted(results):
-        verdict = results[name]
+    for name in sorted(feasibility):
+        verdict = feasibility[name]
         if verdict.obr_fcdn_vulnerable:
             rows.append(
                 Table2Row(
@@ -93,16 +88,11 @@ class Table3Row:
     part_limit: Optional[int]
 
 
-def table3_rows(
-    vendors: Optional[Sequence[str]] = None,
-    file_size: int = 64 * 1024,
-    feasibility: Optional[Dict[str, VendorFeasibility]] = None,
-) -> List[Table3Row]:
-    """Regenerate Table III: vendors usable as the OBR back-end."""
-    results = feasibility if feasibility is not None else survey(vendors, file_size)
+def table3_rows(feasibility: Dict[str, VendorFeasibility]) -> List[Table3Row]:
+    """Table III from a feasibility survey: vendors usable as the OBR back-end."""
     rows = []
-    for name in sorted(results):
-        verdict = results[name]
+    for name in sorted(feasibility):
+        verdict = feasibility[name]
         if verdict.obr_bcdn_vulnerable:
             assert verdict.reply is not None
             rows.append(
@@ -113,6 +103,47 @@ def table3_rows(
                 )
             )
     return rows
+
+
+def survey_tables(feasibility: Dict[str, VendorFeasibility]) -> List[Table]:
+    """Tables I–III as ``(stem, title, headers, rows)``, from one survey."""
+    return [
+        (
+            "table1_sbr_feasibility",
+            "Table I - range forwarding behaviors vulnerable to the SBR attack",
+            ["CDN", "Vulnerable", "Format -> Policy"],
+            [
+                [
+                    row.display_name,
+                    "yes" if row.vulnerable else "no",
+                    "; ".join(f"{f} ({p})" for f, p in row.vulnerable_formats),
+                ]
+                for row in table1_rows(feasibility)
+            ],
+        ),
+        (
+            "table2_obr_forwarding",
+            "Table II - forwarding behaviors vulnerable to the OBR attack (FCDNs)",
+            ["CDN", "Lazy Multi-Range Formats"],
+            [
+                [row.display_name, "; ".join(row.lazy_formats)]
+                for row in table2_rows(feasibility)
+            ],
+        ),
+        (
+            "table3_obr_replying",
+            "Table III - replying behaviors vulnerable to the OBR attack (BCDNs)",
+            ["CDN", "Response Format"],
+            [
+                [
+                    row.display_name,
+                    "n-part response (overlapping)"
+                    + (f", n <= {row.part_limit}" if row.part_limit else ""),
+                ]
+                for row in table3_rows(feasibility)
+            ],
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -132,60 +163,30 @@ class Table4Row:
     origin_traffic: Dict[int, int]
 
 
-def table4_rows(
-    vendors: Optional[Sequence[str]] = None,
-    sizes: Sequence[int] = (1 * MB, 10 * MB, 25 * MB),
-    runner: Optional[object] = None,
-) -> List[Table4Row]:
-    """Regenerate Table IV by running the SBR attack at each size.
-
-    ``runner`` optionally supplies a :class:`repro.runner.GridRunner`;
-    the vendor x size cells then execute through it (in parallel when it
-    has workers) with results merged in grid order, which keeps the rows
-    identical to the serial path.
-    """
-    names = list(vendors) if vendors is not None else all_vendor_names()
-    if runner is not None:
-        from repro.core.sbr import sbr_grid
-
-        grid_result = runner.run(sbr_grid(names, tuple(sizes), name="table4-sbr"))
-        grid_result.values()  # propagate the first cell failure, like serial
-        return table4_rows_from_results(grid_result.value_by_key(), names, sizes)
-    results = {
-        (name, size): SbrAttack(name, resource_size=size).run()
-        for name in names
-        for size in sizes
-    }
-    return table4_rows_from_results(results, names, sizes)
-
-
 def table4_rows_from_results(
-    results: Dict[Tuple[str, int], object],
+    results: Dict[Tuple[str, int], Any],
     vendors: Sequence[str],
     sizes: Sequence[int],
 ) -> List[Table4Row]:
     """Assemble Table IV rows from (vendor, size) -> SbrResult mappings."""
-    rows = []
-    for name in vendors:
-        factors: Dict[int, float] = {}
-        client: Dict[int, int] = {}
-        origin: Dict[int, int] = {}
-        for size in sizes:
-            result = results[(name, size)]
-            factors[size] = result.amplification
-            client[size] = result.client_traffic
-            origin[size] = result.origin_traffic
-        rows.append(
-            Table4Row(
-                vendor=name,
-                display_name=profile_class(name).display_name,
-                exploited_cases=tuple(exploited_range_cases(name, max(sizes))),
-                factors=factors,
-                client_traffic=client,
-                origin_traffic=origin,
-            )
+    return [
+        Table4Row(
+            vendor=name,
+            display_name=profile_class(name).display_name,
+            exploited_cases=tuple(exploited_range_cases(name, max(sizes))),
+            factors=_by_size(results, name, sizes, "amplification"),
+            client_traffic=_by_size(results, name, sizes, "client_traffic"),
+            origin_traffic=_by_size(results, name, sizes, "origin_traffic"),
         )
-    return rows
+        for name in vendors
+    ]
+
+
+def _by_size(
+    results: Dict[Tuple[str, int], Any], vendor: str, sizes: Sequence[int], field: str
+) -> Dict[int, Any]:
+    """One vendor's ``field`` of each (vendor, size) result, by size."""
+    return {size: getattr(results[(vendor, size)], field) for size in sizes}
 
 
 # ---------------------------------------------------------------------------
@@ -210,32 +211,22 @@ class CcfcTableRow:
 
 
 def ccfc_rows_from_results(
-    results: Dict[Tuple[str, int], object],
+    results: Dict[Tuple[str, int], Any],
     vendors: Sequence[str],
     sizes: Sequence[int],
 ) -> List[CcfcTableRow]:
     """Assemble CCFC rows from (vendor, size) -> CcfcResult mappings."""
-    rows = []
-    for name in vendors:
-        factors: Dict[int, float] = {}
-        client: Dict[int, int] = {}
-        origin: Dict[int, int] = {}
-        for size in sizes:
-            result = results[(name, size)]
-            factors[size] = result.amplification
-            client[size] = result.client_traffic
-            origin[size] = result.origin_traffic
-        rows.append(
-            CcfcTableRow(
-                vendor=name,
-                display_name=profile_class(name).display_name,
-                encoding=results[(name, max(sizes))].encoding,
-                factors=factors,
-                client_traffic=client,
-                origin_traffic=origin,
-            )
+    return [
+        CcfcTableRow(
+            vendor=name,
+            display_name=profile_class(name).display_name,
+            encoding=results[(name, max(sizes))].encoding,
+            factors=_by_size(results, name, sizes, "amplification"),
+            client_traffic=_by_size(results, name, sizes, "client_traffic"),
+            origin_traffic=_by_size(results, name, sizes, "origin_traffic"),
         )
-    return rows
+        for name in vendors
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -305,36 +296,8 @@ class Table5Row:
     factor: float
 
 
-def table5_rows(
-    combinations: Optional[Sequence[Tuple[str, str]]] = None,
-    resource_size: int = 1024,
-    runner: Optional[object] = None,
-) -> List[Table5Row]:
-    """Regenerate Table V: search max n per combination, then measure.
-
-    ``runner`` optionally executes the 11 cascade cells through a
-    :class:`repro.runner.GridRunner`; each cell is a max-n search plus a
-    thousands-part measurement, so this is the sweep where parallel
-    workers pay off most.
-    """
-    combos = list(combinations) if combinations is not None else vulnerable_combinations()
-    if runner is not None:
-        from repro.core.obr import obr_grid
-
-        grid_result = runner.run(obr_grid(combos, resource_size=resource_size))
-        grid_result.values()  # propagate the first cell failure, like serial
-        return table5_rows_from_results(
-            grid_result.value_by_key(), combos, resource_size
-        )
-    results = {
-        (fcdn, bcdn): ObrAttack(fcdn, bcdn, resource_size=resource_size).run()
-        for fcdn, bcdn in combos
-    }
-    return table5_rows_from_results(results, combos, resource_size)
-
-
 def table5_rows_from_results(
-    results: Dict[Tuple[str, str], object],
+    results: Dict[Tuple[str, str], Any],
     combinations: Sequence[Tuple[str, str]],
     resource_size: int = 1024,
 ) -> List[Table5Row]:

@@ -3,14 +3,15 @@
 :func:`run_all` builds a **single combined grid** — the SBR vendor x
 size sweep (serving both Table IV and Fig 6, deduped), the 11 Table V
 cascades, and the 15 Fig 7 flood intensities — executes it through one
-:class:`~repro.runner.executor.GridRunner`, and assembles the same row
-and series objects the serial ``repro.reporting`` functions produce.
-One pool, every cell kind interleaved, so slow OBR searches overlap
-with cheap SBR cells instead of serializing behind them.
+:class:`~repro.runner.executor.GridRunner`, and assembles the row and
+series objects with the ``*_from_results`` functions of
+``repro.reporting``.  One pool, every cell kind interleaved, so slow
+OBR searches overlap with cheap SBR cells instead of serializing behind
+them.  :func:`report_tables` is the one definition of every artifact's
+layout; :func:`write_report` writes it.
 
-Determinism: cell functions are pure, outcomes merge in grid order, and
-the assemblers are shared with the serial path, so ``run_all(workers=N)``
-returns objects equal to the serial regeneration for every N.
+Determinism: cell functions are pure and outcomes merge in grid order,
+so ``run_all(workers=N)`` returns equal objects for every N.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.recommend import RecommendationReport
 from repro.cdn.vendors import all_vendor_names
@@ -40,9 +41,12 @@ from repro.runner.fastpath import FastPathPlanner, FastPathStats
 from repro.runner.grid import ExperimentGrid
 from repro.runner.memo import sbr_per_request_traffic
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.reporting.render import Table
+
 MB = 1 << 20
 
-#: Quick-mode trims, mirroring ``reporting.summary.generate_full_report``.
+#: Quick-mode trims of the Table V and Fig 7 sweeps.
 QUICK_TABLE5_COMBOS = (("cloudflare", "akamai"), ("cdn77", "azure"))
 QUICK_FIG7_MS = (2, 12, 15)
 
@@ -175,7 +179,7 @@ def run_all(
 
     ``quick=True`` trims the grid for smoke runs (Table IV at 1 MB,
     Fig 6 at three sizes, two Table V cascades, three Fig 7 points) —
-    the CI path.  Results are identical to the serial regeneration; the
+    the CI path.  Results are identical for every worker count; the
     equivalence tests pin this.
 
     ``collect_obs=True`` runs every cell traced and metered: the report
@@ -394,26 +398,21 @@ def run_all(
     )
 
 
-def write_report(
-    report: RunAllReport, output_dir: Union[str, Path]
-) -> List[Path]:
-    """Render the report's artifacts into ``output_dir`` (txt files)."""
+def report_tables(report: RunAllReport) -> List["Table"]:
+    """Every table :func:`write_report` renders, in write order.
+
+    The one place each artifact's headers and cell formats are defined:
+    ``write_report`` writes these tables, ``repro run-all`` prints them
+    and ``repro report`` adds their markdown twins.  Table VII keeps its
+    own rendering (:func:`~repro.analysis.recommend.render_recommendations_table`).
+    """
     from repro.reporting.paper_values import PAPER_TABLE4_FACTORS, PAPER_TABLE5
-    from repro.reporting.render import render_table
-
-    target = Path(output_dir)
-    target.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-
-    def _write(name: str, content: str) -> None:
-        path = target / name
-        path.write_text(content + "\n", encoding="utf-8")
-        written.append(path)
 
     sizes = sorted(report.table4[0].factors) if report.table4 else []
-    _write(
-        "table4_sbr_factors.txt",
-        render_table(
+    tables: List[Table] = [
+        (
+            "table4_sbr_factors",
+            "Table IV - SBR amplification factors",
             ["CDN", "Exploited Case"] + [f"{s // MB}MB (paper)" for s in sizes],
             [
                 [
@@ -428,10 +427,9 @@ def write_report(
                 for row in report.table4
             ],
         ),
-    )
-    _write(
-        "table5_obr_factors.txt",
-        render_table(
+        (
+            "table5_obr_factors",
+            "Table V - OBR amplification factors",
             ["FCDN", "BCDN", "Max n (paper)", "BCDN->FCDN B (paper)", "Factor (paper)"],
             [
                 [
@@ -444,25 +442,26 @@ def write_report(
                 for row in report.table5
             ],
         ),
-    )
+    ]
     if report.fig6:
-        header = ["size"] + [series.vendor for series in report.fig6]
-        _write(
-            "fig6a_amplification_factors.txt",
-            render_table(
-                header,
+        tables.append(
+            (
+                "fig6a_amplification_factors",
+                "Fig 6a - SBR amplification factor vs resource size",
+                ["size"] + [series.vendor for series in report.fig6],
                 [
                     [f"{size // MB}MB"]
                     + [f"{series.factors[i]:.0f}" for series in report.fig6]
                     for i, size in enumerate(report.fig6[0].sizes)
                 ],
-            ),
+            )
         )
     if report.table_ccfc:
         ccfc_sizes = sorted(report.table_ccfc[0].factors)
-        _write(
-            "table_ccfc.txt",
-            render_table(
+        tables.append(
+            (
+                "table_ccfc",
+                "CCFC - compression-conversion amplification factors",
                 ["CDN", "Negotiated coding"]
                 + [f"{s // MB}MB factor" for s in ccfc_sizes],
                 [
@@ -473,12 +472,14 @@ def write_report(
                     ]
                     for row in report.table_ccfc
                 ],
-            ),
+            )
         )
     if report.table_faults:
-        _write(
-            "table6_faulted_sbr.txt",
-            render_table(
+        tables.append(
+            (
+                "table6_faulted_sbr",
+                f"Table VI - SBR under faults + vendor retries "
+                f"(seed {report.fault_seed})",
                 [
                     "CDN",
                     "Size",
@@ -504,11 +505,12 @@ def write_report(
                     ]
                     for row in report.table_faults
                 ],
-            ),
+            )
         )
-    _write(
-        "fig7_bandwidth.txt",
-        render_table(
+    tables.append(
+        (
+            "fig7_bandwidth",
+            "Fig 7 - origin egress vs m",
             ["m", "steady origin Mbps", "peak client Kbps", "saturated"],
             [
                 [
@@ -519,17 +521,30 @@ def write_report(
                 ]
                 for result in report.fig7
             ],
-        ),
+        )
     )
+    return tables
+
+
+def write_report(
+    report: RunAllReport, output_dir: Union[str, Path]
+) -> List[Path]:
+    """Render the report's artifacts into ``output_dir`` (txt files)."""
+    from repro.reporting.render import write_tables
+
+    target = Path(output_dir)
+    written = write_tables(report_tables(report), target)
     if report.table7_recommendations is not None:
         from repro.analysis.recommend import render_recommendations_table
 
-        _write(
-            "table7_recommendations.txt",
-            render_recommendations_table(report.table7_recommendations),
-        )
-        _write(
-            "table7_recommendations.json",
-            report.table7_recommendations.to_json(),
-        )
+        for name, content in (
+            (
+                "table7_recommendations.txt",
+                render_recommendations_table(report.table7_recommendations),
+            ),
+            ("table7_recommendations.json", report.table7_recommendations.to_json()),
+        ):
+            path = target / name
+            path.write_text(content + "\n", encoding="utf-8")
+            written.append(path)
     return written

@@ -1,24 +1,36 @@
 """Integration tests for table/figure regeneration.
 
-Full-scale regeneration lives in the benchmarks; here the harnesses run
-on reduced vendor subsets / sizes and are checked for structural
+Full-scale regeneration lives in the benchmarks; here the sweeps run
+through the grid runner on reduced vendor subsets / sizes, are assembled
+by the ``*_from_results`` functions, and are checked for structural
 correctness against the paper's membership and shape.
 """
 
 import pytest
 
 from repro.core.feasibility import survey
-from repro.reporting.figures import Fig6Series, fig6_series, fig7_series
+from repro.core.obr import obr_grid
+from repro.core.practical import flood_grid
+from repro.core.sbr import sbr_grid
+from repro.reporting.figures import Fig6Series, fig6_series_from_results
 from repro.reporting.paper_values import PAPER_TABLE5
 from repro.reporting.tables import (
     table1_rows,
     table2_rows,
     table3_rows,
-    table4_rows,
-    table5_rows,
+    table4_rows_from_results,
+    table5_rows_from_results,
 )
+from repro.runner import GridRunner
 
 MB = 1 << 20
+
+
+def _run(grid):
+    """One grid run's values by cell key; any failed cell raises."""
+    result = GridRunner(workers=1).run(grid)
+    result.values()
+    return result.value_by_key()
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +73,8 @@ class TestTable3:
 
 class TestTable4:
     def test_row_structure(self):
-        rows = table4_rows(vendors=["akamai", "keycdn"], sizes=(1 * MB, 2 * MB))
+        vendors, sizes = ["akamai", "keycdn"], (1 * MB, 2 * MB)
+        rows = table4_rows_from_results(_run(sbr_grid(vendors, sizes)), vendors, sizes)
         assert len(rows) == 2
         akamai = rows[0]
         assert akamai.factors[2 * MB] > akamai.factors[1 * MB]
@@ -73,7 +86,8 @@ class TestTable4:
 
 class TestTable5:
     def test_single_combination(self):
-        rows = table5_rows(combinations=[("cdn77", "azure")])
+        combos = [("cdn77", "azure")]
+        rows = table5_rows_from_results(_run(obr_grid(combos)), combos)
         assert len(rows) == 1
         row = rows[0]
         assert row.max_n == 64
@@ -84,7 +98,8 @@ class TestTable5:
 
 class TestFig6:
     def test_series_structure(self):
-        series = fig6_series(vendors=["gcore"], sizes=[1 * MB, 2 * MB, 3 * MB])
+        vendors, sizes = ["gcore"], (1 * MB, 2 * MB, 3 * MB)
+        series = fig6_series_from_results(_run(sbr_grid(vendors, sizes)), vendors, sizes)
         assert len(series) == 1
         curve = series[0]
         assert isinstance(curve, Fig6Series)
@@ -99,7 +114,7 @@ class TestFig6:
 
 class TestFig7:
     def test_series_structure(self):
-        results = fig7_series(ms=(2, 13))
+        results = GridRunner(workers=1).run(flood_grid(ms=(2, 13))).values()
         assert [r.m for r in results] == [2, 13]
         assert not results[0].saturated
         assert results[1].saturated

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.obr import obr_grid
+from repro.cdn.vendors import all_vendor_names
+from repro.core.obr import ObrAttack, obr_grid
 from repro.core.practical import flood_grid
-from repro.core.sbr import sbr_grid
-from repro.reporting.tables import table4_rows, table5_rows
+from repro.core.sbr import SbrAttack, sbr_grid
+from repro.reporting.tables import table4_rows_from_results, table5_rows_from_results
 from repro.runner import (
     CellFailure,
     ExperimentGrid,
@@ -95,16 +96,33 @@ def test_equivalence_holds_when_a_cell_raises():
 
 
 def test_table4_rows_parallel_identical_to_legacy_serial():
-    """The reporting surface: runner-backed rows == legacy serial rows."""
-    parallel = table4_rows(sizes=(1 * MB,), runner=GridRunner(workers=4))
-    serial = table4_rows(sizes=(1 * MB,))
+    """The reporting surface: rows from a pool run == rows from direct,
+    in-process attack runs (the serial reference, kept here)."""
+    vendors, sizes = all_vendor_names(), (1 * MB,)
+    result = GridRunner(workers=4).run(sbr_grid(vendors, sizes))
+    result.values()
+    parallel = table4_rows_from_results(result.value_by_key(), vendors, sizes)
+    serial = table4_rows_from_results(
+        {
+            (name, size): SbrAttack(name, resource_size=size).run()
+            for name in vendors
+            for size in sizes
+        },
+        vendors,
+        sizes,
+    )
     assert parallel == serial
 
 
 def test_table5_rows_parallel_identical_to_legacy_serial():
     combos = [("cloudflare", "akamai"), ("stackpath", "azure")]
-    parallel = table5_rows(combinations=combos, runner=GridRunner(workers=2))
-    serial = table5_rows(combinations=combos)
+    result = GridRunner(workers=4).run(obr_grid(combos))
+    result.values()
+    parallel = table5_rows_from_results(result.value_by_key(), combos)
+    serial = table5_rows_from_results(
+        {(fcdn, bcdn): ObrAttack(fcdn, bcdn).run() for fcdn, bcdn in combos},
+        combos,
+    )
     assert parallel == serial
 
 

@@ -91,12 +91,67 @@ class TestMatrix:
 
 
 class TestReport:
-    def test_quick_report_written(self, tmp_path, capsys):
+    def test_quick_report_written(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_RUNNER_WORKERS", "1")
         target = tmp_path / "out"
         assert main(["report", str(target), "--quick"]) == 0
         output = capsys.readouterr().out
         assert "table4_sbr_factors" in output
         assert (target / "table1_sbr_feasibility.md").exists()
+
+
+class TestOutputDirIsAFile:
+    """An output directory that is an existing file is refused before
+    any work runs: exit 2 with a usage error, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "{path}", "--quick"],
+            ["report", "{path}/sub", "--quick"],
+            ["run-all", "--quick", "--no-progress", "--output-dir", "{path}"],
+        ],
+    )
+    def test_is_a_usage_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "taken"
+        path.write_text("not a directory")
+        assert main([arg.format(path=path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        assert "is not a directory" in captured.err
+        assert "Traceback" not in captured.err
+        # Refused up front: no grid ran, nothing was printed.
+        assert captured.out == ""
+
+
+class TestNumericArguments:
+    """Sizes, rounds and campaign rates must be positive (and finite)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sbr", "akamai", "--size-mb", "-1"],
+            ["sbr", "akamai", "--size-mb", "0"],
+            ["sbr", "akamai", "--rounds", "0"],
+            ["economics", "sbr", "akamai", "--size-mb", "-2"],
+            ["analyze", "--size-mb", "-1"],
+            ["analyze", "--ccfc-size-mb", "-3"],
+            ["analyze", "--obr-size", "0"],
+            ["recommend", "--size-mb", "0"],
+            ["economics", "sbr", "akamai", "--rps", "nan"],
+            ["economics", "sbr", "akamai", "--hours", "inf"],
+            ["economics", "sbr", "akamai", "--hours", "-1"],
+        ],
+    )
+    def test_bad_arguments_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {argv[0]}")
+        flag = next(arg for arg in argv if arg.startswith("--"))
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
 
 
 class TestRunAllLabel:

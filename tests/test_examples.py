@@ -56,12 +56,6 @@ class TestExamplesRun:
         output = capsys.readouterr().out
         assert "victim bill" in output or "victim traffic" in output
 
-    def test_full_reproduction_quick(self, tmp_path, capsys):
-        _run("full_reproduction.py", str(tmp_path / "report"), "--quick")
-        output = capsys.readouterr().out
-        assert "wrote" in output
-        assert (tmp_path / "report" / "table4_sbr_factors.md").exists()
-
     def test_bandwidth_flood(self, capsys):
         _run("bandwidth_flood.py")
         output = capsys.readouterr().out
