@@ -232,7 +232,7 @@ def _decision_fetch(
                 resolved = spec.resolve(resource_size)
             except RangeNotSatisfiableError:
                 return _Fetch(payload_upper=0)
-            only = resolved[0]
+            only = resolved[0][0]
             size = profile.slice_size
             count = only.end // size - only.start // size + 1
             return _Fetch(payload_upper=min(count * size, resource_size))
@@ -265,11 +265,10 @@ def _lazy_payload_fetch(spec: RangeSpecifier, resource_size: int) -> _Fetch:
     except RangeNotSatisfiableError:
         # The origin answers 416: headers only.
         return _Fetch(payload_upper=0)
-    payload = sum(r.length for r in resolved)
-    if len(resolved) > 1:
-        payload += (
-            len(resolved) * MULTIPART_PART_ALLOWANCE + MULTIPART_CLOSER_ALLOWANCE
-        )
+    payload = sum(r.length * count for r, count in resolved)
+    parts = sum(count for _, count in resolved)
+    if parts > 1:
+        payload += parts * MULTIPART_PART_ALLOWANCE + MULTIPART_CLOSER_ALLOWANCE
     return _Fetch(payload_upper=payload)
 
 

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import List, Optional, Sequence
 
 from repro.errors import RangeNotSatisfiableError
-from repro.http.ranges import ResolvedRange, coalesce_ranges
+from repro.http.ranges import RangeRun, coalesce_ranges
 
 
 class MultiRangeReplyBehavior(Enum):
@@ -31,11 +31,12 @@ class MultiRangeReplyBehavior(Enum):
 
 def apply_reply_behavior(
     behavior: MultiRangeReplyBehavior,
-    resolved: Sequence[ResolvedRange],
+    resolved: Sequence[RangeRun],
     complete_length: int,
     max_parts: Optional[int] = None,
-) -> List[ResolvedRange]:
-    """Return the ranges that will actually become response parts.
+) -> List[RangeRun]:
+    """Return the ``(range, count)`` runs that will actually become
+    response parts.
 
     ``max_parts`` (Azure's 64) applies after the behavior; exceeding it
     raises :class:`RangeNotSatisfiableError`, which the node turns into a
@@ -43,24 +44,24 @@ def apply_reply_behavior(
     """
     if not resolved:
         raise ValueError("apply_reply_behavior needs at least one resolved range")
-    if len(resolved) == 1:
-        parts = list(resolved)
-    elif behavior is MultiRangeReplyBehavior.HONOR:
+    requested = sum(count for _, count in resolved)
+    if requested == 1 or behavior is MultiRangeReplyBehavior.HONOR:
         parts = list(resolved)
     elif behavior is MultiRangeReplyBehavior.COALESCE:
-        parts = coalesce_ranges(resolved)
+        parts = [(r, 1) for r in coalesce_ranges([r for r, _ in resolved])]
     elif behavior is MultiRangeReplyBehavior.FIRST_ONLY:
-        parts = [resolved[0]]
+        parts = [(resolved[0][0], 1)]
     elif behavior is MultiRangeReplyBehavior.REJECT:
         raise RangeNotSatisfiableError(
-            f"multi-range request with {len(resolved)} ranges rejected",
+            f"multi-range request with {requested} ranges rejected",
             complete_length,
         )
     else:  # pragma: no cover - exhaustive over the enum
         raise AssertionError(f"unhandled behavior {behavior}")
-    if max_parts is not None and len(parts) > max_parts:
+    part_count = sum(count for _, count in parts)
+    if max_parts is not None and part_count > max_parts:
         raise RangeNotSatisfiableError(
-            f"{len(parts)} response parts exceed the {max_parts}-part limit",
+            f"{part_count} response parts exceed the {max_parts}-part limit",
             complete_length,
         )
     return parts

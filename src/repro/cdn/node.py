@@ -35,11 +35,10 @@ from repro.http.headers import Headers
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.multipart import MultipartByteranges, MultipartPart
 from repro.http.ranges import (
+    RangeRun,
     RangeSpecifier,
-    ResolvedRange,
     format_content_range,
     format_unsatisfied_content_range,
-    range_runs,
     try_parse_range_header,
 )
 from repro.http.status import StatusCode
@@ -386,12 +385,11 @@ class CdnNode(HttpHandler):
         except RangeNotSatisfiableError:
             return self._not_satisfiable(window.complete_length)
 
-        runs = range_runs(parts)
-        if any(not window.covers(r) for r, _ in runs):
+        if any(not window.covers(r) for r, _ in parts):
             return self._gateway_error("fetched window does not cover the requested range")
 
-        if len(parts) == 1:
-            part = parts[0]
+        if len(parts) == 1 and parts[0][1] == 1:
+            part = parts[0][0]
             response = self._base_response(
                 StatusCode.PARTIAL_CONTENT,
                 content_type,
@@ -405,13 +403,13 @@ class CdnNode(HttpHandler):
             return self._finalize(response)
 
         return self._finalize(
-            self._multipart_response(window, runs, content_type, source_headers)
+            self._multipart_response(window, parts, content_type, source_headers)
         )
 
     def _multipart_response(
         self,
         window: ContentWindow,
-        runs: List[Tuple[ResolvedRange, int]],
+        runs: List[RangeRun],
         content_type: str,
         source_headers: Headers,
     ) -> HttpResponse:

@@ -120,7 +120,7 @@ class AzureProfile(VendorProfile):
     def _range_in_second_window(self, spec: RangeSpecifier) -> bool:
         if classify_spec(spec) is not SpecShape.SINGLE_CLOSED:
             return False
-        only = spec.specs[0]
+        only = spec.first
         assert isinstance(only, ByteRangeSpec) and only.last is not None
         return EIGHT_MB <= only.first and only.last <= WINDOW_LAST
 

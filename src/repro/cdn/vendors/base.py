@@ -54,7 +54,7 @@ def classify_spec(spec: RangeSpecifier) -> SpecShape:
     """Classify a parsed Range header into a :class:`SpecShape`."""
     if spec.is_multi:
         return SpecShape.MULTI
-    only = spec.specs[0]
+    only = spec.first
     if isinstance(only, SuffixByteRangeSpec):
         return SpecShape.SINGLE_SUFFIX
     assert isinstance(only, ByteRangeSpec)

@@ -55,7 +55,7 @@ class Cdn77Profile(VendorProfile):
     ) -> ForwardDecision:
         if spec is None:
             return ForwardDecision.lazy(request.range_header)
-        leading = spec.specs[0]
+        leading = spec.first
         if isinstance(leading, ByteRangeSpec) and leading.first < DELETION_ZONE:
             return ForwardDecision.delete()
         return ForwardDecision.lazy(request.range_header)

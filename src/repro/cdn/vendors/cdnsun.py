@@ -45,7 +45,7 @@ class CdnsunProfile(VendorProfile):
     ) -> ForwardDecision:
         if spec is None:
             return ForwardDecision.lazy(request.range_header)
-        leading = spec.specs[0]
+        leading = spec.first
         if isinstance(leading, ByteRangeSpec) and leading.first == 0:
             return ForwardDecision.delete()
         return ForwardDecision.lazy(request.range_header)

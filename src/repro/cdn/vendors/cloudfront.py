@@ -49,7 +49,7 @@ class CloudFrontProfile(VendorProfile):
             return ForwardDecision.lazy(request.range_header)
         shape = classify_spec(spec)
         if shape is SpecShape.SINGLE_CLOSED:
-            only = spec.specs[0]
+            only = spec.first
             assert isinstance(only, ByteRangeSpec) and only.last is not None
             expanded = mb_aligned_expansion(only.first, only.last, cap=None)
             assert expanded is not None
@@ -61,8 +61,8 @@ class CloudFrontProfile(VendorProfile):
         return ForwardDecision.lazy(request.range_header)
 
     def _multi_decision(self, request: HttpRequest, spec: RangeSpecifier) -> ForwardDecision:
-        closed = [s for s in spec.specs if isinstance(s, ByteRangeSpec) and s.last is not None]
-        if len(closed) != len(spec.specs):
+        closed = [s for s, _ in spec.runs if isinstance(s, ByteRangeSpec) and s.last is not None]
+        if len(closed) != len(spec.runs):
             # Mixed multi-range with open/suffix specs: no alignment rule
             # applies; CloudFront fetches the whole representation rather
             # than relaying the header (it is absent from Table II, so it

@@ -22,7 +22,8 @@ policy, so before/after comparisons isolate the mitigation's effect
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cdn.limits import HeaderLimits
 from repro.cdn.multirange import MultiRangeReplyBehavior
@@ -42,8 +43,8 @@ from repro.http.body import Body
 from repro.http.message import HttpRequest
 from repro.http.ranges import (
     ByteRangeSpec,
+    RangeRun,
     RangeSpecifier,
-    ResolvedRange,
     ranges_overlap,
     try_parse_range_header,
 )
@@ -56,23 +57,27 @@ MANY_SMALL_RANGES = 16
 SMALL_RANGE_BYTES = 64
 
 
-def _overlapping_pair_count(resolved: List[ResolvedRange]) -> int:
-    """Number of unordered range pairs that overlap.
+def _overlapping_pair_count(resolved: Sequence[RangeRun]) -> int:
+    """Number of unordered range pairs that overlap, over ``(range,
+    count)`` runs with every repeat counted as its own range.
 
-    Equivalent to the naive all-pairs scan (pairs with
-    ``a.start <= b.end and b.start <= a.end``) but O(n log n): sort by
-    start, then each range overlaps exactly the earlier ranges whose end
-    reaches its start.  The OBR attack's probe requests carry tens of
-    thousands of mutually overlapping ranges, so the quadratic scan was
-    the single hottest path of the static recommendation engine.
+    Equivalent to the naive all-pairs scan of the expanded ranges (pairs
+    with ``a.start <= b.end and b.start <= a.end``) but O(r log r) in
+    the number of runs ``r``: the ``c`` copies of a run overlap each
+    other pairwise, and in start order each range overlaps exactly the
+    earlier-starting ranges whose end reaches its start.
     """
-    starts = sorted(r.start for r in resolved)
-    ends = sorted(r.end for r in resolved)
-    pairs = 0
-    for index, start in enumerate(starts):
-        # Ranges ending before ``start`` cannot overlap this one; among
-        # the remaining, the ``index`` earlier-starting ones all do.
-        pairs += index - bisect_left(ends, start)
+    by_end = sorted((r.end, count) for r, count in resolved)
+    ends = [end for end, _ in by_end]
+    # ``ended[i]``: how many ranges the first ``i`` entries of ``by_end`` hold.
+    ended = [0, *accumulate(count for _, count in by_end)]
+    pairs = earlier = 0
+    for start, count in sorted((r.start, count) for r, count in resolved):
+        # Ranges ending before ``start`` cannot overlap this run; the
+        # ``earlier`` ones that remain all do, and so do its own copies.
+        pairs += count * (earlier - ended[bisect_left(ends, start)])
+        pairs += count * (count - 1) // 2
+        earlier += count
     return pairs
 
 
@@ -98,10 +103,11 @@ def rfc7233_multirange_guard(
         overlapping = _overlapping_pair_count(resolved)
         if overlapping > MAX_OVERLAPPING_RANGES:
             return f"{overlapping} overlapping range pairs (RFC 7233 6.1 guard)"
-        small = sum(1 for r in resolved if r.length <= SMALL_RANGE_BYTES)
+        small = sum(count for r, count in resolved if r.length <= SMALL_RANGE_BYTES)
         if small >= MANY_SMALL_RANGES:
             return f"{small} small ranges (RFC 7233 6.1 guard)"
-        if ranges_overlap(resolved) and len(resolved) > MAX_OVERLAPPING_RANGES:
+        satisfiable = sum(count for _, count in resolved)
+        if ranges_overlap(resolved) and satisfiable > MAX_OVERLAPPING_RANGES:
             return "overlapping multi-range request (RFC 7233 6.1 guard)"
         return None
 
@@ -183,7 +189,7 @@ class MitigatedProfile(VendorProfile):
         if self.forwarding == "laziness":
             return ForwardDecision.lazy(request.range_header)
         if classify_spec(spec) is SpecShape.SINGLE_CLOSED:
-            only = spec.specs[0]
+            only = spec.first
             assert isinstance(only, ByteRangeSpec) and only.last is not None
             first, last = bounded_expansion(only.first, only.last, slack=self.expansion_slack)
             return ForwardDecision.expand(f"bytes={first}-{last}")
@@ -290,7 +296,7 @@ class SlicingProfile(VendorProfile):
         if spec is None or classify_spec(spec) is not SpecShape.SINGLE_CLOSED:
             return super().fetch(request, spec, ctx, exchange)
 
-        only = spec.specs[0]
+        only = spec.first
         assert isinstance(only, ByteRangeSpec) and only.last is not None
         first_slice = only.first // self.slice_size
         last_slice = only.last // self.slice_size

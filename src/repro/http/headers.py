@@ -23,6 +23,21 @@ from repro.errors import HeaderError
 _TOKEN_FORBIDDEN = set(' \t\r\n:"(),/;<=>?@[\\]{}')
 
 
+def parse_decimal(text: str) -> Optional[int]:
+    """``1*DIGIT`` as an int, or None when ``text`` is anything else.
+
+    DIGIT is ASCII ``0-9`` only (RFC 5234): signs, underscores, other
+    scripts' digits and surrounding whitespace are not decimal, and
+    neither is a number longer than ``int()`` converts.
+    """
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            return None
+    return None
+
+
 def _check_name(name: str) -> None:
     if not name:
         raise HeaderError("header name must be non-empty")

@@ -34,10 +34,10 @@ from repro.errors import MultipartError
 from repro.http.body import Body, BytesBody, CompositeBody, RepeatedBody
 from repro.http.headers import Headers
 from repro.http.ranges import (
+    RangeRun,
     ResolvedRange,
     format_content_range,
     parse_content_range,
-    range_runs,
 )
 
 #: Boundary string used when the caller does not supply one.  Real servers
@@ -106,18 +106,19 @@ class MultipartByteranges:
     def build(
         cls,
         resource_body: Body,
-        ranges: Sequence[ResolvedRange],
+        ranges: Sequence[RangeRun],
         content_type: str,
         complete_length: Optional[int] = None,
         boundary: str = DEFAULT_BOUNDARY,
     ) -> "MultipartByteranges":
         """Assemble a multipart payload by slicing ``resource_body``.
 
-        ``ranges`` must already be resolved (satisfiable) against the
-        resource; no overlap checking is done here — deliberately, since
-        modeling servers that *skip* that check is the point of the OBR
-        reproduction.  Overlap rejection belongs in the server policy
-        layer (:mod:`repro.cdn.multirange`).
+        ``ranges`` are ``(range, count)`` runs, as
+        :meth:`~repro.http.ranges.RangeSpecifier.resolve` returns them,
+        already satisfiable against the resource.  No overlap checking is
+        done here — deliberately, since modeling servers that *skip* that
+        check is the point of the OBR reproduction.  Overlap rejection
+        belongs in the server policy layer (:mod:`repro.cdn.multirange`).
         """
         complete = complete_length if complete_length is not None else len(resource_body)
         runs = [
@@ -130,7 +131,7 @@ class MultipartByteranges:
                 ),
                 count,
             )
-            for r, count in range_runs(ranges)
+            for r, count in ranges
         ]
         return cls(runs, boundary=boundary)
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RangeNotSatisfiableError, RangeParseError
+from repro.http.headers import parse_decimal
 
 #: RFC 7230 optional whitespace, allowed around the commas of a
 #: byte-range-set by the 1#rule list extension.
@@ -119,57 +120,80 @@ class ResolvedRange:
         return ResolvedRange(min(self.start, other.start), max(self.end, other.end))
 
 
+#: One run of a parsed ``Range`` header: a spec and how many times it
+#: repeats in a row.
+SpecRun = Tuple[RangeSpec, int]
+#: One run of resolved ranges: a window and how many times it repeats.
+RangeRun = Tuple[ResolvedRange, int]
+
+
 class RangeSpecifier:
-    """A parsed ``Range`` header value: a unit plus one or more specs."""
+    """A parsed ``Range`` header value: a unit plus one or more specs.
 
-    __slots__ = ("unit", "specs")
+    The specs are held as maximal runs ``((spec, count), ...)`` of equal
+    consecutive specs.  Attack-shaped headers repeat one spec thousands
+    of times ("0-,0-,0-,..."), and as runs they parse, resolve and pass
+    the limit checks in time proportional to the number of runs, not of
+    specs.  Runs are canonical -- neighbouring specs differ and every
+    count is at least 1 -- so ``==``, ``len()`` (the number of specs) and
+    :meth:`to_header_value` agree with the spec-by-spec list.
+    :func:`parse_range_header` builds them that way, and so must any
+    other caller.
+    """
 
-    def __init__(self, specs: Sequence[RangeSpec], unit: str = "bytes") -> None:
-        if not specs:
+    __slots__ = ("unit", "runs")
+
+    def __init__(self, runs: Sequence[SpecRun], unit: str = "bytes") -> None:
+        if not runs:
             raise RangeParseError("byte-range-set must contain at least one spec")
         self.unit = unit
-        self.specs: Tuple[RangeSpec, ...] = tuple(specs)
+        self.runs: Tuple[SpecRun, ...] = tuple(runs)
 
     def __len__(self) -> int:
-        return len(self.specs)
+        return sum(count for _, count in self.runs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RangeSpecifier):
             return NotImplemented
-        return self.unit == other.unit and self.specs == other.specs
+        return self.unit == other.unit and self.runs == other.runs
 
     def __repr__(self) -> str:
         return f"RangeSpecifier({self.to_header_value()!r})"
 
     @property
+    def first(self) -> RangeSpec:
+        """The leading spec, the one vendor policy tables switch on."""
+        return self.runs[0][0]
+
+    @property
     def is_multi(self) -> bool:
-        return len(self.specs) > 1
+        return len(self.runs) > 1 or self.runs[0][1] > 1
 
     def to_header_value(self) -> str:
         """Serialize back to a ``Range`` header value (no added whitespace)."""
-        return f"{self.unit}=" + ",".join(spec.to_string() for spec in self.specs)
+        return f"{self.unit}=" + ",".join(
+            ",".join([spec.to_string()] * count) for spec, count in self.runs
+        )
 
     # -- resolution ---------------------------------------------------------
 
-    def resolve(self, complete_length: int) -> List[ResolvedRange]:
-        """Resolve every spec against ``complete_length``.
+    def resolve(self, complete_length: int) -> List[RangeRun]:
+        """Resolve every run against ``complete_length``.
 
-        Unsatisfiable specs are dropped (RFC 7233 §2.1); if *no* spec is
+        Unsatisfiable specs are dropped (RFC 7233 §2.1) and equal
+        neighbouring windows merge into one run; if *no* spec is
         satisfiable, :class:`RangeNotSatisfiableError` is raised — the
         HTTP 416 condition.
         """
-        resolved: List[ResolvedRange] = []
-        last_spec: Optional[RangeSpec] = None
-        last_result: Optional[ResolvedRange] = None
-        for spec in self.specs:
-            # Repeated specs parse to a shared instance (see
-            # ``parse_range_header``), so an identity memo resolves an
-            # n-fold repeat with one computation.
-            if spec is not last_spec:
-                last_spec = spec
-                last_result = spec.resolve(complete_length)
-            if last_result:
-                resolved.append(last_result)
+        resolved: List[RangeRun] = []
+        for spec, count in self.runs:
+            window = spec.resolve(complete_length)
+            if window is None:
+                continue
+            if resolved and resolved[-1][0] == window:
+                resolved[-1] = (window, resolved[-1][1] + count)
+            else:
+                resolved.append((window, count))
         if not resolved:
             raise RangeNotSatisfiableError(
                 f"no satisfiable ranges in {self.to_header_value()!r} "
@@ -191,18 +215,20 @@ class RangeSpecifier:
     def requested_bytes(self, complete_length: int) -> int:
         """Total bytes the client asked for (double-counting overlaps)."""
         try:
-            return sum(r.length for r in self.resolve(complete_length))
+            resolved = self.resolve(complete_length)
         except RangeNotSatisfiableError:
             return 0
+        return sum(window.length * count for window, count in resolved)
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
-_UNIT_RE = re.compile(r"^([!#$%&'*+.^_`|~0-9A-Za-z-]+)=(.*)$", re.DOTALL)
-_BYTE_RANGE_RE = re.compile(r"^(\d+)-(\d*)$")
-_SUFFIX_RANGE_RE = re.compile(r"^-(\d+)$")
+_UNIT_RE = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+#: Range sets up to this many characters are split in one call; longer
+#: ones -- the OBR attack's thousands of repeats -- are scanned run by run.
+_SPLIT_CHARS = 256
 
 
 def parse_range_header(value: str, strict_unit: bool = True) -> RangeSpecifier:
@@ -215,50 +241,115 @@ def parse_range_header(value: str, strict_unit: bool = True) -> RangeSpecifier:
     """
     if value is None:
         raise RangeParseError("Range header value is None")
-    match = _UNIT_RE.match(value.strip(_OWS))
-    if not match:
+    unit, equals, range_set = value.strip(_OWS).partition("=")
+    if not equals or (unit != "bytes" and not _UNIT_RE.fullmatch(unit)):
         raise RangeParseError(f"malformed Range header {value!r}")
-    unit, range_set = match.group(1), match.group(2)
     if strict_unit and unit != "bytes":
         raise RangeParseError(f"unsupported range unit {unit!r}")
-    items = range_set.split(",")
-    specs: List[RangeSpec] = []
+    if len(range_set) > _SPLIT_CHARS:
+        runs = _scan_runs(range_set, value)
+    else:
+        runs = []
+        last_item: Optional[str] = None
+        for raw in range_set.split(","):
+            item = raw.strip(_OWS)
+            if not item:
+                # The 1#rule list grammar tolerates empty elements
+                # ("a,,b"); skip them rather than failing the header.
+                continue
+            if item == last_item:
+                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+            else:
+                last_item = item
+                _add_run(runs, _parse_spec(item, value), 1)
+    if not runs:
+        raise RangeParseError(f"empty byte-range-set in {value!r}")
+    return RangeSpecifier(runs, unit)
+
+
+def _scan_runs(range_set: str, value: str) -> List[SpecRun]:
+    """Parse a long range set run by run.
+
+    Attack-shaped headers repeat one element thousands of times
+    ("0-,0-,0-,..."): the set is walked element by element only until an
+    element repeats, and the copies that follow are counted with C-level
+    string compares instead of being visited one by one.
+    """
+    runs: List[SpecRun] = []
+    last_raw: Optional[str] = None
     last_item: Optional[str] = None
-    last_spec: Optional[RangeSpec] = None
-    for raw in items:
+    pos, size = 0, len(range_set)
+    while pos <= size:
+        comma = range_set.find(",", pos)
+        if comma < 0:
+            comma = size
+        raw = range_set[pos:comma]
+        count = 1
+        if raw == last_raw:
+            count, comma = _repeats(range_set, "," + raw, comma)
+        last_raw, pos = raw, comma + 1
         item = raw.strip(_OWS)
         if not item:
-            # The 1#rule list grammar tolerates empty elements ("a,,b");
-            # skip them rather than failing the whole header.
             continue
-        # Attack-shaped headers repeat one spec thousands of times
-        # ("0-,0-,0-,..."); specs are frozen, so repeats can share one
-        # instance instead of re-running the grammar per element.
-        if item == last_item and last_spec is not None:
-            specs.append(last_spec)
-            continue
-        last_spec = _parse_spec(item, value)
-        last_item = item
-        specs.append(last_spec)
-    if not specs:
-        raise RangeParseError(f"empty byte-range-set in {value!r}")
-    return RangeSpecifier(specs, unit=unit)
+        if item == last_item:
+            runs[-1] = (runs[-1][0], runs[-1][1] + count)
+        else:
+            last_item = item
+            _add_run(runs, _parse_spec(item, value), count)
+    return runs
+
+
+def _add_run(runs: List[SpecRun], spec: RangeSpec, count: int) -> None:
+    """Append ``count`` copies of ``spec``, merging into the last run when
+    it holds an equal spec spelled differently ("0-,00-"), so that runs
+    stay canonical."""
+    if runs and runs[-1][0] == spec:
+        runs[-1] = (spec, runs[-1][1] + count)
+    else:
+        runs.append((spec, count))
+
+
+def _repeats(range_set: str, token: str, at: int) -> Tuple[int, int]:
+    """Count a copy of an element and the whole copies that follow it.
+
+    ``token`` is ``"," + element`` and ``at`` is the end of the copy.
+    Returns ``(count, end)`` with ``end`` just past the last whole copy
+    (a comma or the end of ``range_set``).  Matches gallop by doubling,
+    so n copies cost O(log n) compares.
+    """
+    count, step, width = 1, 1, len(token)
+    while range_set.startswith(token * step, at):
+        at += width * step
+        count += step
+        step *= 2
+    while step > 1:
+        step //= 2
+        if range_set.startswith(token * step, at):
+            at += width * step
+            count += step
+    # Each matched copy but the last is followed by the next one's comma;
+    # the last must end its element too ("0-,0-5" is no repeat).
+    if count > 1 and at < len(range_set) and range_set[at] != ",":
+        at -= width
+        count -= 1
+    return count, at
 
 
 def _parse_spec(item: str, original: str) -> RangeSpec:
-    byte_match = _BYTE_RANGE_RE.match(item)
-    if byte_match:
-        first = int(byte_match.group(1))
-        last_raw = byte_match.group(2)
-        last = int(last_raw) if last_raw else None
-        if last is not None and last < first:
-            raise RangeParseError(
-                f"last-byte-pos {last} precedes first-byte-pos {first} in {original!r}"
-            )
-        return ByteRangeSpec(first, last)
-    suffix_match = _SUFFIX_RANGE_RE.match(item)
-    if suffix_match:
-        return SuffixByteRangeSpec(int(suffix_match.group(1)))
+    first_raw, dash, last_raw = item.partition("-")
+    if dash and not first_raw:
+        suffix = parse_decimal(last_raw)
+        if suffix is not None:
+            return SuffixByteRangeSpec(suffix)
+    elif dash:
+        first = parse_decimal(first_raw)
+        last = parse_decimal(last_raw) if last_raw else None
+        if first is not None and (last is not None or not last_raw):
+            if last is not None and last < first:
+                raise RangeParseError(
+                    f"last-byte-pos {last} precedes first-byte-pos {first} in {original!r}"
+                )
+            return ByteRangeSpec(first, last)
     raise RangeParseError(f"malformed byte-range-spec {item!r} in {original!r}")
 
 
@@ -280,8 +371,8 @@ def try_parse_range_header(value: Optional[str]) -> Optional[RangeSpecifier]:
 # Content-Range
 # ---------------------------------------------------------------------------
 
-_CONTENT_RANGE_RE = re.compile(r"^bytes (\d+)-(\d+)/(\d+|\*)$")
-_CONTENT_RANGE_UNSAT_RE = re.compile(r"^bytes \*/(\d+)$")
+_CONTENT_RANGE_RE = re.compile(r"bytes ([0-9]+)-([0-9]+)/([0-9]+|\*)")
+_CONTENT_RANGE_UNSAT_RE = re.compile(r"bytes \*/([0-9]+)")
 
 
 def format_content_range(start: int, end: int, complete_length: Optional[int]) -> str:
@@ -308,7 +399,8 @@ def parse_content_range(value: str) -> Tuple[Optional[ResolvedRange], Optional[i
     unsatisfied ``bytes */N`` form, and ``complete_length`` is ``None``
     for the ``/*`` unknown-length form.
     """
-    match = _CONTENT_RANGE_RE.match(value.strip())
+    stripped = value.strip()
+    match = _CONTENT_RANGE_RE.fullmatch(stripped)
     if match:
         start, end = int(match.group(1)), int(match.group(2))
         if end < start:
@@ -316,7 +408,7 @@ def parse_content_range(value: str) -> Tuple[Optional[ResolvedRange], Optional[i
         length_raw = match.group(3)
         complete = None if length_raw == "*" else int(length_raw)
         return ResolvedRange(start, end), complete
-    unsat = _CONTENT_RANGE_UNSAT_RE.match(value.strip())
+    unsat = _CONTENT_RANGE_UNSAT_RE.fullmatch(stripped)
     if unsat:
         return None, int(unsat.group(1))
     raise RangeParseError(f"malformed Content-Range {value!r}")
@@ -326,32 +418,12 @@ def parse_content_range(value: str) -> Tuple[Optional[ResolvedRange], Optional[i
 # Range-set analysis helpers
 # ---------------------------------------------------------------------------
 
-def ranges_overlap(resolved: Sequence[ResolvedRange]) -> bool:
-    """True when any two resolved ranges overlap."""
-    ordered = sorted(resolved)
+def ranges_overlap(resolved: Sequence[RangeRun]) -> bool:
+    """True when any two resolved ranges overlap (a repeat overlaps itself)."""
+    if any(count > 1 for _, count in resolved):
+        return True
+    ordered = sorted(window for window, _ in resolved)
     return any(a.overlaps(b) for a, b in zip(ordered, ordered[1:]))
-
-
-def range_runs(resolved: Sequence[ResolvedRange]) -> List[Tuple[ResolvedRange, int]]:
-    """Group consecutive equal ranges into ``(range, count)`` runs.
-
-    Repeated specs resolve to one shared instance (see
-    :meth:`RangeSpecifier.resolve`), so the identity test settles the
-    OBR shape -- thousands of ``0-`` ranges -- without comparing fields.
-    """
-    runs: List[Tuple[ResolvedRange, int]] = []
-    current: Optional[ResolvedRange] = None
-    count = 0
-    for r in resolved:
-        if r is current or r == current:
-            count += 1
-            continue
-        if current is not None:
-            runs.append((current, count))
-        current, count = r, 1
-    if current is not None:
-        runs.append((current, count))
-    return runs
 
 
 def coalesce_ranges(resolved: Sequence[ResolvedRange]) -> List[ResolvedRange]:

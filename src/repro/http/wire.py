@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.errors import MessageError
-from repro.http.headers import Headers
+from repro.http.headers import Headers, parse_decimal
 from repro.http.message import HttpRequest, HttpResponse
 
 _HEADER_END = b"\r\n\r\n"
@@ -30,9 +30,14 @@ def _split_head(blob: bytes, kind: str) -> Tuple[str, Headers, bytes]:
 
 
 def _delimit_body(headers: Headers, body: bytes, kind: str) -> bytes:
-    declared = headers.get_int("Content-Length")
-    if declared is None:
+    raw = headers.get("Content-Length")
+    if raw is None:
         return body
+    # RFC 7230 §3.3.2: Content-Length = 1*DIGIT; "-3", "+5" or "0_5"
+    # leave the framing unknown, so refuse rather than guess.
+    declared = parse_decimal(raw.strip())
+    if declared is None:
+        raise MessageError(f"{kind} has a malformed Content-Length {raw!r}")
     if declared > len(body):
         raise MessageError(
             f"{kind} declares Content-Length {declared} but only "
@@ -70,10 +75,10 @@ def parse_response(blob: bytes) -> HttpResponse:
     version = parts[0]
     if not version.startswith("HTTP/"):
         raise MessageError(f"malformed HTTP version {version!r}")
-    try:
-        status = int(parts[1])
-    except ValueError as exc:
-        raise MessageError(f"malformed status code {parts[1]!r}") from exc
+    # RFC 7230 §3.1.2: status-code = 3DIGIT.
+    status = parse_decimal(parts[1]) if len(parts[1]) == 3 else None
+    if status is None:
+        raise MessageError(f"malformed status code {parts[1]!r}")
     reason = parts[2] if len(parts) == 3 else ""
     return HttpResponse(
         status=status,

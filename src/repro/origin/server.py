@@ -29,7 +29,7 @@ from repro.http.headers import Headers
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.multipart import MultipartByteranges
 from repro.http.ranges import (
-    ResolvedRange,
+    RangeRun,
     format_content_range,
     format_unsatisfied_content_range,
     ranges_overlap,
@@ -154,17 +154,19 @@ class OriginServer:
             self.stats.not_satisfiable += 1
             return self._not_satisfiable(resource)
 
-        if len(resolved) == 1:
-            return self._single_part(resource, resolved[0].start, resolved[0].end)
+        count = sum(n for _, n in resolved)
+        if count == 1:
+            only = resolved[0][0]
+            return self._single_part(resource, only.start, only.end)
 
-        if self._abusive_multirange(resolved):
+        if self._abusive_multirange(resolved, count):
             # Apache's CVE-2011-3192 fix: downgrade to a full response.
             return self._full_response(resource)
 
         return self._multipart(resource, resolved)
 
-    def _abusive_multirange(self, resolved: List[ResolvedRange]) -> bool:
-        if len(resolved) > self.max_ranges:
+    def _abusive_multirange(self, resolved: List[RangeRun], count: int) -> bool:
+        if count > self.max_ranges:
             return True
         return self.reject_overlapping and ranges_overlap(resolved)
 
@@ -247,7 +249,7 @@ class OriginServer:
             body=resource.content.slice(start, end + 1),
         )
 
-    def _multipart(self, resource: Resource, resolved: List[ResolvedRange]) -> HttpResponse:
+    def _multipart(self, resource: Resource, resolved: List[RangeRun]) -> HttpResponse:
         self.stats.multipart_responses += 1
         multipart = MultipartByteranges.build(
             resource_body=resource.content,

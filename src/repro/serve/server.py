@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Deque, Dict, Optional, Union
 
 from repro.errors import HeaderError, HttpError
-from repro.http.headers import Headers
+from repro.http.headers import Headers, parse_decimal
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.status import StatusCode
 from repro.http.wire import parse_request
@@ -66,11 +66,9 @@ def _declared_length(headers: Headers) -> Optional[int]:
     if len(values) > 1:
         raise HeaderError(f"{len(values)} Content-Length fields")
     raw = values[0].strip()
-    try:
-        if raw.isascii() and raw.isdigit():
-            return int(raw)
-    except ValueError:  # more digits than int() converts
-        pass
+    length = parse_decimal(raw)
+    if length is not None:
+        return length
     raise HeaderError(f"Content-Length is not a non-negative integer: {raw[:32]!r}")
 
 

@@ -3,18 +3,25 @@ kill (or bound) the attack it targets, without breaking legitimate range
 serving."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cdn.vendors import create_profile
 from repro.core.deployment import CdnSpec, Deployment
 from repro.core.obr import ObrAttack
 from repro.core.sbr import SbrAttack
 from repro.defense.mitigations import (
+    MANY_SMALL_RANGES,
+    MAX_OVERLAPPING_RANGES,
+    SMALL_RANGE_BYTES,
+    _overlapping_pair_count,
     rfc7233_multirange_guard,
     with_bounded_expansion,
     with_laziness,
     with_overlap_rejection,
 )
 from repro.http.message import HttpRequest
+from repro.http.ranges import ResolvedRange
 from repro.netsim.tap import CDN_ORIGIN
 from repro.origin.server import OriginServer
 
@@ -154,6 +161,13 @@ class TestRfc7233Guard:
         guard = rfc7233_multirange_guard()
         assert guard(self._request("bytes=0-0")) is None
 
+    def test_repeated_small_ranges_count_once_each(self):
+        # 15 disjoint bytes plus one byte twice: one overlapping pair,
+        # and 17 small ranges once the repeat counts as two.
+        specs = ",".join(f"{i * 10}-{i * 10}" for i in range(15)) + ",200-200,200-200"
+        guard = rfc7233_multirange_guard()
+        assert guard(self._request(f"bytes={specs}")) == "17 small ranges (RFC 7233 6.1 guard)"
+
     def test_two_disjoint_ranges_pass(self):
         guard = rfc7233_multirange_guard()
         assert guard(self._request("bytes=0-99999,200000-300000")) is None
@@ -161,6 +175,70 @@ class TestRfc7233Guard:
     def test_no_range_header_passes(self):
         guard = rfc7233_multirange_guard()
         assert guard(HttpRequest("GET", "/x", headers=[("Host", "h")])) is None
+
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                st.integers(min_value=1, max_value=6),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=300)
+    def test_pair_count_matches_all_pairs_scan(self, runs):
+        runs = [(ResolvedRange(min(ends), max(ends)), count) for ends, count in runs]
+        ranges = [r for r, count in runs for _ in range(count)]
+        naive = sum(
+            1
+            for i, a in enumerate(ranges)
+            for b in ranges[i + 1:]
+            if a.start <= b.end and b.start <= a.end
+        )
+        assert _overlapping_pair_count(runs) == naive
+
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.sampled_from(["0-", "0-63", "64-127", "100-", "-10", "5-5", "500-900"]),
+                st.integers(min_value=1, max_value=20),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=200)
+    def test_guard_matches_spec_by_spec_rules(self, specs):
+        """The guard's verdict equals RFC 7233 §6.1's rules applied to the
+        expanded list of resolved ranges."""
+        header = "bytes=" + ",".join(spec for spec, count in specs for _ in range(count))
+        size = 1 << 30
+        windows = []
+        for spec, count in specs:
+            first, _, last = spec.partition("-")
+            if not first:
+                window = ResolvedRange(size - int(last), size - 1)
+            else:
+                window = ResolvedRange(int(first), int(last) if last else size - 1)
+            windows += [window] * count
+        pairs = sum(
+            1
+            for i, a in enumerate(windows)
+            for b in windows[i + 1:]
+            if a.start <= b.end and b.start <= a.end
+        )
+        small = sum(1 for w in windows if w.length <= SMALL_RANGE_BYTES)
+        if len(windows) < 2:
+            expected = None
+        elif pairs > MAX_OVERLAPPING_RANGES:
+            expected = f"{pairs} overlapping range pairs (RFC 7233 6.1 guard)"
+        elif small >= MANY_SMALL_RANGES:
+            expected = f"{small} small ranges (RFC 7233 6.1 guard)"
+        elif pairs and len(windows) > MAX_OVERLAPPING_RANGES:
+            expected = "overlapping multi-range request (RFC 7233 6.1 guard)"
+        else:
+            expected = None
+        assert rfc7233_multirange_guard()(self._request(header)) == expected
 
 
 class TestConfigRoundTrip:

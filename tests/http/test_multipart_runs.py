@@ -7,6 +7,8 @@ payload and CRLF per part.  Every encoding, size and slice must match it
 byte for byte, including a delivery cut that lands inside a run.
 """
 
+from itertools import groupby
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from repro.cdn.vendors import create_profile
 from repro.http.body import Body, CompositeBody, RepeatedBody, SyntheticBody
 from repro.http.message import HttpRequest
 from repro.http.multipart import MultipartByteranges
-from repro.http.ranges import ResolvedRange, parse_range_header, range_runs
+from repro.http.ranges import ResolvedRange, parse_range_header
 from repro.netsim.tap import TrafficLedger
 from repro.origin.resource import Resource
 from repro.origin.server import OriginServer
@@ -59,9 +61,13 @@ def test_encoding_matches_reference(header):
     expected = reference_body(multipart).materialize()
     assert body.materialize() == expected
     assert len(body) == multipart.wire_size() == len(expected)
-    assert len(multipart) == len(parse_range_header(header))
+    parsed = parse_range_header(header)
+    assert len(multipart) == len(parsed)
     # One run per maximal stretch of equal consecutive ranges.
-    assert len(multipart.runs) == len(range_runs(parse_range_header(header).resolve(SIZE)))
+    windows = [
+        spec.resolve(SIZE) for spec, count in parsed.runs for _ in range(count)
+    ]
+    assert len(multipart.runs) == len(list(groupby(windows)))
 
 
 def test_one_run_is_one_repeated_piece():
@@ -74,10 +80,8 @@ def test_one_run_is_one_repeated_piece():
 
 
 def test_equal_but_distinct_instances_share_a_run():
-    # Identity is only the fast path: separately built equal ranges
-    # still group.
-    ranges = [ResolvedRange(0, SIZE - 1) for _ in range(5)]
-    multipart = MultipartByteranges.build(SyntheticBody(SIZE), ranges, "text/plain")
+    # Different specs that resolve to the same window share one run.
+    multipart = _build("bytes=0-,0-63,-64,0-100,-99")
     assert [count for _, count in multipart.runs] == [5]
     assert multipart.to_body().materialize() == reference_body(multipart).materialize()
 
@@ -141,7 +145,7 @@ class TestTruncatedDelivery:
         reference = reference_body(
             MultipartByteranges.build(
                 SyntheticBody(1024),
-                [ResolvedRange(0, 1023)] * self.PARTS,
+                [(ResolvedRange(0, 1023), self.PARTS)],
                 "application/octet-stream",
                 boundary=boundary,
             )

@@ -1,5 +1,8 @@
 """Unit and property tests for the RFC 7233 range grammar."""
 
+import re
+from itertools import groupby
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,22 +26,31 @@ from repro.http.ranges import (
 )
 
 
+def runs_of(items):
+    """Maximal ``(item, count)`` runs of equal neighbours."""
+    return [(item, len(list(group))) for item, group in groupby(items)]
+
+
+def expand(runs):
+    return [item for item, count in runs for _ in range(count)]
+
+
 class TestParsing:
     def test_single_closed(self):
         spec = parse_range_header("bytes=0-499")
-        assert spec.specs == (ByteRangeSpec(0, 499),)
+        assert spec.runs == ((ByteRangeSpec(0, 499), 1),)
 
     def test_single_open(self):
         spec = parse_range_header("bytes=9500-")
-        assert spec.specs == (ByteRangeSpec(9500, None),)
+        assert spec.runs == ((ByteRangeSpec(9500, None), 1),)
 
     def test_suffix(self):
         spec = parse_range_header("bytes=-500")
-        assert spec.specs == (SuffixByteRangeSpec(500),)
+        assert spec.runs == ((SuffixByteRangeSpec(500), 1),)
 
     def test_multiple_ranges(self):
         spec = parse_range_header("bytes=0-0,-1")
-        assert spec.specs == (ByteRangeSpec(0, 0), SuffixByteRangeSpec(1))
+        assert spec.runs == ((ByteRangeSpec(0, 0), 1), (SuffixByteRangeSpec(1), 1))
         assert spec.is_multi
 
     def test_optional_whitespace_after_commas(self):
@@ -52,9 +64,9 @@ class TestParsing:
 
     def test_rfc_appendix_examples(self):
         # RFC 7233's canonical examples for a 10000-byte representation.
-        assert parse_range_header("bytes=0-499").resolve(10000) == [ResolvedRange(0, 499)]
-        assert parse_range_header("bytes=-500").resolve(10000) == [ResolvedRange(9500, 9999)]
-        assert parse_range_header("bytes=9500-").resolve(10000) == [ResolvedRange(9500, 9999)]
+        assert parse_range_header("bytes=0-499").resolve(10000) == [(ResolvedRange(0, 499), 1)]
+        assert parse_range_header("bytes=-500").resolve(10000) == [(ResolvedRange(9500, 9999), 1)]
+        assert parse_range_header("bytes=9500-").resolve(10000) == [(ResolvedRange(9500, 9999), 1)]
 
     @pytest.mark.parametrize(
         "bad",
@@ -74,7 +86,7 @@ class TestParsing:
     def test_malformed_rejected(self, bad):
         if bad == "bytes= 0-0":
             # OWS after the comma-separated element is legal; this parses.
-            assert parse_range_header(bad).specs == (ByteRangeSpec(0, 0),)
+            assert parse_range_header(bad).runs == ((ByteRangeSpec(0, 0), 1),)
             return
         with pytest.raises(RangeParseError):
             parse_range_header(bad)
@@ -131,14 +143,14 @@ class TestResolution:
 
     def test_specifier_drops_unsatisfiable_specs(self):
         spec = parse_range_header("bytes=0-0,50-60")
-        assert spec.resolve(10) == [ResolvedRange(0, 0)]
+        assert spec.resolve(10) == [(ResolvedRange(0, 0), 1)]
 
     def test_specifier_preserves_order_and_duplicates(self):
         spec = parse_range_header("bytes=5-9,0-0,5-9")
         assert spec.resolve(10) == [
-            ResolvedRange(5, 9),
-            ResolvedRange(0, 0),
-            ResolvedRange(5, 9),
+            (ResolvedRange(5, 9), 1),
+            (ResolvedRange(0, 0), 1),
+            (ResolvedRange(5, 9), 1),
         ]
 
     def test_all_unsatisfiable_raises_416_condition(self):
@@ -208,6 +220,13 @@ class TestAnalysisHelpers:
         with pytest.raises(ValueError):
             covering_span([])
 
+    def test_overlap_over_runs(self):
+        # A repeated range overlaps its own copies.
+        assert ranges_overlap([(ResolvedRange(0, 9), 2)])
+        assert ranges_overlap([(ResolvedRange(0, 5), 1), (ResolvedRange(5, 9), 1)])
+        assert not ranges_overlap([(ResolvedRange(5, 9), 1), (ResolvedRange(0, 4), 1)])
+        assert not ranges_overlap([(ResolvedRange(0, 9), 1)])
+
     def test_total_vs_distinct_bytes(self):
         overlapping = [ResolvedRange(0, 9), ResolvedRange(0, 9)]
         assert total_resolved_bytes(overlapping) == 20
@@ -269,7 +288,10 @@ class TestContentRange:
         assert resolved is None
         assert complete == 1000
 
-    @pytest.mark.parametrize("bad", ["bytes 5-3/10", "0-0/10", "bytes x-y/10", "bytes */x"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["bytes 5-3/10", "0-0/10", "bytes x-y/10", "bytes */x", "bytes 0-5/10x", "bytes */10x"],
+    )
     def test_parse_malformed(self, bad):
         with pytest.raises(RangeParseError):
             parse_content_range(bad)
@@ -299,9 +321,10 @@ class TestGrammarProperties:
     @given(specs=st.lists(_spec_strategy, min_size=1, max_size=8))
     @settings(max_examples=300)
     def test_format_parse_round_trip(self, specs):
-        original = RangeSpecifier(specs)
+        original = RangeSpecifier(runs_of(specs))
         parsed = parse_range_header(original.to_header_value())
         assert parsed == original
+        assert len(parsed) == len(specs)
 
     @given(
         specs=st.lists(_spec_strategy, min_size=1, max_size=8),
@@ -309,11 +332,206 @@ class TestGrammarProperties:
     )
     @settings(max_examples=300)
     def test_resolution_stays_in_bounds(self, specs, length):
-        specifier = RangeSpecifier(specs)
+        specifier = RangeSpecifier(runs_of(specs))
         try:
             resolved = specifier.resolve(length)
         except RangeNotSatisfiableError:
             return
         assert resolved
-        for r in resolved:
+        for r, _ in resolved:
             assert 0 <= r.start <= r.end < length
+
+
+# ---------------------------------------------------------------------------
+# DIGIT is ASCII 0-9
+# ---------------------------------------------------------------------------
+
+
+class TestAsciiDigits:
+    """RFC 5234 DIGIT is %x30-39: other scripts' digits and a trailing
+    newline make the header unparseable, so it is ignored (a 200)."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "bytes=\u0660-\u0665",  # Arabic-Indic digits
+            "bytes=\uff10-\uff15",  # fullwidth digits
+            "bytes=-\u0665",
+            "bytes=0-\u0665",
+            "bytes=\u00b2-",  # superscript two
+            "bytes=0-5\n,7-9",
+            "bytes=0-5\n",
+            "bytes=-5\n",
+            "bytes=0-5,7-9\n",
+            "bytes=+1-5",
+            "bytes=1_0-20",
+        ],
+    )
+    def test_range_header_ignored(self, value):
+        with pytest.raises(RangeParseError):
+            parse_range_header(value)
+        assert try_parse_range_header(value) is None
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "bytes \u0660-\u0665/10",
+            "bytes \uff10-\uff15/10",
+            "bytes 0-5/\u0661\u0660",
+            "bytes */\u0661\u0660",
+            "bytes 0-5\n/10",
+        ],
+    )
+    def test_content_range_rejected(self, value):
+        with pytest.raises(RangeParseError):
+            parse_content_range(value)
+
+    def test_ascii_digits_still_parse(self):
+        assert parse_range_header("bytes=0-5,7-9").runs == (
+            (ByteRangeSpec(0, 5), 1),
+            (ByteRangeSpec(7, 9), 1),
+        )
+        assert parse_content_range("bytes 0-5/10") == (ResolvedRange(0, 5), 10)
+
+
+# ---------------------------------------------------------------------------
+# The run representation against the spec-by-spec parser it replaced
+# ---------------------------------------------------------------------------
+
+_REF_UNIT_RE = re.compile(r"([!#$%&'*+.^_`|~0-9A-Za-z-]+)=(.*)", re.DOTALL)
+_REF_BYTE_RANGE_RE = re.compile(r"([0-9]+)-([0-9]*)")
+_REF_SUFFIX_RANGE_RE = re.compile(r"-([0-9]+)")
+
+
+def reference_parse(value, strict_unit=True):
+    """The item-by-item parser: split, strip and match every element.
+
+    Returns ``(unit, [spec, ...])`` or raises :class:`RangeParseError`
+    with the parser's messages.
+    """
+    match = _REF_UNIT_RE.fullmatch(value.strip(" \t"))
+    if not match:
+        raise RangeParseError(f"malformed Range header {value!r}")
+    unit, range_set = match.group(1), match.group(2)
+    if strict_unit and unit != "bytes":
+        raise RangeParseError(f"unsupported range unit {unit!r}")
+    specs = []
+    for raw in range_set.split(","):
+        item = raw.strip(" \t")
+        if not item:
+            continue
+        byte_match = _REF_BYTE_RANGE_RE.fullmatch(item)
+        if byte_match:
+            first = int(byte_match.group(1))
+            last = int(byte_match.group(2)) if byte_match.group(2) else None
+            if last is not None and last < first:
+                raise RangeParseError(
+                    f"last-byte-pos {last} precedes first-byte-pos {first} in {value!r}"
+                )
+            specs.append(ByteRangeSpec(first, last))
+            continue
+        suffix_match = _REF_SUFFIX_RANGE_RE.fullmatch(item)
+        if suffix_match:
+            specs.append(SuffixByteRangeSpec(int(suffix_match.group(1))))
+            continue
+        raise RangeParseError(f"malformed byte-range-spec {item!r} in {value!r}")
+    if not specs:
+        raise RangeParseError(f"empty byte-range-set in {value!r}")
+    return unit, specs
+
+
+_ELEMENTS = st.sampled_from(
+    [
+        "0-", "00-", "0-0", "000-0", "1-2", "01-2", "5-9", "0-63", "60-",
+        "-3", "-03", "-0", "-64", "10-", "1-", "5-3", "a-b", "-", "--5",
+        "5--9", "1", "", " ", "\t", " 0- ", "\t-3", "0 -", "\u0660-",
+        "0-5\n", "0-\uff15",
+    ]
+)
+_UNITS = st.sampled_from(["bytes", "bytes", "bytes", "items", "BYTES", "by tes", ""])
+
+
+@st.composite
+def range_headers(draw):
+    """Header values of repeated, spaced, empty, open, closed, suffix and
+    malformed elements; long repeats cross into the run-scanning path."""
+    runs = draw(
+        st.lists(
+            st.tuples(_ELEMENTS, st.integers(min_value=1, max_value=150)),
+            min_size=0,
+            max_size=6,
+        )
+    )
+    separator = draw(st.sampled_from([",", ",", ", ", " ,", ",\t"]))
+    range_set = separator.join(element for element, count in runs for _ in range(count))
+    padding = draw(st.sampled_from(["", " ", "\t "]))
+    equals = draw(st.sampled_from(["=", "=", "=", ":", ""]))
+    return f"{padding}{draw(_UNITS)}{equals}{range_set}{padding}"
+
+
+def _outcome(parse, value, strict_unit):
+    try:
+        return parse(value, strict_unit), None
+    except RangeParseError as exc:
+        return None, str(exc)
+
+
+class TestRunsMatchSpecBySpec:
+    @given(value=range_headers(), strict_unit=st.booleans())
+    @settings(max_examples=600, deadline=None)
+    def test_parse_matches_reference(self, value, strict_unit):
+        parsed, error = _outcome(parse_range_header, value, strict_unit)
+        reference, reference_error = _outcome(reference_parse, value, strict_unit)
+        assert error == reference_error
+        if reference is None:
+            return
+        unit, specs = reference
+        assert parsed.unit == unit
+        assert expand(parsed.runs) == specs
+        assert len(parsed) == len(specs)
+        assert parsed.is_multi == (len(specs) > 1)
+        assert parsed.first == specs[0]
+        assert parsed.to_header_value() == f"{unit}=" + ",".join(s.to_string() for s in specs)
+        # Canonical: maximal runs, so equal spec lists compare equal.
+        assert list(parsed.runs) == runs_of(specs)
+        assert parsed == RangeSpecifier(runs_of(specs), unit)
+
+    @given(value=range_headers(), length=st.integers(min_value=0, max_value=80))
+    @settings(max_examples=400, deadline=None)
+    def test_resolve_matches_spec_by_spec(self, value, length):
+        parsed = try_parse_range_header(value)
+        if parsed is None:
+            return
+        windows = [w for w in (s.resolve(length) for s in expand(parsed.runs)) if w]
+        try:
+            resolved = parsed.resolve(length)
+        except RangeNotSatisfiableError as exc:
+            assert windows == []
+            assert exc.complete_length == length
+            return
+        assert expand(resolved) == windows
+        assert resolved == runs_of(windows)
+        assert parsed.requested_bytes(length) == sum(w.length for w in windows)
+
+    def test_attack_header_is_one_run(self):
+        value = "bytes=-1024," + ",".join(["0-"] * 10_750)
+        parsed = parse_range_header(value)
+        assert parsed.runs == ((SuffixByteRangeSpec(1024), 1), (ByteRangeSpec(0), 10_750))
+        assert len(parsed) == 10_751
+        assert parsed.to_header_value() == value
+        assert parsed.resolve(1000) == [(ResolvedRange(0, 999), 10_751)]
+
+    @pytest.mark.parametrize(
+        "value, runs",
+        [
+            # A near-repeat is not a repeat: "0-5" starts like "0-".
+            ("bytes=" + ",".join(["0-"] * 200) + ",0-5", [("0-", 200), ("0-5", 1)]),
+            # Equal specs spelled differently still merge.
+            ("bytes=" + ",".join(["0-"] * 100 + ["00-"] * 100), [("0-", 200)]),
+            ("bytes=" + ", ".join(["0-"] * 150), [("0-", 150)]),
+            ("bytes=" + ",".join(["0-", ""] * 150), [("0-", 150)]),
+        ],
+    )
+    def test_long_sets_scan_into_runs(self, value, runs):
+        parsed = parse_range_header(value)
+        assert [(s.to_string(), count) for s, count in parsed.runs] == runs

@@ -46,6 +46,20 @@ class TestParseRequest:
         with pytest.raises(MessageError):
             parse_request(bad)
 
+    @pytest.mark.parametrize(
+        "length",
+        ["-3", "+5", "0_5", " 5x", "5.0", "0x5", "", "\u0665".encode("utf-8").decode("latin-1")],
+    )
+    def test_non_decimal_content_length_rejected(self, length):
+        # Content-Length = 1*DIGIT; "-3" used to cut the body to body[:-3].
+        blob = f"POST /x HTTP/1.1\r\nHost: h\r\nContent-Length: {length}\r\n\r\nhello"
+        with pytest.raises(MessageError):
+            parse_request(blob.encode("latin-1"))
+
+    def test_decimal_content_length_with_ows_accepted(self):
+        blob = b"POST /x HTTP/1.1\r\nHost: h\r\nContent-Length:  005 \r\n\r\nhello"
+        assert parse_request(blob).body.materialize() == b"hello"
+
 
 class TestParseResponse:
     def test_round_trip(self):
@@ -80,6 +94,18 @@ class TestParseResponse:
     def test_malformed_rejected(self, bad):
         with pytest.raises(MessageError):
             parse_response(bad)
+
+    @pytest.mark.parametrize(
+        "status", [b"2_06", b"+206", b"-206", b"20", b"2066", b"0206", b" 206"]
+    )
+    def test_status_code_must_be_three_digits(self, status):
+        # status-code = 3DIGIT
+        with pytest.raises(MessageError):
+            parse_response(b"HTTP/1.1 " + status + b" Partial Content\r\n\r\n")
+
+    def test_non_decimal_content_length_rejected(self):
+        with pytest.raises(MessageError):
+            parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: -3\r\n\r\nhello")
 
 
 _token = st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=12)
