@@ -45,6 +45,20 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+#: Largest ``flood --m``: the flood's work grows with m, and an
+#: untrusted command line must not buy unbounded work.
+MAX_FLOOD_M = 1000
+
+
+def _flood_intensity(text: str) -> int:
+    value = _non_negative_int(text)
+    if value > MAX_FLOOD_M:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer <= {MAX_FLOOD_M}, got {text!r}"
+        )
+    return value
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -110,7 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     flood = commands.add_parser("flood", help="bandwidth experiment (Fig 7)")
     flood.add_argument(
-        "--m", type=_non_negative_int, default=12, help="attack requests per second"
+        "--m", type=_flood_intensity, default=12,
+        help=f"attack requests per second (0..{MAX_FLOOD_M})",
     )
     flood.add_argument("--vendor", default="cloudflare", choices=all_vendor_names())
     flood.add_argument("--uplink-mbps", type=_positive_finite_float, default=1000.0)

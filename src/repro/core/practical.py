@@ -12,8 +12,11 @@ We reproduce it in two steps:
 1. measure the per-request traffic of one SBR round against the chosen
    vendor (wire-exact, from :class:`~repro.core.sbr.SbrAttack`);
 2. drive a fluid-flow bandwidth simulation in which each attack request
-   becomes one origin-uplink transfer of that size (and one tiny
-   client-downlink transfer), sampling per-second throughput.
+   becomes one origin-uplink flow of that size (and one tiny
+   client-downlink flow), sampling per-second throughput.  A second's
+   ``m`` identical requests are one cohort per link
+   (``Transfer(flows=m)``), so a tick costs O(seconds in flight), not
+   O(requests in flight).
 """
 
 from __future__ import annotations
@@ -115,6 +118,8 @@ class BandwidthAttackSimulation:
     def run(self, m: int) -> BandwidthRunResult:
         """Simulate ``m`` attack requests per second for the configured
         duration; returns per-second bandwidth series."""
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise ValueError(f"m must be an int, got {m!r}")
         if m < 0:
             raise ValueError(f"m must be >= 0, got {m}")
         origin_bytes, client_bytes = self.per_request_traffic()
@@ -125,20 +130,26 @@ class BandwidthAttackSimulation:
             ],
             dt=self.dt,
         )
-        for second in range(int(self.duration_s)):
-            for index in range(m):
-                simulator.add_transfer(
-                    origin_bytes, [ORIGIN_LINK], start_time=float(second),
-                    label=f"origin:{second}:{index}",
-                )
-                simulator.add_transfer(
-                    client_bytes, [CLIENT_LINK], start_time=float(second),
-                    label=f"client:{second}:{index}",
-                )
+        # The two links are disjoint, so each still sees its m flows of a
+        # second in the order m separate requests would put them.
+        for second in range(int(self.duration_s) if m else 0):
+            simulator.add_transfer(
+                origin_bytes, [ORIGIN_LINK], start_time=float(second),
+                label=f"origin:{second}", flows=m,
+            )
+            simulator.add_transfer(
+                client_bytes, [CLIENT_LINK], start_time=float(second),
+                label=f"client:{second}", flows=m,
+            )
         total = self.duration_s + self.drain_s
         simulator.run(total)
-        origin_series = self._per_second_bps(simulator, ORIGIN_LINK, total)
-        client_series = self._per_second_bps(simulator, CLIENT_LINK, total)
+        times = simulator.tick_times
+        origin_series = self._per_second_bps(
+            times, simulator.throughput_series(ORIGIN_LINK), total
+        )
+        client_series = self._per_second_bps(
+            times, simulator.throughput_series(CLIENT_LINK), total
+        )
         return BandwidthRunResult(
             m=m,
             duration_s=self.duration_s,
@@ -149,20 +160,21 @@ class BandwidthAttackSimulation:
             client_bytes_per_request=client_bytes,
         )
 
+    @staticmethod
     def _per_second_bps(
-        self, simulator: FluidSimulator, link: str, total: float
+        times: Sequence[float], throughput: Sequence[float], total: float
     ) -> List[float]:
-        """Mean throughput of each whole second ``[s, s + 1)`` of ``link``.
+        """Mean of each whole second ``[s, s + 1)`` of one link's series.
 
         One pass files each tick into the second its start time falls
         in; every window is then averaged in time order, exactly as
         :meth:`FluidSimulator.mean_throughput_bps` would.
         """
         windows: List[List[float]] = [[] for _ in range(int(total))]
-        for sample in simulator.samples_for(link):
-            second = math.floor(sample.time)
+        for time, bps in zip(times, throughput):
+            second = math.floor(time)
             if 0 <= second < len(windows):
-                windows[second].append(sample.throughput_bps)
+                windows[second].append(bps)
         return [sum(window) / len(window) if window else 0.0 for window in windows]
 
     def sweep(self, ms: Sequence[int] = tuple(range(1, 16))) -> List[BandwidthRunResult]:

@@ -13,9 +13,23 @@ capacity) is a pure capacity/queueing phenomenon.
 
 A tick costs O(live transfers), not O(transfers ever scheduled):
 pending transfers wait in a heap keyed on ``(start_time, insertion
-index)`` and are admitted when their start time comes, the live set is
-kept in insertion order and loses a transfer as soon as it finishes,
-and samples are filed per link as they are taken.
+index)`` and are admitted when their start time comes, and the live set
+is kept in insertion order and loses a transfer as soon as it finishes.
+The max-min allocation is a pure function of that ordered live set, so
+it is computed once and reused until an admission or a finish changes
+the set.  Samples are kept as columns (one tick-time list, and per link
+a throughput list and an active-count list); :class:`LinkSample`
+objects are built only when :meth:`FluidSimulator.samples_for` asks.
+
+A :class:`Transfer` with ``flows=k`` is a cohort: k identical flows at
+one insertion position, standing for k transfers added one after
+another with the same size, path and start time.  Such flows are
+consecutive in the live set and move in lockstep, so the cohort ticks
+as one entry.  Wherever the k flows would each touch a float sum — a
+link's remaining capacity during progressive filling, a link's bytes
+moved in a tick — the cohort repeats that operation k times in a row
+instead of multiplying by k, which keeps every float exactly what k
+separate transfers produce.
 """
 
 from __future__ import annotations
@@ -55,16 +69,21 @@ class Link:
 
 @dataclass
 class Transfer:
-    """A flow of ``size_bytes`` across an ordered set of links."""
+    """``flows`` identical flows of ``size_bytes`` each across an
+    ordered set of links; ``remaining`` and ``finish_time`` are each
+    flow's."""
 
     size_bytes: float
     links: Sequence[str]
     start_time: float = 0.0
     label: str = ""
+    flows: int = 1
     remaining: float = field(init=False)
     finish_time: Optional[float] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
+        if isinstance(self.flows, bool) or not isinstance(self.flows, int) or self.flows < 1:
+            raise SimulationError(f"flows must be an int >= 1, got {self.flows!r}")
         _require_finite("transfer size", self.size_bytes)
         _require_finite("transfer start time", self.start_time)
         if self.size_bytes < 0:
@@ -98,10 +117,11 @@ class FluidSimulator:
 
     1. admit the pending transfers whose start time has come (the live
        set stays in insertion order);
-    2. compute each live transfer's rate as the max-min fair allocation
-       over its links (progressive filling);
+    2. take each live transfer's rate from the max-min fair allocation
+       over its links (progressive filling), recomputed only when the
+       live set changed since the last one;
     3. advance every live transfer by ``rate * dt``, drop the finished
-       ones and sample per-link throughput.
+       ones and record per-link throughput.
     """
 
     def __init__(self, links: Sequence[Link], dt: float = 0.1) -> None:
@@ -119,10 +139,14 @@ class FluidSimulator:
         self._pending: List[Tuple[float, int, Transfer]] = []
         #: Admitted and unfinished: ``(insertion index, transfer)``, sorted.
         self._live: List[Tuple[int, Transfer]] = []
-        self._samples: List[LinkSample] = []
-        self._link_samples: Dict[str, List[LinkSample]] = {
-            name: [] for name in self._links
-        }
+        #: The live set's allocation by position; None once the set changes.
+        self._rates: Optional[Dict[int, float]] = None
+        self._allocations = 0
+        #: Sample columns: each tick's start time, and per link each
+        #: tick's throughput (bps) and active flow count.
+        self._times: List[float] = []
+        self._throughput: Dict[str, List[float]] = {name: [] for name in self._links}
+        self._active: Dict[str, List[int]] = {name: [] for name in self._links}
         self._now = 0.0
 
     # -- setup ----------------------------------------------------------------
@@ -133,13 +157,19 @@ class FluidSimulator:
         links: Sequence[str],
         start_time: float = 0.0,
         label: str = "",
+        flows: int = 1,
     ) -> Transfer:
-        """Schedule a transfer; unknown link names and non-finite sizes
-        or start times raise immediately."""
+        """Schedule a transfer of ``flows`` identical flows; unknown link
+        names, non-finite sizes or start times and a ``flows`` that is
+        not an int >= 1 raise immediately."""
         for name in links:
             self._require_link(name)
         transfer = Transfer(
-            size_bytes=size_bytes, links=tuple(links), start_time=start_time, label=label
+            size_bytes=size_bytes,
+            links=tuple(links),
+            start_time=start_time,
+            label=label,
+            flows=flows,
         )
         heapq.heappush(self._pending, (start_time, len(self._transfers), transfer))
         self._transfers.append(transfer)
@@ -151,23 +181,25 @@ class FluidSimulator:
 
     # -- execution --------------------------------------------------------------
 
-    def run(self, until: float) -> List[LinkSample]:
-        """Advance the simulation to time ``until``; returns all samples."""
+    def run(self, until: float) -> None:
+        """Advance the simulation to time ``until``; read the samples
+        with :meth:`samples_for` or the column accessors."""
         _require_finite("run horizon", until)
         if until < self._now:
             raise SimulationError(f"cannot run backwards from {self._now} to {until}")
         with current_tracer().span("net.fluid") as span:
             ticks = peak_active = 0
+            allocations_before = self._allocations
             while self._now + self.dt <= until + 1e-9:
                 peak_active = max(peak_active, self._tick())
                 ticks += 1
             if span.recording:
                 span.set(
                     ticks=ticks,
-                    transfers=len(self._transfers),
+                    transfers=sum(t.flows for t in self._transfers),
                     peak_active=peak_active,
+                    allocations=self._allocations - allocations_before,
                 )
-        return list(self._samples)
 
     def _admit(self) -> None:
         """Move every pending transfer whose start time has come into
@@ -181,46 +213,53 @@ class FluidSimulator:
         if admitted:
             self._live.extend(admitted)
             self._live.sort()
+            self._rates = None
 
     def _tick(self) -> int:
-        """One tick; returns how many transfers were live in it."""
+        """One tick; returns how many flows were live in it."""
         self._admit()
         now, dt = self._now, self.dt
-        active = [transfer for _, transfer in self._live]
-        rates = self._max_min_rates(active)
-        moved_per_link: Dict[str, float] = {name: 0.0 for name in self._links}
-        counts_per_link: Dict[str, int] = {name: 0 for name in self._links}
+        live = self._live
+        rates = self._rates
+        if rates is None:
+            rates = self._rates = self._max_min_rates([transfer for _, transfer in live])
+            self._allocations += 1
+        moved_per_link = dict.fromkeys(self._links, 0.0)
+        counts_per_link = dict.fromkeys(self._links, 0)
         finished = False
-        for index, transfer in enumerate(active):
-            moved = min(transfer.remaining, rates[index] * dt)
+        flows = 0
+        for position, (_, transfer) in enumerate(live):
+            moved = min(transfer.remaining, rates[position] * dt)
             transfer.remaining -= moved
             if transfer.remaining <= 0:
                 finished = True
                 if transfer.finish_time is None:
                     transfer.finish_time = now + dt
+            cohort = transfer.flows
+            flows += cohort
             for name in transfer.links:
-                moved_per_link[name] += moved
-                counts_per_link[name] += 1
+                total = moved_per_link[name]
+                for _ in range(cohort):  # one add per flow, never ``* cohort``
+                    total += moved
+                moved_per_link[name] = total
+                counts_per_link[name] += cohort
         if finished:
-            self._live = [entry for entry in self._live if not entry[1].done]
-        for name, series in self._link_samples.items():
-            sample = LinkSample(
-                time=now,
-                link=name,
-                throughput_bps=moved_per_link[name] * 8.0 / dt,
-                active_transfers=counts_per_link[name],
-            )
-            self._samples.append(sample)
-            series.append(sample)
+            self._live = [entry for entry in live if not entry[1].done]
+            self._rates = None
+        self._times.append(now)
+        for name, moved in moved_per_link.items():
+            self._throughput[name].append(moved * 8.0 / dt)
+            self._active[name].append(counts_per_link[name])
         self._now = now + dt
-        return len(active)
+        return flows
 
     def _max_min_rates(self, active: Sequence[Transfer]) -> Dict[int, float]:
-        """Progressive-filling max-min fair allocation (bytes/sec).
+        """Progressive-filling max-min fair allocation (bytes/sec per flow).
 
         Keyed by position in ``active`` — not ``id()`` — so the rate map
         is a pure function of the transfer list and two identical runs
-        allocate identically.
+        allocate identically.  A cohort counts as ``flows`` users of each
+        of its links and draws its increment from them once per flow.
         """
         rates: Dict[int, float] = {index: 0.0 for index in range(len(active))}
         unfrozen = list(range(len(active)))
@@ -231,8 +270,9 @@ class FluidSimulator:
             # Most constrained link determines the next rate increment.
             users = dict.fromkeys(remaining_capacity, 0)
             for index in unfrozen:
-                for name in active[index]._distinct_links:
-                    users[name] += 1
+                transfer = active[index]
+                for name in transfer._distinct_links:
+                    users[name] += transfer.flows
             increments = [
                 (capacity / users[name], name)
                 for name, capacity in remaining_capacity.items()
@@ -243,8 +283,12 @@ class FluidSimulator:
             increment, bottleneck = min(increments)
             for index in unfrozen:
                 rates[index] += increment
-                for name in active[index].links:
-                    remaining_capacity[name] -= increment
+                transfer = active[index]
+                for name in transfer.links:
+                    capacity = remaining_capacity[name]
+                    for _ in range(transfer.flows):
+                        capacity -= increment
+                    remaining_capacity[name] = capacity
             # Freeze every transfer crossing the saturated bottleneck.
             unfrozen = [
                 index for index in unfrozen if bottleneck not in active[index].links
@@ -264,18 +308,36 @@ class FluidSimulator:
         if name not in self._links:
             raise SimulationError(f"unknown link {name!r}")
 
+    @property
+    def tick_times(self) -> List[float]:
+        """Every tick's start time, in order; the time column of every link."""
+        return list(self._times)
+
     def samples_for(self, link: str) -> List[LinkSample]:
         """Every sample taken on ``link``, in time order."""
         self._require_link(link)
-        return list(self._link_samples[link])
+        return [
+            LinkSample(
+                time=time, link=link, throughput_bps=throughput, active_transfers=active
+            )
+            for time, throughput, active in zip(
+                self._times, self._throughput[link], self._active[link]
+            )
+        ]
 
     def throughput_series(self, link: str) -> List[float]:
         """Per-tick throughput (bps) for ``link``, in time order."""
-        return [s.throughput_bps for s in self.samples_for(link)]
+        self._require_link(link)
+        return list(self._throughput[link])
 
     def mean_throughput_bps(self, link: str, start: float = 0.0, end: float = float("inf")) -> float:
         """Average throughput on ``link`` over the window ``[start, end)``."""
-        window = [s for s in self.samples_for(link) if start <= s.time < end]
+        self._require_link(link)
+        window = [
+            throughput
+            for time, throughput in zip(self._times, self._throughput[link])
+            if start <= time < end
+        ]
         if not window:
             return 0.0
-        return sum(s.throughput_bps for s in window) / len(window)
+        return sum(window) / len(window)

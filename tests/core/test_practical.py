@@ -60,6 +60,11 @@ class TestSingleRun:
         with pytest.raises(ValueError):
             simulation.run(-1)
 
+    @pytest.mark.parametrize("m", [True, False, 2.0, 1.5, "3", None])
+    def test_non_int_m_rejected(self, simulation, m):
+        with pytest.raises(ValueError, match="m must be an int"):
+            simulation.run(m)
+
 
 class TestSweepShape:
     def test_saturation_threshold_matches_paper_band(self, simulation):

@@ -5,6 +5,10 @@ heap and ticks over the live set only.  The tick loop it replaced —
 which asked every transfer ever scheduled whether it was active — is
 kept here as the oracle, and every sample, every ``remaining`` and every
 ``finish_time`` must equal the oracle's float for float.
+
+The oracle knows only single flows: a subject transfer with ``flows=k``
+(a cohort) is fed to it as k consecutive copies, and each copy's
+``remaining`` and ``finish_time`` must equal the cohort's.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.practical import CLIENT_LINK, ORIGIN_LINK, BandwidthAttackSimulation
+from repro.errors import SimulationError
 from repro.netsim.bandwidth import FluidSimulator, Link, LinkSample, Transfer
 from repro.obs.tracer import Tracer, use_tracer
 from repro.runner.memo import sbr_per_request_traffic
@@ -120,19 +125,55 @@ def _sample_key(sample: LinkSample):
     )
 
 
-def assert_identical(subject: FluidSimulator, oracle: ScanOracle) -> None:
-    """Every sample, ``remaining`` and ``finish_time`` equal bit for bit."""
+def _flow_state(transfer: Transfer):
+    return (_hex(transfer.remaining), _hex(transfer.finish_time))
+
+
+def assert_same_samples(subject: FluidSimulator, oracle: ScanOracle) -> None:
+    """Every link's samples equal bit for bit, and none is missing."""
     assert subject.now.hex() == oracle.now.hex()
-    assert [_sample_key(s) for s in subject.run(subject.now)] == [
-        _sample_key(s) for s in oracle.samples
-    ]
     for name in oracle._links:
         assert [_sample_key(s) for s in subject.samples_for(name)] == [
             _sample_key(s) for s in oracle.samples if s.link == name
         ]
-    assert [(_hex(t.remaining), _hex(t.finish_time)) for t in subject.transfers] == [
-        (_hex(t.remaining), _hex(t.finish_time)) for t in oracle.transfers
-    ]
+        assert [value.hex() for value in subject.throughput_series(name)] == [
+            s.throughput_bps.hex() for s in oracle.samples if s.link == name
+        ]
+
+
+def assert_identical(subject: FluidSimulator, oracle: ScanOracle) -> None:
+    """Every sample, and each flow's ``remaining`` and ``finish_time``,
+    equal bit for bit; a cohort stands for its flows in a row."""
+    assert_same_samples(subject, oracle)
+    assert [
+        _flow_state(transfer)
+        for transfer in subject.transfers
+        for _ in range(transfer.flows)
+    ] == [_flow_state(transfer) for transfer in oracle.transfers]
+
+
+def _add(subject, oracle, size, path, start, flows=1):
+    """One subject transfer of ``flows`` flows; as many oracle copies."""
+    subject.add_transfer(size, path, start_time=start, flows=flows)
+    for _ in range(flows):
+        oracle.add_transfer(size, path, start_time=start)
+
+
+class ChangeCountingOracle(ScanOracle):
+    """The oracle, counting the ticks whose live set differs from the
+    previous tick's (the first tick always counts)."""
+
+    def __init__(self, links: Sequence[Link], dt: float) -> None:
+        super().__init__(links, dt)
+        self.live_set_changes = 0
+        self._previous = None
+
+    def _max_min_rates(self, active):
+        live_set = tuple(map(id, active))
+        if live_set != self._previous:
+            self.live_set_changes += 1
+            self._previous = live_set
+        return super()._max_min_rates(active)
 
 
 # -- Fig 7 --------------------------------------------------------------------
@@ -144,7 +185,7 @@ def per_request():
 
 
 def _fig7_schedule(sim, m, origin_bytes, client_bytes):
-    """The transfers BandwidthAttackSimulation.run(m) schedules."""
+    """One transfer per request, as Fig 7 ran before cohorts."""
     for second in range(30):
         for index in range(m):
             sim.add_transfer(
@@ -157,14 +198,66 @@ def _fig7_schedule(sim, m, origin_bytes, client_bytes):
             )
 
 
+def _fig7_cohorts(sim, m, origin_bytes, client_bytes):
+    """The cohorts BandwidthAttackSimulation.run(m) schedules."""
+    for second in range(30 if m else 0):
+        sim.add_transfer(
+            origin_bytes, [ORIGIN_LINK], start_time=float(second),
+            label=f"origin:{second}", flows=m,
+        )
+        sim.add_transfer(
+            client_bytes, [CLIENT_LINK], start_time=float(second),
+            label=f"client:{second}", flows=m,
+        )
+
+
+def _fluid_spans(tracer):
+    return [s.attributes for s in tracer.finished_spans() if s.name == "net.fluid"]
+
+
+FIG7_LINKS = [Link(ORIGIN_LINK, 1000.0 * 1e6), Link(CLIENT_LINK, 100.0 * 1e6)]
+
+
 @pytest.mark.parametrize("m", range(16))
 def test_fig7_runs_identical_to_scan(per_request, m):
-    links = [Link(ORIGIN_LINK, 1000.0 * 1e6), Link(CLIENT_LINK, 100.0 * 1e6)]
-    subject, oracle = FluidSimulator(links, dt=0.1), ScanOracle(links, dt=0.1)
-    for sim in (subject, oracle):
-        _fig7_schedule(sim, m, *per_request)
-        sim.run(40.0)
+    subject = FluidSimulator(FIG7_LINKS, dt=0.1)
+    cohorts = FluidSimulator(FIG7_LINKS, dt=0.1)
+    oracle = ChangeCountingOracle(FIG7_LINKS, dt=0.1)
+    _fig7_schedule(subject, m, *per_request)
+    _fig7_schedule(oracle, m, *per_request)
+    _fig7_cohorts(cohorts, m, *per_request)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        for sim in (subject, cohorts, oracle):
+            sim.run(40.0)
     assert_identical(subject, oracle)
+
+    # Cohorts order flows per second, not per request: each link still
+    # sees the same flows in the same order, so samples match the
+    # oracle's, and each flow's state matches its request's.
+    assert_same_samples(cohorts, oracle)
+    by_cohort = {}
+    for transfer in oracle.transfers:
+        by_cohort.setdefault(transfer.label.rsplit(":", 1)[0], []).append(
+            _flow_state(transfer)
+        )
+    assert {
+        transfer.label: [_flow_state(transfer)] * transfer.flows
+        for transfer in cohorts.transfers
+    } == by_cohort
+
+    # An allocation is computed exactly on the ticks whose live set
+    # changed, with one flow per request or one cohort per second.
+    assert [span["allocations"] for span in _fluid_spans(tracer)] == [
+        oracle.live_set_changes
+    ] * 2
+    peak_flows = max(
+        origin.active_transfers + client.active_transfers
+        for origin, client in zip(
+            oracle.samples[0::2], oracle.samples[1::2]
+        )
+    )
+    assert [span["peak_active"] for span in _fluid_spans(tracer)] == [peak_flows] * 2
 
     result = BandwidthAttackSimulation(per_request=per_request).run(m)
     for link, series, scale in (
@@ -176,6 +269,16 @@ def test_fig7_runs_identical_to_scan(per_request, m):
             for second in range(40)
         ]
         assert [value.hex() for value in series] == [value.hex() for value in expected]
+
+
+def test_fig7_sweep_allocates_only_on_live_set_changes(per_request):
+    tracer = Tracer()
+    with use_tracer(tracer):
+        BandwidthAttackSimulation(per_request=per_request).sweep()
+    spans = _fluid_spans(tracer)
+    assert len(spans) == 15
+    assert sum(span["ticks"] for span in spans) == 6000
+    assert sum(span["allocations"] for span in spans) == 1275
 
 
 # -- generated transfer sets ----------------------------------------------------
@@ -202,6 +305,8 @@ def scenarios(draw):
             st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0]),
             st.floats(min_value=-1.0, max_value=4.0, allow_nan=False),
         ),
+        # The subject's cohort size; the oracle gets as many copies.
+        st.one_of(st.just(1), st.integers(min_value=1, max_value=4)),
     )
     # Each phase adds transfers, then advances the clock; transfers of a
     # later phase may start in the past.
@@ -221,9 +326,8 @@ def scenarios(draw):
 def replay(links, dt, phases):
     subject, oracle = FluidSimulator(links, dt=dt), ScanOracle(links, dt=dt)
     for batch, advance in phases:
-        for size, path, start in batch:
-            subject.add_transfer(size, path, start_time=start)
-            oracle.add_transfer(size, path, start_time=start)
+        for transfer in batch:
+            _add(subject, oracle, *transfer)
         horizon = subject.now + advance
         subject.run(horizon)
         oracle.run(horizon)
@@ -243,7 +347,7 @@ _MIXED = (
         (
             [
                 (200_000, ["a", "b"], 1.0),  # multi-link, starts after the next
-                (50_000, ["b"], 0.5),  # out of insertion order
+                (50_000, ["b"], 0.5, 3),  # out of insertion order, a cohort
                 (0, ["a"], 0.0),  # zero bytes
                 (80_000, ["a", "a"], 0.0),  # loads one link twice
             ],
@@ -267,6 +371,7 @@ def test_mixed_example_covers_every_feature():
     subject = replay(links, dt, phases)
     transfers = subject.transfers
     assert any(len(set(t.links)) > 1 for t in transfers)
+    assert any(t.flows > 1 for t in transfers)
     assert any(
         later.start_time < earlier.start_time
         for earlier, later in zip(transfers, transfers[1:])
@@ -275,6 +380,62 @@ def test_mixed_example_covers_every_feature():
     # The transfer added at t ≈ 1.2 with start 0.2 still ran to the end.
     late = transfers[4]
     assert late.start_time < 1.2 and late.done and late.finish_time > 1.2
+
+
+# -- cohorts ------------------------------------------------------------------------
+
+
+class TestCohorts:
+    def test_cohort_interleaved_with_single_flows_on_other_links(self):
+        subject = replay(
+            [Link("a", 8e6), Link("b", 3e6), Link("c", 12_345.0)],
+            0.1,
+            [
+                (
+                    [
+                        (120_000, ["b"], 0.0),
+                        (90_000, ["a"], 0.0, 5),
+                        (1_500, ["c"], 0.0),
+                        (70_000, ["a"], 0.3, 3),
+                        (20_000, ["b"], 0.3),
+                        (1_000, ["c"], 0.3, 2),
+                    ],
+                    1.5,
+                ),
+                ([(10_000, ["b"], 1.0), (40_000, ["a"], 1.0, 4)], 3.0),
+            ],
+        )
+        active = [s.active_transfers for s in subject.samples_for("a")]
+        assert active[:4] == [5, 5, 5, 8]  # the second cohort joins at 0.3 s
+        assert all(t.done for t in subject.transfers)
+
+    def test_cohort_sharing_one_link_of_a_multi_link_path(self):
+        subject = replay(
+            [Link("a", 1e6), Link("b", 3e6)],
+            0.1,
+            [
+                (
+                    [
+                        (150_000, ["a", "b"], 0.0),
+                        (60_000, ["b"], 0.0, 4),  # meets the path on b only
+                        (50_000, ["a", "b"], 0.2, 3),  # a multi-link cohort
+                        (30_000, ["a"], 0.5, 2),
+                    ],
+                    4.0,
+                ),
+            ],
+        )
+        assert max(s.active_transfers for s in subject.samples_for("b")) == 8
+        assert all(t.done for t in subject.transfers)
+
+    @pytest.mark.parametrize("flows", [0, -1, 1.0, 2.5, True, False, "2", None])
+    def test_flows_must_be_an_int_of_at_least_one(self, flows):
+        simulator = FluidSimulator([Link("a", 1e6)])
+        with pytest.raises(SimulationError, match="flows"):
+            simulator.add_transfer(100, ["a"], flows=flows)
+        with pytest.raises(SimulationError, match="flows"):
+            Transfer(size_bytes=100, links=("a",), flows=flows)
+        assert simulator.transfers == []
 
 
 # -- the live set -----------------------------------------------------------------
@@ -313,18 +474,35 @@ class TestFluidSpan:
             simulator.run(1.0)  # no tick, still one span
         spans = [s for s in tracer.finished_spans() if s.name == "net.fluid"]
         assert [s.attributes for s in spans] == [
-            {"ticks": 10, "transfers": 4, "peak_active": 3},
-            {"ticks": 0, "transfers": 4, "peak_active": 0},
+            {"ticks": 10, "transfers": 4, "peak_active": 3, "allocations": 2},
+            {"ticks": 0, "transfers": 4, "peak_active": 0, "allocations": 0},
+        ]
+
+    def test_counts_are_flows_and_allocations_follow_the_live_set(self):
+        simulator = FluidSimulator([Link("a", 8e6)], dt=0.1)
+        simulator.add_transfer(100_000, ["a"], flows=3)
+        simulator.add_transfer(100_000, ["a"], start_time=0.5, flows=2)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            simulator.run(1.0)
+        # Admitted at 0 and 0.5 (two allocations); the first cohort ends
+        # at 0.3 s (a third), the second at 0.9 s (a fourth).
+        assert _fluid_spans(tracer) == [
+            {"ticks": 10, "transfers": 5, "peak_active": 3, "allocations": 4}
         ]
 
     def test_tracing_does_not_change_samples(self):
         def run(traced):
             simulator = FluidSimulator([Link("a", 8e6)], dt=0.1)
             simulator.add_transfer(150_000, ["a"])
-            simulator.add_transfer(50_000, ["a"], start_time=0.3)
+            simulator.add_transfer(50_000, ["a"], start_time=0.3, flows=2)
             if traced:
                 with use_tracer(Tracer()):
-                    return simulator.run(2.0)
-            return simulator.run(2.0)
+                    simulator.run(2.0)
+            else:
+                simulator.run(2.0)
+            return simulator.samples_for("a")
 
-        assert run(traced=True) == run(traced=False)
+        traced = run(traced=True)
+        assert len(traced) == 20
+        assert traced == run(traced=False)

@@ -60,11 +60,17 @@ class TestFlood:
         assert main(["flood", "--m", "2"]) == 0
         assert "SATURATED" not in capsys.readouterr().out
 
+    def test_largest_m_is_accepted(self, capsys):
+        assert main(["flood", "--m", "1000"]) == 0
+        assert capsys.readouterr().out.startswith("m=1000 SBR req/s")
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["--m", "-1"],
             ["--m", "two"],
+            ["--m", "1001"],
+            ["--m", "100000"],
             ["--uplink-mbps", "nan"],
             ["--uplink-mbps", "inf"],
             ["--uplink-mbps", "0"],
