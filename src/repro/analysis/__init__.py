@@ -31,7 +31,6 @@ from __future__ import annotations
 from repro.analysis.bounds import (
     CcfcBound,
     ObrBound,
-    ProfileFactory,
     SbrBound,
     ccfc_bound,
     obr_bound,
@@ -45,6 +44,7 @@ from repro.analysis.classify import (
     CcfcClassification,
     ObrBackendFacts,
     ProbeDecision,
+    ProfileFactory,
     SbrClassification,
     classify_cascade,
     classify_ccfc,

@@ -19,8 +19,9 @@ subtracted), so the ratio can only be pessimistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from repro.analysis.classify import ProfileFactory
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.vendors import create_profile
 from repro.cdn.vendors.azure import DEFAULT_ABORT_SLOP, EIGHT_MB, WINDOW_LAST
@@ -41,11 +42,6 @@ from repro.http.message import HttpRequest
 from repro.http.ranges import RangeSpecifier, try_parse_range_header
 from repro.netsim.overhead import NullOverheadModel, OverheadModel, TcpOverheadModel
 from repro.obs.memo import Memo
-
-#: Builds a fresh profile instance (profiles are stateful).  Bound
-#: functions accept one so the same closed forms can be re-run under a
-#: wrapped/mitigated profile (``repro.analysis.recommend``).
-ProfileFactory = Callable[[], VendorProfile]
 
 MB = 1 << 20
 
@@ -673,7 +669,6 @@ __all__ = [
     "CcfcBound",
     "FaultedSbrBound",
     "ObrBound",
-    "ProfileFactory",
     "SbrBound",
     "ccfc_bound",
     "faulted_sbr_bound",

@@ -3,8 +3,9 @@
 Every answer here is derived by interrogating a vendor profile's *pure*
 decision surface — :meth:`~repro.cdn.vendors.base.VendorProfile.forward_decision`,
 the multi-range reply behavior, the stateful second-request policy, and
-the ``amplifies_via_fetch_flow`` flag — the way the behavior matrix
-(:mod:`repro.cdn.vendors.matrix`) does.  No deployment is wired, no
+the ``amplifies_via_fetch_flow`` flag.  This module is the only place
+that reads those decisions without sending traffic (``repro matrix``
+renders :func:`probe_decision` too).  No deployment is wired, no
 connection is opened, no ledger records a byte: this is the "audit the
 config, not the wire" pass the paper performs analytically in §IV before
 measuring anything.
@@ -14,7 +15,9 @@ measuring anything.
   sighting of an identical request does (KeyCDN), or when its fetch flow
   pulls the full representation despite a lazy decision table
   (StackPath).
-* OBR (§IV-C): a cascade is vulnerable when the front CDN forwards an
+* OBR (§IV-C): a cascade is vulnerable when the front CDN, run with the
+  configuration the attack declares for it
+  (:func:`~repro.core.obr.exploited_fcdn_config`), forwards an
   overlapping multi-range shape *unchanged* (Laziness, Table II) and the
   back CDN *honors* overlapping ranges with a multipart reply
   (Table III).
@@ -34,12 +37,13 @@ from repro.cdn.vendors.base import (
     VendorContext,
     VendorProfile,
 )
+from repro.core.obr import exploited_fcdn_config
 from repro.http.message import HttpRequest
 from repro.http.ranges import try_parse_range_header
 
 #: Builds a fresh profile per probe (profiles are stateful).  Passing one
-#: lets every classification run against a wrapped/mitigated profile
-#: instead of the registry vendor it names.
+#: lets every classification and closed-form bound run against a
+#: wrapped/mitigated profile instead of the registry vendor it names.
 ProfileFactory = Callable[[], VendorProfile]
 
 MB = 1 << 20
@@ -95,7 +99,19 @@ def probe_decision(
     profile_factory: Optional[ProfileFactory] = None,
 ) -> ProbeDecision:
     """Ask a fresh profile for its first-sighting forwarding decision."""
-    profile = profile_factory() if profile_factory is not None else create_profile(vendor)
+    return _ask(_fresh(vendor, profile_factory), range_value, resource_size, config)
+
+
+def _fresh(vendor: str, profile_factory: Optional[ProfileFactory]) -> VendorProfile:
+    return profile_factory() if profile_factory is not None else create_profile(vendor)
+
+
+def _ask(
+    profile: VendorProfile,
+    range_value: str,
+    resource_size: int,
+    config: Optional[VendorConfig],
+) -> ProbeDecision:
     ctx = VendorContext(
         config=config if config is not None else profile.effective_config(),
         resource_size_hint=resource_size,
@@ -103,32 +119,6 @@ def probe_decision(
     decision = profile.forward_decision(
         _probe_request(range_value), try_parse_range_header(range_value), ctx
     )
-    return ProbeDecision(
-        range_value=range_value,
-        resource_size=resource_size,
-        policy=decision.policy,
-        forwarded_range=decision.forwarded_range,
-    )
-
-
-def second_request_decision(
-    vendor: str,
-    range_value: str,
-    resource_size: int,
-    config: Optional[VendorConfig] = None,
-    profile_factory: Optional[ProfileFactory] = None,
-) -> ProbeDecision:
-    """The decision for the *second identical* request on one profile
-    instance (KeyCDN's second-sighting Deletion)."""
-    profile = profile_factory() if profile_factory is not None else create_profile(vendor)
-    ctx = VendorContext(
-        config=config if config is not None else profile.effective_config(),
-        resource_size_hint=resource_size,
-    )
-    request = _probe_request(range_value)
-    spec = try_parse_range_header(range_value)
-    profile.forward_decision(request, spec, ctx)
-    decision = profile.forward_decision(request, spec, ctx)
     return ProbeDecision(
         range_value=range_value,
         resource_size=resource_size,
@@ -182,22 +172,19 @@ def classify_sbr(
     ``MitigatedProfile``) for the registry vendor — the recommendation
     engine uses this to prove a mitigation removes the classification.
     """
-    exemplar = (
-        profile_factory() if profile_factory is not None else create_profile(vendor)
-    )
+    exemplar = _fresh(vendor, profile_factory)
     amplifying = []
     stateful = []
     for size in resource_sizes:
         for shape in SINGLE_RANGE_SHAPES:
-            first = probe_decision(
-                vendor, shape, size, config=config, profile_factory=profile_factory
-            )
+            profile = _fresh(vendor, profile_factory)
+            first = _ask(profile, shape, size, config)
             if first.amplifying:
                 amplifying.append(first)
                 continue
-            second = second_request_decision(
-                vendor, shape, size, config=config, profile_factory=profile_factory
-            )
+            # The same instance sees the identical request again: KeyCDN
+            # deletes the Range header on its second sighting.
+            second = _ask(profile, shape, size, config)
             if second.amplifying:
                 stateful.append(second)
     return SbrClassification(
@@ -221,16 +208,6 @@ def classify_obr_frontend(
         for shape in MULTI_RANGE_SHAPES
         for probe in (probe_decision(vendor, shape, resource_size, config=config),)
         if probe.lazy_unchanged
-    )
-
-
-def frontend_requires_bypass(vendor: str) -> bool:
-    """True when the vendor is lazy only under a cache-bypass
-    configuration (Cloudflare's Table II footnote)."""
-    if classify_obr_frontend(vendor):
-        return False
-    return bool(
-        classify_obr_frontend(vendor, config=VendorConfig(bypass_cache=True))
     )
 
 
@@ -268,7 +245,8 @@ class CascadeClassification:
     #: Multi-range shapes the FCDN forwards verbatim (possibly under
     #: bypass configuration).
     lazy_probes: Tuple[ProbeDecision, ...]
-    #: The FCDN is lazy only with cache bypass configured (Cloudflare).
+    #: The FCDN was classified under its declared attack configuration
+    #: (cache bypass: Cloudflare).
     requires_bypass: bool
     backend: ObrBackendFacts
 
@@ -283,20 +261,19 @@ def classify_cascade(
     resource_size: int = 1024,
     fcdn_config: Optional[VendorConfig] = None,
 ) -> CascadeClassification:
-    """Statically classify one cascade cell, with the Cloudflare bypass
-    fallback the paper's Table V setup uses."""
-    lazy = classify_obr_frontend(fcdn, resource_size, config=fcdn_config)
-    requires_bypass = False
-    if not lazy and fcdn_config is None and frontend_requires_bypass(fcdn):
-        lazy = classify_obr_frontend(
-            fcdn, resource_size, config=VendorConfig(bypass_cache=True)
-        )
-        requires_bypass = True
+    """Statically classify one cascade cell.
+
+    The front end runs ``fcdn_config`` or, when none is given, the
+    configuration the paper's Table V setup declares for it (Cloudflare
+    under *Bypass*, :func:`~repro.core.obr.exploited_fcdn_config`).
+    """
+    declared = exploited_fcdn_config(fcdn) if fcdn_config is None else None
+    config = fcdn_config if fcdn_config is not None else declared
     return CascadeClassification(
         fcdn=fcdn,
         bcdn=bcdn,
-        lazy_probes=lazy,
-        requires_bypass=requires_bypass,
+        lazy_probes=classify_obr_frontend(fcdn, resource_size, config=config),
+        requires_bypass=declared is not None,
         backend=classify_obr_backend(bcdn),
     )
 
@@ -354,9 +331,7 @@ def classify_ccfc(
     stripping vendors let the origin fall back to identity; Tencent's
     rewrite-without-decompression relays the compressed bytes as-is.
     """
-    profile = (
-        profile_factory() if profile_factory is not None else create_profile(vendor)
-    )
+    profile = _fresh(vendor, profile_factory)
     ratios = [
         profile.compression_ratios.get(coding.lower(), 1.0)
         for coding in profile.edge_accept_encoding

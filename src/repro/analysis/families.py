@@ -35,7 +35,6 @@ from typing import (
 
 from repro.analysis.bounds import (
     FaultedSbrBound,
-    ProfileFactory,
     ccfc_bound,
     obr_bound,
     profile_ccfc_bound,
@@ -43,7 +42,12 @@ from repro.analysis.bounds import (
     sbr_bound,
     static_max_n,
 )
-from repro.analysis.classify import classify_cascade, classify_ccfc, classify_sbr
+from repro.analysis.classify import (
+    ProfileFactory,
+    classify_cascade,
+    classify_ccfc,
+    classify_sbr,
+)
 from repro.analysis.report import Finding, severity_for_factor
 from repro.cdn.vendors import create_profile
 from repro.core.ccfc import CcfcAttack

@@ -187,8 +187,9 @@ class VendorProfile:
     maintains_backend_on_client_abort: bool = False
     #: Whether the vendor's *fetch flow* (not its per-shape decision
     #: table) pulls more than the requested range — StackPath's
-    #: re-forward-without-Range after a 206.  Consulted by the behavior
-    #: matrix, which otherwise only sees ``forward_decision``.
+    #: re-forward-without-Range after a 206.  Consulted by
+    #: ``repro.analysis.classify``, which otherwise only sees
+    #: ``forward_decision``.
     amplifies_via_fetch_flow: bool = False
     #: How the vendor treats the client's ``Accept-Encoding`` upstream
     #: (the CCFC behavior table).

@@ -17,7 +17,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.purity import BaselineEntry
@@ -27,7 +27,7 @@ from repro.cdn.vendors import all_vendor_names, profile_class
 from repro.core.economics import estimate_obr_campaign, estimate_sbr_campaign
 from repro.core.feasibility import survey
 from repro.core.obr import ObrAttack, vulnerable_combinations
-from repro.core.practical import BandwidthAttackSimulation
+from repro.core.practical import MAX_FLOOD_M, BandwidthAttackSimulation
 from repro.core.sbr import SbrAttack, exploited_range_cases
 from repro.errors import ReproError, UsageError
 from repro.reporting.render import format_bytes, render_sparkline, render_table
@@ -43,11 +43,6 @@ def _non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return value
-
-
-#: Largest ``flood --m``: the flood's work grows with m, and an
-#: untrusted command line must not buy unbounded work.
-MAX_FLOOD_M = 1000
 
 
 def _flood_intensity(text: str) -> int:
@@ -605,21 +600,37 @@ def _cmd_economics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_matrix() -> int:
-    from repro.cdn.vendors.matrix import PROBE_CASES, behavior_matrix
+#: ``repro matrix`` columns: shape label -> (Range value, resource size).
+#: Size-dependent vendors (Azure, Huawei) get both regimes.
+MATRIX_PROBE_CASES: Dict[str, Tuple[str, int]] = {
+    "first-last (small file)": ("bytes=0-0", 1 * MB),
+    "first-last (large file)": ("bytes=0-0", 25 * MB),
+    "first- (open)": ("bytes=5-", 1 * MB),
+    "-suffix (small file)": ("bytes=-1", 1 * MB),
+    "-suffix (large file)": ("bytes=-1", 25 * MB),
+    "multi closed disjoint": ("bytes=0-0,100-200", 1 * MB),
+    "multi open overlapping": ("bytes=0-,0-,0-", 1 * MB),
+    "suffix then open": ("bytes=-1024,0-,0-", 1 * MB),
+    "one then open": ("bytes=1-,0-,0-", 1 * MB),
+}
 
-    matrix = behavior_matrix()
-    shapes = list(PROBE_CASES)
+
+def _cmd_matrix() -> int:
+    from repro.analysis.classify import probe_decision
+
     short = {  # compact policy labels for the terminal
         "laziness": "lazy",
         "deletion": "DEL",
         "expansion": "EXP",
     }
     rows = [
-        [vendor] + [short[matrix[vendor][shape].policy.value] for shape in shapes]
-        for vendor in sorted(matrix)
+        [vendor] + [
+            short[probe_decision(vendor, range_value, size).policy.value]
+            for range_value, size in MATRIX_PROBE_CASES.values()
+        ]
+        for vendor in sorted(all_vendor_names())
     ]
-    print(render_table(["vendor"] + shapes, rows))
+    print(render_table(["vendor", *MATRIX_PROBE_CASES], rows))
     print("\nDEL/EXP single-range cells are the SBR surface (Table I); "
           "lazy multi-range cells are the OBR front-end surface (Table II).")
     return 0

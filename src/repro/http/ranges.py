@@ -442,20 +442,3 @@ def coalesce_ranges(resolved: Sequence[ResolvedRange]) -> List[ResolvedRange]:
         else:
             merged.append(current)
     return merged
-
-
-def covering_span(resolved: Sequence[ResolvedRange]) -> ResolvedRange:
-    """The smallest single range covering every range in the set."""
-    if not resolved:
-        raise ValueError("cannot span an empty range set")
-    return ResolvedRange(min(r.start for r in resolved), max(r.end for r in resolved))
-
-
-def total_resolved_bytes(resolved: Sequence[ResolvedRange]) -> int:
-    """Sum of range lengths, double-counting overlaps (wire bytes sent)."""
-    return sum(r.length for r in resolved)
-
-
-def distinct_resolved_bytes(resolved: Sequence[ResolvedRange]) -> int:
-    """Bytes of the representation actually covered (overlaps counted once)."""
-    return sum(r.length for r in coalesce_ranges(resolved))

@@ -22,12 +22,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.cdn.vendors import all_vendor_names
 from repro.core.feasibility import survey
 from repro.core.obr import ObrAttack
-from repro.core.practical import BandwidthAttackSimulation
+from repro.core.practical import MAX_FLOOD_M, BandwidthAttackSimulation
 from repro.core.sbr import SbrAttack
 from repro.errors import ConfigurationError
 
@@ -96,6 +96,8 @@ def validate_scenario(spec: Dict[str, Any]) -> None:
                 raise ConfigurationError(
                     f"experiment #{index}: unknown vendor {vendor!r}"
                 )
+            _check_int(index, experiment, "size_mb", 1)
+            _check_int(index, experiment, "rounds", 1)
         if kind == "obr":
             for role in ("fcdn", "bcdn"):
                 vendor = experiment.get(role)
@@ -103,6 +105,34 @@ def validate_scenario(spec: Dict[str, Any]) -> None:
                     raise ConfigurationError(
                         f"experiment #{index}: unknown {role} {vendor!r}"
                     )
+            # 0 (like an absent value) searches the cascade's max n.
+            _check_int(index, experiment, "overlaps", 0)
+        if kind == "flood":
+            _check_int(index, experiment, "m", 0, MAX_FLOOD_M)
+
+
+def _check_int(
+    index: int,
+    experiment: Dict[str, Any],
+    key: str,
+    low: int,
+    high: Optional[int] = None,
+) -> None:
+    """Reject a present ``key`` that is not an int in ``low..high``."""
+    if key not in experiment:
+        return
+    value = experiment[key]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        expected = f"{low}..{high}" if high is not None else f">= {low}"
+        raise ConfigurationError(
+            f"experiment #{index}: {key!r} must be an integer {expected}, "
+            f"got {value!r}"
+        )
 
 
 def run_scenario(spec: Dict[str, Any]) -> ScenarioOutcome:
@@ -127,8 +157,8 @@ def _run_experiment(experiment: Dict[str, Any]) -> ExperimentOutcome:
 
 def _run_sbr(experiment: Dict[str, Any]) -> ExperimentOutcome:
     vendor = experiment["vendor"]
-    size_mb = int(experiment.get("size_mb", 10))
-    rounds = int(experiment.get("rounds", 1))
+    size_mb = experiment.get("size_mb", 10)
+    rounds = experiment.get("rounds", 1)
     result = SbrAttack(vendor, resource_size=size_mb * MB).run(rounds=rounds)
     return ExperimentOutcome(
         type="sbr",
@@ -145,7 +175,7 @@ def _run_obr(experiment: Dict[str, Any]) -> ExperimentOutcome:
     fcdn, bcdn = experiment["fcdn"], experiment["bcdn"]
     overlaps = experiment.get("overlaps")
     attack = ObrAttack(fcdn, bcdn)
-    result = attack.run(overlap_count=int(overlaps) if overlaps else None)
+    result = attack.run(overlap_count=overlaps or None)
     return ExperimentOutcome(
         type="obr",
         parameters={"fcdn": fcdn, "bcdn": bcdn, "overlaps": result.overlap_count},
@@ -158,7 +188,7 @@ def _run_obr(experiment: Dict[str, Any]) -> ExperimentOutcome:
 
 
 def _run_flood(experiment: Dict[str, Any]) -> ExperimentOutcome:
-    m = int(experiment.get("m", 12))
+    m = experiment.get("m", 12)
     vendor = experiment.get("vendor", "cloudflare")
     uplink = float(experiment.get("uplink_mbps", 1000.0))
     simulation = BandwidthAttackSimulation(vendor=vendor, origin_uplink_mbps=uplink)

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.bounds import profile_sbr_bound, sbr_bound
+from repro.analysis.classify import classify_sbr
 from repro.analysis.families import FAMILIES_BY_NAME
 from repro.analysis.recommend import (
     COST_CONFIG_ONLY,
@@ -35,7 +36,7 @@ from repro.analysis.recommend import (
     verify_recommendations,
 )
 from repro.analysis.report import analyze_vendor_matrix
-from repro.cdn.vendors.matrix import sbr_vulnerable_vendors
+from repro.cdn.vendors import all_vendor_names
 from repro.cli import main
 from repro.core.sbr import SbrAttack
 from repro.errors import ConfigurationError
@@ -43,6 +44,9 @@ from repro.obs.metrics import MetricsRegistry, use_metrics
 
 MB = 1 << 20
 KB = 1 << 10
+
+#: Table I membership as the static classifier reads it.
+SBR_VULNERABLE = tuple(v for v in all_vendor_names() if classify_sbr(v).vulnerable)
 
 SEVERITY_ORDER = ("critical", "high", "medium", "low", "info")
 
@@ -104,7 +108,7 @@ class TestResidualBounds:
             )
 
     def test_laziness_residual_below_clean_bound_for_every_vendor(self):
-        for vendor in sbr_vulnerable_vendors():
+        for vendor in SBR_VULNERABLE:
             factory = mitigation_profile_factory(vendor, "laziness")
             residual = profile_sbr_bound(vendor, factory, 10 * MB).factor
             clean = sbr_bound(vendor, 10 * MB).factor
@@ -132,7 +136,7 @@ class TestSimulationNeverExceedsResidual:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
-        vendor=st.sampled_from(sbr_vulnerable_vendors()),
+        vendor=st.sampled_from(SBR_VULNERABLE),
         size=st.integers(min_value=256 * KB, max_value=2 * MB),
         mitigation=st.sampled_from(["laziness", "bounded-expansion"]),
     )
@@ -248,7 +252,7 @@ class TestSurveyCoverage:
 
     def test_every_vulnerable_vendor_gets_a_recommendation(self, report):
         recommended = {r.subject for r in report.by_kind("sbr")}
-        assert recommended == set(sbr_vulnerable_vendors())
+        assert recommended == set(SBR_VULNERABLE)
 
     def test_every_vulnerable_cascade_gets_a_recommendation(self, report):
         analysis = analyze_vendor_matrix()

@@ -1,73 +1,119 @@
-"""Tests for the vendor behavior matrix — including the cross-check
-against the feasibility experiment's independent measurement path."""
+"""Tests for the vendor behavior matrix — every profile's forwarding
+decision per Range shape, as :mod:`repro.analysis.classify` reads it —
+including the cross-check against the feasibility experiment's
+independent measurement path."""
 
 import pytest
 
-from repro.cdn.policy import ForwardPolicy
-from repro.cdn.vendors import all_vendor_names
-from repro.cdn.vendors.matrix import (
-    PROBE_CASES,
-    behavior_matrix,
-    obr_frontend_vendors,
-    sbr_vulnerable_vendors,
-    stateful_second_request_policies,
+from repro.analysis.bounds import static_max_n
+from repro.analysis.classify import (
+    DEFAULT_PROBE_SIZES,
+    MULTI_RANGE_SHAPES,
+    SINGLE_RANGE_SHAPES,
+    classify_cascade,
+    classify_obr_frontend,
+    classify_sbr,
+    probe_decision,
 )
+from repro.cdn.policy import ForwardPolicy
+from repro.cdn.vendors import all_vendor_names, create_profile
 from repro.reporting.paper_values import PAPER_OBR_FRONTENDS, PAPER_SBR_VULNERABLE
+
+MB = 1 << 20
+
+
+def sbr_vulnerable():
+    return {v for v in all_vendor_names() if classify_sbr(v).vulnerable}
+
+
+def obr_frontends():
+    # The back end does not change the front end's decisions.
+    return {v for v in all_vendor_names() if classify_cascade(v, "akamai").lazy_probes}
+
+
+def both_sightings(vendor, range_value="bytes=0-0", size=MB):
+    """First and second decision for one identical request on one
+    profile instance."""
+    profile = create_profile(vendor)
+    return [
+        probe_decision(vendor, range_value, size, profile_factory=lambda: profile).policy
+        for _ in range(2)
+    ]
 
 
 class TestMatrixStructure:
     def test_full_coverage(self):
-        matrix = behavior_matrix()
-        assert set(matrix) == set(all_vendor_names())
-        for row in matrix.values():
-            assert set(row) == set(PROBE_CASES)
+        for vendor in all_vendor_names():
+            for size in DEFAULT_PROBE_SIZES:
+                for shape in SINGLE_RANGE_SHAPES + MULTI_RANGE_SHAPES:
+                    probe = probe_decision(vendor, shape, size)
+                    assert (probe.range_value, probe.resource_size) == (shape, size)
+                    assert isinstance(probe.policy, ForwardPolicy)
 
     def test_deterministic(self):
-        assert behavior_matrix() == behavior_matrix()
+        for vendor in all_vendor_names():
+            assert classify_sbr(vendor) == classify_sbr(vendor)
+            assert classify_cascade(vendor, "akamai") == classify_cascade(
+                vendor, "akamai"
+            )
 
 
 class TestPaperMembershipFromMatrix:
     def test_sbr_vulnerable_matches_table1(self):
-        assert sbr_vulnerable_vendors() == tuple(sorted(PAPER_SBR_VULNERABLE))
+        assert sbr_vulnerable() == set(PAPER_SBR_VULNERABLE)
 
     def test_obr_frontends_match_table2(self):
-        assert obr_frontend_vendors() == tuple(sorted(PAPER_OBR_FRONTENDS))
+        assert obr_frontends() == set(PAPER_OBR_FRONTENDS)
 
     def test_obr_frontends_without_bypass_excludes_cloudflare(self):
-        assert "cloudflare" not in obr_frontend_vendors(include_bypass=False)
+        # Cloudflare is a front end only under its declared Bypass
+        # configuration; every other front end runs its default one.
+        assert classify_obr_frontend("cloudflare") == ()
+        cloudflare = classify_cascade("cloudflare", "akamai")
+        assert cloudflare.lazy_probes and cloudflare.requires_bypass
+        for vendor in set(PAPER_OBR_FRONTENDS) - {"cloudflare"}:
+            assert classify_obr_frontend(vendor), vendor
+            assert not classify_cascade(vendor, "akamai").requires_bypass, vendor
 
 
 class TestSpotChecks:
     def test_azure_size_dependence_visible(self):
-        matrix = behavior_matrix()
-        azure = matrix["azure"]
         # Azure deletes in both regimes (the dual-connection behavior is
         # a fetch-flow detail, not a decision-table one).
-        assert azure["first-last (small file)"].policy is ForwardPolicy.DELETION
+        for size in DEFAULT_PROBE_SIZES:
+            assert probe_decision("azure", "bytes=0-0", size).policy is (
+                ForwardPolicy.DELETION
+            )
 
     def test_huawei_size_dependence_visible(self):
-        huawei = behavior_matrix()["huawei"]
-        assert huawei["-suffix (small file)"].policy is ForwardPolicy.DELETION
-        assert huawei["-suffix (large file)"].policy is ForwardPolicy.LAZINESS
-        assert huawei["first-last (large file)"].policy is ForwardPolicy.DELETION
-        assert huawei["first-last (small file)"].policy is ForwardPolicy.LAZINESS
+        def policy(range_value, size):
+            return probe_decision("huawei", range_value, size).policy
+
+        assert policy("bytes=-1", 1 * MB) is ForwardPolicy.DELETION
+        assert policy("bytes=-1", 25 * MB) is ForwardPolicy.LAZINESS
+        assert policy("bytes=0-0", 25 * MB) is ForwardPolicy.DELETION
+        assert policy("bytes=0-0", 1 * MB) is ForwardPolicy.LAZINESS
 
     def test_cloudfront_expansion_values(self):
-        cloudfront = behavior_matrix()["cloudfront"]
-        cell = cloudfront["first-last (small file)"]
-        assert cell.policy is ForwardPolicy.EXPANSION
-        assert cell.forwarded_range == "bytes=0-1048575"
+        probe = probe_decision("cloudfront", "bytes=0-0", 1 * MB)
+        assert probe.policy is ForwardPolicy.EXPANSION
+        assert probe.forwarded_range == "bytes=0-1048575"
 
     def test_keycdn_stateful_quirk(self):
-        second = stateful_second_request_policies()
-        assert second["keycdn"] is ForwardPolicy.DELETION
+        assert both_sightings("keycdn") == [
+            ForwardPolicy.LAZINESS,
+            ForwardPolicy.DELETION,
+        ]
+        keycdn = classify_sbr("keycdn")
+        assert keycdn.mechanism == "stateful-deletion"
+        assert not keycdn.amplifying_probes and keycdn.stateful_probes
         # Stateless vendors give the same answer twice.
-        assert second["gcore"] is ForwardPolicy.DELETION
-        assert second["tencent"] is ForwardPolicy.DELETION
+        assert both_sightings("gcore") == [ForwardPolicy.DELETION] * 2
+        assert both_sightings("tencent") == [ForwardPolicy.DELETION] * 2
 
 
 class TestCrossValidationAgainstFeasibility:
-    """The matrix (decision-level) and the feasibility probe
+    """The decision tables (static) and the feasibility probe
     (traffic-level) must classify identically — two measurement paths,
     one truth."""
 
@@ -79,8 +125,25 @@ class TestCrossValidationAgainstFeasibility:
 
     def test_sbr_membership_agrees(self, feasibility):
         from_probe = {v for v, r in feasibility.items() if r.sbr_vulnerable}
-        assert from_probe == set(sbr_vulnerable_vendors())
+        assert from_probe == sbr_vulnerable()
 
     def test_fcdn_membership_agrees(self, feasibility):
         from_probe = {v for v, r in feasibility.items() if r.obr_fcdn_vulnerable}
-        assert from_probe == set(obr_frontend_vendors())
+        assert from_probe == obr_frontends()
+
+
+class TestOneConfigurationSource:
+    def test_vulnerable_cascades_admit_two_overlaps(self):
+        # classify_cascade and static_max_n read the front end under the
+        # same declared configuration, so every cascade the classifier
+        # flags admits the attack's minimum of two overlapping ranges.
+        vendors = all_vendor_names()
+        flagged = [
+            (fcdn, bcdn)
+            for fcdn in vendors
+            for bcdn in vendors
+            if fcdn != bcdn and classify_cascade(fcdn, bcdn).vulnerable
+        ]
+        assert flagged
+        for fcdn, bcdn in flagged:
+            assert static_max_n(fcdn, bcdn) >= 2, (fcdn, bcdn)

@@ -14,14 +14,11 @@ from repro.http.ranges import (
     ResolvedRange,
     SuffixByteRangeSpec,
     coalesce_ranges,
-    covering_span,
-    distinct_resolved_bytes,
     format_content_range,
     format_unsatisfied_content_range,
     parse_content_range,
     parse_range_header,
     ranges_overlap,
-    total_resolved_bytes,
     try_parse_range_header,
 )
 
@@ -212,25 +209,12 @@ class TestAnalysisHelpers:
     def test_coalesce_empty(self):
         assert coalesce_ranges([]) == []
 
-    def test_covering_span(self):
-        span = covering_span([ResolvedRange(3, 4), ResolvedRange(8, 9)])
-        assert span == ResolvedRange(3, 9)
-
-    def test_covering_span_empty_raises(self):
-        with pytest.raises(ValueError):
-            covering_span([])
-
     def test_overlap_over_runs(self):
         # A repeated range overlaps its own copies.
         assert ranges_overlap([(ResolvedRange(0, 9), 2)])
         assert ranges_overlap([(ResolvedRange(0, 5), 1), (ResolvedRange(5, 9), 1)])
         assert not ranges_overlap([(ResolvedRange(5, 9), 1), (ResolvedRange(0, 4), 1)])
         assert not ranges_overlap([(ResolvedRange(0, 9), 1)])
-
-    def test_total_vs_distinct_bytes(self):
-        overlapping = [ResolvedRange(0, 9), ResolvedRange(0, 9)]
-        assert total_resolved_bytes(overlapping) == 20
-        assert distinct_resolved_bytes(overlapping) == 10
 
     @given(
         st.lists(

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "cli"
 
 
 class TestVendors:
@@ -94,6 +98,11 @@ class TestMatrix:
         for vendor in ("akamai", "cloudfront", "keycdn"):
             assert vendor in output
         assert "DEL" in output and "EXP" in output and "lazy" in output
+
+    def test_output_matches_golden(self, capsys):
+        assert main(["matrix"]) == 0
+        golden = (GOLDEN_DIR / "matrix.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
 
 
 class TestReport:

@@ -5,12 +5,33 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.practical import MAX_FLOOD_M
 from repro.errors import ConfigurationError
 from repro.scenarios import (
     load_scenario,
     run_scenario,
     validate_scenario,
 )
+
+
+#: One malformed value per experiment key that takes an integer.
+BAD_VALUES = [
+    {"type": "sbr", "vendor": "gcore", "size_mb": "abc"},
+    {"type": "sbr", "vendor": "gcore", "size_mb": -3},
+    {"type": "sbr", "vendor": "gcore", "size_mb": 0},
+    {"type": "sbr", "vendor": "gcore", "size_mb": 2.5},
+    {"type": "sbr", "vendor": "gcore", "size_mb": True},
+    {"type": "sbr", "vendor": "gcore", "rounds": 0},
+    {"type": "sbr", "vendor": "gcore", "rounds": "3"},
+    {"type": "obr", "fcdn": "cloudflare", "bcdn": "akamai", "overlaps": "64"},
+    {"type": "obr", "fcdn": "cloudflare", "bcdn": "akamai", "overlaps": 6.5},
+    {"type": "obr", "fcdn": "cloudflare", "bcdn": "akamai", "overlaps": -1},
+    {"type": "flood", "m": 1.5},
+    {"type": "flood", "m": -1},
+    {"type": "flood", "m": MAX_FLOOD_M + 1},
+    {"type": "flood", "m": "12"},
+    {"type": "flood", "m": None},
+]
 
 
 def _spec(**overrides):
@@ -44,6 +65,23 @@ class TestValidation:
     def test_broken_specs_rejected(self, broken):
         with pytest.raises(ConfigurationError):
             validate_scenario(broken)
+
+    @pytest.mark.parametrize("experiment", BAD_VALUES)
+    def test_bad_values_rejected(self, experiment):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            validate_scenario({"name": "x", "experiments": [experiment]})
+
+    @pytest.mark.parametrize(
+        "experiment",
+        [
+            {"type": "flood", "m": 0},
+            {"type": "flood", "m": MAX_FLOOD_M},
+            {"type": "obr", "fcdn": "cloudflare", "bcdn": "akamai", "overlaps": 0},
+            {"type": "sbr", "vendor": "gcore", "size_mb": 1, "rounds": 1},
+        ],
+    )
+    def test_boundary_values_accepted(self, experiment):
+        validate_scenario({"name": "x", "experiments": [experiment]})
 
 
 class TestExecution:
@@ -120,3 +158,12 @@ class TestCliIntegration:
     def test_scenario_command_bad_file(self, tmp_path, capsys):
         assert main(["scenario", str(tmp_path / "missing.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", BAD_VALUES)
+    def test_scenario_command_bad_value(self, tmp_path, capsys, experiment):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"name": "x", "experiments": [experiment]}))
+        assert main(["scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment #0: ")
+        assert "Traceback" not in err
