@@ -36,7 +36,7 @@ def output_dir() -> Path:
 
 def benchmark_runner() -> Any:
     """The GridRunner sweeps regenerate through."""
-    from repro.runner import GridRunner
+    from repro.runner.executor import GridRunner
 
     workers_env = os.environ.get(BENCH_WORKERS_ENV, "").strip()
     workers = int(workers_env) if workers_env else None

@@ -11,7 +11,7 @@ Usage::
     python examples/bandwidth_flood.py
 """
 
-from repro import BandwidthAttackSimulation
+from repro.core.practical import BandwidthAttackSimulation
 from repro.reporting.render import render_sparkline
 
 MB = 1 << 20

@@ -8,10 +8,10 @@ Usage::
     python examples/mitigation_eval.py
 """
 
-from repro import (
-    ObrAttack,
-    SbrAttack,
-    create_profile,
+from repro.cdn.vendors import create_profile
+from repro.core.obr import ObrAttack
+from repro.core.sbr import SbrAttack
+from repro.defense.mitigations import (
     with_bounded_expansion,
     with_laziness,
     with_overlap_rejection,

@@ -14,7 +14,7 @@ and showing the per-segment traffic asymmetry.
 
 import sys
 
-from repro import ObrAttack, vulnerable_combinations
+from repro.core.obr import ObrAttack, vulnerable_combinations
 from repro.reporting.render import format_bytes, render_table
 
 

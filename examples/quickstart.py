@@ -11,7 +11,8 @@ Usage::
     python examples/quickstart.py
 """
 
-from repro import ObrAttack, SbrAttack
+from repro.core.obr import ObrAttack
+from repro.core.sbr import SbrAttack
 
 MB = 1 << 20
 

@@ -14,9 +14,10 @@ configuration, where the vendor has one.
 
 import sys
 
-from repro import SbrAttack, all_vendor_names, exploited_range_cases
+from repro.cdn.vendors import all_vendor_names
 from repro.cdn.vendors.base import VendorConfig
 from repro.core.deployment import Deployment
+from repro.core.sbr import SbrAttack, exploited_range_cases
 from repro.netsim.tap import CDN_ORIGIN
 from repro.origin.server import OriginServer
 from repro.reporting.render import render_sparkline, render_table

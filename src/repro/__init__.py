@@ -15,9 +15,10 @@ taps — and on top of it the paper's two attacks:
   origin, and ships the decompressed bytes to an identity-only client
   (:class:`repro.core.ccfc.CcfcAttack`).
 
-Quickstart::
+Quickstart (every name is imported from the module that defines it;
+the packages re-export nothing)::
 
-    from repro import SbrAttack
+    from repro.core.sbr import SbrAttack
 
     result = SbrAttack("akamai", resource_size=25 * 1024 * 1024).run()
     print(f"amplification: {result.amplification:.0f}x")
@@ -28,84 +29,4 @@ paper-vs-measured record of every table and figure.
 
 from __future__ import annotations
 
-from repro.cdn.vendors import all_vendor_names, create_profile
-from repro.core.amplification import AmplificationReport
-from repro.core.cachebusting import CacheBuster
-from repro.core.ccfc import CcfcAttack, CcfcResult
-from repro.core.connection_drop import ConnectionDropAttack, compare_with_sbr
-from repro.core.deployment import CdnSpec, Client, Deployment
-from repro.core.economics import estimate_obr_campaign, estimate_sbr_campaign
-from repro.core.feasibility import FeasibilityProbe, survey
-from repro.core.obr import ObrAttack, ObrResult, vulnerable_combinations
-from repro.core.practical import BandwidthAttackSimulation, BandwidthRunResult
-from repro.core.sbr import SbrAttack, SbrResult, exploited_range_cases, sweep_resource_sizes
-from repro.defense.mitigations import (
-    MitigatedProfile,
-    with_bounded_expansion,
-    with_laziness,
-    with_overlap_rejection,
-    with_slicing,
-)
-from repro.errors import ReproError
-from repro.faults import (
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    FaultRule,
-    RetryPolicy,
-    current_faults,
-    retry_policy_for,
-    use_faults,
-)
-from repro.faults.experiment import FaultedSbrResult, measure_sbr_under_faults
-from repro.netsim.overhead import Http2FramingModel, TcpOverheadModel
-from repro.origin.server import OriginServer
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "AmplificationReport",
-    "BandwidthAttackSimulation",
-    "BandwidthRunResult",
-    "CacheBuster",
-    "CcfcAttack",
-    "CcfcResult",
-    "CdnSpec",
-    "Client",
-    "ConnectionDropAttack",
-    "Deployment",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FaultRule",
-    "FaultedSbrResult",
-    "FeasibilityProbe",
-    "Http2FramingModel",
-    "MitigatedProfile",
-    "ObrAttack",
-    "ObrResult",
-    "OriginServer",
-    "ReproError",
-    "RetryPolicy",
-    "SbrAttack",
-    "SbrResult",
-    "TcpOverheadModel",
-    "__version__",
-    "all_vendor_names",
-    "compare_with_sbr",
-    "create_profile",
-    "current_faults",
-    "estimate_obr_campaign",
-    "estimate_sbr_campaign",
-    "exploited_range_cases",
-    "measure_sbr_under_faults",
-    "retry_policy_for",
-    "survey",
-    "sweep_resource_sizes",
-    "use_faults",
-    "vulnerable_combinations",
-    "with_bounded_expansion",
-    "with_laziness",
-    "with_overlap_rejection",
-    "with_slicing",
-]

@@ -27,81 +27,3 @@ Two independent passes (ISSUE 3):
 """
 
 from __future__ import annotations
-
-from repro.analysis.bounds import (
-    CcfcBound,
-    ObrBound,
-    SbrBound,
-    ccfc_bound,
-    obr_bound,
-    profile_ccfc_bound,
-    profile_sbr_bound,
-    sbr_bound,
-    static_max_n,
-)
-from repro.analysis.classify import (
-    CascadeClassification,
-    CcfcClassification,
-    ObrBackendFacts,
-    ProbeDecision,
-    ProfileFactory,
-    SbrClassification,
-    classify_cascade,
-    classify_ccfc,
-    classify_obr_backend,
-    classify_obr_frontend,
-    classify_sbr,
-)
-from repro.analysis.recommend import (
-    MitigationOption,
-    MitigationSpec,
-    Recommendation,
-    RecommendationReport,
-    VerificationCheck,
-    recommend,
-    render_recommendations_table,
-    verify_recommendations,
-)
-from repro.analysis.report import (
-    AnalysisReport,
-    Finding,
-    analyze_deployment,
-    analyze_vendor_matrix,
-    render_findings_table,
-)
-
-__all__ = [
-    "AnalysisReport",
-    "CascadeClassification",
-    "CcfcBound",
-    "CcfcClassification",
-    "Finding",
-    "MitigationOption",
-    "MitigationSpec",
-    "ObrBackendFacts",
-    "ObrBound",
-    "ProbeDecision",
-    "ProfileFactory",
-    "Recommendation",
-    "RecommendationReport",
-    "SbrBound",
-    "SbrClassification",
-    "VerificationCheck",
-    "analyze_deployment",
-    "analyze_vendor_matrix",
-    "ccfc_bound",
-    "classify_cascade",
-    "classify_ccfc",
-    "classify_obr_backend",
-    "classify_obr_frontend",
-    "classify_sbr",
-    "obr_bound",
-    "profile_ccfc_bound",
-    "profile_sbr_bound",
-    "recommend",
-    "render_findings_table",
-    "render_recommendations_table",
-    "sbr_bound",
-    "static_max_n",
-    "verify_recommendations",
-]

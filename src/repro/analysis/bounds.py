@@ -28,6 +28,7 @@ from repro.cdn.vendors.azure import DEFAULT_ABORT_SLOP, EIGHT_MB, WINDOW_LAST
 from repro.cdn.vendors.base import VendorContext, VendorProfile
 from repro.cdn.vendors.cloudfront import MULTI_RANGE_WINDOW_CAP
 from repro.core.obr import (
+    MAX_OVERLAPS,
     declared_max_n,
     exploited_request,
     forwarded_verbatim,
@@ -417,7 +418,7 @@ def static_max_n(
     resource_path: str = "/1KB.bin",
     host: str = "victim.example",
     lower: int = 2,
-    upper: int = 32768,
+    upper: int = MAX_OVERLAPS,
     fcdn_profile: Optional[ProfileFactory] = None,
     bcdn_profile: Optional[ProfileFactory] = None,
 ) -> int:

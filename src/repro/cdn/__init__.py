@@ -19,31 +19,3 @@ measured on 13 commercial CDNs (Tables I–III):
 """
 
 from __future__ import annotations
-
-from repro.cdn.cache import CacheStats, CdnCache
-from repro.cdn.limits import HeaderLimits
-from repro.cdn.multirange import MultiRangeReplyBehavior, apply_reply_behavior
-from repro.cdn.node import CdnNode
-from repro.cdn.policy import ForwardDecision, ForwardPolicy, mb_aligned_expansion
-from repro.cdn.vendors import all_vendor_names, create_profile
-from repro.cdn.vendors.base import FetchResult, VendorConfig, VendorContext, VendorProfile
-from repro.cdn.window import ContentWindow
-
-__all__ = [
-    "CacheStats",
-    "CdnCache",
-    "CdnNode",
-    "ContentWindow",
-    "FetchResult",
-    "ForwardDecision",
-    "ForwardPolicy",
-    "HeaderLimits",
-    "MultiRangeReplyBehavior",
-    "VendorConfig",
-    "VendorContext",
-    "VendorProfile",
-    "all_vendor_names",
-    "apply_reply_behavior",
-    "create_profile",
-    "mb_aligned_expansion",
-]

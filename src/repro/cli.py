@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.cdn.vendors import all_vendor_names, profile_class
 from repro.core.economics import estimate_obr_campaign, estimate_sbr_campaign
 from repro.core.feasibility import survey
-from repro.core.obr import ObrAttack, vulnerable_combinations
+from repro.core.obr import MAX_OVERLAPS, ObrAttack, vulnerable_combinations
 from repro.core.practical import MAX_FLOOD_M, BandwidthAttackSimulation
 from repro.core.sbr import SbrAttack, exploited_range_cases
 from repro.errors import ReproError, UsageError
@@ -61,6 +61,15 @@ def _positive_int(text: str) -> int:
         value = 0
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected an integer > 0, got {text!r}")
+    return value
+
+
+def _overlap_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_OVERLAPS:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer <= {MAX_OVERLAPS}, got {text!r}"
+        )
     return value
 
 
@@ -109,8 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     obr.add_argument("fcdn", choices=all_vendor_names())
     obr.add_argument("bcdn", choices=all_vendor_names())
     obr.add_argument(
-        "--overlaps", type=int, default=None,
-        help="overlap count n (default: search the maximum)",
+        "--overlaps", type=_overlap_count, default=None,
+        help=f"overlap count n, 1..{MAX_OVERLAPS} (default: search the maximum)",
     )
 
     commands.add_parser(
@@ -814,7 +823,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis import analyze_vendor_matrix, render_findings_table
+    from repro.analysis.report import analyze_vendor_matrix, render_findings_table
 
     wall_started = time.perf_counter()
     report = analyze_vendor_matrix(

@@ -20,39 +20,3 @@ execution, and measurement.
 """
 
 from __future__ import annotations
-
-from repro.core.amplification import AmplificationReport
-from repro.core.cachebusting import CacheBuster
-from repro.core.ccfc import CcfcAttack, CcfcResult
-from repro.core.deployment import CdnSpec, Client, Deployment, RecordingHandler
-from repro.core.feasibility import (
-    FeasibilityProbe,
-    ForwardingObservation,
-    ReplyObservation,
-    VendorFeasibility,
-)
-from repro.core.obr import ObrAttack, ObrResult
-from repro.core.practical import BandwidthAttackSimulation, BandwidthRunResult
-from repro.core.sbr import SbrAttack, SbrResult, exploited_range_cases
-
-__all__ = [
-    "AmplificationReport",
-    "BandwidthAttackSimulation",
-    "BandwidthRunResult",
-    "CacheBuster",
-    "CcfcAttack",
-    "CcfcResult",
-    "CdnSpec",
-    "Client",
-    "Deployment",
-    "FeasibilityProbe",
-    "ForwardingObservation",
-    "ObrAttack",
-    "ObrResult",
-    "RecordingHandler",
-    "ReplyObservation",
-    "SbrAttack",
-    "SbrResult",
-    "VendorFeasibility",
-    "exploited_range_cases",
-]

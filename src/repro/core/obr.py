@@ -43,6 +43,11 @@ if TYPE_CHECKING:
     from repro.cdn.vendors.base import VendorProfile
     from repro.runner.grid import ExperimentGrid
 
+#: The largest overlap count ``n`` any entry point searches or accepts.
+#: It sits above every modeled cascade's header-limit cap, and it keeps
+#: an untrusted ``n`` from buying an unbounded Range header.
+MAX_OVERLAPS = 32768
+
 
 def exploited_fcdn_config(fcdn: str) -> Optional[VendorConfig]:
     """The front-CDN configuration the Table V setup uses.
@@ -168,7 +173,7 @@ class ObrAttack:
         )
         return result.response.status
 
-    def find_max_n(self, lower: int = 2, upper: int = 32768) -> int:
+    def find_max_n(self, lower: int = 2, upper: int = MAX_OVERLAPS) -> int:
         """Largest ``n`` that survives both CDNs' header limits end-to-end.
 
         The cascade's declared limits give the answer by division

@@ -11,26 +11,3 @@
 """
 
 from __future__ import annotations
-
-from repro.defense.mitigations import (
-    MitigatedProfile,
-    SlicingProfile,
-    rfc7233_multirange_guard,
-    with_bounded_expansion,
-    with_laziness,
-    with_overlap_rejection,
-    with_slicing,
-)
-from repro.defense.ratelimit import RateLimitedHandler, TokenBucket
-
-__all__ = [
-    "MitigatedProfile",
-    "RateLimitedHandler",
-    "SlicingProfile",
-    "TokenBucket",
-    "rfc7233_multirange_guard",
-    "with_bounded_expansion",
-    "with_laziness",
-    "with_overlap_rejection",
-    "with_slicing",
-]

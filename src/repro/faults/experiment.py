@@ -1,10 +1,4 @@
-"""Retry-induced re-amplification: SBR measured under a fault plan.
-
-Separated from the package ``__init__`` on purpose: this module imports
-the attack stack (``core.sbr`` → deployment → ``cdn.node``), which
-itself imports ``repro.faults.plan`` — importing it from the package
-init would close that loop.
-"""
+"""Retry-induced re-amplification: SBR measured under a fault plan."""
 
 from __future__ import annotations
 

@@ -17,41 +17,3 @@ exercise, at wire-byte accuracy:
 """
 
 from __future__ import annotations
-
-from repro.http.body import Body, BytesBody, SyntheticBody, make_body
-from repro.http.headers import Headers
-from repro.http.message import HttpRequest, HttpResponse
-from repro.http.multipart import MultipartByteranges, MultipartPart
-from repro.http.ranges import (
-    ByteRangeSpec,
-    RangeSpecifier,
-    ResolvedRange,
-    SuffixByteRangeSpec,
-    format_content_range,
-    format_unsatisfied_content_range,
-    parse_content_range,
-    parse_range_header,
-)
-from repro.http.status import StatusCode, reason_phrase
-
-__all__ = [
-    "Body",
-    "ByteRangeSpec",
-    "BytesBody",
-    "Headers",
-    "HttpRequest",
-    "HttpResponse",
-    "MultipartByteranges",
-    "MultipartPart",
-    "RangeSpecifier",
-    "ResolvedRange",
-    "StatusCode",
-    "SuffixByteRangeSpec",
-    "SyntheticBody",
-    "format_content_range",
-    "format_unsatisfied_content_range",
-    "make_body",
-    "parse_content_range",
-    "parse_range_header",
-    "reason_phrase",
-]

@@ -38,6 +38,25 @@ def parse_decimal(text: str) -> Optional[int]:
     return None
 
 
+def declared_length(headers: Headers) -> Optional[int]:
+    """The body length ``headers`` declare, or None without Content-Length.
+
+    RFC 7230 §3.3.3: a repeated Content-Length field or a value that is
+    not ``1*DIGIT`` (a sign, a list, text) leaves the framing invalid,
+    so it raises instead of guessing which length the sender meant.
+    """
+    values = headers.get_all("Content-Length")
+    if not values:
+        return None
+    if len(values) > 1:
+        raise HeaderError(f"{len(values)} Content-Length fields")
+    raw = values[0].strip()
+    length = parse_decimal(raw)
+    if length is None:
+        raise HeaderError(f"Content-Length is not a non-negative integer: {raw[:32]!r}")
+    return length
+
+
 def _check_name(name: str) -> None:
     if not name:
         raise HeaderError("header name must be non-empty")
@@ -132,16 +151,6 @@ class Headers:
         """Return every value of ``name``, in wire order."""
         lowered = name.lower()
         return [v for n, v in self._items if n.lower() == lowered]
-
-    def get_int(self, name: str, default: Optional[int] = None) -> Optional[int]:
-        """Return the first value of ``name`` parsed as an integer."""
-        raw = self.get(name)
-        if raw is None:
-            return default
-        try:
-            return int(raw.strip())
-        except ValueError as exc:
-            raise HeaderError(f"header {name} is not an integer: {raw!r}") from exc
 
     def __contains__(self, name: object) -> bool:
         if not isinstance(name, str):

@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Tuple, Union
 
 from repro.errors import MessageError
 from repro.http.body import Body, make_body
-from repro.http.headers import Headers
+from repro.http.headers import Headers, declared_length
 from repro.http.status import StatusCode, reason_phrase
 
 _BodyLike = Union[Body, bytes, str, int, None]
@@ -155,7 +155,7 @@ class HttpResponse:
         return self.headers.get("Content-Type")
 
     def declared_content_length(self) -> Optional[int]:
-        return self.headers.get_int("Content-Length")
+        return declared_length(self.headers)
 
     # -- wire form --------------------------------------------------------------
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.errors import MessageError
-from repro.http.headers import Headers, parse_decimal
+from repro.errors import HeaderError, MessageError
+from repro.http.headers import Headers, declared_length, parse_decimal
 from repro.http.message import HttpRequest, HttpResponse
 
 _HEADER_END = b"\r\n\r\n"
@@ -30,14 +30,12 @@ def _split_head(blob: bytes, kind: str) -> Tuple[str, Headers, bytes]:
 
 
 def _delimit_body(headers: Headers, body: bytes, kind: str) -> bytes:
-    raw = headers.get("Content-Length")
-    if raw is None:
-        return body
-    # RFC 7230 §3.3.2: Content-Length = 1*DIGIT; "-3", "+5" or "0_5"
-    # leave the framing unknown, so refuse rather than guess.
-    declared = parse_decimal(raw.strip())
+    try:
+        declared = declared_length(headers)
+    except HeaderError as exc:
+        raise MessageError(f"{kind} framing is invalid: {exc}") from exc
     if declared is None:
-        raise MessageError(f"{kind} has a malformed Content-Length {raw!r}")
+        return body
     if declared > len(body):
         raise MessageError(
             f"{kind} declares Content-Length {declared} but only "

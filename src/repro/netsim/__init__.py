@@ -17,30 +17,3 @@ provides the equivalent observation points for the simulator:
 """
 
 from __future__ import annotations
-
-from repro.netsim.bandwidth import FluidSimulator, Link, LinkSample, Transfer
-from repro.netsim.clock import SimClock
-from repro.netsim.connection import Connection, ExchangeRecord
-from repro.netsim.overhead import (
-    Http2FramingModel,
-    NullOverheadModel,
-    OverheadModel,
-    TcpOverheadModel,
-)
-from repro.netsim.tap import SegmentStats, TrafficLedger
-
-__all__ = [
-    "Connection",
-    "ExchangeRecord",
-    "FluidSimulator",
-    "Http2FramingModel",
-    "Link",
-    "LinkSample",
-    "NullOverheadModel",
-    "OverheadModel",
-    "SegmentStats",
-    "SimClock",
-    "TcpOverheadModel",
-    "TrafficLedger",
-    "Transfer",
-]

@@ -13,104 +13,3 @@ installed the instrumentation points in ``netsim``/``cdn``/``origin``/
 """
 
 from __future__ import annotations
-
-from repro.obs.export import (
-    chrome_trace,
-    chrome_trace_events,
-    chrome_trace_from_jsonl,
-    write_chrome_trace,
-    write_prometheus_textfile,
-)
-from repro.obs.metrics import (
-    AMPLIFICATION_FACTOR,
-    CACHE_LOOKUPS,
-    Counter,
-    FASTPATH_CELLS,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-    RANGE_REWRITES,
-    RUNNER_CELL_SECONDS,
-    RUNNER_CELLS,
-    SEGMENT_EXCHANGES,
-    SEGMENT_REQUEST_BYTES,
-    SEGMENT_RESPONSE_BYTES_DELIVERED,
-    SEGMENT_RESPONSE_BYTES_SENT,
-    current_metrics,
-    use_metrics,
-)
-from repro.obs.profile import CellProfile, render_profile
-from repro.obs.progress import ProgressReporter
-from repro.obs.runlog import (
-    CellRecord,
-    RunDiff,
-    RunLedger,
-    RunLogError,
-    RunRecord,
-    diff_runs,
-    record_from_analysis,
-    record_from_dict,
-    record_from_recommendations,
-    record_from_runall,
-)
-from repro.obs.tracer import (
-    NULL_SPAN,
-    NULL_TRACER,
-    NullSpan,
-    NullTracer,
-    Span,
-    SpanRecord,
-    Tracer,
-    current_span,
-    current_tracer,
-    use_tracer,
-)
-
-__all__ = [
-    "AMPLIFICATION_FACTOR",
-    "CACHE_LOOKUPS",
-    "CellProfile",
-    "CellRecord",
-    "Counter",
-    "FASTPATH_CELLS",
-    "Gauge",
-    "Histogram",
-    "MetricError",
-    "MetricsRegistry",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "NullSpan",
-    "NullTracer",
-    "ProgressReporter",
-    "RANGE_REWRITES",
-    "RUNNER_CELLS",
-    "RUNNER_CELL_SECONDS",
-    "RunDiff",
-    "RunLedger",
-    "RunLogError",
-    "RunRecord",
-    "SEGMENT_EXCHANGES",
-    "SEGMENT_REQUEST_BYTES",
-    "SEGMENT_RESPONSE_BYTES_DELIVERED",
-    "SEGMENT_RESPONSE_BYTES_SENT",
-    "Span",
-    "SpanRecord",
-    "Tracer",
-    "chrome_trace",
-    "chrome_trace_events",
-    "chrome_trace_from_jsonl",
-    "current_metrics",
-    "current_span",
-    "current_tracer",
-    "diff_runs",
-    "record_from_analysis",
-    "record_from_dict",
-    "record_from_recommendations",
-    "record_from_runall",
-    "render_profile",
-    "use_metrics",
-    "use_tracer",
-    "write_chrome_trace",
-    "write_prometheus_textfile",
-]

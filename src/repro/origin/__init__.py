@@ -9,8 +9,3 @@ byte weight feeds the amplification denominators).
 """
 
 from __future__ import annotations
-
-from repro.origin.resource import Resource, ResourceStore
-from repro.origin.server import OriginServer, OriginStats
-
-__all__ = ["OriginServer", "OriginStats", "Resource", "ResourceStore"]

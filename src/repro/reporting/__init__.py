@@ -15,38 +15,3 @@ produces them, in :func:`repro.runner.runall.report_tables`.
 """
 
 from __future__ import annotations
-
-from repro.reporting.figures import Fig6Series, fig6_series_from_results
-from repro.reporting.render import Table, render_table, write_tables
-from repro.reporting.tables import (
-    Table1Row,
-    Table2Row,
-    Table3Row,
-    Table4Row,
-    Table5Row,
-    survey_tables,
-    table1_rows,
-    table2_rows,
-    table3_rows,
-    table4_rows_from_results,
-    table5_rows_from_results,
-)
-
-__all__ = [
-    "Fig6Series",
-    "Table",
-    "Table1Row",
-    "Table2Row",
-    "Table3Row",
-    "Table4Row",
-    "Table5Row",
-    "fig6_series_from_results",
-    "render_table",
-    "survey_tables",
-    "table1_rows",
-    "table2_rows",
-    "table3_rows",
-    "table4_rows_from_results",
-    "table5_rows_from_results",
-    "write_tables",
-]

@@ -8,13 +8,15 @@ lays them out); every other table is assembled from grid results by a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cdn.vendors import profile_class
-from repro.core.feasibility import VendorFeasibility
 from repro.core.obr import ObrAttack
 from repro.core.sbr import exploited_range_cases
 from repro.reporting.render import Table
+
+if TYPE_CHECKING:
+    from repro.core.feasibility import VendorFeasibility
 
 MB = 1 << 20
 

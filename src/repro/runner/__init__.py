@@ -27,49 +27,3 @@ failures are captured (type + message) instead of killing the sweep.
 """
 
 from __future__ import annotations
-
-from repro.runner.checkpoint import RunCheckpoint, cell_digest
-from repro.runner.executor import (
-    CellFailure,
-    CellObservation,
-    CellOutcome,
-    CellTiming,
-    GridResult,
-    GridRunner,
-    RETRIES_ENV,
-    RunnerCellError,
-    SERIAL_ENV,
-    WORKERS_ENV,
-    resolve_cell_retries,
-    resolve_workers,
-)
-from repro.runner.grid import ExperimentCell, ExperimentGrid
-from repro.runner.memo import Memo, MemoStats, clear_all_memos, measure_sbr, memoize
-from repro.runner.runall import RunAllReport, build_run_all_grid, run_all
-
-__all__ = [
-    "CellFailure",
-    "CellObservation",
-    "CellOutcome",
-    "CellTiming",
-    "ExperimentCell",
-    "ExperimentGrid",
-    "GridResult",
-    "GridRunner",
-    "Memo",
-    "MemoStats",
-    "RETRIES_ENV",
-    "RunAllReport",
-    "RunCheckpoint",
-    "RunnerCellError",
-    "SERIAL_ENV",
-    "WORKERS_ENV",
-    "build_run_all_grid",
-    "cell_digest",
-    "clear_all_memos",
-    "measure_sbr",
-    "memoize",
-    "resolve_cell_retries",
-    "resolve_workers",
-    "run_all",
-]

@@ -65,6 +65,7 @@ from typing import (
 )
 
 from repro.errors import ReproError
+from repro.runner.experiments import execute_cell
 from repro.runner.grid import ExperimentCell, ExperimentGrid
 
 if TYPE_CHECKING:
@@ -301,8 +302,6 @@ def _attempt_cell(
     and is actually slept (this is runner resilience against flaky cell
     dependencies, not simulated time).
     """
-    from repro.runner.experiments import execute_cell
-
     attempts = 0
     while True:
         attempts += 1

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.cdn.vendors import all_vendor_names
 from repro.core.feasibility import survey
-from repro.core.obr import ObrAttack
+from repro.core.obr import MAX_OVERLAPS, ObrAttack
 from repro.core.practical import MAX_FLOOD_M, BandwidthAttackSimulation
 from repro.core.sbr import SbrAttack
 from repro.errors import ConfigurationError
@@ -106,7 +106,7 @@ def validate_scenario(spec: Dict[str, Any]) -> None:
                         f"experiment #{index}: unknown {role} {vendor!r}"
                     )
             # 0 (like an absent value) searches the cascade's max n.
-            _check_int(index, experiment, "overlaps", 0)
+            _check_int(index, experiment, "overlaps", 0, MAX_OVERLAPS)
         if kind == "flood":
             _check_int(index, experiment, "m", 0, MAX_FLOOD_M)
 

@@ -23,19 +23,3 @@ deterministic under test; wall time enters only at the asyncio edge
 """
 
 from __future__ import annotations
-
-from repro.serve.admission import AdmissionController, AdmissionDecision
-from repro.serve.app import AnalysisService, ServeConfig
-from repro.serve.breaker import CircuitBreaker
-from repro.serve.deadline import Deadline, resolve_deadline_ms
-from repro.serve.memo import SharedMemoRegistry
-
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "AnalysisService",
-    "CircuitBreaker",
-    "Deadline",
-    "ServeConfig",
-    "SharedMemoRegistry",
-]

@@ -30,8 +30,8 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Deque, Dict, Optional, Union
 
-from repro.errors import HeaderError, HttpError
-from repro.http.headers import Headers, parse_decimal
+from repro.errors import HttpError
+from repro.http.headers import Headers, declared_length
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.status import StatusCode
 from repro.http.wire import parse_request
@@ -51,25 +51,6 @@ def _malformed(exc: HttpError) -> HttpResponse:
     return _json_response(
         StatusCode.BAD_REQUEST, {"error": f"malformed request: {exc}"}
     )
-
-
-def _declared_length(headers: Headers) -> Optional[int]:
-    """The request body's length, or None when no Content-Length is sent.
-
-    RFC 7230 §3.3.3: a repeated Content-Length field or a value that is
-    not ``1*DIGIT`` (a sign, a list, text) leaves the framing invalid,
-    so it raises instead of guessing which length the sender meant.
-    """
-    values = headers.get_all("Content-Length")
-    if not values:
-        return None
-    if len(values) > 1:
-        raise HeaderError(f"{len(values)} Content-Length fields")
-    raw = values[0].strip()
-    length = parse_decimal(raw)
-    if length is not None:
-        return length
-    raise HeaderError(f"Content-Length is not a non-negative integer: {raw[:32]!r}")
 
 
 class ServeServer:
@@ -266,7 +247,7 @@ class ServeServer:
         _, _, header_blob = head[:-4].partition(b"\r\n")
         try:
             headers = Headers.parse(header_blob + b"\r\n" if header_blob else b"")
-            declared = _declared_length(headers)
+            declared = declared_length(headers)
         except HttpError as exc:
             return _malformed(exc)
         body = b""

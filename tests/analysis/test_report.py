@@ -9,15 +9,13 @@ records no ledger byte.
 
 import json
 
-from repro.analysis import (
+from repro.analysis.classify import classify_cascade, classify_obr_backend, classify_sbr
+from repro.analysis.report import (
+    SEVERITY_ORDER,
     analyze_deployment,
     analyze_vendor_matrix,
-    classify_cascade,
-    classify_obr_backend,
-    classify_sbr,
     render_findings_table,
 )
-from repro.analysis.report import SEVERITY_ORDER
 from repro.cdn.vendors import OBR_BACKENDS, OBR_FRONTENDS, all_vendor_names
 from repro.core.deployment import CdnSpec, Deployment
 from repro.core.feasibility import survey

@@ -10,8 +10,8 @@ from repro.analysis.bounds import (
 )
 from repro.cdn.vendors import all_vendor_names
 from repro.errors import ConfigurationError
-from repro.faults import RetryPolicy, retry_policy_for
 from repro.faults.experiment import measure_sbr_under_faults
+from repro.faults.retry import RetryPolicy, retry_policy_for
 
 MB = 1 << 20
 

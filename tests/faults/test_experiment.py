@@ -1,13 +1,13 @@
 """Faulted-SBR measurement: determinism, baselines, grid equivalence."""
 
-from repro.faults import FaultPlan
 from repro.faults.experiment import (
     DEFAULT_FAULT_SEED,
     FaultedSbrResult,
     faulted_sbr_grid,
     measure_sbr_under_faults,
 )
-from repro.runner import GridRunner
+from repro.faults.plan import FaultPlan
+from repro.runner.executor import GridRunner
 
 MB = 1 << 20
 

@@ -2,17 +2,19 @@
 
 import pytest
 
-from repro.faults import (
-    DEFAULT_RETRY_POLICY,
+from repro.faults.plan import (
     FaultInjector,
     FaultKind,
     FaultPlan,
     FaultRule,
-    RetryPolicy,
     SITE_CDN_ORIGIN,
+    use_faults,
+)
+from repro.faults.retry import (
+    DEFAULT_RETRY_POLICY,
+    RetryPolicy,
     VENDOR_RETRY_POLICIES,
     retry_policy_for,
-    use_faults,
 )
 from repro.handler import HttpHandler
 from repro.http.headers import Headers

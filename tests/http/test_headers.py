@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import HeaderError
-from repro.http.headers import Headers
+from repro.http.headers import Headers, declared_length
 
 
 class TestBasicOperations:
@@ -35,18 +35,21 @@ class TestBasicOperations:
     def test_get_default(self):
         assert Headers().get("X-Nope", "fallback") == "fallback"
 
-    def test_get_int(self):
-        headers = Headers([("Content-Length", "42")])
-        assert headers.get_int("Content-Length") == 42
+    def test_declared_length(self):
+        assert declared_length(Headers([("Content-Length", " 042 ")])) == 42
 
-    def test_get_int_missing_returns_default(self):
-        assert Headers().get_int("Content-Length") is None
-        assert Headers().get_int("Content-Length", 7) == 7
+    def test_declared_length_absent_is_none(self):
+        assert declared_length(Headers([("Host", "h")])) is None
 
-    def test_get_int_malformed_raises(self):
-        headers = Headers([("Content-Length", "forty-two")])
-        with pytest.raises(HeaderError):
-            headers.get_int("Content-Length")
+    def test_declared_length_malformed_raises(self):
+        # Content-Length = 1*DIGIT, sent once.
+        for values in (
+            ["forty-two"], ["+5"], ["1_000"], ["\u0663"], ["-2"], [""],
+            ["1", "5"], ["5", "5"],
+        ):
+            headers = Headers([("Content-Length", value) for value in values])
+            with pytest.raises(HeaderError):
+                declared_length(headers)
 
     def test_iteration_preserves_wire_order(self):
         items = [("B", "2"), ("A", "1"), ("C", "3")]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MessageError
+from repro.errors import HeaderError, MessageError
 from repro.http.headers import Headers
 from repro.http.message import HttpRequest, HttpResponse
 
@@ -105,6 +105,13 @@ class TestHttpResponse:
         response = HttpResponse(200, headers=[("Content-Length", "99")])
         assert response.declared_content_length() == 99
         assert HttpResponse(200).declared_content_length() is None
+        # int() reads the first four as 5, 1000, 3 and -2; none is 1*DIGIT.
+        for lengths in (["+5"], ["1_000"], ["\u0663"], ["-2"], ["1", "5"]):
+            response = HttpResponse(
+                200, headers=[("Content-Length", length) for length in lengths]
+            )
+            with pytest.raises(HeaderError):
+                response.declared_content_length()
 
     def test_content_type(self):
         response = HttpResponse(200, headers=[("Content-Type", "image/png")])

@@ -40,6 +40,8 @@ class TestParseRequest:
             b"GET /x\r\n\r\n",  # two-token request line
             b"GET /x NOTHTTP\r\n\r\n",  # bad version
             b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",  # truncated
+            b"POST /x HTTP/1.1\r\nContent-Length: 1\r\n"  # repeated length
+            b"Content-Length: 5\r\n\r\nhello",
         ],
     )
     def test_malformed_rejected(self, bad):
@@ -48,7 +50,19 @@ class TestParseRequest:
 
     @pytest.mark.parametrize(
         "length",
-        ["-3", "+5", "0_5", " 5x", "5.0", "0x5", "", "\u0665".encode("utf-8").decode("latin-1")],
+        [
+            "-3",
+            "-2",
+            "+5",
+            "0_5",
+            "1_000",
+            " 5x",
+            "5.0",
+            "0x5",
+            "",
+            "\u0665".encode("utf-8").decode("latin-1"),
+            "\u0663".encode("utf-8").decode("latin-1"),
+        ],
     )
     def test_non_decimal_content_length_rejected(self, length):
         # Content-Length = 1*DIGIT; "-3" used to cut the body to body[:-3].

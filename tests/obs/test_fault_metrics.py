@@ -1,12 +1,6 @@
 """Fault and retry instrumentation flowing into the metrics registry."""
 
-from repro.faults import (
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    FaultRule,
-    use_faults,
-)
+from repro.faults.plan import FaultInjector, FaultKind, FaultPlan, FaultRule, use_faults
 from repro.obs.metrics import (
     FAULTS_INJECTED,
     FETCH_ATTEMPTS,

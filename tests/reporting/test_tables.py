@@ -21,7 +21,7 @@ from repro.reporting.tables import (
     table4_rows_from_results,
     table5_rows_from_results,
 )
-from repro.runner import GridRunner
+from repro.runner.executor import GridRunner
 
 MB = 1 << 20
 

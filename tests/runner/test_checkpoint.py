@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.runner import GridRunner, RunCheckpoint, cell_digest
+from repro.runner.checkpoint import RunCheckpoint, cell_digest
+from repro.runner.executor import GridRunner
 from repro.runner.experiments import register, sbr_cell
 from repro.runner.grid import ExperimentCell, ExperimentGrid
 

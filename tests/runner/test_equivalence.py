@@ -16,14 +16,10 @@ from repro.core.obr import ObrAttack, obr_grid
 from repro.core.practical import flood_grid
 from repro.core.sbr import SbrAttack, sbr_grid
 from repro.reporting.tables import table4_rows_from_results, table5_rows_from_results
-from repro.runner import (
-    CellFailure,
-    ExperimentGrid,
-    GridRunner,
-    RunnerCellError,
-    clear_all_memos,
-)
+from repro.runner.executor import CellFailure, GridRunner, RunnerCellError
 from repro.runner.experiments import sbr_cell
+from repro.runner.grid import ExperimentGrid
+from repro.runner.memo import clear_all_memos
 
 MB = 1 << 20
 

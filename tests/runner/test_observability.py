@@ -22,17 +22,11 @@ from repro.obs.metrics import (
     SEGMENT_RESPONSE_BYTES_SENT,
     MetricsRegistry,
 )
-from repro.runner import (
-    CellFailure,
-    CellOutcome,
-    CellTiming,
-    ExperimentGrid,
-    GridRunner,
-    build_run_all_grid,
-    clear_all_memos,
-    run_all,
-)
+from repro.runner.executor import CellFailure, CellOutcome, CellTiming, GridRunner
 from repro.runner.experiments import obr_cell, sbr_cell
+from repro.runner.grid import ExperimentGrid
+from repro.runner.memo import clear_all_memos
+from repro.runner.runall import build_run_all_grid, run_all
 
 MB = 1 << 20
 

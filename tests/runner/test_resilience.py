@@ -6,8 +6,13 @@ import signal
 import pytest
 
 from repro.errors import ReproError
-from repro.runner import RETRIES_ENV, GridRunner, resolve_cell_retries
-from repro.runner.executor import WORKER_CRASH, CellFailure
+from repro.runner.executor import (
+    RETRIES_ENV,
+    WORKER_CRASH,
+    CellFailure,
+    GridRunner,
+    resolve_cell_retries,
+)
 from repro.runner.grid import ExperimentCell, ExperimentGrid
 from repro.runner.experiments import register
 

@@ -132,7 +132,7 @@ class TestFastPathCheckpointing:
         assert _artifact_bytes(resumed, tmp_path / "resumed") == _golden_bytes()
 
     def test_checkpoint_journals_only_the_residual(self, tmp_path):
-        from repro.runner import RunCheckpoint
+        from repro.runner.checkpoint import RunCheckpoint
 
         clear_all_memos()
         path = tmp_path / "ckpt.jsonl"

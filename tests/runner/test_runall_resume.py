@@ -77,7 +77,7 @@ class TestRunAllResume:
             checkpoint_path=path,
             resume=True,
         )
-        from repro.runner import RunCheckpoint
+        from repro.runner.checkpoint import RunCheckpoint
 
         assert again.restored_cells == RunCheckpoint(path).completed_count
         assert again.restored_cells > 0

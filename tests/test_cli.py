@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.core.obr import MAX_OVERLAPS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "cli"
 
@@ -43,6 +44,23 @@ class TestObr:
     def test_self_cascade_is_a_clean_error(self, capsys):
         assert main(["obr", "akamai", "akamai", "--overlaps", "4"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_largest_overlap_count_is_accepted(self, capsys):
+        assert main(["obr", "cdn77", "akamai", "--overlaps", str(MAX_OVERLAPS)]) == 0
+        assert f"overlap count n:   {MAX_OVERLAPS}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "value", ["0", "-5", "two", str(MAX_OVERLAPS + 1), "100000000"]
+    )
+    def test_bad_overlap_counts_are_usage_errors(self, capsys, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obr", "cdn77", "akamai", "--overlaps", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro obr")
+        assert "argument --overlaps:" in err
+        assert "admits no overlapping ranges" not in err
+        assert "Traceback" not in err
 
 
 class TestSurvey:

@@ -1,17 +1,25 @@
-"""Every module under ``src/repro`` is reached from something that runs.
+"""Every module under ``src/repro`` is reached from something that runs,
+and the packages on the way load nothing of their own.
 
 The roots are the CLI (``repro.cli``, ``repro.__main__``) and every
 benchmark and script file.  The walk follows ``import`` statements
 (lazy ones inside functions too) read with :mod:`ast`; importing a
 module also runs its parent packages, so they are reached with it.
-``repro/__init__.py``'s re-exports are not followed: a module that only
-the top-level export list imports is library surface nothing runs.
+
+A package ``__init__`` re-exports nothing: every name is imported from
+the module that defines it, so importing one module loads only what that
+module uses.  The one exception is the vendor registry in
+``repro/cdn/vendors/__init__.py``.
 """
 
 from __future__ import annotations
 
 import ast
+import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+from types import ModuleType
 from typing import Dict, Iterator, List
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,11 +79,85 @@ def unreached() -> List[str]:
         for name in _with_parents(pending.pop()):
             if name in modules and name not in reached:
                 reached.add(name)
-                if name != "repro":  # the export list is not a user
-                    pending.extend(_imports(modules[name], name))
+                pending.extend(_imports(modules[name], name))
     return sorted(set(modules) - reached)
 
 
 def test_every_module_is_reached():
     missing = unreached()
     assert not missing, f"modules nothing runs: {', '.join(missing)}"
+
+
+#: Modules the audit (``analyze_vendor_matrix`` + ``recommend``) never
+#: uses, which package re-exports used to load with it.
+AUDIT_UNUSED = (
+    "repro.core.connection_drop",
+    "repro.core.economics",
+    "repro.core.feasibility",
+    "repro.core.practical",
+    "repro.defense.ratelimit",
+    "repro.faults.experiment",
+    "repro.netsim.bandwidth",
+    "repro.obs.export",
+    "repro.obs.profile",
+    "repro.obs.progress",
+    "repro.obs.runlog",
+)
+
+
+def _package_body(path: Path) -> List[str]:
+    """What a package ``__init__`` holds besides its docstring and the
+    ``__future__`` import, one line per statement."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+    return [
+        ast.unparse(node)
+        for node in body
+        if not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+    ]
+
+
+def test_packages_reexport_nothing():
+    vendors = SRC / "repro" / "cdn" / "vendors" / "__init__.py"
+    found = {}
+    for path in sorted((SRC / "repro").rglob("__init__.py")):
+        if path == vendors:
+            continue
+        top = path.parent == SRC / "repro"
+        extra = [
+            line
+            for line in _package_body(path)
+            if not (top and line.startswith("__version__ = "))
+        ]
+        if extra:
+            found[str(path.relative_to(SRC))] = extra
+    assert not found, f"package inits with more than a docstring: {found}"
+
+
+def test_audit_imports_load_only_what_the_audit_uses():
+    code = (
+        "import sys, repro.analysis.recommend, repro.analysis.report; "
+        "print('\\n'.join(sorted(m for m in sys.modules if m.startswith('repro'))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = result.stdout.split()
+    assert "repro.analysis.recommend" in loaded
+    assert not set(AUDIT_UNUSED) & set(loaded)
+    assert not [m for m in loaded if m.startswith(("repro.runner", "repro.serve"))]
+
+
+def test_submodule_names_are_not_shadowed():
+    # A package that re-exported ``recommend`` would bind the function
+    # over its own ``recommend`` submodule.
+    import repro.analysis.recommend as module
+
+    assert isinstance(module, ModuleType)
+    assert pkgutil.resolve_name("repro.analysis:recommend") is module
+    function = pkgutil.resolve_name("repro.analysis.recommend:recommend")
+    assert function is module.recommend

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.obr import MAX_OVERLAPS
 from repro.core.practical import MAX_FLOOD_M
 from repro.errors import ConfigurationError
 from repro.scenarios import (
@@ -26,6 +27,8 @@ BAD_VALUES = [
     {"type": "obr", "fcdn": "cloudflare", "bcdn": "akamai", "overlaps": "64"},
     {"type": "obr", "fcdn": "cloudflare", "bcdn": "akamai", "overlaps": 6.5},
     {"type": "obr", "fcdn": "cloudflare", "bcdn": "akamai", "overlaps": -1},
+    {"type": "obr", "fcdn": "cdn77", "bcdn": "akamai", "overlaps": MAX_OVERLAPS + 1},
+    {"type": "obr", "fcdn": "cdn77", "bcdn": "akamai", "overlaps": 100000000},
     {"type": "flood", "m": 1.5},
     {"type": "flood", "m": -1},
     {"type": "flood", "m": MAX_FLOOD_M + 1},
@@ -77,6 +80,7 @@ class TestValidation:
             {"type": "flood", "m": 0},
             {"type": "flood", "m": MAX_FLOOD_M},
             {"type": "obr", "fcdn": "cloudflare", "bcdn": "akamai", "overlaps": 0},
+            {"type": "obr", "fcdn": "cdn77", "bcdn": "akamai", "overlaps": MAX_OVERLAPS},
             {"type": "sbr", "vendor": "gcore", "size_mb": 1, "rounds": 1},
         ],
     )
