@@ -75,6 +75,10 @@ MULTIPART_PART_ALLOWANCE = 256
 #: Closing delimiter allowance for such a multipart reply.
 MULTIPART_CLOSER_ALLOWANCE = 64
 
+#: Content type of the OBR target (``/1KB.bin``), which every multipart
+#: part repeats.
+OBR_CONTENT_TYPE = "application/octet-stream"
+
 
 @dataclass(frozen=True)
 class _Fetch:
@@ -177,10 +181,10 @@ def profile_sbr_bound(
     vendor: str,
     profile_factory: ProfileFactory,
     resource_size: int,
-    overhead: Optional[OverheadModel] = None,
 ) -> SbrBound:
     """Worst-case SBR bound for ``vendor``'s exploited cases replayed
-    against a *substituted* profile (the mitigation residual).
+    against a *substituted* profile (the mitigation residual), without
+    framing overhead.
 
     The fetch plan is derived from the substituted profile's own
     ``forward_decision`` table: a lazily forwarded range costs the origin
@@ -196,7 +200,6 @@ def profile_sbr_bound(
     """
     from repro.core.sbr import exploited_range_cases
 
-    model = overhead if overhead is not None else NullOverheadModel()
     cases = exploited_range_cases(vendor, resource_size)
     profile = profile_factory()
     # One decision per case on one instance, mirroring the request order
@@ -208,7 +211,7 @@ def profile_sbr_bound(
         cases,
         fetches,
         profile.client_header_block_target,
-        model,
+        NullOverheadModel(),
     )
 
 
@@ -352,7 +355,6 @@ def faulted_sbr_bound(
     vendor: str,
     resource_size: int,
     policy: Optional[object] = None,
-    overhead: Optional[OverheadModel] = None,
 ) -> FaultedSbrBound:
     """Retry-aware worst-case SBR amplification for one vendor × size.
 
@@ -372,7 +374,7 @@ def faulted_sbr_bound(
             f"policy must be a RetryPolicy, got {type(policy).__name__}"
         )
     return FaultedSbrBound(
-        base=sbr_bound(vendor, resource_size, overhead=overhead),
+        base=sbr_bound(vendor, resource_size),
         max_attempts=policy.max_attempts,
     )
 
@@ -415,8 +417,6 @@ def static_max_n(
     fcdn: str,
     bcdn: str,
     resource_size: int = 1024,
-    resource_path: str = "/1KB.bin",
-    host: str = "victim.example",
     lower: int = 2,
     upper: int = MAX_OVERLAPS,
     fcdn_profile: Optional[ProfileFactory] = None,
@@ -448,16 +448,12 @@ def static_max_n(
             bcdn,
             n,
             resource_size,
-            resource_path,
-            host,
             fcdn_profile=fcdn_profile,
             bcdn_profile=bcdn_profile,
         )
 
     def search() -> int:
-        guess = declared_max_n(
-            fcdn, bcdn, resource_size, resource_path, host, fcdn_profile, bcdn_profile
-        )
+        guess = declared_max_n(fcdn, bcdn, resource_size, fcdn_profile, bcdn_profile)
         return largest_admitted(admits, lower, upper, guess)
 
     if fcdn_profile is None and bcdn_profile is None:
@@ -467,7 +463,7 @@ def static_max_n(
         # profiles stay uncached — factories have no stable cache
         # identity.
         max_n: int = _MAX_N_MEMO.get_or_compute(
-            (fcdn, bcdn, resource_size, resource_path, host, lower, upper), search
+            (fcdn, bcdn, resource_size, lower, upper), search
         )
         return max_n
     return search()
@@ -478,13 +474,11 @@ def _static_probe(
     bcdn: str,
     overlap_count: int,
     resource_size: int,
-    resource_path: str,
-    host: str,
     fcdn_profile: Optional[ProfileFactory] = None,
     bcdn_profile: Optional[ProfileFactory] = None,
 ) -> bool:
     """Would a request with ``overlap_count`` ranges survive end-to-end?"""
-    request = exploited_request(fcdn, overlap_count, resource_path, host)
+    request = exploited_request(fcdn, overlap_count)
     front = fcdn_profile() if fcdn_profile is not None else create_profile(fcdn)
     try:
         front.limits.check(request)
@@ -510,7 +504,6 @@ def obr_bound(
     bcdn: str,
     resource_size: int = 1024,
     overlap_count: Optional[int] = None,
-    content_type: str = "application/octet-stream",
     overhead: Optional[OverheadModel] = None,
     fcdn_profile: Optional[ProfileFactory] = None,
     bcdn_profile: Optional[ProfileFactory] = None,
@@ -545,7 +538,7 @@ def obr_bound(
 
     back = bcdn_profile() if bcdn_profile is not None else create_profile(bcdn)
     boundary = back.multipart_boundary
-    part_overhead = _part_overhead_upper(boundary, content_type, resource_size)
+    part_overhead = _part_overhead_upper(boundary, OBR_CONTENT_TYPE, resource_size)
     closer = len(boundary) + 6  # "--" + boundary + "--" + CRLF
     # The exploited shapes' ranges all pairwise overlap, so any reply
     # behavior other than HONOR collapses them into one part.

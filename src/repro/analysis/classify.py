@@ -62,9 +62,8 @@ MULTI_RANGE_SHAPES: Tuple[str, ...] = (
     "bytes=1-,0-,0-",
 )
 
-#: Size regimes probed when the caller does not pin one: below and above
-#: every size threshold the profiles encode (Azure's 8 MB, Huawei's
-#: 10 MB).
+#: Size regimes :func:`classify_sbr` probes: below and above every size
+#: threshold the profiles encode (Azure's 8 MB, Huawei's 10 MB).
 DEFAULT_PROBE_SIZES: Tuple[int, ...] = (1 * MB, 25 * MB)
 
 
@@ -162,7 +161,6 @@ class SbrClassification:
 
 def classify_sbr(
     vendor: str,
-    resource_sizes: Tuple[int, ...] = DEFAULT_PROBE_SIZES,
     config: Optional[VendorConfig] = None,
     profile_factory: Optional[ProfileFactory] = None,
 ) -> SbrClassification:
@@ -175,7 +173,7 @@ def classify_sbr(
     exemplar = _fresh(vendor, profile_factory)
     amplifying = []
     stateful = []
-    for size in resource_sizes:
+    for size in DEFAULT_PROBE_SIZES:
         for shape in SINGLE_RANGE_SHAPES:
             profile = _fresh(vendor, profile_factory)
             first = _ask(profile, shape, size, config)

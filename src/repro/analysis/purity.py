@@ -65,7 +65,7 @@ from repro.analysis.callgraph import (
     build_callgraph,
     default_root,
 )
-from repro.errors import ReproError, UsageError
+from repro.errors import UsageError
 
 #: Analyzer identity carried into SARIF output.
 TOOL_NAME = "repro-purity"
@@ -79,10 +79,6 @@ BASELINE_FILENAME = "purity-baseline.toml"
 #: Finding rule ids.
 RULE_PATH = "purity-path"
 RULE_UNUSED = "unused-suppression"
-
-
-class PurityError(ReproError):
-    """The purity analyzer was misconfigured or hit an unusable input."""
 
 
 # ---------------------------------------------------------------------------

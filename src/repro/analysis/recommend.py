@@ -44,7 +44,6 @@ from repro.analysis.families import (
     COST_CONFIG_ONLY,
     COST_FETCH_FLOW,
     COST_HEADER_GUARD,
-    COST_LABELS,
     FAMILIES_BY_NAME,
     AttackFamily,
     MitigationSpec,
@@ -163,7 +162,7 @@ class RecommendationReport:
     def by_kind(self, kind: str) -> Tuple[Recommendation, ...]:
         return tuple(r for r in self.recommendations if r.kind == kind)
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         return json.dumps(
             {
                 "threshold": self.threshold,
@@ -174,7 +173,7 @@ class RecommendationReport:
                 "all_resolved": self.all_resolved,
                 "recommendations": [r.to_dict() for r in self.recommendations],
             },
-            indent=indent,
+            indent=2,
             sort_keys=False,
         )
 

@@ -103,7 +103,7 @@ class AnalysisReport:
     def by_kind(self, kind: str) -> Tuple[Finding, ...]:
         return tuple(f for f in self.findings if f.kind == kind)
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         return json.dumps(
             {
                 "resource_size": self.resource_size,
@@ -111,7 +111,7 @@ class AnalysisReport:
                 "ccfc_resource_size": self.ccfc_resource_size,
                 "findings": [f.to_dict() for f in self.findings],
             },
-            indent=indent,
+            indent=2,
             sort_keys=False,
         )
 
@@ -170,7 +170,6 @@ def analyze_vendor_matrix(
 
 def analyze_deployment(
     deployment: Deployment,
-    resource_sizes: Optional[Sequence[int]] = None,
 ) -> AnalysisReport:
     """Statically audit one wired deployment without sending traffic.
 
@@ -183,11 +182,7 @@ def analyze_deployment(
 
     overhead = deployment.ledger.overhead
     store = deployment.origin.store
-    sizes = (
-        list(resource_sizes)
-        if resource_sizes is not None
-        else sorted({store.get(path).size for path in store.paths()})
-    ) or [10 * MB]
+    sizes = sorted({store.get(path).size for path in store.paths()}) or [10 * MB]
 
     findings: List[Finding] = []
     for shape in SHAPES:

@@ -57,7 +57,6 @@ class ForwardDecision:
 def mb_aligned_expansion(
     first: int,
     last: int,
-    chunk: int = MB,
     cap: Optional[int] = 10 * MB,
 ) -> Optional[Tuple[int, int]]:
     """CloudFront's megabyte-aligned expansion (paper §V-A item 3).
@@ -77,8 +76,8 @@ def mb_aligned_expansion(
     """
     if first < 0 or last < first:
         raise ValueError(f"invalid range [{first}, {last}]")
-    expanded_first = (first // chunk) * chunk
-    expanded_last = (last // chunk + 1) * chunk - 1
+    expanded_first = (first // MB) * MB
+    expanded_last = (last // MB + 1) * MB - 1
     if cap is not None and expanded_last - expanded_first + 1 > cap:
         return None
     return expanded_first, expanded_last

@@ -54,8 +54,8 @@ class AzureProfile(VendorProfile):
     client_header_block_target = 719
     pad_header_name = "X-Azure-Ref"
 
-    def __init__(self, limits: Optional[HeaderLimits] = None, abort_slop: int = DEFAULT_ABORT_SLOP) -> None:
-        super().__init__(limits)
+    def __init__(self, abort_slop: int = DEFAULT_ABORT_SLOP) -> None:
+        super().__init__()
         self.abort_slop = abort_slop
 
     def default_limits(self) -> HeaderLimits:

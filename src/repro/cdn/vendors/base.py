@@ -23,7 +23,7 @@ response headers inserted by CDNs, the slope ... is quite different").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional, Tuple
 
 from enum import Enum

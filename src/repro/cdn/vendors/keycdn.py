@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from repro.cdn.limits import HeaderLimits
 from repro.cdn.policy import ForwardDecision
 from repro.cdn.vendors.base import EncodingPolicy, SpecShape, VendorContext, VendorProfile, classify_spec
 from repro.http.message import HttpRequest
@@ -39,8 +38,8 @@ class KeycdnProfile(VendorProfile):
     edge_accept_encoding = ("gzip",)
     edge_decompresses = True
 
-    def __init__(self, limits: Optional[HeaderLimits] = None) -> None:
-        super().__init__(limits)
+    def __init__(self) -> None:
+        super().__init__()
         self._seen: Set[Tuple[str, str, str]] = set()
 
     def forward_decision(

@@ -965,7 +965,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.serve.app import AnalysisService, ServeConfig
-    from repro.serve.server import serve_until_drained
+    from repro.serve.server import ServeServer
 
     config = ServeConfig(
         max_inflight=args.max_inflight,
@@ -974,17 +974,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rate_capacity=args.rate_capacity,
         rate_refill=args.rate_refill,
     )
-    service = AnalysisService(config)
-    return asyncio.run(
-        serve_until_drained(
-            service,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            runlog=args.runlog,
-            drain_grace_s=args.drain_grace_s,
-        )
+    server = ServeServer(
+        AnalysisService(config),
+        host=args.host,
+        port=args.port,
+        workers=args.workers,
+        runlog=args.runlog,
+        drain_grace_s=args.drain_grace_s,
     )
+    return asyncio.run(server.run_until_drained())
 
 
 def _cmd_obs_runs(args: argparse.Namespace) -> int:

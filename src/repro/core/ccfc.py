@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.cdn.node import convert_encoded_response, finalize_client_response
 from repro.cdn.vendors import create_profile
-from repro.cdn.vendors.base import VendorConfig, VendorContext, VendorProfile
+from repro.cdn.vendors.base import VendorContext, VendorProfile
 from repro.core.amplification import AmplificationReport
 from repro.core.cachebusting import CacheBuster
 from repro.core.deployment import CdnSpec, Deployment
@@ -56,6 +56,11 @@ ATTACK_ENCODINGS: Tuple[str, ...] = ("br", "gzip")
 #: rewriting CDN that fetched br/gzip must inflate at the edge.
 CLIENT_ACCEPT_ENCODING = IDENTITY
 
+#: Where the attacker's origin hosts the payload, and the Host it is
+#: requested under.
+TARGET_PATH = "/target.bin"
+TARGET_HOST = "victim.example"
+
 
 def default_attack_encodings(profile: VendorProfile, resource_size: int) -> Dict[str, int]:
     """The pre-compressed variants the attacker's origin hosts, sized by
@@ -67,9 +72,7 @@ def default_attack_encodings(profile: VendorProfile, resource_size: int) -> Dict
 
 
 def negotiated_encoding(
-    profile: VendorProfile,
-    encodings: Mapping[str, int],
-    client_accept: str = CLIENT_ACCEPT_ENCODING,
+    profile: VendorProfile, encodings: Mapping[str, int]
 ) -> Optional[str]:
     """The coding the origin picks for one attack request, or ``None``.
 
@@ -78,7 +81,7 @@ def negotiated_encoding(
     stripped header (``None`` upstream) or one that only accepts
     identity yields no non-identity variant.
     """
-    upstream = profile.upstream_accept_encoding(client_accept)
+    upstream = profile.upstream_accept_encoding(CLIENT_ACCEPT_ENCODING)
     if upstream is None:
         return None
     candidates = [
@@ -124,44 +127,31 @@ class CcfcAttack:
 
     ``profile_factory`` substitutes a wrapped profile (e.g. a
     ``MitigatedProfile``) for the registry vendor — the recommendation
-    engine's before/after measurement.  ``encodings`` overrides the
-    origin's pre-compressed variant table (coding → compressed bytes);
-    by default it is derived from the profile's compression ratios.
+    engine's before/after measurement.  The origin's pre-compressed
+    variants are sized by the profile's compression ratios
+    (:func:`default_attack_encodings`).
     """
 
     def __init__(
         self,
         vendor: str,
         resource_size: int = 10 * MB,
-        resource_path: str = "/target.bin",
-        config: Optional[VendorConfig] = None,
         overhead: Optional[OverheadModel] = None,
-        host: str = "victim.example",
         profile_factory: Optional[Callable[[], "VendorProfile"]] = None,
-        encodings: Optional[Mapping[str, int]] = None,
     ) -> None:
         self.vendor = vendor
         self.resource_size = resource_size
-        self.resource_path = resource_path
-        self.config = config
         self.overhead = overhead
-        self.host = host
         self.profile_factory = profile_factory
-        self.encodings = dict(encodings) if encodings is not None else None
 
     def _build_profile(self) -> VendorProfile:
         if self.profile_factory is not None:
             return self.profile_factory()
         return create_profile(self.vendor)
 
-    def _resource_encodings(self, profile: VendorProfile) -> Dict[str, int]:
-        if self.encodings is not None:
-            return dict(self.encodings)
-        return default_attack_encodings(profile, self.resource_size)
-
     def _build_request(self, target: str) -> HttpRequest:
         """The attack request, built exactly like ``Client.get`` does."""
-        headers = Headers([("Host", self.host)])
+        headers = Headers([("Host", TARGET_HOST)])
         headers.add("Accept-Encoding", CLIENT_ACCEPT_ENCODING)
         return HttpRequest(method="GET", target=target, headers=headers)
 
@@ -170,12 +160,12 @@ class CcfcAttack:
         origin = OriginServer()
         origin.add_resource(
             Resource(
-                path=self.resource_path,
+                path=TARGET_PATH,
                 body=self.resource_size,
-                encodings=self._resource_encodings(profile),
+                encodings=default_attack_encodings(profile, self.resource_size),
             )
         )
-        spec = CdnSpec(profile=profile, config=self.config)
+        spec = CdnSpec(profile=profile)
         return Deployment.single(spec, origin, overhead=self.overhead)
 
     def run(self, rounds: int = 1) -> CcfcResult:
@@ -187,9 +177,9 @@ class CcfcAttack:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
         deployment = self.build_deployment()
         profile = deployment.front.profile
-        resource = deployment.origin.store.get(self.resource_path)
+        resource = deployment.origin.store.get(TARGET_PATH)
         encoding = negotiated_encoding(profile, resource.encodings or {})
-        client = deployment.client(host=self.host)
+        client = deployment.client(host=TARGET_HOST)
         buster = CacheBuster()
         statuses: List[int] = []
         with current_tracer().span("attack.ccfc") as span:
@@ -201,7 +191,7 @@ class CcfcAttack:
                     encoding=encoding or IDENTITY,
                 )
             for _ in range(rounds):
-                target = buster.bust(self.resource_path)
+                target = buster.bust(TARGET_PATH)
                 result = client.get(
                     target,
                     extra_headers=[("Accept-Encoding", CLIENT_ACCEPT_ENCODING)],
@@ -238,12 +228,12 @@ class CcfcAttack:
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
         profile = self._build_profile()
-        config = self.config if self.config is not None else profile.effective_config()
+        config = profile.effective_config()
         overhead = self.overhead if self.overhead is not None else NullOverheadModel()
-        encodings = self._resource_encodings(profile)
+        encodings = default_attack_encodings(profile, self.resource_size)
         origin = OriginServer()
         resource = origin.add_resource(
-            Resource(path=self.resource_path, body=self.resource_size, encodings=encodings)
+            Resource(path=TARGET_PATH, body=self.resource_size, encodings=encodings)
         )
         buster = CacheBuster()
         setup = overhead.connection_setup_bytes()
@@ -286,7 +276,7 @@ class CcfcAttack:
             return response
 
         for _ in range(rounds):
-            target = buster.bust(self.resource_path)
+            target = buster.bust(TARGET_PATH)
             request = self._build_request(target)
             ctx = VendorContext(config=config, resource_size_hint=resource.size)
             result = profile.fetch(request, None, ctx, exchange)
@@ -349,21 +339,9 @@ class CcfcAttack:
         )
 
 
-def sweep_resource_sizes(
-    vendor: str,
-    sizes: List[int],
-    config: Optional[VendorConfig] = None,
-) -> List[CcfcResult]:
-    """Measure the CCFC factor for each resource size."""
-    return [
-        CcfcAttack(vendor, resource_size=size, config=config).run() for size in sizes
-    ]
-
-
 def ccfc_grid(
     vendors: Optional[List[str]] = None,
     sizes: Tuple[int, ...] = (1 * MB, 10 * MB),
-    name: str = "ccfc",
 ) -> "ExperimentGrid":
     """The vendor x size CCFC sweep as an experiment grid."""
     from repro.cdn.vendors import all_vendor_names
@@ -372,7 +350,7 @@ def ccfc_grid(
 
     names = list(vendors) if vendors is not None else all_vendor_names()
     return ExperimentGrid(
-        name, [ccfc_cell(vendor, size) for vendor in names for size in sizes]
+        "ccfc", [ccfc_cell(vendor, size) for vendor in names for size in sizes]
     )
 
 
@@ -384,5 +362,4 @@ __all__ = [
     "ccfc_grid",
     "default_attack_encodings",
     "negotiated_encoding",
-    "sweep_resource_sizes",
 ]

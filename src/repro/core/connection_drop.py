@@ -36,6 +36,9 @@ MB = 1 << 20
 #: the client abort (TCP buffers + reaction delay).
 DEFAULT_INFLIGHT_BYTES = 64 * 1024
 
+#: Where the origin hosts the large resource the client drops.
+TARGET_PATH = "/target.bin"
+
 
 @dataclass(frozen=True)
 class ConnectionDropResult:
@@ -69,26 +72,24 @@ class ConnectionDropAttack:
         self,
         vendor: str,
         resource_size: int = 10 * MB,
-        resource_path: str = "/target.bin",
         abort_after: int = 1500,
         inflight_bytes: int = DEFAULT_INFLIGHT_BYTES,
     ) -> None:
         self.vendor = vendor
         self.resource_size = resource_size
-        self.resource_path = resource_path
         self.abort_after = abort_after
         self.inflight_bytes = inflight_bytes
 
     def run(self) -> ConnectionDropResult:
         profile = create_profile(self.vendor)
         origin = OriginServer()
-        origin.add_synthetic_resource(self.resource_path, self.resource_size)
+        origin.add_synthetic_resource(TARGET_PATH, self.resource_size)
         deployment = Deployment.single(CdnSpec(profile=profile), origin)
         client = deployment.client()
 
         # Plain GET of the large resource, client connection dropped
         # almost immediately.
-        result = client.get(f"{self.resource_path}?cb=0", abort_after=self.abort_after)
+        result = client.get(f"{TARGET_PATH}?cb=0", abort_after=self.abort_after)
         raw_origin = deployment.response_traffic(CDN_ORIGIN)
 
         if profile.maintains_backend_on_client_abort:

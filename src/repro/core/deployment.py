@@ -14,7 +14,7 @@ yields the per-segment response traffic the paper's tables report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.cdn.cache import CdnCache
@@ -90,19 +90,16 @@ class Deployment:
         origin: OriginServer,
         chain: Sequence[Union[str, CdnSpec]],
         overhead: Optional[OverheadModel] = None,
-        record_origin: bool = True,
     ) -> None:
         if not chain:
             raise ConfigurationError("a deployment needs at least one CDN")
         self.origin = origin
         self.ledger = TrafficLedger(overhead=overhead)
-        self.origin_tap: Optional[RecordingHandler] = (
-            RecordingHandler(origin) if record_origin else None
-        )
+        self.origin_tap = RecordingHandler(origin)
 
         specs = [_coerce_spec(s) for s in chain]
         segment_names = self._segment_names(len(specs))
-        upstream: HttpHandler = self.origin_tap if self.origin_tap is not None else origin
+        upstream: HttpHandler = self.origin_tap
         nodes: List[CdnNode] = []
         # Build from the origin outwards.
         for index in range(len(specs) - 1, -1, -1):

@@ -130,19 +130,15 @@ def estimate_obr_campaign(
     overlap_count: Optional[int] = None,
     requests_per_second: float = 10.0,
     duration_seconds: float = 3600.0,
-    rate_usd_per_gb: Optional[float] = None,
 ) -> CampaignEstimate:
-    """Project a sustained OBR campaign from one measured request.
+    """Project a sustained OBR campaign from one measured request,
+    billed at the back CDN's rate.
 
     The victim segment is fcdn-bcdn; the attacker aborts early, so the
     attacker-side cost is the capped client delivery.
     """
     measured = ObrAttack(fcdn, bcdn).run(overlap_count=overlap_count)
-    rate = (
-        rate_usd_per_gb
-        if rate_usd_per_gb is not None
-        else BILLING_USD_PER_GB.get(bcdn, 0.08)
-    )
+    rate = BILLING_USD_PER_GB.get(bcdn, 0.08)
     return CampaignEstimate(
         vendor=f"{fcdn}->{bcdn}",
         attack="obr",

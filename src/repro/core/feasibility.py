@@ -39,6 +39,13 @@ EXPANSION = "expansion"
 MODIFIED = "modified"
 NOT_FORWARDED = "not-forwarded"
 
+#: Where the probe's origin hosts the test resource.
+PROBE_PATH = "/probe.bin"
+#: Sends per forwarding case, at one cache-busted URL (see above).
+SENDS_PER_CASE = 2
+#: Overlapping ``0-`` ranges in the Table III reply probe.
+REPLY_OVERLAPS = 4
+
 
 @dataclass(frozen=True)
 class ForwardingObservation:
@@ -170,18 +177,12 @@ class FeasibilityProbe:
         self,
         vendor: str,
         file_size: int = 64 * 1024,
-        resource_path: str = "/probe.bin",
         corpus: Optional[Sequence[RangeCase]] = None,
-        sends_per_case: int = 2,
-        config: Optional["VendorConfig"] = None,
     ) -> None:
         self.vendor = vendor
         self.file_size = file_size
-        self.resource_path = resource_path
         generator = RangeCorpusGenerator(file_size=file_size)
         self.corpus = list(corpus) if corpus is not None else generator.full_corpus()
-        self.sends_per_case = sends_per_case
-        self.config = config
 
     def _multi_corpus(self) -> List[RangeCase]:
         """Just the overlapping multi-range cases (the Table II probes)."""
@@ -201,19 +202,15 @@ class FeasibilityProbe:
         self, case: RangeCase, config: Optional["VendorConfig"] = None
     ) -> ForwardingObservation:
         origin = OriginServer()
-        origin.add_synthetic_resource(self.resource_path, self.file_size)
-        effective = config if config is not None else self.config
-        deployment = Deployment.single(
-            CdnSpec(vendor=self.vendor, config=effective), origin
-        )
+        origin.add_synthetic_resource(PROBE_PATH, self.file_size)
+        deployment = Deployment.single(CdnSpec(vendor=self.vendor, config=config), origin)
         client = deployment.client()
         tap = deployment.origin_tap
-        assert tap is not None
-        target = CacheBuster().bust(self.resource_path)
+        target = CacheBuster().bust(PROBE_PATH)
 
         forwarded_per_send: List[Tuple[Optional[str], ...]] = []
         policies_per_send: List[Tuple[str, ...]] = []
-        for _ in range(self.sends_per_case):
+        for _ in range(SENDS_PER_CASE):
             before = len(tap.requests)
             client.get(target, range_value=case.header_value)
             seen = tuple(tap.range_values_seen[before:])
@@ -246,11 +243,11 @@ class FeasibilityProbe:
 
     # -- replying (Table III) --------------------------------------------------------
 
-    def observe_reply(self, overlap_count: int = 4) -> ReplyObservation:
+    def observe_reply(self) -> ReplyObservation:
         """Send an overlapping multi-range request at a range-disabled
         origin and classify the CDN-built response."""
-        status, size = self._reply_probe(overlap_count)
-        honors = status == StatusCode.PARTIAL_CONTENT and size >= overlap_count * self.file_size
+        status, size = self._reply_probe(REPLY_OVERLAPS)
+        honors = status == StatusCode.PARTIAL_CONTENT and size >= REPLY_OVERLAPS * self.file_size
         part_limit: Optional[int] = None
         if honors:
             over_status, _ = self._reply_probe(65)
@@ -258,7 +255,7 @@ class FeasibilityProbe:
                 part_limit = 64
         return ReplyObservation(
             vendor=self.vendor,
-            overlap_count=overlap_count,
+            overlap_count=REPLY_OVERLAPS,
             status=status,
             response_size=size,
             resource_size=self.file_size,
@@ -268,11 +265,11 @@ class FeasibilityProbe:
 
     def _reply_probe(self, overlap_count: int) -> Tuple[int, int]:
         origin = OriginServer(range_support=False)
-        origin.add_synthetic_resource(self.resource_path, self.file_size)
+        origin.add_synthetic_resource(PROBE_PATH, self.file_size)
         deployment = Deployment.single(CdnSpec(vendor=self.vendor), origin)
         client = deployment.client()
         range_value = "bytes=" + ",".join(["0-"] * overlap_count)
-        result = client.get(self.resource_path, range_value=range_value)
+        result = client.get(PROBE_PATH, range_value=range_value)
         return result.response.status, len(result.response.body)
 
     # -- aggregate --------------------------------------------------------------------

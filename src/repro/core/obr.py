@@ -35,7 +35,7 @@ from repro.http.message import HttpRequest
 from repro.http.ranges import try_parse_range_header
 from repro.http.status import StatusCode
 from repro.netsim.overhead import OverheadModel, TcpOverheadModel
-from repro.netsim.tap import BCDN_ORIGIN, CLIENT_CDN, FCDN_BCDN
+from repro.netsim.tap import BCDN_ORIGIN, FCDN_BCDN
 from repro.obs.tracer import current_tracer
 from repro.origin.server import OriginServer
 
@@ -47,6 +47,12 @@ if TYPE_CHECKING:
 #: It sits above every modeled cascade's header-limit cap, and it keeps
 #: an untrusted ``n`` from buying an unbounded Range header.
 MAX_OVERLAPS = 32768
+
+#: The Table V target: a 1 KB resource behind one Host.  The attacking
+#: client aborts after ``CLIENT_ABORT_AFTER`` response bytes.
+TARGET_PATH = "/1KB.bin"
+TARGET_HOST = "victim.example"
+CLIENT_ABORT_AFTER = 2048
 
 
 def exploited_fcdn_config(fcdn: str) -> Optional[VendorConfig]:
@@ -107,10 +113,7 @@ class ObrAttack:
         fcdn: str,
         bcdn: str,
         resource_size: int = 1024,
-        resource_path: str = "/1KB.bin",
         overhead: Optional[OverheadModel] = None,
-        host: str = "victim.example",
-        client_abort_after: Optional[int] = 2048,
         fcdn_profile_factory: Optional[Callable[[], "VendorProfile"]] = None,
         bcdn_profile_factory: Optional[Callable[[], "VendorProfile"]] = None,
     ) -> None:
@@ -121,11 +124,8 @@ class ObrAttack:
         self.fcdn = fcdn
         self.bcdn = bcdn
         self.resource_size = resource_size
-        self.resource_path = resource_path
         # Capture-like accounting by default; see module docstring.
         self.overhead = overhead if overhead is not None else TcpOverheadModel()
-        self.host = host
-        self.client_abort_after = client_abort_after
         # Mitigated-profile substitution on either side of the cascade
         # (fresh instance per deployment; profiles are stateful).
         self.fcdn_profile_factory = fcdn_profile_factory
@@ -137,7 +137,7 @@ class ObrAttack:
         # The attacker disables range support on their origin so the BCDN
         # receives a full 200 and builds the multipart itself.
         origin = OriginServer(range_support=False)
-        origin.add_synthetic_resource(self.resource_path, self.resource_size)
+        origin.add_synthetic_resource(TARGET_PATH, self.resource_size)
         if self.fcdn_profile_factory is not None:
             fcdn_spec = CdnSpec(
                 profile=self.fcdn_profile_factory(),
@@ -165,34 +165,33 @@ class ObrAttack:
         """Send one attack request with ``overlap_count`` ranges against a
         fresh deployment; returns the client-side HTTP status."""
         deployment = self.build_deployment()
-        client = deployment.client(host=self.host)
+        client = deployment.client(host=TARGET_HOST)
         result = client.get(
-            self.resource_path,
+            TARGET_PATH,
             range_value=self.range_value(overlap_count),
-            abort_after=self.client_abort_after,
+            abort_after=CLIENT_ABORT_AFTER,
         )
         return result.response.status
 
-    def find_max_n(self, lower: int = 2, upper: int = MAX_OVERLAPS) -> int:
-        """Largest ``n`` that survives both CDNs' header limits end-to-end.
+    def find_max_n(self) -> int:
+        """Largest ``n`` in ``[2, MAX_OVERLAPS]`` that survives both CDNs'
+        header limits end-to-end.
 
         The cascade's declared limits give the answer by division
         (:func:`declared_max_n`); two probes against fresh deployments,
         at ``n`` and ``n + 1``, certify it the way an attacker (or the
         paper's authors) would observe the boundary.  Returns 0 when
-        even ``lower`` is rejected.
+        even ``n = 2`` is rejected.
         """
         guess = declared_max_n(
             self.fcdn,
             self.bcdn,
             self.resource_size,
-            self.resource_path,
-            self.host,
             self.fcdn_profile_factory,
             self.bcdn_profile_factory,
         )
         return largest_admitted(
-            lambda n: self.probe(n) == StatusCode.PARTIAL_CONTENT, lower, upper, guess
+            lambda n: self.probe(n) == StatusCode.PARTIAL_CONTENT, 2, MAX_OVERLAPS, guess
         )
 
     # -- measurement ---------------------------------------------------------------
@@ -209,7 +208,7 @@ class ObrAttack:
                 f"{self.fcdn} -> {self.bcdn} admits no overlapping ranges"
             )
         deployment = self.build_deployment()
-        client = deployment.client(host=self.host)
+        client = deployment.client(host=TARGET_HOST)
         range_value = self.range_value(n)
         with current_tracer().span("attack.obr") as span:
             if span.recording:
@@ -220,9 +219,7 @@ class ObrAttack:
                     overlap_count=n,
                 )
             result = client.get(
-                self.resource_path,
-                range_value=range_value,
-                abort_after=self.client_abort_after,
+                TARGET_PATH, range_value=range_value, abort_after=CLIENT_ABORT_AFTER
             )
             report = AmplificationReport.from_ledger(
                 deployment.ledger, victim_segment=FCDN_BCDN, attacker_segment=BCDN_ORIGIN
@@ -243,15 +240,13 @@ class ObrAttack:
         )
 
 
-def exploited_request(
-    fcdn: str, overlap_count: int, resource_path: str, host: str
-) -> HttpRequest:
+def exploited_request(fcdn: str, overlap_count: int) -> HttpRequest:
     """The attack request the client sends through ``fcdn``."""
     range_value = overlapping_open_ranges_value(
         overlap_count, leading=exploited_leading_spec(fcdn)
     )
     return HttpRequest(
-        "GET", resource_path, headers=[("Host", host), ("Range", range_value)]
+        "GET", TARGET_PATH, headers=[("Host", TARGET_HOST), ("Range", range_value)]
     )
 
 
@@ -276,8 +271,6 @@ def declared_max_n(
     fcdn: str,
     bcdn: str,
     resource_size: int,
-    resource_path: str = "/1KB.bin",
-    host: str = "victim.example",
     fcdn_profile: Optional[Callable[[], "VendorProfile"]] = None,
     bcdn_profile: Optional[Callable[[], "VendorProfile"]] = None,
 ) -> Optional[int]:
@@ -295,7 +288,7 @@ def declared_max_n(
     front = fcdn_profile() if fcdn_profile is not None else create_profile(fcdn)
     back = bcdn_profile() if bcdn_profile is not None else create_profile(bcdn)
     count = 2
-    request = exploited_request(fcdn, count, resource_path, host)
+    request = exploited_request(fcdn, count)
     leading = exploited_leading_spec(fcdn)
     step = obr_value_size(count + 1, leading=leading) - obr_value_size(count, leading=leading)
     upstream = forwarded_verbatim(fcdn, front, request, resource_size)
@@ -367,22 +360,14 @@ def vulnerable_combinations() -> List[Tuple[str, str]]:
 def obr_grid(
     combinations: Optional[List[Tuple[str, str]]] = None,
     resource_size: int = 1024,
-    overlap_count: int = 0,
-    name: str = "table5-obr",
 ) -> "ExperimentGrid":
-    """Table V's cascade sweep as an :class:`~repro.runner.grid.ExperimentGrid`.
-
-    ``overlap_count=0`` keeps the per-cell max-n search (the Table V
-    methodology); a positive count pins n for every cell.
-    """
+    """Table V's cascade sweep as an :class:`~repro.runner.grid.ExperimentGrid`;
+    every cell searches its max n (the Table V methodology)."""
     from repro.runner.experiments import obr_cell
     from repro.runner.grid import ExperimentGrid
 
     combos = list(combinations) if combinations is not None else vulnerable_combinations()
     return ExperimentGrid(
-        name,
-        [
-            obr_cell(fcdn, bcdn, resource_size=resource_size, overlap_count=overlap_count)
-            for fcdn, bcdn in combos
-        ],
+        "table5-obr",
+        [obr_cell(fcdn, bcdn, resource_size=resource_size) for fcdn, bcdn in combos],
     )

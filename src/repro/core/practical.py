@@ -36,6 +36,15 @@ MB = 1 << 20
 ORIGIN_LINK = "origin-uplink"
 CLIENT_LINK = "client-downlink"
 
+#: The Fig 7 testbed: the origin's uplink (Mbps), the attacking client's
+#: downlink (Mbps), how long the attack sends (s), how long the
+#: simulation then drains (s), and the fluid simulator's tick (s).
+ORIGIN_UPLINK_MBPS = 1000.0
+CLIENT_DOWNLINK_MBPS = 100.0
+DURATION_S = 30.0
+DRAIN_S = 10.0
+DT = 0.1
+
 
 @dataclass(frozen=True)
 class BandwidthRunResult:
@@ -88,20 +97,12 @@ class BandwidthAttackSimulation:
         self,
         vendor: str = "cloudflare",
         resource_size: int = 10 * MB,
-        origin_uplink_mbps: float = 1000.0,
-        client_downlink_mbps: float = 100.0,
-        duration_s: float = 30.0,
-        drain_s: float = 10.0,
-        dt: float = 0.1,
+        origin_uplink_mbps: float = ORIGIN_UPLINK_MBPS,
         per_request: Optional[Tuple[int, int]] = None,
     ) -> None:
         self.vendor = vendor
         self.resource_size = resource_size
         self.origin_uplink_mbps = origin_uplink_mbps
-        self.client_downlink_mbps = client_downlink_mbps
-        self.duration_s = duration_s
-        self.drain_s = drain_s
-        self.dt = dt
         # ``per_request`` pins the step-1 probe result so a caller that
         # already measured (origin_bytes, client_bytes) — e.g. the
         # parallel runner sharing one probe across all 15 Fig 7 cells —
@@ -132,13 +133,13 @@ class BandwidthAttackSimulation:
         simulator = FluidSimulator(
             [
                 Link(ORIGIN_LINK, self.origin_uplink_mbps * 1e6),
-                Link(CLIENT_LINK, self.client_downlink_mbps * 1e6),
+                Link(CLIENT_LINK, CLIENT_DOWNLINK_MBPS * 1e6),
             ],
-            dt=self.dt,
+            dt=DT,
         )
         # The two links are disjoint, so each still sees its m flows of a
         # second in the order m separate requests would put them.
-        for second in range(int(self.duration_s) if m else 0):
+        for second in range(int(DURATION_S) if m else 0):
             simulator.add_transfer(
                 origin_bytes, [ORIGIN_LINK], start_time=float(second),
                 label=f"origin:{second}", flows=m,
@@ -147,7 +148,7 @@ class BandwidthAttackSimulation:
                 client_bytes, [CLIENT_LINK], start_time=float(second),
                 label=f"client:{second}", flows=m,
             )
-        total = self.duration_s + self.drain_s
+        total = DURATION_S + DRAIN_S
         simulator.run(total)
         times = simulator.tick_times
         origin_series = self._per_second_bps(
@@ -158,7 +159,7 @@ class BandwidthAttackSimulation:
         )
         return BandwidthRunResult(
             m=m,
-            duration_s=self.duration_s,
+            duration_s=DURATION_S,
             origin_capacity_mbps=self.origin_uplink_mbps,
             origin_mbps=tuple(bps / 1e6 for bps in origin_series),
             client_kbps=tuple(bps / 1e3 for bps in client_series),
@@ -200,10 +201,10 @@ def flood_grid(
     ms: Sequence[int] = tuple(range(1, 16)),
     vendor: str = "cloudflare",
     resource_size: int = 10 * MB,
-    origin_uplink_mbps: float = 1000.0,
     per_request: Optional[Tuple[int, int]] = None,
 ) -> "ExperimentGrid":
-    """Fig 7's sweep as an :class:`~repro.runner.grid.ExperimentGrid`.
+    """Fig 7's sweep, at the paper's 1000 Mbps origin uplink, as an
+    :class:`~repro.runner.grid.ExperimentGrid`.
 
     ``per_request=None`` measures the per-request SBR traffic once here
     (memoized) and shares it with every cell, so the parallel sweep does
@@ -222,7 +223,6 @@ def flood_grid(
                 vendor,
                 m,
                 resource_size=resource_size,
-                origin_uplink_mbps=origin_uplink_mbps,
                 per_request=per_request,
             )
             for m in ms

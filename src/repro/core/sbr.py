@@ -181,15 +181,9 @@ class SbrAttack:
         )
 
 
-def sweep_resource_sizes(
-    vendor: str,
-    sizes: List[int],
-    config: Optional[object] = None,
-) -> List[SbrResult]:
+def sweep_resource_sizes(vendor: str, sizes: List[int]) -> List[SbrResult]:
     """Measure the SBR factor for each resource size (the Fig 6 sweep)."""
-    return [
-        SbrAttack(vendor, resource_size=size, config=config).run() for size in sizes
-    ]
+    return [SbrAttack(vendor, resource_size=size).run() for size in sizes]
 
 
 def sbr_grid(

@@ -55,6 +55,8 @@ from repro.http.status import StatusCode
 MAX_OVERLAPPING_RANGES = 2
 MANY_SMALL_RANGES = 16
 SMALL_RANGE_BYTES = 64
+#: The representation size the guard resolves ranges against.
+GUARD_SIZE_HINT = 1 << 30
 
 
 def _overlapping_pair_count(resolved: Sequence[RangeRun]) -> int:
@@ -81,14 +83,12 @@ def _overlapping_pair_count(resolved: Sequence[RangeRun]) -> int:
     return pairs
 
 
-def rfc7233_multirange_guard(
-    resource_size_hint: int = 1 << 30,
-) -> Callable[[HttpRequest], Optional[str]]:
+def rfc7233_multirange_guard() -> Callable[[HttpRequest], Optional[str]]:
     """A request-limit predicate implementing RFC 7233 §6.1's advice.
 
     Returns a callable suitable for :class:`HeaderLimits.custom`.  The
-    overlap check resolves ranges against ``resource_size_hint`` (open
-    ranges overlap regardless of the exact size, so a large default is
+    overlap check resolves ranges against ``GUARD_SIZE_HINT`` (open
+    ranges overlap regardless of the exact size, so a large hint is
     safe).
     """
 
@@ -97,7 +97,7 @@ def rfc7233_multirange_guard(
         if spec is None or not spec.is_multi:
             return None
         try:
-            resolved = spec.resolve(resource_size_hint)
+            resolved = spec.resolve(GUARD_SIZE_HINT)
         except RangeNotSatisfiableError:  # unsatisfiable: nothing to guard
             return None
         overlapping = _overlapping_pair_count(resolved)

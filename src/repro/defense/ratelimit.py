@@ -90,11 +90,15 @@ class TokenBucket:
         return shortfall / self.refill_rate
 
 
-def key_by_client_header(header: str = "X-Client-Address") -> Callable[[HttpRequest], str]:
-    """Key requests by a client-identifying header (source address)."""
+#: The header carrying the client's source address.
+CLIENT_ADDRESS_HEADER = "X-Client-Address"
+
+
+def key_by_client_header() -> Callable[[HttpRequest], str]:
+    """Key requests by the client's source address header."""
 
     def key(request: HttpRequest) -> str:
-        return request.headers.get(header, "unknown")
+        return request.headers.get(CLIENT_ADDRESS_HEADER, "unknown")
 
     return key
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 
 class RangeFormat(Enum):
@@ -64,11 +64,7 @@ def suffix_range_value(suffix_length: int) -> str:
     return f"bytes=-{suffix_length}"
 
 
-def overlapping_open_ranges_value(
-    count: int,
-    start: int = 0,
-    leading: Optional[str] = None,
-) -> str:
+def overlapping_open_ranges_value(count: int, leading: Optional[str] = None) -> str:
     """Build the OBR multi-range value ``bytes=0-,0-,...,0-``.
 
     ``leading`` optionally replaces the first spec — e.g. ``"-1024"`` for
@@ -82,13 +78,13 @@ def overlapping_open_ranges_value(
     """
     if count < 1:
         raise ValueError(f"need at least one range, got {count}")
-    specs = [f"{start}-"] * count
+    specs = ["0-"] * count
     if leading is not None:
         specs[0] = leading
     return "bytes=" + ",".join(specs)
 
 
-def obr_value_size(count: int, start: int = 0, leading: Optional[str] = None) -> int:
+def obr_value_size(count: int, leading: Optional[str] = None) -> int:
     """Byte length of :func:`overlapping_open_ranges_value`'s output.
 
     Computed analytically so max-n searches do not build megabyte strings
@@ -96,7 +92,7 @@ def obr_value_size(count: int, start: int = 0, leading: Optional[str] = None) ->
     """
     if count < 1:
         raise ValueError(f"need at least one range, got {count}")
-    spec_len = len(f"{start}-")
+    spec_len = len("0-")
     total = len("bytes=") + count * spec_len + (count - 1)
     if leading is not None:
         total += len(leading) - spec_len
@@ -106,6 +102,19 @@ def obr_value_size(count: int, start: int = 0, leading: Optional[str] = None) ->
 # ---------------------------------------------------------------------------
 # Corpus generation (experiment 1 dataset)
 # ---------------------------------------------------------------------------
+
+#: Cases per single-range format (closed, open, suffix), counting the
+#: fixed ones each format leads with.
+SINGLE_CASES = 20
+OPEN_CASES = 10
+SUFFIX_CASES = 10
+#: Disjoint multi-range cases, and the most parts one may have.
+MULTI_CLOSED_CASES = 10
+MULTI_CLOSED_MAX_PARTS = 8
+#: Part counts of the overlapping (OBR-shaped) cases: plain ``0-`` runs,
+#: and runs led by a suffix or by ``1-``.
+MULTI_OPEN_COUNTS = (2, 4, 16, 64)
+LED_OPEN_COUNTS = (2, 16, 64)
 
 class RangeCorpusGenerator:
     """Seeded generator of valid Range header corpora."""
@@ -118,7 +127,7 @@ class RangeCorpusGenerator:
 
     # -- single-range cases ---------------------------------------------------
 
-    def single_range_cases(self, count: int = 20) -> List[RangeCase]:
+    def single_range_cases(self) -> List[RangeCase]:
         """Closed ``first-last`` single ranges, skewed toward small ranges
         at the start of the file (the SBR attack shape)."""
         cases = [
@@ -126,7 +135,7 @@ class RangeCorpusGenerator:
             RangeCase(RangeFormat.FIRST_LAST, f"bytes=0-{self.file_size - 1}", "whole file"),
             RangeCase(RangeFormat.FIRST_LAST, "bytes=1-1", "second byte only"),
         ]
-        for _ in range(max(0, count - len(cases))):
+        for _ in range(SINGLE_CASES - len(cases)):
             first = self._rng.randrange(0, self.file_size)
             last = self._rng.randrange(first, self.file_size)
             cases.append(
@@ -138,10 +147,10 @@ class RangeCorpusGenerator:
             )
         return cases
 
-    def open_range_cases(self, count: int = 10) -> List[RangeCase]:
+    def open_range_cases(self) -> List[RangeCase]:
         """Open-ended ``first-`` single ranges."""
         cases = [RangeCase(RangeFormat.FIRST_OPEN, "bytes=0-", "whole file, open form")]
-        for _ in range(max(0, count - len(cases))):
+        for _ in range(OPEN_CASES - len(cases)):
             first = self._rng.randrange(0, self.file_size)
             cases.append(
                 RangeCase(
@@ -152,13 +161,13 @@ class RangeCorpusGenerator:
             )
         return cases
 
-    def suffix_range_cases(self, count: int = 10) -> List[RangeCase]:
+    def suffix_range_cases(self) -> List[RangeCase]:
         """Suffix ``-N`` ranges, including the 1-byte SBR shape."""
         cases = [
             RangeCase(RangeFormat.SUFFIX, "bytes=-1", "last byte only"),
             RangeCase(RangeFormat.SUFFIX, f"bytes=-{self.file_size}", "whole file, suffix form"),
         ]
-        for _ in range(max(0, count - len(cases))):
+        for _ in range(SUFFIX_CASES - len(cases)):
             suffix = self._rng.randrange(1, self.file_size + 1)
             cases.append(
                 RangeCase(RangeFormat.SUFFIX, suffix_range_value(suffix), f"last {suffix} bytes")
@@ -167,11 +176,11 @@ class RangeCorpusGenerator:
 
     # -- multi-range cases ------------------------------------------------------
 
-    def multi_closed_cases(self, count: int = 10, max_parts: int = 8) -> List[RangeCase]:
+    def multi_closed_cases(self) -> List[RangeCase]:
         """Disjoint multi-range requests (legitimate multipart usage)."""
         cases: List[RangeCase] = []
-        for _ in range(count):
-            parts = self._rng.randrange(2, max_parts + 1)
+        for _ in range(MULTI_CLOSED_CASES):
+            parts = self._rng.randrange(2, MULTI_CLOSED_MAX_PARTS + 1)
             cuts = sorted(self._rng.sample(range(self.file_size), min(parts * 2, self.file_size)))
             specs = [
                 f"{cuts[i]}-{cuts[i + 1]}" for i in range(0, len(cuts) - 1, 2)
@@ -187,7 +196,7 @@ class RangeCorpusGenerator:
             )
         return cases
 
-    def multi_open_cases(self, counts: Sequence[int] = (2, 4, 16, 64)) -> List[RangeCase]:
+    def multi_open_cases(self) -> List[RangeCase]:
         """Overlapping open-range requests (the OBR attack shape)."""
         return [
             RangeCase(
@@ -195,10 +204,10 @@ class RangeCorpusGenerator:
                 overlapping_open_ranges_value(n),
                 f"{n} overlapping 0- ranges",
             )
-            for n in counts
+            for n in MULTI_OPEN_COUNTS
         ]
 
-    def suffix_then_open_cases(self, counts: Sequence[int] = (2, 16, 64)) -> List[RangeCase]:
+    def suffix_then_open_cases(self) -> List[RangeCase]:
         """Suffix-led overlapping requests (the CDN77-compatible OBR shape)."""
         return [
             RangeCase(
@@ -206,10 +215,10 @@ class RangeCorpusGenerator:
                 overlapping_open_ranges_value(n, leading=f"-{self.file_size}"),
                 f"suffix then {n - 1} overlapping 0- ranges",
             )
-            for n in counts
+            for n in LED_OPEN_COUNTS
         ]
 
-    def multi_open_lead_one_cases(self, counts: Sequence[int] = (2, 16, 64)) -> List[RangeCase]:
+    def multi_open_lead_one_cases(self) -> List[RangeCase]:
         """Overlapping requests led by ``1-`` (the CDNsun-compatible OBR
         shape)."""
         return [
@@ -218,7 +227,7 @@ class RangeCorpusGenerator:
                 overlapping_open_ranges_value(n, leading="1-"),
                 f"1- then {n - 1} overlapping 0- ranges",
             )
-            for n in counts
+            for n in LED_OPEN_COUNTS
         ]
 
     def invalid_cases(self) -> List[str]:

@@ -44,7 +44,7 @@ class Http2FramingModel(OverheadModel):
     also applicable to HTTP/2" — ranges in HTTP/2 are defined by
     reference to RFC 7233, and the framing layer changes the byte counts
     only marginally.  This model quantifies that: each frame of up to
-    ``max_frame_size`` payload bytes pays a 9-byte frame header, and the
+    ``MAX_FRAME_SIZE`` payload bytes pays a 9-byte frame header, and the
     connection pays a one-time preface.  HPACK header compression is not
     modeled (it would *shrink* the attacker-side denominators slightly,
     i.e. make amplification marginally worse), so the model is
@@ -52,18 +52,15 @@ class Http2FramingModel(OverheadModel):
     """
 
     FRAME_HEADER_BYTES = 9
+    #: The default SETTINGS_MAX_FRAME_SIZE (RFC 7540 §6.5.2).
+    MAX_FRAME_SIZE = 16384
     #: "PRI * HTTP/2.0..." preface plus initial SETTINGS exchange.
     CONNECTION_PREFACE_BYTES = 24 + 2 * (9 + 18)
-
-    def __init__(self, max_frame_size: int = 16384) -> None:
-        if max_frame_size < 1:
-            raise ValueError(f"max_frame_size must be positive, got {max_frame_size}")
-        self.max_frame_size = max_frame_size
 
     def framed_size(self, payload_bytes: int) -> int:
         if payload_bytes <= 0:
             return 0
-        frames = math.ceil(payload_bytes / self.max_frame_size)
+        frames = math.ceil(payload_bytes / self.MAX_FRAME_SIZE)
         return payload_bytes + frames * self.FRAME_HEADER_BYTES
 
     def connection_setup_bytes(self) -> int:

@@ -108,7 +108,7 @@ class Counter:
 
     type_name = "counter"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
         self._values: Dict[LabelKey, float] = {}
@@ -142,7 +142,7 @@ class Gauge:
 
     type_name = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
         self._values: Dict[LabelKey, float] = {}
@@ -178,7 +178,7 @@ class Histogram:
     type_name = "histogram"
 
     def __init__(
-        self, name: str, help: str = "", buckets: Sequence[float] = DEFAULT_BUCKETS
+        self, name: str, help: str, buckets: Sequence[float] = DEFAULT_BUCKETS
     ) -> None:
         if list(buckets) != sorted(buckets) or len(set(buckets)) != len(tuple(buckets)):
             raise MetricError(f"histogram {name} buckets must be sorted and unique")
@@ -454,8 +454,8 @@ class MetricsRegistry:
     ) -> None:
         """Count one service request and observe its latency.
 
-        ``outcome`` is ``ok``, ``shed``, ``deadline``, ``degraded``,
-        ``error``, or ``cancelled``.
+        ``outcome`` is ``ok``, ``shed``, ``deadline``, ``degraded`` or
+        ``error``.
         """
         self.counter(
             SERVE_REQUESTS, "serve requests by endpoint and outcome"

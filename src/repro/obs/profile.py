@@ -19,6 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+#: How many of the slowest cells the profile lists.
+SLOWEST_CELLS = 10
+
 
 @dataclass(frozen=True)
 class CellProfile:
@@ -75,7 +78,6 @@ def render_profile(
     total_s: float,
     workers: int = 1,
     metrics_snapshot: Optional[Mapping[str, Any]] = None,
-    slowest: int = 10,
 ) -> str:
     """Render the plain-text profile report.
 
@@ -110,12 +112,12 @@ def render_profile(
             f"{_fmt_seconds(timing.mean_s)} {_fmt_seconds(timing.failed_s)}"
         )
 
-    if slowest > 0 and cells:
+    if cells:
         lines.append("")
-        lines.append(f"slowest {min(slowest, len(cells))} cells")
+        lines.append(f"slowest {min(SLOWEST_CELLS, len(cells))} cells")
         lines.append("-" * 60)
         ranked = sorted(cells, key=lambda cell: cell.duration_s, reverse=True)
-        for cell in ranked[:slowest]:
+        for cell in ranked[:SLOWEST_CELLS]:
             flag = "" if cell.ok else "  [FAILED]"
             lines.append(
                 f"{_fmt_seconds(cell.duration_s)}  {cell.experiment}:{cell.label}{flag}"

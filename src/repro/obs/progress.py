@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Any, Optional, TextIO
+from typing import Any
+
+#: Least time between two plain (non-TTY) progress lines.
+EMIT_INTERVAL_S = 2.0
 
 
 def _format_eta(seconds: float) -> str:
@@ -30,26 +33,20 @@ def _format_eta(seconds: float) -> str:
 class ProgressReporter:
     """Streams one progress line per finished grid cell.
 
-    Use as the runner's ``observer`` callback::
+    Use as the runner's ``observer`` callback, which also tells it the
+    cell total::
 
-        reporter = ProgressReporter(total=len(grid.cells))
-        runner = GridRunner(observer=reporter)
+        runner = GridRunner(observer=ProgressReporter())
 
-    On a TTY the line is redrawn in place (``\\r``); otherwise a plain
-    line is printed at most every ``interval_s`` seconds (and always for
-    the final cell) so CI logs stay readable.
+    It writes to stderr.  On a TTY the line is redrawn in place
+    (``\\r``); otherwise a plain line is printed at most every
+    ``EMIT_INTERVAL_S`` seconds (and always for the final cell) so CI
+    logs stay readable.
     """
 
-    def __init__(
-        self,
-        total: int = 0,
-        stream: Optional[TextIO] = None,
-        interval_s: float = 2.0,
-        prefix: str = "run",
-    ) -> None:
-        self.total = total
-        self.stream = stream if stream is not None else sys.stderr
-        self.interval_s = interval_s
+    def __init__(self, prefix: str = "run") -> None:
+        self.total = 0
+        self.stream = sys.stderr
         self.prefix = prefix
         self.done = 0
         self.failed = 0
@@ -72,7 +69,7 @@ class ProgressReporter:
     def update(self, label: str = "") -> None:
         now = time.perf_counter()
         final = self.total and self.done >= self.total
-        if not self._is_tty and not final and (now - self._last_emit) < self.interval_s:
+        if not self._is_tty and not final and (now - self._last_emit) < EMIT_INTERVAL_S:
             return
         self._last_emit = now
         line = self._render(label, now)

@@ -236,8 +236,6 @@ def record_from_serve(
     wall_s: float,
     requests_total: int,
     metrics: Mapping[str, Any],
-    clock: Optional[Clock] = None,
-    label: str = "serve",
 ) -> RunRecord:
     """Persist one ``repro serve`` session at drain time.
 
@@ -247,10 +245,10 @@ def record_from_serve(
     """
     return _new_record(
         "serve",
-        label,
+        "serve",
         config,
         wall_s,
-        clock,
+        None,
         workers=int(config.get("workers", 1)),
         cell_count=requests_total,
         metrics=dict(metrics),

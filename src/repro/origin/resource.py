@@ -98,9 +98,9 @@ class ResourceStore:
         self._resources[resource.path] = resource
         return resource
 
-    def add_synthetic(self, path: str, size: int, content_type: Optional[str] = None) -> Resource:
+    def add_synthetic(self, path: str, size: int) -> Resource:
         """Shorthand for registering an n-byte synthetic resource."""
-        return self.add(Resource(path=path, body=size, content_type=content_type))
+        return self.add(Resource(path=path, body=size))
 
     def get(self, path: str) -> Resource:
         """Look up by exact path; raises :class:`ResourceNotFoundError`."""

@@ -43,6 +43,9 @@ from repro.origin.resource import Resource, ResourceStore
 #: Date would jitter the traffic accounting by a byte now and then.
 _FIXED_DATE = "Fri, 05 Jun 2020 08:00:00 GMT"
 
+#: The origin's Server header: the paper's Apache testbed.
+SERVER_HEADER = "Apache/2.4.18 (Ubuntu)"
+
 #: Apache 2.4's effective cap on the number of ranges it will serve.
 DEFAULT_MAX_RANGES = 200
 
@@ -67,15 +70,12 @@ class OriginServer:
 
     def __init__(
         self,
-        store: Optional[ResourceStore] = None,
         range_support: bool = True,
-        server_header: str = "Apache/2.4.18 (Ubuntu)",
         max_ranges: int = DEFAULT_MAX_RANGES,
         reject_overlapping: bool = True,
     ) -> None:
-        self.store = store if store is not None else ResourceStore()
+        self.store = ResourceStore()
         self.range_support = range_support
-        self.server_header = server_header
         self.max_ranges = max_ranges
         self.reject_overlapping = reject_overlapping
         self.stats = OriginStats()
@@ -85,10 +85,8 @@ class OriginServer:
     def add_resource(self, resource: Resource) -> Resource:
         return self.store.add(resource)
 
-    def add_synthetic_resource(
-        self, path: str, size: int, content_type: Optional[str] = None
-    ) -> Resource:
-        return self.store.add_synthetic(path, size, content_type)
+    def add_synthetic_resource(self, path: str, size: int) -> Resource:
+        return self.store.add_synthetic(path, size)
 
     def handle(self, request: HttpRequest) -> HttpResponse:
         """Answer ``request`` (GET/HEAD; anything else is a 400)."""
@@ -187,7 +185,7 @@ class OriginServer:
         headers = Headers(
             [
                 ("Date", _FIXED_DATE),
-                ("Server", self.server_header),
+                ("Server", SERVER_HEADER),
                 ("Last-Modified", resource.last_modified),
                 ("ETag", resource.etag),
             ]
@@ -275,7 +273,7 @@ class OriginServer:
         headers = Headers(
             [
                 ("Date", _FIXED_DATE),
-                ("Server", self.server_header),
+                ("Server", SERVER_HEADER),
                 ("Content-Length", str(len(body))),
                 ("Content-Type", "text/plain"),
             ]

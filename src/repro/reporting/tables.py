@@ -301,13 +301,12 @@ class Table5Row:
 def table5_rows_from_results(
     results: Dict[Tuple[str, str], Any],
     combinations: Sequence[Tuple[str, str]],
-    resource_size: int = 1024,
 ) -> List[Table5Row]:
     """Assemble Table V rows from (fcdn, bcdn) -> ObrResult mappings."""
     rows = []
     for fcdn, bcdn in combinations:
         result = results[(fcdn, bcdn)]
-        prefix = ObrAttack(fcdn, bcdn, resource_size=resource_size).range_value(3)
+        prefix = ObrAttack(fcdn, bcdn).range_value(3)
         rows.append(
             Table5Row(
                 fcdn=fcdn,

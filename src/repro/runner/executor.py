@@ -60,7 +60,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -388,7 +387,6 @@ class GridRunner:
     def __init__(
         self,
         workers: Optional[int] = None,
-        max_pending: Optional[int] = None,
         collect: bool = False,
         observer: Optional[Observer] = None,
         cell_retries: Optional[int] = None,
@@ -397,7 +395,7 @@ class GridRunner:
     ) -> None:
         self.workers = resolve_workers(workers)
         #: Cap on futures in flight; bounds memory for very large grids.
-        self.max_pending = max_pending if max_pending is not None else self.workers * 4
+        self.max_pending = self.workers * 4
         #: When true, every cell runs traced+metered and its outcome
         #: carries a :class:`CellObservation`.
         self.collect = collect

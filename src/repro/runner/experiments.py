@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict
 
 from repro.core.obr import ObrAttack
-from repro.core.practical import BandwidthAttackSimulation
+from repro.core.practical import ORIGIN_UPLINK_MBPS, BandwidthAttackSimulation
 from repro.errors import ConfigurationError
 from repro.runner.grid import ExperimentCell
 from repro.runner.memo import measure_ccfc, measure_sbr
@@ -112,10 +112,10 @@ def flood_cell(
     vendor: str,
     m: int,
     resource_size: int = 10 * (1 << 20),
-    origin_uplink_mbps: float = 1000.0,
     per_request: Any = None,
 ) -> ExperimentCell:
-    """Fig 7 cell: one flood intensity ``m`` through one vendor.
+    """Fig 7 cell: one flood intensity ``m`` through one vendor, at the
+    paper's origin uplink (recorded in the cell).
 
     ``per_request`` optionally pins the (origin_bytes, client_bytes)
     per-request traffic so the cell skips the SBR probe — ``run_all``
@@ -125,7 +125,7 @@ def flood_cell(
         "flood",
         (vendor, m),
         resource_size=resource_size,
-        origin_uplink_mbps=origin_uplink_mbps,
+        origin_uplink_mbps=ORIGIN_UPLINK_MBPS,
         per_request=tuple(per_request) if per_request is not None else None,
     )
 
@@ -136,7 +136,7 @@ def _run_flood_cell(cell: ExperimentCell) -> Any:
     simulation = BandwidthAttackSimulation(
         vendor=vendor,
         resource_size=params.get("resource_size", 10 * (1 << 20)),
-        origin_uplink_mbps=params.get("origin_uplink_mbps", 1000.0),
+        origin_uplink_mbps=params.get("origin_uplink_mbps", ORIGIN_UPLINK_MBPS),
         per_request=params.get("per_request"),
     )
     return simulation.run(m)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
-from repro.errors import ConfigurationError
 
 #: Scalar cell coordinates — everything here must hash, pickle, and
 #: compare by value so cells can key dictionaries across processes.
@@ -89,13 +88,6 @@ class ExperimentGrid:
     def extend(self, cells: Iterable[ExperimentCell]) -> None:
         for cell in cells:
             self.add(cell)
-
-    def index_of(self, cell: ExperimentCell) -> int:
-        """Position of ``cell`` in grid order."""
-        try:
-            return self._index_by_cell[cell]
-        except KeyError:
-            raise ConfigurationError(f"cell {cell.label} is not in grid {self.name!r}")
 
     @property
     def cells(self) -> Tuple[ExperimentCell, ...]:

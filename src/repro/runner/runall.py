@@ -27,7 +27,7 @@ from repro.core.obr import vulnerable_combinations
 from repro.core.practical import flood_grid
 from repro.core.sbr import sbr_grid
 from repro.errors import ReproError
-from repro.faults.experiment import DEFAULT_FAULT_ROUNDS, DEFAULT_FAULT_SEED
+from repro.faults.experiment import DEFAULT_FAULT_SEED
 from repro.obs.profile import CellProfile
 from repro.runner.checkpoint import RunCheckpoint
 from repro.runner.executor import (
@@ -49,6 +49,8 @@ MB = 1 << 20
 #: Quick-mode trims of the Table V and Fig 7 sweeps.
 QUICK_TABLE5_COMBOS = (("cloudflare", "akamai"), ("cdn77", "azure"))
 QUICK_FIG7_MS = (2, 12, 15)
+#: The vendor Fig 7 floods (the paper's Cloudflare setup).
+FLOOD_VENDOR = "cloudflare"
 
 
 @dataclass(frozen=True)
@@ -111,17 +113,16 @@ def build_run_all_grid(
     table4_sizes: Sequence[int] = (1 * MB, 10 * MB, 25 * MB),
     table5_combos: Optional[Sequence[Tuple[str, str]]] = None,
     fig7_ms: Sequence[int] = tuple(range(1, 16)),
-    flood_vendor: str = "cloudflare",
     fault_sizes: Sequence[int] = (),
     fault_seed: int = DEFAULT_FAULT_SEED,
-    fault_rounds: int = DEFAULT_FAULT_ROUNDS,
     ccfc_sizes: Sequence[int] = (10 * MB,),
 ) -> ExperimentGrid:
     """The combined Tables IV–V / Figs 6–7 grid (deduped, ordered).
 
     A non-empty ``fault_sizes`` adds the faulted-SBR sweep (Table VI):
-    one cell per vendor x size, each running ``fault_rounds`` attack
-    rounds under the seeded default fault plan with vendor retries on.
+    one cell per vendor x size, each running
+    :data:`~repro.faults.experiment.DEFAULT_FAULT_ROUNDS` attack rounds
+    under the seeded default fault plan with vendor retries on.
     """
     from repro.reporting.figures import default_fig6_sizes
 
@@ -142,16 +143,12 @@ def build_run_all_grid(
 
         # Faulted cells run many attack rounds each; start them early,
         # right behind the OBR searches, so they overlap the cheap tail.
-        grid.extend(
-            faulted_sbr_grid(
-                names, tuple(fault_sizes), seed=fault_seed, rounds=fault_rounds
-            ).cells
-        )
+        grid.extend(faulted_sbr_grid(names, tuple(fault_sizes), seed=fault_seed).cells)
     grid.extend(
         flood_grid(
             fig7_ms,
-            vendor=flood_vendor,
-            per_request=sbr_per_request_traffic(flood_vendor, 10 * MB),
+            vendor=FLOOD_VENDOR,
+            per_request=sbr_per_request_traffic(FLOOD_VENDOR, 10 * MB),
         ).cells
     )
     grid.extend(sbr_grid(names, tuple(sizes6), name="fig6-sbr").cells)
@@ -229,10 +226,8 @@ def run_all(
         fig7_ms = tuple(range(1, 16))
         ccfc_sizes = (10 * MB,)
     fault_sizes: Sequence[int] = ()
-    fault_rounds = DEFAULT_FAULT_ROUNDS
     if faults:
         fault_sizes = (1 * MB,) if quick else (1 * MB, 10 * MB)
-        fault_rounds = 4 if quick else DEFAULT_FAULT_ROUNDS
 
     grid = build_run_all_grid(
         vendors=names,

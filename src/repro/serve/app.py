@@ -17,12 +17,11 @@ its own — the asyncio layer (:mod:`repro.serve.server`) feeds it parsed
   readiness;
 * ``GET /metrics`` — Prometheus text exposition of the service registry.
 
-Batch processing is written as a generator that yields once per item:
-the synchronous driver (:meth:`AnalysisService.handle`) just drains it,
-while the asyncio driver (:meth:`AnalysisService.handle_async`) awaits
-between steps, which is what makes deadline expiry and task
-cancellation land on item boundaries — never mid-computation, never
-with a half-written memo entry.
+A batch runs to completion inside :meth:`AnalysisService.handle`, on
+one of the server's worker threads.  The deadline is checked before each
+item, so expiry lands on an item boundary — never mid-computation, never
+with a half-written memo entry — and the items left over answer
+``deadline_exceeded``.
 
 The exact-simulation path sits behind the circuit breaker.  When the
 breaker refuses, or the simulation errors, the item still gets its
@@ -32,7 +31,6 @@ so a degraded answer is conservative rather than wrong.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import math
 import time
@@ -42,7 +40,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Generator,
     List,
     Optional,
     Tuple,
@@ -56,7 +53,6 @@ from repro.analysis.families import (
     SHAPES,
     AttackFamily,
     ExactMeasure,
-    ExactSimUnavailable,
     Subject,
 )
 from repro.analysis.recommend import DEFAULT_THRESHOLD, recommend
@@ -92,7 +88,6 @@ Clock = Callable[[], float]
 ExactRunner = Callable[[str, int], float]
 
 _Result = Tuple[HttpResponse, str]
-_Steps = Generator[None, None, _Result]
 
 
 @dataclass(frozen=True)
@@ -159,25 +154,6 @@ def _retry_after_header(retry_after_s: float) -> Tuple[str, str]:
     return ("Retry-After", str(seconds))
 
 
-def drive(steps: _Steps) -> _Result:
-    """Drain a batch generator synchronously."""
-    try:
-        while True:
-            next(steps)
-    except StopIteration as stop:
-        return cast(_Result, stop.value)
-
-
-async def drive_async(steps: _Steps) -> _Result:
-    """Drain a batch generator, yielding to the event loop per item."""
-    try:
-        while True:
-            next(steps)
-            await asyncio.sleep(0)
-    except StopIteration as stop:
-        return cast(_Result, stop.value)
-
-
 #: Item error for a missing or doubled subject, e.g. ``item needs either
 #: "vendor" (SBR/CCFC) or "fcdn"+"bcdn" (OBR)``.
 _SUBJECT_ERROR = "item needs either " + " or ".join(
@@ -208,12 +184,11 @@ class AnalysisService:
         config: Optional[ServeConfig] = None,
         clock: Optional[Clock] = None,
         exact_runner: Optional[ExactRunner] = None,
-        metrics: Optional[MetricsRegistry] = None,
         fault_plan: Optional[Any] = None,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self.clock: Clock = clock if clock is not None else time.monotonic
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.fault_plan = fault_plan
         self._exact_runner = exact_runner
         self.breaker = CircuitBreaker(
@@ -231,34 +206,13 @@ class AnalysisService:
         self.draining = False
         self._vendors = frozenset(all_vendor_names())
 
-    # -- public drivers -----------------------------------------------------
+    # -- entry points -------------------------------------------------------
 
     def handle(self, request: HttpRequest) -> HttpResponse:
-        """Synchronous entry point: route, process, record metrics."""
+        """Route, process and record metrics for one request."""
         started = self.clock()
         with use_metrics(self.metrics):
-            endpoint, routed = self._route(request)
-            if isinstance(routed, tuple):
-                response, outcome = routed
-            else:
-                response, outcome = drive(routed)
-            self._observe(endpoint, outcome, started)
-        return response
-
-    async def handle_async(self, request: HttpRequest) -> HttpResponse:
-        """Asyncio entry point: batch work yields to the loop per item,
-        so cancellation and concurrent requests interleave cleanly."""
-        started = self.clock()
-        with use_metrics(self.metrics):
-            endpoint, routed = self._route(request)
-            if isinstance(routed, tuple):
-                response, outcome = routed
-            else:
-                try:
-                    response, outcome = await drive_async(routed)
-                except asyncio.CancelledError:
-                    self._observe(endpoint, "cancelled", started)
-                    raise
+            endpoint, (response, outcome) = self._route(request)
             self._observe(endpoint, outcome, started)
         return response
 
@@ -289,9 +243,7 @@ class AnalysisService:
             return path[1:]
         return "other"
 
-    def _route(
-        self, request: HttpRequest
-    ) -> Tuple[str, Union[_Result, _Steps]]:
+    def _route(self, request: HttpRequest) -> Tuple[str, _Result]:
         endpoint = self._endpoint(request)
         path = request.path
         if endpoint in ("analyze", "recommend"):
@@ -299,7 +251,7 @@ class AnalysisService:
                 return endpoint, self._error(
                     StatusCode.METHOD_NOT_ALLOWED, f"{path} requires POST"
                 )
-            return endpoint, self._batch_steps(endpoint, request)
+            return endpoint, self._batch(endpoint, request)
         if endpoint in ("healthz", "readyz", "metrics"):
             if request.method != "GET":
                 return endpoint, self._error(
@@ -368,7 +320,7 @@ class AnalysisService:
 
     # -- batch processing ---------------------------------------------------
 
-    def _batch_steps(self, endpoint: str, request: HttpRequest) -> _Steps:
+    def _batch(self, endpoint: str, request: HttpRequest) -> _Result:
         body = request.body.materialize()
         if len(body) > self.config.max_body_bytes:
             return self._error(
@@ -414,7 +366,6 @@ class AnalysisService:
             if result.get("degraded"):
                 degraded = True
             results.append(result)
-            yield
         response = _json_response(
             StatusCode.OK,
             {

@@ -12,7 +12,7 @@ gauges per table for the ``/metrics`` endpoint.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Sequence
+from typing import Any, Callable, Dict, Hashable
 
 from repro.obs.metrics import (
     SERVE_MEMO_ENTRIES,
@@ -22,29 +22,23 @@ from repro.obs.metrics import (
 )
 from repro.runner.memo import Memo, MemoStats
 
-#: Default table names used by the analysis service.
-DEFAULT_TABLES = ("findings", "recommendations", "exact")
+#: The analysis service's table names.
+TABLES = ("findings", "recommendations", "exact")
 
 
 class SharedMemoRegistry:
     """A fixed set of named memo tables under one entry budget."""
 
-    def __init__(
-        self,
-        total_entries: int = 4096,
-        tables: Sequence[str] = DEFAULT_TABLES,
-    ) -> None:
-        if total_entries < len(tables):
+    def __init__(self, total_entries: int = 4096) -> None:
+        if total_entries < len(TABLES):
             raise ValueError(
                 f"total_entries={total_entries} cannot cover "
-                f"{len(tables)} tables"
+                f"{len(TABLES)} tables"
             )
-        if not tables:
-            raise ValueError("at least one table name is required")
-        per_table = total_entries // len(tables)
+        per_table = total_entries // len(TABLES)
         self.total_entries = total_entries
         self._tables: Dict[str, Memo] = {
-            name: Memo(maxsize=per_table, name=f"serve_{name}") for name in tables
+            name: Memo(maxsize=per_table, name=f"serve_{name}") for name in TABLES
         }
 
     def table(self, name: str) -> Memo:

@@ -28,7 +28,7 @@ import asyncio
 import signal
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Deque, Dict, Optional, Union
+from typing import Any, Deque, Dict, Optional, Union
 
 from repro.errors import HttpError
 from repro.http.headers import Headers, declared_length
@@ -64,7 +64,6 @@ class ServeServer:
         workers: int = 1,
         runlog: Optional[str] = None,
         drain_grace_s: float = 10.0,
-        wall_clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -74,9 +73,6 @@ class ServeServer:
         self.workers = workers
         self.runlog = runlog
         self.drain_grace_s = drain_grace_s
-        #: Only used to timestamp the drain RunRecord; ``None`` defers
-        #: to the ledger's default wall clock.
-        self.wall_clock = wall_clock
         self._server: Optional[asyncio.AbstractServer] = None
         # Batch work always runs on worker threads — even with one
         # worker — so a slow exact simulation can never stall the event
@@ -169,7 +165,6 @@ class ServeServer:
                 + self.service.admission.shed_total
             ),
             metrics=self.service.metrics.snapshot(),
-            clock=self.wall_clock,
         )
         RunLedger(self.runlog).append(record)
 
@@ -352,22 +347,3 @@ class ServeServer:
             admission.promote()
             future.set_result(None)
 
-
-async def serve_until_drained(
-    service: AnalysisService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    workers: int = 1,
-    runlog: Optional[str] = None,
-    drain_grace_s: float = 10.0,
-) -> int:
-    """Convenience wrapper for the CLI: build, run, drain, exit code."""
-    server = ServeServer(
-        service,
-        host=host,
-        port=port,
-        workers=workers,
-        runlog=runlog,
-        drain_grace_s=drain_grace_s,
-    )
-    return await server.run_until_drained()

@@ -157,8 +157,6 @@ class TestStaticMaxNMatchesBisection:
                 bcdn,
                 n,
                 resource_size,
-                "/1KB.bin",
-                "victim.example",
                 fcdn_profile=fcdn_profile,
                 bcdn_profile=bcdn_profile,
             )

@@ -280,6 +280,6 @@ class TestContextPropagation:
 
 
 def test_instrument_classes_exported():
-    assert Counter("c").type_name == "counter"
-    assert Gauge("g").type_name == "gauge"
-    assert Histogram("h").type_name == "histogram"
+    assert Counter("c", "").type_name == "counter"
+    assert Gauge("g", "").type_name == "gauge"
+    assert Histogram("h", "").type_name == "histogram"

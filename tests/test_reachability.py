@@ -1,5 +1,6 @@
 """Every module under ``src/repro`` is reached from something that runs,
-and the packages on the way load nothing of their own.
+the packages on the way load nothing of their own, and every defaulted
+parameter is one some caller sets.
 
 The roots are the CLI (``repro.cli``, ``repro.__main__``) and every
 benchmark and script file.  The walk follows ``import`` statements
@@ -20,7 +21,7 @@ import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -161,3 +162,132 @@ def test_submodule_names_are_not_shadowed():
     assert pkgutil.resolve_name("repro.analysis:recommend") is module
     function = pkgutil.resolve_name("repro.analysis.recommend:recommend")
     assert function is module.recommend
+
+
+#: Defaulted parameters no call site sets, each kept for a reason a name
+#: scan cannot see.
+UNSET_DEFAULTS_ALLOWED = {
+    "repro.analysis.lint:lint_repo(root)": "names the tree the linter reads",
+    "repro.analysis.purity:analyze_tree(root)": "names the tree the analyzer reads",
+    "repro.analysis.purity:analyze_tree(config)": "names the sources and sinks it reads",
+    "repro.analysis.purity:analyze_tree(source_prefix)": "names the tree the analyzer reads",
+    "repro.analysis.purity:missing_sink_functions(config)": "names the sinks it reads",
+    "repro.obs.runlog:record_from_recommendations(clock)": (
+        "the injected-clock facade its sibling record builders share"
+    ),
+    "repro.runner.experiments:sbr_cell(rounds)": "checkpoints journal it as part of the cell identity",
+    "repro.runner.experiments:ccfc_cell(rounds)": "checkpoints journal it as part of the cell identity",
+    "repro.obs.metrics:Histogram.__init__(buckets)": (
+        "set through MetricsRegistry._get_or_create's factory call"
+    ),
+}
+
+CALLER_FOLDERS = ("src", "tests", "benchmarks", "scripts", "examples")
+
+#: (keywords passed, positional arguments passed, uses a splat)
+_Call = Tuple[Set[str], int, bool]
+
+
+def _name(expr: ast.expr) -> Optional[str]:
+    """``f`` for ``f`` and ``x.f``."""
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return None
+
+
+def _calls_by_name(tree: ast.AST) -> Dict[str, List[_Call]]:
+    """Every call in ``tree`` under the name it calls.  ``cls(...)`` in a
+    class body calls that class and ``super().__init__(...)`` its bases."""
+    calls: Dict[str, List[_Call]] = {}
+
+    def visit(node: ast.AST, cls: Optional[ast.ClassDef]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                names = [_name(func)]
+                if cls is not None and names == ["cls"]:
+                    names = [cls.name]
+                elif (
+                    cls is not None
+                    and isinstance(func, ast.Attribute)
+                    and func.attr == "__init__"
+                    and isinstance(func.value, ast.Call)
+                    and _name(func.value.func) == "super"
+                ):
+                    names = [_name(base) for base in cls.bases]
+                call = (
+                    {kw.arg for kw in child.keywords if kw.arg is not None},
+                    sum(not isinstance(arg, ast.Starred) for arg in child.args),
+                    any(isinstance(arg, ast.Starred) for arg in child.args)
+                    or any(kw.arg is None for kw in child.keywords),
+                )
+                for name in names:
+                    if name is not None:
+                        calls.setdefault(name, []).append(call)
+            visit(child, child if isinstance(child, ast.ClassDef) else cls)
+
+    visit(tree, None)
+    return calls
+
+
+def _defaulted(tree: ast.AST) -> Iterator[Tuple[str, str, Optional[int], str]]:
+    """(qualified name, callee name, positional index or None, parameter)
+    for every defaulted parameter defined in ``tree``."""
+
+    def visit(node: ast.AST, cls: Optional[ast.ClassDef], prefix: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                bound = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list
+                )
+                first = len(positional) - len(args.defaults)
+                callee = cls.name if cls is not None and child.name == "__init__" else child.name
+                qualified = prefix + child.name
+                for index in range(first, len(positional)):
+                    yield qualified, callee, index - bound, positional[index].arg
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield qualified, callee, None, arg.arg
+                yield from visit(child, None, f"{qualified}.")
+            else:
+                yield from visit(child, cls, prefix)
+
+    yield from visit(tree, None, "")
+
+
+def unset_defaults() -> List[str]:
+    calls: Dict[str, List[_Call]] = {}
+    for folder in CALLER_FOLDERS:
+        for path in (ROOT / folder).rglob("*.py"):
+            for name, found in _calls_by_name(ast.parse(path.read_text(encoding="utf-8"))).items():
+                calls.setdefault(name, []).extend(found)
+    unset = []
+    for module, path in _modules().items():
+        for qualified, callee, index, param in _defaulted(
+            ast.parse(path.read_text(encoding="utf-8"))
+        ):
+            if not any(
+                splat or param in keywords or (index is not None and passed > index)
+                for keywords, passed, splat in calls.get(callee, ())
+            ):
+                unset.append(f"{module}:{qualified}({param})")
+    return sorted(unset)
+
+
+def test_every_defaulted_parameter_has_a_setter():
+    unset = set(unset_defaults())
+    assert not unset - set(UNSET_DEFAULTS_ALLOWED), (
+        "defaulted parameters no caller sets (make them constants): "
+        + ", ".join(sorted(unset - set(UNSET_DEFAULTS_ALLOWED)))
+    )
+    assert not set(UNSET_DEFAULTS_ALLOWED) - unset, (
+        "allowlisted parameters a caller now sets: "
+        + ", ".join(sorted(set(UNSET_DEFAULTS_ALLOWED) - unset))
+    )
