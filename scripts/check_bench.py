@@ -15,7 +15,10 @@ for --exact), enforce:
 3. neither mode's derived "measure" phase — the seconds spent answering
    SBR/OBR/CCFC measurement cells — has regressed more than
    MAX_WALL_REGRESSION times its own committed baseline;
-4. both modes answered the same number of cells, and that number equals
+4. neither mode's "static" phase — the Table VII recommendation
+   derivation, the largest quick-mode phase — has regressed more than
+   MAX_WALL_REGRESSION times its own committed baseline;
+5. both modes answered the same number of cells, and that number equals
    both baselines' (the grid is fixed, so any difference means a mode
    dropped or gained cells).
 
@@ -48,7 +51,8 @@ from repro.reporting.bench import (
     load_bench,
 )
 
-#: Wall-clock and measure-phase tripwire versus the committed baselines.
+#: Wall-clock, measure- and static-phase tripwire versus the committed
+#: baselines.
 MAX_WALL_REGRESSION = 2.0
 
 
@@ -84,6 +88,11 @@ def check(
         if run.measure_s <= 0:
             failures.append(f"{mode} run has no measure phase")
         failures += _tripwire(f"{mode} measure phase", run.measure_s, base.measure_s)
+        failures += _tripwire(
+            f"{mode} static phase",
+            run.phases.get("static", 0.0),
+            base.phases.get("static", 0.0),
+        )
 
     counts = {
         "fast": current.cell_count,

@@ -460,8 +460,8 @@ def static_max_n(
         # Registry-vendor searches are pure functions of scalar inputs;
         # the analyzer and the recommendation engine re-ask the same
         # cascades, so the search is worth caching.  Wrapped (mitigated)
-        # profiles stay uncached — factories have no stable cache
-        # identity.
+        # searches stay uncached: one audit runs 33 of them for 33
+        # distinct (cascade, mitigation) pairs, so a memo would never hit.
         max_n: int = _MAX_N_MEMO.get_or_compute(
             (fcdn, bcdn, resource_size, lower, upper), search
         )

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Tuple
 
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.policy import ForwardPolicy
-from repro.cdn.vendors import create_profile
+from repro.cdn.vendors import create_profile, profile_class
 from repro.cdn.vendors.base import (
     EncodingPolicy,
     VendorConfig,
@@ -40,6 +40,7 @@ from repro.cdn.vendors.base import (
 from repro.core.obr import exploited_fcdn_config
 from repro.http.message import HttpRequest
 from repro.http.ranges import try_parse_range_header
+from repro.obs.memo import Memo
 
 #: Builds a fresh profile per probe (profiles are stateful).  Passing one
 #: lets every classification and closed-form bound run against a
@@ -194,6 +195,12 @@ def classify_sbr(
     )
 
 
+#: :func:`classify_obr_frontend` answers, by ``(vendor, resource_size,
+#: config)``.  The answer reads only registry profiles, and a vendor
+#: matrix asks each front end once per back end.
+_FRONTEND_MEMO = Memo(maxsize=1024, name="obr_frontend")
+
+
 def classify_obr_frontend(
     vendor: str,
     resource_size: int = 1024,
@@ -201,12 +208,19 @@ def classify_obr_frontend(
 ) -> Tuple[ProbeDecision, ...]:
     """The overlapping multi-range shapes ``vendor`` forwards unchanged
     (Table II membership evidence; empty when unusable as an FCDN)."""
-    return tuple(
-        probe
-        for shape in MULTI_RANGE_SHAPES
-        for probe in (probe_decision(vendor, shape, resource_size, config=config),)
-        if probe.lazy_unchanged
+
+    def read() -> Tuple[ProbeDecision, ...]:
+        return tuple(
+            probe
+            for shape in MULTI_RANGE_SHAPES
+            for probe in (probe_decision(vendor, shape, resource_size, config=config),)
+            if probe.lazy_unchanged
+        )
+
+    lazy: Tuple[ProbeDecision, ...] = _FRONTEND_MEMO.get_or_compute(
+        (vendor, resource_size, config), read
     )
+    return lazy
 
 
 @dataclass(frozen=True)
@@ -225,7 +239,7 @@ class ObrBackendFacts:
 
 def classify_obr_backend(vendor: str) -> ObrBackendFacts:
     """Read the reply-behavior facts off the profile class."""
-    profile_cls = type(create_profile(vendor))
+    profile_cls = profile_class(vendor)
     return ObrBackendFacts(
         vendor=vendor,
         reply_behavior=profile_cls.reply_behavior,

@@ -11,14 +11,18 @@ CDNs along the path will accept.  The paper measured (§V-C):
   request line, HHL the Host header line, and RHL the Range header line;
 * Azure — at most 64 ranges in a Range header.
 
-:class:`HeaderLimits` models all five shapes; exceeding a byte limit is
-answered with HTTP 431 and exceeding the range-count limit with 416,
-which is how the max-n search detects the boundary.
+The RFC 7233 §6.1 guard the paper recommends (§VI-C) is a limit too:
+a request may carry at most two ranges that overlap.
 
-Every shape is a linear inequality in the number of ranges: the OBR
-header ``bytes=0-,0-,…`` grows by a fixed ``step`` bytes per range.
-:meth:`HeaderLimits.range_cap` therefore solves each declared limit for
-the largest admitted range count by division; the max-n search
+:class:`HeaderLimits` models all six; exceeding a byte limit is answered
+with HTTP 431 and exceeding the range-count limit with 416, which is how
+the max-n search detects the boundary.
+
+Every limit is a linear inequality in the number of ranges: the OBR
+header ``bytes=0-,0-,…`` grows by a fixed ``step`` bytes per range, and
+its ranges all overlap one another, so the overlap cap bounds the range
+count itself.  :meth:`HeaderLimits.range_cap` therefore solves each
+declared limit for the largest admitted range count; the max-n search
 (:func:`repro.core.obr.largest_admitted`) takes that as its first guess
 and certifies it by probing ``n`` and ``n + 1``.
 """
@@ -76,24 +80,31 @@ class HeaderLimits:
     * ``max_ranges`` — cap on the number of byte-range specs in the Range
       header, Azure style.
     * ``custom`` — an arbitrary predicate returning an error message:
-      Cloudflare's composite rule (a :class:`CloudflareRule`) or an
-      opaque guard such as the RFC 7233 §6.1 mitigation.
+      Cloudflare's composite rule (a :class:`CloudflareRule`) or the
+      RFC 7233 §6.1 guard
+      (:func:`~repro.defense.mitigations.rfc7233_multirange_guard`).
+    * ``max_overlapping_ranges`` — the cap the RFC 7233 guard in
+      ``custom`` enforces on ranges that overlap.  :meth:`check` leaves
+      enforcement to that guard; the field declares the cap so
+      :meth:`range_cap` can solve it.
     """
 
     max_total_header_bytes: Optional[int] = None
     max_single_header_line_bytes: Optional[int] = None
     max_ranges: Optional[int] = None
     custom: Optional[Callable[[HttpRequest], Optional[str]]] = None
+    max_overlapping_ranges: Optional[int] = None
 
     def range_cap(self, request: HttpRequest, count: int, step: int) -> Optional[int]:
         """The largest range count every declared limit admits.
 
-        ``request`` carries a Range header with ``count`` ranges, and each
-        further range adds ``step`` bytes to that header line.  Each limit
-        is solved by division; the answer is the smallest of them, or
-        ``None`` when no limit is declared or only an opaque ``custom``
-        guard could bind.  A limit the rest of the request already breaks
-        yields 0.
+        ``request`` carries a Range header with ``count`` ranges that all
+        overlap one another, and each further range adds ``step`` bytes
+        to that header line.  Each byte limit is solved by division, and
+        the range and overlap caps bound the count directly; the answer
+        is the smallest of them, or ``None`` when no limit is declared or
+        only an opaque ``custom`` predicate could bind.  A limit the rest
+        of the request already breaks yields 0.
         """
         caps: List[int] = []
         if self.max_total_header_bytes is not None:
@@ -113,6 +124,8 @@ class HeaderLimits:
                 caps.append(count + spare // step)
         if self.max_ranges is not None:
             caps.append(self.max_ranges)
+        if self.max_overlapping_ranges is not None:
+            caps.append(self.max_overlapping_ranges)
         if isinstance(self.custom, CloudflareRule):
             spare = self.custom.budget - CloudflareRule.used(request)
             caps.append(count + spare // step)

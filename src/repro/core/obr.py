@@ -279,10 +279,12 @@ def declared_max_n(
     The minimum of the front's :meth:`~repro.cdn.limits.HeaderLimits.range_cap`
     on the client request and — when the front forwards the exploited
     header verbatim — the back's ``range_cap`` on the upstream request
-    and its reply-part cap.  0 when the front rewrites the header;
-    ``None`` when no declared limit binds (only opaque guards, or none).
-    Monotone probes still decide: :func:`largest_admitted` takes this as
-    its first guess and certifies it.  ``fcdn_profile`` /
+    and its reply-part cap.  The RFC 7233 guard of a mitigated profile
+    declares its overlap cap (``max_overlapping_ranges``), so guarded
+    cascades are solved too.  0 when the front rewrites the header;
+    ``None`` when no declared limit binds (only opaque predicates, or
+    none).  Monotone probes still decide: :func:`largest_admitted` takes
+    this as its first guess and certifies it.  ``fcdn_profile`` /
     ``bcdn_profile`` substitute wrapped (mitigated) profiles.
     """
     front = fcdn_profile() if fcdn_profile is not None else create_profile(fcdn)

@@ -22,10 +22,10 @@ policy, so before/after comparisons isolate the mitigation's effect
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import replace
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cdn.limits import HeaderLimits
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.policy import ForwardDecision, ForwardPolicy, bounded_expansion
 from repro.cdn.vendors.base import (
@@ -86,10 +86,10 @@ def _overlapping_pair_count(resolved: Sequence[RangeRun]) -> int:
 def rfc7233_multirange_guard() -> Callable[[HttpRequest], Optional[str]]:
     """A request-limit predicate implementing RFC 7233 §6.1's advice.
 
-    Returns a callable suitable for :class:`HeaderLimits.custom`.  The
-    overlap check resolves ranges against ``GUARD_SIZE_HINT`` (open
-    ranges overlap regardless of the exact size, so a large hint is
-    safe).
+    Returns a callable suitable for
+    :attr:`~repro.cdn.limits.HeaderLimits.custom`.  The overlap check
+    resolves ranges against ``GUARD_SIZE_HINT`` (open ranges overlap
+    regardless of the exact size, so a large hint is safe).
     """
 
     def check(request: HttpRequest) -> Optional[str]:
@@ -130,17 +130,18 @@ class MitigatedProfile(VendorProfile):
         forwarding: str = "laziness",
         expansion_slack: int = 8 * 1024,
         reply_behavior: Optional[MultiRangeReplyBehavior] = None,
-        extra_guard: Optional[Callable[[HttpRequest], Optional[str]]] = None,
+        overlap_guard: bool = False,
     ) -> None:
         if forwarding not in ("laziness", "bounded-expansion"):
             raise ValueError(f"unknown mitigation forwarding mode {forwarding!r}")
         limits = inner.limits
-        if extra_guard is not None:
-            limits = HeaderLimits(
-                max_total_header_bytes=limits.max_total_header_bytes,
-                max_single_header_line_bytes=limits.max_single_header_line_bytes,
-                max_ranges=limits.max_ranges,
-                custom=_chain_guards(limits.custom, extra_guard),
+        if overlap_guard:
+            # The guard enforces the cap; declaring it as well lets
+            # ``HeaderLimits.range_cap`` solve it for the max-n search.
+            limits = replace(
+                limits,
+                custom=_chain_guards(limits.custom, rfc7233_multirange_guard()),
+                max_overlapping_ranges=MAX_OVERLAPPING_RANGES,
             )
         super().__init__(limits=limits)
         self.inner = inner
@@ -234,7 +235,7 @@ def with_overlap_rejection(inner: VendorProfile) -> MitigatedProfile:
         inner,
         forwarding="laziness",
         reply_behavior=MultiRangeReplyBehavior.COALESCE,
-        extra_guard=rfc7233_multirange_guard(),
+        overlap_guard=True,
     )
 
 

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 from repro.analysis import bounds
 from repro.analysis.bounds import static_max_n
 from repro.cdn.vendors import all_vendor_names, create_profile
-from repro.core.obr import ObrAttack, largest_admitted, vulnerable_combinations
+from repro.core.obr import (
+    ObrAttack,
+    declared_max_n,
+    largest_admitted,
+    vulnerable_combinations,
+)
 from repro.defense.mitigations import (
     SlicingProfile,
     with_bounded_expansion,
@@ -59,15 +64,20 @@ def _wrapped(vendor, wrapper):
 
 
 class _CountingProbe:
-    """Stands in for :func:`repro.analysis.bounds._static_probe`."""
+    """Stands in for :func:`repro.analysis.bounds._static_probe` and
+    records the ``n`` of every probe."""
 
     def __init__(self, probe):
         self.probe = probe
-        self.calls = 0
+        self.probed = []
 
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return self.probe(*args, **kwargs)
+    @property
+    def calls(self):
+        return len(self.probed)
+
+    def __call__(self, fcdn, bcdn, overlap_count, *args, **kwargs):
+        self.probed.append(overlap_count)
+        return self.probe(fcdn, bcdn, overlap_count, *args, **kwargs)
 
 
 @pytest.fixture
@@ -195,7 +205,16 @@ class TestProbeBudget:
     @pytest.mark.parametrize("fcdn,bcdn", vulnerable_combinations())
     @pytest.mark.parametrize("side", ["fcdn", "bcdn"])
     def test_overlap_rejection_takes_few_probes(self, fcdn, bcdn, side, counted_static_probe):
+        # The guard declares its overlap cap, so the search certifies
+        # the solved n = 2 with exactly the probes 2 and 3.
         vendor = fcdn if side == "fcdn" else bcdn
         guarded = {f"{side}_profile": _wrapped(vendor, with_overlap_rejection)}
         assert static_max_n(fcdn, bcdn, **guarded) == 2
-        assert counted_static_probe.calls <= 6
+        assert counted_static_probe.probed == [2, 3]
+
+    @pytest.mark.parametrize("fcdn,bcdn", vulnerable_combinations())
+    @pytest.mark.parametrize("side", ["fcdn", "bcdn"])
+    def test_declared_max_n_solves_the_overlap_guard(self, fcdn, bcdn, side):
+        vendor = fcdn if side == "fcdn" else bcdn
+        guarded = {f"{side}_profile": _wrapped(vendor, with_overlap_rejection)}
+        assert declared_max_n(fcdn, bcdn, 1024, **guarded) == 2

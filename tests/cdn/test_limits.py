@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cdn.limits import CloudflareRule, HeaderLimits
+from repro.defense.mitigations import MAX_OVERLAPPING_RANGES, rfc7233_multirange_guard
 from repro.errors import RequestRejectedError
 from repro.http.grammar import obr_value_size, overlapping_open_ranges_value
 from repro.http.message import HttpRequest
@@ -142,8 +143,20 @@ class TestRangeCap:
                 max_single_header_line_bytes=5_000,
                 max_ranges=1_000,
             ),
+            HeaderLimits(
+                custom=rfc7233_multirange_guard(),
+                max_overlapping_ranges=MAX_OVERLAPPING_RANGES,
+            ),
         ],
-        ids=["total-32k", "total-81k", "single-line-16k", "max-ranges", "cloudflare", "combined"],
+        ids=[
+            "total-32k",
+            "total-81k",
+            "single-line-16k",
+            "max-ranges",
+            "cloudflare",
+            "combined",
+            "rfc7233-guard",
+        ],
     )
     @pytest.mark.parametrize("leading", [None, "-1024", "1-"])
     @pytest.mark.parametrize("count", [1, 2, 57])
@@ -156,6 +169,15 @@ class TestRangeCap:
     def test_cloudflare_cap_matches_the_paper(self):
         # §V-C: Cloudflare fronting Akamai or StackPath reaches n ≈ 10 750.
         assert 10_700 <= _cap(HeaderLimits(custom=CloudflareRule())) <= 10_900
+
+    @pytest.mark.parametrize("leading", [None, "-1024", "1-"])
+    def test_guard_gives_its_declared_overlap_cap(self, leading):
+        limits = HeaderLimits(
+            max_total_header_bytes=32 * 1024,
+            custom=rfc7233_multirange_guard(),
+            max_overlapping_ranges=MAX_OVERLAPPING_RANGES,
+        )
+        assert _cap(limits, leading=leading) == MAX_OVERLAPPING_RANGES
 
     def test_opaque_custom_guard_gives_none(self):
         assert _cap(HeaderLimits(custom=lambda request: None)) is None

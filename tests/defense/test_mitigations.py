@@ -133,6 +133,16 @@ class TestOverlapRejection:
         result = attack.run(overlap_count=2)
         assert result.amplification < 5
 
+    @pytest.mark.parametrize("vendor", ["akamai", "azure", "cdn77", "cloudflare"])
+    def test_guard_keeps_the_inner_limits_and_declares_its_cap(self, vendor):
+        inner = create_profile(vendor).limits
+        limits = with_overlap_rejection(create_profile(vendor)).limits
+        assert limits.max_total_header_bytes == inner.max_total_header_bytes
+        assert limits.max_single_header_line_bytes == inner.max_single_header_line_bytes
+        assert limits.max_ranges == inner.max_ranges
+        assert limits.max_overlapping_ranges == MAX_OVERLAPPING_RANGES
+        assert limits.custom is not None
+
     def test_benign_disjoint_multirange_still_served(self):
         origin = make_origin(1000)
         deployment = Deployment.single(

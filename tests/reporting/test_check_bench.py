@@ -29,7 +29,9 @@ def check_bench():
     return module
 
 
-def _report(mode, wall_s=0.25, measure_s=0.04, cell_count=57, hit_rate=54 / 57):
+def _report(
+    mode, wall_s=0.25, measure_s=0.04, cell_count=57, hit_rate=54 / 57, static_s=0.13
+):
     fastpath = None
     if mode == "fast":
         fastpath = BenchFastPath(
@@ -46,7 +48,7 @@ def _report(mode, wall_s=0.25, measure_s=0.04, cell_count=57, hit_rate=54 / 57):
         cell_count=cell_count,
         cells_per_s=cell_count / wall_s,
         workers=1,
-        phases={"grid": 0.08, "static": 0.13, "measure": measure_s},
+        phases={"grid": 0.08, "static": static_s, "measure": measure_s},
         fastpath=fastpath,
     )
 
@@ -106,6 +108,14 @@ def test_slower_exact_path_alone_does_not_fail(check_bench):
             "exact measure phase regressed",
         ),
         (
+            {"current": _report("fast", static_s=0.261)},
+            "fast static phase regressed",
+        ),
+        (
+            {"exact": _report("exact", wall_s=0.3, measure_s=0.05, static_s=0.261)},
+            "exact static phase regressed",
+        ),
+        (
             {"current": _report("fast", measure_s=0.0)},
             "fast run has no measure phase",
         ),
@@ -126,6 +136,8 @@ def test_slower_exact_path_alone_does_not_fail(check_bench):
         "exact-wall-tripwire",
         "fast-measure-tripwire",
         "exact-measure-tripwire",
+        "fast-static-tripwire",
+        "exact-static-tripwire",
         "missing-measure",
         "exact-cell-count",
         "baseline-cell-count",
