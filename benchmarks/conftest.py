@@ -6,9 +6,10 @@ bench renders its artifact to ``benchmarks/output/`` so a run leaves the
 full paper-vs-measured record on disk (EXPERIMENTS.md links there).
 
 The sweep benches regenerate through :mod:`repro.runner` (worker count
-from ``REPRO_BENCH_WORKERS``, else the cpu count; the runner's own
-``REPRO_RUNNER_SERIAL=1`` forces one in-process worker) and assemble
-rows with the ``*_from_results`` functions of :mod:`repro.reporting`.
+from ``REPRO_BENCH_WORKERS``, else the runner's own
+``REPRO_RUNNER_WORKERS``, else the cpu count; ``1`` runs in-process)
+and assemble rows with the ``*_from_results`` functions of
+:mod:`repro.reporting`.
 Results are identical for every worker count (see
 ``tests/runner/test_equivalence.py``).
 """

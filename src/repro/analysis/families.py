@@ -9,9 +9,11 @@ about an ``fcdn -> bcdn`` cascade.  The engines (``analysis.report``,
 ``analysis.recommend``, ``serve.app``, ``runner.fastpath``) loop over the
 registry or look a family up by name, so adding a family is one record.
 
-Exact measurements (the runner's memoized simulations) are imported
-lazily: importing the registry pulls in neither the runner nor the
-service.
+Each family has one wire simulation, :attr:`AttackFamily.simulate`.
+``recommend --verify`` runs it under each mitigation; with none it is the
+exact factor, which CI's coverage gate checks against each bound and
+serve's ``"exact": true`` reports.  Importing the registry pulls in
+neither the runner nor the service.
 """
 
 from __future__ import annotations
@@ -61,12 +63,11 @@ from repro.defense.mitigations import (
     with_overlap_rejection,
     with_slicing,
 )
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 from repro.netsim.overhead import OverheadModel
 
 if TYPE_CHECKING:
     from repro.cdn.vendors.base import VendorConfig
-    from repro.faults.plan import FaultPlan
 
 MB = 1 << 20
 
@@ -427,12 +428,8 @@ def _obr_finding(
 
 
 # ---------------------------------------------------------------------------
-# Simulations and exact measurements
+# Wire simulations
 # ---------------------------------------------------------------------------
-
-
-class ExactSimUnavailable(ReproError):
-    """The exact simulation could not produce a usable measurement."""
 
 
 def _vendor_simulation(attack: Callable[..., Any]) -> "MitigatedSimulation":
@@ -470,36 +467,6 @@ def _simulate_obr(
     return attack.run(overlap_count=n).amplification
 
 
-def _exact_sbr(
-    subject: Subject, resource_size: int, fault_plan: Optional["FaultPlan"]
-) -> float:
-    (vendor,) = subject
-    if fault_plan is None:
-        from repro.runner.memo import measure_sbr
-
-        return float(measure_sbr(vendor, resource_size).amplification)
-    from repro.faults.experiment import measure_sbr_under_faults
-
-    result = measure_sbr_under_faults(vendor, resource_size, plan=fault_plan, rounds=1)
-    if result.exhausted_fetches > 0:
-        raise ExactSimUnavailable(
-            f"{result.exhausted_fetches} origin fetch(es) exhausted "
-            f"the retry budget under faults"
-        )
-    return float(result.amplification)
-
-
-def _exact_ccfc(
-    subject: Subject, resource_size: int, fault_plan: Optional["FaultPlan"]
-) -> float:
-    # No fault-plan variant: the CCFC flow has no range algebra for
-    # faults to perturb.
-    from repro.runner.memo import measure_ccfc
-
-    (vendor,) = subject
-    return float(measure_ccfc(vendor, resource_size).amplification)
-
-
 # ---------------------------------------------------------------------------
 # The registry
 # ---------------------------------------------------------------------------
@@ -512,7 +479,6 @@ ResidualBound = Callable[[Subject, MitigationSpec, int], float]
 MitigatedSimulation = Callable[
     [Subject, int, Optional[MitigationSpec]], Optional[float]
 ]
-ExactMeasure = Callable[[Subject, int, Optional["FaultPlan"]], float]
 
 
 class AttackFamily(NamedTuple):
@@ -544,13 +510,11 @@ class AttackFamily(NamedTuple):
     faulted_residual: Optional[ResidualBound]
     #: Wire-simulated factor, under a mitigation or clean (``None``
     #: spec); ``None`` when the mitigation blocks the attack outright.
+    #: The clean run is the family's exact factor (OBR at static max n).
     simulate: MitigatedSimulation
     #: Whether :func:`~repro.analysis.recommend.verify_recommendation`
     #: simulates every quick size, or only the report's own size.
     sweeps_sizes: bool
-    #: Exact measured factor for serve's ``"exact": true`` (``None``: no
-    #: exact path cheap enough to serve).
-    exact: Optional[ExactMeasure]
     #: Name of the :mod:`repro.core.vectorized` engine class answering
     #: this family's grid cells in-process with the wire simulation (a
     #: name, so the registry stays light).
@@ -604,7 +568,6 @@ FAMILIES: Tuple[AttackFamily, ...] = (
         faulted_residual=_sbr_faulted_residual,
         simulate=_vendor_simulation(SbrAttack),
         sweeps_sizes=True,
-        exact=_exact_sbr,
         fast_engine="SbrFastEngine",
     ),
     AttackFamily(
@@ -639,7 +602,6 @@ FAMILIES: Tuple[AttackFamily, ...] = (
         faulted_residual=None,
         simulate=_vendor_simulation(CcfcAttack),
         sweeps_sizes=True,
-        exact=_exact_ccfc,
         fast_engine="CcfcFastEngine",
     ),
     AttackFamily(
@@ -680,7 +642,6 @@ FAMILIES: Tuple[AttackFamily, ...] = (
         faulted_residual=None,
         simulate=_simulate_obr,
         sweeps_sizes=False,
-        exact=None,
         fast_engine="ObrFastEngine",
     ),
 )

@@ -35,7 +35,7 @@ the evidence a reviewer needs to either fix the path or suppress it in
 stop matching anything are themselves findings (``unused-suppression``),
 so the suppression file can only shrink.
 
-Backing for ``repro purity`` / ``repro lint --deep`` (text, JSON, and
+Backing for ``repro purity`` (text, JSON, and
 SARIF 2.1.0 output) and the pytest repo-clean guard in
 ``tests/analysis/test_purity.py``.
 """
@@ -270,11 +270,6 @@ DEFAULT_FACADES: Tuple[FacadeSpec, ...] = (
         "repro.runner.executor.resolve_workers",
         "worker-count env knob: parallel output == serial output is "
         "pinned by tests/runner/test_equivalence.py",
-    ),
-    FacadeSpec(
-        "repro.runner.executor.resolve_cell_retries",
-        "retry-budget env knob: affects scheduling only; outcome "
-        "equivalence is pinned by tests/runner/test_resilience.py",
     ),
     FacadeSpec(
         "repro.faults.plan.FaultInjector._unit",

@@ -216,16 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="output format (default: text)",
     )
-    lint.add_argument(
-        "--deep", action="store_true",
-        help="also run the whole-program determinism (purity) analysis "
-             "over the installed repro package",
-    )
-    lint.add_argument(
-        "--baseline",
-        help="purity suppression baseline for --deep (default: "
-             "purity-baseline.toml when present in the working directory)",
-    )
 
     purity = commands.add_parser(
         "purity",
@@ -1280,14 +1270,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.lint import lint_paths, lint_repo
 
     findings = lint_paths(args.paths) if args.paths else lint_repo()
-    purity_report = None
-    if args.deep:
-        from repro.analysis import purity
-
-        entries, baseline_path = _load_purity_baseline(args.baseline)
-        purity_report = purity.analyze_tree(
-            baseline=entries, baseline_path=baseline_path
-        )
     if args.format == "json":
         payload = {
             "findings": [
@@ -1302,20 +1284,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             ],
             "count": len(findings),
         }
-        if purity_report is not None:
-            payload["purity"] = purity_report.to_dict()
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for finding in findings:
             print(finding)
         if findings:
             print(f"{len(findings)} finding(s)", file=sys.stderr)
-        if purity_report is not None:
-            from repro.analysis.purity import render_text
-
-            print(render_text(purity_report))
-    clean = not findings and (purity_report is None or purity_report.clean)
-    return 0 if clean else 1
+    return 0 if not findings else 1
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:

@@ -33,6 +33,9 @@ from repro.http.status import StatusCode
 SITE_ORIGIN = "origin"
 SITE_CDN_ORIGIN = "cdn-origin"
 
+#: ``Retry-After`` seconds an origin-error response advertises.
+RETRY_AFTER_S = 1
+
 
 class FaultPlanError(ReproError):
     """An invalid fault rule or plan."""
@@ -69,7 +72,6 @@ class FaultRule:
     rate: float
     site: str = SITE_ORIGIN
     status: int = int(StatusCode.SERVICE_UNAVAILABLE)
-    retry_after: Optional[int] = 1
     truncate_fraction: float = 0.5
     burst: int = 1
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import RangeNotSatisfiableError, ResourceNotFoundError
-from repro.faults.plan import FaultRule, current_faults
+from repro.faults.plan import RETRY_AFTER_S, FaultRule, current_faults
 from repro.http.body import SyntheticBody
 from repro.http.encoding import IDENTITY, accepts_encoding
 from repro.http.headers import Headers
@@ -282,8 +282,7 @@ class OriginServer:
 
     def _fault_response(self, fault: FaultRule) -> HttpResponse:
         response = self._error(StatusCode(fault.status))
-        if fault.retry_after is not None:
-            response.headers.add("Retry-After", str(fault.retry_after))
+        response.headers.add("Retry-After", str(RETRY_AFTER_S))
         return response
 
     def _finish(self, response: HttpResponse) -> HttpResponse:

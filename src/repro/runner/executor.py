@@ -15,10 +15,9 @@ across processes) and the remaining cells keep running.  Per-cell wall
 time is recorded but excluded from equality — timing is observability,
 not result.
 
-Degradation is layered:
+A raising cell is not retried: cells are deterministic, so it would
+raise again, and its failure is recorded as is.  Degradation is layered:
 
-* **per-cell retries** (``cell_retries`` / ``REPRO_RUNNER_RETRIES``):
-  a raising cell is re-attempted in place, with exponential backoff;
 * **worker-crash containment**: a worker process dying (OOM kill,
   segfault) breaks a ``ProcessPoolExecutor`` irrecoverably — the runner
   catches the break, re-runs the in-flight cells solo to separate the
@@ -31,11 +30,10 @@ Degradation is layered:
 
 Worker-count resolution, in priority order:
 
-1. ``REPRO_RUNNER_SERIAL=1`` in the environment forces serial execution
-   (the benchmarks' escape hatch);
-2. an explicit ``workers=`` argument;
-3. ``REPRO_RUNNER_WORKERS`` in the environment;
-4. ``os.cpu_count()``.
+1. an explicit ``workers=`` argument;
+2. ``REPRO_RUNNER_WORKERS`` in the environment (``1`` forces serial
+   execution wherever no caller names a count);
+3. ``os.cpu_count()``.
 
 ``workers <= 1`` always means the serial in-process path.
 """
@@ -74,12 +72,8 @@ if TYPE_CHECKING:
 #: finished cell with ``(outcome, done_count, total_count)``.
 Observer = Callable[["CellOutcome", int, int], None]
 
-#: Environment variable forcing serial execution regardless of workers.
-SERIAL_ENV = "REPRO_RUNNER_SERIAL"
 #: Environment variable providing the default worker count.
 WORKERS_ENV = "REPRO_RUNNER_WORKERS"
-#: Environment variable providing the default per-cell retry budget.
-RETRIES_ENV = "REPRO_RUNNER_RETRIES"
 
 #: Exception-type name given to cells whose worker process died.
 WORKER_CRASH = "WorkerCrash"
@@ -171,10 +165,6 @@ class CellOutcome:
     #: Observability payload (``None`` unless the run collected); like
     #: timing, excluded from equality and repr.
     obs: Optional[CellObservation] = field(default=None, compare=False, repr=False)
-    #: How many in-process attempts the cell took (1 = first try).
-    #: Excluded from equality: a resumed run may legitimately succeed on
-    #: a different attempt count than an uninterrupted one.
-    attempts: int = field(default=1, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -260,27 +250,8 @@ class GridResult:
         return CellTiming.from_outcomes(self.outcomes)
 
 
-def resolve_cell_retries(retries: Optional[int] = None) -> int:
-    """Per-cell retry budget: explicit argument, else ``REPRO_RUNNER_RETRIES``,
-    else zero (cell functions are deterministic; retries only help when a
-    fault layer or flaky external dependency is in play)."""
-    if retries is not None:
-        if retries < 0:
-            raise ReproError(f"cell retries must be >= 0, got {retries}")
-        return retries
-    env = os.environ.get(RETRIES_ENV, "").strip()
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            raise ReproError(f"{RETRIES_ENV} must be an integer, got {env!r}")
-    return 0
-
-
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Apply the worker-count resolution rules documented above."""
-    if os.environ.get(SERIAL_ENV, "").strip() not in ("", "0"):
-        return 1
     if workers is not None:
         return max(1, workers)
     env = os.environ.get(WORKERS_ENV, "").strip()
@@ -292,33 +263,16 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _attempt_cell(
-    cell: ExperimentCell, retries: int, backoff_s: float
-) -> Tuple[Any, Optional[CellFailure], int]:
-    """Run one cell with up to ``retries`` in-place re-attempts.
-
-    Returns ``(value, failure, attempts)``; backoff doubles per attempt
-    and is actually slept (this is runner resilience against flaky cell
-    dependencies, not simulated time).
-    """
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            return execute_cell(cell), None, attempts
-        except Exception as error:
-            if attempts > retries:
-                return None, CellFailure.from_exception(error), attempts
-            if backoff_s > 0:
-                time.sleep(backoff_s * 2 ** (attempts - 1))
+def _run_cell(cell: ExperimentCell) -> Tuple[Any, Optional[CellFailure]]:
+    """``(value, None)``, or ``(None, failure)`` when the cell raises."""
+    try:
+        return execute_cell(cell), None
+    except Exception as error:
+        return None, CellFailure.from_exception(error)
 
 
 def _execute_indexed(
-    index: int,
-    cell: ExperimentCell,
-    collect: bool = False,
-    retries: int = 0,
-    backoff_s: float = 0.0,
+    index: int, cell: ExperimentCell, collect: bool = False
 ) -> CellOutcome:
     """Run one cell, capturing failure and timing (worker entry point).
 
@@ -330,14 +284,13 @@ def _execute_indexed(
     """
     if not collect:
         started = time.perf_counter()
-        value, failure, attempts = _attempt_cell(cell, retries, backoff_s)
+        value, failure = _run_cell(cell)
         return CellOutcome(
             cell=cell,
             index=index,
             value=value,
             failure=failure,
             duration_s=time.perf_counter() - started,
-            attempts=attempts,
         )
 
     from repro.obs.metrics import MetricsRegistry, use_metrics
@@ -349,13 +302,11 @@ def _execute_indexed(
     with use_tracer(tracer), use_metrics(registry):
         with tracer.span("runner.cell") as span:
             span.set(experiment=cell.experiment, label=cell.label, index=index)
-            value, failure, attempts = _attempt_cell(cell, retries, backoff_s)
+            value, failure = _run_cell(cell)
             if failure is None:
                 span.set(ok=True)
             else:
                 span.set(ok=False, error=failure.describe())
-            if attempts > 1:
-                span.set(attempts=attempts)
     duration = time.perf_counter() - started
     registry.record_cell(cell.experiment, duration, failure is None)
     return CellOutcome(
@@ -369,7 +320,6 @@ def _execute_indexed(
             events=tracer.events(),
             metrics=registry.snapshot(),
         ),
-        attempts=attempts,
     )
 
 
@@ -389,8 +339,6 @@ class GridRunner:
         workers: Optional[int] = None,
         collect: bool = False,
         observer: Optional[Observer] = None,
-        cell_retries: Optional[int] = None,
-        retry_backoff_s: float = 0.05,
         max_pool_restarts: int = 8,
     ) -> None:
         self.workers = resolve_workers(workers)
@@ -402,10 +350,6 @@ class GridRunner:
         #: Progress callback invoked after every finished cell (in
         #: completion order, which differs from grid order under a pool).
         self.observer = observer
-        #: In-place re-attempts per raising cell (0 = fail immediately).
-        self.cell_retries = resolve_cell_retries(cell_retries)
-        #: Base backoff slept between in-place attempts (doubles each time).
-        self.retry_backoff_s = retry_backoff_s
         #: How many broken-pool recoveries to tolerate before giving up.
         self.max_pool_restarts = max_pool_restarts
 
@@ -430,13 +374,7 @@ class GridRunner:
             for i, cell in enumerate(cells):
                 if slots[i] is not None:
                     continue
-                outcome = _execute_indexed(
-                    i,
-                    cell,
-                    collect=self.collect,
-                    retries=self.cell_retries,
-                    backoff_s=self.retry_backoff_s,
-                )
+                outcome = _execute_indexed(i, cell, collect=self.collect)
                 slots[i] = outcome
                 done += 1
                 self._record(outcome, checkpoint)
@@ -552,12 +490,7 @@ class GridRunner:
                         exhausted = True
                         break
                     future = pool.submit(
-                        _execute_indexed,
-                        index,
-                        cells[index],
-                        self.collect,
-                        self.cell_retries,
-                        self.retry_backoff_s,
+                        _execute_indexed, index, cells[index], self.collect
                     )
                     pending[future] = index
                 if not pending:

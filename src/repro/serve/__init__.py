@@ -2,8 +2,9 @@
 
 The irony this package leans into: a library about amplification DoS
 should itself survive being stampeded.  :mod:`repro.serve` wraps the
-static analysis (:mod:`repro.analysis`) and the exact wire simulation
-(:mod:`repro.core`) in a long-running HTTP service with the classic
+static analysis (:mod:`repro.analysis`) and each attack family's exact
+wire simulation (:mod:`repro.core`, OBR at its static max n) in a
+long-running HTTP service with the classic
 robustness trio —
 
 * **admission control** (:mod:`repro.serve.admission`): a token bucket

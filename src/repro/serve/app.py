@@ -9,8 +9,8 @@ its own — the asyncio layer (:mod:`repro.serve.server`) feeds it parsed
   an item is parsed by its family's subject shape and answered by that
   family's finding builder alone (:mod:`repro.analysis.families`), the
   same finding :func:`~repro.analysis.report.analyze_vendor_matrix`
-  reports, optionally augmented with an exact simulated factor
-  (``"exact": true``);
+  reports, optionally augmented with the family's exact wire-simulated
+  factor (``"exact": true``; OBR at its static max n);
 * ``POST /v1/recommend`` — same item shapes; answers add the cheapest
   sufficient mitigation from :func:`~repro.analysis.recommend.recommend`;
 * ``GET /healthz`` / ``GET /readyz`` — liveness and drain-aware
@@ -23,10 +23,13 @@ item, so expiry lands on an item boundary — never mid-computation, never
 with a half-written memo entry — and the items left over answer
 ``deadline_exceeded``.
 
-The exact-simulation path sits behind the circuit breaker.  When the
-breaker refuses, or the simulation errors, the item still gets its
-closed-form answer plus ``"degraded": true`` — bounds are upper bounds,
-so a degraded answer is conservative rather than wrong.
+An exact item runs its family's clean wire simulation
+(:attr:`~repro.analysis.families.AttackFamily.simulate`) through the
+``exact`` memo table; nothing here loads :mod:`repro.runner`.  That path
+sits behind the circuit breaker.  When the breaker refuses, or the
+simulation errors, the item still gets its closed-form answer plus
+``"degraded": true`` — bounds are upper bounds, so a degraded answer is
+conservative rather than wrong.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from repro.analysis.families import (
     FAMILIES_BY_NAME,
     SHAPES,
     AttackFamily,
-    ExactMeasure,
     Subject,
 )
 from repro.analysis.recommend import DEFAULT_THRESHOLD, recommend
@@ -81,11 +83,17 @@ from repro.serve.memo import SharedMemoRegistry
 
 MB = 1 << 20
 
+#: Hard per-request ceiling; ``X-Deadline-Ms`` is clamped to this.
+MAX_DEADLINE_MS = 20000
+#: Largest resource size an item may name.
+MAX_RESOURCE_SIZE = 1 << 30
+
 #: A monotonic clock; wall time never enters the service logic.
 Clock = Callable[[], float]
-#: (vendor, resource_size) -> measured amplification factor; injected, it
-#: answers every family that has an exact measurement.
-ExactRunner = Callable[[str, int], float]
+#: Measured amplification factor, called as ``runner(*subject, size)``:
+#: the subject's vendor names (one, or ``fcdn, bcdn``), then the resource
+#: size.  Injected, it answers every family's exact items.
+ExactRunner = Callable[..., float]
 
 _Result = Tuple[HttpResponse, str]
 
@@ -97,15 +105,12 @@ class ServeConfig:
     max_inflight: int = 8
     queue_depth: int = 16
     default_deadline_ms: int = 2000
-    #: Hard per-request ceiling; ``X-Deadline-Ms`` is clamped to this.
-    max_deadline_ms: int = 20000
     #: Token-bucket burst; ``rate_refill <= 0`` disables rate limiting.
     rate_capacity: float = 256.0
     rate_refill: float = 0.0
     max_queue_wait_s: float = 5.0
     max_body_bytes: int = 1 * MB
     max_batch_items: int = 64
-    max_resource_size: int = 1 << 30
     #: Exact simulations refuse sizes above this (simulation cost grows
     #: with the resource, and the bounds already cover large sizes).
     exact_max_size: int = 8 * MB
@@ -161,8 +166,7 @@ _SUBJECT_ERROR = "item needs either " + " or ".join(
     + f" ({'/'.join(f.name.upper() for f in FAMILIES if f.shape is shape)})"
     for shape in SHAPES
 )
-_EXACT_FAMILIES = "/".join(f.name.upper() for f in FAMILIES if f.exact is not None)
-_EXACT_SKIPPED = f"exact measurement applies to {_EXACT_FAMILIES} items only"
+_SAFE_SKIPPED = "finding is safe: no amplification to measure"
 
 
 @dataclass(frozen=True)
@@ -184,12 +188,10 @@ class AnalysisService:
         config: Optional[ServeConfig] = None,
         clock: Optional[Clock] = None,
         exact_runner: Optional[ExactRunner] = None,
-        fault_plan: Optional[Any] = None,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self.clock: Clock = clock if clock is not None else time.monotonic
         self.metrics = MetricsRegistry()
-        self.fault_plan = fault_plan
         self._exact_runner = exact_runner
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failure_threshold,
@@ -350,7 +352,7 @@ class AnalysisService:
         budget_ms = resolve_deadline_ms(
             request.headers.get(DEADLINE_HEADER),
             self.config.default_deadline_ms,
-            self.config.max_deadline_ms,
+            MAX_DEADLINE_MS,
         )
         deadline = Deadline(self.clock(), budget_ms / 1000.0)
 
@@ -418,8 +420,8 @@ class AnalysisService:
         size = raw.get("size", default_size)
         if isinstance(size, bool) or not isinstance(size, int):
             return "size must be an integer"
-        if not 1 <= size <= self.config.max_resource_size:
-            return f"size must be in [1, {self.config.max_resource_size}]"
+        if not 1 <= size <= MAX_RESOURCE_SIZE:
+            return f"size must be in [1, {MAX_RESOURCE_SIZE}]"
         exact = raw.get("exact", False)
         if not isinstance(exact, bool):
             return "exact must be a boolean"
@@ -476,10 +478,8 @@ class AnalysisService:
     # -- the breaker-guarded exact path -------------------------------------
 
     def _exact(self, item: _Item, finding: Finding) -> Dict[str, Any]:
-        measure = item.family.exact
-        if measure is None or finding.kind == "safe":
-            # A safe finding has no amplification to measure.
-            return {"exact_skipped": _EXACT_SKIPPED}
+        if finding.kind == "safe":
+            return {"exact_skipped": _SAFE_SKIPPED}
         if item.size > self.config.exact_max_size:
             return {
                 "exact_skipped": (
@@ -491,7 +491,7 @@ class AnalysisService:
             return {"degraded": True, "degraded_reason": "breaker-open"}
         started = self.clock()
         try:
-            factor = self._exact_factor(item, measure)
+            factor = self._exact_factor(item)
         except Exception as exc:
             self.breaker.record_failure(self.clock())
             return {
@@ -506,13 +506,11 @@ class AnalysisService:
             self.breaker.record_success(self.clock())
         return {"exact_factor": round(factor, 2)}
 
-    def _exact_factor(self, item: _Item, measure: ExactMeasure) -> float:
+    def _exact_factor(self, item: _Item) -> float:
         if self._exact_runner is not None:
             return self._exact_runner(*item.subject, item.size)
-        if self.fault_plan is not None:
-            # A fault plan is stateful across calls; bypass the memo so
-            # the breaker sees the true failure/recovery sequence.
-            return measure(item.subject, item.size, self.fault_plan)
+        # The clean simulation of a vulnerable finding always has a factor
+        # (``None`` only means a mitigation blocked the attack).
         key = (item.family.name, *item.subject, item.size)
-        compute = partial(measure, item.subject, item.size, None)
+        compute = partial(item.family.simulate, item.subject, item.size, None)
         return cast(float, self.memo.get_or_compute("exact", key, compute))

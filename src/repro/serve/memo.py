@@ -2,7 +2,7 @@
 
 A long-running service cannot let caches grow with the union of every
 request it ever saw.  :class:`SharedMemoRegistry` owns a fixed handful
-of named :class:`~repro.runner.memo.Memo` tables and splits one global
+of named :class:`~repro.obs.memo.Memo` tables and splits one global
 entry budget across them, so total cached objects stay bounded no
 matter what clients ask for.  Because the tables are named, every
 lookup already flows into ``repro_memo_lookups_total`` via the ambient
@@ -20,7 +20,7 @@ from repro.obs.metrics import (
     SERVE_MEMO_HIT_RATE,
     MetricsRegistry,
 )
-from repro.runner.memo import Memo, MemoStats
+from repro.obs.memo import Memo, MemoStats
 
 #: The analysis service's table names.
 TABLES = ("findings", "recommendations", "exact")

@@ -6,7 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis.families import CASCADE, FAMILIES, FAMILIES_BY_NAME, VENDOR
+from repro.analysis.families import (
+    CASCADE,
+    FAMILIES,
+    FAMILIES_BY_NAME,
+    VENDOR,
+    AttackFamily,
+)
 from repro.runner.fastpath import FAST_EXPERIMENTS
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -16,7 +22,8 @@ def test_registry_order_and_shapes():
     assert [family.name for family in FAMILIES] == ["sbr", "ccfc", "obr"]
     assert [family.shape for family in FAMILIES] == [VENDOR, VENDOR, CASCADE]
     assert list(FAMILIES_BY_NAME) == list(FAST_EXPERIMENTS)
-    assert [f.name for f in FAMILIES if f.exact is not None] == ["sbr", "ccfc"]
+    # One wire simulation per family: its clean run is the exact factor.
+    assert "exact" not in AttackFamily._fields
 
 
 def test_subject_parsing_rejects_non_strings():

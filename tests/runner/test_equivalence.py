@@ -123,8 +123,8 @@ def test_table5_rows_parallel_identical_to_legacy_serial():
 
 
 def test_serial_env_var_forces_serial_execution(monkeypatch):
-    monkeypatch.setenv("REPRO_RUNNER_SERIAL", "1")
-    runner = GridRunner(workers=8)
+    monkeypatch.setenv("REPRO_RUNNER_WORKERS", "1")
+    runner = GridRunner()
     assert runner.workers == 1
     grid = sbr_grid(vendors=["akamai"], sizes=(1 * MB,))
     result = runner.run(grid)

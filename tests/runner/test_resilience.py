@@ -1,4 +1,4 @@
-"""Runner degradation: cell retries, crash containment, failure chains."""
+"""Runner degradation: one attempt per cell, crash containment, failure chains."""
 
 import os
 import signal
@@ -6,13 +6,7 @@ import signal
 import pytest
 
 from repro.errors import ReproError
-from repro.runner.executor import (
-    RETRIES_ENV,
-    WORKER_CRASH,
-    CellFailure,
-    GridRunner,
-    resolve_cell_retries,
-)
+from repro.runner.executor import WORKER_CRASH, CellFailure, GridRunner
 from repro.runner.grid import ExperimentCell, ExperimentGrid
 from repro.runner.experiments import register
 
@@ -51,49 +45,14 @@ class TestCellRetries:
     def setup_method(self):
         _FLAKY_FAILURES.clear()
 
-    def test_retries_recover_a_transient_failure(self):
-        grid = ExperimentGrid("flaky", [_flaky_cell("a", 2)])
-        result = GridRunner(workers=1, cell_retries=2, retry_backoff_s=0.0).run(grid)
-        assert result.outcomes[0].ok
-        assert result.outcomes[0].value == "recovered"
-        assert result.outcomes[0].attempts == 3
-
     def test_zero_retries_fail_immediately(self):
+        """The runner never retries: a raising cell fails on its one
+        attempt, even when a second attempt would have succeeded."""
         grid = ExperimentGrid("flaky", [_flaky_cell("b", 1)])
-        result = GridRunner(workers=1, cell_retries=0).run(grid)
+        result = GridRunner(workers=1).run(grid)
         assert not result.outcomes[0].ok
         assert result.outcomes[0].failure.exception_type == "ConnectionError"
-        assert result.outcomes[0].attempts == 1
-
-    def test_budget_exhaustion_keeps_the_last_failure(self):
-        grid = ExperimentGrid("flaky", [_flaky_cell("c", 5)])
-        result = GridRunner(workers=1, cell_retries=2, retry_backoff_s=0.0).run(grid)
-        assert not result.outcomes[0].ok
-        assert result.outcomes[0].attempts == 3
-        assert "3/5" in result.outcomes[0].failure.message
-
-
-class TestRetriesResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "7")
-        assert resolve_cell_retries(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "4")
-        assert resolve_cell_retries() == 4
-
-    def test_default_is_zero(self, monkeypatch):
-        monkeypatch.delenv(RETRIES_ENV, raising=False)
-        assert resolve_cell_retries() == 0
-
-    def test_negative_explicit_rejected(self):
-        with pytest.raises(ReproError):
-            resolve_cell_retries(-1)
-
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "many")
-        with pytest.raises(ReproError):
-            resolve_cell_retries()
+        assert _FLAKY_FAILURES[("flaky", "b")] == 1
 
 
 class TestWorkerCrashContainment:

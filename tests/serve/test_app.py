@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 from repro.http.message import HttpRequest
 from repro.serve.app import AnalysisService, ServeConfig
 from repro.serve.breaker import CLOSED, OPEN
@@ -167,12 +166,12 @@ class TestAnalyzeBatch:
         assert all("error" in item for item in results[:4])
         assert results[4]["finding"]["subject"] == "azure"
 
-    def test_exact_on_obr_items_is_skipped_with_an_explanation(self):
+    def test_exact_on_obr_items_is_measured(self):
         calls = []
 
-        def runner(vendor, size):
-            calls.append((vendor, size))
-            return 1.0
+        def runner(*subject_and_size):
+            calls.append(subject_and_size)
+            return 4321.0
 
         service = AnalysisService(exact_runner=runner)
         response = service.handle(
@@ -183,11 +182,28 @@ class TestAnalyzeBatch:
         )
         assert response.status == 200
         payload = body_json(response)
-        assert payload["results"][0]["exact_skipped"] == (
-            "exact measurement applies to SBR/CCFC items only"
-        )
+        assert payload["results"][0]["exact_factor"] == 4321.0
         assert payload["degraded"] is False
-        assert calls == []  # the exact runner never fires for OBR
+        # The runner gets the subject's vendor names, then the size.
+        assert calls == [("cdn77", "akamai", KB)]
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            {"vendor": "akamai", "attack": "ccfc"},
+            {"fcdn": "akamai", "bcdn": "cdn77", "size": KB},
+        ],
+    )
+    def test_exact_on_a_safe_finding_says_it_is_safe(self, item):
+        calls = []
+        service = AnalysisService(exact_runner=lambda *args: calls.append(args))
+        response = service.handle(
+            batch_request("/v1/analyze", [dict(item, exact=True)])
+        )
+        (result,) = body_json(response)["results"]
+        assert result["finding"]["kind"] == "safe"
+        assert result["exact_skipped"] == "finding is safe: no amplification to measure"
+        assert calls == []  # nothing to simulate
 
     def test_answers_match_the_analyze_command(self):
         from repro.analysis.report import analyze_vendor_matrix
@@ -289,8 +305,8 @@ class TestUntrustedItems:
     def test_an_injected_exact_runner_answers_every_exact_family(self):
         calls = []
 
-        def runner(vendor, size):
-            calls.append((vendor, size))
+        def runner(*subject_and_size):
+            calls.append(subject_and_size)
             return 2.0
 
         service = AnalysisService(exact_runner=runner)
@@ -301,12 +317,18 @@ class TestUntrustedItems:
                     {"vendor": "cloudflare", "size": KB, "exact": True},
                     {"vendor": "cloudflare", "attack": "ccfc", "size": KB,
                      "exact": True},
+                    {"fcdn": "cloudflare", "bcdn": "akamai", "size": KB,
+                     "exact": True},
                 ],
             )
         )
         results = body_json(response)["results"]
-        assert [item["exact_factor"] for item in results] == [2.0, 2.0]
-        assert calls == [("cloudflare", KB), ("cloudflare", KB)]
+        assert [item["exact_factor"] for item in results] == [2.0, 2.0, 2.0]
+        assert calls == [
+            ("cloudflare", KB),
+            ("cloudflare", KB),
+            ("cloudflare", "akamai", KB),
+        ]
 
 
 class TestRecommendBatch:
@@ -434,47 +456,6 @@ class TestBreakerDegradation:
             # The answer itself is still served (it did complete).
             assert "exact_factor" in body_json(response)["results"][0]
         assert service.breaker.state == OPEN
-
-    def test_fault_injected_exact_sims_degrade_and_recover(self):
-        """The acceptance scenario: origin faults exhaust the exact
-        simulation's retry budget, the breaker opens, answers flip to
-        bounds-only ``degraded: true``, and once the faults clear a
-        half-open probe restores exact service."""
-        clock = FakeClock()
-        plan = FaultPlan(
-            seed=7, rules=(FaultRule(FaultKind.ORIGIN_ERROR, rate=1.0),)
-        )
-        service = AnalysisService(
-            ServeConfig(
-                breaker_failure_threshold=1,
-                breaker_reset_timeout_s=5.0,
-                breaker_half_open_probes=1,
-            ),
-            clock=clock,
-            fault_plan=plan,
-        )
-        item = {"vendor": "cloudflare", "size": 64 * KB, "exact": True}
-
-        faulted = body_json(
-            service.handle(batch_request("/v1/analyze", [item]))
-        )
-        assert faulted["degraded"] is True
-        assert "exact-sim-failed" in faulted["results"][0]["degraded_reason"]
-        assert service.breaker.state == OPEN
-
-        refused = body_json(
-            service.handle(batch_request("/v1/analyze", [item]))
-        )
-        assert refused["results"][0]["degraded_reason"] == "breaker-open"
-
-        service.fault_plan = None  # the origin outage ends
-        clock.advance(5.0)
-        recovered = body_json(
-            service.handle(batch_request("/v1/analyze", [item]))
-        )
-        assert recovered["degraded"] is False
-        assert recovered["results"][0]["exact_factor"] > 1
-        assert service.breaker.state == CLOSED
 
 
 class TestSharedMemo:

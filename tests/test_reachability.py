@@ -1,6 +1,7 @@
 """Every module under ``src/repro`` is reached from something that runs,
 the packages on the way load nothing of their own, and every defaulted
-parameter is one some caller sets.
+parameter, and every defaulted field of a frozen dataclass or
+``NamedTuple``, is one some caller sets.
 
 The roots are the CLI (``repro.cli``, ``repro.__main__``) and every
 benchmark and script file.  The walk follows ``import`` statements
@@ -16,6 +17,7 @@ module uses.  The one exception is the vendor registry in
 from __future__ import annotations
 
 import ast
+import json
 import pkgutil
 import subprocess
 import sys
@@ -153,6 +155,37 @@ def test_audit_imports_load_only_what_the_audit_uses():
     assert not [m for m in loaded if m.startswith(("repro.runner", "repro.serve"))]
 
 
+def test_serve_answers_exact_items_without_the_runner():
+    code = (
+        "import json, sys\n"
+        "from repro.http.message import HttpRequest\n"
+        "from repro.serve.app import AnalysisService\n"
+        "items = [\n"
+        "    {'vendor': 'cloudflare', 'size': 1024, 'exact': True},\n"
+        "    {'vendor': 'cloudflare', 'attack': 'ccfc', 'size': 1024, 'exact': True},\n"
+        "    {'fcdn': 'cdn77', 'bcdn': 'akamai', 'size': 1024, 'exact': True},\n"
+        "]\n"
+        "body = json.dumps({'items': items}).encode()\n"
+        "request = HttpRequest(method='POST', target='/v1/analyze',\n"
+        "    headers=[('Content-Length', str(len(body)))], body=body)\n"
+        "response = AnalysisService().handle(request)\n"
+        "print(response.body.materialize().decode())\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    answer, modules = (json.loads(line) for line in result.stdout.splitlines())
+    assert [item["exact_factor"] > 1 for item in answer["results"]] == [True] * 3
+    loaded = set(modules)
+    assert "repro.serve.app" in loaded
+    assert not [m for m in loaded if m.startswith("repro.runner")]
+
+
 def test_submodule_names_are_not_shadowed():
     # A package that re-exported ``recommend`` would bind the function
     # over its own ``recommend`` submodule.
@@ -179,6 +212,9 @@ UNSET_DEFAULTS_ALLOWED = {
     "repro.runner.experiments:ccfc_cell(rounds)": "checkpoints journal it as part of the cell identity",
     "repro.obs.metrics:Histogram.__init__(buckets)": (
         "set through MetricsRegistry._get_or_create's factory call"
+    ),
+    "repro.runner.fastpath:FastPathStats(calibration_runs)": (
+        "the e2e benchmark's tracer reads it"
     ),
 }
 
@@ -262,20 +298,71 @@ def _defaulted(tree: ast.AST) -> Iterator[Tuple[str, str, Optional[int], str]]:
     yield from visit(tree, None, "")
 
 
+def _is_record(node: ast.ClassDef) -> bool:
+    """A frozen dataclass or a ``NamedTuple``: a record built by keyword."""
+    if any(_name(base) == "NamedTuple" for base in node.bases):
+        return True
+    return any(
+        isinstance(d, ast.Call)
+        and _name(d.func) == "dataclass"
+        and any(
+            kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value
+            for kw in d.keywords
+        )
+        for d in node.decorator_list
+    )
+
+
+def _defaulted_fields(tree: ast.AST) -> Iterator[Tuple[str, str, Optional[int], str]]:
+    """(class name, class name, positional index or None, field) for every
+    defaulted ``__init__`` field of a record class defined in ``tree``.
+    The index is ``None`` when inherited fields would shift it."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and _is_record(node)):
+            continue
+        ordered = not node.bases or [_name(b) for b in node.bases] == ["NamedTuple"]
+        fields = [
+            stmt
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and "ClassVar" not in ast.unparse(stmt.annotation)
+        ]
+        for index, stmt in enumerate(fields):
+            value = stmt.value
+            if value is None:
+                continue
+            if isinstance(value, ast.Call) and _name(value.func) == "field":
+                options = {kw.arg: kw.value for kw in value.keywords}
+                init = options.get("init")
+                if isinstance(init, ast.Constant) and init.value is False:
+                    continue
+                if not {"default", "default_factory"} & set(options):
+                    continue
+            name = node.name
+            yield name, name, index if ordered else None, stmt.target.id
+
+
+#: Calls that set a record's fields by keyword on a copy.
+_FIELD_SETTERS = ("replace", "_replace")
+
+
 def unset_defaults() -> List[str]:
     calls: Dict[str, List[_Call]] = {}
     for folder in CALLER_FOLDERS:
         for path in (ROOT / folder).rglob("*.py"):
             for name, found in _calls_by_name(ast.parse(path.read_text(encoding="utf-8"))).items():
                 calls.setdefault(name, []).extend(found)
+    copies = [call for name in _FIELD_SETTERS for call in calls.get(name, ())]
     unset = []
     for module, path in _modules().items():
-        for qualified, callee, index, param in _defaulted(
-            ast.parse(path.read_text(encoding="utf-8"))
-        ):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        entries = [(entry, []) for entry in _defaulted(tree)]
+        entries += [(entry, copies) for entry in _defaulted_fields(tree)]
+        for (qualified, callee, index, param), extra in entries:
             if not any(
                 splat or param in keywords or (index is not None and passed > index)
-                for keywords, passed, splat in calls.get(callee, ())
+                for keywords, passed, splat in calls.get(callee, []) + extra
             ):
                 unset.append(f"{module}:{qualified}({param})")
     return sorted(unset)
