@@ -550,8 +550,12 @@ def obr_bound(
         model.framed_size(header_upper + body_upper) + model.connection_setup_bytes()
     )
     # The BCDN fetches the full representation once; the origin response
-    # carries at least the resource body.
+    # carries at least the resource body.  Azure cuts that fetch once its
+    # header block plus payload cap have crossed the wire (the delivery
+    # cap ``_assemble_sbr_bound`` mirrors too), so at least the cap does.
     attacker_lower = model.framed_size(resource_size) + model.connection_setup_bytes()
+    if bcdn == "azure":
+        attacker_lower = min(attacker_lower, EIGHT_MB + DEFAULT_ABORT_SLOP)
 
     return ObrBound(
         fcdn=fcdn,

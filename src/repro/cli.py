@@ -23,14 +23,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.purity import BaselineEntry
     from repro.reporting.render import Table
 
+# Each command imports what only it runs, so a command loads no more
+# of the package than it uses (``repro serve`` never loads the flood,
+# the survey, the economics model or the table renderer).
 from repro.cdn.vendors import all_vendor_names, profile_class
-from repro.core.economics import estimate_obr_campaign, estimate_sbr_campaign
-from repro.core.feasibility import survey
-from repro.core.obr import MAX_OVERLAPS, ObrAttack, vulnerable_combinations
-from repro.core.practical import MAX_FLOOD_M, BandwidthAttackSimulation
-from repro.core.sbr import SbrAttack, exploited_range_cases
+from repro.core.obr import MAX_OVERLAPS
+from repro.core.sbr import MAX_FLOOD_M
 from repro.errors import ReproError, UsageError
-from repro.reporting.render import format_bytes, render_sparkline, render_table
 
 MB = 1 << 20
 
@@ -489,6 +488,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _cmd_vendors() -> int:
+    from repro.reporting.render import render_table
+
     rows = [
         [name, profile_class(name).display_name, profile_class(name).server_header]
         for name in all_vendor_names()
@@ -498,6 +499,9 @@ def _cmd_vendors() -> int:
 
 
 def _cmd_sbr(args: argparse.Namespace) -> int:
+    from repro.core.sbr import SbrAttack, exploited_range_cases
+    from repro.reporting.render import format_bytes
+
     size = args.size_mb * MB
     result = SbrAttack(args.vendor, resource_size=size).run(rounds=args.rounds)
     cases = " & ".join(exploited_range_cases(args.vendor, size))
@@ -510,6 +514,9 @@ def _cmd_sbr(args: argparse.Namespace) -> int:
 
 
 def _cmd_obr(args: argparse.Namespace) -> int:
+    from repro.core.obr import ObrAttack
+    from repro.reporting.render import format_bytes
+
     attack = ObrAttack(args.fcdn, args.bcdn)
     result = attack.run(overlap_count=args.overlaps)
     print(f"OBR through {args.fcdn} -> {args.bcdn} (1 KB resource)")
@@ -523,6 +530,8 @@ def _cmd_obr(args: argparse.Namespace) -> int:
 
 def _render_tables(tables: Sequence["Table"]) -> str:
     """Each table's rendered text under its title, blank-line separated."""
+    from repro.reporting.render import render_table
+
     return "\n\n".join(
         f"{title}:\n{render_table(headers, rows)}"
         for _stem, title, headers, rows in tables
@@ -544,6 +553,7 @@ def _output_dir(path: str) -> Path:
 
 
 def _cmd_survey() -> int:
+    from repro.core.feasibility import survey
     from repro.reporting.tables import survey_tables
 
     print(_render_tables(survey_tables(survey(file_size=16 * 1024))))
@@ -551,6 +561,9 @@ def _cmd_survey() -> int:
 
 
 def _cmd_flood(args: argparse.Namespace) -> int:
+    from repro.core.practical import BandwidthAttackSimulation
+    from repro.reporting.render import render_sparkline
+
     simulation = BandwidthAttackSimulation(
         vendor=args.vendor, origin_uplink_mbps=args.uplink_mbps
     )
@@ -565,6 +578,10 @@ def _cmd_flood(args: argparse.Namespace) -> int:
 
 
 def _cmd_economics(args: argparse.Namespace) -> int:
+    from repro.core.economics import estimate_obr_campaign, estimate_sbr_campaign
+    from repro.core.obr import vulnerable_combinations
+    from repro.reporting.render import format_bytes
+
     duration = args.hours * 3600.0
     if args.attack == "sbr":
         if args.vendor not in all_vendor_names():
@@ -616,6 +633,7 @@ MATRIX_PROBE_CASES: Dict[str, Tuple[str, int]] = {
 
 def _cmd_matrix() -> int:
     from repro.analysis.classify import probe_decision
+    from repro.reporting.render import render_table
 
     short = {  # compact policy labels for the terminal
         "laziness": "lazy",
@@ -636,6 +654,7 @@ def _cmd_matrix() -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.core.feasibility import survey
     from repro.reporting.render import write_tables
     from repro.reporting.tables import survey_tables
     from repro.runner.runall import report_tables, run_all, write_report
@@ -979,7 +998,7 @@ def _cmd_obs_runs(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs.runlog import RunLedger
-    from repro.reporting.render import format_duration
+    from repro.reporting.render import format_duration, render_table
 
     records = RunLedger(args.ledger).load()
     offset = 0
@@ -1018,7 +1037,7 @@ def _cmd_obs_runs(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_top(args: argparse.Namespace) -> int:
-    from repro.reporting.render import format_duration
+    from repro.reporting.render import format_duration, render_table
 
     if args.trace is not None:
         from repro.netsim.trace import load_joined_jsonl
@@ -1072,7 +1091,7 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
     import math
 
     from repro.obs.runlog import RunLedger, diff_runs
-    from repro.reporting.render import format_duration
+    from repro.reporting.render import format_duration, render_table
 
     ledger = RunLedger(args.ledger)
     diff = diff_runs(

@@ -84,12 +84,6 @@ class BandwidthRunResult:
         return self.steady_origin_mbps >= 0.97 * self.origin_capacity_mbps
 
 
-#: Largest attack intensity ``m`` a command line or scenario file may
-#: ask for: the flood's work grows with m, and untrusted input must not
-#: buy unbounded work.
-MAX_FLOOD_M = 1000
-
-
 class BandwidthAttackSimulation:
     """Fig 7's experiment harness."""
 

@@ -32,6 +32,11 @@ if TYPE_CHECKING:
 
 MB = 1 << 20
 
+#: Largest attack intensity ``m`` (SBR requests per second) a command
+#: line or scenario file may ask of the Fig 7 flood: its work grows with
+#: m, and untrusted input must not buy unbounded work.
+MAX_FLOOD_M = 1000
+
 #: Vendors whose exploited case is the plain first-byte request.
 _PLAIN_FIRST_BYTE = (
     "akamai",

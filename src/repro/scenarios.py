@@ -27,8 +27,8 @@ from typing import Any, Dict, List, Optional, Union
 from repro.cdn.vendors import all_vendor_names
 from repro.core.feasibility import survey
 from repro.core.obr import MAX_OVERLAPS, ObrAttack
-from repro.core.practical import MAX_FLOOD_M, BandwidthAttackSimulation
-from repro.core.sbr import SbrAttack
+from repro.core.practical import BandwidthAttackSimulation
+from repro.core.sbr import MAX_FLOOD_M, SbrAttack
 from repro.errors import ConfigurationError
 
 MB = 1 << 20

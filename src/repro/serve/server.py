@@ -1,20 +1,17 @@
 """The asyncio edge: sockets, queueing, drain; wall time lives here.
 
 :class:`ServeServer` glues :class:`~repro.serve.app.AnalysisService` to
-``asyncio.start_server``.  Responsibilities split cleanly:
+``loop.create_server``.  The **service** decides what any request means
+(deterministic under its injected clock); the **server** owns
+connections, the admission futures (who waits, who is promoted, in what
+order), worker threads, and the drain protocol.
 
-* the **service** decides what any request means (and is fully
-  deterministic under its injected clock);
-* the **server** owns connections, the admission futures (who waits,
-  who is promoted, in what order), worker threads, and the drain
-  protocol.
-
-DoS posture at this layer: one read deadline per request (head and
-body together) kills slowloris connections, ``readuntil`` with a byte
-limit caps header blocks, ``Content-Length`` is checked *before* the
+Each connection is one :class:`asyncio.Protocol` that reads one request.
+DoS posture: one read deadline (head and body together) kills slowloris
+connections, heads are capped at ``MAX_HEADER_BYTES`` (431), the head
+is parsed once and its ``Content-Length`` bounded (413) *before* the
 body is read, a head or body that does not parse gets a 400, and every
-batch request passes through admission control before any JSON is
-parsed.
+batch request passes admission control before any JSON is parsed.
 
 Graceful drain (SIGTERM/SIGINT): stop accepting, flip ``/readyz`` to
 503, let in-flight and queued work finish or deadline out within
@@ -28,13 +25,13 @@ import asyncio
 import signal
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Deque, Dict, Optional, Union
+from typing import Any, Deque, Dict, Optional, Union, cast
 
 from repro.errors import HttpError
-from repro.http.headers import Headers, declared_length
+from repro.http.body import make_body
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.status import StatusCode
-from repro.http.wire import parse_request
+from repro.http.wire import parse_request_head
 from repro.serve.admission import ADMIT, ENQUEUE, AdmissionDecision
 from repro.serve.app import AnalysisService, _json_response
 
@@ -44,13 +41,117 @@ MAX_HEADER_BYTES = 16 * 1024
 READ_TIMEOUT_S = 10.0
 
 _BATCH_PATHS = ("/v1/analyze", "/v1/recommend")
+_HEAD_TOO_LARGE = _json_response(
+    StatusCode.REQUEST_HEADER_FIELDS_TOO_LARGE,
+    {"error": "request head too large or too slow"},
+)
+_BODY_SHORT = _json_response(
+    StatusCode.BAD_REQUEST,
+    {"error": "request body shorter than Content-Length or too slow"},
+)
 
 
-def _malformed(exc: HttpError) -> HttpResponse:
-    """The 400 for a request head or body that does not parse."""
-    return _json_response(
-        StatusCode.BAD_REQUEST, {"error": f"malformed request: {exc}"}
-    )
+class _Connection(asyncio.Protocol):
+    """One client connection: buffer one request, parse its head once,
+    answer it and close.  Bytes after the request are ignored."""
+
+    _transport: asyncio.Transport
+    _timer: asyncio.TimerHandle
+    #: The task answering the complete request (held against GC).
+    _task: "asyncio.Task[None]"
+
+    def __init__(self, server: "ServeServer") -> None:
+        self._server = server
+        self._buffer = bytearray()
+        self._reading = True
+        #: A head terminator not found yet starts at this offset or later.
+        self._scanned = 0
+        #: The parsed head, once its terminator has arrived.
+        self._request: Optional[HttpRequest] = None
+        self._body = slice(0, 0)
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = cast(asyncio.Transport, transport)
+        self._server._open_connections += 1
+        # One deadline covers head and body: it kills slowloris.
+        loop = asyncio.get_running_loop()
+        self._timer = loop.call_later(READ_TIMEOUT_S, self._timed_out)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._server._open_connections -= 1
+        self._stop_reading()
+
+    def data_received(self, data: bytes) -> None:
+        if self._reading:
+            self._buffer += data
+            self._advance(eof=False)
+
+    def eof_received(self) -> bool:
+        if self._reading:
+            self._advance(eof=True)
+        return True  # a half-closed client still reads its answer
+
+    def _timed_out(self) -> None:
+        self._finish(_HEAD_TOO_LARGE if self._request is None else _BODY_SHORT)
+
+    def _advance(self, eof: bool) -> None:
+        outcome = self._parse(eof)
+        if isinstance(outcome, HttpRequest):
+            self._stop_reading()
+            self._task = asyncio.create_task(self._respond(outcome))
+        elif outcome is not None or eof:
+            self._finish(outcome)  # None: a head cut off by a close
+
+    def _parse(self, eof: bool) -> Union[HttpRequest, HttpResponse, None]:
+        """The complete request, an early answer, or None (read on)."""
+        buffer = self._buffer
+        request = self._request
+        if request is None:
+            end = buffer.find(b"\r\n\r\n", self._scanned)
+            if end < 0:
+                self._scanned = max(0, len(buffer) - 3)
+                too_long = len(buffer) > MAX_HEADER_BYTES + (0 if eof else 3)
+                return _HEAD_TOO_LARGE if too_long else None
+            if end > MAX_HEADER_BYTES:
+                return _HEAD_TOO_LARGE
+            try:
+                request, declared = parse_request_head(bytes(buffer[:end]))
+            except HttpError as exc:
+                error = f"malformed request: {exc}"
+                return _json_response(StatusCode.BAD_REQUEST, {"error": error})
+            # The declared length is bounded before the body is read on.
+            max_body = self._server.service.config.max_body_bytes
+            if declared and declared > max_body:
+                error = f"body exceeds {max_body} bytes"
+                return _json_response(StatusCode.PAYLOAD_TOO_LARGE, {"error": error})
+            self._request = request
+            self._body = slice(end + 4, end + 4 + (declared or 0))
+        if len(buffer) < self._body.stop:
+            return _BODY_SHORT if eof else None
+        request.body = make_body(bytes(buffer[self._body]))
+        return request
+
+    async def _respond(self, request: HttpRequest) -> None:
+        response: Optional[HttpResponse] = None
+        try:
+            response = await self._server._dispatch(request)
+        except Exception as exc:
+            error = f"internal error: {type(exc).__name__}"
+            response = _json_response(StatusCode.INTERNAL_SERVER_ERROR, {"error": error})
+        finally:
+            self._finish(response)
+
+    def _stop_reading(self) -> None:
+        self._reading = False
+        self._buffer = bytearray()
+        self._timer.cancel()
+
+    def _finish(self, response: Optional[HttpResponse]) -> None:
+        """Send ``response`` (None: nothing) and close the connection."""
+        self._stop_reading()
+        if response is not None and not self._transport.is_closing():
+            self._transport.write(response.serialize())
+        self._transport.close()
 
 
 class ServeServer:
@@ -97,11 +198,8 @@ class ServeServer:
     async def start(self) -> None:
         self._drain_event = asyncio.Event()
         self._started_at_mono = self.service.clock()
-        self._server = await asyncio.start_server(
-            self._on_connection,
-            host=self.host,
-            port=self.requested_port,
-            limit=MAX_HEADER_BYTES,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host=self.host, port=self.requested_port
         )
 
     def initiate_drain(self) -> None:
@@ -142,11 +240,7 @@ class ServeServer:
         deadline = clock() + self.drain_grace_s
         admission = self.service.admission
         while clock() < deadline:
-            if (
-                admission.inflight == 0
-                and admission.queued == 0
-                and self._open_connections == 0
-            ):
+            if not (admission.inflight or admission.queued or self._open_connections):
                 return
             await asyncio.sleep(0.02)
 
@@ -157,13 +251,11 @@ class ServeServer:
         from repro.obs.runlog import RunLedger, record_from_serve
 
         self.service.refresh_gauges()
+        admission = self.service.admission
         record = record_from_serve(
             config=self.describe_config(),
             wall_s=max(0.0, self.service.clock() - self._started_at_mono),
-            requests_total=int(
-                self.service.admission.admitted_total
-                + self.service.admission.shed_total
-            ),
+            requests_total=int(admission.admitted_total + admission.shed_total),
             metrics=self.service.metrics.snapshot(),
         )
         RunLedger(self.runlog).append(record)
@@ -180,96 +272,6 @@ class ServeServer:
             "rate_capacity": config.rate_capacity,
             "rate_refill": config.rate_refill,
         }
-
-    # -- connection handling ------------------------------------------------
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._open_connections += 1
-        try:
-            response = await self._respond(reader)
-            if response is not None:
-                writer.write(response.serialize())
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._open_connections -= 1
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _respond(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[HttpResponse]:
-        request = await self._read_request(reader)
-        if isinstance(request, HttpResponse):
-            return request  # an early protocol-level error response
-        if request is None:
-            return None  # client went away; nothing to say
-        try:
-            return await self._dispatch(request)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            return _json_response(
-                StatusCode.INTERNAL_SERVER_ERROR,
-                {"error": f"internal error: {type(exc).__name__}"},
-            )
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Union[HttpRequest, HttpResponse, None]:
-        """One request off the wire, or an error HttpResponse, or None
-        (the client went away before finishing its request head)."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + READ_TIMEOUT_S
-        try:
-            head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=READ_TIMEOUT_S
-            )
-        except asyncio.IncompleteReadError:
-            return None
-        except (asyncio.TimeoutError, asyncio.LimitOverrunError):
-            return _json_response(
-                StatusCode.REQUEST_HEADER_FIELDS_TOO_LARGE,
-                {"error": "request head too large or too slow"},
-            )
-        # Peek at the header block for the body's framing *before*
-        # reading (and bounding) the body itself.
-        _, _, header_blob = head[:-4].partition(b"\r\n")
-        try:
-            headers = Headers.parse(header_blob + b"\r\n" if header_blob else b"")
-            declared = declared_length(headers)
-        except HttpError as exc:
-            return _malformed(exc)
-        body = b""
-        if declared:
-            if declared > self.service.config.max_body_bytes:
-                return _json_response(
-                    StatusCode.PAYLOAD_TOO_LARGE,
-                    {
-                        "error": (
-                            f"body exceeds {self.service.config.max_body_bytes}"
-                            " bytes"
-                        )
-                    },
-                )
-            try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(declared), timeout=deadline - loop.time()
-                )
-            except (asyncio.IncompleteReadError, asyncio.TimeoutError):
-                return _json_response(
-                    StatusCode.BAD_REQUEST,
-                    {"error": "request body shorter than Content-Length or too slow"},
-                )
-        try:
-            return parse_request(head + body)
-        except HttpError as exc:
-            return _malformed(exc)
 
     # -- dispatch with admission --------------------------------------------
 
@@ -288,8 +290,7 @@ class ServeServer:
             )
         decision = admission.decide(self.service.clock())
         if decision.outcome == ENQUEUE:
-            admitted = await self._wait_in_queue()
-            if not admitted:
+            if not await self._wait_in_queue():
                 decision = AdmissionDecision(
                     "shed",
                     retry_after_s=admission.estimated_wait_s(admission.queued + 1),
@@ -313,10 +314,9 @@ class ServeServer:
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[None]" = loop.create_future()
         self._waiters.append(future)
+        timeout = self.service.admission.max_queue_wait_s
         try:
-            await asyncio.wait_for(
-                future, timeout=self.service.admission.max_queue_wait_s
-            )
+            await asyncio.wait_for(future, timeout=timeout)
             return True
         except asyncio.TimeoutError:
             return self._resolve_queue_timeout(future)
@@ -324,12 +324,10 @@ class ServeServer:
     def _resolve_queue_timeout(self, future: "asyncio.Future[None]") -> bool:
         """Reconcile a queue-wait timeout against concurrent promotion.
 
-        On 3.10/3.11, ``wait_for`` cancels the future and yields to the
-        loop before raising, so :meth:`_promote_next` may pop the
-        already-cancelled future and skip it without ``promote()``.
-        Only a future holding a *result* was really promoted; a
-        cancelled one never got the slot and still counts as queued.
-        """
+        On 3.10/3.11, ``wait_for`` cancels the future and yields before
+        raising, so :meth:`_promote_next` may pop and skip it without
+        ``promote()``.  Only a future holding a *result* was promoted; a
+        cancelled one never got the slot and still counts as queued."""
         try:
             self._waiters.remove(future)
         except ValueError:

@@ -4,18 +4,23 @@
 ``recommend`` and ``analyze_deployment`` as produced before the
 attack-family registry (``repro.analysis.families``) replaced the
 per-family code paths.  Every byte is pinned, including the safe rows'
-``data`` and the severity ranking's tie order.
+``data`` and the severity ranking's tie order.  ``obr_small_sizes.json``
+pins ``obr_bound`` and the OBR wire simulation at its max n for every
+Table V cascade at small sizes, where no back end cuts its fetch.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.bounds import obr_bound
 from repro.analysis.recommend import recommend
 from repro.analysis.report import analyze_deployment, analyze_vendor_matrix
 from repro.core.deployment import CdnSpec, Deployment
+from repro.core.obr import ObrAttack, vulnerable_combinations
 from repro.origin.server import OriginServer
 
 MB = 1 << 20
@@ -74,3 +79,27 @@ class TestDeployment:
         assert analyze_deployment(deployment).to_json() == golden(
             "deployment_cdn77_akamai.json"
         )
+
+
+class TestObrSmallSizes:
+    def test_bound_and_simulation_at_max_n(self):
+        pinned = json.loads(golden("obr_small_sizes.json"))
+        rows = []
+        for fcdn, bcdn in vulnerable_combinations():
+            for size in (512, 1024, 4096):
+                bound = obr_bound(fcdn, bcdn, resource_size=size)
+                result = ObrAttack(fcdn, bcdn, resource_size=size).run(
+                    overlap_count=bound.max_n
+                )
+                rows.append([
+                    f"{fcdn}->{bcdn}",
+                    size,
+                    bound.max_n,
+                    bound.victim_bytes_upper,
+                    bound.attacker_bytes_lower,
+                    result.fcdn_bcdn_traffic,
+                    result.bcdn_origin_traffic,
+                    result.client_traffic,
+                ])
+        assert len(rows) == 33
+        assert rows == pinned["rows"]

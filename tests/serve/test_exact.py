@@ -46,13 +46,6 @@ def test_obr_exact_factor_is_the_cascade_simulation_at_static_max_n(fcdn, bcdn, 
     assert result["exact_factor"] <= result["finding"]["factor_bound"]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "obr_bound's attacker_bytes_lower exceeds the simulated origin bytes "
-        "at 8 MB, so the azure back ends measure above their bound"
-    ),
-)
 def test_obr_exact_factor_stays_within_its_bound_at_8mb():
     over = []
     for fcdn, bcdn in vulnerable_combinations():

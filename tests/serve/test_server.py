@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import struct
 import threading
 
 import pytest
 
+from repro.http.headers import Headers
+from repro.serve import server as serve_server
 from repro.serve.admission import ADMIT, ENQUEUE
 from repro.serve.app import AnalysisService, ServeConfig
 from repro.serve.server import ServeServer
@@ -324,3 +328,196 @@ class TestDrain:
         assert records[0].command == "serve"
         assert records[0].cell_count >= 1
         assert "repro_serve_requests_total" in records[0].metrics
+
+
+async def send_and_read(port, payload, byte_by_byte=False, half_close=False):
+    """Send ``payload`` (one byte per write if asked), optionally
+    half-close, and read until the server closes."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    chunks = [payload]
+    if byte_by_byte:
+        chunks = [payload[i : i + 1] for i in range(len(payload))]
+    for chunk in chunks:
+        writer.write(chunk)
+        await writer.drain()
+        if byte_by_byte:
+            await asyncio.sleep(0.001)
+    if half_close:
+        writer.write_eof()
+    raw = await reader.read()
+    writer.close()
+    return raw
+
+
+async def open_and_reset(port, payload):
+    """Send ``payload``, then reset the connection (RST, not FIN)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(payload)
+    await writer.drain()
+    return writer
+
+
+def reset(writer):
+    sock = writer.get_extra_info("socket")
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    writer.transport.abort()
+
+
+class TestConnectionEdge:
+    """One protocol object per connection: whatever the client does,
+    it gets at most one answer and the connection is accounted for."""
+
+    def test_one_byte_per_write_still_gets_a_200(self):
+        async def scenario():
+            server = ServeServer(AnalysisService(), port=0)
+            await server.start()
+            try:
+                payload = analyze_payload([{"vendor": "akamai", "size": 64 * KB}])
+                raw = await send_and_read(server.port, payload, byte_by_byte=True)
+                assert parse_head(raw)[0] == 200
+                assert json.loads(raw.split(b"\r\n\r\n", 1)[1])["results"]
+            finally:
+                server.initiate_drain()
+
+        asyncio.run(scenario())
+
+    def test_half_closed_client_still_gets_its_answer(self):
+        async def scenario():
+            gate = threading.Event()
+
+            def blocking_runner(vendor, size):
+                assert gate.wait(timeout=30.0)
+                return 5.0
+
+            service = AnalysisService(exact_runner=blocking_runner)
+            server = ServeServer(service, port=0)
+            await server.start()
+            try:
+                payload = analyze_payload(
+                    [{"vendor": "akamai", "size": 64 * KB, "exact": True}],
+                    deadline_ms=20000,
+                )
+                answer = asyncio.create_task(
+                    send_and_read(server.port, payload, half_close=True)
+                )
+                # The FIN lands while the batch is parked on the worker.
+                await wait_until(lambda: service.admission.inflight == 1)
+                await asyncio.sleep(0.05)
+                gate.set()
+                raw = await asyncio.wait_for(answer, timeout=10.0)
+                assert parse_head(raw)[0] == 200
+                body = json.loads(raw.split(b"\r\n\r\n", 1)[1])
+                assert body["results"][0]["exact_factor"] == 5.0
+            finally:
+                gate.set()
+                server.initiate_drain()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "payload, status",
+        [
+            (b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", 200),
+            (b"NONSENSE\r\n\r\n", 400),
+            (b"POST /v1/analyze HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n", 413),
+            (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (17 * KB), 431),
+            (b"GET /healthz HTTP/1.1\r\nHost: t\r\n", 431),  # read timeout
+        ],
+        ids=["200", "400", "413", "431", "read-timeout"],
+    )
+    def test_open_connections_return_to_zero_after_an_answer(
+        self, monkeypatch, payload, status
+    ):
+        monkeypatch.setattr(serve_server, "READ_TIMEOUT_S", 0.2)
+
+        async def scenario():
+            server = ServeServer(AnalysisService(), port=0)
+            await server.start()
+            try:
+                raw = await send_and_read(server.port, payload)
+                assert parse_head(raw)[0] == status
+                await wait_until(lambda: server._open_connections == 0)
+            finally:
+                server.initiate_drain()
+
+        asyncio.run(scenario())
+
+    def test_open_connections_return_to_zero_after_a_reset_mid_head(self):
+        async def scenario():
+            server = ServeServer(AnalysisService(), port=0)
+            await server.start()
+            try:
+                writer = await open_and_reset(server.port, b"GET /healthz HTT")
+                await wait_until(lambda: server._open_connections == 1)
+                reset(writer)
+                await wait_until(lambda: server._open_connections == 0)
+            finally:
+                server.initiate_drain()
+
+        asyncio.run(scenario())
+
+    def test_open_connections_return_to_zero_after_a_reset_during_the_batch(self):
+        async def scenario():
+            gate = threading.Event()
+
+            def blocking_runner(vendor, size):
+                assert gate.wait(timeout=30.0)
+                return 5.0
+
+            service = AnalysisService(exact_runner=blocking_runner)
+            server = ServeServer(service, port=0)
+            await server.start()
+            try:
+                payload = analyze_payload(
+                    [{"vendor": "akamai", "size": 64 * KB, "exact": True}],
+                    deadline_ms=20000,
+                )
+                writer = await open_and_reset(server.port, payload)
+                await wait_until(lambda: service.admission.inflight == 1)
+                reset(writer)
+                await asyncio.sleep(0.05)
+                gate.set()
+                await wait_until(lambda: service.admission.inflight == 0)
+                await wait_until(lambda: server._open_connections == 0)
+            finally:
+                gate.set()
+                server.initiate_drain()
+
+        asyncio.run(scenario())
+
+    def test_each_request_head_is_parsed_once(self, monkeypatch):
+        calls = []
+        original = serve_server.parse_request_head
+
+        def counting(head):
+            calls.append(head)
+            return original(head)
+
+        monkeypatch.setattr(serve_server, "parse_request_head", counting)
+        header_parses = []
+        original_parse = Headers.parse.__func__
+
+        def counting_parse(cls, blob):
+            header_parses.append(blob)
+            return original_parse(cls, blob)
+
+        monkeypatch.setattr(Headers, "parse", classmethod(counting_parse))
+
+        async def scenario():
+            server = ServeServer(AnalysisService(), port=0)
+            await server.start()
+            try:
+                batch = analyze_payload([{"vendor": "akamai", "size": 64 * KB}])
+                for payload, byte_by_byte in [
+                    (b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", False),
+                    (batch, False),
+                    (batch, True),
+                ]:
+                    raw = await send_and_read(server.port, payload, byte_by_byte)
+                    assert parse_head(raw)[0] == 200
+            finally:
+                server.initiate_drain()
+
+        asyncio.run(scenario())
+        assert len(calls) == 3
+        assert len(header_parses) == 3

@@ -155,6 +155,33 @@ def test_audit_imports_load_only_what_the_audit_uses():
     assert not [m for m in loaded if m.startswith(("repro.runner", "repro.serve"))]
 
 
+#: Modules only other commands run: ``repro serve`` must not load them.
+SERVE_UNUSED = (
+    "repro.core.economics",
+    "repro.core.feasibility",
+    "repro.core.practical",
+    "repro.netsim.bandwidth",
+    "repro.reporting.render",
+)
+
+
+def test_serve_imports_load_no_other_command():
+    code = (
+        "import sys, repro.cli, repro.serve.app, repro.serve.server; "
+        "print('\\n'.join(sorted(m for m in sys.modules if m.startswith('repro'))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = result.stdout.split()
+    assert "repro.serve.server" in loaded
+    assert not set(SERVE_UNUSED) & set(loaded)
+
+
 def test_serve_answers_exact_items_without_the_runner():
     code = (
         "import json, sys\n"

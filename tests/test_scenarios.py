@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.obr import MAX_OVERLAPS
-from repro.core.practical import MAX_FLOOD_M
+from repro.core.sbr import MAX_FLOOD_M
 from repro.errors import ConfigurationError
 from repro.scenarios import (
     load_scenario,
