@@ -9,20 +9,40 @@ sub-1500-byte client traffic, and KeyCDN's doubled client traffic.
 
 import pytest
 
+from typing import NamedTuple, Tuple
+
 from repro.cdn.vendors import all_vendor_names
 from repro.core.sbr import sbr_grid
-from repro.reporting.figures import default_fig6_sizes, fig6_series_from_results
 from repro.reporting.render import render_table
 
 from benchmarks.conftest import run_grid, save_artifact
 
 MB = 1 << 20
+#: 1 MB to 25 MB stepped by 1 MB, as in the paper.
+SIZES = tuple(m * MB for m in range(1, 26))
+
+
+class Curve(NamedTuple):
+    """One vendor's curve across the three panels of Fig 6."""
+
+    vendor: str
+    factors: Tuple[float, ...]
+    client_traffic: Tuple[int, ...]
+    origin_traffic: Tuple[int, ...]
 
 
 def _regenerate():
-    vendors, sizes = all_vendor_names(), tuple(default_fig6_sizes())
-    results = run_grid(sbr_grid(vendors, sizes, name="fig6-sbr"))
-    return fig6_series_from_results(results, vendors, sizes)
+    vendors = all_vendor_names()
+    results = run_grid(sbr_grid(vendors, SIZES, name="fig6-sbr"))
+    return [
+        Curve(
+            vendor,
+            tuple(results[(vendor, size)].amplification for size in SIZES),
+            tuple(results[(vendor, size)].client_traffic for size in SIZES),
+            tuple(results[(vendor, size)].origin_traffic for size in SIZES),
+        )
+        for vendor in vendors
+    ]
 
 
 def test_fig6_sbr_curves(benchmark, output_dir):
@@ -65,7 +85,7 @@ def test_fig6_sbr_curves(benchmark, output_dir):
 
     header = ["size"] + [curve.vendor for curve in series]
     rows = []
-    for index, size in enumerate(series[0].sizes):
+    for index, size in enumerate(SIZES):
         rows.append(
             [f"{size // MB}MB"] + [f"{curve.factors[index]:.0f}" for curve in series]
         )
@@ -73,12 +93,12 @@ def test_fig6_sbr_curves(benchmark, output_dir):
 
     client_rows = [
         [f"{size // MB}MB"] + [str(curve.client_traffic[index]) for curve in series]
-        for index, size in enumerate(series[0].sizes)
+        for index, size in enumerate(SIZES)
     ]
     save_artifact(output_dir, "fig6b_client_traffic.txt", render_table(header, client_rows))
 
     origin_rows = [
         [f"{size // MB}MB"] + [str(curve.origin_traffic[index]) for curve in series]
-        for index, size in enumerate(series[0].sizes)
+        for index, size in enumerate(SIZES)
     ]
     save_artifact(output_dir, "fig6c_origin_traffic.txt", render_table(header, origin_rows))

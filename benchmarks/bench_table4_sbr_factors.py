@@ -5,11 +5,10 @@ compares the measured amplification factor with the paper's, enforcing
 the per-vendor tolerance bands documented in EXPERIMENTS.md.
 """
 
-from repro.cdn.vendors import all_vendor_names
-from repro.core.sbr import sbr_grid
+from repro.cdn.vendors import all_vendor_names, profile_class
+from repro.core.sbr import exploited_range_cases, sbr_grid
 from repro.reporting.paper_values import PAPER_TABLE4_FACTORS
 from repro.reporting.render import render_table
-from repro.reporting.tables import table4_rows_from_results
 
 from benchmarks.conftest import run_grid, save_artifact
 
@@ -23,33 +22,29 @@ DEFAULT_TOLERANCE = 0.08
 
 
 def _regenerate():
-    vendors = all_vendor_names()
-    results = run_grid(sbr_grid(vendors, SIZES, name="table4-sbr"))
-    return table4_rows_from_results(results, vendors, SIZES)
+    return run_grid(sbr_grid(all_vendor_names(), SIZES, name="table4-sbr"))
 
 
 def test_table4_sbr_factors(benchmark, output_dir):
-    rows = benchmark.pedantic(_regenerate, rounds=1, iterations=1)
+    results = benchmark.pedantic(_regenerate, rounds=1, iterations=1)
 
     rendered_rows = []
-    for row in rows:
-        paper = PAPER_TABLE4_FACTORS[row.vendor]
-        tolerance = TOLERANCE.get(row.vendor, DEFAULT_TOLERANCE)
+    for vendor in all_vendor_names():
+        paper = PAPER_TABLE4_FACTORS[vendor]
+        tolerance = TOLERANCE.get(vendor, DEFAULT_TOLERANCE)
+        factors = {size: results[(vendor, size)].amplification for size in SIZES}
         for size in SIZES:
-            deviation = abs(row.factors[size] - paper[size]) / paper[size]
+            deviation = abs(factors[size] - paper[size]) / paper[size]
             assert deviation <= tolerance, (
-                f"{row.vendor} at {size // MB} MB: measured "
-                f"{row.factors[size]:.0f} vs paper {paper[size]} "
+                f"{vendor} at {size // MB} MB: measured "
+                f"{factors[size]:.0f} vs paper {paper[size]} "
                 f"({deviation:.1%} > {tolerance:.0%})"
             )
         rendered_rows.append(
             [
-                row.display_name,
-                " & ".join(row.exploited_cases),
-                *(
-                    f"{row.factors[size]:.0f} (paper {paper[size]})"
-                    for size in SIZES
-                ),
+                profile_class(vendor).display_name,
+                " & ".join(exploited_range_cases(vendor, max(SIZES))),
+                *(f"{factors[size]:.0f} (paper {paper[size]})" for size in SIZES),
             ]
         )
 

@@ -5,10 +5,9 @@ that survives both CDNs' header limits (the paper's max n), run the
 attack once, and measure per-segment traffic and amplification.
 """
 
-from repro.core.obr import obr_grid, vulnerable_combinations
+from repro.core.obr import ObrAttack, obr_grid, vulnerable_combinations
 from repro.reporting.paper_values import PAPER_TABLE5
 from repro.reporting.render import render_table
-from repro.reporting.tables import table5_rows_from_results
 
 from benchmarks.conftest import run_grid, save_artifact
 
@@ -24,38 +23,41 @@ FACTOR_TOLERANCE = 0.35
 
 
 def _regenerate():
-    combos = vulnerable_combinations()
-    return table5_rows_from_results(run_grid(obr_grid(combos)), combos)
+    return run_grid(obr_grid(vulnerable_combinations()))
 
 
 def test_table5_obr_factors(benchmark, output_dir):
-    rows = benchmark.pedantic(_regenerate, rounds=1, iterations=1)
+    results = benchmark.pedantic(_regenerate, rounds=1, iterations=1)
 
-    assert len(rows) == 11
+    assert len(results) == 11
     rendered_rows = []
-    for row in rows:
-        paper_n, paper_bo, paper_fb, paper_factor = PAPER_TABLE5[(row.fcdn, row.bcdn)]
-        assert abs(row.max_n - paper_n) <= max(2, paper_n * MAX_N_TOLERANCE), (
-            f"{row.fcdn}->{row.bcdn}: max n {row.max_n} vs paper {paper_n}"
+    for fcdn, bcdn in vulnerable_combinations():
+        result = results[(fcdn, bcdn)]
+        max_n = result.overlap_count
+        paper_n, paper_bo, paper_fb, paper_factor = PAPER_TABLE5[(fcdn, bcdn)]
+        assert abs(max_n - paper_n) <= max(2, paper_n * MAX_N_TOLERANCE), (
+            f"{fcdn}->{bcdn}: max n {max_n} vs paper {paper_n}"
         )
         traffic_tolerance = (
-            AZURE_TRAFFIC_TOLERANCE if row.bcdn == "azure" else TRAFFIC_TOLERANCE
+            AZURE_TRAFFIC_TOLERANCE if bcdn == "azure" else TRAFFIC_TOLERANCE
         )
-        assert abs(row.fcdn_bcdn_traffic - paper_fb) <= paper_fb * traffic_tolerance, (
-            f"{row.fcdn}->{row.bcdn}: fcdn-bcdn {row.fcdn_bcdn_traffic} vs {paper_fb}"
+        fcdn_bcdn = result.fcdn_bcdn_traffic
+        assert abs(fcdn_bcdn - paper_fb) <= paper_fb * traffic_tolerance, (
+            f"{fcdn}->{bcdn}: fcdn-bcdn {fcdn_bcdn} vs {paper_fb}"
         )
-        assert abs(row.factor - paper_factor) <= paper_factor * FACTOR_TOLERANCE, (
-            f"{row.fcdn}->{row.bcdn}: factor {row.factor:.0f} vs {paper_factor}"
+        factor = result.amplification
+        assert abs(factor - paper_factor) <= paper_factor * FACTOR_TOLERANCE, (
+            f"{fcdn}->{bcdn}: factor {factor:.0f} vs {paper_factor}"
         )
         rendered_rows.append(
             [
-                row.fcdn,
-                row.bcdn,
-                row.exploited_case_prefix,
-                f"{row.max_n} (paper {paper_n})",
-                f"{row.bcdn_origin_traffic}B (paper {paper_bo}B)",
-                f"{row.fcdn_bcdn_traffic}B (paper {paper_fb}B)",
-                f"{row.factor:.2f} (paper {paper_factor})",
+                fcdn,
+                bcdn,
+                ObrAttack(fcdn, bcdn).range_value(3) + ",...",
+                f"{max_n} (paper {paper_n})",
+                f"{result.bcdn_origin_traffic}B (paper {paper_bo}B)",
+                f"{fcdn_bcdn}B (paper {paper_fb}B)",
+                f"{factor:.2f} (paper {paper_factor})",
             ]
         )
 

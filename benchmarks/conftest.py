@@ -8,8 +8,7 @@ full paper-vs-measured record on disk (EXPERIMENTS.md links there).
 The sweep benches regenerate through :mod:`repro.runner` (worker count
 from ``REPRO_BENCH_WORKERS``, else the runner's own
 ``REPRO_RUNNER_WORKERS``, else the cpu count; ``1`` runs in-process)
-and assemble rows with the ``*_from_results`` functions of
-:mod:`repro.reporting`.
+and read their rows straight from the grid values by cell key.
 Results are identical for every worker count (see
 ``tests/runner/test_equivalence.py``).
 """

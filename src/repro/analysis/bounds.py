@@ -597,7 +597,6 @@ class CcfcBound:
 
     vendor: str
     resource_size: int
-    rounds: int
     #: Coding the origin serves under the vendor's rewrite (``None`` for
     #: the safe vendors — identity fallback, factor ~1).
     encoding: Optional[str]
@@ -618,7 +617,6 @@ def profile_ccfc_bound(
     vendor: str,
     profile_factory: Optional[ProfileFactory],
     resource_size: int,
-    rounds: int = 1,
     overhead: Optional[OverheadModel] = None,
 ) -> CcfcBound:
     """Worst-case CCFC bound, optionally against a substituted profile.
@@ -634,11 +632,10 @@ def profile_ccfc_bound(
         resource_size=resource_size,
         overhead=overhead,
         profile_factory=profile_factory,
-    ).mirror(rounds=rounds)
+    ).mirror()
     return CcfcBound(
         vendor=vendor,
         resource_size=resource_size,
-        rounds=rounds,
         encoding=result.encoding,
         victim_bytes_upper=result.client_traffic,
         attacker_bytes_lower=result.origin_traffic,
@@ -648,13 +645,10 @@ def profile_ccfc_bound(
 def ccfc_bound(
     vendor: str,
     resource_size: int,
-    rounds: int = 1,
     overhead: Optional[OverheadModel] = None,
 ) -> CcfcBound:
     """Closed-form CCFC amplification for one registry vendor × size."""
-    return profile_ccfc_bound(
-        vendor, None, resource_size, rounds=rounds, overhead=overhead
-    )
+    return profile_ccfc_bound(vendor, None, resource_size, overhead=overhead)
 
 
 __all__ = [

@@ -278,11 +278,18 @@ DEFAULT_FACADES: Tuple[FacadeSpec, ...] = (
     ),
 )
 
-#: Registry dispatchers that need synthetic call edges.
+#: Registry dispatchers that need synthetic call edges: the grid
+#: executor runs the registered cell functions and each attack family's
+#: ``measure``.
 DEFAULT_DISPATCH: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (
         "repro.runner.experiments.execute_cell",
-        ("@registered:repro.runner.experiments",),
+        (
+            "@registered:repro.runner.experiments",
+            "repro.families.sbr.measure_sbr",
+            "repro.families.obr.measure_obr",
+            "repro.families.ccfc.measure_ccfc",
+        ),
     ),
 )
 

@@ -7,7 +7,7 @@ static findings of :func:`~repro.analysis.report.analyze_vendor_matrix`
 into *actionable, verified* recommendations:
 
 1. for each vulnerable finding, enumerate its family's applicable
-   mitigations (the :class:`~repro.analysis.families.AttackFamily`
+   mitigations (the :class:`~repro.families.base.AttackFamily`
    record's table over :mod:`repro.defense.mitigations`), ordered by
    deployment cost (config-only change < header guard < fetch-flow
    change);
@@ -40,16 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 # Still importable from here; the e2e tracing harness patches this alias.
 from repro.analysis.bounds import obr_bound  # noqa: F401
-from repro.analysis.families import (
-    COST_CONFIG_ONLY,
-    COST_FETCH_FLOW,
-    COST_HEADER_GUARD,
-    FAMILIES_BY_NAME,
-    AttackFamily,
-    MitigationSpec,
-    mitigation_profile_factory,
-    split_subject,
-)
+from repro.analysis.families import FAMILIES_BY_NAME
 from repro.analysis.report import (
     AnalysisReport,
     Finding,
@@ -57,6 +48,15 @@ from repro.analysis.report import (
     severity_for_factor,
 )
 from repro.errors import ConfigurationError
+from repro.families.base import (
+    COST_CONFIG_ONLY,
+    COST_FETCH_FLOW,
+    COST_HEADER_GUARD,
+    AttackFamily,
+    MitigationSpec,
+    mitigation_profile_factory,
+    split_subject,
+)
 from repro.obs.metrics import current_metrics
 
 MB = 1 << 20
@@ -146,10 +146,9 @@ class RecommendationReport:
 
     recommendations: Tuple[Recommendation, ...]
     threshold: float
-    resource_size: int
-    obr_resource_size: int
+    #: The analysis report's resource sizes, by family size keyword.
+    sizes: Dict[str, int]
     with_retries: bool
-    ccfc_resource_size: int = 10 * MB
 
     @property
     def unresolved(self) -> Tuple[Recommendation, ...]:
@@ -166,9 +165,7 @@ class RecommendationReport:
         return json.dumps(
             {
                 "threshold": self.threshold,
-                "resource_size": self.resource_size,
-                "obr_resource_size": self.obr_resource_size,
-                "ccfc_resource_size": self.ccfc_resource_size,
+                **self.sizes,
                 "with_retries": self.with_retries,
                 "all_resolved": self.all_resolved,
                 "recommendations": [r.to_dict() for r in self.recommendations],
@@ -239,47 +236,45 @@ def _recommend(
 
 
 def recommend(
-    resource_size: int = 10 * MB,
-    obr_resource_size: int = 1024,
     threshold: float = DEFAULT_THRESHOLD,
     with_retries: bool = False,
     report: Optional[AnalysisReport] = None,
-    ccfc_resource_size: int = 10 * MB,
+    **sizes: int,
 ) -> RecommendationReport:
     """Recommend the cheapest sufficient mitigation per vulnerable finding.
 
-    ``report`` reuses an existing static analysis (it must have been
-    computed for the same sizes); by default the full vendor matrix is
-    analyzed first.  Recommendations keep the report's severity ranking.
+    ``report`` reuses an existing static analysis, and the residuals are
+    bounded at its sizes; ``sizes`` (by family size keyword, as for
+    :func:`~repro.analysis.report.analyze_vendor_matrix`) may restate
+    them, and a size that disagrees is refused.  Without a report the
+    full vendor matrix is analyzed at ``sizes`` first.  Recommendations
+    keep the report's severity ranking.
     """
     if not 0 < threshold < math.inf:
         raise ConfigurationError(f"threshold must be finite and > 0, got {threshold}")
     if report is None:
-        report = analyze_vendor_matrix(
-            resource_size=resource_size,
-            obr_resource_size=obr_resource_size,
-            ccfc_resource_size=ccfc_resource_size,
-        )
-    sizes = dict(
-        resource_size=resource_size,
-        obr_resource_size=obr_resource_size,
-        ccfc_resource_size=ccfc_resource_size,
-    )
+        report = analyze_vendor_matrix(**sizes)
+    else:
+        disagreeing = {
+            name: size for name, size in sizes.items() if report.sizes.get(name) != size
+        }
+        if disagreeing:
+            raise ConfigurationError(
+                f"sizes {disagreeing} disagree with the report's sizes {report.sizes}"
+            )
     recommendations: List[Recommendation] = []
     for finding in report.vulnerable:
         family = FAMILIES_BY_NAME[finding.kind]
         recommendation = _recommend(
-            finding, family, sizes[family.size_kwarg], threshold, with_retries
+            finding, family, report.sizes[family.size_kwarg], threshold, with_retries
         )
         _record(recommendation)
         recommendations.append(recommendation)
     return RecommendationReport(
         recommendations=tuple(recommendations),
         threshold=threshold,
-        resource_size=resource_size,
-        obr_resource_size=obr_resource_size,
+        sizes=dict(report.sizes),
         with_retries=with_retries,
-        ccfc_resource_size=ccfc_resource_size,
     )
 
 
@@ -321,20 +316,22 @@ class VerificationCheck:
 
 def verify_recommendation(
     recommendation: Recommendation,
+    resource_size: int,
     sizes: Sequence[int] = QUICK_SIZES,
-    obr_resource_size: int = 1024,
 ) -> List[VerificationCheck]:
     """Simulate the attack under the chosen mitigation and compare the
     measured factor against the residual bound (sim <= bound must hold,
     same contract as the clean bounds; for CCFC the bound is exact, so
-    the check is equality up to the <= comparison)."""
+    the check is equality up to the <= comparison).  A family that does
+    not sweep ``sizes`` is simulated at ``resource_size``, the size its
+    finding was bounded at."""
     if recommendation.chosen is None:
         return []
     spec = recommendation.chosen.spec
     family = FAMILIES_BY_NAME[recommendation.kind]
     subject = split_subject(recommendation.subject)
     checks: List[VerificationCheck] = []
-    for size in sizes if family.sweeps_sizes else (obr_resource_size,):
+    for size in sizes if family.sweeps_sizes else (resource_size,):
         simulated = family.simulate(subject, size, spec)
         if simulated is None:
             continue
@@ -357,11 +354,10 @@ def verify_recommendations(
     """Cross-validate every recommendation in ``report`` dynamically."""
     checks: List[VerificationCheck] = []
     for recommendation in report.recommendations:
+        family = FAMILIES_BY_NAME[recommendation.kind]
         checks.extend(
             verify_recommendation(
-                recommendation,
-                sizes=sizes,
-                obr_resource_size=report.obr_resource_size,
+                recommendation, report.sizes[family.size_kwarg], sizes=sizes
             )
         )
     return checks

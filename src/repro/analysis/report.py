@@ -6,7 +6,7 @@ FCDN×BCDN cell (OBR) from pure configuration probes and attaches the
 closed-form worst-case bounds of :mod:`repro.analysis.bounds`.  No
 deployment is built and no ledger records a byte — the zero-traffic
 test pins this.  How each family classifies and bounds a subject is its
-:class:`~repro.analysis.families.AttackFamily` record's finding builder;
+:class:`~repro.families.base.AttackFamily` record's finding builder;
 this module runs the builders and ranks what they find.
 
 :func:`analyze_deployment` applies the same passes to one concrete
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.core.deployment import Deployment
@@ -26,7 +26,6 @@ if TYPE_CHECKING:
 # Still importable from here; the e2e tracing harness patches this alias.
 from repro.analysis.bounds import obr_bound  # noqa: F401
 from repro.cdn.vendors import all_vendor_names
-from repro.netsim.overhead import OverheadModel
 
 MB = 1 << 20
 
@@ -85,12 +84,10 @@ class AnalysisReport:
     """All findings from one static-analysis run, severity-ranked."""
 
     findings: Tuple[Finding, ...]
-    #: SBR resource size the bounds were computed for.
-    resource_size: int
-    #: OBR resource size the cascade bounds were computed for.
-    obr_resource_size: int
-    #: CCFC resource size the compression bounds were computed for.
-    ccfc_resource_size: int = 10 * MB
+    #: The resource size each family's findings were bounded at, by its
+    #: size keyword (``resource_size``, ``obr_resource_size``, ...), in
+    #: registry order.
+    sizes: Dict[str, int]
 
     @property
     def vulnerable(self) -> Tuple[Finding, ...]:
@@ -105,12 +102,7 @@ class AnalysisReport:
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "resource_size": self.resource_size,
-                "obr_resource_size": self.obr_resource_size,
-                "ccfc_resource_size": self.ccfc_resource_size,
-                "findings": [f.to_dict() for f in self.findings],
-            },
+            {**self.sizes, "findings": [f.to_dict() for f in self.findings]},
             indent=2,
             sort_keys=False,
         )
@@ -127,33 +119,26 @@ def _rank(findings: Sequence[Finding]) -> Tuple[Finding, ...]:
 
 
 def analyze_vendor_matrix(
-    resource_size: int = 10 * MB,
-    obr_resource_size: int = 1024,
-    ccfc_resource_size: int = 10 * MB,
-    vendors: Optional[Sequence[str]] = None,
-    sbr_overhead: Optional[OverheadModel] = None,
-    obr_overhead: Optional[OverheadModel] = None,
-    ccfc_overhead: Optional[OverheadModel] = None,
+    vendors: Optional[Sequence[str]] = None, **sizes: int
 ) -> AnalysisReport:
     """Statically audit every vendor and every FCDN×BCDN cell.
 
-    Purely configuration-driven: decision-table probes plus closed-form
-    bounds.  SBR and CCFC bounds default to payload-only accounting and
-    OBR bounds to TCP-framed accounting, matching the simulated attacks'
-    defaults.  Every vendor gets a CCFC finding — ``kind="ccfc"`` when
-    vulnerable, a ``kind="safe"`` row tagged ``data["attack"]="ccfc"``
-    otherwise — so compression behavior is classified for the whole
-    registry.
+    ``sizes`` names a resource size per family by its size keyword
+    (``resource_size=`` for SBR, ``obr_resource_size=``,
+    ``ccfc_resource_size=``); a family not named is bounded at its
+    default size.  Purely configuration-driven: decision-table probes
+    plus closed-form bounds.  SBR and CCFC bounds use payload-only
+    accounting and OBR bounds TCP-framed accounting, matching the
+    simulated attacks' defaults.  Every vendor gets a CCFC finding —
+    ``kind="ccfc"`` when vulnerable, a ``kind="safe"`` row tagged
+    ``data["attack"]="ccfc"`` otherwise — so compression behavior is
+    classified for the whole registry.
     """
-    from repro.analysis.families import FAMILIES, SHAPES
+    from repro.analysis.families import FAMILIES, family_sizes
+    from repro.families.base import SHAPES
 
     names = list(vendors) if vendors is not None else all_vendor_names()
-    sizes: Dict[str, Any] = dict(
-        resource_size=resource_size,
-        obr_resource_size=obr_resource_size,
-        ccfc_resource_size=ccfc_resource_size,
-    )
-    overheads = {"sbr": sbr_overhead, "obr": obr_overhead, "ccfc": ccfc_overhead}
+    bounded_at = family_sizes(sizes)
     findings: List[Finding] = []
     # Subject-major (per vendor: SBR then CCFC; cascades after), the
     # insertion order the stable severity sort keeps among ties.
@@ -161,11 +146,11 @@ def analyze_vendor_matrix(
         families = [family for family in FAMILIES if family.shape is shape]
         for subject in shape.subjects(names):
             for family in families:
-                size, overhead = sizes[family.size_kwarg], overheads[family.name]
-                finding = family.finding(subject, size, overhead, None)
+                size = bounded_at[family.size_kwarg]
+                finding = family.finding(subject, size, None, None)
                 if family.lists_safe or finding.kind != "safe":
                     findings.append(finding)
-    return AnalysisReport(findings=_rank(findings), **sizes)
+    return AnalysisReport(findings=_rank(findings), sizes=bounded_at)
 
 
 def analyze_deployment(
@@ -178,7 +163,8 @@ def analyze_deployment(
     each node (SBR, CCFC) and each adjacent pair (OBR) and bounds them
     with the deployment's own overhead model.
     """
-    from repro.analysis.families import FAMILIES, SHAPES
+    from repro.analysis.families import FAMILIES
+    from repro.families.base import SHAPES
 
     overhead = deployment.ledger.overhead
     store = deployment.origin.store
@@ -194,10 +180,10 @@ def analyze_deployment(
                     if family.lists_safe or finding.kind != "safe":
                         findings.append(finding)
 
-    bounded_at: Dict[str, Any] = {
+    bounded_at = {
         family.size_kwarg: max(family.deployment_sizes(sizes)) for family in FAMILIES
     }
-    return AnalysisReport(findings=_rank(findings), **bounded_at)
+    return AnalysisReport(findings=_rank(findings), sizes=bounded_at)
 
 
 def render_findings_table(report: AnalysisReport) -> str:

@@ -83,19 +83,54 @@ def _positive_finite_float(text: str) -> float:
 
 
 def _add_size_arguments(parser: argparse.ArgumentParser, use: str) -> None:
-    """The per-family resource sizes ``analyze``/``recommend`` bound at."""
-    for flag, family, unit, default in (
-        ("--size-mb", "SBR", "MB", 10),
-        ("--obr-size", "OBR", "bytes", 1024),
-        ("--ccfc-size-mb", "CCFC", "MB", 10),
-    ):
+    """Each attack family's resource size flag, which ``analyze`` and
+    ``recommend`` bound at."""
+    from repro.analysis.families import FAMILIES
+
+    for family in FAMILIES:
+        unit = "MB" if family.size_unit == MB else "bytes"
+        default = family.default_size // family.size_unit
         parser.add_argument(
-            flag, type=_positive_int, default=default,
-            help=f"{family} resource size in {unit} {use} (default: {default})",
+            family.size_flag, type=_positive_int, default=default,
+            help=f"{family.name.upper()} resource size in {unit} {use} "
+                 f"(default: {default})",
         )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _size_flags(args: argparse.Namespace) -> Dict[str, int]:
+    """The size flags as given, by argparse dest, in registry order (the
+    run ledger's config)."""
+    from repro.analysis.families import FAMILIES
+
+    dests = (family.size_flag.lstrip("-").replace("-", "_") for family in FAMILIES)
+    return {dest: getattr(args, dest) for dest in dests}
+
+
+def _family_sizes(args: argparse.Namespace) -> Dict[str, int]:
+    """Each family's resource size in bytes, by its size keyword."""
+    from repro.analysis.families import FAMILIES
+
+    flags = _size_flags(args).values()
+    return {
+        family.size_kwarg: value * family.size_unit
+        for family, value in zip(FAMILIES, flags)
+    }
+
+
+def _size_labels(args: argparse.Namespace) -> List[Tuple[str, str]]:
+    """``("10MB", "SBR")`` per family: each size as its flag gave it."""
+    from repro.analysis.families import FAMILIES
+
+    return [
+        (f"{value}{'MB' if family.size_unit == MB else 'B'}", family.name.upper())
+        for family, value in zip(FAMILIES, _size_flags(args).values())
+    ]
+
+
+def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The parser, with the family size flags on ``command`` only when it
+    is ``analyze`` or ``recommend``: the flags come from the family
+    registry, which other commands need not load."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="RangeAmp attack simulator (DSN 2020 reproduction)",
@@ -155,7 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=["table", "json"], default="table",
         help="output format (default: table)",
     )
-    _add_size_arguments(analyze, "the bounds assume")
+    if command == "analyze":
+        _add_size_arguments(analyze, "the bounds assume")
     analyze.add_argument(
         "--with-retries", action="store_true",
         help="also print the retry-aware SBR bound (clean bound scaled by "
@@ -182,7 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="residual factor a mitigation must stay under to qualify "
              "(default: 10.0, the low-severity boundary)",
     )
-    _add_size_arguments(recommend, "the residual bounds assume")
+    if command == "recommend":
+        _add_size_arguments(recommend, "the residual bounds assume")
     recommend.add_argument(
         "--with-retries", action="store_true",
         help="also report the retry-aware residual factor per option "
@@ -657,14 +694,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.core.feasibility import survey
     from repro.reporting.render import write_tables
     from repro.reporting.tables import survey_tables
-    from repro.runner.runall import report_tables, run_all, write_report
+    from repro.runner.runall import run_all, write_report
 
     target = _output_dir(args.output_dir)
     report = run_all(quick=args.quick)
     surveyed = survey_tables(survey(file_size=16 * 1024))
     written = write_report(report, target)
     written += write_tables(surveyed, target)
-    written += write_tables(surveyed + report_tables(report), target, suffixes=("md",))
+    written += write_tables(surveyed + report.tables, target, suffixes=("md",))
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -676,7 +713,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     from repro.faults.experiment import DEFAULT_FAULT_SEED
     from repro.obs.profile import render_profile
     from repro.obs.progress import ProgressReporter
-    from repro.runner.runall import report_tables, run_all, write_report
+    from repro.runner.runall import run_all, write_report
 
     if args.output_dir is not None:
         _output_dir(args.output_dir)
@@ -778,7 +815,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         print(f"wrote {args.profile} ({len(report.cells)} cells profiled)")
         written_artifacts.append(Path(args.profile))
 
-    print("\n" + _render_tables(report_tables(report)))
+    print("\n" + _render_tables(report.tables))
     if report.table7_recommendations is not None:
         from repro.analysis.recommend import render_recommendations_table
 
@@ -832,26 +869,25 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.analysis.families import FAMILIES
     from repro.analysis.report import analyze_vendor_matrix, render_findings_table
 
     wall_started = time.perf_counter()
-    report = analyze_vendor_matrix(
-        resource_size=args.size_mb * MB,
-        obr_resource_size=args.obr_size,
-        ccfc_resource_size=args.ccfc_size_mb * MB,
-    )
+    report = analyze_vendor_matrix(**_family_sizes(args))
     wall_s = time.perf_counter() - wall_started
     if args.format == "json":
         print(report.to_json())
     else:
         print(render_findings_table(report))
+        counts = ", ".join(
+            f"{len(report.by_kind(family.name))} {family.name.upper()}-vulnerable "
+            f"{family.shape.noun}(s)"
+            for family in FAMILIES
+        )
+        bounds = " / ".join(f"{size} ({name})" for size, name in _size_labels(args))
         print(
-            f"\n{len(report.by_kind('sbr'))} SBR-vulnerable vendor(s), "
-            f"{len(report.by_kind('obr'))} OBR-vulnerable cascade(s), "
-            f"{len(report.by_kind('ccfc'))} CCFC-vulnerable vendor(s), "
-            f"{len(report.safe)} safe — bounds at "
-            f"{args.size_mb}MB (SBR) / {args.obr_size}B (OBR) / "
-            f"{args.ccfc_size_mb}MB (CCFC), zero traffic simulated"
+            f"\n{counts}, {len(report.safe)} safe — bounds at {bounds}, "
+            f"zero traffic simulated"
         )
     if args.with_retries and args.format != "json":
         from repro.analysis.bounds import faulted_sbr_bound
@@ -877,12 +913,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.runlog is not None:
         from repro.obs.runlog import RunLedger, record_from_analysis
 
-        config = {
-            "size_mb": args.size_mb,
-            "obr_size": args.obr_size,
-            "ccfc_size_mb": args.ccfc_size_mb,
-            "with_retries": args.with_retries,
-        }
+        config = {**_size_flags(args), "with_retries": args.with_retries}
         record = RunLedger(args.runlog).append(
             record_from_analysis(report, config, wall_s=wall_s)
         )
@@ -895,6 +926,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
+    from repro.analysis.families import FAMILIES
     from repro.analysis.recommend import (
         DEFAULT_THRESHOLD,
         recommend,
@@ -905,23 +937,21 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
     wall_started = time.perf_counter()
     report = recommend(
-        resource_size=args.size_mb * MB,
-        obr_resource_size=args.obr_size,
-        threshold=threshold,
-        with_retries=args.with_retries,
-        ccfc_resource_size=args.ccfc_size_mb * MB,
+        threshold=threshold, with_retries=args.with_retries, **_family_sizes(args)
     )
     wall_s = time.perf_counter() - wall_started
     if args.format == "json":
         print(report.to_json())
     else:
         print(render_recommendations_table(report))
+        counts = [
+            f"{len(report.by_kind(family.name))} {family.name.upper()}"
+            for family in FAMILIES
+        ]
+        bounds = " / ".join(f"{size} {name}" for size, name in _size_labels(args))
         print(
-            f"\n{len(report.by_kind('sbr'))} SBR, {len(report.by_kind('obr'))} "
-            f"OBR, and {len(report.by_kind('ccfc'))} CCFC finding(s); "
-            f"threshold {threshold:g}x "
-            f"(bounds at {args.size_mb}MB SBR / {args.obr_size}B OBR / "
-            f"{args.ccfc_size_mb}MB CCFC)"
+            f"\n{', '.join(counts[:-1])}, and {counts[-1]} finding(s); "
+            f"threshold {threshold:g}x (bounds at {bounds})"
         )
         if report.unresolved:
             for recommendation in report.unresolved:
@@ -933,9 +963,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         from repro.obs.runlog import RunLedger, record_from_recommendations
 
         config = {
-            "size_mb": args.size_mb,
-            "obr_size": args.obr_size,
-            "ccfc_size_mb": args.ccfc_size_mb,
+            **_size_flags(args),
             "threshold": threshold,
             "with_retries": args.with_retries,
             "verify": args.verify,
@@ -1324,7 +1352,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = _build_parser(command).parse_args(argv)
     try:
         if args.command == "vendors":
             return _cmd_vendors()

@@ -215,18 +215,17 @@ class CcfcAttack:
             report=report,
         )
 
-    def mirror(self, rounds: int = 1) -> CcfcResult:
-        """Closed-form replay of :meth:`run` without a deployment.
+    def mirror(self) -> CcfcResult:
+        """Closed-form replay of one round of :meth:`run` without a
+        deployment.
 
         Every byte-defining step goes through the same code the live
         pipeline runs — the profile's ``fetch`` flow against a real
         origin, :func:`~repro.cdn.node.convert_encoded_response`, and
         :func:`~repro.cdn.node.finalize_client_response` — but bodies
         stay synthetic and no ledger objects are built, so the cost is
-        O(rounds) in message-header work regardless of resource size.
+        message-header work regardless of resource size.
         """
-        if rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {rounds}")
         profile = self._build_profile()
         config = profile.effective_config()
         overhead = self.overhead if self.overhead is not None else NullOverheadModel()
@@ -238,14 +237,10 @@ class CcfcAttack:
         buster = CacheBuster()
         setup = overhead.connection_setup_bytes()
 
-        client_connections = 0
-        client_request_bytes = 0
-        client_sent = 0
         upstream_connections = 0
         upstream_request_bytes = 0
         upstream_sent = 0
         upstream_delivered = 0
-        statuses: List[int] = []
 
         def exchange(
             upstream_request: HttpRequest,
@@ -275,38 +270,34 @@ class CcfcAttack:
                 return received
             return response
 
-        for _ in range(rounds):
-            target = buster.bust(TARGET_PATH)
-            request = self._build_request(target)
-            ctx = VendorContext(config=config, resource_size_hint=resource.size)
-            result = profile.fetch(request, None, ctx, exchange)
-            if result.passthrough is None:
-                raise ConfigurationError(
-                    "CCFC mirror models the lazy passthrough fetch flow only; "
-                    f"profile {profile.name!r} returned a content window"
-                )
-            passthrough = convert_encoded_response(
-                profile,
-                result.passthrough,
-                resource.size,
-                request.headers.get("Accept-Encoding"),
+        target = buster.bust(TARGET_PATH)
+        request = self._build_request(target)
+        ctx = VendorContext(config=config, resource_size_hint=resource.size)
+        result = profile.fetch(request, None, ctx, exchange)
+        if result.passthrough is None:
+            raise ConfigurationError(
+                "CCFC mirror models the lazy passthrough fetch flow only; "
+                f"profile {profile.name!r} returned a content window"
             )
-            if int(passthrough.status) >= 300:
-                response = passthrough.copy()
-                response.headers.set("Server", profile.server_header)
-            else:
-                response = finalize_client_response(profile, passthrough.copy())
-            statuses.append(response.status)
-            client_connections += 1
-            client_request_bytes += overhead.framed_size(request.wire_size())
-            client_sent += overhead.framed_size(response.wire_size()) + setup
+        passthrough = convert_encoded_response(
+            profile,
+            result.passthrough,
+            resource.size,
+            request.headers.get("Accept-Encoding"),
+        )
+        if int(passthrough.status) >= 300:
+            response = passthrough.copy()
+            response.headers.set("Server", profile.server_header)
+        else:
+            response = finalize_client_response(profile, passthrough.copy())
+        client_sent = overhead.framed_size(response.wire_size()) + setup
 
         segments: Dict[str, SegmentStats] = {
             CLIENT_CDN: SegmentStats(
                 segment=CLIENT_CDN,
-                connection_count=client_connections,
-                exchange_count=client_connections,
-                request_bytes=client_request_bytes,
+                connection_count=1,
+                exchange_count=1,
+                request_bytes=overhead.framed_size(request.wire_size()),
                 response_bytes_sent=client_sent,
                 response_bytes_delivered=client_sent,
             )
@@ -330,27 +321,24 @@ class CcfcAttack:
         return CcfcResult(
             vendor=self.vendor,
             resource_size=self.resource_size,
-            rounds=rounds,
+            rounds=1,
             encoding=negotiated_encoding(profile, encodings),
             client_traffic=report.victim_bytes,
             origin_traffic=report.attacker_bytes,
-            statuses=tuple(statuses),
+            statuses=(response.status,),
             report=report,
         )
 
 
-def ccfc_grid(
-    vendors: Optional[List[str]] = None,
-    sizes: Tuple[int, ...] = (1 * MB, 10 * MB),
-) -> "ExperimentGrid":
-    """The vendor x size CCFC sweep as an experiment grid."""
+def ccfc_grid(sizes: Tuple[int, ...] = (1 * MB, 10 * MB)) -> "ExperimentGrid":
+    """Every vendor x ``sizes`` as a CCFC experiment grid."""
     from repro.cdn.vendors import all_vendor_names
-    from repro.runner.experiments import ccfc_cell
+    from repro.families.ccfc import grid_cell
     from repro.runner.grid import ExperimentGrid
 
-    names = list(vendors) if vendors is not None else all_vendor_names()
+    names = all_vendor_names()
     return ExperimentGrid(
-        "ccfc", [ccfc_cell(vendor, size) for vendor in names for size in sizes]
+        "ccfc", [grid_cell(vendor, size) for vendor in names for size in sizes]
     )
 
 

@@ -365,11 +365,11 @@ def obr_grid(
 ) -> "ExperimentGrid":
     """Table V's cascade sweep as an :class:`~repro.runner.grid.ExperimentGrid`;
     every cell searches its max n (the Table V methodology)."""
-    from repro.runner.experiments import obr_cell
+    from repro.families.obr import grid_cell
     from repro.runner.grid import ExperimentGrid
 
     combos = list(combinations) if combinations is not None else vulnerable_combinations()
     return ExperimentGrid(
         "table5-obr",
-        [obr_cell(fcdn, bcdn, resource_size=resource_size) for fcdn, bcdn in combos],
+        [grid_cell(fcdn, bcdn, resource_size=resource_size) for fcdn, bcdn in combos],
     )

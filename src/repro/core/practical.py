@@ -195,21 +195,20 @@ def flood_grid(
     ms: Sequence[int] = tuple(range(1, 16)),
     vendor: str = "cloudflare",
     resource_size: int = 10 * MB,
-    per_request: Optional[Tuple[int, int]] = None,
 ) -> "ExperimentGrid":
     """Fig 7's sweep, at the paper's 1000 Mbps origin uplink, as an
     :class:`~repro.runner.grid.ExperimentGrid`.
 
-    ``per_request=None`` measures the per-request SBR traffic once here
-    (memoized) and shares it with every cell, so the parallel sweep does
-    not run the probe 15 times.
+    The per-request SBR traffic is measured once here (memoized) and
+    shared with every cell, so the parallel sweep does not run the probe
+    15 times.
     """
+    from repro.families.sbr import measure_sbr
     from repro.runner.experiments import flood_cell
     from repro.runner.grid import ExperimentGrid
-    from repro.runner.memo import sbr_per_request_traffic
 
-    if per_request is None:
-        per_request = sbr_per_request_traffic(vendor, resource_size)
+    probe = measure_sbr(vendor, resource_size)
+    per_request = (probe.origin_traffic, probe.client_traffic)
     return ExperimentGrid(
         "fig7-flood",
         [

@@ -202,10 +202,10 @@ def sbr_grid(
     their size axes and the grid dedups overlapping cells.
     """
     from repro.cdn.vendors import all_vendor_names
-    from repro.runner.experiments import sbr_cell
+    from repro.families.sbr import grid_cell
     from repro.runner.grid import ExperimentGrid
 
     names = list(vendors) if vendors is not None else all_vendor_names()
     return ExperimentGrid(
-        name, [sbr_cell(vendor, size) for vendor in names for size in sizes]
+        name, [grid_cell(vendor, size) for vendor in names for size in sizes]
     )

@@ -34,37 +34,33 @@ class ExactModelError(ReproError):
     """The engine cannot exactly answer this cell — simulate."""
 
 
-def _check_cell(
-    vendors: Sequence[str], resource_size: int, min_size: int, rounds: int = 1
-) -> None:
+def _check_cell(vendors: Sequence[str], resource_size: int, min_size: int) -> None:
     """Refuse what the simulation would reject: unknown vendors and
-    degenerate sizes or round counts."""
+    degenerate sizes."""
     for vendor in vendors:
         if vendor not in all_vendor_names():
             raise ExactModelError(f"unknown vendor {vendor!r}")
-    if resource_size < min_size or rounds < 1:
+    if resource_size < min_size:
         raise ExactModelError("degenerate cell")
 
 
 class SbrFastEngine:
     """Answers SBR cells with the wire-level simulation."""
 
-    def measure(self, vendor: str, resource_size: int, rounds: int = 1) -> SbrResult:
-        """``SbrAttack(vendor, resource_size).run(rounds)``."""
-        _check_cell((vendor,), resource_size, 2, rounds)
-        return SbrAttack(vendor, resource_size=resource_size).run(rounds=rounds)
+    def measure(self, vendor: str, resource_size: int) -> SbrResult:
+        """``SbrAttack(vendor, resource_size).run()``."""
+        _check_cell((vendor,), resource_size, 2)
+        return SbrAttack(vendor, resource_size=resource_size).run()
 
 
 class CcfcFastEngine:
     """Answers CCFC (compression-conversion) cells with the wire-level
     simulation."""
 
-    def measure(
-        self, vendor: str, resource_size: int, rounds: int = 1
-    ) -> CcfcResult:
-        """``CcfcAttack(vendor, resource_size).run(rounds)``."""
-        _check_cell((vendor,), resource_size, 1, rounds)
-        return CcfcAttack(vendor, resource_size=resource_size).run(rounds=rounds)
+    def measure(self, vendor: str, resource_size: int) -> CcfcResult:
+        """``CcfcAttack(vendor, resource_size).run()``."""
+        _check_cell((vendor,), resource_size, 1)
+        return CcfcAttack(vendor, resource_size=resource_size).run()
 
 
 class ObrFastEngine:

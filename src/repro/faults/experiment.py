@@ -64,8 +64,8 @@ def measure_sbr_under_faults(
     the memoized single-round path, scaled by ``rounds``) so the two
     traffic totals are directly comparable.
     """
-    # Lazy import: repro.runner imports this module's siblings.
-    from repro.runner.memo import measure_sbr
+    # Lazy import: the family module loads the analysis layer.
+    from repro.families.sbr import measure_sbr
 
     clean = measure_sbr(vendor, resource_size)
     injector = FaultInjector(plan if plan is not None else FaultPlan.default(seed))

@@ -367,23 +367,13 @@ def record_from_runall(
 ) -> RunRecord:
     """Build the persisted record for one finished ``run-all``.
 
-    Factor keys cover every measured artifact: ``sbr:<vendor>:<size>``
-    per Table IV cell, ``obr:<fcdn>:<bcdn>`` per Table V cascade,
-    ``ccfc:<vendor>:<size>`` per compression-conversion cell, and
+    Factor keys cover every measured artifact, one per ledger cell of
+    each attack family's sweep (``sbr:<vendor>:<size>`` per Table IV
+    cell, ``obr:<fcdn>:<bcdn>`` per Table V cascade,
+    ``ccfc:<vendor>:<size>`` per compression-conversion cell) plus
     ``faulted:<vendor>:<size>`` per Table VI row, so two ledger entries
     diff cell-by-cell without re-reading the rendered tables.
     """
-    factors: Dict[str, float] = {}
-    for row in report.table4:
-        for size, factor in row.factors.items():
-            factors[f"sbr:{row.vendor}:{size}"] = factor
-    for row in report.table5:
-        factors[f"obr:{row.fcdn}:{row.bcdn}"] = row.factor
-    for row in report.table_ccfc:
-        for size, factor in row.factors.items():
-            factors[f"ccfc:{row.vendor}:{size}"] = factor
-    for row in report.table_faults:
-        factors[f"faulted:{row.vendor}:{row.resource_size}"] = row.faulted_factor
     stats = report.fastpath
     fastpath: Optional[Dict[str, Any]] = None
     if stats is not None:
@@ -411,7 +401,7 @@ def record_from_runall(
             )
             for cell in report.cells
         ),
-        factors=factors,
+        factors=dict(report.factors),
         fastpath=fastpath,
         metrics=dict(report.metrics),
         artifacts=dict(artifacts) if artifacts is not None else {},

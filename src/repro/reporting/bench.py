@@ -18,9 +18,10 @@ Phase vocabulary (written by :func:`repro.runner.runall.run_all`):
 * ``fastpath`` — planning + fast-path answering of eligible cells;
 * ``grid`` — wire-level simulation of the residual cells;
 * ``static`` — the Table VII recommendation derivation;
-* ``measure`` (derived here) — everything spent answering SBR/OBR/CCFC
-  measurement cells: ``fastpath`` plus the per-cell seconds of
-  measurement cells the grid runner simulated.  Fast-path answers are
+* ``measure`` (derived here) — everything spent answering measurement
+  cells (every attack family's, and the faulted SBR cells):
+  ``fastpath`` plus the per-cell seconds of measurement cells the grid
+  runner simulated.  Fast-path answers are
   counted once, inside ``fastpath``.  The Fig 7 flood cells are
   time-stepped bandwidth simulations outside the fast path's scope and
   cost the same in both modes, so they stay out; CI bounds each mode's
@@ -34,6 +35,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
+from repro.analysis.families import FAMILIES
 from repro.errors import ReproError
 from repro.runner.runall import RunAllReport
 
@@ -52,11 +54,6 @@ BENCH_SCHEMA_VERSION = 5
 #: The canonical file name, both in run-all output dirs and at the repo
 #: root (the committed CI baseline).
 BENCH_FILENAME = "BENCH_runall.json"
-
-#: Experiment kinds whose cell seconds count toward the ``measure``
-#: phase (the cells the fast path may answer).
-MEASURE_EXPERIMENTS = ("sbr", "obr", "ccfc", "sbr-faults")
-
 
 class BenchSchemaError(ReproError):
     """A benchmark file failed schema or type validation."""
@@ -195,9 +192,10 @@ def bench_from_runall(
     which excludes process startup and artifact writing.
     """
     phases = dict(report.phase_seconds)
+    # Measurement cells: every attack family's, and the faulted SBR cells.
+    measured = [family.name for family in FAMILIES] + ["sbr-faults"]
     phases["measure"] = phases.get("fastpath", 0.0) + sum(
-        report.simulated_seconds_by_experiment.get(name, 0.0)
-        for name in MEASURE_EXPERIMENTS
+        report.simulated_seconds_by_experiment.get(name, 0.0) for name in measured
     )
     wall = wall_s if wall_s is not None else sum(report.phase_seconds.values())
     stats = report.fastpath

@@ -1,24 +1,21 @@
-"""Structured regeneration of the paper's Tables I–V, plus the faulted
-re-amplification table (Table VI) this reproduction adds on top.
+"""Structured regeneration of the paper's Tables I–III from one
+feasibility survey (:func:`survey_tables` lays them out).
 
-Tables I–III come from one feasibility survey (:func:`survey_tables`
-lays them out); every other table is assembled from grid results by a
-``*_from_results`` function."""
+The measured tables (IV–VI, Figs 6a and 7, CCFC) are built straight
+from run-all's grid values: each attack family's by its
+:attr:`~repro.families.base.AttackFamily.sweep`, the rest by
+:mod:`repro.runner.runall`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cdn.vendors import profile_class
-from repro.core.obr import ObrAttack
-from repro.core.sbr import exploited_range_cases
 from repro.reporting.render import Table
 
 if TYPE_CHECKING:
     from repro.core.feasibility import VendorFeasibility
-
-MB = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -146,176 +143,3 @@ def survey_tables(feasibility: Dict[str, VendorFeasibility]) -> List[Table]:
             ],
         ),
     ]
-
-
-# ---------------------------------------------------------------------------
-# Table IV — SBR amplification factor vs resource size
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Table4Row:
-    vendor: str
-    display_name: str
-    exploited_cases: Tuple[str, ...]
-    #: resource size (bytes) -> measured amplification factor.
-    factors: Dict[int, float]
-    #: resource size (bytes) -> client-side response traffic (bytes).
-    client_traffic: Dict[int, int]
-    #: resource size (bytes) -> origin-side response traffic (bytes).
-    origin_traffic: Dict[int, int]
-
-
-def table4_rows_from_results(
-    results: Dict[Tuple[str, int], Any],
-    vendors: Sequence[str],
-    sizes: Sequence[int],
-) -> List[Table4Row]:
-    """Assemble Table IV rows from (vendor, size) -> SbrResult mappings."""
-    return [
-        Table4Row(
-            vendor=name,
-            display_name=profile_class(name).display_name,
-            exploited_cases=tuple(exploited_range_cases(name, max(sizes))),
-            factors=_by_size(results, name, sizes, "amplification"),
-            client_traffic=_by_size(results, name, sizes, "client_traffic"),
-            origin_traffic=_by_size(results, name, sizes, "origin_traffic"),
-        )
-        for name in vendors
-    ]
-
-
-def _by_size(
-    results: Dict[Tuple[str, int], Any], vendor: str, sizes: Sequence[int], field: str
-) -> Dict[int, Any]:
-    """One vendor's ``field`` of each (vendor, size) result, by size."""
-    return {size: getattr(results[(vendor, size)], field) for size in sizes}
-
-
-# ---------------------------------------------------------------------------
-# CCFC table (ours) — compression-conversion amplification per vendor
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CcfcTableRow:
-    """One vendor of the compression-conversion sweep (arXiv 2409.00712)."""
-
-    vendor: str
-    display_name: str
-    #: Upstream coding the edge negotiated at the largest size (``None``
-    #: when the vendor never rewrites or the origin serves identity).
-    encoding: Optional[str]
-    #: resource size (bytes) -> measured amplification factor.
-    factors: Dict[int, float]
-    #: resource size (bytes) -> client-side response traffic (bytes).
-    client_traffic: Dict[int, int]
-    #: resource size (bytes) -> origin-side response traffic (bytes).
-    origin_traffic: Dict[int, int]
-
-
-def ccfc_rows_from_results(
-    results: Dict[Tuple[str, int], Any],
-    vendors: Sequence[str],
-    sizes: Sequence[int],
-) -> List[CcfcTableRow]:
-    """Assemble CCFC rows from (vendor, size) -> CcfcResult mappings."""
-    return [
-        CcfcTableRow(
-            vendor=name,
-            display_name=profile_class(name).display_name,
-            encoding=results[(name, max(sizes))].encoding,
-            factors=_by_size(results, name, sizes, "amplification"),
-            client_traffic=_by_size(results, name, sizes, "client_traffic"),
-            origin_traffic=_by_size(results, name, sizes, "origin_traffic"),
-        )
-        for name in vendors
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Table VI (ours) — SBR re-amplification under faults and vendor retries
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FaultTableRow:
-    """One vendor/size cell of the faulted-SBR table."""
-
-    vendor: str
-    display_name: str
-    resource_size: int
-    seed: int
-    clean_factor: float
-    faulted_factor: float
-    #: Faulted origin bytes over clean origin bytes (>1 = retries
-    #: re-shipped fetch windows).
-    reamplification: float
-    retries: int
-    faults: int
-    exhausted_fetches: int
-    max_attempts: int
-
-
-def fault_rows_from_results(
-    results: Dict[Tuple[Any, ...], Any],
-    vendors: Sequence[str],
-    sizes: Sequence[int],
-    seed: int,
-) -> List[FaultTableRow]:
-    """Assemble the faulted table from (vendor, size, seed) -> FaultedSbrResult."""
-    rows = []
-    for name in vendors:
-        for size in sizes:
-            result = results[(name, size, seed)]
-            rows.append(
-                FaultTableRow(
-                    vendor=name,
-                    display_name=profile_class(name).display_name,
-                    resource_size=size,
-                    seed=seed,
-                    clean_factor=result.clean_amplification,
-                    faulted_factor=result.amplification,
-                    reamplification=result.reamplification,
-                    retries=result.retries,
-                    faults=result.total_faults,
-                    exhausted_fetches=result.exhausted_fetches,
-                    max_attempts=result.max_attempts,
-                )
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Table V — max OBR amplification per FCDN x BCDN combination
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Table5Row:
-    fcdn: str
-    bcdn: str
-    exploited_case_prefix: str
-    max_n: int
-    bcdn_origin_traffic: int
-    fcdn_bcdn_traffic: int
-    factor: float
-
-
-def table5_rows_from_results(
-    results: Dict[Tuple[str, str], Any],
-    combinations: Sequence[Tuple[str, str]],
-) -> List[Table5Row]:
-    """Assemble Table V rows from (fcdn, bcdn) -> ObrResult mappings."""
-    rows = []
-    for fcdn, bcdn in combinations:
-        result = results[(fcdn, bcdn)]
-        prefix = ObrAttack(fcdn, bcdn).range_value(3)
-        rows.append(
-            Table5Row(
-                fcdn=fcdn,
-                bcdn=bcdn,
-                exploited_case_prefix=prefix + ",...",
-                max_n=result.overlap_count,
-                bcdn_origin_traffic=result.bcdn_origin_traffic,
-                fcdn_bcdn_traffic=result.fcdn_bcdn_traffic,
-                factor=result.amplification,
-            )
-        )
-    return rows

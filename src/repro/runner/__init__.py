@@ -17,10 +17,11 @@ failures are captured (type + message) instead of killing the sweep.
   containment;
 * :mod:`repro.runner.checkpoint` — crash-safe JSONL journaling so a
   killed run resumes from its completed cells;
-* :mod:`repro.runner.memo` — memoization for the hot paths (shared SBR
-  measurements across overlapping grids);
-* :mod:`repro.runner.experiments` — picklable cell functions for the
-  ``sbr`` / ``obr`` / ``flood`` / ``sbr-faults`` experiment kinds;
+* :mod:`repro.runner.memo` — the named memo tables of the hot paths
+  (shared SBR measurements across overlapping grids);
+* :mod:`repro.runner.experiments` — cell dispatch by experiment name:
+  each attack family's ``measure``, plus the ``flood`` / ``sbr-faults``
+  cell functions;
 * :mod:`repro.runner.runall` — one-shot regeneration of Tables IV–V
   and Figs 6–7 (plus the faulted Table VI) through a single combined
   grid (the CLI's ``run-all``).

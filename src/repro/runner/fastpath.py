@@ -4,8 +4,9 @@
 and the :class:`~repro.runner.executor.GridRunner`: it walks a grid
 **before** execution and answers every measurement cell in-process
 through the engines in :mod:`repro.core.vectorized`, leaving the rest
-(flood bandwidth sims, faulted cells, and any cell the engines refuse)
-to the runner, which journals and parallelizes them.
+(flood bandwidth sims, faulted cells, the cells of a family with no
+fast engine, and any cell the engines refuse) to the runner, which
+journals and parallelizes them.
 
 Every answer is the wire-level simulation's own result, so it is
 exact by construction (pinned cell by cell against the grid runner by
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.analysis.families import FAMILIES
 from repro.core import vectorized
@@ -27,10 +28,6 @@ from repro.core.vectorized import ExactModelError
 from repro.obs.metrics import current_metrics
 from repro.runner.executor import CellOutcome
 from repro.runner.grid import ExperimentCell, ExperimentGrid
-
-#: Experiment kinds the planner may answer: one per attack family.
-FAST_EXPERIMENTS: Tuple[str, ...] = tuple(family.name for family in FAMILIES)
-
 
 @dataclass(frozen=True)
 class FastPathStats:
@@ -74,19 +71,19 @@ class FastPathPlanner:
     """Answers exact measurement cells before the grid runs."""
 
     def __init__(self) -> None:
-        #: One engine per family; a cell's key and params are the
-        #: arguments of its engine's ``measure``.
-        self.engines: Dict[str, Any] = {
-            family.name: getattr(vectorized, family.fast_engine)()
-            for family in FAMILIES
-        }
+        #: One engine per family that has one, by experiment name; a
+        #: cell's key and params are the arguments of its ``measure``.
+        self.engines: Dict[str, Any] = {}
+        for family in FAMILIES:
+            if family.fast_engine is not None:
+                self.engines[family.name] = getattr(vectorized, family.fast_engine)()
         self._answered = 0
         self._refused = 0
         self._ineligible = 0
 
     def eligible(self, cell: ExperimentCell) -> bool:
-        """Is this cell's experiment kind within the fast path's scope?"""
-        return cell.experiment in FAST_EXPERIMENTS
+        """Does this cell's experiment kind have a fast engine?"""
+        return cell.experiment in self.engines
 
     def answer(self, cell: ExperimentCell) -> Optional[Any]:
         """The exact value for ``cell``, or ``None`` to simulate.

@@ -1,14 +1,14 @@
 """One-shot regeneration of Tables IV–V and Figs 6–7 through the runner.
 
-:func:`run_all` builds a **single combined grid** — the SBR vendor x
-size sweep (serving both Table IV and Fig 6, deduped), the 11 Table V
-cascades, and the 15 Fig 7 flood intensities — executes it through one
-:class:`~repro.runner.executor.GridRunner`, and assembles the row and
-series objects with the ``*_from_results`` functions of
-``repro.reporting``.  One pool, every cell kind interleaved, so slow
-OBR searches overlap with cheap SBR cells instead of serializing behind
-them.  :func:`report_tables` is the one definition of every artifact's
-layout; :func:`write_report` writes it.
+:func:`run_all` builds a **single combined grid** — every attack
+family's sweep (:attr:`~repro.families.base.AttackFamily.sweep`: the
+SBR vendor x size sweep serving both Table IV and Fig 6, the Table V
+cascades, the CCFC cells), the 15 Fig 7 flood intensities and, when
+asked, the faulted Table VI cells — executes it through one
+:class:`~repro.runner.executor.GridRunner`, and builds every table
+straight from the grid values.  One pool, every cell kind interleaved,
+so slow OBR searches overlap with cheap SBR cells instead of
+serializing behind them.  :func:`write_report` writes the tables.
 
 Determinism: cell functions are pure and outcomes merge in grid order,
 so ``run_all(workers=N)`` returns equal objects for every N.
@@ -21,11 +21,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.analysis.families import FAMILIES
 from repro.analysis.recommend import RecommendationReport
-from repro.cdn.vendors import all_vendor_names
-from repro.core.obr import vulnerable_combinations
+from repro.cdn.vendors import all_vendor_names, profile_class
 from repro.core.practical import flood_grid
-from repro.core.sbr import sbr_grid
 from repro.errors import ReproError
 from repro.faults.experiment import DEFAULT_FAULT_SEED
 from repro.obs.profile import CellProfile
@@ -39,15 +38,15 @@ from repro.runner.executor import (
 )
 from repro.runner.fastpath import FastPathPlanner, FastPathStats
 from repro.runner.grid import ExperimentGrid
-from repro.runner.memo import sbr_per_request_traffic
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.families.base import AttackFamily, Sweep
     from repro.reporting.render import Table
+    from repro.runner.grid import Key
 
 MB = 1 << 20
 
-#: Quick-mode trims of the Table V and Fig 7 sweeps.
-QUICK_TABLE5_COMBOS = (("cloudflare", "akamai"), ("cdn77", "azure"))
+#: Quick-mode trim of the Fig 7 sweep.
 QUICK_FIG7_MS = (2, 12, 15)
 #: The vendor Fig 7 floods (the paper's Cloudflare setup).
 FLOOD_VENDOR = "cloudflare"
@@ -57,10 +56,13 @@ FLOOD_VENDOR = "cloudflare"
 class RunAllReport:
     """Every regenerated artifact plus run telemetry."""
 
-    table4: List
-    table5: List
-    fig6: List
-    fig7: List
+    #: Every table :func:`write_report` renders, in write order: each
+    #: family's, then Table VI (faulted runs only) and Fig 7.
+    tables: List["Table"]
+    #: Measured factor per ledger cell (``sbr:<vendor>:<size>``,
+    #: ``obr:<fcdn>:<bcdn>``, ``ccfc:<vendor>:<size>``,
+    #: ``faulted:<vendor>:<size>``), for the run ledger.
+    factors: Dict[str, float]
     workers: int
     #: Wall seconds for the combined grid run.
     duration_s: float
@@ -80,12 +82,6 @@ class RunAllReport:
     spans: Tuple[Any, ...] = ()
     events: Tuple[Any, ...] = ()
     metrics: Dict[str, Any] = field(default_factory=dict)
-    #: Compression-conversion rows (CCFC, arXiv 2409.00712 follow-up).
-    table_ccfc: List = field(default_factory=list)
-    #: Faulted-SBR rows (Table VI) — empty unless the run was faulted.
-    table_faults: List = field(default_factory=list)
-    #: Seed the faulted cells ran under (``None`` for clean runs).
-    fault_seed: Optional[int] = None
     #: Cells restored from a checkpoint instead of being re-run.
     restored_cells: int = 0
     #: Defense recommendations (Table VII): cheapest sufficient
@@ -107,57 +103,54 @@ class RunAllReport:
         return self.cell_seconds / self.duration_s
 
 
-def build_run_all_grid(
-    vendors: Optional[Sequence[str]] = None,
-    fig6_sizes: Optional[Sequence[int]] = None,
-    table4_sizes: Sequence[int] = (1 * MB, 10 * MB, 25 * MB),
-    table5_combos: Optional[Sequence[Tuple[str, str]]] = None,
-    fig7_ms: Sequence[int] = tuple(range(1, 16)),
-    fault_sizes: Sequence[int] = (),
-    fault_seed: int = DEFAULT_FAULT_SEED,
-    ccfc_sizes: Sequence[int] = (10 * MB,),
+def _fault_sizes(quick: bool) -> Tuple[int, ...]:
+    return (1 * MB,) if quick else (1 * MB, 10 * MB)
+
+
+def _sweeps(
+    vendors: Sequence[str], quick: bool
+) -> List[Tuple["AttackFamily", "Sweep"]]:
+    return [(family, family.sweep(vendors, quick)) for family in FAMILIES]
+
+
+def _combined_grid(
+    sweeps: Sequence[Tuple["AttackFamily", "Sweep"]],
+    vendors: Sequence[str],
+    quick: bool,
+    faults: bool,
+    fault_seed: int,
 ) -> ExperimentGrid:
-    """The combined Tables IV–V / Figs 6–7 grid (deduped, ordered).
-
-    A non-empty ``fault_sizes`` adds the faulted-SBR sweep (Table VI):
-    one cell per vendor x size, each running
-    :data:`~repro.faults.experiment.DEFAULT_FAULT_ROUNDS` attack rounds
-    under the seeded default fault plan with vendor retries on.
-    """
-    from repro.reporting.figures import default_fig6_sizes
-
-    names = list(vendors) if vendors is not None else all_vendor_names()
-    sizes6 = list(fig6_sizes) if fig6_sizes is not None else default_fig6_sizes()
-    combos = (
-        list(table5_combos) if table5_combos is not None else vulnerable_combinations()
-    )
     grid = ExperimentGrid("run-all")
-    # OBR cells first: each hides a max-n search and a thousands-part
-    # multipart and dominates wall time, so they must start before the
-    # swarm of cheap SBR cells.
-    from repro.core.obr import obr_grid
-
-    grid.extend(obr_grid(combos).cells)
-    if fault_sizes:
+    # Leading sweeps first (OBR: each cell hides a max-n search and a
+    # thousands-part multipart and dominates wall time), so they start
+    # before the swarm of cheap SBR cells.
+    for _, sweep in sweeps:
+        if sweep.leads:
+            grid.extend(sweep.cells)
+    if faults:
         from repro.faults.experiment import faulted_sbr_grid
 
         # Faulted cells run many attack rounds each; start them early,
         # right behind the OBR searches, so they overlap the cheap tail.
-        grid.extend(faulted_sbr_grid(names, tuple(fault_sizes), seed=fault_seed).cells)
-    grid.extend(
-        flood_grid(
-            fig7_ms,
-            vendor=FLOOD_VENDOR,
-            per_request=sbr_per_request_traffic(FLOOD_VENDOR, 10 * MB),
-        ).cells
-    )
-    grid.extend(sbr_grid(names, tuple(sizes6), name="fig6-sbr").cells)
-    grid.extend(sbr_grid(names, tuple(table4_sizes), name="table4-sbr").cells)
-    if ccfc_sizes:
-        from repro.core.ccfc import ccfc_grid
-
-        grid.extend(ccfc_grid(names, tuple(ccfc_sizes)).cells)
+        grid.extend(
+            faulted_sbr_grid(vendors, _fault_sizes(quick), seed=fault_seed).cells
+        )
+    fig7_ms = QUICK_FIG7_MS if quick else tuple(range(1, 16))
+    grid.extend(flood_grid(fig7_ms, vendor=FLOOD_VENDOR).cells)
+    for _, sweep in sweeps:
+        if not sweep.leads:
+            grid.extend(sweep.cells)
     return grid
+
+
+def build_run_all_grid(
+    vendors: Optional[Sequence[str]] = None,
+    quick: bool = False,
+) -> ExperimentGrid:
+    """The combined grid :func:`run_all` runs (deduped, ordered), without
+    the faulted cells."""
+    names = list(vendors) if vendors is not None else all_vendor_names()
+    return _combined_grid(_sweeps(names, quick), names, quick, False, DEFAULT_FAULT_SEED)
 
 
 def run_all(
@@ -174,10 +167,10 @@ def run_all(
 ) -> RunAllReport:
     """Regenerate Tables IV–V and Figs 6–7 in one grid run.
 
-    ``quick=True`` trims the grid for smoke runs (Table IV at 1 MB,
-    Fig 6 at three sizes, two Table V cascades, three Fig 7 points) —
-    the CI path.  Results are identical for every worker count; the
-    equivalence tests pin this.
+    ``quick=True`` trims every sweep for smoke runs (Table IV at 1 MB,
+    Fig 6 at three sizes, two Table V cascades, CCFC at 1 MB, three
+    Fig 7 points) — the CI path.  Results are identical for every worker
+    count; the equivalence tests pin this.
 
     ``collect_obs=True`` runs every cell traced and metered: the report
     then carries the merged span/event streams and metrics snapshot
@@ -193,52 +186,18 @@ def run_all(
     cells execute.  The resumed report is identical to an uninterrupted
     run's.
 
-    By default the fast path answers the SBR/OBR/CCFC measurement cells
-    before the grid runs, by simulating each one in-process; OBR max n
-    comes from the memoized static search.  ``exact=True`` sends every
-    cell through the grid runner instead, where OBR max n comes from
-    wire probes — the reference path the fast path is differentially
-    tested against.  Observability runs (``collect_obs=True``) also
-    bypass the fast path: only the grid runner traces and meters each
-    cell.
+    By default the fast path answers the cells of every family with a
+    fast engine before the grid runs, by simulating each one in-process;
+    OBR max n comes from the memoized static search.  ``exact=True``
+    sends every cell through the grid runner instead, where OBR max n
+    comes from wire probes — the reference path the fast path is
+    differentially tested against.  Observability runs
+    (``collect_obs=True``) also bypass the fast path: only the grid
+    runner traces and meters each cell.
     """
-    from repro.reporting.figures import fig6_series_from_results
-    from repro.reporting.tables import (
-        ccfc_rows_from_results,
-        fault_rows_from_results,
-        table4_rows_from_results,
-        table5_rows_from_results,
-    )
-
     names = list(vendors) if vendors is not None else all_vendor_names()
-    if quick:
-        fig6_sizes: Sequence[int] = (1 * MB, 2 * MB, 3 * MB)
-        table4_sizes: Sequence[int] = (1 * MB,)
-        combos: Sequence[Tuple[str, str]] = QUICK_TABLE5_COMBOS
-        fig7_ms: Sequence[int] = QUICK_FIG7_MS
-        ccfc_sizes: Sequence[int] = (1 * MB,)
-    else:
-        from repro.reporting.figures import default_fig6_sizes
-
-        fig6_sizes = default_fig6_sizes()
-        table4_sizes = (1 * MB, 10 * MB, 25 * MB)
-        combos = vulnerable_combinations()
-        fig7_ms = tuple(range(1, 16))
-        ccfc_sizes = (10 * MB,)
-    fault_sizes: Sequence[int] = ()
-    if faults:
-        fault_sizes = (1 * MB,) if quick else (1 * MB, 10 * MB)
-
-    grid = build_run_all_grid(
-        vendors=names,
-        fig6_sizes=fig6_sizes,
-        table4_sizes=table4_sizes,
-        table5_combos=combos,
-        fig7_ms=fig7_ms,
-        fault_sizes=fault_sizes,
-        fault_seed=fault_seed,
-        ccfc_sizes=ccfc_sizes,
-    )
+    sweeps = _sweeps(names, quick)
+    grid = _combined_grid(sweeps, names, quick, faults, fault_seed)
 
     if resume and checkpoint_path is None:
         raise ReproError("resume requires a checkpoint path")
@@ -334,11 +293,7 @@ def run_all(
     from repro.analysis.report import analyze_vendor_matrix
 
     def _recommendations() -> RecommendationReport:
-        return recommend(
-            report=analyze_vendor_matrix(
-                resource_size=10 * MB, obr_resource_size=1024, vendors=names
-            )
-        )
+        return recommend(report=analyze_vendor_matrix(vendors=names))
 
     spans: List[Any] = []
     events: List[Any] = []
@@ -361,11 +316,27 @@ def run_all(
             metrics = runner_registry.snapshot()
     phase_seconds["static"] = time.perf_counter() - phase_started
 
+    tables: List["Table"] = []
+    factors: Dict[str, float] = {}
+    for family, sweep in sweeps:
+        family_values = values.get(family.name, {})
+        tables += sweep.tables(family_values)
+        for key in sweep.ledger:
+            label = ":".join(str(part) for part in (family.name, *key))
+            factors[label] = family_values[key].amplification
+    if faults:
+        faulted = values["sbr-faults"]
+        tables.append(_fault_table(faulted, names, _fault_sizes(quick), fault_seed))
+        for vendor in names:
+            for size in _fault_sizes(quick):
+                factors[f"faulted:{vendor}:{size}"] = faulted[
+                    (vendor, size, fault_seed)
+                ].amplification
+    tables.append(_fig7_table(list(values["flood"].values())))
+
     return RunAllReport(
-        table4=table4_rows_from_results(values.get("sbr", {}), names, table4_sizes),
-        table5=table5_rows_from_results(values.get("obr", {}), combos),
-        fig6=fig6_series_from_results(values.get("sbr", {}), names, fig6_sizes),
-        fig7=list(values.get("flood", {}).values()),
+        tables=tables,
+        factors=factors,
         workers=result.workers,
         duration_s=result.duration_s,
         cell_seconds=timing.total_s,
@@ -377,15 +348,6 @@ def run_all(
         spans=tuple(spans),
         events=tuple(events),
         metrics=metrics,
-        table_ccfc=ccfc_rows_from_results(values.get("ccfc", {}), names, ccfc_sizes),
-        table_faults=(
-            fault_rows_from_results(
-                values["sbr-faults"], names, fault_sizes, fault_seed
-            )
-            if fault_sizes
-            else []
-        ),
-        fault_seed=fault_seed if faults else None,
         restored_cells=restored_cells,
         table7_recommendations=recommendations,
         fastpath=planner.stats if planner is not None else None,
@@ -393,132 +355,49 @@ def run_all(
     )
 
 
-def report_tables(report: RunAllReport) -> List["Table"]:
-    """Every table :func:`write_report` renders, in write order.
+def _fault_table(
+    values: Dict["Key", Any], vendors: Sequence[str], sizes: Sequence[int], seed: int
+) -> "Table":
+    """Table VI from (vendor, size, seed) -> FaultedSbrResult values."""
+    rows = []
+    for vendor in vendors:
+        for size in sizes:
+            result = values[(vendor, size, seed)]
+            rows.append(
+                [
+                    profile_class(vendor).display_name,
+                    f"{size // MB}MB",
+                    f"{result.clean_amplification:.0f}",
+                    f"{result.amplification:.0f}",
+                    f"{result.reamplification:.2f}x",
+                    result.total_faults,
+                    result.retries,
+                    result.exhausted_fetches,
+                    result.max_attempts,
+                ]
+            )
+    headers = ["CDN", "Size", "Clean factor", "Faulted factor", "Re-amp"]
+    headers += ["Faults", "Retries", "Exhausted", "Budget"]
+    title = f"Table VI - SBR under faults + vendor retries (seed {seed})"
+    return ("table6_faulted_sbr", title, headers, rows)
 
-    The one place each artifact's headers and cell formats are defined:
-    ``write_report`` writes these tables, ``repro run-all`` prints them
-    and ``repro report`` adds their markdown twins.  Table VII keeps its
-    own rendering (:func:`~repro.analysis.recommend.render_recommendations_table`).
-    """
-    from repro.reporting.paper_values import PAPER_TABLE4_FACTORS, PAPER_TABLE5
 
-    sizes = sorted(report.table4[0].factors) if report.table4 else []
-    tables: List[Table] = [
-        (
-            "table4_sbr_factors",
-            "Table IV - SBR amplification factors",
-            ["CDN", "Exploited Case"] + [f"{s // MB}MB (paper)" for s in sizes],
+def _fig7_table(results: Sequence[Any]) -> "Table":
+    """Fig 7 from the flood cells' BandwidthRunResults, in m order."""
+    return (
+        "fig7_bandwidth",
+        "Fig 7 - origin egress vs m",
+        ["m", "steady origin Mbps", "peak client Kbps", "saturated"],
+        [
             [
-                [
-                    row.display_name,
-                    " & ".join(row.exploited_cases),
-                    *(
-                        f"{row.factors[s]:.0f} "
-                        f"({PAPER_TABLE4_FACTORS[row.vendor].get(s, '-')})"
-                        for s in sizes
-                    ),
-                ]
-                for row in report.table4
-            ],
-        ),
-        (
-            "table5_obr_factors",
-            "Table V - OBR amplification factors",
-            ["FCDN", "BCDN", "Max n (paper)", "BCDN->FCDN B (paper)", "Factor (paper)"],
-            [
-                [
-                    row.fcdn,
-                    row.bcdn,
-                    f"{row.max_n} ({PAPER_TABLE5[(row.fcdn, row.bcdn)][0]})",
-                    f"{row.fcdn_bcdn_traffic} ({PAPER_TABLE5[(row.fcdn, row.bcdn)][2]})",
-                    f"{row.factor:.1f} ({PAPER_TABLE5[(row.fcdn, row.bcdn)][3]})",
-                ]
-                for row in report.table5
-            ],
-        ),
-    ]
-    if report.fig6:
-        tables.append(
-            (
-                "fig6a_amplification_factors",
-                "Fig 6a - SBR amplification factor vs resource size",
-                ["size"] + [series.vendor for series in report.fig6],
-                [
-                    [f"{size // MB}MB"]
-                    + [f"{series.factors[i]:.0f}" for series in report.fig6]
-                    for i, size in enumerate(report.fig6[0].sizes)
-                ],
-            )
-        )
-    if report.table_ccfc:
-        ccfc_sizes = sorted(report.table_ccfc[0].factors)
-        tables.append(
-            (
-                "table_ccfc",
-                "CCFC - compression-conversion amplification factors",
-                ["CDN", "Negotiated coding"]
-                + [f"{s // MB}MB factor" for s in ccfc_sizes],
-                [
-                    [
-                        row.display_name,
-                        row.encoding or "-",
-                        *(f"{row.factors[s]:.1f}" for s in ccfc_sizes),
-                    ]
-                    for row in report.table_ccfc
-                ],
-            )
-        )
-    if report.table_faults:
-        tables.append(
-            (
-                "table6_faulted_sbr",
-                f"Table VI - SBR under faults + vendor retries "
-                f"(seed {report.fault_seed})",
-                [
-                    "CDN",
-                    "Size",
-                    "Clean factor",
-                    "Faulted factor",
-                    "Re-amp",
-                    "Faults",
-                    "Retries",
-                    "Exhausted",
-                    "Budget",
-                ],
-                [
-                    [
-                        row.display_name,
-                        f"{row.resource_size // MB}MB",
-                        f"{row.clean_factor:.0f}",
-                        f"{row.faulted_factor:.0f}",
-                        f"{row.reamplification:.2f}x",
-                        row.faults,
-                        row.retries,
-                        row.exhausted_fetches,
-                        row.max_attempts,
-                    ]
-                    for row in report.table_faults
-                ],
-            )
-        )
-    tables.append(
-        (
-            "fig7_bandwidth",
-            "Fig 7 - origin egress vs m",
-            ["m", "steady origin Mbps", "peak client Kbps", "saturated"],
-            [
-                [
-                    result.m,
-                    f"{result.steady_origin_mbps:.1f}",
-                    f"{result.peak_client_kbps:.1f}",
-                    "yes" if result.saturated else "no",
-                ]
-                for result in report.fig7
-            ],
-        )
+                result.m,
+                f"{result.steady_origin_mbps:.1f}",
+                f"{result.peak_client_kbps:.1f}",
+                "yes" if result.saturated else "no",
+            ]
+            for result in results
+        ],
     )
-    return tables
 
 
 def write_report(
@@ -528,7 +407,7 @@ def write_report(
     from repro.reporting.render import write_tables
 
     target = Path(output_dir)
-    written = write_tables(report_tables(report), target)
+    written = write_tables(report.tables, target)
     if report.table7_recommendations is not None:
         from repro.analysis.recommend import render_recommendations_table
 

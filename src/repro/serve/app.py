@@ -24,7 +24,7 @@ with a half-written memo entry — and the items left over answer
 ``deadline_exceeded``.
 
 An exact item runs its family's clean wire simulation
-(:attr:`~repro.analysis.families.AttackFamily.simulate`) through the
+(:attr:`~repro.families.base.AttackFamily.simulate`) through the
 ``exact`` memo table; nothing here loads :mod:`repro.runner`.  That path
 sits behind the circuit breaker.  When the breaker refuses, or the
 simulation errors, the item still gets its closed-form answer plus
@@ -50,17 +50,12 @@ from typing import (
     cast,
 )
 
-from repro.analysis.families import (
-    FAMILIES,
-    FAMILIES_BY_NAME,
-    SHAPES,
-    AttackFamily,
-    Subject,
-)
+from repro.analysis.families import FAMILIES, FAMILIES_BY_NAME
 from repro.analysis.recommend import DEFAULT_THRESHOLD, recommend
 from repro.analysis.report import AnalysisReport, Finding
 from repro.cdn.vendors import all_vendor_names
 from repro.defense.ratelimit import TokenBucket
+from repro.families.base import SHAPES, AttackFamily, Subject
 from repro.http.headers import Headers
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.status import StatusCode
@@ -159,13 +154,16 @@ def _retry_after_header(retry_after_s: float) -> Tuple[str, str]:
     return ("Retry-After", str(seconds))
 
 
-#: Item error for a missing or doubled subject, e.g. ``item needs either
-#: "vendor" (SBR/CCFC) or "fcdn"+"bcdn" (OBR)``.
-_SUBJECT_ERROR = "item needs either " + " or ".join(
-    "+".join(f'"{name}"' for name in shape.fields)
-    + f" ({'/'.join(f.name.upper() for f in FAMILIES if f.shape is shape)})"
-    for shape in SHAPES
-)
+def _subject_error() -> str:
+    """Item error for a missing or doubled subject, e.g. ``item needs
+    either "vendor" (SBR/CCFC) or "fcdn"+"bcdn" (OBR)``."""
+    return "item needs either " + " or ".join(
+        "+".join(f'"{name}"' for name in shape.fields)
+        + f" ({'/'.join(f.name.upper() for f in FAMILIES if f.shape is shape)})"
+        for shape in SHAPES
+    )
+
+
 _SAFE_SKIPPED = "finding is safe: no amplification to measure"
 
 
@@ -393,7 +391,7 @@ class AnalysisService:
             shape for shape in SHAPES if any(name in raw for name in shape.fields)
         ]
         if len(shapes) != 1:
-            return _SUBJECT_ERROR
+            return _subject_error()
         shape = shapes[0]
         attack = raw.get("attack")
         if attack is None:
@@ -460,10 +458,10 @@ class AnalysisService:
 
         def compute() -> Dict[str, Any]:
             # Only the item's family's size matters to a one-finding report.
-            sizes: Dict[str, Any] = {f.size_kwarg: f.default_size for f in FAMILIES}
+            sizes = {f.size_kwarg: f.default_size for f in FAMILIES}
             sizes[item.family.size_kwarg] = item.size
-            report = AnalysisReport(findings=(finding,), **sizes)
-            result = recommend(threshold=item.threshold, report=report, **sizes)
+            report = AnalysisReport(findings=(finding,), sizes=sizes)
+            result = recommend(threshold=item.threshold, report=report)
             recommendation = result.recommendations[0]
             return {
                 "recommendation": recommendation.to_dict(),

@@ -16,6 +16,7 @@ from repro.analysis.callgraph import (
     CallGraphError,
     build_callgraph,
 )
+from repro.analysis.purity import default_config
 
 FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "purity_demo"
 
@@ -27,13 +28,7 @@ def demo() -> CallGraph:
 
 @pytest.fixture(scope="module")
 def repo() -> CallGraph:
-    return build_callgraph(
-        dispatch={
-            "repro.runner.experiments.execute_cell": [
-                "@registered:repro.runner.experiments"
-            ]
-        }
-    )
+    return build_callgraph(dispatch=default_config().dispatch_map())
 
 
 def _callees(graph: CallGraph, qualname: str) -> set:
@@ -161,7 +156,7 @@ class TestLiveRepoEdges:
 
     def test_registry_dispatch_reaches_cells(self, repo: CallGraph) -> None:
         callees = _callees(repo, "repro.runner.experiments.execute_cell")
-        assert "repro.runner.experiments._run_sbr_cell" in callees
+        assert "repro.families.sbr.measure_sbr" in callees
         assert "repro.runner.experiments._run_flood_cell" in callees
 
     def test_seeded_random_distinguished(self, repo: CallGraph) -> None:

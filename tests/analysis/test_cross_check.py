@@ -23,7 +23,7 @@ from repro.defense.mitigations import (
     with_laziness,
     with_overlap_rejection,
 )
-from repro.runner.runall import QUICK_TABLE5_COMBOS
+from repro.families.obr import QUICK_TABLE5_COMBOS
 
 MB = 1 << 20
 KB = 1 << 10

@@ -199,7 +199,7 @@ class TestObrRefusalFallback:
         return GridRunner(workers=1).run(plan.residual).outcomes[0]
 
     def test_static_max_n_zero_is_refused_and_simulated(self, obr_engine):
-        from repro.runner.experiments import obr_cell
+        from repro.families.obr import grid_cell as obr_cell
 
         # akamai does not forward the overlapping ranges unchanged, so the
         # static search finds no n; the wire probe search still admits one.
@@ -217,7 +217,7 @@ class TestObrRefusalFallback:
         self, fcdn, bcdn, size, obr_engine
     ):
         from repro.errors import ConfigurationError
-        from repro.runner.experiments import obr_cell
+        from repro.families.obr import grid_cell as obr_cell
 
         with pytest.raises(ExactModelError):
             obr_engine.measure(fcdn, bcdn, resource_size=size)
@@ -235,14 +235,9 @@ class TestObrRefusalFallback:
 
 class TestPlannerLayer:
     def _quick_grid(self):
-        from repro.runner.runall import QUICK_TABLE5_COMBOS, build_run_all_grid
+        from repro.runner.runall import build_run_all_grid
 
-        return build_run_all_grid(
-            fig6_sizes=(1 * MB, 2 * MB, 3 * MB),
-            table4_sizes=(1 * MB,),
-            table5_combos=QUICK_TABLE5_COMBOS,
-            fig7_ms=(2, 12, 15),
-        )
+        return build_run_all_grid(quick=True)
 
     def test_plan_partitions_quick_grid(self):
         from repro.runner.fastpath import FastPathPlanner

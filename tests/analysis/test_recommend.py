@@ -226,6 +226,36 @@ class TestJsonShape:
             assert faulted >= entry["chosen"]["residual_factor"]
 
 
+class TestReportSizes:
+    """``recommend(report=r)`` bounds the residuals at ``r``'s sizes."""
+
+    SIZES = dict(resource_size=1 * MB, obr_resource_size=4096, ccfc_resource_size=1 * MB)
+
+    def test_residuals_follow_the_report(self):
+        from_report = recommend(report=analyze_vendor_matrix(**self.SIZES))
+        assert from_report.sizes == self.SIZES
+        assert from_report.to_json() == recommend(**self.SIZES).to_json()
+        # The OBR cascades are where the default sizes would differ: at
+        # the default 1024 B this residual is 2.48.
+        chosen = {
+            r.subject: r.chosen.residual_factor
+            for r in from_report.recommendations
+            if r.chosen is not None
+        }
+        assert chosen["stackpath -> akamai"] == pytest.approx(1.43, abs=0.01)
+
+    def test_sizes_restating_the_report_are_accepted(self):
+        report = analyze_vendor_matrix(**self.SIZES)
+        assert recommend(report=report, **self.SIZES).sizes == report.sizes
+
+    def test_sizes_disagreeing_with_the_report_are_refused(self):
+        report = analyze_vendor_matrix(**self.SIZES)
+        with pytest.raises(ConfigurationError):
+            recommend(report=report, obr_resource_size=1024)
+        with pytest.raises(ConfigurationError):
+            recommend(report=report, obr_size=4096)
+
+
 class TestCliTable:
     def test_table_lists_every_finding_and_summary(self, capsys):
         assert main(["recommend"]) == 0

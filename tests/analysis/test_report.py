@@ -75,7 +75,7 @@ class TestVendorMatrixCoverage:
     def test_json_round_trips(self):
         report = analyze_vendor_matrix()
         decoded = json.loads(report.to_json())
-        assert decoded["resource_size"] == report.resource_size
+        assert decoded["resource_size"] == report.sizes["resource_size"]
         assert len(decoded["findings"]) == len(report.findings)
 
     def test_table_renders_every_finding(self):

@@ -23,7 +23,7 @@ from repro.core.practical import CLIENT_LINK, ORIGIN_LINK, BandwidthAttackSimula
 from repro.errors import SimulationError
 from repro.netsim.bandwidth import FluidSimulator, Link, LinkSample, Transfer
 from repro.obs.tracer import Tracer, use_tracer
-from repro.runner.memo import sbr_per_request_traffic
+from repro.families.sbr import measure_sbr
 
 MB = 1 << 20
 
@@ -181,7 +181,8 @@ class ChangeCountingOracle(ScanOracle):
 
 @pytest.fixture(scope="module")
 def per_request():
-    return sbr_per_request_traffic("cloudflare", 10 * MB)
+    probe = measure_sbr("cloudflare", 10 * MB)
+    return (probe.origin_traffic, probe.client_traffic)
 
 
 def _fig7_schedule(sim, m, origin_bytes, client_bytes):

@@ -12,7 +12,8 @@ reconstructible from any collected run.
 from repro.core.sbr import sbr_grid
 from repro.obs.metrics import MEMO_LOOKUPS, MetricsRegistry, use_metrics
 from repro.runner.executor import GridRunner
-from repro.runner.memo import Memo, clear_all_memos, measure_sbr, memo_stats
+from repro.families.sbr import measure_sbr
+from repro.runner.memo import Memo, clear_all_memos, memo_stats
 
 MB = 1 << 20
 

@@ -86,10 +86,8 @@ class TestRoundTrip:
         from repro.runner.runall import RunAllReport
 
         report = RunAllReport(
-            table4=[],
-            table5=[],
-            fig6=[],
-            fig7=[],
+            tables=[],
+            factors={},
             workers=1,
             duration_s=0.7,
             cell_seconds=0.66,

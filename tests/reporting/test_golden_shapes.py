@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.obr import ObrAttack
 from repro.core.sbr import SbrAttack
-from repro.runner.memo import measure_sbr
+from repro.families.sbr import measure_sbr
 
 MB = 1 << 20
 

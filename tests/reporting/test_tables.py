@@ -1,27 +1,22 @@
 """Integration tests for table/figure regeneration.
 
-Full-scale regeneration lives in the benchmarks; here the sweeps run
-through the grid runner on reduced vendor subsets / sizes, are assembled
-by the ``*_from_results`` functions, and are checked for structural
+Full-scale regeneration lives in the benchmarks; here the quick family
+sweeps run through the grid runner on reduced vendor subsets, are laid
+out by the sweeps' own tables, and are checked for structural
 correctness against the paper's membership and shape.
 """
 
 import pytest
 
 from repro.core.feasibility import survey
-from repro.core.obr import obr_grid
+from repro.core.obr import ObrAttack
 from repro.core.practical import flood_grid
-from repro.core.sbr import sbr_grid
-from repro.reporting.figures import Fig6Series, fig6_series_from_results
+from repro.families.obr import FAMILY as OBR
+from repro.families.sbr import FAMILY as SBR
 from repro.reporting.paper_values import PAPER_TABLE5
-from repro.reporting.tables import (
-    table1_rows,
-    table2_rows,
-    table3_rows,
-    table4_rows_from_results,
-    table5_rows_from_results,
-)
+from repro.reporting.tables import table1_rows, table2_rows, table3_rows
 from repro.runner.executor import GridRunner
+from repro.runner.grid import ExperimentGrid
 
 MB = 1 << 20
 
@@ -71,45 +66,55 @@ class TestTable3:
         assert akamai.part_limit is None
 
 
+def _sweep_values(sweep):
+    return _run(ExperimentGrid("sweep", sweep.cells))
+
+
 class TestTable4:
     def test_row_structure(self):
-        vendors, sizes = ["akamai", "keycdn"], (1 * MB, 2 * MB)
-        rows = table4_rows_from_results(_run(sbr_grid(vendors, sizes)), vendors, sizes)
-        assert len(rows) == 2
-        akamai = rows[0]
-        assert akamai.factors[2 * MB] > akamai.factors[1 * MB]
-        assert akamai.client_traffic[1 * MB] < 1500
-        assert akamai.origin_traffic[1 * MB] > 1 * MB
-        keycdn = rows[1]
-        assert keycdn.exploited_cases == ("bytes=0-0", "bytes=0-0")
+        sweep = SBR.sweep(["akamai", "keycdn"], True)
+        values = _sweep_values(sweep)
+        stem, _, headers, rows = sweep.tables(values)[0]
+        assert stem == "table4_sbr_factors"
+        assert headers == ["CDN", "Exploited Case", "1MB (paper)"]
+        assert [row[0] for row in rows] == ["Akamai", "KeyCDN"]
+        assert rows[1][1] == "bytes=0-0 & bytes=0-0"
+        akamai = values[("akamai", 2 * MB)]
+        assert akamai.amplification > values[("akamai", 1 * MB)].amplification
+        assert values[("akamai", 1 * MB)].client_traffic < 1500
+        assert values[("akamai", 1 * MB)].origin_traffic > 1 * MB
 
 
 class TestTable5:
     def test_single_combination(self):
-        combos = [("cdn77", "azure")]
-        rows = table5_rows_from_results(_run(obr_grid(combos)), combos)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row.max_n == 64
+        sweep = OBR.sweep([], True)
+        values = _sweep_values(sweep)
+        (stem, _, _, rows), = sweep.tables(values)
+        assert stem == "table5_obr_factors"
+        row = next(row for row in rows if row[:2] == ["cdn77", "azure"])
+        assert row[2] == "64 (64)"
         paper = PAPER_TABLE5[("cdn77", "azure")]
-        assert row.factor == pytest.approx(paper[3], rel=0.25)
-        assert row.exploited_case_prefix.startswith("bytes=-1024,0-")
+        assert values[("cdn77", "azure")].amplification == pytest.approx(
+            paper[3], rel=0.25
+        )
+        assert ObrAttack("cdn77", "azure").range_value(3).startswith("bytes=-1024,0-")
 
 
 class TestFig6:
     def test_series_structure(self):
-        vendors, sizes = ["gcore"], (1 * MB, 2 * MB, 3 * MB)
-        series = fig6_series_from_results(_run(sbr_grid(vendors, sizes)), vendors, sizes)
-        assert len(series) == 1
-        curve = series[0]
-        assert isinstance(curve, Fig6Series)
-        assert len(curve.factors) == 3
+        sweep = SBR.sweep(["gcore"], True)
+        values = _sweep_values(sweep)
+        stem, _, headers, rows = sweep.tables(values)[1]
+        assert stem == "fig6a_amplification_factors"
+        assert headers == ["size", "gcore"]
+        assert [row[0] for row in rows] == ["1MB", "2MB", "3MB"]
+        curve = [values[("gcore", m * MB)] for m in (1, 2, 3)]
         # Fig 6a: monotone growth for a plain-deletion vendor.
-        assert curve.factors[0] < curve.factors[1] < curve.factors[2]
+        assert curve[0].amplification < curve[1].amplification < curve[2].amplification
         # Fig 6b: flat, small client traffic.
-        assert max(curve.client_traffic) <= 1500
+        assert max(r.client_traffic for r in curve) <= 1500
         # Fig 6c: origin traffic tracks the resource size.
-        assert curve.origin_traffic[2] == pytest.approx(3 * MB, rel=0.01)
+        assert curve[2].origin_traffic == pytest.approx(3 * MB, rel=0.01)
 
 
 class TestFig7:

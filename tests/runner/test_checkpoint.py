@@ -6,7 +6,8 @@ import pytest
 
 from repro.runner.checkpoint import RunCheckpoint, cell_digest
 from repro.runner.executor import GridRunner
-from repro.runner.experiments import register, sbr_cell
+from repro.families.sbr import grid_cell as sbr_cell
+from repro.runner.experiments import register
 from repro.runner.grid import ExperimentCell, ExperimentGrid
 
 KB = 1 << 10

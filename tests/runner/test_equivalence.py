@@ -15,9 +15,10 @@ from repro.cdn.vendors import all_vendor_names
 from repro.core.obr import ObrAttack, obr_grid
 from repro.core.practical import flood_grid
 from repro.core.sbr import SbrAttack, sbr_grid
-from repro.reporting.tables import table4_rows_from_results, table5_rows_from_results
+from repro.families.obr import FAMILY as OBR
+from repro.families.sbr import FAMILY as SBR
+from repro.families.sbr import grid_cell as sbr_cell
 from repro.runner.executor import CellFailure, GridRunner, RunnerCellError
-from repro.runner.experiments import sbr_cell
 from repro.runner.grid import ExperimentGrid
 from repro.runner.memo import clear_all_memos
 
@@ -92,34 +93,29 @@ def test_equivalence_holds_when_a_cell_raises():
 
 
 def test_table4_rows_parallel_identical_to_legacy_serial():
-    """The reporting surface: rows from a pool run == rows from direct,
-    in-process attack runs (the serial reference, kept here)."""
-    vendors, sizes = all_vendor_names(), (1 * MB,)
-    result = GridRunner(workers=4).run(sbr_grid(vendors, sizes))
+    """The reporting surface: tables from a pool run == tables from
+    direct, in-process attack runs (the serial reference, kept here)."""
+    sweep = SBR.sweep(all_vendor_names(), True)
+    result = GridRunner(workers=4).run(ExperimentGrid("sbr", sweep.cells))
     result.values()
-    parallel = table4_rows_from_results(result.value_by_key(), vendors, sizes)
-    serial = table4_rows_from_results(
-        {
-            (name, size): SbrAttack(name, resource_size=size).run()
-            for name in vendors
-            for size in sizes
-        },
-        vendors,
-        sizes,
-    )
-    assert parallel == serial
+    serial = {
+        (name, size): SbrAttack(name, resource_size=size).run()
+        for name, size in (cell.key for cell in sweep.cells)
+    }
+    assert result.value_by_key() == serial
+    assert sweep.tables(result.value_by_key()) == sweep.tables(serial)
 
 
 def test_table5_rows_parallel_identical_to_legacy_serial():
-    combos = [("cloudflare", "akamai"), ("stackpath", "azure")]
-    result = GridRunner(workers=4).run(obr_grid(combos))
+    sweep = OBR.sweep(all_vendor_names(), True)
+    result = GridRunner(workers=4).run(ExperimentGrid("obr", sweep.cells))
     result.values()
-    parallel = table5_rows_from_results(result.value_by_key(), combos)
-    serial = table5_rows_from_results(
-        {(fcdn, bcdn): ObrAttack(fcdn, bcdn).run() for fcdn, bcdn in combos},
-        combos,
-    )
-    assert parallel == serial
+    serial = {
+        (fcdn, bcdn): ObrAttack(fcdn, bcdn).run()
+        for fcdn, bcdn in (cell.key for cell in sweep.cells)
+    }
+    assert result.value_by_key() == serial
+    assert sweep.tables(result.value_by_key()) == sweep.tables(serial)
 
 
 def test_serial_env_var_forces_serial_execution(monkeypatch):

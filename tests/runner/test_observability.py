@@ -23,7 +23,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.runner.executor import CellFailure, CellOutcome, CellTiming, GridRunner
-from repro.runner.experiments import obr_cell, sbr_cell
+from repro.families.obr import grid_cell as obr_cell
+from repro.families.sbr import grid_cell as sbr_cell
 from repro.runner.grid import ExperimentGrid
 from repro.runner.memo import clear_all_memos
 from repro.runner.runall import build_run_all_grid, run_all
@@ -215,14 +216,7 @@ class TestRunAllHarvest:
         return run_all(workers=2, quick=True, vendors=["gcore"], collect_obs=True)
 
     def test_profile_lists_every_grid_cell(self, report):
-        grid = build_run_all_grid(
-            vendors=["gcore"],
-            fig6_sizes=(1 * MB, 2 * MB, 3 * MB),
-            table4_sizes=(1 * MB,),
-            table5_combos=[("cloudflare", "akamai"), ("cdn77", "azure")],
-            fig7_ms=(2, 12, 15),
-            ccfc_sizes=(1 * MB,),
-        )
+        grid = build_run_all_grid(vendors=["gcore"], quick=True)
         assert [c.label for c in report.cells] == [c.label for c in grid.cells]
         assert len(report.cells) == report.cell_count
         assert all(cell.ok for cell in report.cells)

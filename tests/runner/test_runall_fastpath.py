@@ -56,10 +56,8 @@ class TestGoldenArtifacts:
     def test_fast_and_exact_reports_agree_on_every_value(
         self, fast_report, exact_report
     ):
-        assert fast_report.table4 == exact_report.table4
-        assert fast_report.table5 == exact_report.table5
-        assert fast_report.fig6 == exact_report.fig6
-        assert fast_report.fig7 == exact_report.fig7
+        assert fast_report.factors == exact_report.factors
+        assert fast_report.tables == exact_report.tables
         assert (
             fast_report.table7_recommendations
             == exact_report.table7_recommendations

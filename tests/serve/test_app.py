@@ -290,12 +290,12 @@ class TestUntrustedItems:
         assert "finding" in result or result["error"].startswith("invalid item: ")
 
     def test_only_the_requested_family_is_analyzed(self, monkeypatch):
-        import repro.analysis.families as families
+        import repro.families.ccfc as ccfc
 
         def refuse(*args, **kwargs):
             raise AssertionError("CCFC analyzed for an SBR item")
 
-        monkeypatch.setattr(families, "classify_ccfc", refuse)
+        monkeypatch.setattr(ccfc, "classify_ccfc", refuse)
         service = AnalysisService()
         response = service.handle(
             batch_request("/v1/analyze", [{"vendor": "cloudflare", "size": MB}])

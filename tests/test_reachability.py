@@ -23,7 +23,7 @@ import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -182,6 +182,42 @@ def test_serve_imports_load_no_other_command():
     assert not set(SERVE_UNUSED) & set(loaded)
 
 
+#: What the e2e simulate workload imports before it is timed.
+SIMULATE_MODULES = (
+    "repro.core.sbr",
+    "repro.core.obr",
+    "repro.core.ccfc",
+    "repro.analysis.bounds",
+    "repro.runner.executor",
+    "repro.runner.grid",
+)
+
+
+def test_simulate_imports_load_no_family_module():
+    # The exact grid needs the attacks and the runner, not the analysis
+    # layer: no family module, no report, no mitigation wrappers.
+    code = (
+        f"import sys, {', '.join(SIMULATE_MODULES)}; "
+        "print('\\n'.join(sorted(m for m in sys.modules if m.startswith('repro'))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = result.stdout.split()
+    assert set(SIMULATE_MODULES) <= set(loaded)
+    assert not [
+        m
+        for m in loaded
+        if m == "repro.analysis.families" or m.startswith("repro.families")
+    ]
+    assert "repro.analysis.report" not in loaded
+    assert "repro.defense.mitigations" not in loaded
+
+
 def test_serve_answers_exact_items_without_the_runner():
     code = (
         "import json, sys\n"
@@ -235,8 +271,6 @@ UNSET_DEFAULTS_ALLOWED = {
     "repro.obs.runlog:record_from_recommendations(clock)": (
         "the injected-clock facade its sibling record builders share"
     ),
-    "repro.runner.experiments:sbr_cell(rounds)": "checkpoints journal it as part of the cell identity",
-    "repro.runner.experiments:ccfc_cell(rounds)": "checkpoints journal it as part of the cell identity",
     "repro.obs.metrics:Histogram.__init__(buckets)": (
         "set through MetricsRegistry._get_or_create's factory call"
     ),
@@ -260,12 +294,95 @@ def _name(expr: ast.expr) -> Optional[str]:
     return None
 
 
+def _literal_keys(value: Optional[ast.expr]) -> Optional[Set[str]]:
+    """The keys of a ``{"k": ...}`` or ``dict(k=...)`` literal; ``None``
+    for anything else (a comprehension, a splat inside, a computed key)."""
+    if isinstance(value, ast.Dict):
+        keys = [key.value if isinstance(key, ast.Constant) else None for key in value.keys]
+        return set(keys) if all(isinstance(key, str) for key in keys) else None
+    if (
+        isinstance(value, ast.Call)
+        and _name(value.func) == "dict"
+        and not value.args
+        and all(kw.arg is not None for kw in value.keywords)
+    ):
+        return {kw.arg for kw in value.keywords if kw.arg is not None}
+    return None
+
+
+def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """Every node of ``scope``'s own body, not of the functions,
+    lambdas and classes nested in it."""
+    for child in ast.iter_child_nodes(scope):
+        yield child
+        if not isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+        ):
+            yield from _scope_nodes(child)
+
+
+def _scope_keys(scope: ast.AST, name: str) -> Tuple[bool, Optional[Set[str]]]:
+    """Whether ``scope`` binds ``name`` and, if it does, the keys of the
+    dict literals bound to it there (``None`` when ``name`` is also a
+    parameter, bound another way, or stored into)."""
+    keys: Set[str] = set()
+    literal_targets: Set[int] = set()
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        arguments = scope.args
+        params = arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+        params += [arg for arg in (arguments.vararg, arguments.kwarg) if arg is not None]
+        if any(param.arg == name for param in params):
+            return True, None
+    for node in _scope_nodes(scope):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id == name:
+                    literal = _literal_keys(node.value)
+                    if literal is None:
+                        return True, None
+                    keys |= literal
+                    literal_targets.add(id(target))
+        if (
+            isinstance(node, ast.Name)
+            and node.id == name
+            and isinstance(node.ctx, ast.Store)
+            and id(node) not in literal_targets
+        ):
+            return True, None  # bound by a loop, ``with``, augmented assignment...
+        if (
+            isinstance(node, (ast.Subscript, ast.Attribute))
+            and isinstance(node.value, ast.Name)
+            and node.value.id == name
+            and (isinstance(node.ctx, ast.Store) or isinstance(node, ast.Attribute))
+        ):
+            return True, None  # ``name[k] = v`` or ``name.update(...)``
+    return bool(literal_targets), keys
+
+
+def _splat_keys(scopes: Sequence[ast.AST], name: str) -> Optional[Set[str]]:
+    """The keywords a ``**name`` splat sets, from the innermost of
+    ``scopes`` (enclosing functions, then the module) that binds
+    ``name``; ``None`` (it may set anything) when that binding is not a
+    dict literal, or nothing binds it."""
+    for scope in scopes:
+        bound, keys = _scope_keys(scope, name)
+        if bound:
+            return keys
+    return None
+
+
 def _calls_by_name(tree: ast.AST) -> Dict[str, List[_Call]]:
     """Every call in ``tree`` under the name it calls.  ``cls(...)`` in a
-    class body calls that class and ``super().__init__(...)`` its bases."""
+    class body calls that class and ``super().__init__(...)`` its bases.
+    A ``**name`` splat sets the keys of the dict literal bound to
+    ``name`` in the same function (or module); any other splat may set
+    every parameter."""
     calls: Dict[str, List[_Call]] = {}
 
-    def visit(node: ast.AST, cls: Optional[ast.ClassDef]) -> None:
+    def visit(
+        node: ast.AST, cls: Optional[ast.ClassDef], scopes: Tuple[ast.AST, ...]
+    ) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 func = child.func
@@ -280,18 +397,35 @@ def _calls_by_name(tree: ast.AST) -> Dict[str, List[_Call]]:
                     and _name(func.value.func) == "super"
                 ):
                     names = [_name(base) for base in cls.bases]
+                keywords = {kw.arg for kw in child.keywords if kw.arg is not None}
+                splat = any(isinstance(arg, ast.Starred) for arg in child.args)
+                for kw in child.keywords:
+                    if kw.arg is None:
+                        splatted = (
+                            _splat_keys(scopes, kw.value.id)
+                            if isinstance(kw.value, ast.Name)
+                            else None
+                        )
+                        if splatted is None:
+                            splat = True
+                        else:
+                            keywords |= splatted
                 call = (
-                    {kw.arg for kw in child.keywords if kw.arg is not None},
+                    keywords,
                     sum(not isinstance(arg, ast.Starred) for arg in child.args),
-                    any(isinstance(arg, ast.Starred) for arg in child.args)
-                    or any(kw.arg is None for kw in child.keywords),
+                    splat,
                 )
                 for name in names:
                     if name is not None:
                         calls.setdefault(name, []).append(call)
-            visit(child, child if isinstance(child, ast.ClassDef) else cls)
+            function = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            visit(
+                child,
+                child if isinstance(child, ast.ClassDef) else cls,
+                (child, *scopes) if isinstance(child, function) else scopes,
+            )
 
-    visit(tree, None)
+    visit(tree, None, (tree,))
     return calls
 
 
