@@ -5,8 +5,9 @@ compares the measured amplification factor with the paper's, enforcing
 the per-vendor tolerance bands documented in EXPERIMENTS.md.
 """
 
+from repro.analysis.classify import exploited_range_cases
 from repro.cdn.vendors import all_vendor_names, profile_class
-from repro.core.sbr import exploited_range_cases, sbr_grid
+from repro.core.sbr import sbr_grid
 from repro.reporting.paper_values import PAPER_TABLE4_FACTORS
 from repro.reporting.render import render_table
 

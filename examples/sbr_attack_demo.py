@@ -14,10 +14,11 @@ configuration, where the vendor has one.
 
 import sys
 
+from repro.analysis.classify import exploited_range_cases
 from repro.cdn.vendors import all_vendor_names
 from repro.cdn.vendors.base import VendorConfig
 from repro.core.deployment import Deployment
-from repro.core.sbr import SbrAttack, exploited_range_cases
+from repro.core.sbr import SbrAttack
 from repro.netsim.tap import CDN_ORIGIN
 from repro.origin.server import OriginServer
 from repro.reporting.render import render_sparkline, render_table

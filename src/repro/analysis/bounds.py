@@ -13,36 +13,51 @@ for every cell of the run-all grid,
 ``simulated factor <= bound.factor``.  Numerators are over-estimated
 (header allowances added, per-fetch framing and handshake included) and
 denominators under-estimated (body bytes ignored, padding slack
-subtracted), so the ratio can only be pessimistic.
+subtracted), so the ratio can only be pessimistic.  The OBR max-n solve
+and the exact CCFC mirror live here too; the wire attacks call them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.analysis.classify import ProfileFactory
+from repro.analysis.classify import (
+    MAX_OVERLAPS,
+    TARGET_HOST,
+    ProfileFactory,
+    exploited_leading_spec,
+    exploited_range_cases,
+    exploited_request,
+    forwarded_verbatim,
+)
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.vendors import create_profile
 from repro.cdn.vendors.azure import DEFAULT_ABORT_SLOP, EIGHT_MB, WINDOW_LAST
-from repro.cdn.vendors.base import VendorContext, VendorProfile
-from repro.cdn.vendors.cloudfront import MULTI_RANGE_WINDOW_CAP
-from repro.core.obr import (
-    MAX_OVERLAPS,
-    declared_max_n,
-    exploited_request,
-    forwarded_verbatim,
-    largest_admitted,
+from repro.cdn.vendors.base import (
+    VendorContext,
+    VendorProfile,
+    convert_encoded_response,
+    finalize_client_response,
 )
+from repro.cdn.vendors.cloudfront import MULTI_RANGE_WINDOW_CAP
+from repro.core.amplification import AmplificationReport
+from repro.core.cachebusting import CacheBuster
 from repro.errors import (
     ConfigurationError,
     RangeNotSatisfiableError,
     RequestRejectedError,
 )
-from repro.http.message import HttpRequest
+from repro.http.encoding import IDENTITY, accepts_encoding
+from repro.http.grammar import obr_value_size
+from repro.http.headers import Headers
+from repro.http.message import HttpRequest, HttpResponse
 from repro.http.ranges import RangeSpecifier, try_parse_range_header
 from repro.netsim.overhead import NullOverheadModel, OverheadModel, TcpOverheadModel
+from repro.netsim.tap import CDN_ORIGIN, CLIENT_CDN, SegmentStats
 from repro.obs.memo import Memo
+from repro.origin.resource import Resource
+from repro.origin.server import OriginServer
 
 MB = 1 << 20
 
@@ -129,8 +144,6 @@ def sbr_bound(
     ``client-cdn`` response traffic from the calibrated header-padding
     targets.
     """
-    from repro.core.sbr import exploited_range_cases
-
     model = overhead if overhead is not None else NullOverheadModel()
     cases = exploited_range_cases(vendor, resource_size)
     fetches = _fetch_plan(vendor, resource_size)
@@ -198,8 +211,6 @@ def profile_sbr_bound(
     remove).  Raw registry profiles with custom fetch flows (Azure,
     KeyCDN, StackPath) are *not* admissible here; use :func:`sbr_bound`.
     """
-    from repro.core.sbr import exploited_range_cases
-
     cases = exploited_range_cases(vendor, resource_size)
     profile = profile_factory()
     # One decision per case on one instance, mirroring the request order
@@ -409,6 +420,87 @@ class ObrBound:
         return self.victim_bytes_upper / self.attacker_bytes_lower
 
 
+def declared_max_n(
+    fcdn: str,
+    bcdn: str,
+    resource_size: int,
+    fcdn_profile: Optional[ProfileFactory] = None,
+    bcdn_profile: Optional[ProfileFactory] = None,
+) -> Optional[int]:
+    """The largest ``n`` the cascade's declared header limits admit.
+
+    The minimum of the front's :meth:`~repro.cdn.limits.HeaderLimits.range_cap`
+    on the client request and — when the front forwards the exploited
+    header verbatim — the back's ``range_cap`` on the upstream request
+    and its reply-part cap.  The RFC 7233 guard of a mitigated profile
+    declares its overlap cap (``max_overlapping_ranges``), so guarded
+    cascades are solved too.  0 when the front rewrites the header;
+    ``None`` when no declared limit binds (only opaque predicates, or
+    none).  Monotone probes still decide: :func:`largest_admitted` takes
+    this as its first guess and certifies it.  ``fcdn_profile`` /
+    ``bcdn_profile`` substitute wrapped (mitigated) profiles.
+    """
+    front = fcdn_profile() if fcdn_profile is not None else create_profile(fcdn)
+    back = bcdn_profile() if bcdn_profile is not None else create_profile(bcdn)
+    count = 2
+    request = exploited_request(fcdn, count)
+    leading = exploited_leading_spec(fcdn)
+    step = obr_value_size(count + 1, leading=leading) - obr_value_size(count, leading=leading)
+    upstream = forwarded_verbatim(fcdn, front, request, resource_size)
+    if upstream is None:
+        return 0
+    caps = [
+        front.limits.range_cap(request, count, step),
+        back.limits.range_cap(upstream, count, step),
+        back.reply_max_parts,
+    ]
+    declared = [cap for cap in caps if cap is not None]
+    return min(declared) if declared else None
+
+
+def largest_admitted(
+    admits: Callable[[int], bool],
+    lower: int,
+    upper: int,
+    guess: Optional[int] = None,
+) -> int:
+    """The largest ``n`` in ``[lower, upper]`` that ``admits``, or 0.
+
+    ``admits`` must be monotone (true up to the boundary, false past
+    it).  ``guess`` — the solved cap (:func:`declared_max_n`), clamped
+    into ``[lower, upper]``; ``upper`` when absent — is certified with
+    two probes: it is the answer when ``admits(guess)`` holds and
+    ``admits(guess + 1)`` does not.  When an undeclared guard binds
+    below the guess, the search gallops up from ``lower`` (``lower``,
+    ``2·lower``, …) and bisects, so small answers cost only small
+    probes; when the guess proves too low it bisects above it.
+    """
+    guess = upper if guess is None else min(max(guess, lower), upper)
+    if admits(guess):
+        if guess == upper or not admits(guess + 1):
+            return guess
+        if admits(upper):
+            return upper
+        low, high = guess + 1, upper  # admits(low), not admits(high)
+    else:
+        if guess == lower or not admits(lower):
+            return 0
+        low, high = lower, guess
+        probe = max(2 * low, low + 1)
+        while probe < high:
+            if not admits(probe):
+                high = probe
+                break
+            low, probe = probe, 2 * probe
+    while high - low > 1:
+        middle = (low + high) // 2
+        if admits(middle):
+            low = middle
+        else:
+            high = middle
+    return low
+
+
 #: Registry-vendor :func:`static_max_n` searches, by argument tuple.
 _MAX_N_MEMO = Memo(maxsize=1024, name="static_max_n")
 
@@ -426,7 +518,7 @@ def static_max_n(
 
     Runs :meth:`~repro.core.obr.ObrAttack.find_max_n`'s search without
     any deployment: the cap is solved from the cascade's declared limits
-    (:func:`~repro.core.obr.declared_max_n`) and certified by
+    (:func:`declared_max_n`) and certified by
     :func:`_static_probe` at ``n`` and ``n + 1``.  A probe survives when
     the FCDN's ingress limits admit the client request, the FCDN's
     decision table forwards the Range header verbatim, the BCDN's ingress
@@ -582,17 +674,211 @@ def _part_overhead_upper(boundary: str, content_type: str, resource_size: int) -
     return delimiter + ct_line + cr_line + blank + trailing
 
 
+# ---------------------------------------------------------------------------
+# CCFC
+# ---------------------------------------------------------------------------
+
+#: Content codings the attacker's origin pre-compresses, ordered by how
+#: hard they shrink (br beats gzip on the attack payload).
+ATTACK_ENCODINGS: Tuple[str, ...] = ("br", "gzip")
+
+#: The Accept-Encoding the CCFC attacker declares: identity-only, so a
+#: rewriting CDN that fetched br/gzip must inflate at the edge.
+CLIENT_ACCEPT_ENCODING = IDENTITY
+
+#: Where the CCFC attacker's origin hosts the payload (requested under
+#: :data:`~repro.analysis.classify.TARGET_HOST`).
+CCFC_TARGET_PATH = "/target.bin"
+
+
+def default_attack_encodings(profile: VendorProfile, resource_size: int) -> Dict[str, int]:
+    """The pre-compressed variants the attacker's origin hosts, sized by
+    the profile's per-format compression ratios."""
+    return {
+        coding: profile.compressed_size(coding, resource_size)
+        for coding in ATTACK_ENCODINGS
+    }
+
+
+def negotiated_encoding(
+    profile: VendorProfile, encodings: Mapping[str, int]
+) -> Optional[str]:
+    """The coding the origin picks for one attack request, or ``None``.
+
+    Mirrors the origin's smallest-acceptable-variant negotiation as seen
+    through the profile's upstream ``Accept-Encoding`` rewrite: a
+    stripped header (``None`` upstream) or one that only accepts
+    identity yields no non-identity variant.
+    """
+    upstream = profile.upstream_accept_encoding(CLIENT_ACCEPT_ENCODING)
+    if upstream is None:
+        return None
+    candidates = [
+        (size, coding)
+        for coding, size in encodings.items()
+        if coding.lower() != IDENTITY and accepts_encoding(upstream, coding)
+    ]
+    if not candidates:
+        return None
+    return min(candidates)[1]
+
+
+@dataclass(frozen=True)
+class CcfcResult:
+    """Outcome of one CCFC measurement."""
+
+    vendor: str
+    resource_size: int
+    rounds: int
+    #: Coding the origin served (``None`` when negotiation fell back to
+    #: the identity representation — the safe vendors).
+    encoding: Optional[str]
+    #: Response traffic the CDN pushed to the client on client-cdn (bytes).
+    client_traffic: int
+    #: Response traffic the origin pushed on cdn-origin (bytes).
+    origin_traffic: int
+    #: HTTP statuses of the client-side responses.
+    statuses: Tuple[int, ...]
+    report: AmplificationReport
+
+    @property
+    def amplification(self) -> float:
+        return self.report.factor
+
+
+def ccfc_mirror(
+    vendor: str,
+    resource_size: int,
+    overhead: Optional[OverheadModel] = None,
+    profile_factory: Optional[ProfileFactory] = None,
+) -> CcfcResult:
+    """Closed-form replay of one round of
+    :meth:`~repro.core.ccfc.CcfcAttack.run` without a deployment.
+
+    Every byte-defining step goes through the same code the live
+    pipeline runs — the profile's ``fetch`` flow against a real origin,
+    :func:`~repro.cdn.vendors.base.convert_encoded_response`, and
+    :func:`~repro.cdn.vendors.base.finalize_client_response` — but
+    bodies stay synthetic and no ledger objects are built, so the cost
+    is message-header work regardless of resource size.
+    """
+    profile = profile_factory() if profile_factory is not None else create_profile(vendor)
+    config = profile.effective_config()
+    model = overhead if overhead is not None else NullOverheadModel()
+    encodings = default_attack_encodings(profile, resource_size)
+    origin = OriginServer()
+    resource = origin.add_resource(
+        Resource(path=CCFC_TARGET_PATH, body=resource_size, encodings=encodings)
+    )
+    setup = model.connection_setup_bytes()
+
+    upstream_connections = 0
+    upstream_request_bytes = 0
+    upstream_sent = 0
+    upstream_delivered = 0
+
+    def exchange(
+        upstream_request: HttpRequest,
+        payload_cap: Optional[int] = None,
+        note: str = "",
+    ) -> HttpResponse:
+        # One fresh upstream connection per exchange, accounted the
+        # way Connection.exchange + CdnNode._exchange_once do.
+        nonlocal upstream_connections, upstream_request_bytes
+        nonlocal upstream_sent, upstream_delivered
+        response = origin.handle(upstream_request)
+        upstream_connections += 1
+        upstream_request_bytes += model.framed_size(upstream_request.wire_size())
+        sent = model.framed_size(response.wire_size()) + setup
+        if payload_cap is None:
+            delivered = sent
+        else:
+            cap = response.header_block_size() + max(0, payload_cap)
+            delivered = min(sent, max(0, cap))
+        upstream_sent += sent
+        upstream_delivered += delivered
+        if delivered < sent:
+            received = response.copy()
+            received.body = response.body.slice(
+                0, max(0, delivered - response.header_block_size())
+            )
+            return received
+        return response
+
+    # The attack request, built exactly like ``Client.get`` does.
+    headers = Headers([("Host", TARGET_HOST)])
+    headers.add("Accept-Encoding", CLIENT_ACCEPT_ENCODING)
+    request = HttpRequest(
+        method="GET", target=CacheBuster().bust(CCFC_TARGET_PATH), headers=headers
+    )
+    ctx = VendorContext(config=config, resource_size_hint=resource.size)
+    result = profile.fetch(request, None, ctx, exchange)
+    if result.passthrough is None:
+        raise ConfigurationError(
+            "CCFC mirror models the lazy passthrough fetch flow only; "
+            f"profile {profile.name!r} returned a content window"
+        )
+    passthrough = convert_encoded_response(
+        profile,
+        result.passthrough,
+        resource.size,
+        request.headers.get("Accept-Encoding"),
+    )
+    if int(passthrough.status) >= 300:
+        response = passthrough.copy()
+        response.headers.set("Server", profile.server_header)
+    else:
+        response = finalize_client_response(profile, passthrough.copy())
+    client_sent = model.framed_size(response.wire_size()) + setup
+
+    segments: Dict[str, SegmentStats] = {
+        CLIENT_CDN: SegmentStats(
+            segment=CLIENT_CDN,
+            connection_count=1,
+            exchange_count=1,
+            request_bytes=model.framed_size(request.wire_size()),
+            response_bytes_sent=client_sent,
+            response_bytes_delivered=client_sent,
+        )
+    }
+    if upstream_connections:
+        segments[CDN_ORIGIN] = SegmentStats(
+            segment=CDN_ORIGIN,
+            connection_count=upstream_connections,
+            exchange_count=upstream_connections,
+            request_bytes=upstream_request_bytes,
+            response_bytes_sent=upstream_sent,
+            response_bytes_delivered=upstream_delivered,
+        )
+    report = AmplificationReport(
+        attacker_bytes=upstream_delivered if upstream_connections else 0,
+        victim_bytes=client_sent,
+        attacker_segment=CDN_ORIGIN,
+        victim_segment=CLIENT_CDN,
+        segments=segments,
+    )
+    return CcfcResult(
+        vendor=vendor,
+        resource_size=resource_size,
+        rounds=1,
+        encoding=negotiated_encoding(profile, encodings),
+        client_traffic=report.victim_bytes,
+        origin_traffic=report.attacker_bytes,
+        statuses=(response.status,),
+        report=report,
+    )
+
+
 @dataclass(frozen=True)
 class CcfcBound:
     """Static worst-case bound for one CCFC cell (vendor × size).
 
     Unlike the SBR/OBR bounds, which over/under-estimate independently,
-    the CCFC numbers are **exact**: they come from the closed-form
-    mirror in :meth:`repro.core.ccfc.CcfcAttack.mirror`, which replays
-    the byte-defining code paths (the profile's fetch flow, a real
-    origin, the node's conversion/finalize helpers) at O(1) cost in the
-    resource size.  ``bound == simulated factor`` therefore holds with
-    equality on every cell, pinned by the cross-check tests.
+    the CCFC numbers are **exact**: they come from :func:`ccfc_mirror`,
+    which replays the byte-defining code paths (the profile's fetch
+    flow, a real origin, the edge's conversion/finalize helpers) at O(1)
+    cost in the resource size.  ``bound == simulated factor`` therefore
+    holds with equality on every cell, pinned by the cross-check tests.
     """
 
     vendor: str
@@ -625,14 +911,7 @@ def profile_ccfc_bound(
     a factory bounds the wrapped/mitigated profile under the same
     attack request (the recommendation engine's residual).
     """
-    from repro.core.ccfc import CcfcAttack
-
-    result = CcfcAttack(
-        vendor,
-        resource_size=resource_size,
-        overhead=overhead,
-        profile_factory=profile_factory,
-    ).mirror()
+    result = ccfc_mirror(vendor, resource_size, overhead, profile_factory)
     return CcfcBound(
         vendor=vendor,
         resource_size=resource_size,
@@ -649,24 +928,3 @@ def ccfc_bound(
 ) -> CcfcBound:
     """Closed-form CCFC amplification for one registry vendor × size."""
     return profile_ccfc_bound(vendor, None, resource_size, overhead=overhead)
-
-
-__all__ = [
-    "CDN_HEADER_ALLOWANCE",
-    "MULTIPART_CLOSER_ALLOWANCE",
-    "MULTIPART_PART_ALLOWANCE",
-    "ORIGIN_HEADER_ALLOWANCE",
-    "PAD_HEADER_SLACK",
-    "RESPONSE_WIRE_FLOOR",
-    "CcfcBound",
-    "FaultedSbrBound",
-    "ObrBound",
-    "SbrBound",
-    "ccfc_bound",
-    "faulted_sbr_bound",
-    "obr_bound",
-    "profile_ccfc_bound",
-    "profile_sbr_bound",
-    "sbr_bound",
-    "static_max_n",
-]

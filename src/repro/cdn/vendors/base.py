@@ -32,7 +32,8 @@ from repro.cdn.limits import HeaderLimits
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.policy import ForwardDecision, ForwardPolicy
 from repro.cdn.window import ContentWindow
-from repro.http.encoding import IDENTITY, accepted_codings
+from repro.http.body import SyntheticBody
+from repro.http.encoding import IDENTITY, accepted_codings, accepts_encoding
 from repro.http.headers import Headers
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.multipart import DEFAULT_BOUNDARY
@@ -403,3 +404,67 @@ class VendorProfile:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+# -- client responses ----------------------------------------------------------------
+
+#: The ``Date`` every simulated edge response carries.
+FIXED_DATE = "Fri, 05 Jun 2020 08:00:00 GMT"
+
+
+def convert_encoded_response(
+    profile: VendorProfile,
+    response: HttpResponse,
+    size_hint: Optional[int],
+    client_accept: Optional[str],
+) -> HttpResponse:
+    """Edge-side compression format conversion (arXiv 2409.00712 §III).
+
+    When the vendor decompresses at the edge and the client cannot
+    accept the coding the origin chose, the edge inflates the body back
+    to the identity representation before replying: ``Content-Encoding``
+    is dropped and ``Content-Length`` grows to the decompressed size
+    (taken from the deployment's size hint — without one the edge cannot
+    know the inflated size and relays the response untouched).  Returns
+    ``response`` itself when no conversion applies.
+
+    The one definition shared by the live pipeline
+    (:class:`~repro.cdn.node.CdnNode`) and the closed-form CCFC mirror
+    (:func:`~repro.analysis.bounds.ccfc_mirror`) — bound == simulation
+    holds by construction.
+    """
+    if not profile.edge_decompresses:
+        return response
+    if int(response.status) != int(StatusCode.OK):
+        return response
+    encoding = response.headers.get("Content-Encoding")
+    if encoding is None or encoding.lower() == IDENTITY:
+        return response
+    if client_accept is None or accepts_encoding(client_accept, encoding):
+        return response
+    if size_hint is None:
+        return response
+    converted = response.copy()
+    converted.headers.remove("Content-Encoding")
+    converted.headers.set("Content-Length", str(size_hint))
+    converted.body = SyntheticBody(size_hint)
+    return converted
+
+
+def finalize_client_response(profile: VendorProfile, response: HttpResponse) -> HttpResponse:
+    """Stamp vendor identity headers and pad to the calibrated weight.
+
+    Shared by :class:`~repro.cdn.node.CdnNode` and the CCFC mirror, so
+    both apply byte-identical header weighting.
+    """
+    headers = response.headers
+    headers.set("Server", profile.server_header)
+    if "Date" not in headers:
+        headers.add("Date", FIXED_DATE)
+    if "Accept-Ranges" not in headers:
+        headers.add("Accept-Ranges", "bytes")
+    for name, value in profile.response_headers():
+        if name not in headers:
+            headers.add(name, value)
+    profile.pad_response(response)
+    return response

@@ -25,10 +25,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # Each command imports what only it runs, so a command loads no more
 # of the package than it uses (``repro serve`` never loads the flood,
-# the survey, the economics model or the table renderer).
+# the survey, the economics model or the table renderer, and the parser
+# loads no traffic simulator).
+from repro.analysis.classify import MAX_FLOOD_M, MAX_OVERLAPS
 from repro.cdn.vendors import all_vendor_names, profile_class
-from repro.core.obr import MAX_OVERLAPS
-from repro.core.sbr import MAX_FLOOD_M
 from repro.errors import ReproError, UsageError
 
 MB = 1 << 20
@@ -536,7 +536,8 @@ def _cmd_vendors() -> int:
 
 
 def _cmd_sbr(args: argparse.Namespace) -> int:
-    from repro.core.sbr import SbrAttack, exploited_range_cases
+    from repro.analysis.classify import exploited_range_cases
+    from repro.core.sbr import SbrAttack
     from repro.reporting.render import format_bytes
 
     size = args.size_mb * MB

@@ -9,10 +9,11 @@ and expands it into an ``n``-part ``multipart/byteranges`` response — up
 to ``n`` times the resource size on the fcdn–bcdn link.
 
 ``n`` is bounded by the header limits of both CDNs on the path.  Each
-limit is linear in ``n``, so :func:`declared_max_n` solves the cascade's
-cap from the declared limits, and :meth:`ObrAttack.find_max_n` certifies
-it the way the paper measured it — by probing that ``n`` survives
-end-to-end and ``n + 1`` does not (:func:`largest_admitted`).
+limit is linear in ``n``, so :mod:`repro.analysis.bounds` solves the
+cascade's cap from the declared limits, and :meth:`ObrAttack.find_max_n`
+certifies it the way the paper measured it — by probing that ``n``
+survives end-to-end and ``n + 1`` does not.  The attack request itself
+is declared in :mod:`repro.analysis.classify`.
 
 Traffic accounting uses a TCP/IP framing model by default: the paper's
 Table V numbers come from packet captures of short connections, where
@@ -25,14 +26,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
+from repro.analysis.bounds import declared_max_n, largest_admitted
+from repro.analysis.classify import (
+    CLIENT_ABORT_AFTER,
+    MAX_OVERLAPS,
+    TARGET_HOST,
+    TARGET_PATH,
+    exploited_fcdn_config,
+    exploited_leading_spec,
+)
 from repro.core.amplification import AmplificationReport
 from repro.core.deployment import CdnSpec, Deployment
-from repro.cdn.vendors import OBR_BACKENDS, OBR_FRONTENDS, create_profile
-from repro.cdn.vendors.base import VendorConfig, VendorContext
+from repro.cdn.vendors import OBR_BACKENDS, OBR_FRONTENDS
 from repro.errors import ConfigurationError
-from repro.http.grammar import obr_value_size, overlapping_open_ranges_value
-from repro.http.message import HttpRequest
-from repro.http.ranges import try_parse_range_header
+from repro.http.grammar import overlapping_open_ranges_value
 from repro.http.status import StatusCode
 from repro.netsim.overhead import OverheadModel, TcpOverheadModel
 from repro.netsim.tap import BCDN_ORIGIN, FCDN_BCDN
@@ -42,44 +49,6 @@ from repro.origin.server import OriginServer
 if TYPE_CHECKING:
     from repro.cdn.vendors.base import VendorProfile
     from repro.runner.grid import ExperimentGrid
-
-#: The largest overlap count ``n`` any entry point searches or accepts.
-#: It sits above every modeled cascade's header-limit cap, and it keeps
-#: an untrusted ``n`` from buying an unbounded Range header.
-MAX_OVERLAPS = 32768
-
-#: The Table V target: a 1 KB resource behind one Host.  The attacking
-#: client aborts after ``CLIENT_ABORT_AFTER`` response bytes.
-TARGET_PATH = "/1KB.bin"
-TARGET_HOST = "victim.example"
-CLIENT_ABORT_AFTER = 2048
-
-
-def exploited_fcdn_config(fcdn: str) -> Optional[VendorConfig]:
-    """The front-CDN configuration the Table V setup uses.
-
-    Cloudflare forwards multi-range requests unchanged only when the
-    target path is configured *Bypass* (Table II); every other front end
-    runs its default configuration.
-    """
-    if fcdn == "cloudflare":
-        return VendorConfig(bypass_cache=True)
-    return None
-
-
-def exploited_leading_spec(fcdn: str) -> Optional[str]:
-    """Table V column 3: the first spec of the exploited multi-range.
-
-    CDN77 deletes Range headers whose first range starts below byte 1024,
-    so the attack leads with a suffix spec; CDNsun deletes when the first
-    range is anchored at 0, so it leads with ``1-``.  Cloudflare and
-    StackPath take plain ``0-``.
-    """
-    if fcdn == "cdn77":
-        return "-1024"
-    if fcdn == "cdnsun":
-        return "1-"
-    return None
 
 
 @dataclass(frozen=True)
@@ -138,21 +107,16 @@ class ObrAttack:
         # receives a full 200 and builds the multipart itself.
         origin = OriginServer(range_support=False)
         origin.add_synthetic_resource(TARGET_PATH, self.resource_size)
+        config = exploited_fcdn_config(self.fcdn)
         if self.fcdn_profile_factory is not None:
-            fcdn_spec = CdnSpec(
-                profile=self.fcdn_profile_factory(),
-                config=self._fcdn_config(),
-            )
+            fcdn_spec = CdnSpec(profile=self.fcdn_profile_factory(), config=config)
         else:
-            fcdn_spec = CdnSpec(vendor=self.fcdn, config=self._fcdn_config())
+            fcdn_spec = CdnSpec(vendor=self.fcdn, config=config)
         if self.bcdn_profile_factory is not None:
             bcdn_spec = CdnSpec(profile=self.bcdn_profile_factory())
         else:
             bcdn_spec = CdnSpec(vendor=self.bcdn)
         return Deployment.cascade(fcdn_spec, bcdn_spec, origin, overhead=self.overhead)
-
-    def _fcdn_config(self) -> Optional[VendorConfig]:
-        return exploited_fcdn_config(self.fcdn)
 
     def range_value(self, overlap_count: int) -> str:
         return overlapping_open_ranges_value(
@@ -178,10 +142,10 @@ class ObrAttack:
         header limits end-to-end.
 
         The cascade's declared limits give the answer by division
-        (:func:`declared_max_n`); two probes against fresh deployments,
-        at ``n`` and ``n + 1``, certify it the way an attacker (or the
-        paper's authors) would observe the boundary.  Returns 0 when
-        even ``n = 2`` is rejected.
+        (:func:`~repro.analysis.bounds.declared_max_n`); two probes
+        against fresh deployments, at ``n`` and ``n + 1``, certify it the
+        way an attacker (or the paper's authors) would observe the
+        boundary.  Returns 0 when even ``n = 2`` is rejected.
         """
         guess = declared_max_n(
             self.fcdn,
@@ -238,114 +202,6 @@ class ObrAttack:
             status=result.response.status,
             report=report,
         )
-
-
-def exploited_request(fcdn: str, overlap_count: int) -> HttpRequest:
-    """The attack request the client sends through ``fcdn``."""
-    range_value = overlapping_open_ranges_value(
-        overlap_count, leading=exploited_leading_spec(fcdn)
-    )
-    return HttpRequest(
-        "GET", TARGET_PATH, headers=[("Host", TARGET_HOST), ("Range", range_value)]
-    )
-
-
-def forwarded_verbatim(
-    fcdn: str, front: "VendorProfile", request: HttpRequest, resource_size: int
-) -> Optional[HttpRequest]:
-    """The request ``front`` sends upstream when its decision table
-    forwards the Range header unchanged (Laziness); ``None`` otherwise."""
-    range_value = request.headers.get("Range")
-    config = exploited_fcdn_config(fcdn)
-    ctx = VendorContext(
-        config=config if config is not None else front.effective_config(),
-        resource_size_hint=resource_size,
-    )
-    decision = front.forward_decision(request, try_parse_range_header(range_value), ctx)
-    if decision.forwarded_range != range_value:
-        return None
-    return front.build_upstream_request(request, decision)
-
-
-def declared_max_n(
-    fcdn: str,
-    bcdn: str,
-    resource_size: int,
-    fcdn_profile: Optional[Callable[[], "VendorProfile"]] = None,
-    bcdn_profile: Optional[Callable[[], "VendorProfile"]] = None,
-) -> Optional[int]:
-    """The largest ``n`` the cascade's declared header limits admit.
-
-    The minimum of the front's :meth:`~repro.cdn.limits.HeaderLimits.range_cap`
-    on the client request and — when the front forwards the exploited
-    header verbatim — the back's ``range_cap`` on the upstream request
-    and its reply-part cap.  The RFC 7233 guard of a mitigated profile
-    declares its overlap cap (``max_overlapping_ranges``), so guarded
-    cascades are solved too.  0 when the front rewrites the header;
-    ``None`` when no declared limit binds (only opaque predicates, or
-    none).  Monotone probes still decide: :func:`largest_admitted` takes
-    this as its first guess and certifies it.  ``fcdn_profile`` /
-    ``bcdn_profile`` substitute wrapped (mitigated) profiles.
-    """
-    front = fcdn_profile() if fcdn_profile is not None else create_profile(fcdn)
-    back = bcdn_profile() if bcdn_profile is not None else create_profile(bcdn)
-    count = 2
-    request = exploited_request(fcdn, count)
-    leading = exploited_leading_spec(fcdn)
-    step = obr_value_size(count + 1, leading=leading) - obr_value_size(count, leading=leading)
-    upstream = forwarded_verbatim(fcdn, front, request, resource_size)
-    if upstream is None:
-        return 0
-    caps = [
-        front.limits.range_cap(request, count, step),
-        back.limits.range_cap(upstream, count, step),
-        back.reply_max_parts,
-    ]
-    declared = [cap for cap in caps if cap is not None]
-    return min(declared) if declared else None
-
-
-def largest_admitted(
-    admits: Callable[[int], bool],
-    lower: int,
-    upper: int,
-    guess: Optional[int] = None,
-) -> int:
-    """The largest ``n`` in ``[lower, upper]`` that ``admits``, or 0.
-
-    ``admits`` must be monotone (true up to the boundary, false past
-    it).  ``guess`` — the solved cap (:func:`declared_max_n`), clamped
-    into ``[lower, upper]``; ``upper`` when absent — is certified with
-    two probes: it is the answer when ``admits(guess)`` holds and
-    ``admits(guess + 1)`` does not.  When an undeclared guard binds
-    below the guess, the search gallops up from ``lower`` (``lower``,
-    ``2·lower``, …) and bisects, so small answers cost only small
-    probes; when the guess proves too low it bisects above it.
-    """
-    guess = upper if guess is None else min(max(guess, lower), upper)
-    if admits(guess):
-        if guess == upper or not admits(guess + 1):
-            return guess
-        if admits(upper):
-            return upper
-        low, high = guess + 1, upper  # admits(low), not admits(high)
-    else:
-        if guess == lower or not admits(lower):
-            return 0
-        low, high = lower, guess
-        probe = max(2 * low, low + 1)
-        while probe < high:
-            if not admits(probe):
-                high = probe
-                break
-            low, probe = probe, 2 * probe
-    while high - low > 1:
-        middle = (low + high) // 2
-        if admits(middle):
-            low = middle
-        else:
-            high = middle
-    return low
 
 
 def vulnerable_combinations() -> List[Tuple[str, str]]:

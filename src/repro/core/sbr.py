@@ -7,9 +7,8 @@ origin, but returns only the requested byte to the attacker.  The
 origin's outgoing bandwidth is consumed at an amplification factor
 roughly proportional to the resource size.
 
-:func:`exploited_range_cases` reproduces Table IV's per-vendor exploited
-range cases, including the vendors whose case depends on the resource
-size (Azure, Huawei) and KeyCDN's send-it-twice pattern.
+Table IV's per-vendor exploited range cases are declared in
+:func:`repro.analysis.classify.exploited_range_cases`.
 """
 
 from __future__ import annotations
@@ -17,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
+from repro.analysis.classify import exploited_range_cases
 from repro.core.amplification import AmplificationReport
 from repro.core.cachebusting import CacheBuster
 from repro.core.deployment import CdnSpec, Deployment
-from repro.errors import ConfigurationError
 from repro.netsim.overhead import OverheadModel
 from repro.netsim.tap import CDN_ORIGIN, CLIENT_CDN
 from repro.obs.tracer import current_tracer
@@ -31,49 +30,6 @@ if TYPE_CHECKING:
     from repro.runner.grid import ExperimentGrid
 
 MB = 1 << 20
-
-#: Largest attack intensity ``m`` (SBR requests per second) a command
-#: line or scenario file may ask of the Fig 7 flood: its work grows with
-#: m, and untrusted input must not buy unbounded work.
-MAX_FLOOD_M = 1000
-
-#: Vendors whose exploited case is the plain first-byte request.
-_PLAIN_FIRST_BYTE = (
-    "akamai",
-    "cdn77",
-    "cdnsun",
-    "cloudflare",
-    "fastly",
-    "gcore",
-    "stackpath",
-    "tencent",
-)
-
-
-def exploited_range_cases(vendor: str, resource_size: int) -> List[str]:
-    """Table IV column 2: the Range values one attack round sends.
-
-    Most vendors take a single request; KeyCDN needs the same request
-    twice (its second-sighting Deletion).  Azure and Huawei switch cases
-    with the target size.
-    """
-    if vendor in _PLAIN_FIRST_BYTE:
-        return ["bytes=0-0"]
-    if vendor == "alibaba":
-        return ["bytes=-1"]
-    if vendor == "azure":
-        if resource_size <= 8 * MB:
-            return ["bytes=0-0"]
-        return ["bytes=8388608-8388608"]
-    if vendor == "huawei":
-        if resource_size < 10 * MB:
-            return ["bytes=-1"]
-        return ["bytes=0-0"]
-    if vendor == "cloudfront":
-        return ["bytes=0-0,9437184-9437184"]
-    if vendor == "keycdn":
-        return ["bytes=0-0", "bytes=0-0"]
-    raise ConfigurationError(f"no exploited SBR case known for vendor {vendor!r}")
 
 
 @dataclass(frozen=True)

@@ -200,18 +200,17 @@ MitigatedSimulation = Callable[
 ]
 
 
-def vendor_simulation(attack: Callable[..., Any]) -> MitigatedSimulation:
+def vendor_factor(
+    attack: Callable[..., Any],
+    subject: Subject,
+    resource_size: int,
+    spec: Optional[MitigationSpec],
+) -> float:
     """``attack(vendor, ...).run()``'s factor, under ``spec`` if given."""
-
-    def simulate(
-        subject: Subject, resource_size: int, spec: Optional[MitigationSpec]
-    ) -> Optional[float]:
-        (vendor,) = subject
-        factory = mitigation_profile_factory(vendor, spec.name) if spec else None
-        instance = attack(vendor, resource_size=resource_size, profile_factory=factory)
-        return float(instance.run().amplification)
-
-    return simulate
+    (vendor,) = subject
+    factory = mitigation_profile_factory(vendor, spec.name) if spec else None
+    instance = attack(vendor, resource_size=resource_size, profile_factory=factory)
+    return float(instance.run().amplification)
 
 
 class Sweep(NamedTuple):
@@ -277,3 +276,8 @@ class AttackFamily(NamedTuple):
     #: family's grid cells before the grid runs (a name, so the registry
     #: stays light); without one its cells go to the grid runner.
     fast_engine: Optional[str] = None
+    #: The module of the family's wire-level attack.  ``simulate`` and
+    #: ``measure`` import it on first use, so the audit never loads the
+    #: traffic stack; a server that simulates under a deadline imports
+    #: it before it listens.
+    attack_module: Optional[str] = None

@@ -4,18 +4,17 @@ vendor rewrites Accept-Encoding upstream and inflates at the edge.
 The attack is :class:`~repro.core.ccfc.CcfcAttack`; this module holds
 the rest: the finding (classify + exact closed form), the mitigations
 and their residuals, the clean and mitigated simulation, the grid cell,
-and run-all's CCFC table.
+and run-all's CCFC table; only the simulation and the cell import it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Sequence, cast
 
-from repro.analysis.bounds import ccfc_bound, profile_ccfc_bound
+from repro.analysis.bounds import CcfcResult, ccfc_bound, profile_ccfc_bound
 from repro.analysis.classify import classify_ccfc
 from repro.analysis.report import Finding, severity_for_factor
 from repro.cdn.vendors import profile_class
-from repro.core.ccfc import CcfcAttack, CcfcResult
 from repro.families.base import (
     COST_CONFIG_ONLY,
     COST_HEADER_GUARD,
@@ -27,7 +26,7 @@ from repro.families.base import (
     Sweep,
     format_size,
     mitigation_profile_factory,
-    vendor_simulation,
+    vendor_factor,
 )
 from repro.obs.memo import Memo
 
@@ -113,6 +112,14 @@ def _residual(subject: Subject, spec: MitigationSpec, size: int) -> float:
     return profile_ccfc_bound(vendor, factory, size).factor
 
 
+def _simulate(
+    subject: Subject, resource_size: int, spec: Optional[MitigationSpec]
+) -> float:
+    from repro.core.ccfc import CcfcAttack
+
+    return vendor_factor(CcfcAttack, subject, resource_size, spec)
+
+
 # ---------------------------------------------------------------------------
 # Grid cells and run-all's table
 # ---------------------------------------------------------------------------
@@ -124,6 +131,8 @@ def measure_ccfc(vendor: str, resource_size: int) -> CcfcResult:
     """One CCFC cell, memoized.  ``CcfcAttack.run`` builds a fresh
     deployment per call, so the result depends only on the arguments
     and caching is sound."""
+    from repro.core.ccfc import CcfcAttack
+
     return cast(
         CcfcResult,
         _MEASURED.get_or_compute(
@@ -197,9 +206,10 @@ FAMILY = AttackFamily(
         ),
     ),
     residual=_residual,
-    simulate=vendor_simulation(CcfcAttack),
+    simulate=_simulate,
     sweeps_sizes=True,
     measure=measure_ccfc,
     sweep=_sweep,
     fast_engine="CcfcFastEngine",
+    attack_module="repro.core.ccfc",
 )

@@ -4,7 +4,8 @@ forwards n overlapping ranges verbatim, and the back end answers each.
 The attack is :class:`~repro.core.obr.ObrAttack`; this module holds
 the rest: the finding (classify + bound), the mitigations on either
 side of the cascade and their residuals, the simulation at static max
-n, the grid cell, and run-all's Table V.
+n, the grid cell, and run-all's Table V; only the simulation, the cell
+and the sweep import :mod:`repro.core.obr`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Sequence, Tuple
 from repro.analysis.bounds import obr_bound, static_max_n
 from repro.analysis.classify import ProfileFactory, classify_cascade
 from repro.analysis.report import Finding, severity_for_factor
-from repro.core.obr import ObrAttack, ObrResult, vulnerable_combinations
 from repro.errors import ConfigurationError
 from repro.families.base import (
     CASCADE,
@@ -29,6 +29,7 @@ from repro.families.base import (
 
 if TYPE_CHECKING:
     from repro.cdn.vendors.base import VendorConfig
+    from repro.core.obr import ObrResult
     from repro.netsim.overhead import OverheadModel
     from repro.reporting.render import Table
     from repro.runner.grid import ExperimentCell, Key
@@ -117,6 +118,8 @@ def _residual(subject: Subject, spec: MitigationSpec, size: int) -> float:
 def _simulate(
     subject: Subject, resource_size: int, spec: Optional[MitigationSpec]
 ) -> Optional[float]:
+    from repro.core.obr import ObrAttack
+
     fcdn, bcdn = subject
     front, back = _factories(fcdn, bcdn, spec)
     n = static_max_n(
@@ -142,9 +145,11 @@ def _simulate(
 
 def measure_obr(
     fcdn: str, bcdn: str, resource_size: int, overlap_count: int
-) -> ObrResult:
+) -> "ObrResult":
     """One OBR cell: ``overlap_count`` 0 searches max n over the wire
     (the Table V methodology); a positive count skips the search."""
+    from repro.core.obr import ObrAttack
+
     attack = ObrAttack(fcdn, bcdn, resource_size=resource_size)
     return attack.run(overlap_count=overlap_count or None)
 
@@ -162,6 +167,8 @@ def grid_cell(
 
 def _sweep(vendors: Sequence[str], quick: bool) -> Sweep:
     """Table V's 11 cascades (quick: two of them)."""
+    from repro.core.obr import vulnerable_combinations
+
     combos = QUICK_TABLE5_COMBOS if quick else tuple(vulnerable_combinations())
 
     def tables(values: Mapping["Key", Any]) -> List["Table"]:
@@ -240,4 +247,5 @@ FAMILY = AttackFamily(
     measure=measure_obr,
     sweep=_sweep,
     fast_engine="ObrFastEngine",
+    attack_module="repro.core.obr",
 )

@@ -4,7 +4,7 @@ more from the origin than the tiny range it returns.
 The attack is :class:`~repro.core.sbr.SbrAttack`; this module holds
 the rest: the finding (classify + bound), the mitigations and their
 residuals, the clean and mitigated simulation, the grid cell, and
-run-all's Table IV and Fig 6a.
+run-all's Table IV and Fig 6a; only the simulation and the cell import it.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Sequence, cast
 
 from repro.analysis.bounds import FaultedSbrBound, profile_sbr_bound, sbr_bound
-from repro.analysis.classify import classify_sbr
+from repro.analysis.classify import classify_sbr, exploited_range_cases
 from repro.analysis.report import Finding, severity_for_factor
 from repro.cdn.vendors import profile_class
-from repro.core.sbr import SbrAttack, SbrResult, exploited_range_cases
 from repro.families.base import (
     COST_CONFIG_ONLY,
     COST_FETCH_FLOW,
@@ -28,12 +27,13 @@ from repro.families.base import (
     Sweep,
     format_size,
     mitigation_profile_factory,
-    vendor_simulation,
+    vendor_factor,
 )
 from repro.obs.memo import Memo
 
 if TYPE_CHECKING:
     from repro.cdn.vendors.base import VendorConfig
+    from repro.core.sbr import SbrResult
     from repro.netsim.overhead import OverheadModel
     from repro.reporting.render import Table
     from repro.runner.grid import ExperimentCell, Key
@@ -97,6 +97,14 @@ def _faulted_residual(subject: Subject, spec: MitigationSpec, size: int) -> floa
     ).factor
 
 
+def _simulate(
+    subject: Subject, resource_size: int, spec: Optional[MitigationSpec]
+) -> float:
+    from repro.core.sbr import SbrAttack
+
+    return vendor_factor(SbrAttack, subject, resource_size, spec)
+
+
 # ---------------------------------------------------------------------------
 # Grid cells and run-all's tables
 # ---------------------------------------------------------------------------
@@ -104,13 +112,15 @@ def _faulted_residual(subject: Subject, spec: MitigationSpec, size: int) -> floa
 _MEASURED = Memo(2048, name="measure_sbr")
 
 
-def measure_sbr(vendor: str, resource_size: int) -> SbrResult:
+def measure_sbr(vendor: str, resource_size: int) -> "SbrResult":
     """One SBR cell, memoized: Table IV's cells are a subset of Fig 6's
     grid, and Fig 7's per-request probe is the cloudflare/10 MB cell.
     ``SbrAttack.run`` builds a fresh deployment per call, so the result
     depends only on the arguments and caching is sound."""
+    from repro.core.sbr import SbrAttack
+
     return cast(
-        SbrResult,
+        "SbrResult",
         _MEASURED.get_or_compute(
             (vendor, resource_size),
             lambda: SbrAttack(vendor, resource_size=resource_size).run(),
@@ -219,9 +229,10 @@ FAMILY = AttackFamily(
     ),
     residual=_residual,
     faulted_residual=_faulted_residual,
-    simulate=vendor_simulation(SbrAttack),
+    simulate=_simulate,
     sweeps_sizes=True,
     measure=measure_sbr,
     sweep=_sweep,
     fast_engine="SbrFastEngine",
+    attack_module="repro.core.sbr",
 )

@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.analysis.classify import MAX_FLOOD_M, MAX_OVERLAPS
 from repro.cdn.vendors import all_vendor_names
 from repro.core.feasibility import survey
-from repro.core.obr import MAX_OVERLAPS, ObrAttack
+from repro.core.obr import ObrAttack
 from repro.core.practical import BandwidthAttackSimulation
-from repro.core.sbr import MAX_FLOOD_M, SbrAttack
+from repro.core.sbr import SbrAttack
 from repro.errors import ConfigurationError
 
 MB = 1 << 20

@@ -25,7 +25,8 @@ with a half-written memo entry — and the items left over answer
 
 An exact item runs its family's clean wire simulation
 (:attr:`~repro.families.base.AttackFamily.simulate`) through the
-``exact`` memo table; nothing here loads :mod:`repro.runner`.  That path
+``exact`` memo table; the service imports each family's attack module
+when it is built, and nothing here loads :mod:`repro.runner`.  That path
 sits behind the circuit breaker.  When the breaker refuses, or the
 simulation errors, the item still gets its closed-form answer plus
 ``"degraded": true`` — bounds are upper bounds, so a degraded answer is
@@ -34,6 +35,7 @@ conservative rather than wrong.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import time
@@ -191,6 +193,12 @@ class AnalysisService:
         self.clock: Clock = clock if clock is not None else time.monotonic
         self.metrics = MetricsRegistry()
         self._exact_runner = exact_runner
+        if exact_runner is None:
+            # Exact items simulate under a deadline: load the attacks
+            # now, so that the first one does not pay for the import.
+            for family in FAMILIES:
+                if family.attack_module is not None:
+                    importlib.import_module(family.attack_module)
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failure_threshold,
             reset_timeout_s=self.config.breaker_reset_timeout_s,

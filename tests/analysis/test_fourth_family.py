@@ -3,7 +3,8 @@
 Registering one :class:`~repro.families.base.AttackFamily` record is the
 whole of adding a family: ``analyze`` (table and JSON), ``recommend``,
 ``run_all`` (its cells run, its table is written, its factors reach the
-ledger) and ``repro serve`` pick it up with no other edit.
+ledger), ``repro serve`` and ``repro purity`` (its cell function gets a
+dispatch edge) pick it up with no other edit.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Any, List, Mapping, NamedTuple, Optional, Sequence
 import pytest
 
 from repro.analysis.families import FAMILIES, FAMILIES_BY_NAME
+from repro.analysis.purity import default_config
 from repro.analysis.report import Finding
 from repro.cli import main
 from repro.families.base import (
@@ -163,3 +165,11 @@ def test_serve_analyzes_and_recommends_it(toy):
     ]
     assert recommended["resolved"] is True
     assert recommended["recommendation"]["chosen"]["label"] == "laziness@cdn"
+
+
+def test_purity_dispatches_its_measure(toy):
+    # The grid executor reaches every family's measure through the
+    # registry; the determinism analyzer's synthetic edges must follow.
+    dispatched = default_config().dispatch_map()["repro.runner.experiments.execute_cell"]
+    assert f"{_measure.__module__}._measure" in dispatched
+    assert "repro.families.sbr.measure_sbr" in dispatched

@@ -1,6 +1,6 @@
 """OBR max-n: solved from the declared limits, certified by two probes.
 
-The search (:func:`repro.core.obr.largest_admitted`) must give exactly
+The search (:func:`repro.analysis.bounds.largest_admitted`) must give exactly
 what a plain bisection over the same monotone probe gives — the
 bisection is kept here as the oracle — while spending two probes on
 every header-limited cascade.
@@ -11,14 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import bounds
-from repro.analysis.bounds import static_max_n
+from repro.analysis.bounds import declared_max_n, largest_admitted, static_max_n
 from repro.cdn.vendors import all_vendor_names, create_profile
-from repro.core.obr import (
-    ObrAttack,
-    declared_max_n,
-    largest_admitted,
-    vulnerable_combinations,
-)
+from repro.core.obr import ObrAttack, vulnerable_combinations
 from repro.defense.mitigations import (
     SlicingProfile,
     with_bounded_expansion,

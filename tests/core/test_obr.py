@@ -9,7 +9,8 @@ for Azure): the paper's absolute factors embed its testbed's TCP framing.
 
 import pytest
 
-from repro.core.obr import ObrAttack, exploited_leading_spec, vulnerable_combinations
+from repro.analysis.classify import exploited_leading_spec
+from repro.core.obr import ObrAttack, vulnerable_combinations
 from repro.errors import ConfigurationError
 from repro.netsim.overhead import NullOverheadModel
 from repro.reporting.paper_values import PAPER_TABLE5

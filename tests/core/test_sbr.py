@@ -10,7 +10,8 @@ arithmetic differs slightly from the authors' testbed timing.
 
 import pytest
 
-from repro.core.sbr import SbrAttack, exploited_range_cases, sweep_resource_sizes
+from repro.analysis.classify import exploited_range_cases
+from repro.core.sbr import SbrAttack, sweep_resource_sizes
 from repro.errors import ConfigurationError
 from repro.cdn.vendors import all_vendor_names
 from repro.cdn.vendors.base import VendorConfig

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core.obr import MAX_OVERLAPS
+from repro.analysis.classify import MAX_OVERLAPS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "cli"
 

@@ -1,7 +1,8 @@
 """Every module under ``src/repro`` is reached from something that runs,
-the packages on the way load nothing of their own, and every defaulted
-parameter, and every defaulted field of a frozen dataclass or
-``NamedTuple``, is one some caller sets.
+the packages on the way load nothing of their own, the static analysis
+loads no traffic simulator while every simulating entry point loads it
+before it is timed, and every defaulted parameter, and every defaulted
+field of a frozen dataclass or ``NamedTuple``, is one some caller sets.
 
 The roots are the CLI (``repro.cli``, ``repro.__main__``) and every
 benchmark and script file.  The walk follows ``import`` statements
@@ -24,6 +25,8 @@ import sys
 from pathlib import Path
 from types import ModuleType
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -137,22 +140,75 @@ def test_packages_reexport_nothing():
     assert not found, f"package inits with more than a docstring: {found}"
 
 
-def test_audit_imports_load_only_what_the_audit_uses():
-    code = (
-        "import sys, repro.analysis.recommend, repro.analysis.report; "
-        "print('\\n'.join(sorted(m for m in sys.modules if m.startswith('repro'))))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
+def _run(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter (``sys`` imported)."""
+    return subprocess.run(
+        [sys.executable, "-c", "import sys\n" + code],
         env={"PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         check=True,
-    )
-    loaded = result.stdout.split()
+    ).stdout
+
+
+def _loaded_after(code: str) -> List[str]:
+    """The ``repro`` modules a fresh interpreter holds after ``code``."""
+    code += "\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('repro'))))"
+    return _run(code).splitlines()[-1].split()
+
+
+#: What the e2e audit workload imports before it is timed.
+AUDIT_IMPORTS = "import repro.analysis.recommend, repro.analysis.report"
+
+
+def test_audit_imports_load_only_what_the_audit_uses():
+    loaded = _loaded_after(AUDIT_IMPORTS)
     assert "repro.analysis.recommend" in loaded
     assert not set(AUDIT_UNUSED) & set(loaded)
     assert not [m for m in loaded if m.startswith(("repro.runner", "repro.serve"))]
+
+
+#: The traffic simulator: attacks, deployments, edge nodes, retries.
+#: The static analysis answers without sending traffic, so it loads
+#: none of them (nor stdlib ``logging``, which only the edge node uses).
+WIRE_MODULES = (
+    "repro.core.sbr",
+    "repro.core.obr",
+    "repro.core.ccfc",
+    "repro.core.deployment",
+    "repro.cdn.node",
+    "repro.cdn.cache",
+    "repro.handler",
+    "repro.faults.retry",
+)
+
+
+def test_audit_loads_no_wire_module_before_or_during_the_op():
+    # Sizes off the defaults, as the e2e audit runs them, so that every
+    # size-keyed memo misses: the op must not import what set-up left out.
+    code = (
+        f"{AUDIT_IMPORTS}\n"
+        "before = sorted(sys.modules)\n"
+        "print(' '.join(before))\n"
+        "from repro.analysis.recommend import recommend\n"
+        "from repro.analysis.report import analyze_vendor_matrix\n"
+        "sizes = dict(resource_size=3 << 20, obr_resource_size=2048,\n"
+        "             ccfc_resource_size=5 << 20)\n"
+        "recommend(report=analyze_vendor_matrix(**sizes), **sizes)\n"
+        "print(' '.join(sorted(set(sys.modules) - set(before))))"
+    )
+    before, during = _run(code).splitlines()
+    assert not set(WIRE_MODULES) & set(before.split())
+    assert "logging" not in before.split()
+    assert not [m for m in during.split() if m.startswith("repro")]
+
+
+def test_cli_imports_no_wire_module():
+    loaded = _loaded_after("import repro.cli")
+    assert not set(WIRE_MODULES) & set(loaded)
+    assert not [
+        m for m in loaded if m.startswith(("repro.netsim", "repro.origin", "repro.faults"))
+    ]
 
 
 #: Modules only other commands run: ``repro serve`` must not load them.
@@ -166,18 +222,7 @@ SERVE_UNUSED = (
 
 
 def test_serve_imports_load_no_other_command():
-    code = (
-        "import sys, repro.cli, repro.serve.app, repro.serve.server; "
-        "print('\\n'.join(sorted(m for m in sys.modules if m.startswith('repro'))))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    loaded = result.stdout.split()
+    loaded = _loaded_after("import repro.cli, repro.serve.app, repro.serve.server")
     assert "repro.serve.server" in loaded
     assert not set(SERVE_UNUSED) & set(loaded)
 
@@ -196,18 +241,7 @@ SIMULATE_MODULES = (
 def test_simulate_imports_load_no_family_module():
     # The exact grid needs the attacks and the runner, not the analysis
     # layer: no family module, no report, no mitigation wrappers.
-    code = (
-        f"import sys, {', '.join(SIMULATE_MODULES)}; "
-        "print('\\n'.join(sorted(m for m in sys.modules if m.startswith('repro'))))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    loaded = result.stdout.split()
+    loaded = _loaded_after(f"import {', '.join(SIMULATE_MODULES)}")
     assert set(SIMULATE_MODULES) <= set(loaded)
     assert not [
         m
@@ -218,9 +252,30 @@ def test_simulate_imports_load_no_family_module():
     assert "repro.defense.mitigations" not in loaded
 
 
+#: The traffic stack every simulating entry point loads before it is
+#: timed (the attack modules import it at their top).
+WIRE_STACK = ("repro.core.deployment", "repro.cdn.node", "repro.netsim.connection")
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import repro.runner.runall",
+        f"import {', '.join(SIMULATE_MODULES)}",
+        # ``repro serve`` builds its service before it listens.
+        "import repro.cli\n"
+        "from repro.serve.app import AnalysisService, ServeConfig\n"
+        "AnalysisService(ServeConfig())",
+    ],
+    ids=["runall", "simulate", "serve"],
+)
+def test_simulating_entry_points_load_the_wire_stack_up_front(code):
+    assert set(WIRE_STACK) <= set(_loaded_after(code))
+
+
 def test_serve_answers_exact_items_without_the_runner():
     code = (
-        "import json, sys\n"
+        "import json\n"
         "from repro.http.message import HttpRequest\n"
         "from repro.serve.app import AnalysisService\n"
         "items = [\n"
@@ -231,19 +286,18 @@ def test_serve_answers_exact_items_without_the_runner():
         "body = json.dumps({'items': items}).encode()\n"
         "request = HttpRequest(method='POST', target='/v1/analyze',\n"
         "    headers=[('Content-Length', str(len(body)))], body=body)\n"
-        "response = AnalysisService().handle(request)\n"
+        "service = AnalysisService()\n"
+        "before = set(sys.modules)\n"
+        "response = service.handle(request)\n"
         "print(response.body.materialize().decode())\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    answer, modules = (json.loads(line) for line in result.stdout.splitlines())
+    answer, during, modules = (json.loads(line) for line in _run(code).splitlines())
     assert [item["exact_factor"] > 1 for item in answer["results"]] == [True] * 3
+    # The service loaded the attacks when it was built, so the first
+    # exact items, which run under a deadline, import nothing.
+    assert not [m for m in during if m.startswith("repro")]
     loaded = set(modules)
     assert "repro.serve.app" in loaded
     assert not [m for m in loaded if m.startswith("repro.runner")]

@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.obr import MAX_OVERLAPS
-from repro.core.sbr import MAX_FLOOD_M
+from repro.analysis.classify import MAX_FLOOD_M, MAX_OVERLAPS
 from repro.errors import ConfigurationError
 from repro.scenarios import (
     load_scenario,
