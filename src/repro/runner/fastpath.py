@@ -25,7 +25,6 @@ from typing import Any, Dict, Optional
 from repro.analysis.families import FAMILIES
 from repro.core import vectorized
 from repro.core.vectorized import ExactModelError
-from repro.obs.metrics import current_metrics
 from repro.runner.executor import CellOutcome
 from repro.runner.grid import ExperimentCell, ExperimentGrid
 
@@ -130,15 +129,6 @@ class FastPathPlanner:
         self._answered += answered
         self._refused += refused
         self._ineligible += ineligible
-        registry = current_metrics()
-        if registry is not None:
-            for outcome_name, count in (
-                ("answered", answered),
-                ("refused", refused),
-                ("ineligible", ineligible),
-            ):
-                if count:
-                    registry.record_fastpath_cells(outcome_name, count)
         return FastPathPlan(outcomes=outcomes, residual=residual, stats=self.stats)
 
     @property

@@ -78,7 +78,11 @@ class RunAllReport:
     simulated_seconds_by_experiment: Dict[str, float] = field(default_factory=dict)
     #: One profile entry per executed grid cell, in grid order.
     cells: Tuple[CellProfile, ...] = ()
-    #: Observability harvest — empty unless the run collected.
+    #: Observability harvest — spans and events are empty unless the
+    #: run collected.  ``metrics`` is the merged per-cell snapshot of a
+    #: collected run; otherwise it holds only the runner's own counters
+    #: (the fast-path decisions, ``repro_fastpath_cells_total``), and
+    #: is empty when the fast path did not run.
     spans: Tuple[Any, ...] = ()
     events: Tuple[Any, ...] = ()
     metrics: Dict[str, Any] = field(default_factory=dict)
@@ -210,15 +214,23 @@ def run_all(
     subgrid = grid
     # Runner-level telemetry (fast-path decision counters) records even
     # when per-cell collection is off, so every run record carries it.
+    # The planner itself runs unmetered, like ``GridRunner(collect=False)``.
     runner_registry = MetricsRegistry()
     if not exact and not collect_obs:
         planner = FastPathPlanner()
         phase_started = time.perf_counter()
-        with use_metrics(runner_registry):
-            fast_plan = planner.plan(grid)
+        fast_plan = planner.plan(grid)
         phase_seconds["fastpath"] = time.perf_counter() - phase_started
         fast_outcomes = fast_plan.outcomes
         subgrid = fast_plan.residual
+        stats = fast_plan.stats
+        for outcome_name, count in (
+            ("answered", stats.answered),
+            ("refused", stats.refused),
+            ("ineligible", stats.ineligible),
+        ):
+            if count:
+                runner_registry.record_fastpath_cells(outcome_name, count)
 
     # The checkpoint journals only the simulated residual: fast-path
     # answers are cheaper to recompute than to restore, and a resumed

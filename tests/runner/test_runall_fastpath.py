@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.metrics import FASTPATH_CELLS
 from repro.runner.memo import clear_all_memos
 from repro.runner.runall import run_all, write_report
 
@@ -74,6 +75,18 @@ class TestFastPathTelemetry:
         assert stats.total == fast_report.cell_count == 57
         assert stats.hit_rate == pytest.approx(54 / 57)
         assert stats.calibration_runs == 0
+
+    def test_uncollected_run_meters_only_the_planner_decisions(self, fast_report):
+        """Fast-path cells run unmetered, like ``GridRunner(collect=False)``
+        cells: the snapshot holds the decision counters and nothing else."""
+        assert list(fast_report.metrics) == [FASTPATH_CELLS]
+        assert not any(name.startswith("repro_segment_") for name in fast_report.metrics)
+        counts = {
+            sample["labels"]["outcome"]: sample["value"]
+            for sample in fast_report.metrics[FASTPATH_CELLS]["samples"]
+        }
+        stats = fast_report.fastpath
+        assert counts == {"answered": stats.answered, "ineligible": stats.ineligible}
 
     def test_fast_report_phases(self, fast_report):
         assert set(fast_report.phase_seconds) == {"fastpath", "grid", "static"}
