@@ -2,8 +2,9 @@
 
 Not a paper artifact: these time the primitives every experiment leans
 on, so regressions in the simulator itself are visible — Range parsing,
-multipart assembly at OBR scale, the full single-CDN pipeline, and the
-disabled-observability overhead (the NullTracer path must stay free).
+multipart assembly at OBR scale, vendor-sized header blocks, the full
+single-CDN pipeline, and the disabled-observability overhead (the
+NullTracer path must stay free).
 
 The run-all benchmark at the bottom additionally persists the
 schema-versioned ``BENCH_runall.json`` observation to
@@ -17,6 +18,7 @@ from repro.cdn.node import CdnNode
 from repro.cdn.vendors import create_profile
 from repro.http.body import SyntheticBody
 from repro.http.grammar import overlapping_open_ranges_value
+from repro.http.headers import Headers
 from repro.http.message import HttpRequest
 from repro.http.multipart import MultipartByteranges
 from repro.http.ranges import ResolvedRange, parse_range_header
@@ -56,6 +58,42 @@ def test_multipart_build_10k_parts(benchmark):
 
     size = benchmark(build)
     assert size > 10_750 * 1024
+
+
+def _vendor_response_fields():
+    """The header fields of one G-Core 206 answer: a vendor-sized block."""
+    origin = OriginServer()
+    origin.add_synthetic_resource("/target.bin", MB)
+    node = CdnNode(create_profile("gcore"), origin, ledger=TrafficLedger())
+    request = HttpRequest(
+        "GET", "/target.bin", headers=[("Host", "victim.example"), ("Range", "bytes=0-0")]
+    )
+    return node.handle(request).headers.items()
+
+
+def test_build_vendor_response_headers(benchmark):
+    fields = _vendor_response_fields()
+    headers = benchmark(Headers, fields)
+    assert len(headers) == len(fields) >= 8
+    assert headers.wire_size() == len(headers.serialize())
+
+
+def test_lookup_vendor_response_headers(benchmark):
+    """``get`` and ``in`` for the last field, Content-Range and an absent name."""
+    headers = Headers(_vendor_response_fields())
+    last = headers.names()[-1].upper()
+
+    def lookup():
+        return (
+            headers.get(last),
+            headers.get("content-range"),
+            last in headers,
+            "X-Absent" in headers,
+        )
+
+    value, content_range, present, absent = benchmark(lookup)
+    assert value is not None and content_range == "bytes 0-0/1048576"
+    assert present and not absent
 
 
 def test_sbr_pipeline_round(benchmark):

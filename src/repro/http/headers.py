@@ -15,12 +15,16 @@ header block occupies when serialized (``name: value\\r\\n`` per field).
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import HeaderError
 
-#: Characters that must never appear inside a header name.
-_TOKEN_FORBIDDEN = set(' \t\r\n:"(),/;<=>?@[\\]{}')
+#: RFC 7230 §3.2.6 ``token``: 1*tchar, i.e. 0x21-0x7E minus the
+#: delimiters ``"(),/:;<=>?@[\]{}``.  Header names and Range units are
+#: tokens.
+TOKEN_RE = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+_token = TOKEN_RE.fullmatch
 
 
 def parse_decimal(text: str) -> Optional[int]:
@@ -58,10 +62,13 @@ def declared_length(headers: Headers) -> Optional[int]:
 
 
 def _check_name(name: str) -> None:
+    """Raise :class:`HeaderError` unless ``name`` is a ``token``."""
+    if _token(name) is not None:
+        return
     if not name:
         raise HeaderError("header name must be non-empty")
     for ch in name:
-        if ch in _TOKEN_FORBIDDEN or ord(ch) < 0x21 or ord(ch) > 0x7E:
+        if _token(ch) is None:
             raise HeaderError(f"invalid character {ch!r} in header name {name!r}")
 
 
@@ -73,6 +80,13 @@ def _check_value(value: str) -> None:
 class Headers:
     """An ordered multimap of HTTP header fields.
 
+    Every field is validated on the way in (``add``, ``set``, the
+    constructor and :meth:`parse`): the name must be a ``token`` and the
+    value must hold no CR or LF.  Lookups are keyed: a list of lowered
+    names runs parallel to the fields, so ``get``, ``in`` and friends
+    search it with ``list.index`` instead of lowering every stored name.
+    :meth:`wire_size` is a running total kept by every mutation.
+
     >>> h = Headers([("Host", "example.com")])
     >>> h.set("Content-Length", "5")
     >>> h.get("host")
@@ -81,29 +95,42 @@ class Headers:
     38
     """
 
-    __slots__ = ("_items", "_size_cache")
+    __slots__ = ("_items", "_keys", "_size")
 
     def __init__(self, items: Optional[Iterable[Tuple[str, str]]] = None) -> None:
         self._items: List[Tuple[str, str]] = []
-        # Memoized wire_size(); invalidated by every mutation.  The
-        # traffic accounting calls wire_size() at least twice per
-        # message (origin stats + connection framing), and vendor
-        # profiles re-measure their fixed response header blocks on
-        # every exchange of a sweep.
-        self._size_cache: Optional[int] = None
-        if items is not None:
-            for name, value in items:
-                self.add(name, value)
+        #: ``name.lower()`` of each field in ``_items``, in the same order.
+        self._keys: List[str] = []
+        self._size = 0
+        if items is None:
+            return
+        fields, keys = self._items, self._keys
+        size = 0
+        # The checks of add(), inline: vendor and origin header blocks
+        # are built here on every simulated exchange.
+        for name, value in items:
+            value = str(value)
+            if _token(name) is None:
+                _check_name(name)
+            if "\r" in value or "\n" in value:
+                _check_value(value)
+            fields.append((name, value))
+            keys.append(name.lower())
+            size += len(name) + len(value) + 4
+        self._size = size
 
     # -- mutation -----------------------------------------------------------
 
     def add(self, name: str, value: str) -> None:
         """Append a field, keeping any existing fields of the same name."""
         value = str(value)
-        _check_name(name)
-        _check_value(value)
+        if _token(name) is None:
+            _check_name(name)
+        if "\r" in value or "\n" in value:
+            _check_value(value)
         self._items.append((name, value))
-        self._size_cache = None
+        self._keys.append(name.lower())
+        self._size += len(name) + len(value) + 4
 
     def set(self, name: str, value: str) -> None:
         """Replace all fields named ``name`` with a single field.
@@ -111,51 +138,52 @@ class Headers:
         The replacement occupies the position of the first existing field
         of that name, or is appended if the name is new.
         """
+        key = name.lower()
+        if key not in self._keys:
+            self.add(name, value)
+            return
         value = str(value)
         _check_name(name)
         _check_value(value)
-        lowered = name.lower()
-        replaced = False
-        kept: List[Tuple[str, str]] = []
-        for item_name, item_value in self._items:
-            if item_name.lower() == lowered:
-                if not replaced:
-                    kept.append((name, value))
-                    replaced = True
-            else:
-                kept.append((item_name, item_value))
-        if not replaced:
-            kept.append((name, value))
-        self._items = kept
-        self._size_cache = None
+        self._replace(key, [(name, value)])
 
     def remove(self, name: str) -> int:
         """Delete all fields named ``name``; return how many were removed."""
-        lowered = name.lower()
+        key = name.lower()
+        if key not in self._keys:
+            return 0
         before = len(self._items)
-        self._items = [(n, v) for n, v in self._items if n.lower() != lowered]
-        self._size_cache = None
+        self._replace(key, [])
         return before - len(self._items)
+
+    def _replace(self, key: str, fields: List[Tuple[str, str]]) -> None:
+        """Drop every field keyed ``key`` and put ``fields`` where the
+        first of them stood."""
+        keys, items = self._keys, self._items
+        first = keys.index(key)
+        kept = [i for i in range(first + 1, len(keys)) if keys[i] != key]
+        self._items = items[:first] + fields + [items[i] for i in kept]
+        self._keys = keys[:first] + [key] * len(fields) + [keys[i] for i in kept]
+        self._size = sum(len(n) + len(v) + 4 for n, v in self._items)
 
     # -- lookup -------------------------------------------------------------
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """Return the first value of ``name``, or ``default``."""
-        lowered = name.lower()
-        for item_name, item_value in self._items:
-            if item_name.lower() == lowered:
-                return item_value
+        key = name.lower()
+        if key in self._keys:
+            return self._items[self._keys.index(key)][1]
         return default
 
     def get_all(self, name: str) -> List[str]:
         """Return every value of ``name``, in wire order."""
-        lowered = name.lower()
-        return [v for n, v in self._items if n.lower() == lowered]
+        key = name.lower()
+        if key not in self._keys:
+            return []
+        return [v for k, (_, v) in zip(self._keys, self._items) if k == key]
 
     def __contains__(self, name: object) -> bool:
-        if not isinstance(name, str):
-            return False
-        return self.get(name) is not None
+        return isinstance(name, str) and name.lower() in self._keys
 
     def __iter__(self) -> Iterator[Tuple[str, str]]:
         return iter(self._items)
@@ -166,9 +194,9 @@ class Headers:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Headers):
             return NotImplemented
-        mine = [(n.lower(), v) for n, v in self._items]
-        theirs = [(n.lower(), v) for n, v in other._items]
-        return mine == theirs
+        return self._keys == other._keys and [v for _, v in self._items] == [
+            v for _, v in other._items
+        ]
 
     def items(self) -> List[Tuple[str, str]]:
         """Return a copy of the ordered ``(name, value)`` pairs."""
@@ -180,9 +208,10 @@ class Headers:
 
     def copy(self) -> "Headers":
         """Return an independent copy of this header map."""
-        clone = Headers()
-        clone._items = list(self._items)
-        clone._size_cache = self._size_cache
+        clone = Headers.__new__(Headers)
+        clone._items = self._items.copy()
+        clone._keys = self._keys.copy()
+        clone._size = self._size
         return clone
 
     # -- serialization ------------------------------------------------------
@@ -194,13 +223,8 @@ class Headers:
         )
 
     def wire_size(self) -> int:
-        """Exact byte length of :meth:`serialize`'s output (memoized)."""
-        if self._size_cache is None:
-            # name + ": " + value + CRLF
-            self._size_cache = sum(
-                len(name) + len(value) + 4 for name, value in self._items
-            )
-        return self._size_cache
+        """Exact byte length of :meth:`serialize`'s output."""
+        return self._size
 
     def field_line_size(self, name: str) -> int:
         """Wire size of the first field line named ``name`` (0 if absent).
@@ -209,26 +233,33 @@ class Headers:
         CDN77/CDNsun cap any one header at 16 KB); this helper measures
         against that limit.
         """
-        lowered = name.lower()
-        for item_name, item_value in self._items:
-            if item_name.lower() == lowered:
-                return len(item_name) + len(item_value) + 4
-        return 0
+        key = name.lower()
+        if key not in self._keys:
+            return 0
+        item_name, item_value = self._items[self._keys.index(key)]
+        return len(item_name) + len(item_value) + 4
 
     def __repr__(self) -> str:
         return f"Headers({self._items!r})"
 
     @classmethod
     def parse(cls, blob: bytes) -> "Headers":
-        """Parse a serialized header block (no terminating blank line)."""
-        headers = cls()
-        if not blob:
-            return headers
-        for line in blob.split(b"\r\n"):
+        """Parse a serialized header block (no terminating blank line).
+
+        RFC 7230 §3.2.4: whitespace between a field name and its colon,
+        and a line that starts with SP or HTAB (obs-fold, or whitespace
+        before the first field), are rejected rather than repaired.
+        """
+        fields: List[Tuple[str, str]] = []
+        for line in blob.split(b"\r\n") if blob else ():
             if not line:
                 continue
+            if line.startswith((b" ", b"\t")):
+                raise HeaderError(f"header line starts with whitespace {line!r}")
             name, sep, value = line.partition(b":")
             if not sep:
                 raise HeaderError(f"malformed header line {line!r}")
-            headers.add(name.decode("latin-1").strip(), value.decode("latin-1").strip())
-        return headers
+            if name.endswith((b" ", b"\t")):
+                raise HeaderError(f"whitespace before the colon in {line!r}")
+            fields.append((name.decode("latin-1"), value.decode("latin-1").strip()))
+        return cls(fields)

@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Tuple, Union
 
 from repro.errors import MessageError
 from repro.http.body import Body, make_body
-from repro.http.headers import Headers, declared_length
+from repro.http.headers import TOKEN_RE, Headers, declared_length
 from repro.http.status import StatusCode, reason_phrase
 
 _BodyLike = Union[Body, bytes, str, int, None]
@@ -44,9 +44,9 @@ class HttpRequest:
         body: _BodyLike = None,
         version: str = "HTTP/1.1",
     ) -> None:
-        if not method or any(c.isspace() for c in method):
+        if TOKEN_RE.fullmatch(method) is None:  # RFC 7230 §3.1.1: method = token
             raise MessageError(f"invalid method {method!r}")
-        if not target or any(c in " \r\n" for c in target):
+        if not target or " " in target or "\r" in target or "\n" in target:
             raise MessageError(f"invalid request target {target!r}")
         self.method = method
         self.target = target
@@ -105,14 +105,18 @@ class HttpRequest:
         )
 
     def copy(self) -> "HttpRequest":
-        """Deep-enough copy: headers are copied, the (immutable) body is shared."""
-        return HttpRequest(
-            method=self.method,
-            target=self.target,
-            headers=self.headers.copy(),
-            body=self.body,
-            version=self.version,
-        )
+        """Deep-enough copy: headers are copied, the (immutable) body is shared.
+
+        The copy's fields were validated when this request was built, so
+        they are copied slot by slot rather than checked again.
+        """
+        clone = HttpRequest.__new__(HttpRequest)
+        clone.method = self.method
+        clone.target = self.target
+        clone.version = self.version
+        clone.headers = self.headers.copy()
+        clone.body = self.body
+        return clone
 
     def __repr__(self) -> str:
         return f"HttpRequest({self.method} {self.target}, {len(self.headers)} headers)"
@@ -182,13 +186,14 @@ class HttpResponse:
         )
 
     def copy(self) -> "HttpResponse":
-        return HttpResponse(
-            status=self.status,
-            headers=self.headers.copy(),
-            body=self.body,
-            reason=self.reason,
-            version=self.version,
-        )
+        """Copy the headers and share the body, as :meth:`HttpRequest.copy`."""
+        clone = HttpResponse.__new__(HttpResponse)
+        clone.status = self.status
+        clone.reason = self.reason
+        clone.version = self.version
+        clone.headers = self.headers.copy()
+        clone.body = self.body
+        return clone
 
     def __repr__(self) -> str:
         return (

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RangeNotSatisfiableError, RangeParseError
-from repro.http.headers import parse_decimal
+from repro.http.headers import TOKEN_RE, parse_decimal
 
 #: RFC 7230 optional whitespace, allowed around the commas of a
 #: byte-range-set by the 1#rule list extension.
@@ -225,7 +225,6 @@ class RangeSpecifier:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_UNIT_RE = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
 #: Range sets up to this many characters are split in one call; longer
 #: ones -- the OBR attack's thousands of repeats -- are scanned run by run.
 _SPLIT_CHARS = 256
@@ -242,7 +241,7 @@ def parse_range_header(value: str, strict_unit: bool = True) -> RangeSpecifier:
     if value is None:
         raise RangeParseError("Range header value is None")
     unit, equals, range_set = value.strip(_OWS).partition("=")
-    if not equals or (unit != "bytes" and not _UNIT_RE.fullmatch(unit)):
+    if not equals or (unit != "bytes" and not TOKEN_RE.fullmatch(unit)):
         raise RangeParseError(f"malformed Range header {value!r}")
     if strict_unit and unit != "bytes":
         raise RangeParseError(f"unsupported range unit {unit!r}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -48,7 +49,7 @@ def test_report_import_pulls_in_neither_runner_nor_service():
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(SRC)},
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         check=True,

@@ -62,6 +62,18 @@ class TestHttpRequest:
         with pytest.raises(MessageError):
             HttpRequest(method="")
 
+    @pytest.mark.parametrize(
+        "method", ["GET\x00", "G\x7fET", "GE(T", "GET:", "G/T", "G\u00c9T", "\tGET"]
+    )
+    def test_method_must_be_a_token(self, method):
+        # RFC 7230 §3.1.1 method = token: controls and delimiters are out too.
+        with pytest.raises(MessageError, match="invalid method"):
+            HttpRequest(method=method)
+
+    @pytest.mark.parametrize("method", ["GET", "get", "M-SEARCH", "PROPFIND", "X_Y.1~"])
+    def test_token_methods_accepted(self, method):
+        assert HttpRequest(method=method).method == method
+
     def test_invalid_target_rejected(self):
         with pytest.raises(MessageError):
             HttpRequest(target="/a b")

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MessageError
+from repro.errors import HeaderError, MessageError
+from repro.http.headers import Headers
 from repro.http.message import HttpRequest, HttpResponse
-from repro.http.wire import parse_request, parse_response
+from repro.http.wire import parse_request, parse_request_head, parse_response
 
 
 class TestParseRequest:
@@ -73,6 +74,52 @@ class TestParseRequest:
     def test_decimal_content_length_with_ows_accepted(self):
         blob = b"POST /x HTTP/1.1\r\nHost: h\r\nContent-Length:  005 \r\n\r\nhello"
         assert parse_request(blob).body.materialize() == b"hello"
+
+
+class TestFieldLineWhitespace:
+    """RFC 7230 §3.2.4: a server rejects these heads instead of repairing them."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"Content-Length : 5", b"Content-Length\t: 5", b"Host  : h"],
+    )
+    def test_whitespace_before_the_colon_is_rejected(self, line):
+        # The name used to be stripped, so this declared a length of 5.
+        with pytest.raises(HeaderError, match="before the colon"):
+            parse_request_head(b"POST /x HTTP/1.1\r\n" + line)
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET /x HTTP/1.1\r\nHost: h\r\n X: y",  # obs-fold
+            b"GET /x HTTP/1.1\r\nHost: h\r\n\tX: y",
+            b"GET /x HTTP/1.1\r\nX: a\r\n  continued",  # fold without a colon
+            b"GET /x HTTP/1.1\r\n Host: h",  # whitespace before the first field
+        ],
+    )
+    def test_a_line_starting_with_whitespace_is_rejected(self, head):
+        # Each folded line used to be read as a new field.
+        with pytest.raises(HeaderError, match="starts with whitespace"):
+            parse_request_head(head)
+
+    def test_whole_requests_and_responses_are_rejected_too(self):
+        with pytest.raises(HeaderError):
+            parse_request(b"POST /x HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello")
+        with pytest.raises(HeaderError):
+            parse_response(b"HTTP/1.1 200 OK\r\nServer: a\r\n b\r\n\r\n")
+
+    def test_whitespace_around_the_value_is_still_trimmed(self):
+        request, declared = parse_request_head(
+            b"POST /x HTTP/1.1\r\nHost:h\r\nContent-Length: \t5 \t"
+        )
+        assert declared == 5
+        assert request.headers.items() == [("Host", "h"), ("Content-Length", "5")]
+
+    def test_header_parse_checks_every_name(self):
+        with pytest.raises(HeaderError, match="invalid character"):
+            Headers.parse(b"X\x0bY: 1\r\n")
+        with pytest.raises(HeaderError, match="non-empty"):
+            Headers.parse(b": 1\r\n")
 
 
 class TestParseResponse:

@@ -260,8 +260,20 @@ class TestWireGuards:
 class TestMalformedHeads:
     @pytest.mark.parametrize(
         "header_line",
-        [b"Content-Length: abc", b"Ho st: t", b"Host"],
-        ids=["non-numeric-length", "space-in-name", "no-colon"],
+        [
+            b"Content-Length: abc",
+            b"Ho st: t",
+            b"Host",
+            b"Content-Length : 5",
+            b"Host: t\r\n X: y",
+        ],
+        ids=[
+            "non-numeric-length",
+            "space-in-name",
+            "no-colon",
+            "space-before-colon",
+            "obs-fold",
+        ],
     )
     def test_answers_400_with_a_json_error(self, header_line):
         raw = asyncio.run(self._roundtrip(header_line))

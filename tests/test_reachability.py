@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import pkgutil
 import subprocess
 import sys
@@ -144,7 +145,7 @@ def _run(code: str) -> str:
     """What ``code`` prints in a fresh interpreter (``sys`` imported)."""
     return subprocess.run(
         [sys.executable, "-c", "import sys\n" + code],
-        env={"PYTHONPATH": str(SRC)},
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         check=True,
