@@ -12,6 +12,8 @@ schema-versioned ``BENCH_runall.json`` observation to
 --bench`` writes, so local bench runs and CI gate on one format.
 """
 
+import itertools
+import json
 import time
 
 from repro.cdn.node import CdnNode
@@ -153,6 +155,41 @@ def test_sbr_pipeline_round_traced(benchmark):
 
     assert benchmark(round_trip) == 206
     assert tracer.finished_spans()
+
+
+def test_cold_serve_items(benchmark):
+    """Fresh-size SBR, CCFC and OBR findings against a warm service.
+
+    Every call asks about sizes the service has not seen, so its
+    finding memo misses; the per-vendor static answers beneath (the SBR
+    classification, the OBR max n) are memoized without the size and
+    stay warm."""
+    from repro.serve.app import AnalysisService
+
+    service = AnalysisService()
+    sizes = itertools.count(1)
+
+    def analyze():
+        extra = next(sizes)
+        items = [
+            {"vendor": "akamai", "size": MB + extra},
+            {"vendor": "huawei", "attack": "ccfc", "size": MB + extra},
+            {"fcdn": "cdn77", "bcdn": "akamai", "size": 1024 + extra},
+        ]
+        body = json.dumps({"items": items}).encode("utf-8")
+        request = HttpRequest(
+            "POST",
+            "/v1/analyze",
+            headers=[("Host", "bench"), ("Content-Length", str(len(body)))],
+            body=body,
+        )
+        return service.handle(request)
+
+    analyze()  # warm the per-vendor answers
+    response = benchmark(analyze)
+    assert response.status == 200
+    results = json.loads(response.body.materialize())["results"]
+    assert [r["finding"]["kind"] for r in results] == ["sbr", "ccfc", "obr"]
 
 
 def test_run_all_quick_fastpath(benchmark, output_dir):

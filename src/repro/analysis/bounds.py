@@ -30,11 +30,13 @@ from repro.analysis.classify import (
     exploited_range_cases,
     exploited_request,
     forwarded_verbatim,
+    memo_keyable,
 )
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.vendors import create_profile
 from repro.cdn.vendors.azure import DEFAULT_ABORT_SLOP, EIGHT_MB, WINDOW_LAST
 from repro.cdn.vendors.base import (
+    ContextReads,
     VendorContext,
     VendorProfile,
     convert_encoded_response,
@@ -426,6 +428,7 @@ def declared_max_n(
     resource_size: int,
     fcdn_profile: Optional[ProfileFactory] = None,
     bcdn_profile: Optional[ProfileFactory] = None,
+    reads: Optional[ContextReads] = None,
 ) -> Optional[int]:
     """The largest ``n`` the cascade's declared header limits admit.
 
@@ -438,7 +441,8 @@ def declared_max_n(
     ``None`` when no declared limit binds (only opaque predicates, or
     none).  Monotone probes still decide: :func:`largest_admitted` takes
     this as its first guess and certifies it.  ``fcdn_profile`` /
-    ``bcdn_profile`` substitute wrapped (mitigated) profiles.
+    ``bcdn_profile`` substitute wrapped (mitigated) profiles; ``reads``
+    notes whether the front's decision read the resource size.
     """
     front = fcdn_profile() if fcdn_profile is not None else create_profile(fcdn)
     back = bcdn_profile() if bcdn_profile is not None else create_profile(bcdn)
@@ -446,7 +450,7 @@ def declared_max_n(
     request = exploited_request(fcdn, count)
     leading = exploited_leading_spec(fcdn)
     step = obr_value_size(count + 1, leading=leading) - obr_value_size(count, leading=leading)
-    upstream = forwarded_verbatim(fcdn, front, request, resource_size)
+    upstream = forwarded_verbatim(fcdn, front, request, resource_size, reads)
     if upstream is None:
         return 0
     caps = [
@@ -501,7 +505,9 @@ def largest_admitted(
     return low
 
 
-#: Registry-vendor :func:`static_max_n` searches, by argument tuple.
+#: :func:`static_max_n` searches, by ``(fcdn, bcdn, lower, upper,
+#: fcdn_profile, bcdn_profile)`` plus ``resource_size`` when a probe
+#: read the size.
 _MAX_N_MEMO = Memo(maxsize=1024, name="static_max_n")
 
 
@@ -528,11 +534,21 @@ def static_max_n(
 
     ``fcdn_profile`` / ``bcdn_profile`` substitute wrapped (mitigated)
     profiles for the named registry vendors on either side.
+
+    The search is memoized when both factories are
+    :func:`~repro.analysis.classify.memo_keyable`.  Only a front end's
+    decision table can read the resource size (Huawei's 10 MB switch),
+    and each decision's :class:`~repro.cdn.vendors.base.VendorContext`
+    records whether it did.  A search none of whose decisions read it
+    is stored without the size and answers every size: the search is
+    deterministic, so at any other size it would take the same probes
+    to the same answer.
     """
     if fcdn == bcdn:
         raise ConfigurationError(
             "a CDN is not cascaded with itself (paper Table V excludes it)"
         )
+    reads = ContextReads()
 
     def admits(n: int) -> bool:
         return _static_probe(
@@ -542,23 +558,26 @@ def static_max_n(
             resource_size,
             fcdn_profile=fcdn_profile,
             bcdn_profile=bcdn_profile,
+            reads=reads,
         )
 
     def search() -> int:
-        guess = declared_max_n(fcdn, bcdn, resource_size, fcdn_profile, bcdn_profile)
+        guess = declared_max_n(
+            fcdn, bcdn, resource_size, fcdn_profile, bcdn_profile, reads=reads
+        )
         return largest_admitted(admits, lower, upper, guess)
 
-    if fcdn_profile is None and bcdn_profile is None:
-        # Registry-vendor searches are pure functions of scalar inputs;
-        # the analyzer and the recommendation engine re-ask the same
-        # cascades, so the search is worth caching.  Wrapped (mitigated)
-        # searches stay uncached: one audit runs 33 of them for 33
-        # distinct (cascade, mitigation) pairs, so a memo would never hit.
-        max_n: int = _MAX_N_MEMO.get_or_compute(
-            (fcdn, bcdn, resource_size, lower, upper), search
-        )
-        return max_n
-    return search()
+    if not (memo_keyable(fcdn_profile) and memo_keyable(bcdn_profile)):
+        return search()
+    size_free = (fcdn, bcdn, lower, upper, fcdn_profile, bcdn_profile)
+    sized = (*size_free, resource_size)
+
+    def keyed_search() -> Tuple[int, Tuple[object, ...]]:
+        max_n = search()
+        return max_n, sized if reads.size else size_free
+
+    found: int = _MAX_N_MEMO.get_or_compute_under((size_free, sized), keyed_search)
+    return found
 
 
 def _static_probe(
@@ -568,15 +587,17 @@ def _static_probe(
     resource_size: int,
     fcdn_profile: Optional[ProfileFactory] = None,
     bcdn_profile: Optional[ProfileFactory] = None,
+    reads: Optional[ContextReads] = None,
 ) -> bool:
-    """Would a request with ``overlap_count`` ranges survive end-to-end?"""
+    """Would a request with ``overlap_count`` ranges survive end-to-end?
+    ``reads`` notes whether the front's decision read the size."""
     request = exploited_request(fcdn, overlap_count)
     front = fcdn_profile() if fcdn_profile is not None else create_profile(fcdn)
     try:
         front.limits.check(request)
     except RequestRejectedError:
         return False
-    upstream = forwarded_verbatim(fcdn, front, request, resource_size)
+    upstream = forwarded_verbatim(fcdn, front, request, resource_size, reads)
     if upstream is None:
         return False
 

@@ -28,12 +28,13 @@ too, so that the wire attacks and the static bounds read the same facts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.policy import ForwardPolicy
 from repro.cdn.vendors import create_profile, profile_class
 from repro.cdn.vendors.base import (
+    ContextReads,
     EncodingPolicy,
     VendorConfig,
     VendorContext,
@@ -49,6 +50,28 @@ from repro.obs.memo import Memo
 #: lets every classification and closed-form bound run against a
 #: wrapped/mitigated profile instead of the registry vendor it names.
 ProfileFactory = Callable[[], VendorProfile]
+
+
+class WrappedFactory(NamedTuple):
+    """A :data:`ProfileFactory` building ``wrapper(create_profile(vendor))``
+    afresh per call.  Equal factories build equal profiles, so an answer
+    read off one may be memoized under it (:func:`memo_keyable`).  A
+    named tuple, so it is cheap to make and to hash."""
+
+    vendor: str
+    wrapper: Callable[[VendorProfile], VendorProfile]
+
+    def __call__(self) -> VendorProfile:
+        return self.wrapper(create_profile(self.vendor))
+
+
+def memo_keyable(factory: Optional[ProfileFactory]) -> bool:
+    """Whether answers read off ``factory``'s profiles may be memoized
+    under it: the registry vendor (``None``) or a :class:`WrappedFactory`.
+    Any other callable hashes by identity, so a memo keyed by it would
+    only fill up; those stay uncached."""
+    return factory is None or isinstance(factory, WrappedFactory)
+
 
 MB = 1 << 20
 
@@ -169,10 +192,15 @@ def exploited_request(fcdn: str, overlap_count: int) -> HttpRequest:
 
 
 def forwarded_verbatim(
-    fcdn: str, front: VendorProfile, request: HttpRequest, resource_size: int
+    fcdn: str,
+    front: VendorProfile,
+    request: HttpRequest,
+    resource_size: int,
+    reads: Optional[ContextReads] = None,
 ) -> Optional[HttpRequest]:
     """The request ``front`` sends upstream when its decision table
-    forwards the Range header unchanged (Laziness); ``None`` otherwise."""
+    forwards the Range header unchanged (Laziness); ``None`` otherwise.
+    ``reads`` notes whether the decision read the resource size."""
     range_value = request.headers.get("Range")
     config = exploited_fcdn_config(fcdn)
     ctx = VendorContext(
@@ -180,6 +208,8 @@ def forwarded_verbatim(
         resource_size_hint=resource_size,
     )
     decision = front.forward_decision(request, try_parse_range_header(range_value), ctx)
+    if reads is not None and ctx.size_read:
+        reads.size = True
     if decision.forwarded_range != range_value:
         return None
     return front.build_upstream_request(request, decision)
@@ -214,9 +244,11 @@ def probe_decision(
     resource_size: int,
     config: Optional[VendorConfig] = None,
     profile_factory: Optional[ProfileFactory] = None,
+    reads: Optional[ContextReads] = None,
 ) -> ProbeDecision:
-    """Ask a fresh profile for its first-sighting forwarding decision."""
-    return _ask(_fresh(vendor, profile_factory), range_value, resource_size, config)
+    """Ask a fresh profile for its first-sighting forwarding decision;
+    ``reads`` notes whether the decision read the resource size."""
+    return _ask(_fresh(vendor, profile_factory), range_value, resource_size, config, reads)
 
 
 def _fresh(vendor: str, profile_factory: Optional[ProfileFactory]) -> VendorProfile:
@@ -228,6 +260,7 @@ def _ask(
     range_value: str,
     resource_size: int,
     config: Optional[VendorConfig],
+    reads: Optional[ContextReads] = None,
 ) -> ProbeDecision:
     ctx = VendorContext(
         config=config if config is not None else profile.effective_config(),
@@ -236,6 +269,8 @@ def _ask(
     decision = profile.forward_decision(
         _probe_request(range_value), try_parse_range_header(range_value), ctx
     )
+    if reads is not None and ctx.size_read:
+        reads.size = True
     return ProbeDecision(
         range_value=range_value,
         resource_size=resource_size,
@@ -277,6 +312,10 @@ class SbrClassification:
         return "none"
 
 
+#: :func:`classify_sbr` answers, by ``(vendor, config, factory)``.
+_SBR_MEMO = Memo(maxsize=1024, name="classify_sbr")
+
+
 def classify_sbr(
     vendor: str,
     config: Optional[VendorConfig] = None,
@@ -287,29 +326,42 @@ def classify_sbr(
     ``profile_factory`` substitutes a wrapped profile (e.g. a
     ``MitigatedProfile``) for the registry vendor — the recommendation
     engine uses this to prove a mitigation removes the classification.
+
+    The probes run at :data:`DEFAULT_PROBE_SIZES`, never at a caller's
+    size, so the answer is memoized by ``(vendor, config, factory)``
+    when the factory is :func:`memo_keyable`.
     """
-    exemplar = _fresh(vendor, profile_factory)
-    amplifying = []
-    stateful = []
-    for size in DEFAULT_PROBE_SIZES:
-        for shape in SINGLE_RANGE_SHAPES:
-            profile = _fresh(vendor, profile_factory)
-            first = _ask(profile, shape, size, config)
-            if first.amplifying:
-                amplifying.append(first)
-                continue
-            # The same instance sees the identical request again: KeyCDN
-            # deletes the Range header on its second sighting.
-            second = _ask(profile, shape, size, config)
-            if second.amplifying:
-                stateful.append(second)
-    return SbrClassification(
-        vendor=vendor,
-        display_name=exemplar.display_name,
-        amplifying_probes=tuple(amplifying),
-        stateful_probes=tuple(stateful),
-        fetch_flow_amplifies=exemplar.amplifies_via_fetch_flow,
+
+    def classify() -> SbrClassification:
+        exemplar = _fresh(vendor, profile_factory)
+        amplifying = []
+        stateful = []
+        for size in DEFAULT_PROBE_SIZES:
+            for shape in SINGLE_RANGE_SHAPES:
+                profile = _fresh(vendor, profile_factory)
+                first = _ask(profile, shape, size, config)
+                if first.amplifying:
+                    amplifying.append(first)
+                    continue
+                # The same instance sees the identical request again:
+                # KeyCDN deletes the Range header on its second sighting.
+                second = _ask(profile, shape, size, config)
+                if second.amplifying:
+                    stateful.append(second)
+        return SbrClassification(
+            vendor=vendor,
+            display_name=exemplar.display_name,
+            amplifying_probes=tuple(amplifying),
+            stateful_probes=tuple(stateful),
+            fetch_flow_amplifies=exemplar.amplifies_via_fetch_flow,
+        )
+
+    if not memo_keyable(profile_factory):
+        return classify()
+    classification: SbrClassification = _SBR_MEMO.get_or_compute(
+        (vendor, config, profile_factory), classify
     )
+    return classification
 
 
 #: :func:`classify_obr_frontend` answers, by ``(vendor, resource_size,

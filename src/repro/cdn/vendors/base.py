@@ -117,15 +117,40 @@ class VendorConfig:
     cache_enabled: bool = True
 
 
-@dataclass
 class VendorContext:
-    """Per-request context a profile's decision logic may consult."""
+    """Per-request context a profile's decision logic may consult.
 
-    config: VendorConfig
-    #: Size of the target representation, when the node can know it
-    #: (cached metadata in real CDNs; supplied by the deployment here).
-    #: ``None`` means unknown.
-    resource_size_hint: Optional[int] = None
+    The context records whether the decision read the size hint
+    (``size_read``), so a static search that never read it knows its
+    answer holds at every size (:class:`ContextReads`)."""
+
+    __slots__ = ("config", "_size_hint", "size_read")
+
+    def __init__(self, config: VendorConfig, resource_size_hint: Optional[int] = None) -> None:
+        self.config = config
+        self._size_hint = resource_size_hint
+        self.size_read = False
+
+    @property
+    def resource_size_hint(self) -> Optional[int]:
+        """Size of the target representation, when the node can know it
+        (cached metadata in real CDNs; supplied by the deployment here).
+        ``None`` means unknown."""
+        self.size_read = True
+        return self._size_hint
+
+
+class ContextReads:
+    """Whether a decision in one computation read its context's size
+    hint.  The computation creates one and hands it to every helper that
+    builds a :class:`VendorContext` for it
+    (``repro.analysis.classify.forwarded_verbatim``), which sets
+    ``size`` once a decision read the hint."""
+
+    __slots__ = ("size",)
+
+    def __init__(self) -> None:
+        self.size = False
 
 
 @dataclass

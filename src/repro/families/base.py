@@ -29,8 +29,7 @@ from typing import (
     Union,
 )
 
-from repro.analysis.classify import ProfileFactory
-from repro.cdn.vendors import create_profile
+from repro.analysis.classify import ProfileFactory, WrappedFactory
 from repro.defense.mitigations import (
     with_bounded_expansion,
     with_encoding_normalization,
@@ -43,7 +42,7 @@ from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
     from repro.analysis.report import Finding
-    from repro.cdn.vendors.base import VendorConfig
+    from repro.cdn.vendors.base import VendorConfig, VendorProfile
     from repro.netsim.overhead import OverheadModel
     from repro.reporting.render import Table
     from repro.runner.grid import ExperimentCell, Key
@@ -168,7 +167,7 @@ class MitigationSpec:
         return f"{self.name}@{self.target}"
 
 
-_WRAPPERS = {
+_WRAPPERS: Dict[str, Callable[["VendorProfile"], "VendorProfile"]] = {
     "laziness": with_laziness,
     "bounded-expansion": with_bounded_expansion,
     "overlap-rejection": with_overlap_rejection,
@@ -179,11 +178,14 @@ _WRAPPERS = {
 
 
 def mitigation_profile_factory(vendor: str, mitigation: str) -> ProfileFactory:
-    """A fresh-instance factory wrapping ``vendor`` in ``mitigation``."""
+    """A fresh-instance factory wrapping ``vendor`` in ``mitigation``.
+
+    Factories for the same pair are equal and hash alike, so static
+    answers computed against the mitigated profile (classification, the
+    OBR max-n search) are memoized across calls."""
     if mitigation not in _WRAPPERS:
         raise ConfigurationError(f"unknown mitigation {mitigation!r}")
-    wrapper = _WRAPPERS[mitigation]
-    return lambda: wrapper(create_profile(vendor))
+    return WrappedFactory(vendor, _WRAPPERS[mitigation])
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,11 @@ from repro.errors import HeaderError
 TOKEN_RE = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
 _token = TOKEN_RE.fullmatch
 
+#: RFC 7230 §3.2.3 optional whitespace, ``*( SP / HTAB )``: all a field
+#: value is trimmed of.  ``str.strip()`` would also eat VT, FS, NEL and
+#: NBSP, so ``Content-Length: 5\xa0`` would declare 5.
+OWS = " \t"
+
 
 def parse_decimal(text: str) -> Optional[int]:
     """``1*DIGIT`` as an int, or None when ``text`` is anything else.
@@ -54,7 +59,7 @@ def declared_length(headers: Headers) -> Optional[int]:
         return None
     if len(values) > 1:
         raise HeaderError(f"{len(values)} Content-Length fields")
-    raw = values[0].strip()
+    raw = values[0].strip(OWS)
     length = parse_decimal(raw)
     if length is None:
         raise HeaderError(f"Content-Length is not a non-negative integer: {raw[:32]!r}")
@@ -261,5 +266,5 @@ class Headers:
                 raise HeaderError(f"malformed header line {line!r}")
             if name.endswith((b" ", b"\t")):
                 raise HeaderError(f"whitespace before the colon in {line!r}")
-            fields.append((name.decode("latin-1"), value.decode("latin-1").strip()))
+            fields.append((name.decode("latin-1"), value.decode("latin-1").strip(OWS)))
         return cls(fields)

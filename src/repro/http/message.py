@@ -8,6 +8,7 @@ and body — exactly what a packet capture of the HTTP payload would show.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Optional, Tuple, Union
 
 from repro.errors import MessageError
@@ -16,6 +17,17 @@ from repro.http.headers import TOKEN_RE, Headers, declared_length
 from repro.http.status import StatusCode, reason_phrase
 
 _BodyLike = Union[Body, bytes, str, int, None]
+
+#: RFC 7230 §2.6: ``HTTP-version = "HTTP/" DIGIT "." DIGIT``.
+HTTP_VERSION_RE = re.compile(r"HTTP/[0-9]\.[0-9]")
+#: RFC 7230 §3.1.2: ``reason-phrase = *( HTAB / SP / VCHAR / obs-text )``,
+#: so no CR, LF or other control byte can end the status line early.
+_REASON_RE = re.compile(r"[\t\x20-\x7e\x80-\xff]*")
+
+
+def _check_version(version: str) -> None:
+    if HTTP_VERSION_RE.fullmatch(version) is None:
+        raise MessageError(f"invalid HTTP version {version!r}")
 
 
 def _coerce_headers(headers: Union[Headers, Iterable[Tuple[str, str]], None]) -> Headers:
@@ -48,6 +60,8 @@ class HttpRequest:
             raise MessageError(f"invalid method {method!r}")
         if not target or " " in target or "\r" in target or "\n" in target:
             raise MessageError(f"invalid request target {target!r}")
+        if version != "HTTP/1.1":
+            _check_version(version)
         self.method = method
         self.target = target
         self.version = version
@@ -138,6 +152,10 @@ class HttpResponse:
         status = int(status)
         if not 100 <= status <= 599:
             raise MessageError(f"invalid status code {status}")
+        if reason is not None and _REASON_RE.fullmatch(reason) is None:
+            raise MessageError(f"invalid reason phrase {reason!r}")
+        if version != "HTTP/1.1":
+            _check_version(version)
         self.status = status
         self.reason = reason if reason is not None else reason_phrase(status)
         self.version = version

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 from repro.errors import HeaderError, MessageError
 from repro.http.body import make_body
 from repro.http.headers import Headers, declared_length, parse_decimal
-from repro.http.message import HttpRequest, HttpResponse
+from repro.http.message import HTTP_VERSION_RE, HttpRequest, HttpResponse
 
 _HEADER_END = b"\r\n\r\n"
 
@@ -64,7 +64,7 @@ def parse_request_head(head: bytes) -> Tuple[HttpRequest, Optional[int]]:
     if len(parts) != 3:
         raise MessageError(f"malformed request line {start_line!r}")
     method, target, version = parts
-    if not version.startswith("HTTP/"):
+    if HTTP_VERSION_RE.fullmatch(version) is None:
         raise MessageError(f"malformed HTTP version {version!r}")
     declared = _declared(headers, "request")
     request = HttpRequest(method=method, target=target, headers=headers, version=version)
@@ -89,7 +89,7 @@ def parse_response(blob: bytes) -> HttpResponse:
     if len(parts) < 2:
         raise MessageError(f"malformed status line {start_line!r}")
     version = parts[0]
-    if not version.startswith("HTTP/"):
+    if HTTP_VERSION_RE.fullmatch(version) is None:
         raise MessageError(f"malformed HTTP version {version!r}")
     # RFC 7230 §3.1.2: status-code = 3DIGIT.
     status = parse_decimal(parts[1]) if len(parts[1]) == 3 else None

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.obs.metrics import current_metrics
 
@@ -87,6 +87,33 @@ class Memo:
         # Compute outside the lock: measurements can be slow, and a
         # duplicate computation is merely wasted work, never wrong.
         value = compute()
+        self._store(key, value)
+        return value
+
+    def get_or_compute_under(
+        self,
+        keys: Sequence[Hashable],
+        compute: Callable[[], Tuple[Any, Hashable]],
+    ) -> Any:
+        """Return the value cached under the first of ``keys`` present.
+
+        On a miss ``compute`` returns the value *and* the key to store
+        it under, so an answer that turned out not to depend on some
+        input can go under a key without it.  One lookup is recorded
+        either way."""
+        with self._lock:
+            for key in keys:
+                if key in self._table:
+                    self.stats.hits += 1
+                    value = self._table[key]
+                    self._record(hit=True)
+                    return value
+        value, key = compute()
+        self._store(key, value)
+        return value
+
+    def _store(self, key: Hashable, value: Any) -> None:
+        """Insert a computed miss (FIFO eviction) and count the miss."""
         with self._lock:
             if key not in self._table:
                 if len(self._table) >= self.maxsize:
@@ -96,7 +123,6 @@ class Memo:
                 self._table[key] = value
             self.stats.misses += 1
         self._record(hit=False)
-        return value
 
     def clear(self) -> None:
         with self._lock:

@@ -6,13 +6,19 @@ bisection is kept here as the oracle — while spending two probes on
 every header-limited cascade.
 """
 
+from functools import partial
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import bounds
 from repro.analysis.bounds import declared_max_n, largest_admitted, static_max_n
+from repro.analysis.classify import MULTI_RANGE_SHAPES, WrappedFactory, probe_decision
+from repro.cdn.policy import ForwardDecision
 from repro.cdn.vendors import all_vendor_names, create_profile
+from repro.cdn.vendors.base import ContextReads, VendorProfile
+from repro.cdn.vendors.huawei import SIZE_THRESHOLD
 from repro.core.obr import ObrAttack, vulnerable_combinations
 from repro.defense.mitigations import (
     SlicingProfile,
@@ -20,7 +26,9 @@ from repro.defense.mitigations import (
     with_laziness,
     with_overlap_rejection,
 )
-from repro.obs.memo import clear_all_memos
+from repro.families.base import mitigation_profile_factory
+from repro.families.obr import FAMILY as OBR
+from repro.obs.memo import clear_all_memos, memo_stats
 
 WRAPPERS = {
     "laziness": with_laziness,
@@ -213,3 +221,97 @@ class TestProbeBudget:
         vendor = fcdn if side == "fcdn" else bcdn
         guarded = {f"{side}_profile": _wrapped(vendor, with_overlap_rejection)}
         assert declared_max_n(fcdn, bcdn, 1024, **guarded) == 2
+
+
+def _size_gated(inner):
+    """A front end that forwards Range verbatim only below Huawei's size
+    switch, so its max n depends on the size (no registry cascade's does)."""
+    return _SizeGatedProfile(inner.limits)
+
+
+class _SizeGatedProfile(VendorProfile):
+    def forward_decision(self, request, spec, ctx):
+        size = ctx.resource_size_hint
+        if size is not None and size >= SIZE_THRESHOLD:
+            return ForwardDecision.delete()
+        return ForwardDecision.lazy(request.range_header)
+
+
+#: How a property example substitutes one side: mitigations by name,
+#: or the size-gated front/back above (memoizable, like the mitigations).
+SIDE_FACTORIES = {
+    **{name: partial(mitigation_profile_factory, mitigation=name) for name in WRAPPERS},
+    "size-gated": lambda vendor: WrappedFactory(vendor, _size_gated),
+}
+
+
+class TestSizeFreeKeys:
+    """A search none of whose decisions read the size is memoized once
+    for every size; the answers stay what a cold search gives."""
+
+    @pytest.mark.parametrize("fcdn,bcdn", ORDERED_PAIRS)
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(
+        below=st.integers(min_value=1, max_value=SIZE_THRESHOLD - 1),
+        above=st.integers(min_value=SIZE_THRESHOLD, max_value=4 * SIZE_THRESHOLD),
+        warm_below=st.booleans(),
+        substitute=st.sampled_from([None, *SIDE_FACTORIES]),
+        side=st.sampled_from(["fcdn", "bcdn"]),
+    )
+    def test_a_warm_answer_is_the_cold_answer_at_another_size(
+        self, fcdn, bcdn, below, above, warm_below, substitute, side
+    ):
+        profiles = {}
+        if substitute is not None:
+            vendor = fcdn if side == "fcdn" else bcdn
+            profiles[f"{side}_profile"] = SIDE_FACTORIES[substitute](vendor)
+        warm, query = (below, above) if warm_below else (above, below)
+
+        clear_all_memos()
+        static_max_n(fcdn, bcdn, resource_size=warm, **profiles)
+        answered = static_max_n(fcdn, bcdn, resource_size=query, **profiles)
+        clear_all_memos()
+        assert answered == static_max_n(fcdn, bcdn, resource_size=query, **profiles)
+
+    def test_the_size_gated_front_depends_on_the_size(self):
+        front = SIDE_FACTORIES["size-gated"]("cdn77")
+        small = static_max_n("cdn77", "akamai", 1024, fcdn_profile=front)
+        large = static_max_n("cdn77", "akamai", SIZE_THRESHOLD, fcdn_profile=front)
+        assert small > 0 == large
+
+    @pytest.mark.parametrize(
+        "fcdn,bcdn,sized",
+        [("huawei", "akamai", True), ("huawei", "cdn77", True), ("cdn77", "akamai", False)],
+    )
+    def test_only_a_size_reading_front_gets_a_sized_key(self, fcdn, bcdn, sized):
+        # Huawei's decision table reads the size (its 10 MB switch)
+        # before it looks at the shape; CDN77's never does.
+        reads = ContextReads()
+        probe_decision(fcdn, MULTI_RANGE_SHAPES[0], 1024, reads=reads)
+        assert reads.size is sized
+
+        clear_all_memos()
+        first = static_max_n(fcdn, bcdn, resource_size=1024)
+        second = static_max_n(fcdn, bcdn, resource_size=2048)
+        assert first == second
+        stats = memo_stats()["static_max_n"]
+        assert (stats.misses, stats.hits) == ((2, 0) if sized else (1, 1))
+
+    @pytest.mark.parametrize("fcdn,bcdn", vulnerable_combinations())
+    def test_fresh_sizes_take_no_probes_after_warm_up(
+        self, fcdn, bcdn, counted_static_probe
+    ):
+        def analyze(size):
+            finding = OBR.finding((fcdn, bcdn), size, None, None)
+            assert finding.kind == "obr"
+            residuals = [OBR.residual((fcdn, bcdn), spec, size) for spec in OBR.mitigations]
+            return finding.data["max_n"], residuals
+
+        warm = analyze(1024)
+        assert counted_static_probe.calls > 0
+        counted_static_probe.probed.clear()
+        fresh = analyze(3001)
+        assert counted_static_probe.calls == 0
+        assert fresh[0] == warm[0]
+        clear_all_memos()
+        assert analyze(3001) == fresh

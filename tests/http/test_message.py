@@ -80,6 +80,17 @@ class TestHttpRequest:
         with pytest.raises(MessageError):
             HttpRequest(target="")
 
+    @pytest.mark.parametrize(
+        "version", ["HTTP/1.1\r\nEvil: 1", "HTTP/9.x", "HTTP/1.1 ", "", "HTTP/11.1"]
+    )
+    def test_invalid_version_rejected(self, version):
+        # Serialized, the first one used to emit an injected Evil header.
+        with pytest.raises(MessageError, match="invalid HTTP version"):
+            HttpRequest(version=version)
+
+    def test_other_digit_versions_accepted(self):
+        assert HttpRequest(version="HTTP/1.0").request_line() == "GET / HTTP/1.0"
+
     def test_headers_accepts_headers_instance(self):
         headers = Headers([("Host", "h")])
         request = HttpRequest(headers=headers)
@@ -97,6 +108,24 @@ class TestHttpResponse:
 
     def test_status_line(self):
         assert HttpResponse(206).status_line() == "HTTP/1.1 206 Partial Content"
+
+    @pytest.mark.parametrize(
+        "reason", ["OK\r\nEvil: 1", "OK\nEvil: 1", "OK\r", "O\x00K", "O\x7fK", "O\x1fK"]
+    )
+    def test_reason_with_control_bytes_rejected(self, reason):
+        # Serialized, the first one used to emit an injected Evil header.
+        with pytest.raises(MessageError, match="invalid reason phrase"):
+            HttpResponse(200, reason=reason)
+
+    def test_reason_allows_tab_space_and_obs_text(self):
+        reason = "Fine\tand dandy \xe9"
+        assert HttpResponse(200, reason=reason).status_line() == f"HTTP/1.1 200 {reason}"
+        assert HttpResponse(200, reason="").status_line() == "HTTP/1.1 200 "
+
+    @pytest.mark.parametrize("version", ["HTTP/1.1\r\nEvil: 1", "HTTP/9.x", "HTTP/1.1x"])
+    def test_invalid_version_rejected(self, version):
+        with pytest.raises(MessageError, match="invalid HTTP version"):
+            HttpResponse(200, version=version)
 
     def test_predicates(self):
         assert HttpResponse(200).is_success

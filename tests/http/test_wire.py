@@ -115,6 +115,16 @@ class TestFieldLineWhitespace:
         assert declared == 5
         assert request.headers.items() == [("Host", "h"), ("Content-Length", "5")]
 
+    @pytest.mark.parametrize("byte", [b"\xa0", b"\x0b", b"\x85", b"\x1c"])
+    def test_only_space_and_tab_are_trimmed(self, byte):
+        # NBSP, VT, NEL and FS are not RFC 7230 OWS; str.strip() used to
+        # drop them, so these heads declared a length of 5.
+        for value in (b"5" + byte, byte + b"5", b" 5" + byte + b"\t"):
+            with pytest.raises(MessageError, match="not a non-negative integer"):
+                parse_request_head(b"POST /x HTTP/1.1\r\nContent-Length: " + value)
+        headers = Headers.parse(b"X: a" + byte + b" \r\n")
+        assert headers.get("X") == "a" + byte.decode("latin-1")
+
     def test_header_parse_checks_every_name(self):
         with pytest.raises(HeaderError, match="invalid character"):
             Headers.parse(b"X\x0bY: 1\r\n")
@@ -170,6 +180,28 @@ class TestParseResponse:
 
 
 _token = st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=12)
+
+
+class TestStartLineVersion:
+    @pytest.mark.parametrize(
+        "version", ["HTTP/9.x", "HTTP/1.11", "HTTP/", "HTTP/1", "http/1.1", "HTTP/\u0661.1"]
+    )
+    def test_version_must_be_digit_dot_digit(self, version):
+        head = f"GET /x {version}\r\nHost: h".encode("utf-8")
+        with pytest.raises(MessageError, match="malformed HTTP version"):
+            parse_request_head(head)
+        with pytest.raises(MessageError, match="malformed HTTP version"):
+            parse_response(f"{version} 200 OK\r\n\r\n".encode("utf-8"))
+
+    def test_other_versions_round_trip(self):
+        request, _ = parse_request_head(b"GET /x HTTP/1.0\r\nHost: h")
+        assert request.version == "HTTP/1.0"
+        assert parse_response(b"HTTP/2.0 204 No Content\r\n\r\n").version == "HTTP/2.0"
+
+    @pytest.mark.parametrize("byte", ["\x00", "\x7f", "\x1b", "\x0b"])
+    def test_reason_with_a_control_byte_is_rejected(self, byte):
+        with pytest.raises(MessageError, match="invalid reason phrase"):
+            parse_response(f"HTTP/1.1 200 O{byte}K\r\n\r\n".encode("latin-1"))
 
 
 class TestRoundTripProperties:

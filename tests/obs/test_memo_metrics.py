@@ -9,6 +9,9 @@ process boundary and merges them, so the pool-wide hit/miss split is
 reconstructible from any collected run.
 """
 
+import sys
+import threading
+
 from repro.core.sbr import sbr_grid
 from repro.obs.metrics import MEMO_LOOKUPS, MetricsRegistry, use_metrics
 from repro.runner.executor import GridRunner
@@ -46,6 +49,52 @@ class TestMemoRecording:
         memo.get_or_compute("k", lambda: 1)
         memo.get_or_compute("k", lambda: 1)
         assert memo.stats.lookups == 2  # and nothing raised
+
+    def test_get_or_compute_under_stores_where_compute_says(self):
+        memo = Memo(maxsize=4, name="test_memo_under")
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            assert memo.get_or_compute_under(("wide", "narrow"), lambda: (1, "wide")) == 1
+            assert memo.get_or_compute_under(("wide", "other"), lambda: (2, "other")) == 1
+            assert memo.get_or_compute_under(("x", "narrow"), lambda: (3, "narrow")) == 3
+        assert "wide" in memo and "narrow" in memo and "other" not in memo
+        assert _lookups(registry, "test_memo_under", "miss") == 2
+        assert _lookups(registry, "test_memo_under", "hit") == 1
+
+    def test_concurrent_max_n_lookups_agree_with_cold_searches(self):
+        from repro.analysis.bounds import static_max_n
+        from repro.core.obr import vulnerable_combinations
+
+        asks = [
+            (fcdn, bcdn, size)
+            for fcdn, bcdn in [*vulnerable_combinations(), ("huawei", "akamai")]
+            for size in (700, 1024, 9000)
+        ]
+        clear_all_memos()
+        cold = {ask: static_max_n(ask[0], ask[1], resource_size=ask[2]) for ask in asks}
+        clear_all_memos()
+        answers = []
+
+        def worker(offset):
+            for index in range(len(asks)):
+                fcdn, bcdn, size = asks[(index + offset) % len(asks)]
+                found = static_max_n(fcdn, bcdn, resource_size=size)
+                answers.append(((fcdn, bcdn, size), found))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k * 5,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(answers) == 6 * len(asks)
+        assert all(found == cold[ask] for ask, found in answers)
+        assert memo_stats()["static_max_n"].lookups == len(answers)
 
     def test_measure_sbr_reports_to_registry_and_stats(self):
         clear_all_memos()

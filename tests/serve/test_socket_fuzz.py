@@ -309,6 +309,21 @@ class TestFuzzedRequests:
         assert check(payload, exchange(port, payload)) == 400
 
 
+    @pytest.mark.parametrize("byte", [b"\xa0", b"\x0b", b"\x85", b"\x1c"])
+    def test_content_length_with_non_ows_whitespace_gets_400(self, port, byte):
+        # Only SP and HTAB are optional whitespace; a length padded with
+        # NBSP, VT, NEL or FS frames nothing.
+        body = b'{"items": []}'
+        payload = (
+            b"POST /v1/analyze HTTP/1.1\r\nHost: t\r\nContent-Length: 13"
+            + byte
+            + b"\r\n\r\n"
+            + body
+        )
+        raw = exchange(port, payload)
+        assert check(payload, raw) == 400
+        assert b"Content-Length" in parse_response(raw).body.materialize()
+
     @pytest.mark.parametrize(
         "lengths",
         [
