@@ -288,7 +288,7 @@ def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=1,
-        help="batch worker threads (1 runs batches on the event loop)",
+        help="threads for batches that run an exact wire simulation",
     )
     serve.add_argument(
         "--max-inflight", type=int, default=8,

@@ -112,6 +112,11 @@ class Memo:
         self._store(key, value)
         return value
 
+    def peek(self, key: Hashable) -> Any:
+        """The value cached under ``key``, or ``None``; records no lookup."""
+        with self._lock:
+            return self._table.get(key)
+
     def _store(self, key: Hashable, value: Any) -> None:
         """Insert a computed miss (FIFO eviction) and count the miss."""
         with self._lock:

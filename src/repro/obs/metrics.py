@@ -46,6 +46,7 @@ RECOMMENDATIONS = "repro_recommendations_total"
 RESIDUAL_FACTOR = "repro_residual_factor"
 FASTPATH_CELLS = "repro_fastpath_cells_total"
 SERVE_REQUESTS = "repro_serve_requests_total"
+SERVE_BATCHES = "repro_serve_batches_total"
 SERVE_LATENCY = "repro_serve_request_seconds"
 SERVE_QUEUE_DEPTH = "repro_serve_queue_depth"
 SERVE_INFLIGHT = "repro_serve_inflight"

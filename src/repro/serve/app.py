@@ -17,10 +17,14 @@ its own — the asyncio layer (:mod:`repro.serve.server`) feeds it parsed
   readiness;
 * ``GET /metrics`` — Prometheus text exposition of the service registry.
 
-A batch runs to completion inside :meth:`AnalysisService.handle`, on
-one of the server's worker threads.  The deadline is checked before each
-item, so expiry lands on an item boundary — never mid-computation, never
-with a half-written memo entry — and the items left over answer
+:meth:`AnalysisService.plan` parses and validates a batch once and says
+whether answering it runs a wire simulation: only an exact item whose
+factor is not memoized does.  :meth:`AnalysisService.handle` answers the
+request from that plan and runs the batch to completion; the server calls
+it on the event loop for static work and on a worker thread for a
+simulating batch.  The deadline is checked before each item, so expiry
+lands on an item boundary — never mid-computation, never with a
+half-written memo entry — and the items left over answer
 ``deadline_exceeded``.
 
 An exact item runs its family's clean wire simulation
@@ -39,7 +43,7 @@ import importlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import (
     Any,
@@ -178,6 +182,23 @@ class _Item:
     size: int
     exact: bool
     threshold: float
+    #: The memoized exact factor the plan found, so answering the item
+    #: never simulates even if that memo entry is evicted meanwhile.
+    factor: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class BatchPlan:
+    """A batch request parsed and validated once, before it is answered."""
+
+    #: The whole request's answer when its body is refused (no items then).
+    error: Optional[_Result]
+    #: Each item, validated, or why it is invalid.
+    items: Tuple[Union[str, _Item], ...] = ()
+    budget_ms: int = 0
+    #: Answering runs a wire simulation (an exact item with no memoized
+    #: factor, or any exact item under an injected runner).
+    simulates: bool = False
 
 
 class AnalysisService:
@@ -216,11 +237,14 @@ class AnalysisService:
 
     # -- entry points -------------------------------------------------------
 
-    def handle(self, request: HttpRequest) -> HttpResponse:
-        """Route, process and record metrics for one request."""
+    def handle(
+        self, request: HttpRequest, plan: Optional[BatchPlan] = None
+    ) -> HttpResponse:
+        """Route, process and record metrics for one request; a batch is
+        answered from ``plan`` (planned here when None)."""
         started = self.clock()
         with use_metrics(self.metrics):
-            endpoint, (response, outcome) = self._route(request)
+            endpoint, (response, outcome) = self._route(request, plan)
             self._observe(endpoint, outcome, started)
         return response
 
@@ -251,7 +275,9 @@ class AnalysisService:
             return path[1:]
         return "other"
 
-    def _route(self, request: HttpRequest) -> Tuple[str, _Result]:
+    def _route(
+        self, request: HttpRequest, plan: Optional[BatchPlan]
+    ) -> Tuple[str, _Result]:
         endpoint = self._endpoint(request)
         path = request.path
         if endpoint in ("analyze", "recommend"):
@@ -259,7 +285,9 @@ class AnalysisService:
                 return endpoint, self._error(
                     StatusCode.METHOD_NOT_ALLOWED, f"{path} requires POST"
                 )
-            return endpoint, self._batch(endpoint, request)
+            if plan is None:
+                plan = self.plan(request)
+            return endpoint, self._batch(endpoint, plan)
         if endpoint in ("healthz", "readyz", "metrics"):
             if request.method != "GET":
                 return endpoint, self._error(
@@ -328,10 +356,15 @@ class AnalysisService:
 
     # -- batch processing ---------------------------------------------------
 
-    def _batch(self, endpoint: str, request: HttpRequest) -> _Result:
+    def plan(self, request: HttpRequest) -> BatchPlan:
+        """Parse and validate a batch request's body and items once.
+
+        Reads no clock and records no memo lookup: each exact item's
+        factor is only peeked at here, and :meth:`_exact_factor` makes
+        its one lookup when the item is answered."""
         body = request.body.materialize()
         if len(body) > self.config.max_body_bytes:
-            return self._error(
+            return self._refuse(
                 StatusCode.PAYLOAD_TOO_LARGE,
                 f"body exceeds {self.config.max_body_bytes} bytes",
             )
@@ -340,37 +373,64 @@ class AnalysisService:
         except (ValueError, RecursionError) as exc:
             # ValueError covers bad UTF-8, bad JSON and integers past the
             # interpreter's digit limit; RecursionError, deep nesting.
-            return self._error(StatusCode.BAD_REQUEST, f"malformed JSON: {exc}")
+            return self._refuse(StatusCode.BAD_REQUEST, f"malformed JSON: {exc}")
         if not isinstance(payload, dict) or not isinstance(
             payload.get("items"), list
         ):
-            return self._error(
+            return self._refuse(
                 StatusCode.BAD_REQUEST, 'body must be {"items": [...]}'
             )
-        items = payload["items"]
-        if not items:
-            return self._error(StatusCode.BAD_REQUEST, "items must be non-empty")
-        if len(items) > self.config.max_batch_items:
-            return self._error(
+        raws = payload["items"]
+        if not raws:
+            return self._refuse(StatusCode.BAD_REQUEST, "items must be non-empty")
+        if len(raws) > self.config.max_batch_items:
+            return self._refuse(
                 StatusCode.BAD_REQUEST,
                 f"batch exceeds {self.config.max_batch_items} items",
             )
+        exact_applies = self._endpoint(request) == "analyze"
+        items: List[Union[str, _Item]] = []
+        simulates = False
+        for raw in raws:
+            item = self._parse_item(raw)
+            if (
+                exact_applies
+                and isinstance(item, _Item)
+                and item.exact
+                and item.size <= self.config.exact_max_size
+            ):
+                factor = None
+                if self._exact_runner is None:
+                    factor = self.memo.peek("exact", _exact_key(item))
+                if factor is None:
+                    simulates = True
+                else:
+                    item = replace(item, factor=factor)
+            items.append(item)
         budget_ms = resolve_deadline_ms(
             request.headers.get(DEADLINE_HEADER),
             self.config.default_deadline_ms,
             MAX_DEADLINE_MS,
         )
-        deadline = Deadline(self.clock(), budget_ms / 1000.0)
+        return BatchPlan(None, tuple(items), budget_ms, simulates)
+
+    def _refuse(self, status: int, message: str) -> BatchPlan:
+        return BatchPlan(self._error(status, message))
+
+    def _batch(self, endpoint: str, plan: BatchPlan) -> _Result:
+        if plan.error is not None:
+            return plan.error
+        deadline = Deadline(self.clock(), plan.budget_ms / 1000.0)
 
         results: List[Dict[str, Any]] = []
         partial = False
         degraded = False
-        for raw in items:
+        for item in plan.items:
             if deadline.expired(self.clock()):
                 results.append({"error": DEADLINE_EXCEEDED})
                 partial = True
                 continue
-            result = self._run_item(endpoint, raw)
+            result = self._run_item(endpoint, item)
             if result.get("degraded"):
                 degraded = True
             results.append(result)
@@ -380,7 +440,7 @@ class AnalysisService:
                 "results": results,
                 "partial": partial,
                 "degraded": degraded,
-                "deadline_ms": budget_ms,
+                "deadline_ms": plan.budget_ms,
             },
         )
         if partial:
@@ -440,8 +500,7 @@ class AnalysisService:
             return "threshold must be > 0"
         return size, exact, float(threshold)
 
-    def _run_item(self, endpoint: str, raw: Any) -> Dict[str, Any]:
-        item = self._parse_item(raw)
+    def _run_item(self, endpoint: str, item: Union[str, _Item]) -> Dict[str, Any]:
         if isinstance(item, str):
             return {"error": f"invalid item: {item}"}
         finding = self._finding(item)
@@ -517,6 +576,17 @@ class AnalysisService:
             return self._exact_runner(*item.subject, item.size)
         # The clean simulation of a vulnerable finding always has a factor
         # (``None`` only means a mitigation blocked the attack).
-        key = (item.family.name, *item.subject, item.size)
-        compute = partial(item.family.simulate, item.subject, item.size, None)
-        return cast(float, self.memo.get_or_compute("exact", key, compute))
+        compute: Callable[[], float]
+        if item.factor is not None:
+            # Planned from the memo: an eviction since costs a re-store,
+            # never a simulation.
+            compute = partial(float, item.factor)
+        else:
+            compute = partial(item.family.simulate, item.subject, item.size, None)
+        return cast(
+            float, self.memo.get_or_compute("exact", _exact_key(item), compute)
+        )
+
+
+def _exact_key(item: _Item) -> Tuple[Any, ...]:
+    return (item.family.name, *item.subject, item.size)

@@ -49,6 +49,9 @@ class SharedMemoRegistry:
     ) -> Any:
         return self._tables[table].get_or_compute(key, compute)
 
+    def peek(self, table: str, key: Hashable) -> Any:
+        return self._tables[table].peek(key)
+
     def entries(self) -> int:
         """Total cached objects across every table."""
         return sum(len(memo) for memo in self._tables.values())

@@ -4,7 +4,17 @@
 ``loop.create_server``.  The **service** decides what any request means
 (deterministic under its injected clock); the **server** owns
 connections, the admission futures (who waits, who is promoted, in what
-order), worker threads, and the drain protocol.
+order), where a batch runs, and the drain protocol.
+
+The event loop answers static work; the worker pool runs simulations.
+:meth:`~repro.serve.app.AnalysisService.plan` says whether a batch runs
+a wire simulation (an exact item whose factor is not memoized).  Such a
+batch goes to a worker thread, so a slow simulation never stalls the
+loop; any other batch is answered inline, with no ``await`` between
+planning and answering.  An inline batch is at most ``max_batch_items``
+static items (a 64-item cold OBR ``/v1/recommend`` batch in a fresh
+process takes ~40 ms on a 2-vCPU container): that is how long it can
+hold up health probes and socket reads.
 
 Each connection is one :class:`asyncio.Protocol` that reads one request.
 DoS posture: one read deadline (head and body together) kills slowloris
@@ -12,6 +22,9 @@ connections, heads are capped at ``MAX_HEADER_BYTES`` (431), the head
 is parsed once and its ``Content-Length`` bounded (413) *before* the
 body is read, a head or body that does not parse gets a 400, and every
 batch request passes admission control before any JSON is parsed.
+Admission is decided the moment a request's last byte arrives, not when
+its task runs: requests completing in one loop pass are all counted, so
+a burst is queued and shed even though inline batches never overlap.
 
 Graceful drain (SIGTERM/SIGINT): stop accepting, flip ``/readyz`` to
 503, let in-flight and queued work finish or deadline out within
@@ -25,14 +38,15 @@ import asyncio
 import signal
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Deque, Dict, Optional, Union, cast
+from typing import Any, Awaitable, Deque, Dict, Optional, Union, cast
 
 from repro.errors import HttpError
 from repro.http.body import make_body
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.status import StatusCode
 from repro.http.wire import parse_request_head
-from repro.serve.admission import ADMIT, ENQUEUE, AdmissionDecision
+from repro.obs.metrics import SERVE_BATCHES
+from repro.serve.admission import ENQUEUE, SHED, AdmissionDecision
 from repro.serve.app import AnalysisService, _json_response
 
 #: Maximum bytes of request head (request line + headers).
@@ -98,7 +112,11 @@ class _Connection(asyncio.Protocol):
         outcome = self._parse(eof)
         if isinstance(outcome, HttpRequest):
             self._stop_reading()
-            self._task = asyncio.create_task(self._respond(outcome))
+            answer = self._server._admit(outcome)
+            if isinstance(answer, HttpResponse):
+                self._finish(answer)  # refused: 503 draining or 429 shed
+            else:
+                self._task = asyncio.create_task(self._respond(answer))
         elif outcome is not None or eof:
             self._finish(outcome)  # None: a head cut off by a close
 
@@ -131,10 +149,10 @@ class _Connection(asyncio.Protocol):
         request.body = make_body(bytes(buffer[self._body]))
         return request
 
-    async def _respond(self, request: HttpRequest) -> None:
+    async def _respond(self, answer: Awaitable[HttpResponse]) -> None:
         response: Optional[HttpResponse] = None
         try:
-            response = await self._server._dispatch(request)
+            response = await answer
         except Exception as exc:
             error = f"internal error: {type(exc).__name__}"
             response = _json_response(StatusCode.INTERNAL_SERVER_ERROR, {"error": error})
@@ -175,9 +193,9 @@ class ServeServer:
         self.runlog = runlog
         self.drain_grace_s = drain_grace_s
         self._server: Optional[asyncio.AbstractServer] = None
-        # Batch work always runs on worker threads — even with one
-        # worker — so a slow exact simulation can never stall the event
-        # loop (health probes, socket reads, queue-wait timers).
+        # Only simulating batches run here, so a slow exact simulation
+        # never stalls the event loop (health probes, socket reads,
+        # queue-wait timers); static batches are answered on the loop.
         self._pool = ThreadPoolExecutor(max_workers=workers)
         self._waiters: Deque["asyncio.Future[None]"] = deque()
         self._open_connections = 0
@@ -275,45 +293,66 @@ class ServeServer:
 
     # -- dispatch with admission --------------------------------------------
 
-    async def _dispatch(self, request: HttpRequest) -> HttpResponse:
-        if request.method == "POST" and request.path in _BATCH_PATHS:
-            return await self._dispatch_batch(request)
-        return self.service.handle(request)
-
-    async def _dispatch_batch(self, request: HttpRequest) -> HttpResponse:
-        admission = self.service.admission
+    def _admit(
+        self, request: HttpRequest
+    ) -> Union[HttpResponse, Awaitable[HttpResponse]]:
+        """Admission, decided the moment ``request`` completes: its answer
+        when refused (503 draining, 429 shed), else what its task awaits.
+        A queued batch takes its place in the queue here too, so a batch
+        finishing before the queued task first runs still promotes it."""
+        if request.method != "POST" or request.path not in _BATCH_PATHS:
+            return self._answer(request)
         if self._draining:
             return _json_response(
                 StatusCode.SERVICE_UNAVAILABLE,
                 {"error": "draining"},
                 extra_headers=(("Retry-After", "1"),),
             )
-        decision = admission.decide(self.service.clock())
+        decision = self.service.admission.decide(self.service.clock())
+        if decision.outcome == SHED:
+            return self.service.shed_response(request, decision)
+        place: Optional["asyncio.Future[None]"] = None
         if decision.outcome == ENQUEUE:
-            if not await self._wait_in_queue():
-                decision = AdmissionDecision(
-                    "shed",
-                    retry_after_s=admission.estimated_wait_s(admission.queued + 1),
-                    reason="queue-timeout",
-                )
-                return self.service.shed_response(request, decision)
-        elif decision.outcome != ADMIT:
+            place = asyncio.get_running_loop().create_future()
+            self._waiters.append(place)
+        return self._run_batch(request, place)
+
+    async def _answer(self, request: HttpRequest) -> HttpResponse:
+        return self.service.handle(request)
+
+    async def _run_batch(
+        self, request: HttpRequest, place: Optional["asyncio.Future[None]"]
+    ) -> HttpResponse:
+        """Wait out a queue ``place`` (None: admitted), then answer: on a
+        worker thread when the batch simulates, else inline."""
+        admission = self.service.admission
+        if place is not None and not await self._wait_in_queue(place):
+            decision = AdmissionDecision(
+                SHED,
+                retry_after_s=admission.estimated_wait_s(admission.queued + 1),
+                reason="queue-timeout",
+            )
             return self.service.shed_response(request, decision)
         started = self.service.clock()
         try:
+            plan = self.service.plan(request)
+            route = "worker" if plan.simulates else "loop"
+            self.service.metrics.counter(
+                SERVE_BATCHES, "batch requests by where they ran"
+            ).inc(route=route)
+            if not plan.simulates:
+                return self.service.handle(request, plan)
             loop = asyncio.get_running_loop()
             return await loop.run_in_executor(
-                self._pool, self.service.handle, request
+                self._pool, self.service.handle, request, plan
             )
         finally:
             admission.release(self.service.clock() - started)
             self._promote_next()
 
-    async def _wait_in_queue(self) -> bool:
-        """Park until promoted; False when the wait budget ran out."""
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[None]" = loop.create_future()
-        self._waiters.append(future)
+    async def _wait_in_queue(self, future: "asyncio.Future[None]") -> bool:
+        """Park until ``future`` is promoted; False when the wait budget
+        ran out."""
         timeout = self.service.admission.max_queue_wait_s
         try:
             await asyncio.wait_for(future, timeout=timeout)

@@ -16,11 +16,14 @@ import threading
 
 import pytest
 
+from repro.core.sbr import SbrAttack
 from repro.http.headers import Headers
 from repro.serve import server as serve_server
 from repro.serve.admission import ADMIT, ENQUEUE
 from repro.serve.app import AnalysisService, ServeConfig
 from repro.serve.server import ServeServer
+
+from tests.serve.conftest import batch_request, body_json
 
 KB = 1024
 
@@ -116,6 +119,221 @@ class TestSaturationShedding:
         finally:
             gate.set()
             server.initiate_drain()
+
+
+class FakeTransport:
+    """Collects what a :class:`_Connection` writes; never touches a socket."""
+
+    def __init__(self):
+        self.written = b""
+        self.closed = False
+
+    def write(self, data):
+        self.written += data
+
+    def is_closing(self):
+        return self.closed
+
+    def close(self):
+        self.closed = True
+
+
+class TestBurstAdmission:
+    def test_requests_completing_in_one_loop_pass_are_admitted_queued_and_shed(
+        self,
+    ):
+        asyncio.run(self._scenario(burst=7))
+
+    async def _scenario(self, burst):
+        service = AnalysisService(
+            ServeConfig(max_inflight=2, queue_depth=1, max_queue_wait_s=30.0)
+        )
+        server = ServeServer(service, port=0)
+        payload = analyze_payload([{"vendor": "akamai", "size": 64 * KB}])
+        transports = [FakeTransport() for _ in range(burst)]
+        connections = [serve_server._Connection(server) for _ in range(burst)]
+        for connection, transport in zip(connections, transports):
+            connection.connection_made(transport)
+        # Every request completes before any task runs.
+        for connection in connections:
+            connection.data_received(payload)
+        assert service.admission.inflight == 2
+        assert service.admission.queued == 1
+        shed = [parse_head(t.written) for t in transports if t.written]
+        assert len(shed) == burst - 3
+        for status, headers in shed:
+            assert status == 429
+            assert int(headers["retry-after"]) >= 1
+
+        await wait_until(lambda: all(t.closed for t in transports))
+        statuses = sorted(parse_head(t.written)[0] for t in transports)
+        assert statuses == [200] * 3 + [429] * (burst - 3)
+        assert service.admission.inflight == 0
+        assert service.admission.queued == 0
+        for connection in connections:
+            connection.connection_lost(None)
+
+
+def batches(service, route):
+    counter = service.metrics.counter("repro_serve_batches_total")
+    return counter.value(route=route)
+
+
+class TestBatchRouting:
+    """Static batches are answered on the event loop; only a batch that
+    runs a wire simulation goes to the worker pool."""
+
+    def test_static_and_memo_hit_batches_never_reach_the_pool(self):
+        asyncio.run(self._static_scenario())
+
+    async def _static_scenario(self):
+        service = AnalysisService()
+        exact_item = {"vendor": "cloudflare", "size": 64 * KB, "exact": True}
+        # Warm the exact memo in process, so the socket request hits it.
+        service.handle(batch_request("/v1/analyze", [exact_item]))
+        handled = []
+        original_handle = service.handle
+
+        def counting_handle(request, plan=None):
+            handled.append(request.path)
+            return original_handle(request, plan)
+
+        service.handle = counting_handle
+        server = ServeServer(service, port=0, workers=1)
+        submitted = []
+
+        def refuse_submit(*args, **kwargs):
+            submitted.append(args)
+            raise AssertionError("a static batch was submitted to the pool")
+
+        server._pool.submit = refuse_submit
+        await server.start()
+        try:
+            payloads = [
+                analyze_payload([{"vendor": "akamai", "size": 64 * KB}]),
+                analyze_payload([exact_item]),
+                analyze_payload([{"fcdn": "cloudflare", "bcdn": "akamai"}]),
+            ]
+            body = json.dumps({"items": [{"fcdn": "cdn77", "bcdn": "akamai"}]})
+            payloads.append(
+                (
+                    f"POST /v1/recommend HTTP/1.1\r\nHost: t\r\n"
+                    f"Content-Length: {len(body)}\r\n\r\n{body}"
+                ).encode()
+            )
+            for payload in payloads:
+                raw = await raw_roundtrip(server.port, payload)
+                assert parse_head(raw)[0] == 200
+        finally:
+            server.initiate_drain()
+        assert submitted == []
+        assert handled == ["/v1/analyze"] * 3 + ["/v1/recommend"]
+        assert batches(service, "loop") == 4
+        assert batches(service, "worker") == 0
+
+    def test_a_cold_exact_item_runs_off_the_loop_thread(self):
+        asyncio.run(self._cold_scenario())
+
+    async def _cold_scenario(self):
+        service = AnalysisService()
+        threads = []
+        original_handle = service.handle
+
+        def recording_handle(request, plan=None):
+            threads.append(threading.get_ident())
+            return original_handle(request, plan)
+
+        service.handle = recording_handle
+        server = ServeServer(service, port=0, workers=1)
+        await server.start()
+        try:
+            raw = await raw_roundtrip(
+                server.port,
+                analyze_payload(
+                    [{"vendor": "cloudflare", "size": 64 * KB, "exact": True}]
+                ),
+            )
+        finally:
+            server.initiate_drain()
+        assert parse_head(raw)[0] == 200
+        body = json.loads(raw.split(b"\r\n\r\n", 1)[1])
+        assert "exact_factor" in body["results"][0]
+        assert len(threads) == 1
+        assert threads[0] != threading.get_ident()
+        assert batches(service, "worker") == 1
+        assert batches(service, "loop") == 0
+
+    @pytest.mark.parametrize(
+        "spelling",
+        ['"exact":true', '"exact" :\n true', '"\\u0065xact": true'],
+        ids=["compact", "spaced", "escaped"],
+    )
+    def test_routing_reads_parsed_items_not_body_bytes(self, spelling):
+        asyncio.run(self._spelling_scenario(spelling))
+
+    async def _spelling_scenario(self, spelling):
+        calls = []
+
+        def runner(vendor, size):
+            calls.append(threading.get_ident())
+            return 2.0
+
+        service = AnalysisService(exact_runner=runner)
+        server = ServeServer(service, port=0, workers=1)
+        await server.start()
+        body = '{"items": [{"vendor": "akamai", "size": 65536, %s}]}' % spelling
+        try:
+            raw = await raw_roundtrip(
+                server.port,
+                (
+                    f"POST /v1/analyze HTTP/1.1\r\nHost: t\r\n"
+                    f"Content-Length: {len(body)}\r\n\r\n{body}"
+                ).encode(),
+            )
+        finally:
+            server.initiate_drain()
+        assert parse_head(raw)[0] == 200
+        assert len(calls) == 1
+        assert calls[0] != threading.get_ident()
+        assert batches(service, "worker") == 1
+
+    @pytest.mark.parametrize(
+        "path, item, simulates",
+        [
+            ("/v1/analyze", {"vendor": "akamai", "size": 64 * KB}, False),
+            ("/v1/analyze", {"vendor": "akamai", "size": 64 * KB, "exact": True}, True),
+            ("/v1/recommend", {"vendor": "akamai", "size": 64 * KB, "exact": True}, False),
+            ("/v1/analyze", {"vendor": "akamai", "size": 9 << 20, "exact": True}, False),
+            ("/v1/analyze", {"vendor": "nosuch", "exact": True}, False),
+        ],
+        ids=["static", "cold-exact", "recommend", "above-exact-limit", "invalid"],
+    )
+    def test_only_a_cold_exact_analyze_item_simulates(self, path, item, simulates):
+        plan = AnalysisService().plan(batch_request(path, [item]))
+        assert plan.error is None
+        assert plan.simulates is simulates
+
+    def test_a_planned_memo_hit_never_simulates_after_eviction(self, monkeypatch):
+        service = AnalysisService()
+        request = batch_request(
+            "/v1/analyze", [{"vendor": "cloudflare", "size": 64 * KB, "exact": True}]
+        )
+        warm = body_json(service.handle(request))["results"][0]["exact_factor"]
+        plan = service.plan(request)
+        assert not plan.simulates
+        service.memo.clear()
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a planned memo hit ran a simulation")
+
+        monkeypatch.setattr(SbrAttack, "run", no_simulation)
+        payload = body_json(service.handle(request, plan))
+        assert payload["degraded"] is False
+        assert payload["results"][0]["exact_factor"] == warm
+        # Still one lookup for the one exact item: a miss, re-stored.
+        stats = service.memo.stats()["exact"]
+        assert (stats.hits, stats.misses) == (0, 1)
+        assert len(service.memo.table("exact")) == 1
 
 
 class TestQueueTimeoutReconciliation:
