@@ -207,7 +207,7 @@ def test_run_all_quick_fastpath(benchmark, output_dir):
     def regenerate():
         clear_all_memos()
         started = time.perf_counter()
-        report = run_all(workers=1, quick=True)
+        report = run_all(quick=True)
         return report, time.perf_counter() - started
 
     report, wall_s = benchmark(regenerate)

@@ -5,12 +5,8 @@ figures.  Besides timing the regeneration with pytest-benchmark, each
 bench renders its artifact to ``benchmarks/output/`` so a run leaves the
 full paper-vs-measured record on disk (EXPERIMENTS.md links there).
 
-The sweep benches regenerate through :mod:`repro.runner` (worker count
-from ``REPRO_BENCH_WORKERS``, else the runner's own
-``REPRO_RUNNER_WORKERS``, else the cpu count; ``1`` runs in-process)
-and read their rows straight from the grid values by cell key.
-Results are identical for every worker count (see
-``tests/runner/test_equivalence.py``).
+The sweep benches regenerate through :mod:`repro.runner` and read
+their rows straight from the grid values by cell key.
 """
 
 from __future__ import annotations
@@ -24,10 +20,6 @@ import pytest
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
-#: Worker count override for the bench runner.
-BENCH_WORKERS_ENV = "REPRO_BENCH_WORKERS"
-
-
 @pytest.fixture(scope="session")
 def output_dir() -> Path:
     OUTPUT_DIR.mkdir(exist_ok=True)
@@ -38,9 +30,7 @@ def benchmark_runner() -> Any:
     """The GridRunner sweeps regenerate through."""
     from repro.runner.executor import GridRunner
 
-    workers_env = os.environ.get(BENCH_WORKERS_ENV, "").strip()
-    workers = int(workers_env) if workers_env else None
-    return GridRunner(workers=workers)
+    return GridRunner()
 
 
 def run_grid(grid: Any) -> Dict[Any, Any]:
@@ -57,8 +47,8 @@ def save_artifact(output_dir: Path, name: str, content: str) -> None:
     """Write one rendered table/figure and echo it to the terminal.
 
     The write is atomic (temp file + ``os.replace``) so concurrent bench
-    processes — ``pytest -n`` or parallel runner workers sharing the
-    output directory — never interleave partial artifacts.
+    processes — ``pytest -n`` workers sharing the output directory —
+    never interleave partial artifacts.
     """
     path = output_dir / name
     fd, tmp_name = tempfile.mkstemp(

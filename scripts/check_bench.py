@@ -144,9 +144,9 @@ def main(argv=None) -> int:
         print(
             "hint: if a committed baseline predates schema version "
             f"{BENCH_SCHEMA_VERSION}, regenerate both with:\n"
-            "  PYTHONPATH=src python -m repro run-all --quick --workers 1 "
+            "  PYTHONPATH=src python -m repro run-all --quick "
             "--no-progress --bench BENCH_runall.json\n"
-            "  PYTHONPATH=src python -m repro run-all --quick --workers 1 "
+            "  PYTHONPATH=src python -m repro run-all --quick "
             "--no-progress --exact --bench BENCH_runall_exact.json",
             file=sys.stderr,
         )

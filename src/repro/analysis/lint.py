@@ -27,7 +27,7 @@ These are easy invariants to erode one convenient shortcut at a time, so
   ``*_size`` / ``*_traffic`` binding; byte counts stay integral.
 * ``broad-except`` — no ``except:`` / ``except Exception`` /
   ``except BaseException`` outside the declared fault boundaries
-  (``BROAD_EXCEPT_BOUNDARIES``): the process-pool executor containing
+  (``BROAD_EXCEPT_BOUNDARIES``): the grid executor containing
   arbitrary per-cell failures, and the serve layer, which must survive
   arbitrary injected-runner failures (the circuit breaker's input) and
   arbitrary per-connection failures.  Everywhere else handlers name the
@@ -76,9 +76,9 @@ _BYTE_NAME_SUFFIXES = ("_bytes", "_size", "_traffic")
 
 #: The only files allowed to catch ``Exception``: declared fault
 #: boundaries that contain arbitrary third-party failures —
-#: ``runner/executor.py`` (per-cell failures crossing the process
-#: pool), ``serve/app.py`` (the injected exact runner whose failures
-#: feed the circuit breaker), ``serve/server.py`` (per-connection
+#: ``runner/executor.py`` (per-cell failures captured as
+#: ``CellFailure``), ``serve/app.py`` (the injected exact runner whose
+#: failures feed the circuit breaker), ``serve/server.py`` (per-connection
 #: isolation: one bad request must never kill the listener).
 BROAD_EXCEPT_BOUNDARIES = frozenset(
     {"runner/executor.py", "serve/app.py", "serve/server.py"}

@@ -22,8 +22,7 @@ proves the contracts structurally, over the call graph built by
   writers, and the grid merge whose order defines result order;
 * a **facade** is a reviewed laundering point where nondeterminism is
   by design converted into a pinned input — the injected-clock default
-  in ``runlog._new_record``, the worker/retry env knobs proven
-  output-invariant, and the seed-derived fault-decision hash.
+  in ``runlog._new_record`` and the seed-derived fault-decision hash.
 
 Effects propagate by fixpoint over the call graph (a function is
 tainted if it performs a source effect or calls a tainted function;
@@ -252,8 +251,8 @@ DEFAULT_SINKS: Tuple[SinkSpec, ...] = (
     SinkSpec(
         "repro.runner.grid.ExperimentGrid.add",
         "grid-merge",
-        "grid order defines result order; the merge contract parallel "
-        "output leans on",
+        "grid order defines result order, so two runs of one grid "
+        "return equal outcomes",
     ),
 )
 
@@ -265,11 +264,6 @@ DEFAULT_FACADES: Tuple[FacadeSpec, ...] = (
         "injected clock: the wall-clock default is the declared "
         "timestamp facade; byte-identity under a fixed clock is pinned "
         "by tests/obs/test_runlog.py",
-    ),
-    FacadeSpec(
-        "repro.runner.executor.resolve_workers",
-        "worker-count env knob: parallel output == serial output is "
-        "pinned by tests/runner/test_equivalence.py",
     ),
     FacadeSpec(
         "repro.faults.plan.FaultInjector._unit",

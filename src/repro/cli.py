@@ -327,12 +327,7 @@ def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
 
     run_all = commands.add_parser(
         "run-all",
-        help="regenerate Tables IV-V and Figs 6-7 in one parallel grid run",
-    )
-    run_all.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: REPRO_RUNNER_WORKERS or cpu count; "
-             "1 means serial)",
+        help="regenerate Tables IV-V and Figs 6-7 in one grid run",
     )
     run_all.add_argument(
         "--quick", action="store_true", help="trim the grids for a smoke run"
@@ -730,7 +725,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     reporter = None if args.no_progress else ProgressReporter(prefix="run-all")
     wall_started = time.perf_counter()
     report = run_all(
-        workers=args.workers,
         quick=args.quick,
         collect_obs=collect_obs,
         observer=reporter,
@@ -753,9 +747,8 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             else f"checkpoint: {checkpoint_path}"
         )
     print(
-        f"run-all: {report.cell_count} cells over {report.workers} worker(s) "
-        f"in {report.duration_s:.1f}s "
-        f"({report.cell_seconds:.1f}s of cell work, {report.speedup:.1f}x)"
+        f"run-all: {report.cell_count} cells in {report.duration_s:.1f}s "
+        f"({report.cell_seconds:.1f}s of cell work)"
     )
     timing = report.timing
     print(
@@ -808,7 +801,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             report.cells,
             report.timing_by_experiment,
             total_s=report.duration_s,
-            workers=report.workers,
             metrics_snapshot=report.metrics or None,
         )
         with open(args.profile, "w", encoding="utf-8") as stream:
@@ -852,7 +844,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             "fault_seed": (
                 args.fault_seed if args.fault_seed is not None else DEFAULT_FAULT_SEED
             ),
-            "workers": report.workers,
         }
         record = RunLedger(args.runlog).append(
             record_from_runall(

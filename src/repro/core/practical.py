@@ -99,7 +99,7 @@ class BandwidthAttackSimulation:
         self.origin_uplink_mbps = origin_uplink_mbps
         # ``per_request`` pins the step-1 probe result so a caller that
         # already measured (origin_bytes, client_bytes) — e.g. the
-        # parallel runner sharing one probe across all 15 Fig 7 cells —
+        # grid runner sharing one probe across all 15 Fig 7 cells —
         # skips the redundant SBR run.
         self._per_request: Optional[Tuple[int, int]] = (
             tuple(per_request) if per_request is not None else None  # type: ignore[assignment]
@@ -200,8 +200,8 @@ def flood_grid(
     :class:`~repro.runner.grid.ExperimentGrid`.
 
     The per-request SBR traffic is measured once here (memoized) and
-    shared with every cell, so the parallel sweep does not run the probe
-    15 times.
+    shared with every cell, so the sweep does not run the probe 15
+    times.
     """
     from repro.families.sbr import measure_sbr
     from repro.runner.experiments import flood_cell

@@ -225,8 +225,8 @@ class Sweep(NamedTuple):
     ledger: Sequence["Key"]
     #: The family's run-all tables, in write order.
     tables: Callable[[Mapping["Key", Any]], List["Table"]]
-    #: Whether its cells start before every other run-all cell, because
-    #: each hides a slow search.
+    #: Whether its cells come before every other run-all cell in grid
+    #: order (OBR, whose cells each hide a max-n search).
     leads: bool = False
 
 

@@ -7,7 +7,7 @@ RNG: every decision hashes ``"{seed}:{rule_index}:{counter}"`` and maps
 the first eight digest bytes onto ``[0, 1)``.  The same seed therefore
 yields the same fault sequence regardless of process, platform, or the
 order in which *other* rules fire — which is what makes faulted grid
-cells reproducible across serial and parallel runs.
+cells reproducible across runs and resumes.
 
 This module must stay import-light: ``netsim/connection.py`` imports it,
 so pulling in ``repro.netsim`` (or anything that transitively reaches

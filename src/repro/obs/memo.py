@@ -1,16 +1,14 @@
 """Named, bounded memo tables whose lookups are metered.
 
 :class:`Memo` is a small bounded insertion-order cache with hit/miss
-statistics.  Caches are per-process: worker processes each warm their
-own, which affects only speed, never results.
+statistics.  Caches are per-process and affect only speed, never
+results.
 
-Per-process stats vanish with their worker, which would make memo
-effectiveness invisible in pooled runs.  Named memos therefore report
-every lookup to the context's active
+Named memos report every lookup to the context's active
 :class:`~repro.obs.metrics.MetricsRegistry`
 (``repro_memo_lookups_total{memo=...,result=hit|miss}``); the runner
-snapshots per-cell registries across the process boundary and merges
-them, so an observability run shows the true pool-wide hit/miss split.
+snapshots per-cell registries and merges them, so an observability run
+shows the run's hit/miss split.
 Named memos also register in a module-level index so
 :func:`clear_all_memos` and :func:`memo_stats` see every table.
 

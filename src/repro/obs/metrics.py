@@ -2,9 +2,9 @@
 
 A :class:`MetricsRegistry` owns named metric families; each family holds
 one sample per label combination.  Snapshots are plain JSON-able dicts
-(deterministically ordered) that can be merged across processes — the
-pool-backed runner snapshots each worker cell's registry and folds the
-snapshots into one parent registry — and rendered as Prometheus text
+(deterministically ordered) that can be merged — a collecting grid run
+snapshots each cell's registry and folds the snapshots into one
+registry — and rendered as Prometheus text
 exposition format.
 
 Like tracing, metrics default to **off**: :func:`current_metrics`
@@ -330,7 +330,7 @@ class MetricsRegistry:
         """Fold a :meth:`snapshot` into this registry.
 
         Counters and histograms add; gauges take the snapshot's value.
-        This is how per-worker-cell registries roll up into the parent's.
+        This is how per-cell registries roll up into the run's.
         """
         for name, entry in snapshot.items():
             kind = entry.get("type")

@@ -76,7 +76,6 @@ def render_profile(
     cells: Sequence[CellProfile],
     timings: Mapping[str, Any],
     total_s: float,
-    workers: int = 1,
     metrics_snapshot: Optional[Mapping[str, Any]] = None,
 ) -> str:
     """Render the plain-text profile report.
@@ -91,7 +90,7 @@ def render_profile(
     cell_total = sum(cell.duration_s for cell in cells)
     failed = [cell for cell in cells if not cell.ok]
     lines.append(
-        f"wall {total_s:.3f}s | workers {workers} | "
+        f"wall {total_s:.3f}s | "
         f"cell-seconds {cell_total:.3f}s | cells {len(cells)} "
         f"({len(failed)} failed)"
     )

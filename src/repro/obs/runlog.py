@@ -389,7 +389,7 @@ def record_from_runall(
         config,
         wall_s,
         clock,
-        workers=report.workers,
+        workers=1,
         cell_count=report.cell_count,
         phase_seconds=dict(report.phase_seconds),
         cells=tuple(

@@ -17,11 +17,11 @@ Design constraints:
   (``tests/obs/test_disabled.py`` pins this with a tracemalloc guard).
 * **Deterministic ids.**  Trace and span ids are per-tracer counters
   (optionally prefixed, e.g. with the grid-cell index), so traces diff
-  cleanly across runs and parallel execution cannot perturb them.
-* **Picklable output.**  A finished span is a plain frozen dataclass
-  (:class:`SpanRecord`) that crosses process boundaries, which is how
-  the pool-backed :class:`~repro.runner.executor.GridRunner` ships
-  per-cell traces back to the parent.
+  cleanly across runs.
+* **Plain output.**  A finished span is a plain frozen dataclass
+  (:class:`SpanRecord`), which is how the
+  :class:`~repro.runner.executor.GridRunner` hands per-cell traces to
+  ``run_all``.
 
 Span timestamps come from a :class:`~repro.netsim.clock.SimClock` (the
 deterministic simulated time); real elapsed wall time is carried

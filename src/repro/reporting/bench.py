@@ -206,7 +206,7 @@ def bench_from_runall(
         wall_s=wall,
         cell_count=report.cell_count,
         cells_per_s=(report.cell_count / wall) if wall > 0 else 0.0,
-        workers=report.workers,
+        workers=1,
         phases=phases,
         fastpath=(
             BenchFastPath(

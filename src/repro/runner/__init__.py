@@ -1,20 +1,16 @@
-"""``repro.runner`` — parallel experiment execution engine.
+"""``repro.runner`` — experiment execution engine.
 
 The paper's evaluation grids (Table IV's 13 vendors x 3 sizes, Fig 6's
 13 x 25 sweep, Table V's 11 cascades, Fig 7's m = 1..15 floods) are
-embarrassingly parallel: every cell is an independent, deterministic
-measurement.  This package turns those sweeps into data
-(:class:`~repro.runner.grid.ExperimentGrid`), executes them over a
-process pool with a serial fallback
-(:class:`~repro.runner.executor.GridRunner`), and guarantees the
-parallel result is identical to the serial one: results are keyed and
-merged in grid order regardless of completion order, and per-cell
-failures are captured (type + message) instead of killing the sweep.
+made of independent, deterministic measurements.  This package turns
+those sweeps into data (:class:`~repro.runner.grid.ExperimentGrid`) and
+runs them in grid order (:class:`~repro.runner.executor.GridRunner`):
+results come back in grid order, and per-cell failures are captured
+(type + message) instead of killing the sweep.
 
 * :mod:`repro.runner.grid` — cell/grid spec model;
-* :mod:`repro.runner.executor` — serial/pool execution, deterministic
-  merging, failure + timing capture, per-cell retries, and worker-crash
-  containment;
+* :mod:`repro.runner.executor` — serial execution in grid order,
+  failure + timing capture;
 * :mod:`repro.runner.checkpoint` — crash-safe JSONL journaling so a
   killed run resumes from its completed cells;
 * :mod:`repro.runner.memo` — the named memo tables of the hot paths

@@ -1,11 +1,10 @@
 """Cell functions: how each experiment kind executes one grid cell.
 
 Cell functions are resolved **by name**, so an
-:class:`~repro.runner.grid.ExperimentCell` stays picklable and a worker
-process (fork or spawn) can execute it after merely importing this
-module.  An attack family's cells (``sbr``, ``obr``, ``ccfc``, ...) run
-its record's :attr:`~repro.families.base.AttackFamily.measure` with the
-cell's key and params; the other kinds are registered here:
+:class:`~repro.runner.grid.ExperimentCell` stays plain data.  An attack
+family's cells (``sbr``, ``obr``, ``ccfc``, ...) run its record's
+:attr:`~repro.families.base.AttackFamily.measure` with the cell's key
+and params; the other kinds are registered here:
 
 * ``flood`` — key ``(vendor, m)``, one Fig 7 bandwidth simulation;
 * ``sbr-faults`` — key ``(vendor, resource_size, seed)``, one SBR
@@ -31,11 +30,8 @@ def register(name: str, fn: CellFunction) -> None:
 
 
 def execute_cell(cell: ExperimentCell) -> Any:
-    """Run one cell and return its result value.
-
-    This is the function worker processes invoke; everything it needs is
-    reachable from the cell itself.
-    """
+    """Run one cell and return its result value; everything it needs
+    is reachable from the cell itself."""
     function = _REGISTRY.get(cell.experiment)
     if function is not None:
         return function(cell)

@@ -6,7 +6,7 @@ and the :class:`~repro.runner.executor.GridRunner`: it walks a grid
 through the engines in :mod:`repro.core.vectorized`, leaving the rest
 (flood bandwidth sims, faulted cells, the cells of a family with no
 fast engine, and any cell the engines refuse) to the runner, which
-journals and parallelizes them.
+runs and journals them.
 
 Every answer is the wire-level simulation's own result, so it is
 exact by construction (pinned cell by cell against the grid runner by

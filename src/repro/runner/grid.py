@@ -1,18 +1,16 @@
-"""Grid/spec model for parallel experiment execution.
+"""Grid/spec model for experiment execution.
 
 The paper's evaluation is a stack of parameter grids — Table IV is
 13 vendors x 3 sizes, Fig 6 is 13 vendors x 25 sizes, Table V is 11
 FCDN x BCDN cascades, Fig 7 is m = 1..15 flood intensities.  Every cell
-is an independent, deterministic measurement, which makes the whole
-sweep embarrassingly parallel *if* the work is described as data instead
-of inline loops.
+is an independent, deterministic measurement, so the work is described
+as data instead of inline loops.
 
 :class:`ExperimentCell` is that description: a named experiment kind
 plus a key (the grid coordinates) plus extra keyword parameters, all
-hashable and picklable so cells can cross a process boundary.
+hashable and picklable so the checkpoint can digest and journal them.
 :class:`ExperimentGrid` is an ordered, duplicate-free sequence of cells;
-**grid order defines result order**, which is what lets the executor
-guarantee parallel output identical to serial output.
+**grid order defines result order**.
 """
 
 from __future__ import annotations

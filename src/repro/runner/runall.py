@@ -6,12 +6,11 @@ SBR vendor x size sweep serving both Table IV and Fig 6, the Table V
 cascades, the CCFC cells), the 15 Fig 7 flood intensities and, when
 asked, the faulted Table VI cells — executes it through one
 :class:`~repro.runner.executor.GridRunner`, and builds every table
-straight from the grid values.  One pool, every cell kind interleaved,
-so slow OBR searches overlap with cheap SBR cells instead of
-serializing behind them.  :func:`write_report` writes the tables.
+straight from the grid values.  :func:`write_report` writes the
+tables.
 
-Determinism: cell functions are pure and outcomes merge in grid order,
-so ``run_all(workers=N)`` returns equal objects for every N.
+Determinism: cell functions are pure and outcomes come back in grid
+order, so every run of one configuration returns equal objects.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ class RunAllReport:
     #: ``obr:<fcdn>:<bcdn>``, ``ccfc:<vendor>:<size>``,
     #: ``faulted:<vendor>:<size>``), for the run ledger.
     factors: Dict[str, float]
-    workers: int
     #: Wall seconds for the combined grid run.
     duration_s: float
     #: Sum of per-cell seconds (the serial-equivalent work).
@@ -99,13 +97,6 @@ class RunAllReport:
     #: the persisted ``BENCH_runall.json`` trajectory.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def speedup(self) -> float:
-        """Serial-equivalent work over wall time (1.0 when serial)."""
-        if self.duration_s <= 0:
-            return 1.0
-        return self.cell_seconds / self.duration_s
-
 
 def _fault_sizes(quick: bool) -> Tuple[int, ...]:
     return (1 * MB,) if quick else (1 * MB, 10 * MB)
@@ -125,17 +116,15 @@ def _combined_grid(
     fault_seed: int,
 ) -> ExperimentGrid:
     grid = ExperimentGrid("run-all")
-    # Leading sweeps first (OBR: each cell hides a max-n search and a
-    # thousands-part multipart and dominates wall time), so they start
-    # before the swarm of cheap SBR cells.
+    # Grid order is the order the run ledger, the profile and the
+    # checkpoint list cells in: leading sweeps (OBR) first, then the
+    # faulted cells, Fig 7 and every other sweep.
     for _, sweep in sweeps:
         if sweep.leads:
             grid.extend(sweep.cells)
     if faults:
         from repro.faults.experiment import faulted_sbr_grid
 
-        # Faulted cells run many attack rounds each; start them early,
-        # right behind the OBR searches, so they overlap the cheap tail.
         grid.extend(
             faulted_sbr_grid(vendors, _fault_sizes(quick), seed=fault_seed).cells
         )
@@ -158,7 +147,8 @@ def build_run_all_grid(
 
 
 def run_all(
-    workers: Optional[int] = None,
+    *,
+    workers: int = 1,
     quick: bool = False,
     vendors: Optional[Sequence[str]] = None,
     collect_obs: bool = False,
@@ -173,8 +163,10 @@ def run_all(
 
     ``quick=True`` trims every sweep for smoke runs (Table IV at 1 MB,
     Fig 6 at three sizes, two Table V cascades, CCFC at 1 MB, three
-    Fig 7 points) — the CI path.  Results are identical for every worker
-    count; the equivalence tests pin this.
+    Fig 7 points) — the CI path.
+
+    ``workers`` is ignored; only the e2e benchmark harness still passes
+    it, and the next change to that harness deletes it.
 
     ``collect_obs=True`` runs every cell traced and metered: the report
     then carries the merged span/event streams and metrics snapshot
@@ -247,7 +239,7 @@ def run_all(
         checkpoint = RunCheckpoint(path)
         restored_cells = len(checkpoint.restore(subgrid.cells))
 
-    runner = GridRunner(workers, collect=collect_obs, observer=observer)
+    runner = GridRunner(collect=collect_obs, observer=observer)
     try:
         result = runner.run(subgrid, checkpoint=checkpoint)
     finally:
@@ -269,7 +261,6 @@ def run_all(
                 else replace(by_cell[cell], index=index)
                 for index, cell in enumerate(grid.cells)
             ),
-            workers=result.workers,
             duration_s=sum(phase_seconds.values()),
         )
     result.values()  # any failed cell aborts the regeneration, loudly
@@ -349,7 +340,6 @@ def run_all(
     return RunAllReport(
         tables=tables,
         factors=factors,
-        workers=result.workers,
         duration_s=result.duration_s,
         cell_seconds=timing.total_s,
         cell_count=len(result),

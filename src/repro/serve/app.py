@@ -19,13 +19,13 @@ its own — the asyncio layer (:mod:`repro.serve.server`) feeds it parsed
 
 :meth:`AnalysisService.plan` parses and validates a batch once and says
 whether answering it runs a wire simulation: only an exact item whose
-factor is not memoized does.  :meth:`AnalysisService.handle` answers the
-request from that plan and runs the batch to completion; the server calls
-it on the event loop for static work and on a worker thread for a
-simulating batch.  The deadline is checked before each item, so expiry
-lands on an item boundary — never mid-computation, never with a
-half-written memo entry — and the items left over answer
-``deadline_exceeded``.
+factor is not memoized, and whose finding is not memoized as safe, does.
+:meth:`AnalysisService.handle` answers the request from that plan and
+runs the batch to completion; the server calls it on the event loop for
+static work and on a worker thread for a simulating batch.  The deadline
+is checked before each item, so expiry lands on an item boundary — never
+mid-computation, never with a half-written memo entry — and the items
+left over answer ``deadline_exceeded``.
 
 An exact item runs its family's clean wire simulation
 (:attr:`~repro.families.base.AttackFamily.simulate`) through the
@@ -197,7 +197,8 @@ class BatchPlan:
     items: Tuple[Union[str, _Item], ...] = ()
     budget_ms: int = 0
     #: Answering runs a wire simulation (an exact item with no memoized
-    #: factor, or any exact item under an injected runner).
+    #: factor, or any exact item under an injected runner), unless the
+    #: item's finding is memoized as safe.
     simulates: bool = False
 
 
@@ -360,8 +361,8 @@ class AnalysisService:
         """Parse and validate a batch request's body and items once.
 
         Reads no clock and records no memo lookup: each exact item's
-        factor is only peeked at here, and :meth:`_exact_factor` makes
-        its one lookup when the item is answered."""
+        factor and finding are only peeked at here, and the item makes
+        its lookups when it is answered."""
         body = request.body.materialize()
         if len(body) > self.config.max_body_bytes:
             return self._refuse(
@@ -399,13 +400,17 @@ class AnalysisService:
                 and item.exact
                 and item.size <= self.config.exact_max_size
             ):
+                key = _item_key(item)
                 factor = None
                 if self._exact_runner is None:
-                    factor = self.memo.peek("exact", _exact_key(item))
-                if factor is None:
-                    simulates = True
-                else:
+                    factor = self.memo.peek("exact", key)
+                if factor is not None:
                     item = replace(item, factor=factor)
+                else:
+                    # A memoized safe finding answers ``exact_skipped``.
+                    finding = self.memo.peek("findings", key)
+                    if finding is None or finding.kind != "safe":
+                        simulates = True
             items.append(item)
         budget_ms = resolve_deadline_ms(
             request.headers.get(DEADLINE_HEADER),
@@ -514,9 +519,10 @@ class AnalysisService:
     # -- findings and recommendations (memoized) ----------------------------
 
     def _finding(self, item: _Item) -> Finding:
-        key = (item.family.name, *item.subject, item.size)
         build = partial(item.family.finding, item.subject, item.size, None, None)
-        return cast(Finding, self.memo.get_or_compute("findings", key, build))
+        return cast(
+            Finding, self.memo.get_or_compute("findings", _item_key(item), build)
+        )
 
     def _recommendation(self, item: _Item, finding: Finding) -> Dict[str, Any]:
         if finding.kind == "safe":
@@ -584,9 +590,10 @@ class AnalysisService:
         else:
             compute = partial(item.family.simulate, item.subject, item.size, None)
         return cast(
-            float, self.memo.get_or_compute("exact", _exact_key(item), compute)
+            float, self.memo.get_or_compute("exact", _item_key(item), compute)
         )
 
 
-def _exact_key(item: _Item) -> Tuple[Any, ...]:
+def _item_key(item: _Item) -> Tuple[Any, ...]:
+    """The item's key in both the ``findings`` and ``exact`` memos."""
     return (item.family.name, *item.subject, item.size)

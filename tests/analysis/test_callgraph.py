@@ -145,10 +145,10 @@ class TestLiveRepoEdges:
         assert repo.edge_count > 2000
 
     def test_checkpoint_write_edge(self, repo: CallGraph) -> None:
-        # GridRunner._record -> RunCheckpoint.record via the
+        # GridRunner.run -> RunCheckpoint.record via the
         # Optional["RunCheckpoint"] parameter annotation.
         assert "repro.runner.checkpoint.RunCheckpoint.record" in _callees(
-            repo, "repro.runner.executor.GridRunner._record"
+            repo, "repro.runner.executor.GridRunner.run"
         )
 
     def test_injected_clock_read(self, repo: CallGraph) -> None:

@@ -196,7 +196,7 @@ class TestObrRefusalFallback:
         assert plan.stats.refused == 1
         assert plan.stats.answered == 0
         assert list(plan.residual) == [cell]
-        return GridRunner(workers=1).run(plan.residual).outcomes[0]
+        return GridRunner().run(plan.residual).outcomes[0]
 
     def test_static_max_n_zero_is_refused_and_simulated(self, obr_engine):
         from repro.families.obr import grid_cell as obr_cell

@@ -140,7 +140,7 @@ def test_recommend_json_and_table(toy, capsys):
 
 
 def test_run_all_runs_its_cells_and_writes_its_table(toy, tmp_path):
-    report = run_all(workers=1, quick=True)
+    report = run_all(quick=True)
     toy_cells = [cell for cell in report.cells if cell.experiment == "toy"]
     assert len(toy_cells) == 13 and all(cell.ok for cell in toy_cells)
     # No fast engine: the grid runner simulated them.

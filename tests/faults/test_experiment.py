@@ -7,7 +7,6 @@ from repro.faults.experiment import (
     measure_sbr_under_faults,
 )
 from repro.faults.plan import FaultPlan
-from repro.runner.executor import GridRunner
 
 MB = 1 << 20
 
@@ -63,9 +62,3 @@ class TestFaultedSbrGrid:
             ("fastly", 1 * MB, 9),
         ]
         assert all(cell.experiment == "sbr-faults" for cell in grid)
-
-    def test_serial_and_parallel_agree(self):
-        grid = faulted_sbr_grid(["gcore", "fastly"], [1 * MB], seed=9, rounds=2)
-        serial = GridRunner(workers=1).run(grid)
-        parallel = GridRunner(workers=2).run(grid)
-        assert serial.outcomes == parallel.outcomes

@@ -1,12 +1,10 @@
-"""Memo lookups as metrics: visible in-process and across the pool.
+"""Memo lookups as metrics: visible in-process and in collected runs.
 
-Per-process memo stats die with their worker process, which used to
-make memo effectiveness invisible in pooled runs (a sweep could silently
-re-simulate every cell and nothing would notice).  Named memos now emit
-``repro_memo_lookups_total{memo=...,result=hit|miss}`` to the context's
-active registry; the runner snapshots per-cell registries across the
-process boundary and merges them, so the pool-wide hit/miss split is
-reconstructible from any collected run.
+Named memos emit ``repro_memo_lookups_total{memo=...,result=hit|miss}``
+to the context's active registry; a collecting grid run snapshots each
+cell's registry and ``run_all`` merges them, so the run's hit/miss split
+is reconstructible from any collected run (a sweep that silently
+re-simulated every cell would show up as all misses).
 """
 
 import sys
@@ -127,14 +125,13 @@ class TestMemoRecording:
         assert "measure_sbr" in memo_stats()
 
 
-class TestCrossProcessMerge:
-    def test_pooled_run_reconstructs_lookup_totals(self):
-        """Two workers, four distinct SBR cells: the merged snapshots
-        must account for exactly one memo lookup per cell, even though
-        each worker warmed (and discarded) its own table."""
+class TestSnapshotMerge:
+    def test_merged_cell_snapshots_count_one_lookup_per_cell(self):
+        """Four distinct SBR cells: the merged per-cell snapshots must
+        account for exactly one memo lookup per cell."""
         clear_all_memos()
         grid = sbr_grid(["gcore"], (1 * MB, 2 * MB, 3 * MB, 4 * MB))
-        result = GridRunner(workers=2, collect=True).run(grid)
+        result = GridRunner(collect=True).run(grid)
 
         merged = MetricsRegistry()
         for outcome in result:
@@ -144,15 +141,15 @@ class TestCrossProcessMerge:
         misses = _lookups(merged, "measure_sbr", "miss")
         hits = _lookups(merged, "measure_sbr", "hit")
         assert misses + hits == len(grid)
-        # The parent's tables were cleared and every cell key is
-        # distinct, so no worker can have seen a key twice.
+        # The tables were cleared and every cell key is distinct, so no
+        # lookup can have hit.
         assert misses == len(grid)
 
     def test_run_all_collect_surfaces_memo_metrics(self):
         from repro.runner.runall import run_all
 
         clear_all_memos()
-        report = run_all(workers=1, quick=True, vendors=["gcore"], collect_obs=True)
+        report = run_all(quick=True, vendors=["gcore"], collect_obs=True)
         samples = report.metrics[MEMO_LOOKUPS]["samples"]
         by_labels = {
             (s["labels"]["memo"], s["labels"]["result"]): s["value"]

@@ -271,7 +271,7 @@ class TestRunallRecord:
     def test_quick_runall_record_round_trips(self):
         from repro.runner.runall import run_all
 
-        report = run_all(workers=1, quick=True)
+        report = run_all(quick=True)
         record = record_from_runall(
             report, "run-all-quick", {"quick": True}, wall_s=1.0,
             clock=lambda: 42.0,

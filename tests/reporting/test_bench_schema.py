@@ -88,7 +88,6 @@ class TestRoundTrip:
         report = RunAllReport(
             tables=[],
             factors={},
-            workers=1,
             duration_s=0.7,
             cell_seconds=0.66,
             cell_count=6,
@@ -199,7 +198,7 @@ class TestFromRunAll:
         from repro.runner.runall import run_all
 
         clear_all_memos()
-        return run_all(workers=1, quick=True, vendors=["gcore"])
+        return run_all(quick=True, vendors=["gcore"])
 
     def test_observation_from_live_run(self, quick_report, tmp_path):
         bench = bench_from_runall(quick_report, "run-all-quick", wall_s=1.25)
@@ -233,8 +232,6 @@ class TestCliWritesBench:
                 [
                     "run-all",
                     "--quick",
-                    "--workers",
-                    "1",
                     "--no-progress",
                     "--bench",
                     str(bench_path),
@@ -264,8 +261,6 @@ class TestCliWritesBench:
                 [
                     "run-all",
                     "--quick",
-                    "--workers",
-                    "1",
                     "--no-progress",
                     "--exact",
                     "--bench",

@@ -27,9 +27,7 @@ TABLE_STEMS = {
 
 
 def _report(output_dir: Path):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_RUNNER_WORKERS", "1")
-        assert main(["report", str(output_dir), "--quick"]) == 0
+    assert main(["report", str(output_dir), "--quick"]) == 0
     return sorted(path for path in output_dir.rglob("*") if path.is_file())
 
 

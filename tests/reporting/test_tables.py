@@ -23,7 +23,7 @@ MB = 1 << 20
 
 def _run(grid):
     """One grid run's values by cell key; any failed cell raises."""
-    result = GridRunner(workers=1).run(grid)
+    result = GridRunner().run(grid)
     result.values()
     return result.value_by_key()
 
@@ -119,7 +119,7 @@ class TestFig6:
 
 class TestFig7:
     def test_series_structure(self):
-        results = GridRunner(workers=1).run(flood_grid(ms=(2, 13))).values()
+        results = GridRunner().run(flood_grid(ms=(2, 13))).values()
         assert [r.m for r in results] == [2, 13]
         assert not results[0].saturated
         assert results[1].saturated

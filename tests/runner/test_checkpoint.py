@@ -49,7 +49,7 @@ class TestJournal:
         path = tmp_path / "run.jsonl"
         grid = _grid()
         checkpoint = RunCheckpoint(path)
-        result = GridRunner(workers=1).run(grid, checkpoint=checkpoint)
+        result = GridRunner().run(grid, checkpoint=checkpoint)
         checkpoint.close()
 
         reloaded = RunCheckpoint(path)
@@ -62,7 +62,7 @@ class TestJournal:
     def test_header_line_identifies_format(self, tmp_path):
         path = tmp_path / "run.jsonl"
         checkpoint = RunCheckpoint(path)
-        GridRunner(workers=1).run(_grid(1), checkpoint=checkpoint)
+        GridRunner().run(_grid(1), checkpoint=checkpoint)
         checkpoint.close()
         first = path.read_text().splitlines()[0]
         assert json.loads(first) == {"format": "repro-checkpoint-v1"}
@@ -71,7 +71,7 @@ class TestJournal:
         path = tmp_path / "run.jsonl"
         grid = _grid(3)
         checkpoint = RunCheckpoint(path)
-        GridRunner(workers=1).run(grid, checkpoint=checkpoint)
+        GridRunner().run(grid, checkpoint=checkpoint)
         checkpoint.close()
         with open(path, "a") as handle:
             handle.write('{"digest": "deadbeef", "ok": tru')  # killed mid-write
@@ -85,7 +85,7 @@ class TestJournal:
             "ckpt", [_echo_cell(0), ExperimentCell.make("boom-ckpt", ("b",))]
         )
         checkpoint = RunCheckpoint(path)
-        result = GridRunner(workers=1).run(grid, checkpoint=checkpoint)
+        result = GridRunner().run(grid, checkpoint=checkpoint)
         checkpoint.close()
         assert not result.outcomes[1].ok
 
@@ -96,7 +96,7 @@ class TestJournal:
     def test_edited_grid_falls_back_to_recompute(self, tmp_path):
         path = tmp_path / "run.jsonl"
         checkpoint = RunCheckpoint(path)
-        GridRunner(workers=1).run(_grid(2), checkpoint=checkpoint)
+        GridRunner().run(_grid(2), checkpoint=checkpoint)
         checkpoint.close()
         edited = ExperimentGrid("ckpt", [_echo_cell(7), _echo_cell(8)])
         assert RunCheckpoint(path).restore(edited.cells) == {}
@@ -104,7 +104,7 @@ class TestJournal:
     def test_reordered_grid_is_not_restored_at_wrong_index(self, tmp_path):
         path = tmp_path / "run.jsonl"
         checkpoint = RunCheckpoint(path)
-        GridRunner(workers=1).run(_grid(2), checkpoint=checkpoint)
+        GridRunner().run(_grid(2), checkpoint=checkpoint)
         checkpoint.close()
         reordered = [_echo_cell(1), _echo_cell(0)]
         assert RunCheckpoint(path).restore(reordered) == {}
@@ -115,12 +115,12 @@ class TestResumeRuns:
         path = tmp_path / "run.jsonl"
         grid = _grid()
         checkpoint = RunCheckpoint(path)
-        first = GridRunner(workers=1).run(grid, checkpoint=checkpoint)
+        first = GridRunner().run(grid, checkpoint=checkpoint)
         checkpoint.close()
 
         notified = []
         rerun = GridRunner(
-            workers=1, observer=lambda o, done, total: notified.append(o)
+            observer=lambda o, done, total: notified.append(o)
         ).run(grid, checkpoint=RunCheckpoint(path))
         assert notified == []  # nothing re-ran, nothing re-notified
         assert rerun.outcomes == first.outcomes
@@ -130,7 +130,7 @@ class TestResumeRuns:
         produce the same outcomes as an uninterrupted one."""
         path = tmp_path / "run.jsonl"
         grid = _grid(6)
-        uninterrupted = GridRunner(workers=1).run(grid)
+        uninterrupted = GridRunner().run(grid)
 
         class Killed(Exception):
             pass
@@ -141,29 +141,29 @@ class TestResumeRuns:
 
         checkpoint = RunCheckpoint(path)
         with pytest.raises(Killed):
-            GridRunner(workers=1, observer=dying_observer).run(
+            GridRunner(observer=dying_observer).run(
                 grid, checkpoint=checkpoint
             )
         checkpoint.close()
         assert 0 < RunCheckpoint(path).completed_count < len(grid)
 
-        resumed = GridRunner(workers=1).run(grid, checkpoint=RunCheckpoint(path))
+        resumed = GridRunner().run(grid, checkpoint=RunCheckpoint(path))
         assert resumed.outcomes == uninterrupted.outcomes
 
-    def test_resume_works_under_a_pool(self, tmp_path):
+    def test_resume_from_a_partial_journal_matches_a_fresh_run(self, tmp_path):
         path = tmp_path / "run.jsonl"
         grid = ExperimentGrid(
             "sbr-small", [sbr_cell("gcore", 64 * KB), sbr_cell("gcore", 128 * KB),
                           sbr_cell("fastly", 64 * KB), sbr_cell("fastly", 128 * KB)]
         )
-        serial = GridRunner(workers=1).run(grid)
+        fresh = GridRunner().run(grid)
 
         checkpoint = RunCheckpoint(path)
-        GridRunner(workers=1).run(
+        GridRunner().run(
             ExperimentGrid("sbr-small", grid.cells[:2]), checkpoint=checkpoint
         )
         checkpoint.close()
 
-        resumed = GridRunner(workers=2).run(grid, checkpoint=RunCheckpoint(path))
-        assert resumed.outcomes[:2] == serial.outcomes[:2]
-        assert resumed.outcomes == serial.outcomes
+        resumed = GridRunner().run(grid, checkpoint=RunCheckpoint(path))
+        assert resumed.outcomes[:2] == fresh.outcomes[:2]
+        assert resumed.outcomes == fresh.outcomes

@@ -91,7 +91,7 @@ class TestCellTiming:
 
     def test_grid_result_cell_seconds_returns_the_stats(self):
         grid = sbr_grid(vendors=["akamai", "fastly"], sizes=(1 * MB,))
-        result = GridRunner(workers=1).run(grid)
+        result = GridRunner().run(grid)
         timing = result.cell_seconds()
         assert isinstance(timing, CellTiming)
         assert timing.count == 2
@@ -106,7 +106,7 @@ class TestCollectedRuns:
     )
 
     def test_collect_attaches_observations(self):
-        result = GridRunner(workers=1, collect=True).run(self.GRID())
+        result = GridRunner(collect=True).run(self.GRID())
         for outcome in result:
             assert outcome.obs is not None
             assert outcome.obs.spans
@@ -114,30 +114,14 @@ class TestCollectedRuns:
             assert outcome.obs.metrics
 
     def test_collect_does_not_change_values(self):
-        plain = GridRunner(workers=1).run(self.GRID())
+        plain = GridRunner().run(self.GRID())
         clear_all_memos()
-        collected = GridRunner(workers=1, collect=True).run(self.GRID())
+        collected = GridRunner(collect=True).run(self.GRID())
         assert plain == collected  # obs excluded from equality by design
         assert [o.value for o in plain] == [o.value for o in collected]
 
-    def test_pool_collect_matches_serial_collect(self):
-        serial = GridRunner(workers=1, collect=True).run(self.GRID())
-        # Pool workers fork from this process: drop the memos the serial
-        # run just populated or the forked cells would skip execution
-        # (and so skip tracing) entirely.
-        clear_all_memos()
-        parallel = GridRunner(workers=2, collect=True).run(self.GRID())
-        assert serial == parallel
-        for a, b in zip(serial, parallel):
-            assert a.obs.spans == b.obs.spans
-            # Everything except the wall-clock histogram is deterministic.
-            deterministic = lambda m: {  # noqa: E731
-                k: v for k, v in m.items() if k != "repro_runner_cell_seconds"
-            }
-            assert deterministic(a.obs.metrics) == deterministic(b.obs.metrics)
-
     def test_span_ids_namespaced_per_cell(self):
-        result = GridRunner(workers=1, collect=True).run(self.GRID())
+        result = GridRunner(collect=True).run(self.GRID())
         for outcome in result:
             prefix = f"c{outcome.index}."
             assert all(s.span_id.startswith(prefix) for s in outcome.obs.spans)
@@ -147,7 +131,7 @@ class TestCollectedRuns:
 
     def test_failed_cell_still_observed(self):
         grid = ExperimentGrid("oops", [sbr_cell("nonexistent-vendor", 1 * MB)])
-        result = GridRunner(workers=1, collect=True).run(grid)
+        result = GridRunner(collect=True).run(grid)
         (outcome,) = result
         assert not outcome.ok
         assert outcome.obs is not None
@@ -166,7 +150,7 @@ class TestCollectedRuns:
                 obr_cell("cloudflare", "akamai", overlap_count=20),
             ],
         )
-        result = GridRunner(workers=1, collect=True).run(grid)
+        result = GridRunner(collect=True).run(grid)
         for outcome in result:
             totals = summarize(outcome.obs.events)
             registry = MetricsRegistry()
@@ -184,22 +168,13 @@ class TestObserver:
     def test_observer_sees_every_cell_once_serial(self):
         calls = []
         runner = GridRunner(
-            workers=1, observer=lambda o, done, total: calls.append((o, done, total))
+            observer=lambda o, done, total: calls.append((o, done, total))
         )
         result = runner.run(self.grid())
         assert [done for _, done, _ in calls] == [1, 2, 3]
         assert {total for _, _, total in calls} == {3}
-        # Serial notification order is grid order.
+        # Notification order is grid order.
         assert [o.index for o, _, _ in calls] == [o.index for o in result]
-
-    def test_observer_sees_every_cell_once_pooled(self):
-        calls = []
-        runner = GridRunner(
-            workers=2, observer=lambda o, done, total: calls.append((o, done, total))
-        )
-        runner.run(self.grid())
-        assert sorted(done for _, done, _ in calls) == [1, 2, 3]
-        assert sorted(o.index for o, _, _ in calls) == [0, 1, 2]
 
     @staticmethod
     def grid():
@@ -213,7 +188,7 @@ class TestRunAllHarvest:
     @pytest.fixture(scope="class")
     def report(self):
         clear_all_memos()
-        return run_all(workers=2, quick=True, vendors=["gcore"], collect_obs=True)
+        return run_all(quick=True, vendors=["gcore"], collect_obs=True)
 
     def test_profile_lists_every_grid_cell(self, report):
         grid = build_run_all_grid(vendors=["gcore"], quick=True)

@@ -1,12 +1,6 @@
-"""Runner degradation: one attempt per cell, crash containment, failure chains."""
+"""Runner degradation: one attempt per cell, failure chains."""
 
-import os
-import signal
-
-import pytest
-
-from repro.errors import ReproError
-from repro.runner.executor import WORKER_CRASH, CellFailure, GridRunner
+from repro.runner.executor import CellFailure, GridRunner
 from repro.runner.grid import ExperimentCell, ExperimentGrid
 from repro.runner.experiments import register
 
@@ -14,7 +8,7 @@ _FLAKY_FAILURES = {}
 
 
 def _run_flaky(cell):
-    """Fails until its per-key budget is spent (serial/in-process only)."""
+    """Fails until its per-key budget is spent."""
     key = cell.key
     budget = cell.kwargs()["failures"]
     seen = _FLAKY_FAILURES.get(key, 0)
@@ -24,17 +18,7 @@ def _run_flaky(cell):
     return "recovered"
 
 
-def _run_crash(cell):
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _run_echo(cell):
-    return cell.key[1]
-
-
 register("flaky-res", _run_flaky)
-register("crash-res", _run_crash)
-register("echo-res", _run_echo)
 
 
 def _flaky_cell(name, failures):
@@ -49,38 +33,10 @@ class TestCellRetries:
         """The runner never retries: a raising cell fails on its one
         attempt, even when a second attempt would have succeeded."""
         grid = ExperimentGrid("flaky", [_flaky_cell("b", 1)])
-        result = GridRunner(workers=1).run(grid)
+        result = GridRunner().run(grid)
         assert not result.outcomes[0].ok
         assert result.outcomes[0].failure.exception_type == "ConnectionError"
         assert _FLAKY_FAILURES[("flaky", "b")] == 1
-
-
-class TestWorkerCrashContainment:
-    def test_crasher_is_contained_and_innocents_complete(self):
-        grid = ExperimentGrid(
-            "crashy",
-            [
-                ExperimentCell.make("echo-res", ("e", 1)),
-                ExperimentCell.make("crash-res", ("kill",)),
-                ExperimentCell.make("echo-res", ("e", 2)),
-                ExperimentCell.make("echo-res", ("e", 3)),
-            ],
-        )
-        result = GridRunner(workers=2).run(grid)
-        by_label = {o.cell.label: o for o in result.outcomes}
-        crashed = by_label["crash-res[kill]"]
-        assert not crashed.ok
-        assert crashed.failure.exception_type == WORKER_CRASH
-        for label, outcome in by_label.items():
-            if label != "crash-res[kill]":
-                assert outcome.ok, f"{label} should have survived the broken pool"
-
-    def test_restart_budget_exhaustion_aborts(self):
-        grid = ExperimentGrid(
-            "crashy", [ExperimentCell.make("crash-res", ("kill", i)) for i in range(2)]
-        )
-        with pytest.raises(ReproError, match="pool broke"):
-            GridRunner(workers=2, max_pool_restarts=0).run(grid)
 
 
 class TestCellFailureChain:

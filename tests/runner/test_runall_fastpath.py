@@ -38,13 +38,13 @@ def _artifact_bytes(report, directory):
 @pytest.fixture(scope="module")
 def fast_report():
     clear_all_memos()
-    return run_all(workers=1, quick=True)
+    return run_all(quick=True)
 
 
 @pytest.fixture(scope="module")
 def exact_report():
     clear_all_memos()
-    return run_all(workers=1, quick=True, exact=True)
+    return run_all(quick=True, exact=True)
 
 
 class TestGoldenArtifacts:
@@ -98,7 +98,7 @@ class TestFastPathTelemetry:
 
     def test_collect_obs_disables_fast_path(self):
         clear_all_memos()
-        report = run_all(workers=1, quick=True, vendors=["gcore"], collect_obs=True)
+        report = run_all(quick=True, vendors=["gcore"], collect_obs=True)
         assert report.fastpath is None
 
     def test_outcomes_cover_grid_in_order(self, fast_report):
@@ -131,14 +131,13 @@ class TestFastPathCheckpointing:
         path = tmp_path / "ckpt.jsonl"
         with pytest.raises(Killed):
             run_all(
-                workers=1,
                 quick=True,
                 checkpoint_path=path,
                 observer=_kill_after(1),
             )
         assert path.exists()
 
-        resumed = run_all(workers=1, quick=True, checkpoint_path=path, resume=True)
+        resumed = run_all(quick=True, checkpoint_path=path, resume=True)
         assert resumed.restored_cells > 0
         assert _artifact_bytes(resumed, tmp_path / "resumed") == _golden_bytes()
 
@@ -147,7 +146,7 @@ class TestFastPathCheckpointing:
 
         clear_all_memos()
         path = tmp_path / "ckpt.jsonl"
-        report = run_all(workers=1, quick=True, checkpoint_path=path)
+        report = run_all(quick=True, checkpoint_path=path)
         assert report.fastpath is not None
         # 57 cells, 54 answered by the fast path: only the 3 flood
         # cells ever reach the journal.
@@ -158,9 +157,8 @@ class TestFastPathCheckpointing:
         residual indices differ, so restore falls back to re-running."""
         clear_all_memos()
         path = tmp_path / "ckpt.jsonl"
-        run_all(workers=1, quick=True, vendors=["gcore"], checkpoint_path=path)
+        run_all(quick=True, vendors=["gcore"], checkpoint_path=path)
         report = run_all(
-            workers=1,
             quick=True,
             vendors=["gcore"],
             exact=True,
@@ -170,5 +168,5 @@ class TestFastPathCheckpointing:
         assert _artifact_bytes(
             report, tmp_path / "exact"
         ) == _artifact_bytes(
-            run_all(workers=1, quick=True, vendors=["gcore"]), tmp_path / "fast"
+            run_all(quick=True, vendors=["gcore"]), tmp_path / "fast"
         )

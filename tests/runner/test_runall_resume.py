@@ -38,13 +38,12 @@ class TestRunAllResume:
     def test_killed_run_resumes_to_byte_identical_artifacts(self, tmp_path):
         """The acceptance check: a mid-grid kill plus ``--resume`` ends
         with artifacts identical to an uninterrupted run's."""
-        clean = run_all(workers=1, quick=True, vendors=["gcore"], faults=True)
+        clean = run_all(quick=True, vendors=["gcore"], faults=True)
         clean_files = _artifact_bytes(clean, tmp_path / "clean")
 
         path = tmp_path / "ckpt.jsonl"
         with pytest.raises(Killed):
             run_all(
-                workers=1,
                 quick=True,
                 vendors=["gcore"],
                 faults=True,
@@ -54,7 +53,6 @@ class TestRunAllResume:
         assert path.exists()
 
         resumed = run_all(
-            workers=1,
             quick=True,
             vendors=["gcore"],
             faults=True,
@@ -68,10 +66,9 @@ class TestRunAllResume:
     def test_fresh_run_then_resume_restores_everything(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         first = run_all(
-            workers=1, quick=True, vendors=["gcore"], checkpoint_path=path
+            quick=True, vendors=["gcore"], checkpoint_path=path
         )
         again = run_all(
-            workers=1,
             quick=True,
             vendors=["gcore"],
             checkpoint_path=path,

@@ -231,6 +231,34 @@ class TestBatchRouting:
         assert batches(service, "loop") == 4
         assert batches(service, "worker") == 0
 
+    def test_exact_items_on_a_warm_safe_finding_stay_on_the_loop(self):
+        asyncio.run(self._safe_scenario())
+
+    async def _safe_scenario(self):
+        service = AnalysisService()
+        item = {"vendor": "akamai", "attack": "ccfc", "size": 64 * KB}
+        # Warm the finding only: a safe finding never stores an exact factor.
+        service.handle(batch_request("/v1/analyze", [item]))
+        server = ServeServer(service, port=0, workers=1)
+
+        def refuse_submit(*args, **kwargs):
+            raise AssertionError("a safe exact batch was submitted to the pool")
+
+        server._pool.submit = refuse_submit
+        await server.start()
+        try:
+            raw = await raw_roundtrip(
+                server.port, analyze_payload([dict(item, exact=True)] * 2)
+            )
+        finally:
+            server.initiate_drain()
+        assert parse_head(raw)[0] == 200
+        results = json.loads(raw.split(b"\r\n\r\n", 1)[1])["results"]
+        assert [r["finding"]["kind"] for r in results] == ["safe", "safe"]
+        assert all("exact_skipped" in r for r in results)
+        assert batches(service, "loop") == 1
+        assert batches(service, "worker") == 0
+
     def test_a_cold_exact_item_runs_off_the_loop_thread(self):
         asyncio.run(self._cold_scenario())
 

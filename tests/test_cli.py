@@ -124,8 +124,7 @@ class TestMatrix:
 
 
 class TestReport:
-    def test_quick_report_written(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_RUNNER_WORKERS", "1")
+    def test_quick_report_written(self, tmp_path, capsys):
         target = tmp_path / "out"
         assert main(["report", str(target), "--quick"]) == 0
         output = capsys.readouterr().out
@@ -204,15 +203,29 @@ class TestRunAllLabel:
         from repro.reporting.bench import load_bench
 
         monkeypatch.chdir(tmp_path)
-        argv = ["run-all", "--quick", "--workers", "1", "--no-progress"]
+        argv = ["run-all", "--quick", "--no-progress"]
         assert main(argv + flags + ["--bench", "b.json"]) == 0
         output = capsys.readouterr().out
         bench = load_bench(tmp_path / "b.json")
         assert (bench.label, bench.mode) == (label, mode)
+        # The summary counts cells and seconds; no worker count, no speedup.
+        summary = output.splitlines()[0]
+        assert summary.startswith(f"run-all: {bench.cell_count} cells in ")
+        assert "worker" not in summary and "x)" not in summary
         if mode == "fast":
             assert "cells answered before the grid" in output
         else:
             assert "fast path: disabled" in output
+
+
+class TestRunAllHasNoWorkerFlag:
+    def test_workers_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run-all", "--quick", "--workers", "2"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert "unrecognized arguments: --workers 2" in err
 
 
 class TestEconomics:

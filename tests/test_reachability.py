@@ -274,6 +274,20 @@ def test_simulating_entry_points_load_the_wire_stack_up_front(code):
     assert set(WIRE_STACK) <= set(_loaded_after(code))
 
 
+@pytest.mark.parametrize("module", ["repro.runner.runall", "repro.runner.executor"])
+def test_grid_runner_loads_no_process_pool(module):
+    # The grid runs serially in process: importing the runner loads
+    # neither ``multiprocessing`` nor ``concurrent.futures``.
+    code = f"import {module}\nprint(' '.join(sorted(sys.modules)))"
+    loaded = _run(code).split()
+    assert module in loaded
+    assert not [
+        m
+        for m in loaded
+        if m.partition(".")[0] == "multiprocessing" or m.startswith("concurrent")
+    ]
+
+
 def test_serve_answers_exact_items_without_the_runner():
     code = (
         "import json\n"
