@@ -25,6 +25,7 @@ from repro.http.message import HttpRequest
 from repro.http.multipart import MultipartByteranges
 from repro.http.ranges import ResolvedRange, parse_range_header
 from repro.netsim.tap import TrafficLedger
+from repro.obs.memo import clear_all_memos
 from repro.obs.tracer import Tracer, current_tracer, use_tracer
 from repro.origin.server import OriginServer
 
@@ -36,8 +37,12 @@ def test_parse_single_range(benchmark):
 
 
 def test_parse_obr_range_10k(benchmark):
+    """A cold parse: each round first empties the ``range_parse`` memo,
+    which would otherwise answer the repeated value."""
     value = overlapping_open_ranges_value(10_750)
-    result = benchmark(parse_range_header, value)
+    result = benchmark.pedantic(
+        parse_range_header, args=(value,), setup=clear_all_memos, rounds=200
+    )
     assert len(result) == 10_750
 
 
@@ -190,6 +195,26 @@ def test_cold_serve_items(benchmark):
     assert response.status == 200
     results = json.loads(response.body.materialize())["results"]
     assert [r["finding"]["kind"] for r in results] == ["sbr", "ccfc", "obr"]
+
+
+def test_cold_audit_op(benchmark):
+    """One cold audit: ``analyze_vendor_matrix`` + ``recommend`` at sizes
+    no default run uses, every memo emptied first, as the e2e ``audit``
+    workload's first operation at seed 1 runs it."""
+    from repro.analysis.recommend import recommend
+    from repro.analysis.report import analyze_vendor_matrix
+
+    sizes = dict(
+        resource_size=9_085_044, obr_resource_size=3_863, ccfc_resource_size=28_681_398
+    )
+
+    def audit():
+        report = analyze_vendor_matrix(**sizes)
+        return report, recommend(report=report, **sizes)
+
+    report, recommendations = benchmark.pedantic(audit, setup=clear_all_memos, rounds=20)
+    assert report.vulnerable
+    assert len(recommendations.recommendations) == len(report.vulnerable)
 
 
 def test_run_all_quick_fastpath(benchmark, output_dir):

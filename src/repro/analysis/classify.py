@@ -27,7 +27,7 @@ too, so that the wire attacks and the static bounds read the same facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.cdn.multirange import MultiRangeReplyBehavior
@@ -364,9 +364,10 @@ def classify_sbr(
     return classification
 
 
-#: :func:`classify_obr_frontend` answers, by ``(vendor, resource_size,
-#: config)``.  The answer reads only registry profiles, and a vendor
-#: matrix asks each front end once per back end.
+#: :func:`classify_obr_frontend` answers, by ``(vendor, config)`` plus
+#: ``resource_size`` when a probe read the size.  The answer reads only
+#: registry profiles, and a vendor matrix asks each front end once per
+#: back end.
 _FRONTEND_MEMO = Memo(maxsize=1024, name="obr_frontend")
 
 
@@ -376,20 +377,36 @@ def classify_obr_frontend(
     config: Optional[VendorConfig] = None,
 ) -> Tuple[ProbeDecision, ...]:
     """The overlapping multi-range shapes ``vendor`` forwards unchanged
-    (Table II membership evidence; empty when unusable as an FCDN)."""
+    (Table II membership evidence; empty when unusable as an FCDN).
 
-    def read() -> Tuple[ProbeDecision, ...]:
-        return tuple(
+    Probes none of whose decisions read the resource size (every front
+    end but Huawei's, which switches at 10 MB) are stored without it,
+    as :func:`~repro.analysis.bounds.static_max_n` stores its search;
+    a lookup at another size gets the stored decisions rebuilt with
+    the size it asked for."""
+    size_free = (vendor, config)
+    sized = (vendor, config, resource_size)
+
+    def read() -> Tuple[Tuple[ProbeDecision, ...], Tuple[object, ...]]:
+        reads = ContextReads()
+        lazy = tuple(
             probe
             for shape in MULTI_RANGE_SHAPES
-            for probe in (probe_decision(vendor, shape, resource_size, config=config),)
+            for probe in (
+                probe_decision(vendor, shape, resource_size, config=config, reads=reads),
+            )
             if probe.lazy_unchanged
         )
+        return lazy, sized if reads.size else size_free
 
-    lazy: Tuple[ProbeDecision, ...] = _FRONTEND_MEMO.get_or_compute(
-        (vendor, resource_size, config), read
+    lazy: Tuple[ProbeDecision, ...] = _FRONTEND_MEMO.get_or_compute_under(
+        (size_free, sized), read
     )
-    return lazy
+    return tuple(
+        probe if probe.resource_size == resource_size
+        else replace(probe, resource_size=resource_size)
+        for probe in lazy
+    )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ We reproduce it in two steps:
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -167,16 +167,20 @@ class BandwidthAttackSimulation:
     ) -> List[float]:
         """Mean of each whole second ``[s, s + 1)`` of one link's series.
 
-        One pass files each tick into the second its start time falls
-        in; every window is then averaged in time order, exactly as
+        Tick start times strictly increase, so the ticks of one second
+        are one contiguous slice, found by bisection; each slice is
+        averaged in time order, exactly as
         :meth:`FluidSimulator.mean_throughput_bps` would.
         """
-        windows: List[List[float]] = [[] for _ in range(int(total))]
-        for time, bps in zip(times, throughput):
-            second = math.floor(time)
-            if 0 <= second < len(windows):
-                windows[second].append(bps)
-        return [sum(window) / len(window) if window else 0.0 for window in windows]
+        ticks = min(len(times), len(throughput))
+        bounds = [
+            bisect_left(times, second, 0, ticks) for second in range(int(total) + 1)
+        ]
+        means: List[float] = []
+        for start, end in zip(bounds, bounds[1:]):
+            window = throughput[start:end]
+            means.append(sum(window) / len(window) if window else 0.0)
+        return means
 
     def sweep(self, ms: Sequence[int] = tuple(range(1, 16))) -> List[BandwidthRunResult]:
         """Fig 7's full sweep, ``m`` from 1 to 15 by default."""

@@ -9,6 +9,19 @@ the structural format it instantiates.
 
 Generation is seeded and fully deterministic so the feasibility tables
 are reproducible run-to-run.
+
+Each OBR value is built once per process: the max-n search asks for the
+same ``(count, leading)`` at ``n`` and ``n + 1`` of every cascade, and a
+cold audit asks 132 times for 20 distinct values of up to ~33 KB.
+:func:`overlapping_open_ranges_value` answers a repeated pair from the
+named memo ``obr_range_value``: at most
+:data:`~repro.http.ranges.CACHED_VALUES` entries, each a value of at
+most :data:`~repro.http.ranges.CACHED_VALUE_CHARS` characters, so the table
+holds at most 8 MiB (~6 MB at the largest overlap count any entry point
+accepts, ~96 KB a value).  Sharing is safe because strings are
+immutable, and it helps the parser: every probe hands
+:func:`~repro.http.ranges.parse_range_header` the same string object,
+whose hash, the parse memo's key, is then computed once.
 """
 
 from __future__ import annotations
@@ -17,6 +30,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
+
+from repro.http.ranges import CACHED_VALUE_CHARS, CACHED_VALUES
+from repro.obs.memo import Memo
 
 
 class RangeFormat(Enum):
@@ -64,6 +80,10 @@ def suffix_range_value(suffix_length: int) -> str:
     return f"bytes=-{suffix_length}"
 
 
+#: Built OBR values, by ``(count, leading)``.
+_OBR_VALUES = Memo(maxsize=CACHED_VALUES, name="obr_range_value")
+
+
 def overlapping_open_ranges_value(count: int, leading: Optional[str] = None) -> str:
     """Build the OBR multi-range value ``bytes=0-,0-,...,0-``.
 
@@ -78,10 +98,20 @@ def overlapping_open_ranges_value(count: int, leading: Optional[str] = None) -> 
     """
     if count < 1:
         raise ValueError(f"need at least one range, got {count}")
-    specs = ["0-"] * count
-    if leading is not None:
-        specs[0] = leading
-    return "bytes=" + ",".join(specs)
+    value: str = _OBR_VALUES.get_or_compute(
+        (count, leading), lambda: _join_open_ranges(count, leading), _small_value
+    )
+    return value
+
+
+def _small_value(value: str) -> bool:
+    return len(value) <= CACHED_VALUE_CHARS
+
+
+def _join_open_ranges(count: int, leading: Optional[str]) -> str:
+    """The uncached build behind :func:`overlapping_open_ranges_value`:
+    the repeats are one string multiplication, not a list join."""
+    return "bytes=" + ("0-" if leading is None else leading) + ",0-" * (count - 1)
 
 
 def obr_value_size(count: int, leading: Optional[str] = None) -> int:

@@ -16,6 +16,23 @@ overlap detection, coalescing, and span statistics.
 
 Terminology note: throughout, byte positions are **inclusive** on both
 ends, matching the RFC ("bytes=0-0" is the first byte).
+
+Each distinct value is parsed once per process.  The OBR max-n search
+probes each cascade at ``n`` and ``n + 1`` and every probe hands the
+same 10,000-part value to the front's limits, its decision table and
+the back's limits, so a cold audit asks 430 times for the parse of 24
+distinct values.  :func:`parse_range_header` answers a repeated ``(value,
+strict_unit)`` from the named memo ``range_parse``: at most
+:data:`CACHED_VALUES` entries, each a value of at most
+:data:`CACHED_VALUE_CHARS` characters that parsed into at most
+:data:`CACHED_RUNS` runs (larger ones are parsed on every call), so the
+table holds under ~10 MB even when filled adversarially (a value that
+parses is ASCII, one byte a character).  Only successful parses are
+stored: a malformed value raises the same
+:class:`~repro.errors.RangeParseError` on every call.  Sharing one
+parse between callers and threads is safe because a
+:class:`RangeSpecifier` is immutable (assigning ``unit`` or ``runs``
+raises) and its specs are frozen.
 """
 
 from __future__ import annotations
@@ -26,6 +43,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RangeNotSatisfiableError, RangeParseError
 from repro.http.headers import TOKEN_RE, parse_decimal
+from repro.obs.memo import Memo
 
 #: RFC 7230 optional whitespace, allowed around the commas of a
 #: byte-range-set by the 1#rule list extension.
@@ -139,15 +157,27 @@ class RangeSpecifier:
     :meth:`to_header_value` agree with the spec-by-spec list.
     :func:`parse_range_header` builds them that way, and so must any
     other caller.
+
+    Immutable: :func:`parse_range_header` hands one instance to every
+    caller of the same value, so assigning an attribute raises.
     """
 
     __slots__ = ("unit", "runs")
 
+    unit: str
+    runs: Tuple[SpecRun, ...]
+
     def __init__(self, runs: Sequence[SpecRun], unit: str = "bytes") -> None:
         if not runs:
             raise RangeParseError("byte-range-set must contain at least one spec")
-        self.unit = unit
-        self.runs: Tuple[SpecRun, ...] = tuple(runs)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "runs", tuple(runs))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"RangeSpecifier is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"RangeSpecifier is immutable; cannot delete {name!r}")
 
     def __len__(self) -> int:
         return sum(count for _, count in self.runs)
@@ -229,6 +259,17 @@ class RangeSpecifier:
 #: ones -- the OBR attack's thousands of repeats -- are scanned run by run.
 _SPLIT_CHARS = 256
 
+#: Bounds of the ``range_parse`` memo: entries, and the largest value
+#: (in characters) and parse (in runs) an entry may hold.  An OBR value
+#: at the largest overlap count any entry point accepts is ~96 KB and
+#: one or two runs.
+CACHED_VALUES = 64
+CACHED_VALUE_CHARS = 1 << 17
+CACHED_RUNS = 64
+
+#: Successful parses, by ``(value, strict_unit)``.
+_PARSED = Memo(maxsize=CACHED_VALUES, name="range_parse")
+
 
 def parse_range_header(value: str, strict_unit: bool = True) -> RangeSpecifier:
     """Parse a ``Range`` header value per the RFC 7233 grammar.
@@ -237,9 +278,27 @@ def parse_range_header(value: str, strict_unit: bool = True) -> RangeSpecifier:
     ABNF.  When ``strict_unit`` is true (the default), a unit other than
     ``bytes`` is rejected — mirroring how real byte-range servers treat
     unknown units as a parse failure and fall back to a 200 response.
+
+    A repeated value is answered with the shared, immutable
+    :class:`RangeSpecifier` parsed on its first call (see the module
+    docstring for the bounds); a value that fails raises every time.
     """
     if value is None:
         raise RangeParseError("Range header value is None")
+    if len(value) > CACHED_VALUE_CHARS:
+        return _parse(value, strict_unit)
+    spec: RangeSpecifier = _PARSED.get_or_compute(
+        (value, strict_unit), lambda: _parse(value, strict_unit), _few_runs
+    )
+    return spec
+
+
+def _few_runs(spec: RangeSpecifier) -> bool:
+    return len(spec.runs) <= CACHED_RUNS
+
+
+def _parse(value: str, strict_unit: bool) -> RangeSpecifier:
+    """The uncached parse behind :func:`parse_range_header`."""
     unit, equals, range_set = value.strip(_OWS).partition("=")
     if not equals or (unit != "bytes" and not TOKEN_RE.fullmatch(unit)):
         raise RangeParseError(f"malformed Range header {value!r}")

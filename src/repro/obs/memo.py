@@ -74,8 +74,18 @@ class Memo:
         if registry is not None:
             registry.record_memo_lookup(self.name, hit)
 
-    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
-        """Return the cached value for ``key``, computing it on a miss."""
+    def get_or_compute(
+        self,
+        key: Hashable,
+        compute: Callable[[], Any],
+        keep: Optional[Callable[[Any], bool]] = None,
+    ) -> Any:
+        """Return the cached value for ``key``, computing it on a miss.
+
+        ``keep``, when given, decides whether a computed value is stored
+        (a table bounded in entries can then bound each entry's size
+        too); the miss is counted either way.  A ``compute`` that raises
+        stores nothing."""
         with self._lock:
             if key in self._table:
                 self.stats.hits += 1
@@ -85,7 +95,7 @@ class Memo:
         # Compute outside the lock: measurements can be slow, and a
         # duplicate computation is merely wasted work, never wrong.
         value = compute()
-        self._store(key, value)
+        self._store(key, value, keep is None or keep(value))
         return value
 
     def get_or_compute_under(
@@ -115,10 +125,10 @@ class Memo:
         with self._lock:
             return self._table.get(key)
 
-    def _store(self, key: Hashable, value: Any) -> None:
+    def _store(self, key: Hashable, value: Any, keep: bool = True) -> None:
         """Insert a computed miss (FIFO eviction) and count the miss."""
         with self._lock:
-            if key not in self._table:
+            if keep and key not in self._table:
                 if len(self._table) >= self.maxsize:
                     oldest = next(iter(self._table))
                     del self._table[oldest]

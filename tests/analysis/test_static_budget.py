@@ -1,27 +1,38 @@
 """The static audit reads each pure fact once.
 
 A cold ``analyze_vendor_matrix`` + ``recommend`` asks each OBR front end
-for its multi-range decisions once per ``(vendor, size, config)`` — not
-once per back end — and certifies every max-n search, the RFC 7233
-guarded ones included, with two static probes.  SBR classifications,
-which probe fixed size regimes, are read once per ``(vendor, config,
-factory)`` whatever the size.  The memo changes only how often a
-decision is read, never an answer.
+for its multi-range decisions once per ``(vendor, config)`` (plus the
+size for Huawei, whose decisions read it) — not once per back end — and
+certifies every max-n search, the RFC 7233 guarded ones included, with
+two static probes.  SBR classifications, which probe fixed size
+regimes, are read once per ``(vendor, config, factory)`` whatever the
+size.  Each distinct OBR Range value is built once and parsed once.
+The memo changes only how often a decision is read, never an answer.
 """
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import bounds, classify
 from repro.analysis.bounds import static_max_n
-from repro.analysis.classify import MULTI_RANGE_SHAPES, classify_sbr
+from repro.analysis.classify import (
+    MULTI_RANGE_SHAPES,
+    classify_obr_frontend,
+    classify_sbr,
+)
 from repro.analysis.recommend import recommend
 from repro.analysis.report import analyze_vendor_matrix
 from repro.cdn.vendors import all_vendor_names, create_profile
 from repro.defense.mitigations import with_laziness
 from repro.families.base import mitigation_profile_factory
+from repro.http import grammar, ranges
 from repro.obs.memo import clear_all_memos, memo_stats
 
 SIZES = dict(resource_size=3_000_001, obr_resource_size=777, ccfc_resource_size=2_000_003)
+MB = 1 << 20
 
 
 class _Counter:
@@ -112,3 +123,68 @@ def test_ad_hoc_factories_stay_uncached(cold):
     static_max_n("cdn77", "akamai", bcdn_profile=factory)
     assert memo_stats()["classify_sbr"].lookups == 0
     assert memo_stats()["static_max_n"].lookups == 0
+
+
+def test_front_end_decisions_are_read_without_the_size_except_huaweis(cold):
+    vendors = all_vendor_names()
+    for vendor in vendors:
+        classify_obr_frontend(vendor, 1024)
+        classify_obr_frontend(vendor, 25 * MB)
+    # Only Huawei's decisions read the size (its 10 MB switch), so only
+    # its answer is stored per size.
+    assert memo_stats()["obr_frontend"].misses == len(vendors) + 1
+
+
+@given(
+    vendor=st.sampled_from(all_vendor_names()),
+    warm_size=st.integers(min_value=1, max_value=20 * MB),
+    size=st.integers(min_value=1, max_value=20 * MB),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_warm_front_end_answer_equals_a_cold_one_at_any_size(vendor, warm_size, size):
+    clear_all_memos()
+    classify_obr_frontend(vendor, warm_size)
+    warm = classify_obr_frontend(vendor, size)
+    clear_all_memos()
+    cold_answer = classify_obr_frontend(vendor, size)
+    assert warm == cold_answer
+    assert all(probe.resource_size == size for probe in warm)
+
+
+def test_huaweis_front_end_answer_is_keyed_by_size(cold):
+    classify_obr_frontend("huawei", 10 * MB - 1)
+    classify_obr_frontend("huawei", 10 * MB)
+    table = classify._FRONTEND_MEMO
+    assert ("huawei", None, 10 * MB - 1) in table
+    assert ("huawei", None, 10 * MB) in table
+    assert ("huawei", None) not in table
+    classify_obr_frontend("akamai", 10 * MB - 1)
+    assert ("akamai", None) in table
+
+
+#: The e2e audit's first operation at seed 1: sizes no other test uses.
+AUDIT_SEED_1 = dict(
+    resource_size=9_085_044, obr_resource_size=3_863, ccfc_resource_size=28_681_398
+)
+
+
+def test_a_cold_audit_builds_and_parses_each_range_value_once(cold, monkeypatch):
+    parses, joins = Counter(), Counter()
+    parse, join = ranges._parse, grammar._join_open_ranges
+
+    def counted_parse(value, strict_unit):
+        parses[value, strict_unit] += 1
+        return parse(value, strict_unit)
+
+    def counted_join(count, leading):
+        joins[count, leading] += 1
+        return join(count, leading)
+
+    monkeypatch.setattr(ranges, "_parse", counted_parse)
+    monkeypatch.setattr(grammar, "_join_open_ranges", counted_join)
+    report = analyze_vendor_matrix(**AUDIT_SEED_1)
+    recommend(report=report, **AUDIT_SEED_1)
+    assert set(parses.values()) == {1} and len(parses) == 24
+    assert set(joins.values()) == {1} and len(joins) == 20
+    assert memo_stats()["range_parse"].lookups == 430
+    assert memo_stats()["obr_range_value"].lookups == 132

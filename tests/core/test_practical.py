@@ -1,6 +1,10 @@
 """Integration tests for the bandwidth experiment (paper §V-D, Fig 7)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.practical import BandwidthAttackSimulation
 from repro.reporting.paper_values import (
@@ -101,3 +105,59 @@ class TestSweepShape:
     def test_near_saturation_at_paper_m(self, simulation):
         result = simulation.run(PAPER_FIG7_NEAR_SATURATION_M)
         assert result.steady_origin_mbps > 0.9 * 1000.0
+
+
+def per_second_loop(times, throughput, total):
+    """The per-tick loop ``_per_second_bps`` replaced: file each tick
+    into the second its start time falls in, then average in order."""
+    windows = [[] for _ in range(int(total))]
+    for time, bps in zip(times, throughput):
+        second = math.floor(time)
+        if 0 <= second < len(windows):
+            windows[second].append(bps)
+    return [sum(window) / len(window) if window else 0.0 for window in windows]
+
+
+#: Tick times on and beside second boundaries: the drifted 1.0 tick, the
+#: horizon's edges, and times before zero.
+_EDGE_TIMES = [-0.5, 0.0, 0.9999999999999999, 1.0, 2.5, 39.99999999999999, 40.0, 40.5]
+
+
+class TestPerSecondMeans:
+    @given(
+        times=st.lists(
+            st.one_of(
+                st.sampled_from(_EDGE_TIMES),
+                st.floats(min_value=-1.0, max_value=42.0, allow_nan=False),
+            ),
+            max_size=120,
+            unique=True,
+        ).map(sorted),
+        values=st.lists(
+            st.floats(min_value=0.0, max_value=1e9, allow_nan=False), min_size=120, max_size=120
+        ),
+        short=st.integers(min_value=0, max_value=3),
+        total=st.sampled_from([40.0, 40.5, 1.0, 0.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_tick_loop(self, times, values, short, total):
+        throughput = values[: max(0, len(times) - short)]
+        expected = per_second_loop(times, throughput, total)
+        assert BandwidthAttackSimulation._per_second_bps(times, throughput, total) == expected
+
+    @pytest.mark.parametrize("m", [1, 14])
+    def test_fig7_series_equal_the_per_tick_loop(self, simulation, monkeypatch, m):
+        # Real tick clocks: at m = 1 the tick due at 1.0 s starts at
+        # 0.9999999999999999.
+        compared = []
+        bisected = BandwidthAttackSimulation._per_second_bps
+
+        def checked(times, throughput, total):
+            means = bisected(times, throughput, total)
+            assert means == per_second_loop(times, throughput, total)
+            compared.append(len(times))
+            return means
+
+        monkeypatch.setattr(BandwidthAttackSimulation, "_per_second_bps", staticmethod(checked))
+        simulation.run(m)
+        assert len(compared) == 2 and compared[0] > 300
