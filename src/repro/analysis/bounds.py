@@ -31,7 +31,9 @@ from repro.analysis.classify import (
     exploited_request,
     forwarded_verbatim,
     memo_keyable,
+    probe_request,
 )
+from repro.cdn.limits import HeaderLimits, RequestHead
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.vendors import create_profile
 from repro.cdn.vendors.azure import DEFAULT_ABORT_SLOP, EIGHT_MB, WINDOW_LAST
@@ -51,7 +53,7 @@ from repro.errors import (
     RequestRejectedError,
 )
 from repro.http.encoding import IDENTITY, accepts_encoding
-from repro.http.grammar import obr_value_size
+from repro.http.grammar import obr_value_size, overlapping_open_ranges_value
 from repro.http.headers import Headers
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.ranges import RangeSpecifier, try_parse_range_header
@@ -252,15 +254,10 @@ def _decision_fetch(
         # Open/suffix/multi shapes fall through to the lazy base flow.
         return _lazy_payload_fetch(spec, resource_size)
 
-    request = HttpRequest(
-        "GET",
-        "/target.bin",
-        headers=[("Host", "victim.example"), ("Range", range_value)],
-    )
     ctx = VendorContext(
         config=profile.effective_config(), resource_size_hint=resource_size
     )
-    decision = profile.forward_decision(request, spec, ctx)
+    decision = profile.forward_decision(probe_request(range_value), spec, ctx)
     if decision.forwarded_range is None:
         # Deletion: the origin ships the full representation.
         return _Fetch(payload_upper=resource_size)
@@ -422,40 +419,125 @@ class ObrBound:
         return self.victim_bytes_upper / self.attacker_bytes_lower
 
 
+#: The overlap count of a :class:`FrontPlan`'s real requests.
+PLAN_COUNT = 2
+
+
+@dataclass(frozen=True)
+class FrontPlan:
+    """What every max-n probe reads off one front end.
+
+    Built once per ``(fcdn, fcdn_profile)`` — plus the resource size
+    when the front's decision read it (``size_read``; only Huawei's
+    does) — from one front profile and the real ``n = 2`` client request
+    (:func:`~repro.analysis.classify.exploited_request`), whose sizes
+    are ``head``.  ``upstream`` is the request the front sends on when
+    its decision table forwards the exploited shape verbatim, ``None``
+    when it rewrites it.  Every modelled decision table reads the Range
+    shape and its leading spec, never the range count, so the ``n = 2``
+    decision is the decision at every ``n``; a probe at ``n`` grows both
+    heads by the Range value's extra bytes
+    (:meth:`~repro.cdn.limits.RequestHead.grown`).
+    """
+
+    fcdn: str
+    limits: HeaderLimits
+    head: RequestHead
+    upstream: Optional[HttpRequest]
+    upstream_head: Optional[RequestHead]
+    leading: Optional[str]
+    size_read: bool
+
+    def extra_bytes(self, overlap_count: int) -> int:
+        """How much longer the Range value is at ``overlap_count`` than
+        in the plan's requests."""
+        return obr_value_size(overlap_count, self.leading) - obr_value_size(
+            PLAN_COUNT, self.leading
+        )
+
+
+#: Front plans, by ``(fcdn, fcdn_profile)`` plus ``resource_size`` when
+#: the front's decision read the size.  A cold audit builds 8; every
+#: vendor under every mitigation is 91 fronts.
+_FRONT_PLANS = Memo(maxsize=128, name="obr_front_plan")
+#: Back-end profiles the max-n searches read, by ``(bcdn, bcdn_profile)``.
+_BACK_PROFILES = Memo(maxsize=128, name="obr_back_profile")
+
+
+def _front_plan(
+    fcdn: str, resource_size: int, fcdn_profile: Optional[ProfileFactory]
+) -> FrontPlan:
+    def build() -> FrontPlan:
+        front = fcdn_profile() if fcdn_profile is not None else create_profile(fcdn)
+        request = exploited_request(fcdn, PLAN_COUNT)
+        reads = ContextReads()
+        upstream = forwarded_verbatim(fcdn, front, request, resource_size, reads)
+        return FrontPlan(
+            fcdn=fcdn,
+            limits=front.limits,
+            head=RequestHead.of(request),
+            upstream=upstream,
+            upstream_head=RequestHead.of(upstream) if upstream is not None else None,
+            leading=exploited_leading_spec(fcdn),
+            size_read=reads.size,
+        )
+
+    if not memo_keyable(fcdn_profile):
+        return build()
+    size_free = (fcdn, fcdn_profile)
+    sized = (*size_free, resource_size)
+
+    def keyed_build() -> Tuple[FrontPlan, Tuple[object, ...]]:
+        plan = build()
+        return plan, sized if plan.size_read else size_free
+
+    plan: FrontPlan = _FRONT_PLANS.get_or_compute_under((size_free, sized), keyed_build)
+    return plan
+
+
+def _back_profile(bcdn: str, bcdn_profile: Optional[ProfileFactory]) -> VendorProfile:
+    def build() -> VendorProfile:
+        return bcdn_profile() if bcdn_profile is not None else create_profile(bcdn)
+
+    if not memo_keyable(bcdn_profile):
+        return build()
+    back: VendorProfile = _BACK_PROFILES.get_or_compute((bcdn, bcdn_profile), build)
+    return back
+
+
 def declared_max_n(
     fcdn: str,
     bcdn: str,
     resource_size: int,
     fcdn_profile: Optional[ProfileFactory] = None,
     bcdn_profile: Optional[ProfileFactory] = None,
-    reads: Optional[ContextReads] = None,
 ) -> Optional[int]:
     """The largest ``n`` the cascade's declared header limits admit.
 
-    The minimum of the front's :meth:`~repro.cdn.limits.HeaderLimits.range_cap`
-    on the client request and — when the front forwards the exploited
-    header verbatim — the back's ``range_cap`` on the upstream request
-    and its reply-part cap.  The RFC 7233 guard of a mitigated profile
-    declares its overlap cap (``max_overlapping_ranges``), so guarded
-    cascades are solved too.  0 when the front rewrites the header;
-    ``None`` when no declared limit binds (only opaque predicates, or
-    none).  Monotone probes still decide: :func:`largest_admitted` takes
-    this as its first guess and certifies it.  ``fcdn_profile`` /
-    ``bcdn_profile`` substitute wrapped (mitigated) profiles; ``reads``
-    notes whether the front's decision read the resource size.
+    Read off the front's :class:`FrontPlan`: the minimum of the front's
+    :meth:`~repro.cdn.limits.HeaderLimits.range_cap` on the ``n = 2``
+    client request and — when the front forwards the exploited header
+    verbatim — the back's ``range_cap`` on the upstream request and its
+    reply-part cap.  The RFC 7233 guard of a mitigated profile declares
+    its overlap cap (``max_overlapping_ranges``), so guarded cascades
+    are solved too.  0 when the front rewrites the header; ``None`` when
+    no declared limit binds (only opaque predicates, or none).  The
+    searches take this as their first guess and certify it: the static
+    one with size checks (:func:`static_max_n`), the wire one with two
+    real probes.  ``fcdn_profile`` / ``bcdn_profile`` substitute wrapped
+    (mitigated) profiles.
     """
-    front = fcdn_profile() if fcdn_profile is not None else create_profile(fcdn)
-    back = bcdn_profile() if bcdn_profile is not None else create_profile(bcdn)
-    count = 2
-    request = exploited_request(fcdn, count)
-    leading = exploited_leading_spec(fcdn)
-    step = obr_value_size(count + 1, leading=leading) - obr_value_size(count, leading=leading)
-    upstream = forwarded_verbatim(fcdn, front, request, resource_size, reads)
-    if upstream is None:
+    plan = _front_plan(fcdn, resource_size, fcdn_profile)
+    return _declared(plan, _back_profile(bcdn, bcdn_profile))
+
+
+def _declared(plan: FrontPlan, back: VendorProfile) -> Optional[int]:
+    if plan.upstream_head is None:
         return 0
+    step = plan.extra_bytes(PLAN_COUNT + 1)
     caps = [
-        front.limits.range_cap(request, count, step),
-        back.limits.range_cap(upstream, count, step),
+        plan.limits.range_cap(plan.head, PLAN_COUNT, step),
+        back.limits.range_cap(plan.upstream_head, PLAN_COUNT, step),
         back.reply_max_parts,
     ]
     declared = [cap for cap in caps if cap is not None]
@@ -520,64 +602,92 @@ def static_max_n(
     fcdn_profile: Optional[ProfileFactory] = None,
     bcdn_profile: Optional[ProfileFactory] = None,
 ) -> int:
-    """The largest forwarded-unchanged ``n``, from pure limit checks.
+    """The largest forwarded-unchanged ``n``, from header sizes.
 
     Runs :meth:`~repro.core.obr.ObrAttack.find_max_n`'s search without
-    any deployment: the cap is solved from the cascade's declared limits
-    (:func:`declared_max_n`) and certified by
-    :func:`_static_probe` at ``n`` and ``n + 1``.  A probe survives when
-    the FCDN's ingress limits admit the client request, the FCDN's
-    decision table forwards the Range header verbatim, the BCDN's ingress
-    limits admit the forwarded request, and the BCDN's reply-part cap
-    admits ``n`` parts.  These are exactly the rejection points of the
-    simulated probe, so the two searches agree on every cascade.
+    any deployment.  The cap is solved from the cascade's declared
+    limits (:func:`declared_max_n`) and certified by size checks at
+    ``n`` and ``n + 1`` (:func:`_sized_probe`) on the front's
+    :class:`FrontPlan` and a back-end profile shared by every search.
+    ``n`` survives when the FCDN's ingress limits admit the client
+    request, the FCDN's decision table forwards the Range header
+    verbatim, the BCDN's ingress limits admit the forwarded request, and
+    the BCDN's reply-part cap admits ``n`` parts.  These are exactly the
+    rejection points of the simulated probe, so the two searches agree
+    on every cascade.  Byte and range-count limits are compared against
+    the requests' sizes at ``n``; an opaque ``custom`` predicate (the
+    RFC 7233 guard) is asked on a real message built at ``n``.
 
     ``fcdn_profile`` / ``bcdn_profile`` substitute wrapped (mitigated)
     profiles for the named registry vendors on either side.
 
-    The search is memoized when both factories are
-    :func:`~repro.analysis.classify.memo_keyable`.  Only a front end's
-    decision table can read the resource size (Huawei's 10 MB switch),
-    and each decision's :class:`~repro.cdn.vendors.base.VendorContext`
-    records whether it did.  A search none of whose decisions read it
-    is stored without the size and answers every size: the search is
-    deterministic, so at any other size it would take the same probes
-    to the same answer.
+    The search, its plans and back profiles are memoized when both
+    factories are :func:`~repro.analysis.classify.memo_keyable`.  Only a
+    front end's decision table can read the resource size (Huawei's
+    10 MB switch), and each decision's
+    :class:`~repro.cdn.vendors.base.VendorContext` records whether it
+    did.  A search none of whose decisions read it is stored without
+    the size and answers every size: the search is deterministic, so at
+    any other size it would take the same probes to the same answer.
     """
     if fcdn == bcdn:
         raise ConfigurationError(
             "a CDN is not cascaded with itself (paper Table V excludes it)"
         )
-    reads = ContextReads()
-
-    def admits(n: int) -> bool:
-        return _static_probe(
-            fcdn,
-            bcdn,
-            n,
-            resource_size,
-            fcdn_profile=fcdn_profile,
-            bcdn_profile=bcdn_profile,
-            reads=reads,
+    if lower < PLAN_COUNT:
+        raise ConfigurationError(
+            f"an overlapping multi-range has at least {PLAN_COUNT} ranges, got lower={lower}"
         )
 
-    def search() -> int:
-        guess = declared_max_n(
-            fcdn, bcdn, resource_size, fcdn_profile, bcdn_profile, reads=reads
+    def search() -> Tuple[int, bool]:
+        plan = _front_plan(fcdn, resource_size, fcdn_profile)
+        back = _back_profile(bcdn, bcdn_profile)
+        found = largest_admitted(
+            lambda n: _sized_probe(plan, back, n), lower, upper, _declared(plan, back)
         )
-        return largest_admitted(admits, lower, upper, guess)
+        return found, plan.size_read
 
     if not (memo_keyable(fcdn_profile) and memo_keyable(bcdn_profile)):
-        return search()
+        return search()[0]
     size_free = (fcdn, bcdn, lower, upper, fcdn_profile, bcdn_profile)
     sized = (*size_free, resource_size)
 
     def keyed_search() -> Tuple[int, Tuple[object, ...]]:
-        max_n = search()
-        return max_n, sized if reads.size else size_free
+        max_n, size_read = search()
+        return max_n, sized if size_read else size_free
 
     found: int = _MAX_N_MEMO.get_or_compute_under((size_free, sized), keyed_search)
     return found
+
+
+def _sized_probe(plan: FrontPlan, back: VendorProfile, overlap_count: int) -> bool:
+    """:func:`_static_probe` on sizes: would a request with
+    ``overlap_count`` ranges survive end-to-end?"""
+    extra = plan.extra_bytes(overlap_count)
+    front_guard = plan.limits.opaque_custom
+    if not plan.limits.fits(plan.head.grown(extra), overlap_count) or (
+        front_guard is not None and front_guard(exploited_request(plan.fcdn, overlap_count))
+    ):
+        return False
+    if plan.upstream_head is None:
+        return False
+    back_guard = back.limits.opaque_custom
+    if not back.limits.fits(plan.upstream_head.grown(extra), overlap_count) or (
+        back_guard is not None and back_guard(_upstream_at(plan, overlap_count))
+    ):
+        return False
+    max_parts = back.reply_max_parts
+    return max_parts is None or overlap_count <= max_parts
+
+
+def _upstream_at(plan: FrontPlan, overlap_count: int) -> HttpRequest:
+    """The front's verbatim upstream request with ``overlap_count`` ranges."""
+    assert plan.upstream is not None
+    upstream = plan.upstream.copy()
+    upstream.headers.set(
+        "Range", overlapping_open_ranges_value(overlap_count, leading=plan.leading)
+    )
+    return upstream
 
 
 def _static_probe(
@@ -587,17 +697,21 @@ def _static_probe(
     resource_size: int,
     fcdn_profile: Optional[ProfileFactory] = None,
     bcdn_profile: Optional[ProfileFactory] = None,
-    reads: Optional[ContextReads] = None,
 ) -> bool:
     """Would a request with ``overlap_count`` ranges survive end-to-end?
-    ``reads`` notes whether the front's decision read the size."""
+
+    The message-building form of :func:`_sized_probe`: fresh profiles,
+    the real client request at ``overlap_count`` and the one the front
+    forwards, each passed through :meth:`HeaderLimits.check`.  No
+    search runs it; the tests keep it as the oracle the size form must
+    equal."""
     request = exploited_request(fcdn, overlap_count)
     front = fcdn_profile() if fcdn_profile is not None else create_profile(fcdn)
     try:
         front.limits.check(request)
     except RequestRejectedError:
         return False
-    upstream = forwarded_verbatim(fcdn, front, request, resource_size, reads)
+    upstream = forwarded_verbatim(fcdn, front, request, resource_size)
     if upstream is None:
         return False
 
@@ -649,7 +763,7 @@ def obr_bound(
             f"{fcdn} -> {bcdn} admits no overlapping ranges"
         )
 
-    back = bcdn_profile() if bcdn_profile is not None else create_profile(bcdn)
+    back = _back_profile(bcdn, bcdn_profile)
     boundary = back.multipart_boundary
     part_overhead = _part_overhead_upper(boundary, OBR_CONTENT_TYPE, resource_size)
     closer = len(boundary) + 6  # "--" + boundary + "--" + CRLF

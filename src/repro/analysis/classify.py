@@ -32,7 +32,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.policy import ForwardPolicy
-from repro.cdn.vendors import create_profile, profile_class
+from repro.cdn.vendors import all_vendor_names, create_profile, profile_class
 from repro.cdn.vendors.base import (
     ContextReads,
     EncodingPolicy,
@@ -255,6 +255,41 @@ def _fresh(vendor: str, profile_factory: Optional[ProfileFactory]) -> VendorProf
     return profile_factory() if profile_factory is not None else create_profile(vendor)
 
 
+def _build_probe_request(range_value: str) -> HttpRequest:
+    return HttpRequest(
+        "GET",
+        "/probe.bin",
+        headers=[("Host", TARGET_HOST), ("Range", range_value)],
+    )
+
+
+#: One shared request per Range value the static layer asks decision
+#: tables about: the classifiers' probe shapes and every vendor's
+#: exploited SBR cases in both size regimes.  A forwarding decision only
+#: reads its request (pinned by ``tests/analysis/test_static_budget.py``),
+#: so every ask of one value can hand the same request.
+_PROBE_REQUESTS = {
+    value: _build_probe_request(value)
+    for value in (
+        *SINGLE_RANGE_SHAPES,
+        *MULTI_RANGE_SHAPES,
+        *(
+            case
+            for vendor in all_vendor_names()
+            for size in DEFAULT_PROBE_SIZES
+            for case in exploited_range_cases(vendor, size)
+        ),
+    )
+}
+
+
+def probe_request(range_value: str) -> HttpRequest:
+    """A request for a decision table to read: the shared one for a
+    value the static layer always asks about, a fresh one otherwise."""
+    request = _PROBE_REQUESTS.get(range_value)
+    return request if request is not None else _build_probe_request(range_value)
+
+
 def _ask(
     profile: VendorProfile,
     range_value: str,
@@ -267,7 +302,7 @@ def _ask(
         resource_size_hint=resource_size,
     )
     decision = profile.forward_decision(
-        _probe_request(range_value), try_parse_range_header(range_value), ctx
+        probe_request(range_value), try_parse_range_header(range_value), ctx
     )
     if reads is not None and ctx.size_read:
         reads.size = True
@@ -543,10 +578,3 @@ def classify_ccfc(
         min_ratio=min(ratios) if ratios else None,
     )
 
-
-def _probe_request(range_value: str) -> HttpRequest:
-    return HttpRequest(
-        "GET",
-        "/probe.bin",
-        headers=[("Host", "victim.example"), ("Range", range_value)],
-    )

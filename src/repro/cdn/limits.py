@@ -22,20 +22,76 @@ Every limit is a linear inequality in the number of ranges: the OBR
 header ``bytes=0-,0-,…`` grows by a fixed ``step`` bytes per range, and
 its ranges all overlap one another, so the overlap cap bounds the range
 count itself.  :meth:`HeaderLimits.range_cap` therefore solves each
-declared limit for the largest admitted range count; the max-n search
-(:func:`repro.analysis.bounds.largest_admitted`) takes that as its first guess
-and certifies it by probing ``n`` and ``n + 1``.
+declared limit for the largest admitted range count, and
+:meth:`HeaderLimits.fits` decides the same limits on a
+:class:`RequestHead` — the byte counts of a request, with its Range
+value grown to any count — without building the request.  The static
+max-n search (:func:`repro.analysis.bounds.static_max_n`) takes the
+solved cap as its first guess and certifies it with size checks at
+``n`` and ``n + 1``; only an opaque ``custom`` predicate (the RFC 7233
+guard) is still asked on a real message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.errors import RequestRejectedError
 from repro.http.message import HttpRequest
 from repro.http.ranges import try_parse_range_header
 from repro.http.status import StatusCode
+
+
+class RequestHead(NamedTuple):
+    """The byte counts :class:`HeaderLimits` reads off a request.
+
+    Each ``*_line`` is one field line's wire size with its CRLF (0 when
+    the header is absent); ``other_line`` is the longest field line but
+    Range, and ``block`` runs from the request line through the blank
+    line.  :meth:`grown` gives the head of the same request with a
+    longer Range value, so a max-n probe needs no message per ``n``.  A
+    named tuple, so a probe can make one cheaply.
+    """
+
+    request_line: int
+    host_line: int
+    range_line: int
+    other_line: int
+    block: int
+
+    @classmethod
+    def of(cls, request: HttpRequest) -> "RequestHead":
+        headers = request.headers
+        return cls(
+            request_line=request.request_line_size(),
+            host_line=headers.field_line_size("Host"),
+            range_line=headers.field_line_size("Range"),
+            other_line=max(
+                (
+                    headers.field_line_size(name)
+                    for name in headers.names()
+                    if name.lower() != "range"
+                ),
+                default=0,
+            ),
+            block=request.header_block_size(),
+        )
+
+    def grown(self, extra: int) -> "RequestHead":
+        """This head with ``extra`` more bytes in its Range value."""
+        return RequestHead(
+            self.request_line,
+            self.host_line,
+            self.range_line + extra,
+            self.other_line,
+            self.block + extra,
+        )
+
+    @property
+    def rule_bytes(self) -> int:
+        """``RL + 2·HHL + RHL``, what :class:`CloudflareRule` counts."""
+        return self.request_line + 2 * self.host_line + self.range_line
 
 
 @dataclass(frozen=True)
@@ -45,8 +101,8 @@ class CloudflareRule:
     fit in ``budget`` bytes.
 
     A frozen value rather than a closure, so :meth:`HeaderLimits.range_cap`
-    can solve it for ``n``; calling it is the :attr:`HeaderLimits.custom`
-    predicate.
+    can solve it for ``n`` and :meth:`HeaderLimits.fits` decide it on
+    sizes; calling it is the :attr:`HeaderLimits.custom` predicate.
     """
 
     budget: int = 32411
@@ -59,6 +115,10 @@ class CloudflareRule:
             + 2 * request.headers.field_line_size("Host")
             + request.headers.field_line_size("Range")
         )
+
+    def admits(self, head: RequestHead) -> bool:
+        """The rule on sizes; a head without a Range line is exempt."""
+        return not head.range_line or head.rule_bytes <= self.budget
 
     def __call__(self, request: HttpRequest) -> Optional[str]:
         if not request.headers.field_line_size("Range"):
@@ -95,41 +155,59 @@ class HeaderLimits:
     custom: Optional[Callable[[HttpRequest], Optional[str]]] = None
     max_overlapping_ranges: Optional[int] = None
 
-    def range_cap(self, request: HttpRequest, count: int, step: int) -> Optional[int]:
+    def range_cap(self, head: RequestHead, count: int, step: int) -> Optional[int]:
         """The largest range count every declared limit admits.
 
-        ``request`` carries a Range header with ``count`` ranges that all
-        overlap one another, and each further range adds ``step`` bytes
-        to that header line.  Each byte limit is solved by division, and
-        the range and overlap caps bound the count directly; the answer
-        is the smallest of them, or ``None`` when no limit is declared or
-        only an opaque ``custom`` predicate could bind.  A limit the rest
-        of the request already breaks yields 0.
+        ``head`` is the size of a request whose Range header carries
+        ``count`` ranges that all overlap one another, and each further
+        range adds ``step`` bytes to that header line.  Each byte limit
+        is solved by division, and the range and overlap caps bound the
+        count directly; the answer is the smallest of them, or ``None``
+        when no limit is declared or only an opaque ``custom`` predicate
+        could bind.  A limit the rest of the request already breaks
+        yields 0.
         """
         caps: List[int] = []
         if self.max_total_header_bytes is not None:
-            spare = self.max_total_header_bytes - request.header_block_size()
+            spare = self.max_total_header_bytes - head.block
             caps.append(count + spare // step)
         if self.max_single_header_line_bytes is not None:
             limit = self.max_single_header_line_bytes
-            others = [
-                request.headers.field_line_size(name)
-                for name in request.headers.names()
-                if name.lower() != "range"
-            ]
-            if any(line > limit for line in others):
+            if head.other_line > limit:
                 caps.append(0)
             else:
-                spare = limit - request.headers.field_line_size("Range")
-                caps.append(count + spare // step)
+                caps.append(count + (limit - head.range_line) // step)
         if self.max_ranges is not None:
             caps.append(self.max_ranges)
         if self.max_overlapping_ranges is not None:
             caps.append(self.max_overlapping_ranges)
         if isinstance(self.custom, CloudflareRule):
-            spare = self.custom.budget - CloudflareRule.used(request)
-            caps.append(count + spare // step)
+            caps.append(count + (self.custom.budget - head.rule_bytes) // step)
         return max(0, min(caps)) if caps else None
+
+    @property
+    def opaque_custom(self) -> Optional[Callable[[HttpRequest], Optional[str]]]:
+        """``custom`` when only a real message can answer it: any
+        predicate but a :class:`CloudflareRule`, which :meth:`fits`
+        decides on sizes."""
+        return None if isinstance(self.custom, CloudflareRule) else self.custom
+
+    def fits(self, head: RequestHead, ranges: int) -> bool:
+        """:meth:`check` on sizes: whether a request with ``head``, whose
+        Range header holds ``ranges`` ranges, passes every limit but
+        :attr:`opaque_custom`."""
+        if (
+            self.max_total_header_bytes is not None
+            and head.block > self.max_total_header_bytes
+        ):
+            return False
+        if self.max_single_header_line_bytes is not None and (
+            max(head.range_line, head.other_line) > self.max_single_header_line_bytes
+        ):
+            return False
+        if self.max_ranges is not None and ranges > self.max_ranges:
+            return False
+        return not isinstance(self.custom, CloudflareRule) or self.custom.admits(head)
 
     def check(self, request: HttpRequest) -> None:
         """Raise :class:`RequestRejectedError` if ``request`` violates any

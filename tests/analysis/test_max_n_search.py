@@ -3,9 +3,13 @@
 The search (:func:`repro.analysis.bounds.largest_admitted`) must give exactly
 what a plain bisection over the same monotone probe gives — the
 bisection is kept here as the oracle — while spending two probes on
-every header-limited cascade.
+every header-limited cascade.  Each probe checks header sizes
+(:func:`repro.analysis.bounds._sized_probe`); the message-building
+probe it replaced (``_static_probe``) is kept as the oracle every size
+check must equal.
 """
 
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -14,7 +18,12 @@ from hypothesis import strategies as st
 
 from repro.analysis import bounds
 from repro.analysis.bounds import declared_max_n, largest_admitted, static_max_n
-from repro.analysis.classify import MULTI_RANGE_SHAPES, WrappedFactory, probe_decision
+from repro.analysis.classify import (
+    MAX_OVERLAPS,
+    MULTI_RANGE_SHAPES,
+    WrappedFactory,
+    probe_decision,
+)
 from repro.cdn.policy import ForwardDecision
 from repro.cdn.vendors import all_vendor_names, create_profile
 from repro.cdn.vendors.base import ContextReads, VendorProfile
@@ -26,6 +35,7 @@ from repro.defense.mitigations import (
     with_laziness,
     with_overlap_rejection,
 )
+from repro.errors import ConfigurationError
 from repro.families.base import mitigation_profile_factory
 from repro.families.obr import FAMILY as OBR
 from repro.obs.memo import clear_all_memos, memo_stats
@@ -67,7 +77,7 @@ def _wrapped(vendor, wrapper):
 
 
 class _CountingProbe:
-    """Stands in for :func:`repro.analysis.bounds._static_probe` and
+    """Stands in for :func:`repro.analysis.bounds._sized_probe` and
     records the ``n`` of every probe."""
 
     def __init__(self, probe):
@@ -78,16 +88,16 @@ class _CountingProbe:
     def calls(self):
         return len(self.probed)
 
-    def __call__(self, fcdn, bcdn, overlap_count, *args, **kwargs):
+    def __call__(self, plan, back, overlap_count):
         self.probed.append(overlap_count)
-        return self.probe(fcdn, bcdn, overlap_count, *args, **kwargs)
+        return self.probe(plan, back, overlap_count)
 
 
 @pytest.fixture
-def counted_static_probe(monkeypatch):
+def counted_sized_probe(monkeypatch):
     clear_all_memos()
-    counter = _CountingProbe(bounds._static_probe)
-    monkeypatch.setattr(bounds, "_static_probe", counter)
+    counter = _CountingProbe(bounds._sized_probe)
+    monkeypatch.setattr(bounds, "_sized_probe", counter)
     yield counter
     clear_all_memos()
 
@@ -186,11 +196,98 @@ class TestStaticMaxNMatchesBisection:
         assert solved == bisection_oracle(admits, lower, upper)
 
 
+#: Every mitigation a recommendation may wrap a vendor in.
+MITIGATIONS = (
+    "laziness",
+    "bounded-expansion",
+    "overlap-rejection",
+    "slicing",
+    "encoding-passthrough",
+    "encoding-normalization",
+)
+
+#: Where the opaque limit below starts rejecting: a Range line longer
+#: than this many bytes, which falls between the registry caps.
+OPAQUE_RANGE_LINE = 4000
+
+
+def _with_opaque_limit(inner):
+    """Replaces a profile's ``custom`` with an ad-hoc lambda, which only
+    a real message can answer."""
+    inner.limits = replace(
+        inner.limits,
+        custom=lambda request: (
+            "Range line too long"
+            if request.headers.field_line_size("Range") > OPAQUE_RANGE_LINE
+            else None
+        ),
+    )
+    return inner
+
+
+#: Per-pair examples: a fraction of the loaded profile's budget, so the
+#: ``ci`` profile runs more of them.
+ORACLE_EXAMPLES = max(3, settings().max_examples // 25)
+
+
+class TestSizedProbeMatchesTheMessageOracle:
+    """Every size-form probe gives what the message-building probe gives
+    at the same ``n``: near each cap, at random, on both sides of
+    Huawei's size switch, under every mitigation and an opaque limit."""
+
+    @pytest.mark.parametrize("fcdn,bcdn", ORDERED_PAIRS)
+    @settings(
+        max_examples=ORACLE_EXAMPLES,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        substitute=st.sampled_from([None, *MITIGATIONS, "opaque-limit"]),
+        side=st.sampled_from(["fcdn", "bcdn"]),
+        resource_size=st.one_of(
+            st.integers(min_value=1, max_value=SIZE_THRESHOLD - 1),
+            st.integers(min_value=SIZE_THRESHOLD, max_value=4 * SIZE_THRESHOLD),
+        ),
+        anywhere=st.integers(min_value=2, max_value=MAX_OVERLAPS + 1),
+    )
+    def test_equals_the_static_probe(
+        self, fcdn, bcdn, substitute, side, resource_size, anywhere
+    ):
+        vendor = fcdn if side == "fcdn" else bcdn
+        profiles = {"fcdn_profile": None, "bcdn_profile": None}
+        if substitute == "opaque-limit":
+            profiles[f"{side}_profile"] = WrappedFactory(vendor, _with_opaque_limit)
+        elif substitute is not None:
+            profiles[f"{side}_profile"] = mitigation_profile_factory(vendor, substitute)
+
+        plan = bounds._front_plan(fcdn, resource_size, profiles["fcdn_profile"])
+        back = bounds._back_profile(bcdn, profiles["bcdn_profile"])
+        cap = declared_max_n(fcdn, bcdn, resource_size, **profiles)
+        if cap is None:
+            cap = MAX_OVERLAPS
+        for n in {cap - 1, cap, cap + 1, anywhere}:
+            if n < 2:
+                continue
+            oracle = bounds._static_probe(fcdn, bcdn, n, resource_size, **profiles)
+            assert bounds._sized_probe(plan, back, n) == oracle, n
+
+    def test_a_search_below_two_ranges_is_refused(self):
+        # The plan's decision is the multi-range one; n = 1 is a
+        # single-range shape the front decides apart.
+        with pytest.raises(ConfigurationError):
+            static_max_n("cdn77", "akamai", lower=1)
+
+    def test_the_opaque_limit_binds_below_the_declared_cap(self):
+        front = WrappedFactory("cdn77", _with_opaque_limit)
+        n = static_max_n("cdn77", "akamai", fcdn_profile=front)
+        assert 2 < n < static_max_n("cdn77", "akamai")
+
+
 class TestProbeBudget:
     @pytest.mark.parametrize("fcdn,bcdn", vulnerable_combinations())
-    def test_table5_cascades_take_two_static_probes(self, fcdn, bcdn, counted_static_probe):
+    def test_table5_cascades_take_two_static_probes(self, fcdn, bcdn, counted_sized_probe):
         assert static_max_n(fcdn, bcdn) >= 2
-        assert counted_static_probe.calls == 2
+        assert counted_sized_probe.calls == 2
 
     @pytest.mark.parametrize("fcdn,bcdn", [("cdn77", "akamai"), ("cloudflare", "stackpath")])
     def test_wire_search_sends_two_probes(self, fcdn, bcdn, monkeypatch):
@@ -207,13 +304,13 @@ class TestProbeBudget:
 
     @pytest.mark.parametrize("fcdn,bcdn", vulnerable_combinations())
     @pytest.mark.parametrize("side", ["fcdn", "bcdn"])
-    def test_overlap_rejection_takes_few_probes(self, fcdn, bcdn, side, counted_static_probe):
+    def test_overlap_rejection_takes_few_probes(self, fcdn, bcdn, side, counted_sized_probe):
         # The guard declares its overlap cap, so the search certifies
         # the solved n = 2 with exactly the probes 2 and 3.
         vendor = fcdn if side == "fcdn" else bcdn
         guarded = {f"{side}_profile": _wrapped(vendor, with_overlap_rejection)}
         assert static_max_n(fcdn, bcdn, **guarded) == 2
-        assert counted_static_probe.probed == [2, 3]
+        assert counted_sized_probe.probed == [2, 3]
 
     @pytest.mark.parametrize("fcdn,bcdn", vulnerable_combinations())
     @pytest.mark.parametrize("side", ["fcdn", "bcdn"])
@@ -299,7 +396,7 @@ class TestSizeFreeKeys:
 
     @pytest.mark.parametrize("fcdn,bcdn", vulnerable_combinations())
     def test_fresh_sizes_take_no_probes_after_warm_up(
-        self, fcdn, bcdn, counted_static_probe
+        self, fcdn, bcdn, counted_sized_probe
     ):
         def analyze(size):
             finding = OBR.finding((fcdn, bcdn), size, None, None)
@@ -308,10 +405,10 @@ class TestSizeFreeKeys:
             return finding.data["max_n"], residuals
 
         warm = analyze(1024)
-        assert counted_static_probe.calls > 0
-        counted_static_probe.probed.clear()
+        assert counted_sized_probe.calls > 0
+        counted_sized_probe.probed.clear()
         fresh = analyze(3001)
-        assert counted_static_probe.calls == 0
+        assert counted_sized_probe.calls == 0
         assert fresh[0] == warm[0]
         clear_all_memos()
         assert analyze(3001) == fresh

@@ -7,7 +7,11 @@ certifies every max-n search, the RFC 7233 guarded ones included, with
 two static probes.  SBR classifications, which probe fixed size
 regimes, are read once per ``(vendor, config, factory)`` whatever the
 size.  Each distinct OBR Range value is built once and parsed once.
-The memo changes only how often a decision is read, never an answer.
+The max-n probes compare header sizes, so no search runs
+``HeaderLimits.check`` or builds a request per probe, and the
+classifiers and SBR bounds hand one shared request per Range value
+they ask a decision table about.  The memo
+changes only how often a decision is read, never an answer.
 """
 
 from collections import Counter
@@ -17,18 +21,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import bounds, classify
-from repro.analysis.bounds import static_max_n
+from repro.analysis.bounds import profile_sbr_bound, static_max_n
 from repro.analysis.classify import (
+    DEFAULT_PROBE_SIZES,
     MULTI_RANGE_SHAPES,
+    SINGLE_RANGE_SHAPES,
     classify_obr_frontend,
     classify_sbr,
+    exploited_range_cases,
 )
 from repro.analysis.recommend import recommend
 from repro.analysis.report import analyze_vendor_matrix
+from repro.cdn.limits import HeaderLimits
 from repro.cdn.vendors import all_vendor_names, create_profile
+from repro.cdn.vendors.base import VendorContext
 from repro.defense.mitigations import with_laziness
 from repro.families.base import mitigation_profile_factory
 from repro.http import grammar, ranges
+from repro.http.message import HttpRequest
+from repro.http.ranges import try_parse_range_header
 from repro.obs.memo import clear_all_memos, memo_stats
 
 SIZES = dict(resource_size=3_000_001, obr_resource_size=777, ccfc_resource_size=2_000_003)
@@ -72,8 +83,8 @@ def test_cold_matrix_reads_each_front_end_once(cold, monkeypatch):
 
 
 def test_cold_audit_takes_two_static_probes_per_search(cold, monkeypatch):
-    probes = _Counter(bounds._static_probe, lambda *args, **kwargs: True)
-    monkeypatch.setattr(bounds, "_static_probe", probes)
+    probes = _Counter(bounds._sized_probe, lambda *args, **kwargs: True)
+    monkeypatch.setattr(bounds, "_sized_probe", probes)
     report = analyze_vendor_matrix(**SIZES)
     recommend(report=report, **SIZES)
     # 11 registry cascades and 33 (cascade, mitigation) pairs, two each.
@@ -184,7 +195,106 @@ def test_a_cold_audit_builds_and_parses_each_range_value_once(cold, monkeypatch)
     monkeypatch.setattr(grammar, "_join_open_ranges", counted_join)
     report = analyze_vendor_matrix(**AUDIT_SEED_1)
     recommend(report=report, **AUDIT_SEED_1)
-    assert set(parses.values()) == {1} and len(parses) == 24
-    assert set(joins.values()) == {1} and len(joins) == 20
-    assert memo_stats()["range_parse"].lookups == 430
-    assert memo_stats()["obr_range_value"].lookups == 132
+    assert set(parses.values()) == {1} and len(parses) == 13
+    assert set(joins.values()) == {1} and len(joins) == 6
+    assert memo_stats()["range_parse"].lookups == 301
+    assert memo_stats()["obr_range_value"].lookups == 52
+
+
+def _count(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_cold_audit_checks_no_request_against_the_limits(cold, monkeypatch):
+    # Byte and range-count limits are compared against sizes; the RFC
+    # 7233 guard is asked directly, on a message built for it.
+    checks = _count(monkeypatch, HeaderLimits, "check")
+    oracle = _count(monkeypatch, bounds, "_static_probe")
+    searches = _count(monkeypatch, bounds, "_sized_probe")
+    report = analyze_vendor_matrix(**AUDIT_SEED_1)
+    recommend(report=report, **AUDIT_SEED_1)
+    assert searches and not checks and not oracle
+
+
+def test_each_front_plan_builds_one_client_request(cold, monkeypatch):
+    # No opaque predicate on either side: every probe is arithmetic, and
+    # the only request a search builds is its plan's n = 2 one.
+    built = _count(monkeypatch, HttpRequest, "__init__")
+    unguarded = [
+        None,
+        "laziness",
+        "bounded-expansion",
+        "slicing",
+        "encoding-passthrough",
+        "encoding-normalization",
+    ]
+    vendors = all_vendor_names()
+    for fcdn in vendors:
+        for bcdn in vendors:
+            if fcdn == bcdn:
+                continue
+            for mitigation in unguarded:
+                for side, vendor in (("fcdn", fcdn), ("bcdn", bcdn)):
+                    profiles = {}
+                    if mitigation is not None:
+                        factory = mitigation_profile_factory(vendor, mitigation)
+                        profiles[f"{side}_profile"] = factory
+                    static_max_n(fcdn, bcdn, resource_size=SIZES["obr_resource_size"], **profiles)
+    plans = memo_stats()["obr_front_plan"].misses
+    assert plans == len(vendors) * len(unguarded)
+    assert len(built) == plans
+
+
+@pytest.mark.parametrize("vendor", all_vendor_names())
+@pytest.mark.parametrize(
+    "mitigation",
+    [
+        None,
+        "laziness",
+        "bounded-expansion",
+        "overlap-rejection",
+        "slicing",
+        "encoding-passthrough",
+        "encoding-normalization",
+    ],
+)
+def test_forward_decisions_leave_the_shared_probe_requests_intact(vendor, mitigation):
+    profile = (
+        create_profile(vendor) if mitigation is None
+        else mitigation_profile_factory(vendor, mitigation)()
+    )
+    for shape, request in classify._PROBE_REQUESTS.items():
+        wire = request.serialize()
+        for size in DEFAULT_PROBE_SIZES:
+            ctx = VendorContext(profile.effective_config(), resource_size_hint=size)
+            for _ in range(2):  # KeyCDN decides anew on a second sighting
+                profile.forward_decision(request, try_parse_range_header(shape), ctx)
+            assert request.serialize() == wire, (vendor, mitigation, shape)
+
+
+def test_classifying_and_sbr_bounds_build_no_probe_request(cold, monkeypatch):
+    cases = {
+        case
+        for vendor in all_vendor_names()
+        for size in DEFAULT_PROBE_SIZES
+        for case in exploited_range_cases(vendor, size)
+    }
+    shapes = {*SINGLE_RANGE_SHAPES, *MULTI_RANGE_SHAPES}
+    assert set(classify._PROBE_REQUESTS) == shapes | cases
+    built = _count(monkeypatch, HttpRequest, "__init__")
+    for vendor in all_vendor_names():
+        classify_sbr(vendor)
+        classify_obr_frontend(vendor, SIZES["obr_resource_size"])
+        for mitigation in ("laziness", "bounded-expansion", "slicing"):
+            factory = mitigation_profile_factory(vendor, mitigation)
+            for size in DEFAULT_PROBE_SIZES:
+                profile_sbr_bound(vendor, factory, size)
+    assert not built

@@ -1,8 +1,10 @@
 """Unit tests for request-header limits."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cdn.limits import CloudflareRule, HeaderLimits
+from repro.cdn.limits import CloudflareRule, HeaderLimits, RequestHead
 from repro.defense.mitigations import MAX_OVERLAPPING_RANGES, rfc7233_multirange_guard
 from repro.errors import RequestRejectedError
 from repro.http.grammar import obr_value_size, overlapping_open_ranges_value
@@ -123,7 +125,7 @@ def _admits(limits, count, leading=None):
 def _cap(limits, leading=None, count=2):
     step = obr_value_size(count + 1, leading=leading) - obr_value_size(count, leading=leading)
     request = _request(range_value=overlapping_open_ranges_value(count, leading=leading))
-    return limits.range_cap(request, count, step)
+    return limits.range_cap(RequestHead.of(request), count, step)
 
 
 class TestRangeCap:
@@ -192,8 +194,65 @@ class TestRangeCap:
     def test_another_oversized_line_admits_no_ranges(self):
         limits = HeaderLimits(max_single_header_line_bytes=100)
         request = _request(range_value="bytes=0-,0-", host="h" * 200)
-        assert limits.range_cap(request, 2, 3) == 0
+        assert limits.range_cap(RequestHead.of(request), 2, 3) == 0
 
     def test_block_already_over_the_limit_admits_no_ranges(self):
         limits = HeaderLimits(max_total_header_bytes=10)
         assert _cap(limits) == 0
+
+
+def _passes(limits, request):
+    try:
+        limits.check(request)
+    except RequestRejectedError:
+        return False
+    return True
+
+
+class TestFits:
+    """:meth:`HeaderLimits.fits` is :meth:`HeaderLimits.check` on sizes,
+    to the byte: each limit is set within a few bytes (or ranges) of
+    what a request with a grown Range value carries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        host=st.text(alphabet="abcdefghij.-", min_size=1, max_size=60),
+        count=st.integers(min_value=1, max_value=300),
+        grow=st.integers(min_value=0, max_value=300),
+        leading=st.sampled_from([None, "-1024", "1-"]),
+        kind=st.sampled_from(["total", "single", "ranges", "cloudflare"]),
+        slack=st.integers(min_value=-4, max_value=4),
+    )
+    def test_fits_is_check_on_sizes(self, host, count, grow, leading, kind, slack):
+        def request(ranges):
+            value = overlapping_open_ranges_value(ranges, leading=leading)
+            return _request(range_value=value, host=host)
+
+        grown = count + grow
+        extra = obr_value_size(grown, leading=leading) - obr_value_size(count, leading=leading)
+        head = RequestHead.of(request(count)).grown(extra)
+        large = request(grown)
+        assert head == RequestHead.of(large)
+
+        limits = {
+            "total": lambda: HeaderLimits(max_total_header_bytes=head.block + slack),
+            "single": lambda: HeaderLimits(
+                max_single_header_line_bytes=max(head.range_line, head.other_line) + slack
+            ),
+            "ranges": lambda: HeaderLimits(max_ranges=grown + slack),
+            "cloudflare": lambda: HeaderLimits(
+                custom=CloudflareRule(budget=head.rule_bytes + slack)
+            ),
+        }[kind]()
+        assert limits.opaque_custom is None
+        assert limits.fits(head, grown) == _passes(limits, large)
+
+    def test_an_opaque_custom_is_left_to_the_caller(self):
+        def guard(request):
+            return "rejected"
+
+        limits = HeaderLimits(custom=guard)
+        head = RequestHead.of(_request(range_value="bytes=0-,0-"))
+        assert limits.opaque_custom is guard
+        assert limits.fits(head, 2)
+        assert not _passes(limits, _request(range_value="bytes=0-,0-"))

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 import pytest
+from hypothesis import settings
 
 from repro.cdn.node import CdnNode
 from repro.cdn.vendors import create_profile
@@ -14,6 +15,11 @@ from repro.http.message import HttpRequest, HttpResponse
 from repro.http.status import StatusCode
 from repro.netsim.tap import TrafficLedger
 from repro.origin.server import OriginServer
+
+#: ``--hypothesis-profile=ci``: the same examples on every run, and five
+#: times the default number of them.  Tests that size their own runs
+#: from the loaded profile (``settings().max_examples``) scale with it.
+settings.register_profile("ci", derandomize=True, database=None, max_examples=500)
 
 
 def make_origin(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cdn.limits import HeaderLimits
+from repro.cdn.limits import HeaderLimits, RequestHead
 from repro.http.grammar import (
     RangeCorpusGenerator,
     RangeFormat,
@@ -58,7 +58,8 @@ class TestAttackBuilders:
         value = overlapping_open_ranges_value(1, leading=leading)
         request = HttpRequest("GET", "/", headers=[("Range", value)])
         step = obr_value_size(2, leading=leading) - len(value)
-        n = HeaderLimits(max_single_header_line_bytes=line_limit).range_cap(request, 1, step)
+        limits = HeaderLimits(max_single_header_line_bytes=line_limit)
+        n = limits.range_cap(RequestHead.of(request), 1, step)
         if n == 0:
             assert obr_value_size(1, leading=leading) > limit
             return
