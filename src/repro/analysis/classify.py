@@ -154,15 +154,20 @@ TARGET_HOST = "victim.example"
 CLIENT_ABORT_AFTER = 2048
 
 
+#: Cloudflare's Table V configuration: the target path set to *Bypass*.
+_BYPASS_CONFIG = VendorConfig(bypass_cache=True)
+
+
 def exploited_fcdn_config(fcdn: str) -> Optional[VendorConfig]:
     """The front-CDN configuration the Table V setup uses.
 
     Cloudflare forwards multi-range requests unchanged only when the
     target path is configured *Bypass* (Table II); every other front end
-    runs its default configuration.
+    runs its default configuration.  The config is frozen, so every call
+    hands the same one.
     """
     if fcdn == "cloudflare":
-        return VendorConfig(bypass_cache=True)
+        return _BYPASS_CONFIG
     return None
 
 
@@ -402,7 +407,7 @@ def classify_sbr(
 #: :func:`classify_obr_frontend` answers, by ``(vendor, config)`` plus
 #: ``resource_size`` when a probe read the size.  The answer reads only
 #: registry profiles, and a vendor matrix asks each front end once per
-#: back end.
+#: honoring back end.
 _FRONTEND_MEMO = Memo(maxsize=1024, name="obr_frontend")
 
 
@@ -458,15 +463,25 @@ class ObrBackendFacts:
         return self.reply_behavior is MultiRangeReplyBehavior.HONOR
 
 
+#: :func:`classify_obr_backend` answers, by vendor.  A vendor matrix asks
+#: each back end once per front end.
+_BACKEND_MEMO = Memo(maxsize=64, name="obr_backend")
+
+
 def classify_obr_backend(vendor: str) -> ObrBackendFacts:
     """Read the reply-behavior facts off the profile class."""
-    profile_cls = profile_class(vendor)
-    return ObrBackendFacts(
-        vendor=vendor,
-        reply_behavior=profile_cls.reply_behavior,
-        reply_max_parts=profile_cls.reply_max_parts,
-        multipart_boundary=profile_cls.multipart_boundary,
-    )
+
+    def read() -> ObrBackendFacts:
+        profile_cls = profile_class(vendor)
+        return ObrBackendFacts(
+            vendor=vendor,
+            reply_behavior=profile_cls.reply_behavior,
+            reply_max_parts=profile_cls.reply_max_parts,
+            multipart_boundary=profile_cls.multipart_boundary,
+        )
+
+    facts: ObrBackendFacts = _BACKEND_MEMO.get_or_compute(vendor, read)
+    return facts
 
 
 @dataclass(frozen=True)
@@ -488,26 +503,59 @@ class CascadeClassification:
         return bool(self.lazy_probes) and self.backend.honors_overlapping
 
 
-def classify_cascade(
-    fcdn: str,
-    bcdn: str,
-    resource_size: int = 1024,
-    fcdn_config: Optional[VendorConfig] = None,
-) -> CascadeClassification:
-    """Statically classify one cascade cell.
+def _front_half(
+    fcdn: str, resource_size: int, fcdn_config: Optional[VendorConfig]
+) -> Tuple[Tuple[ProbeDecision, ...], bool]:
+    """The overlapping shapes a cascade's front end forwards verbatim
+    under ``fcdn_config`` or, when none is given, the configuration the
+    Table V setup declares for it (Cloudflare under *Bypass*,
+    :func:`exploited_fcdn_config`); and whether it ran the declared one."""
+    if fcdn_config is not None:
+        return classify_obr_frontend(fcdn, resource_size, config=fcdn_config), False
+    declared = exploited_fcdn_config(fcdn)
+    lazy_probes = classify_obr_frontend(fcdn, resource_size, config=declared)
+    return lazy_probes, declared is not None
 
-    The front end runs ``fcdn_config`` or, when none is given, the
-    configuration the paper's Table V setup declares for it (Cloudflare
-    under *Bypass*, :func:`exploited_fcdn_config`).
-    """
-    declared = exploited_fcdn_config(fcdn) if fcdn_config is None else None
-    config = fcdn_config if fcdn_config is not None else declared
+
+def classify_cascade(fcdn: str, bcdn: str) -> CascadeClassification:
+    """Statically classify one cascade cell as Table V runs it: the 1 KB
+    target, the front end under its declared configuration."""
+    lazy_probes, requires_bypass = _front_half(fcdn, 1024, None)
     return CascadeClassification(
         fcdn=fcdn,
         bcdn=bcdn,
-        lazy_probes=classify_obr_frontend(fcdn, resource_size, config=config),
-        requires_bypass=declared is not None,
+        lazy_probes=lazy_probes,
+        requires_bypass=requires_bypass,
         backend=classify_obr_backend(bcdn),
+    )
+
+
+def vulnerable_cascade(
+    fcdn: str,
+    bcdn: str,
+    resource_size: int,
+    fcdn_config: Optional[VendorConfig],
+) -> Optional[CascadeClassification]:
+    """One cascade cell's classification at ``resource_size`` with the
+    front end under ``fcdn_config`` (``None``: the declared one) when
+    the cell is vulnerable; ``None`` otherwise.
+
+    Both halves are per-vendor memo reads.  The back half goes first,
+    since few back ends honor overlapping ranges (Table III), and a
+    classification is built only for a cell where both halves hold.
+    """
+    backend = classify_obr_backend(bcdn)
+    if not backend.honors_overlapping:
+        return None
+    lazy_probes, requires_bypass = _front_half(fcdn, resource_size, fcdn_config)
+    if not lazy_probes:
+        return None
+    return CascadeClassification(
+        fcdn=fcdn,
+        bcdn=bcdn,
+        lazy_probes=lazy_probes,
+        requires_bypass=requires_bypass,
+        backend=backend,
     )
 
 

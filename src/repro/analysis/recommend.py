@@ -11,12 +11,15 @@ into *actionable, verified* recommendations:
    record's table over :mod:`repro.defense.mitigations`), ordered by
    deployment cost (config-only change < header guard < fetch-flow
    change);
-2. wrap the vendor in the corresponding mitigated profile and re-run
-   the family's closed-form bound under the wrapper (its residual);
-3. recommend the *cheapest* mitigation whose residual worst-case factor
-   falls below the threshold (default: the "low" severity boundary),
-   keeping the rejected cheaper options — with their residual factors —
-   in the report so the cost/benefit trade-off stays visible.
+2. in that order, one candidate at a time, wrap the vendor in the
+   corresponding mitigated profile and re-run the family's closed-form
+   bound under the wrapper (its residual);
+3. stop at the first, so *cheapest*, mitigation whose residual
+   worst-case factor falls below the threshold (default: the "low"
+   severity boundary) and recommend it, keeping the rejected cheaper
+   options — with their residual factors — in the report so the
+   cost/benefit trade-off stays visible.  Candidates costlier than the
+   chosen one are never bounded: nothing reports them.
 
 Every recommendation can be cross-validated dynamically with
 :func:`verify_recommendations`: a quick simulation grid runs the actual
@@ -36,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 # Still importable from here; the e2e tracing harness patches this alias.
 from repro.analysis.bounds import obr_bound  # noqa: F401
@@ -181,10 +184,11 @@ class RecommendationReport:
 
 
 def _pick(
-    options: Sequence[MitigationOption],
+    options: Iterable[MitigationOption],
 ) -> Tuple[Optional[MitigationOption], Tuple[MitigationOption, ...]]:
     """First sufficient option in cost order; everything cheaper that
-    failed becomes the rejected list."""
+    failed becomes the rejected list.  Nothing past the first sufficient
+    option is pulled from ``options``."""
     rejected: List[MitigationOption] = []
     for option in options:
         if option.sufficient:
@@ -218,7 +222,8 @@ def _recommend(
 ) -> Recommendation:
     subject = split_subject(finding.subject)
     faulted = family.faulted_residual if with_retries else None
-    options = [
+    # A generator: each candidate is bounded only when _pick reaches it.
+    chosen, rejected = _pick(
         MitigationOption(
             spec=spec,
             residual_factor=family.residual(subject, spec, resource_size),
@@ -228,8 +233,7 @@ def _recommend(
             threshold=threshold,
         )
         for spec in family.mitigations
-    ]
-    chosen, rejected = _pick(options)
+    )
     return Recommendation(
         finding=finding, chosen=chosen, rejected=rejected, threshold=threshold
     )

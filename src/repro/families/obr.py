@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.bounds import obr_bound, static_max_n
-from repro.analysis.classify import ProfileFactory, classify_cascade
+from repro.analysis.classify import ProfileFactory, vulnerable_cascade
 from repro.analysis.report import Finding, severity_for_factor
 from repro.errors import ConfigurationError
 from repro.families.base import (
@@ -57,10 +57,10 @@ def _finding(
     fcdn, bcdn = subject
     label = " -> ".join(subject)
     front_config = configs[0] if configs else None
-    classification = classify_cascade(
+    classification = vulnerable_cascade(
         fcdn, bcdn, resource_size=resource_size, fcdn_config=front_config
     )
-    if not classification.vulnerable:
+    if classification is None:
         return Finding(
             kind="safe",
             severity="info",

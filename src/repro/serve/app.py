@@ -40,6 +40,7 @@ conservative rather than wrong.
 from __future__ import annotations
 
 import importlib
+import itertools
 import json
 import math
 import time
@@ -49,6 +50,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     List,
     Optional,
     Tuple,
@@ -61,7 +63,7 @@ from repro.analysis.recommend import DEFAULT_THRESHOLD, recommend
 from repro.analysis.report import AnalysisReport, Finding
 from repro.cdn.vendors import all_vendor_names
 from repro.defense.ratelimit import TokenBucket
-from repro.families.base import SHAPES, AttackFamily, Subject
+from repro.families.base import SHAPES, AttackFamily, Subject, SubjectShape
 from repro.http.headers import Headers
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.status import StatusCode
@@ -160,14 +162,26 @@ def _retry_after_header(retry_after_s: float) -> Tuple[str, str]:
     return ("Retry-After", str(seconds))
 
 
-def _subject_error() -> str:
-    """Item error for a missing or doubled subject, e.g. ``item needs
-    either "vendor" (SBR/CCFC) or "fcdn"+"bcdn" (OBR)``."""
-    return "item needs either " + " or ".join(
-        "+".join(f'"{name}"' for name in shape.fields)
-        + f" ({'/'.join(f.name.upper() for f in FAMILIES if f.shape is shape)})"
-        for shape in SHAPES
-    )
+#: Item error for a missing or doubled subject, e.g. ``item needs either
+#: "vendor" (SBR/CCFC) or "fcdn"+"bcdn" (OBR)``.
+_SUBJECT_ERROR = "item needs either " + " or ".join(
+    "+".join(f'"{name}"' for name in shape.fields)
+    + f" ({'/'.join(f.name.upper() for f in FAMILIES if f.shape is shape)})"
+    for shape in SHAPES
+)
+
+#: Every item field that names a subject.
+_SUBJECT_FIELDS = frozenset(name for shape in SHAPES for name in shape.fields)
+
+#: An item's subject shape and the family it defaults to, by the subject
+#: fields it carries: some of one shape's fields and none of another's.
+#: Any other set (none, or two shapes' fields) is missing.
+_SHAPES_BY_FIELDS: Dict[FrozenSet[str], Tuple[SubjectShape, AttackFamily]] = {
+    frozenset(present): (shape, next(f for f in FAMILIES if f.shape is shape))
+    for shape in SHAPES
+    for count in range(1, len(shape.fields) + 1)
+    for present in itertools.combinations(shape.fields, count)
+}
 
 
 _SAFE_SKIPPED = "finding is safe: no amplification to measure"
@@ -460,21 +474,17 @@ class AnalysisService:
         """The validated item, or why it is invalid."""
         if not isinstance(raw, dict):
             return "item must be an object"
-        shapes = [
-            shape for shape in SHAPES if any(name in raw for name in shape.fields)
-        ]
-        if len(shapes) != 1:
-            return _subject_error()
-        shape = shapes[0]
+        named = _SHAPES_BY_FIELDS.get(_SUBJECT_FIELDS.intersection(raw))
+        if named is None:
+            return _SUBJECT_ERROR
+        shape, family = named
         attack = raw.get("attack")
-        if attack is None:
-            family = next(f for f in FAMILIES if f.shape is shape)
-        elif isinstance(attack, str) and attack in FAMILIES_BY_NAME:
+        if attack is not None:
+            if not (isinstance(attack, str) and attack in FAMILIES_BY_NAME):
+                return f"unknown attack {attack!r}"
             family = FAMILIES_BY_NAME[attack]
-        else:
-            return f"unknown attack {attack!r}"
-        if family.shape is not shape:
-            return family.shape.mismatch.format(name=family.name)
+            if family.shape is not shape:
+                return family.shape.mismatch.format(name=family.name)
         subject = shape.parse(raw, self._vendors)
         if isinstance(subject, str):
             return subject

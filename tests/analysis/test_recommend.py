@@ -4,7 +4,8 @@ Covers the engine's load-bearing promises:
 
 * mitigation candidates are tried cheapest-first and the chosen option
   is the *first* sufficient one, with every cheaper failure kept in the
-  rejected list;
+  rejected list; no candidate costlier than the chosen one is bounded,
+  and the lazy engine answers exactly as bounding every candidate would;
 * residual bounds never exceed the clean bounds they mitigate;
 * residual bounds stay sound dynamically — a simulated attack under the
   mitigated profile never exceeds the residual bound (property-tested
@@ -21,14 +22,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import recommend as recommend_module
 from repro.analysis.bounds import profile_sbr_bound, sbr_bound
 from repro.analysis.classify import classify_sbr
-from repro.analysis.families import FAMILIES_BY_NAME
+from repro.analysis.families import FAMILIES, FAMILIES_BY_NAME
 from repro.analysis.recommend import (
     COST_CONFIG_ONLY,
     DEFAULT_THRESHOLD,
     MitigationOption,
     MitigationSpec,
+    Recommendation,
+    RecommendationReport,
     _pick,
     mitigation_profile_factory,
     recommend,
@@ -40,6 +44,7 @@ from repro.cdn.vendors import all_vendor_names
 from repro.cli import main
 from repro.core.sbr import SbrAttack
 from repro.errors import ConfigurationError
+from repro.families.base import split_subject
 from repro.obs.metrics import MetricsRegistry, use_metrics
 
 MB = 1 << 20
@@ -69,8 +74,10 @@ def _option(rank, residual, threshold=DEFAULT_THRESHOLD):
 
 class TestCostOrdering:
     def test_candidate_lists_are_rank_sorted_and_cost_monotone(self):
-        for name in ("sbr", "obr", "ccfc"):
-            candidates = FAMILIES_BY_NAME[name].mitigations
+        # The engine stops at the first sufficient candidate, so every
+        # family's list must be in rank (and so cost) order.
+        for family in FAMILIES:
+            candidates = family.mitigations
             ranks = [spec.rank for spec in candidates]
             assert ranks == sorted(ranks) == list(range(len(candidates)))
             costs = [spec.cost for spec in candidates]
@@ -89,12 +96,145 @@ class TestCostOrdering:
         assert chosen is None
         assert rejected == tuple(options)
 
+    def test_pick_pulls_nothing_past_the_first_sufficient_option(self):
+        def options():
+            yield _option(0, 500.0)
+            yield _option(1, 3.0)
+            raise AssertionError("pulled an option past the chosen one")
+
+        chosen, rejected = _pick(options())
+        assert chosen.spec.rank == 1
+        assert [option.spec.rank for option in rejected] == [0]
+
     def test_rejected_options_are_cheaper_and_insufficient(self, report):
         for recommendation in report.recommendations:
             assert recommendation.chosen is not None
             for option in recommendation.rejected:
                 assert not option.sufficient
                 assert option.spec.rank < recommendation.chosen.spec.rank
+
+
+def _spied_families(monkeypatch):
+    """Route every residual through a spy; returns the calls it saw, as
+    ``(bound, kind, subject, rank)``."""
+    calls = []
+
+    def spy(bound, kind, residual):
+        def spied(subject, spec, size):
+            calls.append((bound, kind, " -> ".join(subject), spec.rank))
+            return residual(subject, spec, size)
+
+        return spied
+
+    spied = {
+        name: family._replace(
+            residual=spy("residual", name, family.residual),
+            faulted_residual=(
+                spy("faulted", name, family.faulted_residual)
+                if family.faulted_residual is not None
+                else None
+            ),
+        )
+        for name, family in FAMILIES_BY_NAME.items()
+    }
+    monkeypatch.setattr(recommend_module, "FAMILIES_BY_NAME", spied)
+    return calls
+
+
+def _eager_json(report, threshold, with_retries):
+    """The engine's answer with every candidate bounded up front: the
+    reference the lazy engine must equal."""
+    recommendations = []
+    for finding in report.vulnerable:
+        family = FAMILIES_BY_NAME[finding.kind]
+        size = report.sizes[family.size_kwarg]
+        subject = split_subject(finding.subject)
+        faulted = family.faulted_residual if with_retries else None
+        options = [
+            MitigationOption(
+                spec=spec,
+                residual_factor=family.residual(subject, spec, size),
+                faulted_residual_factor=(
+                    faulted(subject, spec, size) if faulted is not None else None
+                ),
+                threshold=threshold,
+            )
+            for spec in family.mitigations
+        ]
+        chosen, rejected = _pick(options)
+        recommendations.append(
+            Recommendation(
+                finding=finding, chosen=chosen, rejected=rejected, threshold=threshold
+            )
+        )
+    return RecommendationReport(
+        recommendations=tuple(recommendations),
+        threshold=threshold,
+        sizes=dict(report.sizes),
+        with_retries=with_retries,
+    ).to_json()
+
+
+#: Examples per run of the lazy-equals-eager property: 20 by default,
+#: 100 under the ``ci`` profile.
+ORACLE_EXAMPLES = max(3, settings().max_examples // 5)
+
+
+class TestLazyRecommendations:
+    @pytest.mark.parametrize("with_retries", [False, True])
+    # At 1e-9 no candidate suffices, so every one is bounded.
+    @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 1.0, 1e-9])
+    def test_no_candidate_past_the_chosen_one_is_bounded(
+        self, monkeypatch, threshold, with_retries
+    ):
+        calls = _spied_families(monkeypatch)
+        result = recommend(threshold=threshold, with_retries=with_retries)
+        assert result.recommendations
+        for recommendation in result.recommendations:
+            family = FAMILIES_BY_NAME[recommendation.kind]
+            options = list(recommendation.rejected)
+            if recommendation.chosen is not None:
+                options.append(recommendation.chosen)
+            bounds = ("residual",)
+            if with_retries and family.faulted_residual is not None:
+                bounds = ("residual", "faulted")
+            expected = [
+                (bound, option.spec.rank) for option in options for bound in bounds
+            ]
+            seen = [
+                (bound, rank)
+                for bound, kind, subject, rank in calls
+                if (kind, subject) == (recommendation.kind, recommendation.subject)
+            ]
+            assert seen == expected, recommendation.subject
+
+    @settings(
+        max_examples=ORACLE_EXAMPLES,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        sbr_size=st.integers(min_value=1, max_value=64 * MB),
+        obr_size=st.integers(min_value=1, max_value=16 * MB),
+        ccfc_size=st.integers(min_value=1, max_value=64 * MB),
+        threshold=st.one_of(
+            st.sampled_from([DEFAULT_THRESHOLD, 1.0]),
+            st.floats(min_value=0.5, max_value=2000.0),
+        ),
+        with_retries=st.booleans(),
+    )
+    def test_lazy_equals_eager(
+        self, sbr_size, obr_size, ccfc_size, threshold, with_retries
+    ):
+        analysis = analyze_vendor_matrix(
+            resource_size=sbr_size,
+            obr_resource_size=obr_size,
+            ccfc_resource_size=ccfc_size,
+        )
+        lazy = recommend(
+            threshold=threshold, with_retries=with_retries, report=analysis
+        ).to_json()
+        assert lazy == _eager_json(analysis, threshold, with_retries)
 
 
 class TestResidualBounds:

@@ -2,9 +2,10 @@
 
 A cold ``analyze_vendor_matrix`` + ``recommend`` asks each OBR front end
 for its multi-range decisions once per ``(vendor, config)`` (plus the
-size for Huawei, whose decisions read it) — not once per back end — and
-certifies every max-n search, the RFC 7233 guarded ones included, with
-two static probes.  SBR classifications, which probe fixed size
+size for Huawei, whose decisions read it) — not once per back end —
+reads each back end's reply facts once, and certifies every max-n
+search, the RFC 7233 guarded ones included, with two static probes.
+Recommendations bound no candidate costlier than the one they choose.  SBR classifications, which probe fixed size
 regimes, are read once per ``(vendor, config, factory)`` whatever the
 size.  Each distinct OBR Range value is built once and parsed once.
 The max-n probes compare header sizes, so no search runs
@@ -26,9 +27,11 @@ from repro.analysis.classify import (
     DEFAULT_PROBE_SIZES,
     MULTI_RANGE_SHAPES,
     SINGLE_RANGE_SHAPES,
+    classify_cascade,
     classify_obr_frontend,
     classify_sbr,
     exploited_range_cases,
+    vulnerable_cascade,
 )
 from repro.analysis.recommend import recommend
 from repro.analysis.report import analyze_vendor_matrix
@@ -82,13 +85,39 @@ def test_cold_matrix_reads_each_front_end_once(cold, monkeypatch):
     assert decisions.calls <= vendors * len(MULTI_RANGE_SHAPES)
 
 
+def test_cold_matrix_reads_back_end_facts_once_per_vendor(cold, monkeypatch):
+    # Each ordered pair reads both halves from per-vendor memos, and a
+    # classification is built only for a pair where both halves hold.
+    reads = _count(monkeypatch, classify, "profile_class")
+    built = _count(monkeypatch, classify.CascadeClassification, "__init__")
+    report = analyze_vendor_matrix(**SIZES)
+    vendors = len(all_vendor_names())
+    assert len(reads) == vendors
+    stats = memo_stats()["obr_backend"]
+    assert (stats.misses, stats.lookups) == (vendors, vendors * (vendors - 1))
+    assert len(built) == len(report.by_kind("obr")) == 11
+
+
+def test_the_cascade_screen_answers_as_the_full_classification(cold):
+    vendors = all_vendor_names()
+    for fcdn in vendors:
+        for bcdn in vendors:
+            if fcdn == bcdn:
+                continue
+            full = classify_cascade(fcdn, bcdn)
+            expected = full if full.vulnerable else None
+            assert vulnerable_cascade(fcdn, bcdn, 1024, None) == expected
+
+
 def test_cold_audit_takes_two_static_probes_per_search(cold, monkeypatch):
     probes = _Counter(bounds._sized_probe, lambda *args, **kwargs: True)
     monkeypatch.setattr(bounds, "_sized_probe", probes)
     report = analyze_vendor_matrix(**SIZES)
     recommend(report=report, **SIZES)
-    # 11 registry cascades and 33 (cascade, mitigation) pairs, two each.
-    assert probes.calls == 88
+    # 11 registry cascades and their 11 overlap-rejection@bcdn residuals,
+    # two each.  That guard is every cascade's first candidate and always
+    # suffices, so no costlier candidate is bounded.
+    assert probes.calls == 44
 
 
 def test_findings_are_identical_cold_and_warm(cold):
@@ -197,8 +226,8 @@ def test_a_cold_audit_builds_and_parses_each_range_value_once(cold, monkeypatch)
     recommend(report=report, **AUDIT_SEED_1)
     assert set(parses.values()) == {1} and len(parses) == 13
     assert set(joins.values()) == {1} and len(joins) == 6
-    assert memo_stats()["range_parse"].lookups == 301
-    assert memo_stats()["obr_range_value"].lookups == 52
+    assert memo_stats()["range_parse"].lookups == 227
+    assert memo_stats()["obr_range_value"].lookups == 26
 
 
 def _count(monkeypatch, owner, name):

@@ -245,6 +245,30 @@ class TestUntrustedItems:
         )
         assert results[-1]["finding"]["subject"] == "azure"
 
+    SUBJECT = 'item needs either "vendor" (SBR/CCFC) or "fcdn"+"bcdn" (OBR)'
+
+    @pytest.mark.parametrize(
+        "item, error",
+        [
+            ({}, SUBJECT),
+            ({"size": 4 * KB}, SUBJECT),
+            ({"vendor": "akamai", "fcdn": "cdn77"}, SUBJECT),
+            ({"vendor": "akamai", "bcdn": "cdn77"}, SUBJECT),
+            ({"fcdn": "cdn77"}, "unknown cascade 'cdn77' -> None"),
+            ({"bcdn": "akamai"}, "unknown cascade None -> 'akamai'"),
+            ({"fcdn": "cdn77", "bcdn": "cdn77"}, "fcdn and bcdn must differ"),
+            ({"vendor": "akamai", "attack": "obr"}, 'attack "obr" needs "fcdn"+"bcdn"'),
+            (
+                {"fcdn": "cdn77", "bcdn": "akamai", "attack": "ccfc"},
+                "attack 'ccfc' needs \"vendor\"",
+            ),
+            ({"vendor": "akamai", "attack": "zzz"}, "unknown attack 'zzz'"),
+        ],
+    )
+    def test_subject_field_errors(self, item, error):
+        response = self.SERVICE.handle(batch_request("/v1/analyze", [item]))
+        assert body_json(response)["results"] == [{"error": f"invalid item: {error}"}]
+
     @pytest.mark.parametrize("path", ["/v1/analyze", "/v1/recommend"])
     @pytest.mark.parametrize("threshold", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_thresholds_are_item_errors(self, path, threshold):
