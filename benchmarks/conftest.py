@@ -20,6 +20,16 @@ import pytest
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
+
+@pytest.fixture(autouse=True)
+def cold_memos() -> None:
+    """Start every bench and test cold: no memo table (the shared
+    mitigated profiles included) carries answers over from the one
+    before, so a test that counts or traces work sees it done."""
+    from repro.obs.memo import clear_all_memos
+
+    clear_all_memos()
+
 @pytest.fixture(scope="session")
 def output_dir() -> Path:
     OUTPUT_DIR.mkdir(exist_ok=True)

@@ -25,20 +25,19 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.analysis.classify import (
     MAX_OVERLAPS,
     TARGET_HOST,
-    ProfileFactory,
     exploited_leading_spec,
     exploited_range_cases,
     exploited_request,
     forwarded_verbatim,
-    memo_keyable,
     probe_request,
 )
 from repro.cdn.limits import HeaderLimits, RequestHead
 from repro.cdn.multirange import MultiRangeReplyBehavior
-from repro.cdn.vendors import create_profile
+from repro.cdn.vendors import create_profile, profile_class
 from repro.cdn.vendors.azure import DEFAULT_ABORT_SLOP, EIGHT_MB, WINDOW_LAST
 from repro.cdn.vendors.base import (
     ContextReads,
+    EdgeState,
     VendorContext,
     VendorProfile,
     convert_encoded_response,
@@ -151,7 +150,7 @@ def sbr_bound(
     model = overhead if overhead is not None else NullOverheadModel()
     cases = exploited_range_cases(vendor, resource_size)
     fetches = _fetch_plan(vendor, resource_size)
-    header_target = type(create_profile(vendor)).client_header_block_target
+    header_target = profile_class(vendor).client_header_block_target
     return _assemble_sbr_bound(
         vendor, resource_size, cases, fetches, header_target, model
     )
@@ -196,7 +195,7 @@ def _assemble_sbr_bound(
 
 def profile_sbr_bound(
     vendor: str,
-    profile_factory: ProfileFactory,
+    profile: VendorProfile,
     resource_size: int,
 ) -> SbrBound:
     """Worst-case SBR bound for ``vendor``'s exploited cases replayed
@@ -216,10 +215,10 @@ def profile_sbr_bound(
     KeyCDN, StackPath) are *not* admissible here; use :func:`sbr_bound`.
     """
     cases = exploited_range_cases(vendor, resource_size)
-    profile = profile_factory()
-    # One decision per case on one instance, mirroring the request order
-    # a single attack round replays against a single edge node.
-    fetches = [_decision_fetch(profile, case, resource_size) for case in cases]
+    # One decision per case against one node's state, mirroring the
+    # request order a single attack round replays against a single edge.
+    state = EdgeState()
+    fetches = [_decision_fetch(profile, case, resource_size, state) for case in cases]
     return _assemble_sbr_bound(
         vendor,
         resource_size,
@@ -231,7 +230,7 @@ def profile_sbr_bound(
 
 
 def _decision_fetch(
-    profile: VendorProfile, range_value: str, resource_size: int
+    profile: VendorProfile, range_value: str, resource_size: int, state: EdgeState
 ) -> _Fetch:
     """Upper-bound one exploited case's origin payload under ``profile``."""
     from repro.cdn.vendors.base import SpecShape, classify_spec
@@ -255,7 +254,7 @@ def _decision_fetch(
         return _lazy_payload_fetch(spec, resource_size)
 
     ctx = VendorContext(
-        config=profile.effective_config(), resource_size_hint=resource_size
+        config=profile.effective_config(), resource_size_hint=resource_size, state=state
     )
     decision = profile.forward_decision(probe_request(range_value), spec, ctx)
     if decision.forwarded_range is None:
@@ -460,19 +459,20 @@ class FrontPlan:
 #: the front's decision read the size.  A cold audit builds 8; every
 #: vendor under every mitigation is 91 fronts.
 _FRONT_PLANS = Memo(maxsize=128, name="obr_front_plan")
-#: Back-end profiles the max-n searches read, by ``(bcdn, bcdn_profile)``.
-_BACK_PROFILES = Memo(maxsize=128, name="obr_back_profile")
 
 
 def _front_plan(
-    fcdn: str, resource_size: int, fcdn_profile: Optional[ProfileFactory]
+    fcdn: str, resource_size: int, fcdn_profile: Optional[VendorProfile]
 ) -> FrontPlan:
-    def build() -> FrontPlan:
-        front = fcdn_profile() if fcdn_profile is not None else create_profile(fcdn)
+    size_free = (fcdn, fcdn_profile)
+    sized = (*size_free, resource_size)
+
+    def build() -> Tuple[FrontPlan, Tuple[object, ...]]:
+        front = fcdn_profile or create_profile(fcdn)
         request = exploited_request(fcdn, PLAN_COUNT)
         reads = ContextReads()
         upstream = forwarded_verbatim(fcdn, front, request, resource_size, reads)
-        return FrontPlan(
+        plan = FrontPlan(
             fcdn=fcdn,
             limits=front.limits,
             head=RequestHead.of(request),
@@ -481,36 +481,18 @@ def _front_plan(
             leading=exploited_leading_spec(fcdn),
             size_read=reads.size,
         )
-
-    if not memo_keyable(fcdn_profile):
-        return build()
-    size_free = (fcdn, fcdn_profile)
-    sized = (*size_free, resource_size)
-
-    def keyed_build() -> Tuple[FrontPlan, Tuple[object, ...]]:
-        plan = build()
         return plan, sized if plan.size_read else size_free
 
-    plan: FrontPlan = _FRONT_PLANS.get_or_compute_under((size_free, sized), keyed_build)
+    plan: FrontPlan = _FRONT_PLANS.get_or_compute_under((size_free, sized), build)
     return plan
-
-
-def _back_profile(bcdn: str, bcdn_profile: Optional[ProfileFactory]) -> VendorProfile:
-    def build() -> VendorProfile:
-        return bcdn_profile() if bcdn_profile is not None else create_profile(bcdn)
-
-    if not memo_keyable(bcdn_profile):
-        return build()
-    back: VendorProfile = _BACK_PROFILES.get_or_compute((bcdn, bcdn_profile), build)
-    return back
 
 
 def declared_max_n(
     fcdn: str,
     bcdn: str,
     resource_size: int,
-    fcdn_profile: Optional[ProfileFactory] = None,
-    bcdn_profile: Optional[ProfileFactory] = None,
+    fcdn_profile: Optional[VendorProfile] = None,
+    bcdn_profile: Optional[VendorProfile] = None,
 ) -> Optional[int]:
     """The largest ``n`` the cascade's declared header limits admit.
 
@@ -528,7 +510,7 @@ def declared_max_n(
     (mitigated) profiles.
     """
     plan = _front_plan(fcdn, resource_size, fcdn_profile)
-    return _declared(plan, _back_profile(bcdn, bcdn_profile))
+    return _declared(plan, bcdn_profile or create_profile(bcdn))
 
 
 def _declared(plan: FrontPlan, back: VendorProfile) -> Optional[int]:
@@ -599,8 +581,8 @@ def static_max_n(
     resource_size: int = 1024,
     lower: int = 2,
     upper: int = MAX_OVERLAPS,
-    fcdn_profile: Optional[ProfileFactory] = None,
-    bcdn_profile: Optional[ProfileFactory] = None,
+    fcdn_profile: Optional[VendorProfile] = None,
+    bcdn_profile: Optional[VendorProfile] = None,
 ) -> int:
     """The largest forwarded-unchanged ``n``, from header sizes.
 
@@ -608,7 +590,7 @@ def static_max_n(
     any deployment.  The cap is solved from the cascade's declared
     limits (:func:`declared_max_n`) and certified by size checks at
     ``n`` and ``n + 1`` (:func:`_sized_probe`) on the front's
-    :class:`FrontPlan` and a back-end profile shared by every search.
+    :class:`FrontPlan` and the back end's shared profile.
     ``n`` survives when the FCDN's ingress limits admit the client
     request, the FCDN's decision table forwards the Range header
     verbatim, the BCDN's ingress limits admit the forwarded request, and
@@ -621,8 +603,8 @@ def static_max_n(
     ``fcdn_profile`` / ``bcdn_profile`` substitute wrapped (mitigated)
     profiles for the named registry vendors on either side.
 
-    The search, its plans and back profiles are memoized when both
-    factories are :func:`~repro.analysis.classify.memo_keyable`.  Only a
+    The search and its plans are memoized, keyed by the profile objects
+    (shared instances, so equal profiles are one key).  Only a
     front end's decision table can read the resource size (Huawei's
     10 MB switch), and each decision's
     :class:`~repro.cdn.vendors.base.VendorContext` records whether it
@@ -639,24 +621,18 @@ def static_max_n(
             f"an overlapping multi-range has at least {PLAN_COUNT} ranges, got lower={lower}"
         )
 
-    def search() -> Tuple[int, bool]:
-        plan = _front_plan(fcdn, resource_size, fcdn_profile)
-        back = _back_profile(bcdn, bcdn_profile)
-        found = largest_admitted(
-            lambda n: _sized_probe(plan, back, n), lower, upper, _declared(plan, back)
-        )
-        return found, plan.size_read
-
-    if not (memo_keyable(fcdn_profile) and memo_keyable(bcdn_profile)):
-        return search()[0]
     size_free = (fcdn, bcdn, lower, upper, fcdn_profile, bcdn_profile)
     sized = (*size_free, resource_size)
 
-    def keyed_search() -> Tuple[int, Tuple[object, ...]]:
-        max_n, size_read = search()
-        return max_n, sized if size_read else size_free
+    def search() -> Tuple[int, Tuple[object, ...]]:
+        plan = _front_plan(fcdn, resource_size, fcdn_profile)
+        back = bcdn_profile or create_profile(bcdn)
+        max_n = largest_admitted(
+            lambda n: _sized_probe(plan, back, n), lower, upper, _declared(plan, back)
+        )
+        return max_n, sized if plan.size_read else size_free
 
-    found: int = _MAX_N_MEMO.get_or_compute_under((size_free, sized), keyed_search)
+    found: int = _MAX_N_MEMO.get_or_compute_under((size_free, sized), search)
     return found
 
 
@@ -695,18 +671,17 @@ def _static_probe(
     bcdn: str,
     overlap_count: int,
     resource_size: int,
-    fcdn_profile: Optional[ProfileFactory] = None,
-    bcdn_profile: Optional[ProfileFactory] = None,
+    fcdn_profile: Optional[VendorProfile] = None,
+    bcdn_profile: Optional[VendorProfile] = None,
 ) -> bool:
     """Would a request with ``overlap_count`` ranges survive end-to-end?
 
-    The message-building form of :func:`_sized_probe`: fresh profiles,
-    the real client request at ``overlap_count`` and the one the front
+    The message-building form of :func:`_sized_probe`: the real client request at ``overlap_count`` and the one the front
     forwards, each passed through :meth:`HeaderLimits.check`.  No
     search runs it; the tests keep it as the oracle the size form must
     equal."""
     request = exploited_request(fcdn, overlap_count)
-    front = fcdn_profile() if fcdn_profile is not None else create_profile(fcdn)
+    front = fcdn_profile or create_profile(fcdn)
     try:
         front.limits.check(request)
     except RequestRejectedError:
@@ -715,7 +690,7 @@ def _static_probe(
     if upstream is None:
         return False
 
-    back = bcdn_profile() if bcdn_profile is not None else create_profile(bcdn)
+    back = bcdn_profile or create_profile(bcdn)
     try:
         back.limits.check(upstream)
     except RequestRejectedError:
@@ -732,8 +707,8 @@ def obr_bound(
     resource_size: int = 1024,
     overlap_count: Optional[int] = None,
     overhead: Optional[OverheadModel] = None,
-    fcdn_profile: Optional[ProfileFactory] = None,
-    bcdn_profile: Optional[ProfileFactory] = None,
+    fcdn_profile: Optional[VendorProfile] = None,
+    bcdn_profile: Optional[VendorProfile] = None,
 ) -> ObrBound:
     """Closed-form worst-case OBR amplification for one cascade.
 
@@ -763,7 +738,7 @@ def obr_bound(
             f"{fcdn} -> {bcdn} admits no overlapping ranges"
         )
 
-    back = _back_profile(bcdn, bcdn_profile)
+    back = bcdn_profile or create_profile(bcdn)
     boundary = back.multipart_boundary
     part_overhead = _part_overhead_upper(boundary, OBR_CONTENT_TYPE, resource_size)
     closer = len(boundary) + 6  # "--" + boundary + "--" + CRLF
@@ -885,7 +860,7 @@ def ccfc_mirror(
     vendor: str,
     resource_size: int,
     overhead: Optional[OverheadModel] = None,
-    profile_factory: Optional[ProfileFactory] = None,
+    profile: Optional[VendorProfile] = None,
 ) -> CcfcResult:
     """Closed-form replay of one round of
     :meth:`~repro.core.ccfc.CcfcAttack.run` without a deployment.
@@ -897,7 +872,7 @@ def ccfc_mirror(
     bodies stay synthetic and no ledger objects are built, so the cost
     is message-header work regardless of resource size.
     """
-    profile = profile_factory() if profile_factory is not None else create_profile(vendor)
+    profile = profile or create_profile(vendor)
     config = profile.effective_config()
     model = overhead if overhead is not None else NullOverheadModel()
     encodings = default_attack_encodings(profile, resource_size)
@@ -1036,17 +1011,17 @@ class CcfcBound:
 
 def profile_ccfc_bound(
     vendor: str,
-    profile_factory: Optional[ProfileFactory],
+    profile: Optional[VendorProfile],
     resource_size: int,
     overhead: Optional[OverheadModel] = None,
 ) -> CcfcBound:
     """Worst-case CCFC bound, optionally against a substituted profile.
 
-    ``profile_factory=None`` bounds the registry vendor;
-    a factory bounds the wrapped/mitigated profile under the same
-    attack request (the recommendation engine's residual).
+    ``profile=None`` bounds the registry vendor; a wrapped/mitigated
+    profile is bounded under the same attack request (the
+    recommendation engine's residual).
     """
-    result = ccfc_mirror(vendor, resource_size, overhead, profile_factory)
+    result = ccfc_mirror(vendor, resource_size, overhead, profile)
     return CcfcBound(
         vendor=vendor,
         resource_size=resource_size,

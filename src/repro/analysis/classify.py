@@ -2,8 +2,9 @@
 
 Every answer here is derived by interrogating a vendor profile's *pure*
 decision surface — :meth:`~repro.cdn.vendors.base.VendorProfile.forward_decision`,
-the multi-range reply behavior, the stateful second-request policy, and
-the ``amplifies_via_fetch_flow`` flag.  This module is the only place
+the multi-range reply behavior, the second-request policy (asked twice
+against one :class:`~repro.cdn.vendors.base.EdgeState`), and the
+``amplifies_via_fetch_flow`` flag.  This module is the only place
 that reads those decisions without sending traffic (``repro matrix``
 renders :func:`probe_decision` too).  No deployment is wired, no
 connection is opened, no ledger records a byte: this is the "audit the
@@ -28,13 +29,14 @@ too, so that the wire attacks and the static bounds read the same facts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.policy import ForwardPolicy
 from repro.cdn.vendors import all_vendor_names, create_profile, profile_class
 from repro.cdn.vendors.base import (
     ContextReads,
+    EdgeState,
     EncodingPolicy,
     VendorConfig,
     VendorContext,
@@ -45,33 +47,6 @@ from repro.http.grammar import overlapping_open_ranges_value
 from repro.http.message import HttpRequest
 from repro.http.ranges import try_parse_range_header
 from repro.obs.memo import Memo
-
-#: Builds a fresh profile per probe (profiles are stateful).  Passing one
-#: lets every classification and closed-form bound run against a
-#: wrapped/mitigated profile instead of the registry vendor it names.
-ProfileFactory = Callable[[], VendorProfile]
-
-
-class WrappedFactory(NamedTuple):
-    """A :data:`ProfileFactory` building ``wrapper(create_profile(vendor))``
-    afresh per call.  Equal factories build equal profiles, so an answer
-    read off one may be memoized under it (:func:`memo_keyable`).  A
-    named tuple, so it is cheap to make and to hash."""
-
-    vendor: str
-    wrapper: Callable[[VendorProfile], VendorProfile]
-
-    def __call__(self) -> VendorProfile:
-        return self.wrapper(create_profile(self.vendor))
-
-
-def memo_keyable(factory: Optional[ProfileFactory]) -> bool:
-    """Whether answers read off ``factory``'s profiles may be memoized
-    under it: the registry vendor (``None``) or a :class:`WrappedFactory`.
-    Any other callable hashes by identity, so a memo keyed by it would
-    only fill up; those stay uncached."""
-    return factory is None or isinstance(factory, WrappedFactory)
-
 
 MB = 1 << 20
 
@@ -248,16 +223,12 @@ def probe_decision(
     range_value: str,
     resource_size: int,
     config: Optional[VendorConfig] = None,
-    profile_factory: Optional[ProfileFactory] = None,
     reads: Optional[ContextReads] = None,
 ) -> ProbeDecision:
-    """Ask a fresh profile for its first-sighting forwarding decision;
-    ``reads`` notes whether the decision read the resource size."""
-    return _ask(_fresh(vendor, profile_factory), range_value, resource_size, config, reads)
-
-
-def _fresh(vendor: str, profile_factory: Optional[ProfileFactory]) -> VendorProfile:
-    return profile_factory() if profile_factory is not None else create_profile(vendor)
+    """Ask ``vendor``'s profile for its first-sighting forwarding
+    decision, as a fresh node would; ``reads`` notes whether the
+    decision read the resource size."""
+    return _ask(create_profile(vendor), range_value, resource_size, config, reads)
 
 
 def _build_probe_request(range_value: str) -> HttpRequest:
@@ -301,10 +272,12 @@ def _ask(
     resource_size: int,
     config: Optional[VendorConfig],
     reads: Optional[ContextReads] = None,
+    state: Optional[EdgeState] = None,
 ) -> ProbeDecision:
     ctx = VendorContext(
         config=config if config is not None else profile.effective_config(),
         resource_size_hint=resource_size,
+        state=state,
     )
     decision = profile.forward_decision(
         probe_request(range_value), try_parse_range_header(range_value), ctx
@@ -352,54 +325,51 @@ class SbrClassification:
         return "none"
 
 
-#: :func:`classify_sbr` answers, by ``(vendor, config, factory)``.
+#: :func:`classify_sbr` answers, by ``(vendor, config, profile)``.
 _SBR_MEMO = Memo(maxsize=1024, name="classify_sbr")
 
 
 def classify_sbr(
     vendor: str,
     config: Optional[VendorConfig] = None,
-    profile_factory: Optional[ProfileFactory] = None,
+    profile: Optional[VendorProfile] = None,
 ) -> SbrClassification:
     """Statically classify one vendor's SBR susceptibility (Table I).
 
-    ``profile_factory`` substitutes a wrapped profile (e.g. a
+    ``profile`` substitutes a wrapped profile (e.g. a
     ``MitigatedProfile``) for the registry vendor — the recommendation
     engine uses this to prove a mitigation removes the classification.
 
     The probes run at :data:`DEFAULT_PROBE_SIZES`, never at a caller's
-    size, so the answer is memoized by ``(vendor, config, factory)``
-    when the factory is :func:`memo_keyable`.
+    size, so the answer is memoized by ``(vendor, config, profile)``.
     """
 
     def classify() -> SbrClassification:
-        exemplar = _fresh(vendor, profile_factory)
+        asked = profile or create_profile(vendor)
         amplifying = []
         stateful = []
         for size in DEFAULT_PROBE_SIZES:
             for shape in SINGLE_RANGE_SHAPES:
-                profile = _fresh(vendor, profile_factory)
-                first = _ask(profile, shape, size, config)
+                state = EdgeState()
+                first = _ask(asked, shape, size, config, state=state)
                 if first.amplifying:
                     amplifying.append(first)
                     continue
-                # The same instance sees the identical request again:
+                # The same node sees the identical request again:
                 # KeyCDN deletes the Range header on its second sighting.
-                second = _ask(profile, shape, size, config)
+                second = _ask(asked, shape, size, config, state=state)
                 if second.amplifying:
                     stateful.append(second)
         return SbrClassification(
             vendor=vendor,
-            display_name=exemplar.display_name,
+            display_name=asked.display_name,
             amplifying_probes=tuple(amplifying),
             stateful_probes=tuple(stateful),
-            fetch_flow_amplifies=exemplar.amplifies_via_fetch_flow,
+            fetch_flow_amplifies=asked.amplifies_via_fetch_flow,
         )
 
-    if not memo_keyable(profile_factory):
-        return classify()
     classification: SbrClassification = _SBR_MEMO.get_or_compute(
-        (vendor, config, profile_factory), classify
+        (vendor, config, profile), classify
     )
     return classification
 
@@ -601,7 +571,7 @@ class CcfcClassification:
 
 def classify_ccfc(
     vendor: str,
-    profile_factory: Optional[ProfileFactory] = None,
+    profile: Optional[VendorProfile] = None,
 ) -> CcfcClassification:
     """Statically classify one vendor's CCFC susceptibility.
 
@@ -612,7 +582,7 @@ def classify_ccfc(
     stripping vendors let the origin fall back to identity; Tencent's
     rewrite-without-decompression relays the compressed bytes as-is.
     """
-    profile = _fresh(vendor, profile_factory)
+    profile = profile or create_profile(vendor)
     ratios = [
         profile.compression_ratios.get(coding.lower(), 1.0)
         for coding in profile.edge_accept_encoding

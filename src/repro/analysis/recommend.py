@@ -57,7 +57,7 @@ from repro.families.base import (
     COST_HEADER_GUARD,
     AttackFamily,
     MitigationSpec,
-    mitigation_profile_factory,
+    mitigated_profile,
     split_subject,
 )
 from repro.obs.metrics import current_metrics
@@ -421,7 +421,7 @@ __all__ = [
     "Recommendation",
     "RecommendationReport",
     "VerificationCheck",
-    "mitigation_profile_factory",
+    "mitigated_profile",
     "recommend",
     "render_recommendations_table",
     "verify_recommendation",

@@ -25,6 +25,7 @@ from repro.cdn.cache import CdnCache
 from repro.cdn.multirange import apply_reply_behavior
 from repro.cdn.vendors.base import (
     FIXED_DATE,
+    EdgeState,
     VendorConfig,
     VendorContext,
     VendorProfile,
@@ -57,7 +58,9 @@ logger = logging.getLogger(__name__)
 
 
 class CdnNode(HttpHandler):
-    """One simulated CDN edge node."""
+    """One simulated CDN edge node.  Its profile is a shared immutable
+    value; what the node remembers between requests is its own: the edge
+    cache and the :class:`~repro.cdn.vendors.base.EdgeState`."""
 
     def __init__(
         self,
@@ -79,6 +82,7 @@ class CdnNode(HttpHandler):
         self.config = config if config is not None else profile.effective_config()
         cache_enabled = self.config.cache_enabled and not self.config.bypass_cache
         self.cache = cache if cache is not None else CdnCache(enabled=cache_enabled)
+        self.state = EdgeState()
         self.size_hint_fn = size_hint_fn
         self.node_label = node_label if node_label is not None else profile.name
 
@@ -135,7 +139,7 @@ class CdnNode(HttpHandler):
         if hop.recording:
             hop.set(cache="miss" if self.cache.enabled else "bypass")
 
-        ctx = VendorContext(config=self.config, resource_size_hint=self._size_hint(request))
+        ctx = VendorContext(self.config, self._size_hint(request), self.state)
         with tracer.span("cdn.fetch") as fetch_span:
             result = self.profile.fetch(request, spec, ctx, self._exchange)
             policy = result.policy.value if result.policy is not None else None

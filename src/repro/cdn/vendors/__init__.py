@@ -1,9 +1,9 @@
 """Vendor profile registry.
 
 One profile class per CDN the paper examined, keyed by a short
-registry name.  Profiles are stateful (KeyCDN remembers requests it has
-seen), so :func:`create_profile` returns a *fresh instance* on every
-call — deployments must not share profile objects.
+registry name.  Profiles are immutable values (what KeyCDN remembers
+between requests lives in the edge node), so :func:`create_profile`
+returns the one shared instance per vendor, built on first use.
 """
 
 from __future__ import annotations
@@ -64,9 +64,15 @@ def profile_class(name: str) -> Type[VendorProfile]:
         raise UnknownVendorError(name) from None
 
 
+#: The shared registry instances, by name, built on first use.
+_INSTANCES: Dict[str, VendorProfile] = {}
+
+
 def create_profile(name: str) -> VendorProfile:
-    """Instantiate a fresh profile for ``name``."""
-    return profile_class(name)()
+    """The shared profile for ``name`` (threads racing on its first use
+    all get the instance stored first)."""
+    profile = _INSTANCES.get(name)
+    return profile if profile is not None else _INSTANCES.setdefault(name, profile_class(name)())
 
 
 __all__ = [

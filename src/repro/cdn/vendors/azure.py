@@ -53,10 +53,12 @@ class AzureProfile(VendorProfile):
     server_header = "ECAcc (nyb/1D2E)"
     client_header_block_target = 719
     pad_header_name = "X-Azure-Ref"
+    #: Payload that slips past the 8 MB cut before it takes effect.
+    abort_slop: int
 
     def __init__(self, abort_slop: int = DEFAULT_ABORT_SLOP) -> None:
         super().__init__()
-        self.abort_slop = abort_slop
+        self._set(abort_slop=abort_slop)
 
     def default_limits(self) -> HeaderLimits:
         return HeaderLimits(max_ranges=64)

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from enum import Enum
 
@@ -32,7 +33,7 @@ from repro.cdn.limits import HeaderLimits
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.policy import ForwardDecision, ForwardPolicy
 from repro.cdn.window import ContentWindow
-from repro.http.body import SyntheticBody
+from repro.http.body import Body, SyntheticBody
 from repro.http.encoding import IDENTITY, accepted_codings, accepts_encoding
 from repro.http.headers import Headers
 from repro.http.message import HttpRequest, HttpResponse
@@ -80,12 +81,13 @@ class EncodingPolicy(Enum):
 #: Per-coding compressed-size ratios the simulation models.  The CCFC
 #: paper's amplification stems from highly compressible payloads
 #: (zeros, repetitive text): brotli reaches ~2000:1 and gzip ~1000:1 on
-#: such content, which is what these ratios encode.
-DEFAULT_COMPRESSION_RATIOS: Mapping[str, float] = {
+#: such content, which is what these ratios encode.  Read-only, since
+#: every profile shares it.
+DEFAULT_COMPRESSION_RATIOS: Mapping[str, float] = MappingProxyType({
     "br": 0.0005,
     "gzip": 0.001,
     IDENTITY: 1.0,
-}
+})
 
 
 #: ``exchange`` callback a node hands to a profile's fetch flow: send one
@@ -117,19 +119,45 @@ class VendorConfig:
     cache_enabled: bool = True
 
 
+class EdgeState:
+    """What one edge node remembers between requests on its profile's
+    behalf: the ``(host, target, range value)`` requests KeyCDN has seen
+    (§V-A item 4), and a slicing edge's slices by ``(host, target,
+    index)`` and complete lengths by ``(host, target)``.
+
+    The node owns it, as it owns its cache, and hands it to the profile
+    in each :class:`VendorContext`; a profile itself holds no state, so
+    one instance serves every node of its vendor."""
+
+    __slots__ = ("seen", "slices", "lengths")
+
+    def __init__(self) -> None:
+        self.seen: Set[Tuple[str, str, str]] = set()
+        self.slices: Dict[Tuple[str, str, int], Body] = {}
+        self.lengths: Dict[Tuple[str, str], int] = {}
+
+
 class VendorContext:
     """Per-request context a profile's decision logic may consult.
 
     The context records whether the decision read the size hint
     (``size_read``), so a static search that never read it knows its
-    answer holds at every size (:class:`ContextReads`)."""
+    answer holds at every size (:class:`ContextReads`).  ``state`` is the
+    asking node's :class:`EdgeState`; a context made without one (a
+    static ask) gets a fresh one, as a fresh node would have."""
 
-    __slots__ = ("config", "_size_hint", "size_read")
+    __slots__ = ("config", "_size_hint", "size_read", "state")
 
-    def __init__(self, config: VendorConfig, resource_size_hint: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        config: VendorConfig,
+        resource_size_hint: Optional[int] = None,
+        state: Optional[EdgeState] = None,
+    ) -> None:
         self.config = config
         self._size_hint = resource_size_hint
         self.size_read = False
+        self.state = state if state is not None else EdgeState()
 
     @property
     def resource_size_hint(self) -> Optional[int]:
@@ -183,7 +211,11 @@ class VendorProfile:
     """Base class with the default single-connection fetch flow.
 
     Subclasses set the class attributes and override
-    :meth:`forward_decision` (and, for stateful flows, :meth:`fetch`).
+    :meth:`forward_decision` (and, for multi-exchange flows,
+    :meth:`fetch`).  A built profile is an immutable value: assigning an
+    attribute raises, and what a vendor remembers between requests lives
+    in the node's :class:`EdgeState`.  So one instance per vendor (or per
+    vendor and mitigation) is shared by every deployment and thread.
     """
 
     #: Registry key, e.g. ``"akamai"``.
@@ -228,9 +260,22 @@ class VendorProfile:
     edge_decompresses: bool = False
     #: Compressed-size model per coding (fraction of the identity size).
     compression_ratios: Mapping[str, float] = DEFAULT_COMPRESSION_RATIOS
+    #: Request-header limits enforced at ingress (§V-C); set per instance.
+    limits: HeaderLimits
 
     def __init__(self, limits: Optional[HeaderLimits] = None) -> None:
-        self.limits = limits if limits is not None else self.default_limits()
+        self._set(limits=limits if limits is not None else self.default_limits())
+
+    def _set(self, **fields: object) -> None:
+        """Set fields while constructing; only constructors call this."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
     # -- hooks subclasses override ------------------------------------------------
 

@@ -12,13 +12,14 @@ Paper findings reproduced here (§V-A item 4, Table I):
   the others' (724 at 1 MB) while its CDN-to-client traffic is the
   largest in Fig 6b.
 
-The first-request memory is per-profile-instance state, keyed on
-``(host, target, range value)``.
+The first-request memory belongs to the edge node: the node's
+:class:`~repro.cdn.vendors.base.EdgeState` records each
+``(host, target, range value)`` it has seen.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cdn.policy import ForwardDecision
 from repro.cdn.vendors.base import EncodingPolicy, SpecShape, VendorContext, VendorProfile, classify_spec
@@ -38,10 +39,6 @@ class KeycdnProfile(VendorProfile):
     edge_accept_encoding = ("gzip",)
     edge_decompresses = True
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._seen: Set[Tuple[str, str, str]] = set()
-
     def forward_decision(
         self,
         request: HttpRequest,
@@ -60,14 +57,11 @@ class KeycdnProfile(VendorProfile):
             # open-ended ranges stay lazy on every sighting.
             return ForwardDecision.lazy(request.range_header)
         key = (request.host or "", request.target, request.range_header or "")
-        if key in self._seen:
+        seen = ctx.state.seen
+        if key in seen:
             return ForwardDecision.delete()
-        self._seen.add(key)
+        seen.add(key)
         return ForwardDecision.lazy(request.range_header)
-
-    def reset_seen(self) -> None:
-        """Forget previously seen range requests (a fresh edge node)."""
-        self._seen.clear()
 
     def forward_headers(self) -> List[Tuple[str, str]]:
         return [("X-Forwarded-For", "198.51.100.7")]

@@ -22,7 +22,7 @@ construction**, without loading the traffic stack.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.analysis.bounds import (
     CCFC_TARGET_PATH,
@@ -58,7 +58,7 @@ class CcfcAttack:
     inflated bodies, while the attacker pays only the compressed
     cdn-origin traffic.
 
-    ``profile_factory`` substitutes a wrapped profile (e.g. a
+    ``profile`` substitutes a wrapped profile (e.g. a
     ``MitigatedProfile``) for the registry vendor — the recommendation
     engine's before/after measurement.  The origin's pre-compressed
     variants are sized by the profile's compression ratios
@@ -69,15 +69,14 @@ class CcfcAttack:
         self,
         vendor: str,
         resource_size: int = 10 * MB,
-        profile_factory: Optional[Callable[[], "VendorProfile"]] = None,
+        profile: Optional["VendorProfile"] = None,
     ) -> None:
         self.vendor = vendor
         self.resource_size = resource_size
-        self.profile_factory = profile_factory
+        self.profile = profile
 
     def build_deployment(self) -> Deployment:
-        factory = self.profile_factory
-        profile = factory() if factory is not None else create_profile(self.vendor)
+        profile = self.profile or create_profile(self.vendor)
         origin = OriginServer()
         origin.add_resource(
             Resource(
@@ -140,7 +139,7 @@ class CcfcAttack:
         """Closed-form replay of one round of :meth:`run` without a
         deployment (:func:`~repro.analysis.bounds.ccfc_mirror`)."""
         return ccfc_mirror(
-            self.vendor, self.resource_size, profile_factory=self.profile_factory
+            self.vendor, self.resource_size, profile=self.profile
         )
 
 

@@ -24,7 +24,7 @@ bcdn–origin responses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.analysis.bounds import declared_max_n, largest_admitted
 from repro.analysis.classify import (
@@ -37,7 +37,7 @@ from repro.analysis.classify import (
 )
 from repro.core.amplification import AmplificationReport
 from repro.core.deployment import CdnSpec, Deployment
-from repro.cdn.vendors import OBR_BACKENDS, OBR_FRONTENDS
+from repro.cdn.vendors import OBR_BACKENDS, OBR_FRONTENDS, create_profile
 from repro.errors import ConfigurationError
 from repro.http.grammar import overlapping_open_ranges_value
 from repro.http.status import StatusCode
@@ -83,8 +83,8 @@ class ObrAttack:
         bcdn: str,
         resource_size: int = 1024,
         overhead: Optional[OverheadModel] = None,
-        fcdn_profile_factory: Optional[Callable[[], "VendorProfile"]] = None,
-        bcdn_profile_factory: Optional[Callable[[], "VendorProfile"]] = None,
+        fcdn_profile: Optional["VendorProfile"] = None,
+        bcdn_profile: Optional["VendorProfile"] = None,
     ) -> None:
         if fcdn == bcdn:
             raise ConfigurationError(
@@ -96,9 +96,9 @@ class ObrAttack:
         # Capture-like accounting by default; see module docstring.
         self.overhead = overhead if overhead is not None else TcpOverheadModel()
         # Mitigated-profile substitution on either side of the cascade
-        # (fresh instance per deployment; profiles are stateful).
-        self.fcdn_profile_factory = fcdn_profile_factory
-        self.bcdn_profile_factory = bcdn_profile_factory
+        # (shared by every deployment; each node keeps its own state).
+        self.fcdn_profile = fcdn_profile
+        self.bcdn_profile = bcdn_profile
 
     # -- deployment -----------------------------------------------------------
 
@@ -108,14 +108,8 @@ class ObrAttack:
         origin = OriginServer(range_support=False)
         origin.add_synthetic_resource(TARGET_PATH, self.resource_size)
         config = exploited_fcdn_config(self.fcdn)
-        if self.fcdn_profile_factory is not None:
-            fcdn_spec = CdnSpec(profile=self.fcdn_profile_factory(), config=config)
-        else:
-            fcdn_spec = CdnSpec(vendor=self.fcdn, config=config)
-        if self.bcdn_profile_factory is not None:
-            bcdn_spec = CdnSpec(profile=self.bcdn_profile_factory())
-        else:
-            bcdn_spec = CdnSpec(vendor=self.bcdn)
+        fcdn_spec = CdnSpec(profile=self.fcdn_profile or create_profile(self.fcdn), config=config)
+        bcdn_spec = CdnSpec(profile=self.bcdn_profile or create_profile(self.bcdn))
         return Deployment.cascade(fcdn_spec, bcdn_spec, origin, overhead=self.overhead)
 
     def range_value(self, overlap_count: int) -> str:
@@ -151,8 +145,8 @@ class ObrAttack:
             self.fcdn,
             self.bcdn,
             self.resource_size,
-            self.fcdn_profile_factory,
-            self.bcdn_profile_factory,
+            self.fcdn_profile,
+            self.bcdn_profile,
         )
         return largest_admitted(
             lambda n: self.probe(n) == StatusCode.PARTIAL_CONTENT, 2, MAX_OVERLAPS, guess

@@ -14,9 +14,10 @@ Table IV's per-vendor exploited range cases are declared in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.analysis.classify import exploited_range_cases
+from repro.cdn.vendors import create_profile
 from repro.core.amplification import AmplificationReport
 from repro.core.cachebusting import CacheBuster
 from repro.core.deployment import CdnSpec, Deployment
@@ -58,11 +59,10 @@ class SbrAttack:
     Each :meth:`run` builds a *fresh* deployment (fresh caches, fresh
     ledger) so results are independent and repeatable.
 
-    ``profile_factory`` substitutes a wrapped profile (e.g. a
+    ``profile`` substitutes a wrapped profile (e.g. a
     ``MitigatedProfile``) for the registry vendor while keeping the
     vendor's exploited range cases — the recommendation engine's
-    before/after measurement.  A factory rather than an instance because
-    every :meth:`run` needs a fresh profile (profiles are stateful).
+    before/after measurement.
     """
 
     def __init__(
@@ -73,7 +73,7 @@ class SbrAttack:
         config: Optional[object] = None,
         overhead: Optional[OverheadModel] = None,
         host: str = "victim.example",
-        profile_factory: Optional[Callable[[], "VendorProfile"]] = None,
+        profile: Optional["VendorProfile"] = None,
     ) -> None:
         self.vendor = vendor
         self.resource_size = resource_size
@@ -81,18 +81,13 @@ class SbrAttack:
         self.config = config
         self.overhead = overhead
         self.host = host
-        self.profile_factory = profile_factory
+        self.profile = profile
 
     def build_deployment(self) -> Deployment:
         origin = OriginServer()
         origin.add_synthetic_resource(self.resource_path, self.resource_size)
-        if self.profile_factory is not None:
-            spec = CdnSpec(
-                profile=self.profile_factory(),
-                config=self.config,  # type: ignore[arg-type]
-            )
-        else:
-            spec = CdnSpec(vendor=self.vendor, config=self.config)  # type: ignore[arg-type]
+        profile = self.profile or create_profile(self.vendor)
+        spec = CdnSpec(profile=profile, config=self.config)  # type: ignore[arg-type]
         return Deployment.single(spec, origin, overhead=self.overhead)
 
     def run(self, rounds: int = 1, range_cases: Optional[List[str]] = None) -> SbrResult:

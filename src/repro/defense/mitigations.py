@@ -24,8 +24,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import replace
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.cdn.limits import HeaderLimits
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.policy import ForwardDecision, ForwardPolicy, bounded_expansion
 from repro.cdn.vendors.base import (
@@ -38,13 +39,15 @@ from repro.cdn.vendors.base import (
     VendorProfile,
     classify_spec,
 )
+from repro.cdn.window import ContentWindow
 from repro.errors import RangeNotSatisfiableError
-from repro.http.body import Body
+from repro.http.body import CompositeBody
 from repro.http.message import HttpRequest
 from repro.http.ranges import (
     ByteRangeSpec,
     RangeRun,
     RangeSpecifier,
+    parse_content_range,
     ranges_overlap,
     try_parse_range_header,
 )
@@ -114,15 +117,59 @@ def rfc7233_multirange_guard() -> Callable[[HttpRequest], Optional[str]]:
     return check
 
 
-class MitigatedProfile(VendorProfile):
+#: The wrapped vendor's observable identity, which every wrapper keeps.
+_IDENTITY = (
+    "name",
+    "multipart_boundary",
+    "client_header_block_target",
+    "pad_header_name",
+    "server_header",
+    "encoding_policy",
+    "edge_accept_encoding",
+    "edge_decompresses",
+    "compression_ratios",
+)
+
+
+class WrappedProfile(VendorProfile):
+    """A profile standing in for the vendor it wraps: it keeps the
+    wrapped vendor's observable identity (name, response headers,
+    padding weight, boundary, encoding behavior) and configuration, and
+    ``fields`` replace the rest."""
+
+    inner: VendorProfile
+
+    def __init__(self, inner: VendorProfile, limits: HeaderLimits, **fields: object) -> None:
+        super().__init__(limits=limits)
+        self._set(inner=inner, **{name: getattr(inner, name) for name in _IDENTITY})
+        self._set(**fields)
+
+    def effective_config(self) -> VendorConfig:
+        """The wrapped vendor's configuration — wrapped profiles must
+        round-trip through ``classify_sbr`` and deployment construction
+        with the inner vendor's config (Huawei's Range origin option,
+        Cloudflare's cacheability) intact."""
+        return self.inner.effective_config()
+
+    def forward_headers(self) -> List[Tuple[str, str]]:
+        return self.inner.forward_headers()
+
+    def response_headers(self) -> List[Tuple[str, str]]:
+        return self.inner.response_headers()
+
+
+class MitigatedProfile(WrappedProfile):
     """A vendor profile with its Range forwarding policy replaced.
 
-    The wrapped vendor's observable identity (name, response headers,
-    padding weight, boundary, limits) is preserved; only the policy under
-    test changes.  The default single-connection fetch flow is used
+    Only the policy under test changes; the limits are the wrapped
+    vendor's.  The default single-connection fetch flow is used
     deliberately — the multi-connection quirks (Azure, StackPath,
-    KeyCDN) are part of what the mitigations remove.
+    KeyCDN) are part of what the mitigations remove.  The encoding
+    arguments, when given, replace the vendor's CCFC behavior too.
     """
+
+    forwarding: str
+    expansion_slack: int
 
     def __init__(
         self,
@@ -131,6 +178,9 @@ class MitigatedProfile(VendorProfile):
         expansion_slack: int = 8 * 1024,
         reply_behavior: Optional[MultiRangeReplyBehavior] = None,
         overlap_guard: bool = False,
+        encoding_policy: Optional[EncodingPolicy] = None,
+        edge_accept_encoding: Optional[Tuple[str, ...]] = None,
+        edge_decompresses: Optional[bool] = None,
     ) -> None:
         if forwarding not in ("laziness", "bounded-expansion"):
             raise ValueError(f"unknown mitigation forwarding mode {forwarding!r}")
@@ -143,41 +193,23 @@ class MitigatedProfile(VendorProfile):
                 custom=_chain_guards(limits.custom, rfc7233_multirange_guard()),
                 max_overlapping_ranges=MAX_OVERLAPPING_RANGES,
             )
-        super().__init__(limits=limits)
-        self.inner = inner
-        self.forwarding = forwarding
-        self.expansion_slack = expansion_slack
-        # Mirror the wrapped vendor's identity at instance level.
-        self.name = inner.name
-        self.display_name = f"{inner.display_name} (mitigated)"
-        self.reply_behavior = (
-            reply_behavior if reply_behavior is not None else inner.reply_behavior
+        encoding = {
+            "encoding_policy": encoding_policy,
+            "edge_accept_encoding": edge_accept_encoding,
+            "edge_decompresses": edge_decompresses,
+        }
+        super().__init__(
+            inner,
+            limits,
+            forwarding=forwarding,
+            expansion_slack=expansion_slack,
+            display_name=f"{inner.display_name} (mitigated)",
+            reply_behavior=(
+                reply_behavior if reply_behavior is not None else inner.reply_behavior
+            ),
+            reply_max_parts=inner.reply_max_parts,
+            **{name: value for name, value in encoding.items() if value is not None},
         )
-        self.reply_max_parts = inner.reply_max_parts
-        self.multipart_boundary = inner.multipart_boundary
-        self.client_header_block_target = inner.client_header_block_target
-        self.pad_header_name = inner.pad_header_name
-        self.server_header = inner.server_header
-        self.encoding_policy = inner.encoding_policy
-        self.edge_accept_encoding = inner.edge_accept_encoding
-        self.edge_decompresses = inner.edge_decompresses
-        self.compression_ratios = inner.compression_ratios
-
-    @classmethod
-    def default_config(cls) -> VendorConfig:
-        """Class-level fallback only: a bare :class:`MitigatedProfile`
-        class knows no inner vendor, so this is the base default.
-        Instance paths (deployment / grid construction / classification)
-        go through :meth:`effective_config`, which returns the wrapped
-        vendor's configuration."""
-        return VendorProfile.default_config()
-
-    def effective_config(self) -> VendorConfig:
-        """The wrapped vendor's configuration — mitigated profiles must
-        round-trip through ``classify_sbr`` and deployment construction
-        with the inner vendor's config (Huawei's Range origin option,
-        Cloudflare's cacheability) intact."""
-        return self.inner.effective_config()
 
     def forward_decision(
         self,
@@ -195,12 +227,6 @@ class MitigatedProfile(VendorProfile):
             first, last = bounded_expansion(only.first, only.last, slack=self.expansion_slack)
             return ForwardDecision.expand(f"bytes={first}-{last}")
         return ForwardDecision.lazy(request.range_header)
-
-    def forward_headers(self) -> List[Tuple[str, str]]:
-        return self.inner.forward_headers()
-
-    def response_headers(self) -> List[Tuple[str, str]]:
-        return self.inner.response_headers()
 
 
 def _chain_guards(
@@ -239,7 +265,7 @@ def with_overlap_rejection(inner: VendorProfile) -> MitigatedProfile:
     )
 
 
-class SlicingProfile(VendorProfile):
+class SlicingProfile(WrappedProfile):
     """Slice-based range fetching — G-Core's deployed fix, properly.
 
     Instead of Deletion (pull everything) or pure Laziness (cache
@@ -253,34 +279,24 @@ class SlicingProfile(VendorProfile):
     Slicing applies to single closed ranges (the SBR shape).  Open-ended
     and suffix ranges need the representation length up front and are
     forwarded lazily; multi-range requests are forwarded lazily too.
+
+    The slices and the learned lengths are the edge node's
+    (:attr:`EdgeState.slices <repro.cdn.vendors.base.EdgeState>`), so
+    every node caches its own.
     """
+
+    slice_size: int
 
     def __init__(self, inner: VendorProfile, slice_size: int = 1 << 20) -> None:
         if slice_size < 1:
             raise ValueError(f"slice_size must be >= 1, got {slice_size}")
-        super().__init__(limits=inner.limits)
-        self.inner = inner
-        self.slice_size = slice_size
-        self.name = inner.name
-        self.display_name = f"{inner.display_name} (sliced)"
-        self.reply_behavior = MultiRangeReplyBehavior.COALESCE
-        self.multipart_boundary = inner.multipart_boundary
-        self.client_header_block_target = inner.client_header_block_target
-        self.pad_header_name = inner.pad_header_name
-        self.server_header = inner.server_header
-        self.encoding_policy = inner.encoding_policy
-        self.edge_accept_encoding = inner.edge_accept_encoding
-        self.edge_decompresses = inner.edge_decompresses
-        self.compression_ratios = inner.compression_ratios
-        #: Slice cache: (host, target, slice index) -> payload body.
-        self._slices: Dict[Tuple[str, str, int], Body] = {}
-        #: Learned complete lengths: (host, target) -> int.
-        self._lengths: Dict[Tuple[str, str], int] = {}
-
-    def effective_config(self) -> VendorConfig:
-        """The wrapped vendor's configuration (see
-        :meth:`MitigatedProfile.effective_config`)."""
-        return self.inner.effective_config()
+        super().__init__(
+            inner,
+            inner.limits,
+            slice_size=slice_size,
+            display_name=f"{inner.display_name} (sliced)",
+            reply_behavior=MultiRangeReplyBehavior.COALESCE,
+        )
 
     def fetch(
         self,
@@ -289,11 +305,6 @@ class SlicingProfile(VendorProfile):
         ctx: VendorContext,
         exchange: ExchangeFn,
     ) -> FetchResult:
-        from repro.cdn.vendors.base import FetchResult, SpecShape, classify_spec
-        from repro.cdn.window import ContentWindow
-        from repro.http.body import CompositeBody
-        from repro.http.ranges import ByteRangeSpec, parse_content_range
-
         if spec is None or classify_spec(spec) is not SpecShape.SINGLE_CLOSED:
             return super().fetch(request, spec, ctx, exchange)
 
@@ -302,14 +313,15 @@ class SlicingProfile(VendorProfile):
         first_slice = only.first // self.slice_size
         last_slice = only.last // self.slice_size
         resource_key = (request.host or "", request.target)
+        slices, lengths = ctx.state.slices, ctx.state.lengths
 
         pieces = []
-        complete = self._lengths.get(resource_key)
+        complete = lengths.get(resource_key)
         source_headers = None
         for index in range(first_slice, last_slice + 1):
             if complete is not None and index * self.slice_size >= complete:
                 break  # requested range runs past EOF; later slices vanish
-            cached = self._slices.get(resource_key + (index,))
+            cached = slices.get(resource_key + (index,))
             if cached is not None:
                 pieces.append(cached)
                 continue
@@ -322,7 +334,7 @@ class SlicingProfile(VendorProfile):
             if response.status == StatusCode.OK:
                 # Origin without range support: take the whole body once.
                 complete = len(response.body)
-                self._lengths[resource_key] = complete
+                lengths[resource_key] = complete
                 return FetchResult(
                     window=ContentWindow.full(response.body),
                     policy=ForwardPolicy.EXPANSION,
@@ -347,8 +359,8 @@ class SlicingProfile(VendorProfile):
                     upstream_status=206,
                 )
             complete = complete_from_header
-            self._lengths[resource_key] = complete
-            self._slices[resource_key + (index,)] = response.body
+            lengths[resource_key] = complete
+            slices[resource_key + (index,)] = response.body
             pieces.append(response.body)
             source_headers = response.headers
 
@@ -369,16 +381,6 @@ class SlicingProfile(VendorProfile):
             source_headers=source_headers,
         )
 
-    def forward_headers(self) -> List[Tuple[str, str]]:
-        return self.inner.forward_headers()
-
-    def response_headers(self) -> List[Tuple[str, str]]:
-        return self.inner.response_headers()
-
-    def cached_slice_count(self) -> int:
-        """How many slices this edge currently holds."""
-        return len(self._slices)
-
 
 def with_slicing(inner: VendorProfile, slice_size: int = 1 << 20) -> SlicingProfile:
     """The slice-option mitigation: per-request origin traffic bounded by
@@ -396,12 +398,12 @@ def with_encoding_passthrough(inner: VendorProfile) -> VendorProfile:
     client's header verbatim makes the origin serve what the client can
     actually consume, so the edge ships bytes one-for-one.
     """
-    mitigated = with_laziness(inner)
-    mitigated.forwarding = "laziness"
-    mitigated.encoding_policy = EncodingPolicy.FORWARD
-    mitigated.edge_accept_encoding = ()
-    mitigated.edge_decompresses = False
-    return mitigated
+    return MitigatedProfile(
+        inner,
+        encoding_policy=EncodingPolicy.FORWARD,
+        edge_accept_encoding=(),
+        edge_decompresses=False,
+    )
 
 
 def with_encoding_normalization(inner: VendorProfile) -> VendorProfile:
@@ -412,6 +414,4 @@ def with_encoding_normalization(inner: VendorProfile) -> VendorProfile:
     Decompression support stays enabled — it simply never engages,
     because the origin only returns codings the client already accepts.
     """
-    mitigated = with_laziness(inner)
-    mitigated.encoding_policy = EncodingPolicy.NORMALIZE
-    return mitigated
+    return MitigatedProfile(inner, encoding_policy=EncodingPolicy.NORMALIZE)

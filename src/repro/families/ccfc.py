@@ -25,7 +25,7 @@ from repro.families.base import (
     Subject,
     Sweep,
     format_size,
-    mitigation_profile_factory,
+    mitigated_profile,
     vendor_factor,
 )
 from repro.obs.memo import Memo
@@ -108,8 +108,7 @@ def _residual(subject: Subject, spec: MitigationSpec, size: int) -> float:
     delivers — ~1.0 for pass-through and normalization, since the origin
     then only serves codings the client accepts."""
     (vendor,) = subject
-    factory = mitigation_profile_factory(vendor, spec.name)
-    return profile_ccfc_bound(vendor, factory, size).factor
+    return profile_ccfc_bound(vendor, mitigated_profile(vendor, spec.name), size).factor
 
 
 def _simulate(

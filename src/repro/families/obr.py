@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.bounds import obr_bound, static_max_n
-from repro.analysis.classify import ProfileFactory, vulnerable_cascade
+from repro.analysis.classify import vulnerable_cascade
 from repro.analysis.report import Finding, severity_for_factor
 from repro.errors import ConfigurationError
 from repro.families.base import (
@@ -24,11 +24,11 @@ from repro.families.base import (
     MitigationSpec,
     Subject,
     Sweep,
-    mitigation_profile_factory,
+    mitigated_profile,
 )
 
 if TYPE_CHECKING:
-    from repro.cdn.vendors.base import VendorConfig
+    from repro.cdn.vendors.base import VendorConfig, VendorProfile
     from repro.core.obr import ObrResult
     from repro.netsim.overhead import OverheadModel
     from repro.reporting.render import Table
@@ -38,14 +38,14 @@ if TYPE_CHECKING:
 QUICK_TABLE5_COMBOS = (("cloudflare", "akamai"), ("cdn77", "azure"))
 
 
-def _factories(
+def _profiles(
     fcdn: str, bcdn: str, spec: Optional[MitigationSpec]
-) -> Tuple[Optional[ProfileFactory], Optional[ProfileFactory]]:
+) -> Tuple[Optional["VendorProfile"], Optional["VendorProfile"]]:
     if spec is None:
         return None, None
     if spec.target == "fcdn":
-        return mitigation_profile_factory(fcdn, spec.name), None
-    return None, mitigation_profile_factory(bcdn, spec.name)
+        return mitigated_profile(fcdn, spec.name), None
+    return None, mitigated_profile(bcdn, spec.name)
 
 
 def _finding(
@@ -102,7 +102,7 @@ def _residual(subject: Subject, spec: MitigationSpec, size: int) -> float:
     (the guard rejects every exploitable shape outright).
     """
     fcdn, bcdn = subject
-    front, back = _factories(fcdn, bcdn, spec)
+    front, back = _profiles(fcdn, bcdn, spec)
     try:
         return obr_bound(
             fcdn,
@@ -121,7 +121,7 @@ def _simulate(
     from repro.core.obr import ObrAttack
 
     fcdn, bcdn = subject
-    front, back = _factories(fcdn, bcdn, spec)
+    front, back = _profiles(fcdn, bcdn, spec)
     n = static_max_n(
         fcdn, bcdn, resource_size=resource_size, fcdn_profile=front, bcdn_profile=back
     )
@@ -132,8 +132,8 @@ def _simulate(
         fcdn,
         bcdn,
         resource_size=resource_size,
-        fcdn_profile_factory=front,
-        bcdn_profile_factory=back,
+        fcdn_profile=front,
+        bcdn_profile=back,
     )
     return attack.run(overlap_count=n).amplification
 
@@ -200,8 +200,6 @@ def _sweep(vendors: Sequence[str], quick: bool) -> Sweep:
         cells=[grid_cell(fcdn, bcdn) for fcdn, bcdn in combos],
         ledger=combos,
         tables=tables,
-        # Each cell hides a max-n search and a thousands-part multipart.
-        leads=True,
     )
 
 

@@ -26,7 +26,7 @@ from repro.families.base import (
     Subject,
     Sweep,
     format_size,
-    mitigation_profile_factory,
+    mitigated_profile,
     vendor_factor,
 )
 from repro.obs.memo import Memo
@@ -80,8 +80,7 @@ def _finding(
 def _residual(subject: Subject, spec: MitigationSpec, size: int) -> float:
     """Worst-case SBR factor after wrapping the vendor in ``spec``."""
     (vendor,) = subject
-    factory = mitigation_profile_factory(vendor, spec.name)
-    return profile_sbr_bound(vendor, factory, size).factor
+    return profile_sbr_bound(vendor, mitigated_profile(vendor, spec.name), size).factor
 
 
 def _faulted_residual(subject: Subject, spec: MitigationSpec, size: int) -> float:
@@ -90,8 +89,7 @@ def _faulted_residual(subject: Subject, spec: MitigationSpec, size: int) -> floa
     from repro.faults.retry import retry_policy_for
 
     (vendor,) = subject
-    factory = mitigation_profile_factory(vendor, spec.name)
-    base = profile_sbr_bound(vendor, factory, size)
+    base = profile_sbr_bound(vendor, mitigated_profile(vendor, spec.name), size)
     return FaultedSbrBound(
         base=base, max_attempts=retry_policy_for(vendor).max_attempts
     ).factor

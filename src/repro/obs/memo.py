@@ -93,10 +93,11 @@ class Memo:
                 self._record(hit=True)
                 return value
         # Compute outside the lock: measurements can be slow, and a
-        # duplicate computation is merely wasted work, never wrong.
+        # duplicate computation is merely wasted work, never wrong.  A
+        # racing duplicate returns the value stored first, so callers
+        # of one key share one object.
         value = compute()
-        self._store(key, value, keep is None or keep(value))
-        return value
+        return self._store(key, value, keep is None or keep(value))
 
     def get_or_compute_under(
         self,
@@ -117,16 +118,17 @@ class Memo:
                     self._record(hit=True)
                     return value
         value, key = compute()
-        self._store(key, value)
-        return value
+        return self._store(key, value)
 
     def peek(self, key: Hashable) -> Any:
         """The value cached under ``key``, or ``None``; records no lookup."""
         with self._lock:
             return self._table.get(key)
 
-    def _store(self, key: Hashable, value: Any, keep: bool = True) -> None:
-        """Insert a computed miss (FIFO eviction) and count the miss."""
+    def _store(self, key: Hashable, value: Any, keep: bool = True) -> Any:
+        """Insert a computed miss (FIFO eviction), count the miss, and
+        return what ``key`` holds now: a racing computation's value if
+        it stored first, else ``value``."""
         with self._lock:
             if keep and key not in self._table:
                 if len(self._table) >= self.maxsize:
@@ -134,8 +136,10 @@ class Memo:
                     del self._table[oldest]
                     self.stats.evictions += 1
                 self._table[key] = value
+            stored = self._table.get(key, value)
             self.stats.misses += 1
         self._record(hit=False)
+        return stored
 
     def clear(self) -> None:
         with self._lock:

@@ -117,11 +117,8 @@ def _combined_grid(
 ) -> ExperimentGrid:
     grid = ExperimentGrid("run-all")
     # Grid order is the order the run ledger, the profile and the
-    # checkpoint list cells in: leading sweeps (OBR) first, then the
-    # faulted cells, Fig 7 and every other sweep.
-    for _, sweep in sweeps:
-        if sweep.leads:
-            grid.extend(sweep.cells)
+    # checkpoint list cells in: the faulted cells, Fig 7, then each
+    # family's sweep.
     if faults:
         from repro.faults.experiment import faulted_sbr_grid
 
@@ -131,8 +128,7 @@ def _combined_grid(
     fig7_ms = QUICK_FIG7_MS if quick else tuple(range(1, 16))
     grid.extend(flood_grid(fig7_ms, vendor=FLOOD_VENDOR).cells)
     for _, sweep in sweeps:
-        if not sweep.leads:
-            grid.extend(sweep.cells)
+        grid.extend(sweep.cells)
     return grid
 
 

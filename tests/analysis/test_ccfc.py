@@ -16,6 +16,7 @@ from repro.analysis.bounds import CcfcBound, ccfc_bound, profile_ccfc_bound
 from repro.analysis.classify import classify_ccfc
 from repro.cdn.vendors import all_vendor_names, create_profile
 from repro.cdn.vendors.base import EncodingPolicy
+from repro.cdn.vendors.cloudflare import CloudflareProfile
 from repro.core.ccfc import CcfcAttack
 from repro.defense.mitigations import (
     with_encoding_normalization,
@@ -35,6 +36,16 @@ VULNERABLE = (
     "huawei",
     "keycdn",
 )
+
+
+def _cloudflare_with_ratios(br, gzip):
+    """Cloudflare with other compression ratios.  Profiles are immutable,
+    so the ratios are a subclass's class attribute."""
+
+    class Recompressed(CloudflareProfile):
+        compression_ratios = {"br": br, "gzip": gzip, "identity": 1.0}
+
+    return Recompressed()
 
 
 class TestCcfcBound:
@@ -108,19 +119,9 @@ class TestBoundEqualsSimulation:
     def test_random_ratios_never_exceed_the_bound(
         self, size, br_ratio, gzip_ratio
     ):
-        def factory():
-            profile = create_profile("cloudflare")
-            profile.compression_ratios = {
-                "br": br_ratio,
-                "gzip": gzip_ratio,
-                "identity": 1.0,
-            }
-            return profile
-
-        attack = CcfcAttack(
-            "cloudflare", resource_size=size, profile_factory=factory
-        )
-        bound = profile_ccfc_bound("cloudflare", factory, size)
+        profile = _cloudflare_with_ratios(br=br_ratio, gzip=gzip_ratio)
+        attack = CcfcAttack("cloudflare", resource_size=size, profile=profile)
+        bound = profile_ccfc_bound("cloudflare", profile, size)
         assert attack.run().amplification <= bound.factor
 
 
@@ -151,16 +152,8 @@ class TestClassifyDecisionTable:
         assert decision.mechanism == "strip"
 
     def test_incompressible_rewrite_is_safe(self):
-        def factory():
-            profile = create_profile("cloudflare")
-            profile.compression_ratios = {
-                "br": 1.0,
-                "gzip": 1.0,
-                "identity": 1.0,
-            }
-            return profile
-
-        decision = classify_ccfc("cloudflare", profile_factory=factory)
+        profile = _cloudflare_with_ratios(br=1.0, gzip=1.0)
+        decision = classify_ccfc("cloudflare", profile=profile)
         assert not decision.vulnerable
         assert decision.mechanism == "rewrite-incompressible"
 
@@ -176,29 +169,21 @@ class TestClassifyDecisionTable:
 class TestEncodingMitigations:
     @pytest.mark.parametrize("vendor", VULNERABLE)
     def test_passthrough_collapses_the_factor(self, vendor):
-        def factory():
-            return with_encoding_passthrough(create_profile(vendor))
-
-        residual = profile_ccfc_bound(vendor, factory, 1 * MB)
+        profile = with_encoding_passthrough(create_profile(vendor))
+        residual = profile_ccfc_bound(vendor, profile, 1 * MB)
         assert residual.encoding is None
         assert residual.factor < 1.01
 
     @pytest.mark.parametrize("vendor", VULNERABLE)
     def test_normalization_collapses_the_factor(self, vendor):
-        def factory():
-            return with_encoding_normalization(create_profile(vendor))
-
+        profile = with_encoding_normalization(create_profile(vendor))
         # An identity-only client under NORMALIZE gets an identity
         # upstream request: nothing to inflate.
-        residual = profile_ccfc_bound(vendor, factory, 1 * MB)
+        residual = profile_ccfc_bound(vendor, profile, 1 * MB)
         assert residual.factor < 1.01
 
     def test_mitigated_residual_is_itself_exact(self):
-        def factory():
-            return with_encoding_passthrough(create_profile("cloudflare"))
-
-        simulated = CcfcAttack(
-            "cloudflare", resource_size=1 * MB, profile_factory=factory
-        ).run()
-        residual = profile_ccfc_bound("cloudflare", factory, 1 * MB)
+        profile = with_encoding_passthrough(create_profile("cloudflare"))
+        simulated = CcfcAttack("cloudflare", resource_size=1 * MB, profile=profile).run()
+        residual = profile_ccfc_bound("cloudflare", profile, 1 * MB)
         assert simulated.amplification == residual.factor

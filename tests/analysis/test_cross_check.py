@@ -91,16 +91,11 @@ class TestObrGridNeverExceedsBound:
         wrap = MITIGATIONS[mitigation]
         vendor = fcdn if side == "fcdn" else bcdn
 
-        def factory():
-            return wrap(create_profile(vendor))
-
-        fcdn_profile = factory if side == "fcdn" else None
-        bcdn_profile = factory if side == "bcdn" else None
+        profile = wrap(create_profile(vendor))
+        fcdn_profile = profile if side == "fcdn" else None
+        bcdn_profile = profile if side == "bcdn" else None
         simulated_n = ObrAttack(
-            fcdn,
-            bcdn,
-            fcdn_profile_factory=fcdn_profile,
-            bcdn_profile_factory=bcdn_profile,
+            fcdn, bcdn, fcdn_profile=fcdn_profile, bcdn_profile=bcdn_profile
         ).find_max_n()
         assert simulated_n == static_max_n(
             fcdn, bcdn, fcdn_profile=fcdn_profile, bcdn_profile=bcdn_profile

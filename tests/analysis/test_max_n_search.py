@@ -21,7 +21,6 @@ from repro.analysis.bounds import declared_max_n, largest_admitted, static_max_n
 from repro.analysis.classify import (
     MAX_OVERLAPS,
     MULTI_RANGE_SHAPES,
-    WrappedFactory,
     probe_decision,
 )
 from repro.cdn.policy import ForwardDecision
@@ -36,7 +35,7 @@ from repro.defense.mitigations import (
     with_overlap_rejection,
 )
 from repro.errors import ConfigurationError
-from repro.families.base import mitigation_profile_factory
+from repro.families.base import mitigated_profile
 from repro.families.obr import FAMILY as OBR
 from repro.obs.memo import clear_all_memos, memo_stats
 
@@ -73,7 +72,7 @@ def bisection_oracle(admits, lower, upper):
 
 
 def _wrapped(vendor, wrapper):
-    return lambda: wrapper(create_profile(vendor))
+    return wrapper(create_profile(vendor))
 
 
 class _CountingProbe:
@@ -212,9 +211,10 @@ OPAQUE_RANGE_LINE = 4000
 
 
 def _with_opaque_limit(inner):
-    """Replaces a profile's ``custom`` with an ad-hoc lambda, which only
-    a real message can answer."""
-    inner.limits = replace(
+    """``inner``'s vendor with its ``custom`` limit replaced by an ad-hoc
+    lambda, which only a real message can answer.  Profiles are
+    immutable, so the limits come from a subclass."""
+    limits = replace(
         inner.limits,
         custom=lambda request: (
             "Range line too long"
@@ -222,7 +222,12 @@ def _with_opaque_limit(inner):
             else None
         ),
     )
-    return inner
+
+    class OpaqueLimit(type(inner)):
+        def default_limits(self):
+            return limits
+
+    return OpaqueLimit()
 
 
 #: Per-pair examples: a fraction of the loaded profile's budget, so the
@@ -256,12 +261,12 @@ class TestSizedProbeMatchesTheMessageOracle:
         vendor = fcdn if side == "fcdn" else bcdn
         profiles = {"fcdn_profile": None, "bcdn_profile": None}
         if substitute == "opaque-limit":
-            profiles[f"{side}_profile"] = WrappedFactory(vendor, _with_opaque_limit)
+            profiles[f"{side}_profile"] = _wrapped(vendor, _with_opaque_limit)
         elif substitute is not None:
-            profiles[f"{side}_profile"] = mitigation_profile_factory(vendor, substitute)
+            profiles[f"{side}_profile"] = mitigated_profile(vendor, substitute)
 
         plan = bounds._front_plan(fcdn, resource_size, profiles["fcdn_profile"])
-        back = bounds._back_profile(bcdn, profiles["bcdn_profile"])
+        back = profiles["bcdn_profile"] or create_profile(bcdn)
         cap = declared_max_n(fcdn, bcdn, resource_size, **profiles)
         if cap is None:
             cap = MAX_OVERLAPS
@@ -278,7 +283,7 @@ class TestSizedProbeMatchesTheMessageOracle:
             static_max_n("cdn77", "akamai", lower=1)
 
     def test_the_opaque_limit_binds_below_the_declared_cap(self):
-        front = WrappedFactory("cdn77", _with_opaque_limit)
+        front = _wrapped("cdn77", _with_opaque_limit)
         n = static_max_n("cdn77", "akamai", fcdn_profile=front)
         assert 2 < n < static_max_n("cdn77", "akamai")
 
@@ -334,11 +339,12 @@ class _SizeGatedProfile(VendorProfile):
         return ForwardDecision.lazy(request.range_header)
 
 
-#: How a property example substitutes one side: mitigations by name,
-#: or the size-gated front/back above (memoizable, like the mitigations).
+#: How a property example substitutes one side: the shared mitigated
+#: profiles by name, or the size-gated front/back above (memoized under
+#: its instance, like the mitigations).
 SIDE_FACTORIES = {
-    **{name: partial(mitigation_profile_factory, mitigation=name) for name in WRAPPERS},
-    "size-gated": lambda vendor: WrappedFactory(vendor, _size_gated),
+    **{name: partial(mitigated_profile, mitigation=name) for name in WRAPPERS},
+    "size-gated": partial(_wrapped, wrapper=_size_gated),
 }
 
 

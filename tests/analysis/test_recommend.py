@@ -34,7 +34,7 @@ from repro.analysis.recommend import (
     Recommendation,
     RecommendationReport,
     _pick,
-    mitigation_profile_factory,
+    mitigated_profile,
     recommend,
     render_recommendations_table,
     verify_recommendations,
@@ -249,8 +249,8 @@ class TestResidualBounds:
 
     def test_laziness_residual_below_clean_bound_for_every_vendor(self):
         for vendor in SBR_VULNERABLE:
-            factory = mitigation_profile_factory(vendor, "laziness")
-            residual = profile_sbr_bound(vendor, factory, 10 * MB).factor
+            profile = mitigated_profile(vendor, "laziness")
+            residual = profile_sbr_bound(vendor, profile, 10 * MB).factor
             clean = sbr_bound(vendor, 10 * MB).factor
             assert residual < clean
             assert residual < DEFAULT_THRESHOLD
@@ -281,11 +281,9 @@ class TestSimulationNeverExceedsResidual:
         mitigation=st.sampled_from(["laziness", "bounded-expansion"]),
     )
     def test_random_sizes(self, vendor, size, mitigation):
-        factory = mitigation_profile_factory(vendor, mitigation)
-        bound = profile_sbr_bound(vendor, factory, size)
-        simulated = SbrAttack(
-            vendor, resource_size=size, profile_factory=factory
-        ).run()
+        profile = mitigated_profile(vendor, mitigation)
+        bound = profile_sbr_bound(vendor, profile, size)
+        simulated = SbrAttack(vendor, resource_size=size, profile=profile).run()
         assert simulated.amplification <= bound.factor, (
             f"{vendor}+{mitigation} at {size}: simulated "
             f"{simulated.amplification:.2f} exceeds residual bound "

@@ -6,7 +6,7 @@ size for Huawei, whose decisions read it) — not once per back end —
 reads each back end's reply facts once, and certifies every max-n
 search, the RFC 7233 guarded ones included, with two static probes.
 Recommendations bound no candidate costlier than the one they choose.  SBR classifications, which probe fixed size
-regimes, are read once per ``(vendor, config, factory)`` whatever the
+regimes, are read once per ``(vendor, config, profile)`` whatever the
 size.  Each distinct OBR Range value is built once and parsed once.
 The max-n probes compare header sizes, so no search runs
 ``HeaderLimits.check`` or builds a request per probe, and the
@@ -39,7 +39,7 @@ from repro.cdn.limits import HeaderLimits
 from repro.cdn.vendors import all_vendor_names, create_profile
 from repro.cdn.vendors.base import VendorContext
 from repro.defense.mitigations import with_laziness
-from repro.families.base import mitigation_profile_factory
+from repro.families.base import mitigated_profile
 from repro.http import grammar, ranges
 from repro.http.message import HttpRequest
 from repro.http.ranges import try_parse_range_header
@@ -140,29 +140,41 @@ def test_sbr_classification_is_read_once_per_vendor_config_and_factory(cold):
     assert analyze_vendor_matrix(**SIZES).to_json() == first
 
 
-def test_mitigation_factories_are_memo_keys(cold):
-    factory = mitigation_profile_factory("akamai", "laziness")
-    assert factory == mitigation_profile_factory("akamai", "laziness")
-    assert hash(factory) == hash(mitigation_profile_factory("akamai", "laziness"))
-    assert factory != mitigation_profile_factory("akamai", "slicing")
-    assert factory != mitigation_profile_factory("fastly", "laziness")
-    assert factory() is not factory()
+def test_mitigated_profiles_are_memo_keys(cold):
+    profile = mitigated_profile("akamai", "laziness")
+    assert profile is mitigated_profile("akamai", "laziness")
+    assert profile is not mitigated_profile("akamai", "slicing")
+    assert profile is not mitigated_profile("fastly", "laziness")
+    shared = memo_stats()["mitigated_profile"]
+    assert (shared.misses, shared.hits) == (3, 1)
 
-    mitigated = classify_sbr("akamai", profile_factory=factory)
-    again = classify_sbr("akamai", profile_factory=mitigation_profile_factory("akamai", "laziness"))
+    mitigated = classify_sbr("akamai", profile=profile)
+    again = classify_sbr("akamai", profile=mitigated_profile("akamai", "laziness"))
     assert again is mitigated and not mitigated.vulnerable
     stats = memo_stats()["classify_sbr"]
     assert (stats.misses, stats.hits) == (1, 1)
 
+    # Clearing the memos drops the shared profiles too; the rebuilt one
+    # answers the same.
+    clear_all_memos()
+    rebuilt = mitigated_profile("akamai", "laziness")
+    assert rebuilt is not profile
+    assert classify_sbr("akamai", profile=rebuilt) == mitigated
 
-def test_ad_hoc_factories_stay_uncached(cold):
-    def factory():
-        return with_laziness(create_profile("akamai"))
 
-    classify_sbr("akamai", profile_factory=factory)
-    static_max_n("cdn77", "akamai", bcdn_profile=factory)
-    assert memo_stats()["classify_sbr"].lookups == 0
-    assert memo_stats()["static_max_n"].lookups == 0
+def test_ad_hoc_profiles_are_memo_keys_by_identity(cold):
+    ad_hoc = with_laziness(create_profile("akamai"))
+    first = classify_sbr("akamai", profile=ad_hoc)
+    assert classify_sbr("akamai", profile=ad_hoc) is first
+    max_n = static_max_n("cdn77", "akamai", bcdn_profile=ad_hoc)
+    assert static_max_n("cdn77", "akamai", bcdn_profile=ad_hoc) == max_n
+    # An equal profile built apart is another key with the same answer.
+    twin = with_laziness(create_profile("akamai"))
+    assert classify_sbr("akamai", profile=twin) == first
+    assert static_max_n("cdn77", "akamai", bcdn_profile=twin) == max_n
+    for name in ("classify_sbr", "static_max_n"):
+        stats = memo_stats()[name]
+        assert (stats.misses, stats.hits) == (2, 1), name
 
 
 def test_front_end_decisions_are_read_without_the_size_except_huaweis(cold):
@@ -274,8 +286,7 @@ def test_each_front_plan_builds_one_client_request(cold, monkeypatch):
                 for side, vendor in (("fcdn", fcdn), ("bcdn", bcdn)):
                     profiles = {}
                     if mitigation is not None:
-                        factory = mitigation_profile_factory(vendor, mitigation)
-                        profiles[f"{side}_profile"] = factory
+                        profiles[f"{side}_profile"] = mitigated_profile(vendor, mitigation)
                     static_max_n(fcdn, bcdn, resource_size=SIZES["obr_resource_size"], **profiles)
     plans = memo_stats()["obr_front_plan"].misses
     assert plans == len(vendors) * len(unguarded)
@@ -298,7 +309,7 @@ def test_each_front_plan_builds_one_client_request(cold, monkeypatch):
 def test_forward_decisions_leave_the_shared_probe_requests_intact(vendor, mitigation):
     profile = (
         create_profile(vendor) if mitigation is None
-        else mitigation_profile_factory(vendor, mitigation)()
+        else mitigated_profile(vendor, mitigation)
     )
     for shape, request in classify._PROBE_REQUESTS.items():
         wire = request.serialize()
@@ -323,7 +334,7 @@ def test_classifying_and_sbr_bounds_build_no_probe_request(cold, monkeypatch):
         classify_sbr(vendor)
         classify_obr_frontend(vendor, SIZES["obr_resource_size"])
         for mitigation in ("laziness", "bounded-expansion", "slicing"):
-            factory = mitigation_profile_factory(vendor, mitigation)
+            profile = mitigated_profile(vendor, mitigation)
             for size in DEFAULT_PROBE_SIZES:
-                profile_sbr_bound(vendor, factory, size)
+                profile_sbr_bound(vendor, profile, size)
     assert not built

@@ -14,9 +14,12 @@ from repro.analysis.classify import (
     classify_obr_frontend,
     classify_sbr,
     probe_decision,
+    probe_request,
 )
 from repro.cdn.policy import ForwardPolicy
 from repro.cdn.vendors import all_vendor_names, create_profile
+from repro.cdn.vendors.base import EdgeState, VendorContext
+from repro.http.ranges import try_parse_range_header
 from repro.reporting.paper_values import PAPER_OBR_FRONTENDS, PAPER_SBR_VULNERABLE
 
 MB = 1 << 20
@@ -32,11 +35,16 @@ def obr_frontends():
 
 
 def both_sightings(vendor, range_value="bytes=0-0", size=MB):
-    """First and second decision for one identical request on one
-    profile instance."""
+    """First and second decision for one identical request reaching one
+    edge node (one :class:`EdgeState`)."""
     profile = create_profile(vendor)
+    state = EdgeState()
     return [
-        probe_decision(vendor, range_value, size, profile_factory=lambda: profile).policy
+        profile.forward_decision(
+            probe_request(range_value),
+            try_parse_range_header(range_value),
+            VendorContext(profile.effective_config(), size, state=state),
+        ).policy
         for _ in range(2)
     ]
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cdn.policy import ForwardPolicy
 from repro.cdn.vendors import all_vendor_names, create_profile
-from repro.cdn.vendors.base import VendorConfig, VendorContext
+from repro.cdn.vendors.base import EdgeState, VendorConfig, VendorContext
 from repro.http.message import HttpRequest
 from repro.http.ranges import try_parse_range_header
 
@@ -17,7 +17,8 @@ MB = 1 << 20
 
 
 def decide(vendor, range_value, config=None, size_hint=None):
-    """Run one forwarding decision through a fresh profile."""
+    """Run one forwarding decision through the vendor's profile, as a
+    fresh edge node would."""
     profile = create_profile(vendor)
     request = HttpRequest(
         "GET", "/file.bin", headers=[("Host", "h"), ("Range", range_value)]
@@ -241,16 +242,24 @@ class TestKeycdn:
         assert one("/a?cb=0", "bytes=1-1").policy is ForwardPolicy.LAZINESS
         assert one("/a?cb=0", "bytes=0-0").policy is ForwardPolicy.DELETION
 
-    def test_reset_seen(self):
+    def test_a_fresh_node_has_seen_nothing(self):
+        # The sightings are the node's: another node sharing the one
+        # profile answers a repeat lazily, the node that saw it deletes.
         profile = create_profile("keycdn")
-        ctx = VendorContext(config=VendorConfig())
         request = HttpRequest(
             "GET", "/a", headers=[("Host", "h"), ("Range", "bytes=0-0")]
         )
         spec = try_parse_range_header("bytes=0-0")
-        profile.forward_decision(request, spec, ctx)
-        profile.reset_seen()
-        assert profile.forward_decision(request, spec, ctx).policy is ForwardPolicy.LAZINESS
+
+        def ask(state):
+            ctx = VendorContext(config=VendorConfig(), state=state)
+            return profile.forward_decision(request, spec, ctx).policy
+
+        seen_once = EdgeState()
+        assert ask(seen_once) is ForwardPolicy.LAZINESS
+        assert ask(EdgeState()) is ForwardPolicy.LAZINESS
+        assert ask(seen_once) is ForwardPolicy.DELETION
+        assert seen_once.seen == {("h", "/a", "bytes=0-0")}
 
 
 class TestTencent:
@@ -271,8 +280,8 @@ class TestRegistry:
     def test_thirteen_vendors(self):
         assert len(all_vendor_names()) == 13
 
-    def test_profiles_are_fresh_instances(self):
-        assert create_profile("keycdn") is not create_profile("keycdn")
+    def test_profiles_are_shared_instances(self):
+        assert create_profile("keycdn") is create_profile("keycdn")
 
     def test_unknown_vendor(self):
         from repro.errors import UnknownVendorError

@@ -274,7 +274,7 @@ class TestConfigRoundTrip:
         clean = classify_sbr("gcore")
         mitigated = classify_sbr(
             "gcore",
-            profile_factory=lambda: with_laziness(create_profile("gcore")),
+            profile=with_laziness(create_profile("gcore")),
         )
         assert clean.vulnerable
         assert not mitigated.vulnerable

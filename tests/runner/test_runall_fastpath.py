@@ -103,7 +103,7 @@ class TestFastPathTelemetry:
 
     def test_outcomes_cover_grid_in_order(self, fast_report):
         assert [profile.experiment for profile in fast_report.cells] == (
-            ["obr"] * 2 + ["flood"] * 3 + ["sbr"] * 39 + ["ccfc"] * 13
+            ["flood"] * 3 + ["sbr"] * 39 + ["obr"] * 2 + ["ccfc"] * 13
         )
         assert all(profile.ok for profile in fast_report.cells)
 
