@@ -5,7 +5,6 @@ compares the measured amplification factor with the paper's, enforcing
 the per-vendor tolerance bands documented in EXPERIMENTS.md.
 """
 
-from repro.analysis.classify import exploited_range_cases
 from repro.cdn.vendors import all_vendor_names, profile_class
 from repro.core.sbr import sbr_grid
 from repro.reporting.paper_values import PAPER_TABLE4_FACTORS
@@ -44,7 +43,7 @@ def test_table4_sbr_factors(benchmark, output_dir):
         rendered_rows.append(
             [
                 profile_class(vendor).display_name,
-                " & ".join(exploited_range_cases(vendor, max(SIZES))),
+                " & ".join(profile_class(vendor).sbr_cases_at(max(SIZES))),
                 *(f"{factors[size]:.0f} (paper {paper[size]})" for size in SIZES),
             ]
         )

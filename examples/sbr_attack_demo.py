@@ -14,8 +14,7 @@ configuration, where the vendor has one.
 
 import sys
 
-from repro.analysis.classify import exploited_range_cases
-from repro.cdn.vendors import all_vendor_names
+from repro.cdn.vendors import all_vendor_names, profile_class
 from repro.cdn.vendors.base import VendorConfig
 from repro.core.deployment import Deployment
 from repro.core.sbr import SbrAttack
@@ -33,7 +32,7 @@ def sweep_all_vendors() -> None:
             SbrAttack(vendor, resource_size=size).run().amplification
             for size in (1 * MB, 10 * MB, 25 * MB)
         ]
-        cases = " & ".join(exploited_range_cases(vendor, 25 * MB))
+        cases = " & ".join(profile_class(vendor).sbr_cases_at(25 * MB))
         rows.append([vendor, cases, *(f"{f:.0f}" for f in factors)])
     print(render_table(["CDN", "exploited case (25MB)", "1MB", "10MB", "25MB"], rows))
 

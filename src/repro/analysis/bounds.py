@@ -15,6 +15,14 @@ for every cell of the run-all grid,
 denominators under-estimated (body bytes ignored, padding slack
 subtracted), so the ratio can only be pessimistic.  The OBR max-n solve
 and the exact CCFC mirror live here too; the wire attacks call them.
+
+Every input is read off a profile, never keyed on a vendor's name: the
+attack tables (``sbr_cases``, ``obr_leading_spec``) off the registry
+class, and the SBR fetch plan off the profile under test — its decision
+table plus the fetch-flow fields it declares (``deletion_cut``,
+``second_window``, ``refetches_after_partial``, ``slice_size``), which
+its own ``fetch`` reads too.  Registry and wrapped (mitigated) profiles
+take the one derivation.
 """
 
 from __future__ import annotations
@@ -25,8 +33,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.analysis.classify import (
     MAX_OVERLAPS,
     TARGET_HOST,
-    exploited_leading_spec,
-    exploited_range_cases,
     exploited_request,
     forwarded_verbatim,
     probe_request,
@@ -34,16 +40,16 @@ from repro.analysis.classify import (
 from repro.cdn.limits import HeaderLimits, RequestHead
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.vendors import create_profile, profile_class
-from repro.cdn.vendors.azure import DEFAULT_ABORT_SLOP, EIGHT_MB, WINDOW_LAST
 from repro.cdn.vendors.base import (
     ContextReads,
     EdgeState,
+    SpecShape,
     VendorContext,
     VendorProfile,
+    classify_spec,
     convert_encoded_response,
     finalize_client_response,
 )
-from repro.cdn.vendors.cloudfront import MULTI_RANGE_WINDOW_CAP
 from repro.core.amplification import AmplificationReport
 from repro.core.cachebusting import CacheBuster
 from repro.errors import (
@@ -98,14 +104,10 @@ MULTIPART_CLOSER_ALLOWANCE = 64
 OBR_CONTENT_TYPE = "application/octet-stream"
 
 
-@dataclass(frozen=True)
-class _Fetch:
-    """One back-to-origin exchange in a vendor's worst-case fetch plan."""
-
-    #: Upper bound on the response *payload* bytes the origin sends.
-    payload_upper: int
-    #: Delivery cap the node imposes (Azure's connection cut), if any.
-    payload_cap: Optional[int] = None
+#: One back-to-origin exchange in a worst-case fetch plan: an upper
+#: bound on the response *payload* bytes the origin sends, and the
+#: delivery cap the node imposes (Azure's connection cut), if any.
+_Fetch = Tuple[int, Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -142,55 +144,13 @@ def sbr_bound(
 
     Mirrors :class:`~repro.core.sbr.SbrAttack` analytically: the
     numerator upper-bounds the per-round ``cdn-origin`` response traffic
-    under the vendor's fetch plan (including multi-connection flows and
-    Azure's delivery cut), the denominator lower-bounds the per-round
-    ``client-cdn`` response traffic from the calibrated header-padding
-    targets.
+    under the registry profile's fetch plan (:func:`_case_fetches`,
+    multi-connection flows and Azure's delivery cut included), the
+    denominator lower-bounds the per-round ``client-cdn`` response
+    traffic from the calibrated header-padding targets.
     """
     model = overhead if overhead is not None else NullOverheadModel()
-    cases = exploited_range_cases(vendor, resource_size)
-    fetches = _fetch_plan(vendor, resource_size)
-    header_target = profile_class(vendor).client_header_block_target
-    return _assemble_sbr_bound(
-        vendor, resource_size, cases, fetches, header_target, model
-    )
-
-
-def _assemble_sbr_bound(
-    vendor: str,
-    resource_size: int,
-    cases: List[str],
-    fetches: List[_Fetch],
-    header_block_target: int,
-    model: OverheadModel,
-) -> SbrBound:
-    """Fold a fetch plan into the over/under-estimated bound ratio."""
-    origin_upper = 0
-    for fetch in fetches:
-        sent = (
-            model.framed_size(fetch.payload_upper + ORIGIN_HEADER_ALLOWANCE)
-            + model.connection_setup_bytes()
-        )
-        if fetch.payload_cap is not None:
-            # Delivered bytes are capped at header block + payload cap.
-            sent = min(sent, fetch.payload_cap + ORIGIN_HEADER_ALLOWANCE)
-        origin_upper += sent
-
-    per_response = max(
-        RESPONSE_WIRE_FLOOR,
-        header_block_target - PAD_HEADER_SLACK,
-    )
-    client_lower = len(cases) * per_response
-
-    return SbrBound(
-        vendor=vendor,
-        resource_size=resource_size,
-        range_cases=tuple(cases),
-        origin_fetches=len(fetches),
-        origin_bytes_upper=origin_upper,
-        client_responses=len(cases),
-        client_bytes_lower=client_lower,
-    )
+    return _sbr_bound(vendor, create_profile(vendor), resource_size, model)
 
 
 def profile_sbr_bound(
@@ -199,115 +159,114 @@ def profile_sbr_bound(
     resource_size: int,
 ) -> SbrBound:
     """Worst-case SBR bound for ``vendor``'s exploited cases replayed
-    against a *substituted* profile (the mitigation residual), without
-    framing overhead.
+    against ``profile`` — the registry profile or a wrapped one standing
+    in for it (the mitigation residual) — without framing overhead."""
+    return _sbr_bound(vendor, profile, resource_size, NullOverheadModel())
 
-    The fetch plan is derived from the substituted profile's own
-    ``forward_decision`` table: a lazily forwarded range costs the origin
-    only the requested bytes, an expanded range costs the expanded
-    window, and a deleted Range header costs the full representation.
-    ``SlicingProfile`` fetch flows are bounded by their slice arithmetic.
 
-    Soundness scope: profiles using the base single-connection fetch
-    flow (every ``repro.defense.mitigations`` wrapper qualifies — the
-    multi-connection vendor quirks are exactly what the mitigations
-    remove).  Raw registry profiles with custom fetch flows (Azure,
-    KeyCDN, StackPath) are *not* admissible here; use :func:`sbr_bound`.
-    """
-    cases = exploited_range_cases(vendor, resource_size)
-    # One decision per case against one node's state, mirroring the
-    # request order a single attack round replays against a single edge.
+def _sbr_bound(
+    vendor: str,
+    profile: VendorProfile,
+    resource_size: int,
+    model: OverheadModel,
+) -> SbrBound:
+    """Fold ``profile``'s fetch plan for ``vendor``'s exploited cases into
+    the over/under-estimated bound ratio."""
+    cases = profile_class(vendor).sbr_cases_at(resource_size)
+    # The cases of one attack round reach one edge in order, so they
+    # share one node's state (KeyCDN deletes on the second sighting).
     state = EdgeState()
-    fetches = [_decision_fetch(profile, case, resource_size, state) for case in cases]
-    return _assemble_sbr_bound(
-        vendor,
-        resource_size,
-        cases,
-        fetches,
-        profile.client_header_block_target,
-        NullOverheadModel(),
+    origin_upper = 0
+    fetches = 0
+    for case in cases:
+        for payload, cap in _case_fetches(profile, case, resource_size, state):
+            sent = (
+                model.framed_size(payload + ORIGIN_HEADER_ALLOWANCE)
+                + model.connection_setup_bytes()
+            )
+            if cap is not None:
+                # Delivered bytes are capped at header block + payload cap.
+                sent = min(sent, cap + ORIGIN_HEADER_ALLOWANCE)
+            origin_upper += sent
+            fetches += 1
+
+    per_response = max(
+        RESPONSE_WIRE_FLOOR,
+        profile.client_header_block_target - PAD_HEADER_SLACK,
+    )
+    return SbrBound(
+        vendor=vendor,
+        resource_size=resource_size,
+        range_cases=cases,
+        origin_fetches=fetches,
+        origin_bytes_upper=origin_upper,
+        client_responses=len(cases),
+        client_bytes_lower=len(cases) * per_response,
     )
 
 
-def _decision_fetch(
+def _case_fetches(
     profile: VendorProfile, range_value: str, resource_size: int, state: EdgeState
-) -> _Fetch:
-    """Upper-bound one exploited case's origin payload under ``profile``."""
-    from repro.cdn.vendors.base import SpecShape, classify_spec
-    from repro.defense.mitigations import SlicingProfile
+) -> List[_Fetch]:
+    """Upper-bound the origin exchanges one exploited case costs under
+    ``profile``.
 
+    A slicing flow fetches the whole slices covering a closed range.
+    Otherwise the decision table sets the first exchange: a lazily
+    forwarded range costs the origin the requested bytes, an expanded
+    range the expanded window, and a deleted Range header the full
+    representation, cut at the profile's ``deletion_cut``.  A flow that
+    refetches after a 206 adds the full representation for a single
+    range, and one with a ``second_window`` adds that window.
+    """
     spec = try_parse_range_header(range_value)
     if spec is None:
-        return _Fetch(payload_upper=resource_size)
-
-    if isinstance(profile, SlicingProfile):
-        if classify_spec(spec) is SpecShape.SINGLE_CLOSED:
-            try:
-                resolved = spec.resolve(resource_size)
-            except RangeNotSatisfiableError:
-                return _Fetch(payload_upper=0)
-            only = resolved[0][0]
-            size = profile.slice_size
-            count = only.end // size - only.start // size + 1
-            return _Fetch(payload_upper=min(count * size, resource_size))
-        # Open/suffix/multi shapes fall through to the lazy base flow.
-        return _lazy_payload_fetch(spec, resource_size)
+        return [(resource_size, None)]
+    if profile.slice_size is not None and classify_spec(spec) is SpecShape.SINGLE_CLOSED:
+        try:
+            resolved = spec.resolve(resource_size)
+        except RangeNotSatisfiableError:
+            return [(0, None)]
+        only = resolved[0][0]
+        size = profile.slice_size
+        count = only.end // size - only.start // size + 1
+        return [(min(count * size, resource_size), None)]
 
     ctx = VendorContext(
         config=profile.effective_config(), resource_size_hint=resource_size, state=state
     )
-    decision = profile.forward_decision(probe_request(range_value), spec, ctx)
-    if decision.forwarded_range is None:
-        # Deletion: the origin ships the full representation.
-        return _Fetch(payload_upper=resource_size)
-    forwarded = try_parse_range_header(decision.forwarded_range)
+    forwarded = profile.forward_decision(probe_request(range_value), spec, ctx).forwarded_range
     if forwarded is None:
-        return _Fetch(payload_upper=resource_size)
-    return _lazy_payload_fetch(forwarded, resource_size)
+        # Deletion: the origin ships the full representation.
+        fetches = [(resource_size, profile.deletion_cut)]
+    else:
+        forwarded_spec = spec if forwarded == range_value else try_parse_range_header(forwarded)
+        fetches = [(_lazy_payload(forwarded_spec, resource_size), None)]
+    if profile.refetches_after_partial and not spec.is_multi:
+        fetches.append((resource_size, None))
+    window = profile.second_window_for(spec, resource_size)
+    if window is not None:
+        first, last = window
+        fetches.append((min(resource_size - 1, last) - first + 1, None))
+    return fetches
 
 
-def _lazy_payload_fetch(spec: RangeSpecifier, resource_size: int) -> _Fetch:
+def _lazy_payload(spec: Optional[RangeSpecifier], resource_size: int) -> int:
     """Origin payload for a Range header forwarded as ``spec``: the
-    resolved bytes plus multipart framing when more than one part."""
+    resolved bytes plus multipart framing when more than one part, or
+    the full representation when the header does not parse."""
+    if spec is None:
+        return resource_size
     try:
         resolved = spec.resolve(resource_size)
     except RangeNotSatisfiableError:
         # The origin answers 416: headers only.
-        return _Fetch(payload_upper=0)
+        return 0
     payload = sum(r.length * count for r, count in resolved)
     parts = sum(count for _, count in resolved)
     if parts > 1:
         payload += parts * MULTIPART_PART_ALLOWANCE + MULTIPART_CLOSER_ALLOWANCE
-    return _Fetch(payload_upper=payload)
-
-
-def _fetch_plan(vendor: str, resource_size: int) -> List[_Fetch]:
-    """Worst-case back-to-origin exchanges for one exploited round.
-
-    Derived from each profile's documented fetch flow (§V-A): most
-    vendors make one full-representation fetch; KeyCDN's stateful flow
-    and StackPath's 206-triggered refetch add a small lazy 206 first;
-    Azure cuts past 8 MB and may open the expansion window; CloudFront
-    never widens a multi-range past its 10 MB window cap.
-    """
-    if vendor == "keycdn" or vendor == "stackpath":
-        # A lazy single-byte 206, then the full representation.
-        return [_Fetch(payload_upper=1), _Fetch(payload_upper=resource_size)]
-    if vendor == "azure":
-        plan = [
-            _Fetch(
-                payload_upper=resource_size,
-                payload_cap=EIGHT_MB + DEFAULT_ABORT_SLOP,
-            )
-        ]
-        if resource_size > EIGHT_MB:
-            # Second connection with Range: bytes=8388608-16777215.
-            window = min(resource_size - 1, WINDOW_LAST) - EIGHT_MB + 1
-            plan.append(_Fetch(payload_upper=max(0, window)))
-        return plan
-    if vendor == "cloudfront":
-        return [_Fetch(payload_upper=min(resource_size, MULTI_RANGE_WINDOW_CAP))]
-    return [_Fetch(payload_upper=resource_size)]
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +437,7 @@ def _front_plan(
             head=RequestHead.of(request),
             upstream=upstream,
             upstream_head=RequestHead.of(upstream) if upstream is not None else None,
-            leading=exploited_leading_spec(fcdn),
+            leading=profile_class(fcdn).obr_leading_spec,
             size_read=reads.size,
         )
         return plan, sized if plan.size_read else size_free
@@ -752,12 +711,13 @@ def obr_bound(
         model.framed_size(header_upper + body_upper) + model.connection_setup_bytes()
     )
     # The BCDN fetches the full representation once; the origin response
-    # carries at least the resource body.  Azure cuts that fetch once its
-    # header block plus payload cap have crossed the wire (the delivery
-    # cap ``_assemble_sbr_bound`` mirrors too), so at least the cap does.
+    # carries at least the resource body.  A back end with a
+    # ``deletion_cut`` (Azure) cuts that fetch once its header block plus
+    # the cut have crossed the wire (the delivery cap the SBR plan
+    # mirrors too), so at least the cut does.
     attacker_lower = model.framed_size(resource_size) + model.connection_setup_bytes()
-    if bcdn == "azure":
-        attacker_lower = min(attacker_lower, EIGHT_MB + DEFAULT_ABORT_SLOP)
+    if back.deletion_cut is not None:
+        attacker_lower = min(attacker_lower, back.deletion_cut)
 
     return ObrBound(
         fcdn=fcdn,

@@ -4,7 +4,7 @@ Every answer here is derived by interrogating a vendor profile's *pure*
 decision surface — :meth:`~repro.cdn.vendors.base.VendorProfile.forward_decision`,
 the multi-range reply behavior, the second-request policy (asked twice
 against one :class:`~repro.cdn.vendors.base.EdgeState`), and the
-``amplifies_via_fetch_flow`` flag.  This module is the only place
+``refetches_after_partial`` flag.  This module is the only place
 that reads those decisions without sending traffic (``repro matrix``
 renders :func:`probe_decision` too).  No deployment is wired, no
 connection is opened, no ledger records a byte: this is the "audit the
@@ -17,19 +17,21 @@ measuring anything.
   pulls the full representation despite a lazy decision table
   (StackPath).
 * OBR (§IV-C): a cascade is vulnerable when the front CDN, run with the
-  configuration the attack declares for it
-  (:func:`exploited_fcdn_config`), forwards an overlapping multi-range
-  shape *unchanged* (Laziness, Table II) and the back CDN *honors*
-  overlapping ranges with a multipart reply (Table III).
+  configuration the attack declares for it (the profile's
+  ``obr_front_config``), forwards an overlapping multi-range shape
+  *unchanged* (Laziness, Table II) and the back CDN *honors* overlapping
+  ranges with a multipart reply (Table III).
 
-What the SBR and OBR attacks send (Tables IV and V) is declared here
-too, so that the wire attacks and the static bounds read the same facts.
+What the SBR and OBR attacks send (Tables IV and V) is declared by each
+vendor's profile class (``sbr_cases``, ``obr_leading_spec``), so that the
+wire attacks and the static bounds read the same facts; the OBR request
+they build is assembled here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.cdn.multirange import MultiRangeReplyBehavior
 from repro.cdn.policy import ForwardPolicy
@@ -42,7 +44,6 @@ from repro.cdn.vendors.base import (
     VendorContext,
     VendorProfile,
 )
-from repro.errors import ConfigurationError
 from repro.http.grammar import overlapping_open_ranges_value
 from repro.http.message import HttpRequest
 from repro.http.ranges import try_parse_range_header
@@ -78,45 +79,6 @@ DEFAULT_PROBE_SIZES: Tuple[int, ...] = (1 * MB, 25 * MB)
 #: m, and untrusted input must not buy unbounded work.
 MAX_FLOOD_M = 1000
 
-#: Vendors whose exploited case is the plain first-byte request.
-_PLAIN_FIRST_BYTE = (
-    "akamai",
-    "cdn77",
-    "cdnsun",
-    "cloudflare",
-    "fastly",
-    "gcore",
-    "stackpath",
-    "tencent",
-)
-
-
-def exploited_range_cases(vendor: str, resource_size: int) -> List[str]:
-    """Table IV column 2: the Range values one SBR attack round sends.
-
-    Most vendors take a single request; KeyCDN needs the same request
-    twice (its second-sighting Deletion).  Azure and Huawei switch cases
-    with the target size.
-    """
-    if vendor in _PLAIN_FIRST_BYTE:
-        return ["bytes=0-0"]
-    if vendor == "alibaba":
-        return ["bytes=-1"]
-    if vendor == "azure":
-        if resource_size <= 8 * MB:
-            return ["bytes=0-0"]
-        return ["bytes=8388608-8388608"]
-    if vendor == "huawei":
-        if resource_size < 10 * MB:
-            return ["bytes=-1"]
-        return ["bytes=0-0"]
-    if vendor == "cloudfront":
-        return ["bytes=0-0,9437184-9437184"]
-    if vendor == "keycdn":
-        return ["bytes=0-0", "bytes=0-0"]
-    raise ConfigurationError(f"no exploited SBR case known for vendor {vendor!r}")
-
-
 #: The largest overlap count ``n`` any entry point searches or accepts.
 #: It sits above every modeled cascade's header-limit cap, and it keeps
 #: an untrusted ``n`` from buying an unbounded Range header.
@@ -129,42 +91,11 @@ TARGET_HOST = "victim.example"
 CLIENT_ABORT_AFTER = 2048
 
 
-#: Cloudflare's Table V configuration: the target path set to *Bypass*.
-_BYPASS_CONFIG = VendorConfig(bypass_cache=True)
-
-
-def exploited_fcdn_config(fcdn: str) -> Optional[VendorConfig]:
-    """The front-CDN configuration the Table V setup uses.
-
-    Cloudflare forwards multi-range requests unchanged only when the
-    target path is configured *Bypass* (Table II); every other front end
-    runs its default configuration.  The config is frozen, so every call
-    hands the same one.
-    """
-    if fcdn == "cloudflare":
-        return _BYPASS_CONFIG
-    return None
-
-
-def exploited_leading_spec(fcdn: str) -> Optional[str]:
-    """Table V column 3: the first spec of the exploited multi-range.
-
-    CDN77 deletes Range headers whose first range starts below byte 1024,
-    so the attack leads with a suffix spec; CDNsun deletes when the first
-    range is anchored at 0, so it leads with ``1-``.  Cloudflare and
-    StackPath take plain ``0-``.
-    """
-    if fcdn == "cdn77":
-        return "-1024"
-    if fcdn == "cdnsun":
-        return "1-"
-    return None
-
-
 def exploited_request(fcdn: str, overlap_count: int) -> HttpRequest:
-    """The OBR attack request the client sends through ``fcdn``."""
+    """The OBR attack request the client sends through ``fcdn``, led by
+    its Table V leading spec."""
     range_value = overlapping_open_ranges_value(
-        overlap_count, leading=exploited_leading_spec(fcdn)
+        overlap_count, leading=create_profile(fcdn).obr_leading_spec
     )
     return HttpRequest(
         "GET", TARGET_PATH, headers=[("Host", TARGET_HOST), ("Range", range_value)]
@@ -182,7 +113,7 @@ def forwarded_verbatim(
     forwards the Range header unchanged (Laziness); ``None`` otherwise.
     ``reads`` notes whether the decision read the resource size."""
     range_value = request.headers.get("Range")
-    config = exploited_fcdn_config(fcdn)
+    config = create_profile(fcdn).obr_front_config
     ctx = VendorContext(
         config=config if config is not None else front.effective_config(),
         resource_size_hint=resource_size,
@@ -253,7 +184,7 @@ _PROBE_REQUESTS = {
             case
             for vendor in all_vendor_names()
             for size in DEFAULT_PROBE_SIZES
-            for case in exploited_range_cases(vendor, size)
+            for case in profile_class(vendor).sbr_cases_at(size)
         ),
     )
 }
@@ -365,7 +296,7 @@ def classify_sbr(
             display_name=asked.display_name,
             amplifying_probes=tuple(amplifying),
             stateful_probes=tuple(stateful),
-            fetch_flow_amplifies=asked.amplifies_via_fetch_flow,
+            fetch_flow_amplifies=asked.refetches_after_partial,
         )
 
     classification: SbrClassification = _SBR_MEMO.get_or_compute(
@@ -478,11 +409,11 @@ def _front_half(
 ) -> Tuple[Tuple[ProbeDecision, ...], bool]:
     """The overlapping shapes a cascade's front end forwards verbatim
     under ``fcdn_config`` or, when none is given, the configuration the
-    Table V setup declares for it (Cloudflare under *Bypass*,
-    :func:`exploited_fcdn_config`); and whether it ran the declared one."""
+    Table V setup declares for it (the profile's ``obr_front_config``:
+    Cloudflare under *Bypass*); and whether it ran the declared one."""
     if fcdn_config is not None:
         return classify_obr_frontend(fcdn, resource_size, config=fcdn_config), False
-    declared = exploited_fcdn_config(fcdn)
+    declared = create_profile(fcdn).obr_front_config
     lazy_probes = classify_obr_frontend(fcdn, resource_size, config=declared)
     return lazy_probes, declared is not None
 

@@ -49,6 +49,8 @@ _REGISTRY: Dict[str, Type[VendorProfile]] = {
 #: (Table II) and back-end (Table III).
 OBR_FRONTENDS = ("cdn77", "cdnsun", "cloudflare", "stackpath")
 OBR_BACKENDS = ("akamai", "azure", "stackpath")
+#: The Table V cascades the quick run-all grid measures.
+QUICK_TABLE5_COMBOS = (("cloudflare", "akamai"), ("cdn77", "azure"))
 
 
 def all_vendor_names() -> List[str]:
@@ -90,6 +92,7 @@ __all__ = [
     "KeycdnProfile",
     "OBR_BACKENDS",
     "OBR_FRONTENDS",
+    "QUICK_TABLE5_COMBOS",
     "StackpathProfile",
     "TencentProfile",
     "VendorConfig",

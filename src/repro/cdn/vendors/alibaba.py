@@ -38,6 +38,7 @@ class AlibabaProfile(VendorProfile):
     encoding_policy = EncodingPolicy.REWRITE
     edge_accept_encoding = ("gzip", "br")
     edge_decompresses = True
+    sbr_cases = ("bytes=-1",)
 
     @classmethod
     def default_config(cls) -> VendorConfig:

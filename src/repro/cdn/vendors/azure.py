@@ -27,14 +27,12 @@ from repro.cdn.policy import ForwardDecision, ForwardPolicy
 from repro.cdn.vendors.base import (
     ExchangeFn,
     FetchResult,
-    SpecShape,
     VendorContext,
     VendorProfile,
-    classify_spec,
 )
 from repro.cdn.window import ContentWindow
 from repro.http.message import HttpRequest
-from repro.http.ranges import ByteRangeSpec, RangeSpecifier, parse_content_range
+from repro.http.ranges import RangeSpecifier, parse_content_range
 from repro.http.status import StatusCode
 
 EIGHT_MB = 8 * 1024 * 1024
@@ -53,12 +51,16 @@ class AzureProfile(VendorProfile):
     server_header = "ECAcc (nyb/1D2E)"
     client_header_block_target = 719
     pad_header_name = "X-Azure-Ref"
-    #: Payload that slips past the 8 MB cut before it takes effect.
-    abort_slop: int
+    # Table IV: past 8 MB the attack asks for the window's first byte.
+    sbr_cases_switch = (EIGHT_MB + 1, (f"bytes={EIGHT_MB}-{EIGHT_MB}",))
+    second_window: Tuple[int, int] = (EIGHT_MB, WINDOW_LAST)
+    #: The 8 MB cut plus the payload that slips past it before it takes
+    #: effect (``abort_slop``).
+    deletion_cut: int
 
     def __init__(self, abort_slop: int = DEFAULT_ABORT_SLOP) -> None:
         super().__init__()
-        self._set(abort_slop=abort_slop)
+        self._set(deletion_cut=EIGHT_MB + abort_slop)
 
     def default_limits(self) -> HeaderLimits:
         return HeaderLimits(max_ranges=64)
@@ -87,9 +89,9 @@ class AzureProfile(VendorProfile):
         if first_result.passthrough is not None or first_result.window is None:
             return first_result
 
-        complete = first_result.window.complete_length
-        if complete > EIGHT_MB and self._range_in_second_window(spec):
-            return self._expansion_fetch(request, exchange) or first_result
+        window = self.second_window_for(spec, first_result.window.complete_length)
+        if window is not None:
+            return self._expansion_fetch(request, window, exchange) or first_result
         return first_result
 
     # -- flow pieces ----------------------------------------------------------
@@ -99,7 +101,7 @@ class AzureProfile(VendorProfile):
         upstream = self.build_upstream_request(request, ForwardDecision.delete())
         response = exchange(
             upstream,
-            payload_cap=EIGHT_MB + self.abort_slop,
+            payload_cap=self.deletion_cut,
             note="forward:deletion (cut past 8MB)",
         )
         if response.status != StatusCode.OK:
@@ -119,15 +121,10 @@ class AzureProfile(VendorProfile):
             source_headers=response.headers,
         )
 
-    def _range_in_second_window(self, spec: RangeSpecifier) -> bool:
-        if classify_spec(spec) is not SpecShape.SINGLE_CLOSED:
-            return False
-        only = spec.first
-        assert isinstance(only, ByteRangeSpec) and only.last is not None
-        return EIGHT_MB <= only.first and only.last <= WINDOW_LAST
-
-    def _expansion_fetch(self, request: HttpRequest, exchange: ExchangeFn) -> Optional[FetchResult]:
-        expansion_value = f"bytes={EIGHT_MB}-{WINDOW_LAST}"
+    def _expansion_fetch(
+        self, request: HttpRequest, window: Tuple[int, int], exchange: ExchangeFn
+    ) -> Optional[FetchResult]:
+        expansion_value = "bytes=%d-%d" % window
         upstream = self.build_upstream_request(request, ForwardDecision.expand(expansion_value))
         response = exchange(upstream, note=f"forward:expansion ({expansion_value})")
         if response.status != StatusCode.PARTIAL_CONTENT:

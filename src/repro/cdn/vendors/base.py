@@ -5,8 +5,11 @@ from another in this study:
 
 * the **forwarding decision** per Range format (Tables I and II);
 * special **fetch flows** (Azure's dual connection with the 8 MB cut,
-  KeyCDN's second-request deletion, StackPath's re-forward after a 206) —
-  implemented by overriding :meth:`VendorProfile.fetch`;
+  StackPath's re-forward after a 206) — implemented by overriding
+  :meth:`VendorProfile.fetch` and declared in the fetch-flow fields the
+  static bounds read;
+* the **attack tables**: what the SBR attack sends (Table IV) and how
+  the OBR attack uses the vendor as a front end (Table V);
 * the **multi-range reply behavior** (Table III);
 * the **request-header limits** (§V-C);
 * the **response header weight**, which sets the per-vendor slope of the
@@ -243,12 +246,40 @@ class VendorProfile:
     #: connection-drop attack); the paper names CDNsun and CDN77 as
     #: maintaining it (§IV-C).
     maintains_backend_on_client_abort: bool = False
-    #: Whether the vendor's *fetch flow* (not its per-shape decision
-    #: table) pulls more than the requested range — StackPath's
-    #: re-forward-without-Range after a 206.  Consulted by
-    #: ``repro.analysis.classify``, which otherwise only sees
-    #: ``forward_decision``.
-    amplifies_via_fetch_flow: bool = False
+    #: Table IV column 2: the Range values one SBR attack round sends
+    #: (read through :meth:`sbr_cases_at`).
+    sbr_cases: Tuple[str, ...] = ("bytes=0-0",)
+    #: ``(size, cases)``: against a target of ``size`` bytes or more the
+    #: round sends ``cases`` instead (Azure's 8 MB and Huawei's 10 MB
+    #: switches); ``None``: no switch.
+    sbr_cases_switch: Optional[Tuple[int, Tuple[str, ...]]] = None
+    #: Table V column 3: the first spec of the overlapping multi-range
+    #: an OBR attack sends through this vendor as the front end
+    #: (``None``: plain ``0-``).
+    obr_leading_spec: Optional[str] = None
+    #: The configuration the Table V setup runs this vendor with as the
+    #: front end (``None``: its default configuration).
+    obr_front_config: Optional[VendorConfig] = None
+
+    # What the fetch flow does beyond one exchange under
+    # :meth:`forward_decision`.  Each vendor's :meth:`fetch` and the
+    # static SBR bound (``repro.analysis.bounds``) read the same fields.
+
+    #: Payload bytes after which the flow cuts a Deletion fetch's
+    #: connection (Azure's 8 MB cut plus slop); ``None``: never.
+    deletion_cut: Optional[int] = None
+    #: A window ``(first, last)`` the flow also fetches, with a second
+    #: exchange, for a single closed range inside it (Azure's
+    #: expansion window); see :meth:`second_window_for`.
+    second_window: Optional[Tuple[int, int]] = None
+    #: Whether the flow re-forwards a single-range request without its
+    #: Range header once the origin answered it 206, pulling the full
+    #: representation whatever the decision table said (StackPath).
+    refetches_after_partial: bool = False
+    #: Slice size of a flow that fetches a single closed range as the
+    #: fixed-size slices covering it (``SlicingProfile``); ``None``: no
+    #: slicing.
+    slice_size: Optional[int] = None
     #: How the vendor treats the client's ``Accept-Encoding`` upstream
     #: (the CCFC behavior table).
     encoding_policy: EncodingPolicy = EncodingPolicy.FORWARD
@@ -316,6 +347,32 @@ class VendorProfile:
         """Vendor-identifying headers added to client responses (before
         padding)."""
         return []
+
+    @classmethod
+    def sbr_cases_at(cls, resource_size: int) -> Tuple[str, ...]:
+        """Table IV column 2 against a ``resource_size``-byte target."""
+        switch = cls.sbr_cases_switch
+        if switch is not None and resource_size >= switch[0]:
+            return switch[1]
+        return cls.sbr_cases
+
+    def second_window_for(
+        self, spec: RangeSpecifier, complete_length: int
+    ) -> Optional[Tuple[int, int]]:
+        """The :attr:`second_window` the flow fetches too for ``spec``
+        against a ``complete_length``-byte representation: when ``spec``
+        is one closed range inside it and the representation reaches
+        into it.  ``None`` otherwise."""
+        window = self.second_window
+        if (
+            window is None
+            or complete_length <= window[0]
+            or classify_spec(spec) is not SpecShape.SINGLE_CLOSED
+        ):
+            return None
+        only = spec.first
+        assert isinstance(only, ByteRangeSpec) and only.last is not None
+        return window if window[0] <= only.first and only.last <= window[1] else None
 
     # -- default fetch flow -------------------------------------------------------
 

@@ -43,6 +43,8 @@ class Cdn77Profile(VendorProfile):
     # Paper §IV-C: CDN77 keeps the upstream connection alive when the
     # client aborts, which also lets OBR attackers drop early for free.
     maintains_backend_on_client_abort = True
+    # Table V: lead with a suffix spec, outside the deletion zone.
+    obr_leading_spec = "-1024"
 
     def default_limits(self) -> HeaderLimits:
         return HeaderLimits(max_single_header_line_bytes=16 * 1024)

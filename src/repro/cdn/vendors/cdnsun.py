@@ -33,6 +33,8 @@ class CdnsunProfile(VendorProfile):
     # Paper §IV-C: CDNsun keeps the upstream connection alive when the
     # client aborts.
     maintains_backend_on_client_abort = True
+    # Table V: lead with a spec that is not anchored at byte 0.
+    obr_leading_spec = "1-"
 
     def default_limits(self) -> HeaderLimits:
         return HeaderLimits(max_single_header_line_bytes=16 * 1024)

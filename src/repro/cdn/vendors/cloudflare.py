@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from repro.cdn.limits import CloudflareRule, HeaderLimits
 from repro.cdn.policy import ForwardDecision
-from repro.cdn.vendors.base import EncodingPolicy, VendorContext, VendorProfile
+from repro.cdn.vendors.base import EncodingPolicy, VendorConfig, VendorContext, VendorProfile
 from repro.http.message import HttpRequest
 from repro.http.ranges import RangeSpecifier
 
@@ -36,6 +36,8 @@ class CloudflareProfile(VendorProfile):
     encoding_policy = EncodingPolicy.REWRITE
     edge_accept_encoding = ("br", "gzip")
     edge_decompresses = True
+    # Table V: the OBR attacker sets the target path to *Bypass*.
+    obr_front_config = VendorConfig(bypass_cache=True)
 
     def default_limits(self) -> HeaderLimits:
         return HeaderLimits(custom=CloudflareRule())

@@ -38,6 +38,8 @@ class CloudFrontProfile(VendorProfile):
     encoding_policy = EncodingPolicy.REWRITE
     edge_accept_encoding = ("gzip",)
     edge_decompresses = True
+    # Table IV: two bytes whose MB-aligned cover is the whole 10 MB window.
+    sbr_cases = ("bytes=0-0,9437184-9437184",)
 
     def forward_decision(
         self,

@@ -48,6 +48,9 @@ class HuaweiProfile(VendorProfile):
     encoding_policy = EncodingPolicy.REWRITE
     edge_accept_encoding = ("gzip",)
     edge_decompresses = True
+    # Table IV: the deleted shape switches at the 10 MB threshold.
+    sbr_cases = ("bytes=-1",)
+    sbr_cases_switch = (SIZE_THRESHOLD, ("bytes=0-0",))
 
     @classmethod
     def default_config(cls) -> VendorConfig:

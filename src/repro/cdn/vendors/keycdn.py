@@ -38,6 +38,8 @@ class KeycdnProfile(VendorProfile):
     encoding_policy = EncodingPolicy.REWRITE
     edge_accept_encoding = ("gzip",)
     edge_decompresses = True
+    # Table IV: the same request twice, at one URL.
+    sbr_cases = ("bytes=0-0", "bytes=0-0")
 
     def forward_decision(
         self,

@@ -46,7 +46,7 @@ class StackpathProfile(VendorProfile):
     pad_header_name = "X-SP-Request-Id"
     # The SBR vulnerability is in the fetch flow (lazy, then refetch the
     # whole representation on a 206), not the decision table.
-    amplifies_via_fetch_flow = True
+    refetches_after_partial = True
 
     def default_limits(self) -> HeaderLimits:
         return HeaderLimits(max_total_header_bytes=81 * 1024)
@@ -81,8 +81,9 @@ class StackpathProfile(VendorProfile):
                 policy=ForwardPolicy.LAZINESS,
                 upstream_status=first.status,
             )
-        if classify_spec(spec) is SpecShape.MULTI:
-            # Multi-range 206s are relayed as-is (OBR front-end path).
+        if classify_spec(spec) is SpecShape.MULTI or not self.refetches_after_partial:
+            # Multi-range 206s are relayed as-is (OBR front-end path), and
+            # so is every 206 of a flow that declares no refetch.
             return FetchResult(
                 passthrough=first,
                 policy=ForwardPolicy.LAZINESS,

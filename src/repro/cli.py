@@ -531,13 +531,12 @@ def _cmd_vendors() -> int:
 
 
 def _cmd_sbr(args: argparse.Namespace) -> int:
-    from repro.analysis.classify import exploited_range_cases
     from repro.core.sbr import SbrAttack
     from repro.reporting.render import format_bytes
 
     size = args.size_mb * MB
     result = SbrAttack(args.vendor, resource_size=size).run(rounds=args.rounds)
-    cases = " & ".join(exploited_range_cases(args.vendor, size))
+    cases = " & ".join(profile_class(args.vendor).sbr_cases_at(size))
     print(f"SBR against {args.vendor} ({args.size_mb} MB resource, "
           f"{args.rounds} round(s), case: {cases})")
     print(f"  attacker received: {format_bytes(result.client_traffic)}")

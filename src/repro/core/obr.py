@@ -12,8 +12,9 @@ to ``n`` times the resource size on the fcdn–bcdn link.
 limit is linear in ``n``, so :mod:`repro.analysis.bounds` solves the
 cascade's cap from the declared limits, and :meth:`ObrAttack.find_max_n`
 certifies it the way the paper measured it — by probing that ``n``
-survives end-to-end and ``n + 1`` does not.  The attack request itself
-is declared in :mod:`repro.analysis.classify`.
+survives end-to-end and ``n + 1`` does not.  The attack request's
+leading spec and the front end's configuration are declared by the
+front end's profile class (``obr_leading_spec``, ``obr_front_config``).
 
 Traffic accounting uses a TCP/IP framing model by default: the paper's
 Table V numbers come from packet captures of short connections, where
@@ -32,12 +33,10 @@ from repro.analysis.classify import (
     MAX_OVERLAPS,
     TARGET_HOST,
     TARGET_PATH,
-    exploited_fcdn_config,
-    exploited_leading_spec,
 )
 from repro.core.amplification import AmplificationReport
 from repro.core.deployment import CdnSpec, Deployment
-from repro.cdn.vendors import OBR_BACKENDS, OBR_FRONTENDS, create_profile
+from repro.cdn.vendors import OBR_BACKENDS, OBR_FRONTENDS, create_profile, profile_class
 from repro.errors import ConfigurationError
 from repro.http.grammar import overlapping_open_ranges_value
 from repro.http.status import StatusCode
@@ -107,14 +106,14 @@ class ObrAttack:
         # receives a full 200 and builds the multipart itself.
         origin = OriginServer(range_support=False)
         origin.add_synthetic_resource(TARGET_PATH, self.resource_size)
-        config = exploited_fcdn_config(self.fcdn)
+        config = profile_class(self.fcdn).obr_front_config
         fcdn_spec = CdnSpec(profile=self.fcdn_profile or create_profile(self.fcdn), config=config)
         bcdn_spec = CdnSpec(profile=self.bcdn_profile or create_profile(self.bcdn))
         return Deployment.cascade(fcdn_spec, bcdn_spec, origin, overhead=self.overhead)
 
     def range_value(self, overlap_count: int) -> str:
         return overlapping_open_ranges_value(
-            overlap_count, leading=exploited_leading_spec(self.fcdn)
+            overlap_count, leading=profile_class(self.fcdn).obr_leading_spec
         )
 
     # -- max-n search -----------------------------------------------------------

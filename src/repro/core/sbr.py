@@ -7,8 +7,8 @@ origin, but returns only the requested byte to the attacker.  The
 origin's outgoing bandwidth is consumed at an amplification factor
 roughly proportional to the resource size.
 
-Table IV's per-vendor exploited range cases are declared in
-:func:`repro.analysis.classify.exploited_range_cases`.
+Table IV's per-vendor exploited range cases are declared by each
+vendor's profile class (``sbr_cases``).
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.analysis.classify import exploited_range_cases
-from repro.cdn.vendors import create_profile
+from repro.cdn.vendors import create_profile, profile_class
 from repro.core.amplification import AmplificationReport
 from repro.core.cachebusting import CacheBuster
 from repro.core.deployment import CdnSpec, Deployment
@@ -102,7 +101,7 @@ class SbrAttack:
         cases = (
             range_cases
             if range_cases is not None
-            else exploited_range_cases(self.vendor, self.resource_size)
+            else profile_class(self.vendor).sbr_cases_at(self.resource_size)
         )
         deployment = self.build_deployment()
         client = deployment.client(host=self.host)

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Sequence, Tuple
 from repro.analysis.bounds import obr_bound, static_max_n
 from repro.analysis.classify import vulnerable_cascade
 from repro.analysis.report import Finding, severity_for_factor
+from repro.cdn.vendors import QUICK_TABLE5_COMBOS
 from repro.errors import ConfigurationError
 from repro.families.base import (
     CASCADE,
@@ -33,10 +34,6 @@ if TYPE_CHECKING:
     from repro.netsim.overhead import OverheadModel
     from repro.reporting.render import Table
     from repro.runner.grid import ExperimentCell, Key
-
-#: Quick mode's Table V cascades.
-QUICK_TABLE5_COMBOS = (("cloudflare", "akamai"), ("cdn77", "azure"))
-
 
 def _profiles(
     fcdn: str, bcdn: str, spec: Optional[MitigationSpec]

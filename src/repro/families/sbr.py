@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Sequence, cast
 
 from repro.analysis.bounds import FaultedSbrBound, profile_sbr_bound, sbr_bound
-from repro.analysis.classify import classify_sbr, exploited_range_cases
+from repro.analysis.classify import classify_sbr
 from repro.analysis.report import Finding, severity_for_factor
 from repro.cdn.vendors import profile_class
 from repro.families.base import (
@@ -151,7 +151,7 @@ def _sweep(vendors: Sequence[str], quick: bool) -> Sweep:
                 [
                     [
                         profile_class(vendor).display_name,
-                        " & ".join(exploited_range_cases(vendor, max(table4_sizes))),
+                        " & ".join(profile_class(vendor).sbr_cases_at(max(table4_sizes))),
                         *(
                             f"{values[(vendor, s)].amplification:.0f} "
                             f"({PAPER_TABLE4_FACTORS[vendor].get(s, '-')})"

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.bounds import obr_bound, sbr_bound, static_max_n
-from repro.cdn.vendors import all_vendor_names, create_profile
+from repro.analysis.bounds import obr_bound, profile_sbr_bound, sbr_bound, static_max_n
+from repro.cdn.vendors import QUICK_TABLE5_COMBOS, all_vendor_names, create_profile
+from repro.cdn.vendors.azure import AzureProfile
 from repro.core.obr import ObrAttack
 from repro.core.sbr import SbrAttack
 from repro.defense.mitigations import (
@@ -23,7 +24,6 @@ from repro.defense.mitigations import (
     with_laziness,
     with_overlap_rejection,
 )
-from repro.families.obr import QUICK_TABLE5_COMBOS
 
 MB = 1 << 20
 KB = 1 << 10
@@ -31,6 +31,9 @@ KB = 1 << 10
 #: The quick run-all grid's SBR axis (Fig 6 quick sizes, which include
 #: the Table IV quick size).
 QUICK_SIZES = (1 * MB, 2 * MB, 3 * MB)
+
+#: The full Fig 6 axis.
+FIG6_SIZES = tuple(m * MB for m in range(1, 26))
 
 #: The §VI-C mitigation wrappers, applied to one side of a cascade.
 MITIGATIONS = {
@@ -66,6 +69,16 @@ class TestSbrGridNeverExceedsBound:
         bound = sbr_bound(vendor, size)
         assert simulated.amplification <= bound.factor
 
+    @pytest.mark.parametrize("vendor", ["azure", "keycdn", "stackpath"])
+    def test_profile_bound_covers_multi_exchange_flows(self, vendor):
+        # The registry profiles whose fetch flows make more than one
+        # exchange are bounded through the profile route too.
+        profile = create_profile(vendor)
+        for size in FIG6_SIZES:
+            simulated = SbrAttack(vendor, resource_size=size).run()
+            bound = profile_sbr_bound(vendor, profile, size)
+            assert simulated.amplification <= bound.factor, (vendor, size)
+
 
 class TestObrGridNeverExceedsBound:
     @pytest.mark.parametrize("fcdn,bcdn", QUICK_TABLE5_COMBOS)
@@ -100,6 +113,36 @@ class TestObrGridNeverExceedsBound:
         assert simulated_n == static_max_n(
             fcdn, bcdn, fcdn_profile=fcdn_profile, bcdn_profile=bcdn_profile
         )
+
+    @pytest.mark.parametrize("size", [9 * MB, 12 * MB])
+    @pytest.mark.parametrize("abort_slop", [1 * KB, 64 * KB, 1 * MB])
+    def test_azure_back_end_cut_is_its_own(self, abort_slop, size):
+        # The attacker-side floor is the back end's own cut, not the
+        # registry profile's.
+        back = AzureProfile(abort_slop=abort_slop)
+        result = ObrAttack("cdn77", "azure", resource_size=size, bcdn_profile=back).run(
+            overlap_count=4
+        )
+        bound = obr_bound(
+            "cdn77", "azure", resource_size=size, overlap_count=4, bcdn_profile=back
+        )
+        assert bound.attacker_bytes_lower <= result.bcdn_origin_traffic
+        assert result.amplification <= bound.factor
+
+    @pytest.mark.parametrize("size", [9 * MB, 12 * MB, 25 * MB])
+    @pytest.mark.parametrize("mitigation", ["laziness", "bounded-expansion"])
+    def test_mitigated_azure_back_end_past_8mb(self, mitigation, size):
+        # A mitigated back end runs the base single-connection fetch,
+        # which makes no cut: the full representation is the floor.
+        back = MITIGATIONS[mitigation](create_profile("azure"))
+        result = ObrAttack("cdn77", "azure", resource_size=size, bcdn_profile=back).run(
+            overlap_count=4
+        )
+        bound = obr_bound(
+            "cdn77", "azure", resource_size=size, overlap_count=4, bcdn_profile=back
+        )
+        assert size <= bound.attacker_bytes_lower <= result.bcdn_origin_traffic
+        assert result.amplification <= bound.factor
 
     @settings(
         max_examples=8,

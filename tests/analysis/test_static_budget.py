@@ -30,13 +30,12 @@ from repro.analysis.classify import (
     classify_cascade,
     classify_obr_frontend,
     classify_sbr,
-    exploited_range_cases,
     vulnerable_cascade,
 )
 from repro.analysis.recommend import recommend
 from repro.analysis.report import analyze_vendor_matrix
 from repro.cdn.limits import HeaderLimits
-from repro.cdn.vendors import all_vendor_names, create_profile
+from repro.cdn.vendors import all_vendor_names, create_profile, profile_class
 from repro.cdn.vendors.base import VendorContext
 from repro.defense.mitigations import with_laziness
 from repro.families.base import mitigated_profile
@@ -236,9 +235,12 @@ def test_a_cold_audit_builds_and_parses_each_range_value_once(cold, monkeypatch)
     monkeypatch.setattr(grammar, "_join_open_ranges", counted_join)
     report = analyze_vendor_matrix(**AUDIT_SEED_1)
     recommend(report=report, **AUDIT_SEED_1)
-    assert set(parses.values()) == {1} and len(parses) == 13
+    # The 14th value is CloudFront's expansion of its exploited case
+    # (``bytes=0-10485759``), which the SBR fetch plan reads off its
+    # decision table.
+    assert set(parses.values()) == {1} and len(parses) == 14
     assert set(joins.values()) == {1} and len(joins) == 6
-    assert memo_stats()["range_parse"].lookups == 227
+    assert memo_stats()["range_parse"].lookups == 228
     assert memo_stats()["obr_range_value"].lookups == 26
 
 
@@ -325,7 +327,7 @@ def test_classifying_and_sbr_bounds_build_no_probe_request(cold, monkeypatch):
         case
         for vendor in all_vendor_names()
         for size in DEFAULT_PROBE_SIZES
-        for case in exploited_range_cases(vendor, size)
+        for case in profile_class(vendor).sbr_cases_at(size)
     }
     shapes = {*SINGLE_RANGE_SHAPES, *MULTI_RANGE_SHAPES}
     assert set(classify._PROBE_REQUESTS) == shapes | cases

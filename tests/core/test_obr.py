@@ -9,7 +9,8 @@ for Azure): the paper's absolute factors embed its testbed's TCP framing.
 
 import pytest
 
-from repro.analysis.classify import exploited_leading_spec
+from repro.cdn.vendors import profile_class
+from repro.cdn.vendors.base import VendorConfig
 from repro.core.obr import ObrAttack, vulnerable_combinations
 from repro.errors import ConfigurationError
 from repro.netsim.overhead import NullOverheadModel
@@ -28,10 +29,17 @@ class TestCombinations:
             ObrAttack("stackpath", "stackpath")
 
     def test_exploited_leading_specs(self):
-        assert exploited_leading_spec("cdn77") == "-1024"
-        assert exploited_leading_spec("cdnsun") == "1-"
-        assert exploited_leading_spec("cloudflare") is None
-        assert exploited_leading_spec("stackpath") is None
+        assert profile_class("cdn77").obr_leading_spec == "-1024"
+        assert profile_class("cdnsun").obr_leading_spec == "1-"
+        assert profile_class("cloudflare").obr_leading_spec is None
+        assert profile_class("stackpath").obr_leading_spec is None
+
+    def test_only_cloudflare_fronts_under_a_declared_config(self):
+        assert profile_class("cloudflare").obr_front_config == VendorConfig(
+            bypass_cache=True
+        )
+        for fcdn in ("cdn77", "cdnsun", "stackpath"):
+            assert profile_class(fcdn).obr_front_config is None
 
 
 class TestMaxN:

@@ -10,10 +10,9 @@ arithmetic differs slightly from the authors' testbed timing.
 
 import pytest
 
-from repro.analysis.classify import exploited_range_cases
 from repro.core.sbr import SbrAttack, sweep_resource_sizes
-from repro.errors import ConfigurationError
-from repro.cdn.vendors import all_vendor_names
+from repro.errors import UnknownVendorError
+from repro.cdn.vendors import all_vendor_names, profile_class
 from repro.cdn.vendors.base import VendorConfig
 from repro.reporting.paper_values import PAPER_TABLE4_FACTORS
 
@@ -24,27 +23,36 @@ _TOLERANCE = {"azure": 0.15, "cloudfront": 0.20, "keycdn": 0.10}
 _DEFAULT_TOLERANCE = 0.08
 
 
+def cases_at(vendor, resource_size):
+    """Table IV column 2, as the vendor's profile class declares it."""
+    return profile_class(vendor).sbr_cases_at(resource_size)
+
+
 class TestExploitedCases:
     def test_every_vendor_has_a_case(self):
         for vendor in all_vendor_names():
-            cases = exploited_range_cases(vendor, 10 * MB)
-            assert cases
-            assert all(value.startswith("bytes=") for value in cases)
+            for size in (1 * MB, 10 * MB, 25 * MB):
+                cases = cases_at(vendor, size)
+                assert cases
+                assert all(value.startswith("bytes=") for value in cases)
 
     def test_keycdn_sends_twice(self):
-        assert exploited_range_cases("keycdn", 1 * MB) == ["bytes=0-0", "bytes=0-0"]
+        assert cases_at("keycdn", 1 * MB) == ("bytes=0-0", "bytes=0-0")
 
     def test_azure_switches_at_8mb(self):
-        assert exploited_range_cases("azure", 8 * MB) == ["bytes=0-0"]
-        assert exploited_range_cases("azure", 9 * MB) == ["bytes=8388608-8388608"]
+        assert cases_at("azure", 8 * MB) == ("bytes=0-0",)
+        assert cases_at("azure", 8 * MB + 1) == ("bytes=8388608-8388608",)
+        assert cases_at("azure", 9 * MB) == ("bytes=8388608-8388608",)
 
     def test_huawei_switches_at_10mb(self):
-        assert exploited_range_cases("huawei", 9 * MB) == ["bytes=-1"]
-        assert exploited_range_cases("huawei", 10 * MB) == ["bytes=0-0"]
+        assert cases_at("huawei", 10 * MB - 1) == ("bytes=-1",)
+        assert cases_at("huawei", 10 * MB) == ("bytes=0-0",)
 
     def test_unknown_vendor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            exploited_range_cases("notacdn", 1 * MB)
+        with pytest.raises(UnknownVendorError):
+            cases_at("notacdn", 1 * MB)
+        with pytest.raises(UnknownVendorError):
+            SbrAttack("notacdn", resource_size=1 * MB).run()
 
 
 class TestSingleRun:

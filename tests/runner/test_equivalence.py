@@ -52,7 +52,7 @@ def test_equivalence_holds_when_a_cell_raises():
     # The failing cell is captured, not fatal.
     failure = result.outcomes[1].failure
     assert isinstance(failure, CellFailure)
-    assert failure.exception_type == "ConfigurationError"
+    assert failure.exception_type == "UnknownVendorError"
     assert "nonexistent-vendor" in failure.message
     # Unwrapping the failed cell raises with the cell's label.
     with pytest.raises(RunnerCellError, match="nonexistent-vendor"):
